@@ -4,21 +4,23 @@
 Run from the repository root:
 
     python3 perfbench/run.py --workload solve-3d-sphere --seed 1 \\
-        --seconds 20 --trace 0
+        --seconds 25 --trace 0
 
-One run is one process, with BLAS/OpenMP pinned to one thread.  It
-measures set-up (``--setup-probes`` fresh child processes, each timed from
+One run is one process, with BLAS/OpenMP pinned to one thread.  It makes
+calls one after another (a closed loop with one client) until the calls
+have taken about ``--seconds`` and at least ``MIN_CALLS`` are done, and
+checks every answer against ``reference.json``.  Between the calls it
+measures set-up: ``SETUP_PROBES`` fresh child processes, each timed from
 spawn until it has imported jetsolve, built its inputs and made a warm-up
-call on the smallest grid), then makes calls one after another (a closed
-loop with one client) until ``--seconds`` have passed, and checks every
-answer against ``reference.json``.
+call on the smallest grid.
 
 ``--trace 0`` prints the end-to-end metrics: the median ``setup_s``, the
 median wall ``solve_s`` per call and ``peak_rss_mb``.  ``--trace 1``
 alternates untraced and traced calls and prints the per-layer split of the
-traced ones (see tracing.py) next to the untraced call time.  The share of
-calls that failed (``fail_frac``) is ``failed / attempted`` in the last
-line.
+traced ones (see tracing.py) next to the untraced call time, with the
+tracing overhead estimated from the measured cost of one wrapper.  The
+share of calls that failed (``fail_frac``) is ``failed / attempted`` in the
+last line.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  A copy with the
@@ -42,13 +44,21 @@ import time
 import traceback
 from pathlib import Path
 
-from tracing import COUNTED, TIMED, Tracer, starved_nodes
+from tracing import COUNTED, TIMED, Tracer, wrapper_costs
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# setup_s is the median over this many fresh processes; set-up is short, so
+# one probe is easily thrown off by a burst of load from elsewhere.
+SETUP_PROBES = 9
+# A run makes at least this many calls, so that the median of solve_s
+# outlasts one slow call (on lemma-suite-2d the first full-size call of a
+# process is about 10% slower than the rest) and a traced run has calls of
+# both kinds.
+MIN_CALLS = 3
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -62,7 +72,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                          "(used by the harness self-check)")
     ap.add_argument("--reference", type=Path, default=HERE / "reference.json",
                     help="reference digests the answers are checked against")
-    ap.add_argument("--setup-probes", type=int, default=5)
     ap.add_argument("--setup-probe", action="store_true",
                     help=argparse.SUPPRESS)
     return ap.parse_args(argv)
@@ -146,16 +155,32 @@ def environment() -> dict:
 
 
 def run_calls(args, workloads, workload, reference):
-    """Call until the time is up; returns (call records, tracer, results)."""
+    """Call until ``--seconds`` of calls are done.
+
+    Returns the call records, the tracer, the traced calls' results and the
+    set-up times.
+    """
     tracer = Tracer() if args.trace else None
-    records, traced_results = [], []
-    t_start = time.perf_counter()
+    # set-up is an end-to-end metric; a traced run does not report it
+    probes = 0 if args.trace else SETUP_PROBES
+    records, traced_results, setup_times = [], [], []
     index = 0
     while True:
-        elapsed = time.perf_counter() - t_start
-        kinds = {r["traced"] for r in records}
-        need_both = args.trace and len(kinds) < 2
-        if records and elapsed >= args.seconds and not need_both:
+        # Only the calls count towards --seconds.  The run stops where the
+        # time of its calls ends closest to --seconds, taking the next call
+        # to last as long as the median one so far.
+        elapsed = sum(r["seconds"] for r in records)
+        done = len(records) >= MIN_CALLS and (
+            elapsed + statistics.median(r["seconds"] for r in records) / 2
+            >= args.seconds)
+        # The set-up probes are spread over the run, between calls, so that
+        # setup_s samples the same stretch of machine speed as solve_s.
+        due = probes
+        if not done and elapsed < args.seconds:
+            due = min(probes, 1 + int(probes * elapsed / args.seconds))
+        while len(setup_times) < due:
+            setup_times.append(probe_set_up(args))
+        if done:
             break
         traced = bool(args.trace) and index % 2 == 1
         entry = workloads.pool_entry(args.seed, index)
@@ -186,7 +211,7 @@ def run_calls(args, workloads, workload, reference):
                         "traced": traced, "seconds": seconds,
                         "problems": problems})
         index += 1
-    return records, tracer, traced_results
+    return records, tracer, traced_results, setup_times
 
 
 def end_to_end(setup_times, records) -> dict:
@@ -226,8 +251,9 @@ def per_layer(tracer, records, traced_results) -> tuple[dict, dict]:
         "count")
     put("holder.pairs_scanned", counts.get("holder.pairs_scanned", 0) / calls,
         "count")
-    put("grid.lsq_nodes", sum(starved_nodes(g) for g in tracer.grids) / calls,
-        "count")
+    # the least-squares plans fd_values built, as the grids cache them
+    lsq = sum(1 for g in tracer.grids for key in g._cache if key[0] == "lsq")
+    put("grid.lsq_nodes", lsq / calls, "count")
     built = counts.get("grid.pair_sets", 0)
     put("grid.pair_set_complete",
         counts.get("grid.pair_sets_complete", 0) / built if built else 0.0,
@@ -256,12 +282,17 @@ def per_layer(tracer, records, traced_results) -> tuple[dict, dict]:
     if not outcomes:
         notes["kobayashi.useful_solve_frac"] = "no Kobayashi search; reported as 0"
 
-    traced_mean = sum(traced) / calls
-    untraced_mean = sum(untraced) / len(untraced)
+    # The traced and untraced calls run on different pool entries at
+    # different moments, so on a shared machine their difference is mostly
+    # drift.  The overhead is instead what the wrappers cost: every span and
+    # every counted oracle call, at the cost of one measured in this run.
+    span_cost, counter_cost = wrapper_costs()
+    overhead = (len(tracer.spans) * span_cost
+                + counts.get("reduce.oracle_calls", 0) * counter_cost)
     unattributed = sum(v for k, v in self_times.items() if k not in listed)
-    put("trace.solve_s", traced_mean, "s")
-    put("trace.untraced_solve_s", untraced_mean, "s")
-    put("trace.overhead_s", traced_mean - untraced_mean, "s")
+    put("trace.solve_s", sum(traced) / calls, "s")
+    put("trace.untraced_solve_s", sum(untraced) / len(untraced), "s")
+    put("trace.overhead_s", overhead / calls, "s")
     put("trace.unattributed_s", unattributed / calls, "s")
     return m, notes
 
@@ -279,12 +310,9 @@ def main(argv=None) -> int:
         print("ready", flush=True)
         return 0
 
-    # set-up is an end-to-end metric; a traced run does not report it
-    probes = 0 if args.trace else args.setup_probes
-    setup_times = [probe_set_up(args) for _ in range(probes)]
     workloads, workload, reference = set_up(args)
-    records, tracer, traced_results = run_calls(args, workloads, workload,
-                                                reference)
+    records, tracer, traced_results, setup_times = run_calls(
+        args, workloads, workload, reference)
     failed = sum(1 for r in records if r["problems"])
     notes = {}
     if args.trace:

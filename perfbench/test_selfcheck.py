@@ -5,6 +5,7 @@ Run from the repository root:
     python3 -m pytest -q perfbench/test_selfcheck.py
 
 It checks that every metric BENCHMARK.json names is printed with its unit,
+that the gate rejects every digest entry moved past its tolerance or limit,
 that a perturbed reference digest fails every call, and that the harness
 refuses to run without the program's sources.
 """
@@ -23,12 +24,16 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+REFS = json.loads((HERE / "reference.json").read_text())
 WORK = HERE / "out" / "selfcheck"
+
+sys.path[:0] = [str(ROOT / "src"), str(HERE)]
+import workloads  # noqa: E402
 
 
 def run(*args, cwd=ROOT) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "perfbench/run.py", "--size", "small",
-           "--seconds", "0", "--setup-probes", "1", *args]
+           "--seconds", "0", *args]
     return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True,
                           timeout=170)
 
@@ -64,6 +69,36 @@ def _perturb(value):
     if isinstance(value, str):
         return value + "-perturbed"
     return list(value) + [None]
+
+
+def _scaled(value, factor):
+    if isinstance(value, list):
+        return [_scaled(v, factor) for v in value]
+    return value * factor
+
+
+def test_gate_checks_each_entry():
+    reference = [want for size in REFS.values() for digests in size.values()
+                 for want in digests.values()]
+    tolerant = set()
+    for want in reference:
+        assert workloads.check(dict(want), want) == []
+        for key, value in want.items():
+            tol = workloads.TOLERANCES.get(key)
+            if tol is None:
+                assert workloads.check({**want, key: _perturb(value)}, want)
+                continue
+            tolerant.add(key)
+            within = {**want, key: _scaled(value, 1 + tol / 10)}
+            beyond = {**want, key: _scaled(value, 1 + tol * 10)}
+            assert workloads.check(within, want) == []
+            assert workloads.check(beyond, want), key
+    assert tolerant == set(workloads.TOLERANCES)
+    want = reference[0]
+    for key, limit in workloads.LIMITS.items():
+        assert workloads.check({**want, key: limit / 2}, want) == []
+        assert workloads.check({**want, key: limit * 2}, want)
+        assert workloads.check({**want, key: -limit * 2}, want)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -47,12 +47,6 @@ COUNTED = ("grid.fd_values", "grid.build_grid", "picard.source_term",
 ORACLE_BUILDERS = (("systems", "harmonic_map_system"),
                    ("systems", "minimal_surface_system"))
 
-# Offsets whose presence decides which stencil a node gets; see
-# grid._first_derivative, _second_pure and _second_mixed.
-_CENTRAL = (1, -1)
-_FIRST_ONE_SIDED = ((1, 2), (-1, -2))
-_SECOND_ONE_SIDED = ((1, 2, 3), (-1, -2, -3))
-
 
 @dataclass
 class Span:
@@ -163,17 +157,17 @@ class Tracer:
         self._add("grid.pair_sets")
         self._add("grid.pair_sets_complete", int(bool(pairs.complete)))
 
-    def _counting_builder(self, build):
-        def count(fn):
-            def oracle(*args, **kwargs):
-                self._add("reduce.oracle_calls")
-                return fn(*args, **kwargs)
-            return oracle
+    def _counted(self, fn):
+        def oracle(*args, **kwargs):
+            self._add("reduce.oracle_calls")
+            return fn(*args, **kwargs)
+        return oracle
 
+    def _counting_builder(self, build):
         def wrapper(*args, **kwargs):
             system = build(*args, **kwargs)
-            system.a = count(system.a)
-            system.phi = count(system.phi)
+            system.a = self._counted(system.a)
+            system.phi = self._counted(system.phi)
             return system
         wrapper.__wrapped__ = build
         return wrapper
@@ -223,44 +217,31 @@ class Tracer:
                                      "parent": s.parent}) + "\n")
 
 
-def starved_nodes(grid) -> int:
-    """Nodes where some derivative of order <= 2 needs the least-squares fit.
+def wrapper_costs() -> tuple[float, float]:
+    """Seconds that one span wrapper and one oracle counter add to a call.
 
-    Mirrors the stencil choice in grid.py from the grid's public lattice
-    fields: a node is starved when, for some axis or axis pair, neither the
-    central nor either one-sided stencil fits inside the ball.
+    A no-op is timed bare and through each wrapper, on a scratch tracer.
+    Each figure is the best of five rounds of 10,000 calls, since noise on
+    a shared machine only ever adds time.
     """
-    import numpy as np
+    calls, rounds = 10000, 5
 
-    lattice, index_map, res, n = grid.lattice, grid.index_map, grid.res, grid.n
+    def noop():
+        return None
 
-    def present(offset) -> np.ndarray:
-        shifted = lattice + np.asarray(offset)
-        ok = np.all((shifted >= 0) & (shifted < res), axis=1)
-        out = np.zeros(lattice.shape[0], dtype=bool)
-        out[ok] = index_map[tuple(shifted[ok].T)] >= 0
-        return out
+    scratch = Tracer()
+    spanned = scratch._timed("noop", noop, None)
+    counted = scratch._counted(noop)
 
-    def along(d, steps) -> np.ndarray:
-        out = np.ones(lattice.shape[0], dtype=bool)
-        for k in steps:
-            off = [0] * n
-            off[d] = k
-            out &= present(off)
-        return out
+    def per_call(fn) -> float:
+        best = float("inf")
+        for _ in range(rounds):
+            scratch.spans.clear()
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best = min(best, time.perf_counter() - t0)
+        return best / calls
 
-    starved = np.zeros(lattice.shape[0], dtype=bool)
-    for d in range(n):
-        central = along(d, _CENTRAL)
-        for sides in (_FIRST_ONE_SIDED, _SECOND_ONE_SIDED):
-            starved |= ~(central | along(d, sides[0]) | along(d, sides[1]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            full = np.ones(lattice.shape[0], dtype=bool)
-            for si in (1, -1):
-                for sj in (1, -1):
-                    off = [0] * n
-                    off[i], off[j] = si, sj
-                    full &= present(off)
-            starved |= ~full
-    return int(starved.sum())
+    bare = per_call(noop)
+    return per_call(spanned) - bare, per_call(counted) - bare
