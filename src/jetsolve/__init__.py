@@ -11,30 +11,29 @@ Riemannian analogue of the Kobayashi metric.
 
 from .grid import (BallGrid, PairSet, ScalarField, VectorField, build_grid,
                    build_pair_set, fd_derivative, fd_values, field_from_callable,
-                   laplacian, vector_field_from_matrix)
+                   laplacian, multi_indices, vector_field_from_matrix)
 from .holder import (HolderReport, JetNormReport, check_banach_algebra,
                      check_norm_comparison, check_taylor_remainder,
-                     holder_norm, jet_norm, multi_indices,
-                     taylor_remainder_ratio, weighted_norm_values)
+                     holder_norm, jet_norm, taylor_remainder_ratio,
+                     weighted_norm_values)
 from .kobayashi import (KobayashiEstimate, KobayashiQuery,
                         conformality_defect, estimate, is_conformal_jet,
                         orthogonal_partner)
 from .oracle import (ball_lattice_count, exhaustive_holder,
-                     fd_laplacian_reference, uniform_ball_potential)
+                     fd_laplacian_reference, fd_values_reference,
+                     uniform_ball_potential)
 from .picard import (AttemptRecord, HarmonicPolynomial, IterateState,
                      IterateEscaped, NoConvergence, OracleFailure,
                      ResidualReport, SolveConfig, SolveFailure, SolveReport,
                      choose_norm_radius, coefficient_deviation_sup,
                      make_state, origin_jet_magnitudes, picard_map,
-                     picard_solve, potential_map, residual_check,
+                     picard_solve, residual_check,
                      seed_field_values, solve_system, solver_norm,
                      source_term)
 from .potential import (KernelSpec, NormRatioReport, PotentialField,
-                        check_potential_norm_bound,
-                        check_truncated_kernel_bound, fundamental_solution,
-                        laplacian_consistency, newtonian_potential,
-                        potential_gradient, potential_hessian, quad_weights,
-                        self_cell_integrals, truncated_kernel_integrals)
+                        check_potential_norm_bound, laplacian_consistency,
+                        newtonian_potential, potential_gradient,
+                        potential_hessian, quad_weights, self_cell_integrals)
 from .probes import (Probe, constant_probe, coordinate_probe, lemma_battery,
                      plane_exp, plane_sin, polynomial, potential_probes,
                      radius_squared_probe, separable, with_zero_jet)
@@ -61,23 +60,21 @@ __all__ = [
     "VectorField", "ball_lattice_count", "build_grid", "build_pair_set",
     "build_system", "check_banach_algebra", "check_ellipticity",
     "check_norm_comparison", "check_potential_norm_bound",
-    "check_taylor_remainder", "constant_probe", "coordinate_probe", "check_truncated_kernel_bound",
+    "check_taylor_remainder", "constant_probe", "coordinate_probe",
     "choose_norm_radius", "coefficient_deviation_sup", "conformality_defect",
     "diagonalize", "estimate", "euclidean_target", "exhaustive_holder",
     "fd_derivative", "fd_laplacian_reference", "fd_values",
-    "field_from_callable",
-    "fundamental_solution", "harmonic_map_system", "holder_norm",
+    "fd_values_reference", "field_from_callable", "harmonic_map_system",
+    "holder_norm",
     "hyperbolic_disk_target", "is_conformal_jet", "jet_norm", "laplacian",
     "laplacian_consistency", "lemma_battery", "make_state",
     "minimal_surface_system", "multi_indices", "newtonian_potential",
     "oracle", "origin_jet_magnitudes", "orthogonal_partner", "picard_map",
     "picard_solve", "plane_exp", "plane_sin", "poisson_system", "polynomial",
-    "potential_gradient", "potential_hessian", "potential_map",
-    "potential_probes", "radius_squared_probe", "prescribed_mean_curvature_system", "quad_weights",
+    "potential_gradient", "potential_hessian", "potential_probes", "radius_squared_probe", "prescribed_mean_curvature_system", "quad_weights",
     "register_system", "register_target", "residual_check",
     "run_lemma_suite", "seed_field_values", "self_cell_integrals",
     "separable", "shift_jet", "solve_system", "solver_norm", "source_term",
     "sphere_stereographic_target", "taylor_remainder_ratio",
-    "truncated_kernel_integrals", "uniform_ball_potential",
-    "vector_field_from_matrix", "weighted_norm_values", "with_zero_jet",
+    "uniform_ball_potential", "vector_field_from_matrix", "weighted_norm_values", "with_zero_jet",
 ]

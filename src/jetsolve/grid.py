@@ -2,16 +2,19 @@
 
 The grid is a Cartesian lattice clipped to the closed ball.  The resolution is
 odd so the origin is always a node, and axis endpoints land exactly on |x| = R.
-Derivatives use 2nd-order central stencils where the full stencil fits inside
-the ball, 2nd-order one-sided stencils near the boundary, and a local
-least-squares quadratic fit at the handful of nodes (e.g. the poles) whose
-lattice line is too short for any 1-D stencil.  All three routes reproduce
+Every derivative of order 1 or 2 is read off one stencil table per grid: a
+sparse row per (multi-index, node), built once and applied as one gather plus
+a segmented sum.  A row holds the 2nd-order central stencil where it fits
+inside the ball, else a 2nd-order one-sided stencil, else (at the handful of
+nodes, e.g. the poles, whose lattice line is too short for either) a
+least-squares quadratic fit on the nearest nodes.  Every row reproduces
 polynomials of degree <= 2 exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,31 +50,13 @@ class BallGrid:
     def boundary_mask(self) -> np.ndarray:
         return ~self.interior_mask
 
-    def axis_neighbors(self, d: int, k: int) -> np.ndarray:
-        """Node index at lattice offset k along axis d, -1 where absent."""
-        key = ("nbr", d, k)
-        if key not in self._cache:
-            shifted = self.lattice.copy()
-            shifted[:, d] += k
-            self._cache[key] = self._lookup(shifted)
-        return self._cache[key]
 
-    def corner_neighbors(self, i: int, j: int, si: int, sj: int) -> np.ndarray:
-        """Node index at lattice offset si*e_i + sj*e_j, -1 where absent."""
-        key = ("corner", i, j, si, sj)
-        if key not in self._cache:
-            shifted = self.lattice.copy()
-            shifted[:, i] += si
-            shifted[:, j] += sj
-            self._cache[key] = self._lookup(shifted)
-        return self._cache[key]
-
-    def _lookup(self, lat: np.ndarray) -> np.ndarray:
-        ok = np.all((lat >= 0) & (lat < self.res), axis=1)
-        out = np.full(lat.shape[0], -1, dtype=np.int64)
-        if ok.any():
-            out[ok] = self.index_map[tuple(lat[ok].T)]
-        return out
+def _lookup(index_map: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """Node index at each lattice point of lat (..., n); -1 where absent."""
+    ok = np.all((lat >= 0) & (lat < index_map.shape[0]), axis=-1)
+    out = np.full(lat.shape[:-1], -1, dtype=np.int64)
+    out[ok] = index_map[tuple(lat[ok].T)]
+    return out
 
 
 def build_grid(n: int, R: float, res: int) -> BallGrid:
@@ -107,16 +92,9 @@ def build_grid(n: int, R: float, res: int) -> BallGrid:
     if origin_index < 0:  # pragma: no cover - origin is always inside
         raise RuntimeError("origin node missing")
 
-    interior = np.ones(N, dtype=bool)
-    for off in itertools.product((-1, 0, 1), repeat=n):
-        if all(o == 0 for o in off):
-            continue
-        shifted = lattice + np.asarray(off)
-        ok = np.all((shifted >= 0) & (shifted < res), axis=1)
-        idx = np.full(N, -1, dtype=np.int64)
-        if ok.any():
-            idx[ok] = index_map[tuple(shifted[ok].T)]
-        interior &= idx >= 0
+    unit_box = np.asarray(list(itertools.product((-1, 0, 1), repeat=n)))
+    interior = np.all(_lookup(index_map, lattice[:, None, :] + unit_box) >= 0,
+                      axis=1)
 
     return BallGrid(
         n=n, R=float(R), res=res, h=h, cell_volume=h**n,
@@ -186,7 +164,18 @@ def vector_field_from_matrix(grid: BallGrid, values: np.ndarray) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# finite differences: one stencil table per grid
+
+
+def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
+    """Multi-indices of one order, in lexicographic order of their axes."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(n), order):
+        beta = [0] * n
+        for d in combo:
+            beta[d] += 1
+        out.append(tuple(beta))
+    return out
 
 
 def _canonical_beta(n: int, beta) -> tuple[int, ...]:
@@ -198,144 +187,180 @@ def _canonical_beta(n: int, beta) -> tuple[int, ...]:
     return beta
 
 
-def _monomials(n: int) -> list[tuple[int, ...]]:
-    mono = [tuple(0 for _ in range(n))]
-    for d in range(n):
-        e = [0] * n
-        e[d] = 1
-        mono.append(tuple(e))
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            mono.append(tuple(e))
-    return mono
+# Fixed stencils, tried in order: (lattice steps along the derivative's axes,
+# weights in units of h^-|beta|).  Central first, then one-sided forward and
+# backward; a node none of them fits gets a least-squares quadratic fit.
+_FIRST = ((((1,), (-1,)), (0.5, -0.5)),
+          (((0,), (1,), (2,)), (-1.5, 2.0, -0.5)),
+          (((0,), (-1,), (-2,)), (1.5, -2.0, 0.5)))
+_PURE = ((((1,), (0,), (-1,)), (1.0, -2.0, 1.0)),
+         (((0,), (1,), (2,), (3,)), (2.0, -5.0, 4.0, -1.0)),
+         (((0,), (-1,), (-2,), (-3,)), (2.0, -5.0, 4.0, -1.0)))
+_MIXED = ((((1, 1), (1, -1), (-1, 1), (-1, -1)), (0.25, -0.25, -0.25, 0.25)),)
 
 
-def _lsq_plan(grid: BallGrid, node: int):
-    """Neighbors and quadratic-fit weights for a stencil-starved node."""
-    key = ("lsq", node)
+@dataclass(frozen=True)
+class StencilTable:
+    """Finite-difference rows of one grid, one per (multi-index, node).
+
+    Row b * N + k holds the stencil of multi-index betas[b] at node k: its
+    entries indptr[row]:indptr[row + 1] of index (neighbour nodes) and
+    weight (in units of h^-|beta|).
+    """
+
+    betas: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray
+
+
+def _nearest(grid: BallGrid, nodes: np.ndarray, K: int) -> np.ndarray:
+    """The K nearest nodes to each of nodes, ties broken by lattice index.
+
+    Candidates come from the lattice box of half-width 3 around each node;
+    a node whose K-th candidate is not closer than every lattice point
+    outside the box (or whose box is too small to hold K nodes) is searched
+    again in a box twice as wide.
+    """
+    n = grid.n
+    out = np.empty((nodes.shape[0], K), dtype=np.int64)
+    todo = np.arange(nodes.shape[0])
+    box = 3
+    while todo.size:
+        if (2 * box + 1) ** n < K:  # too few lattice points to hold K nodes
+            box = min(2 * box, grid.res - 1)
+            continue
+        offsets = np.asarray(list(itertools.product(range(-box, box + 1),
+                                                    repeat=n)))
+        lat = grid.lattice[nodes[todo], None, :] + offsets
+        cand = _lookup(grid.index_map, lat)
+        diff = (grid.nodes[cand] - grid.nodes[nodes[todo], None, :]).reshape(-1, n)
+        d2 = np.einsum("ij,ij->i", diff, diff).reshape(cand.shape)
+        d2[cand < 0] = np.inf
+        keys = tuple(lat[..., d] for d in range(n - 1, -1, -1)) + (d2,)
+        order = np.lexsort(keys, axis=-1)[:, :K]
+        kth = np.take_along_axis(d2, order[:, K - 1:], axis=1)[:, 0]
+        # every lattice point outside the box is at least (box + 1) h away
+        done = kth < ((box + 1) * grid.h) ** 2 * (1.0 - 1e-9)
+        if box >= grid.res - 1:  # the box holds every node
+            done[:] = True
+        out[todo[done]] = np.take_along_axis(cand[done], order[done], axis=1)
+        todo = todo[~done]
+        box = min(2 * box, grid.res - 1)
+    return out
+
+
+def _quadratic_fits(grid: BallGrid, nodes: np.ndarray) -> list:
+    """Least-squares quadratic fits at the given nodes.
+
+    Each node fits the monomials of degree <= 2 on its K nearest nodes, K
+    starting at twice the monomial count and growing by the monomial count
+    until the fit has full rank.  Returns (nodes, neighbours, pinv) groups,
+    one per K; pinv maps neighbour values to the coefficients, in
+    (x - x_node) / h, of the multi-indices of order 0, 1 and 2 in order.
+    """
+    mono = np.asarray([b for order in (0, 1, 2)
+                       for b in multi_indices(grid.n, order)])
+    nm, N = mono.shape[0], grid.node_count
+    K = min(N, 2 * nm)
+    groups = []
+    while nodes.size:
+        nbr = _nearest(grid, nodes, K)
+        xi = (grid.nodes[nbr] - grid.nodes[nodes, None, :]) / grid.h
+        V = np.prod(xi[:, :, None, :] ** mono, axis=-1)
+        full = (np.linalg.matrix_rank(V) == nm) | (K >= N)
+        if full.any():
+            groups.append((nodes[full], nbr[full], np.linalg.pinv(V[full])))
+        nodes = nodes[~full]
+        K = min(N, K + nm)
+    return groups
+
+
+def stencil_table(grid: BallGrid) -> StencilTable:
+    """The grid's finite-difference table for every 1 <= |beta| <= 2.
+
+    Built on first use and cached on the grid.  Each (beta, node) row is
+    the first fixed stencil whose nodes all exist, or else the node's
+    least-squares quadratic fit; all of them reproduce quadratics exactly.
+    """
+    key = "stencil_table"
     if key in grid._cache:
         return grid._cache[key]
-    mono = _monomials(grid.n)
-    nm = len(mono)
-    d2 = np.einsum("ij,ij->i", grid.nodes - grid.nodes[node],
-                   grid.nodes - grid.nodes[node])
-    keys = tuple(grid.lattice[:, d] for d in range(grid.n - 1, -1, -1)) + (d2,)
-    order = np.lexsort(keys)
-    K = min(grid.node_count, 2 * nm)
-    while True:
-        nbr = order[:K]
-        xi = (grid.nodes[nbr] - grid.nodes[node]) / grid.h
-        V = np.column_stack([np.prod(xi**np.asarray(e), axis=1) for e in mono])
-        if np.linalg.matrix_rank(V) == nm or K >= grid.node_count:
-            break
-        K = min(grid.node_count, K + nm)
-    W = np.linalg.pinv(V)
-    plan = (nbr, W, {e: i for i, e in enumerate(mono)})
-    grid._cache[key] = plan
-    return plan
+    n, N = grid.n, grid.node_count
+    betas = tuple(multi_indices(n, 1) + multi_indices(n, 2))
+    parts = []          # (rows, neighbours (s, k), weights (k,) or (s, k))
+    starved = []
+    for b, beta in enumerate(betas):
+        axes = [d for d, k in enumerate(beta) if k]
+        stencils = (_MIXED if len(axes) == 2
+                    else _FIRST if sum(beta) == 1 else _PURE)
+        free = np.ones(N, dtype=bool)
+        for steps, weights in stencils:
+            offsets = np.zeros((len(steps), n), dtype=np.int64)
+            offsets[:, axes] = steps
+            nbr = _lookup(grid.index_map, grid.lattice[:, None, :] + offsets)
+            take = free & np.all(nbr >= 0, axis=1)
+            parts.append((b * N + np.nonzero(take)[0], nbr[take],
+                          np.asarray(weights)))
+            free &= ~take
+        starved.append(free)
+
+    fact = [math.prod(math.factorial(k) for k in beta) for beta in betas]
+    any_starved = np.nonzero(np.any(starved, axis=0))[0]
+    for nodes, nbr, pinv in _quadratic_fits(grid, any_starved):
+        for b in range(len(betas)):
+            sel = starved[b][nodes]
+            # the fit's coefficient 0 is the constant, 1 + b is betas[b]
+            parts.append((b * N + nodes[sel], nbr[sel],
+                          pinv[sel, 1 + b, :] * fact[b]))
+
+    width = np.zeros(len(betas) * N, dtype=np.int64)
+    for rows, nbr, _ in parts:
+        width[rows] = nbr.shape[1]
+    indptr = np.concatenate(([0], np.cumsum(width)))
+    index = np.empty(indptr[-1], dtype=np.int64)
+    weight = np.empty(indptr[-1])
+    for rows, nbr, w in parts:
+        slots = indptr[rows][:, None] + np.arange(nbr.shape[1])
+        index[slots] = nbr
+        weight[slots] = w
+    table = StencilTable(betas=betas, indptr=indptr, index=index, weight=weight)
+    grid._cache[key] = table
+    return table
 
 
-def _lsq_derivative(grid: BallGrid, vals: np.ndarray, nodes: np.ndarray,
-                    beta: tuple[int, ...], out: np.ndarray) -> None:
-    order = sum(beta)
-    fact = 1.0
-    for b in beta:
-        for k in range(2, b + 1):
-            fact *= k
-    for node in nodes:
-        nbr, W, pos = _lsq_plan(grid, int(node))
-        coef = W @ vals[nbr]
-        out[node] = coef[pos[beta]] * fact / grid.h**order
+def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
+              node: int | None = None) -> np.ndarray:
+    """Finite-difference derivative of raw node values (no oracle shortcut).
 
-
-def _first_derivative(grid: BallGrid, vals: np.ndarray, d: int) -> np.ndarray:
-    h = grid.h
-    p1 = grid.axis_neighbors(d, 1)
-    m1 = grid.axis_neighbors(d, -1)
-    p2 = grid.axis_neighbors(d, 2)
-    m2 = grid.axis_neighbors(d, -2)
-    out = np.empty_like(vals)
-    central = (p1 >= 0) & (m1 >= 0)
-    fwd = ~central & (p1 >= 0) & (p2 >= 0)
-    bwd = ~central & ~fwd & (m1 >= 0) & (m2 >= 0)
-    rest = ~(central | fwd | bwd)
-    out[central] = (vals[p1[central]] - vals[m1[central]]) / (2 * h)
-    if fwd.any():
-        out[fwd] = (-3 * vals[fwd] + 4 * vals[p1[fwd]] - vals[p2[fwd]]) / (2 * h)
-    if bwd.any():
-        out[bwd] = (3 * vals[bwd] - 4 * vals[m1[bwd]] + vals[m2[bwd]]) / (2 * h)
-    if rest.any():
-        beta = tuple(1 if k == d else 0 for k in range(grid.n))
-        _lsq_derivative(grid, vals, np.nonzero(rest)[0], beta, out)
-    return out
-
-
-def _second_pure(grid: BallGrid, vals: np.ndarray, d: int) -> np.ndarray:
-    h2 = grid.h**2
-    p1 = grid.axis_neighbors(d, 1)
-    m1 = grid.axis_neighbors(d, -1)
-    p2 = grid.axis_neighbors(d, 2)
-    m2 = grid.axis_neighbors(d, -2)
-    p3 = grid.axis_neighbors(d, 3)
-    m3 = grid.axis_neighbors(d, -3)
-    out = np.empty_like(vals)
-    central = (p1 >= 0) & (m1 >= 0)
-    fwd = ~central & (p1 >= 0) & (p2 >= 0) & (p3 >= 0)
-    bwd = ~central & ~fwd & (m1 >= 0) & (m2 >= 0) & (m3 >= 0)
-    rest = ~(central | fwd | bwd)
-    out[central] = (vals[p1[central]] - 2 * vals[central] + vals[m1[central]]) / h2
-    if fwd.any():
-        out[fwd] = (2 * vals[fwd] - 5 * vals[p1[fwd]]
-                    + 4 * vals[p2[fwd]] - vals[p3[fwd]]) / h2
-    if bwd.any():
-        out[bwd] = (2 * vals[bwd] - 5 * vals[m1[bwd]]
-                    + 4 * vals[m2[bwd]] - vals[m3[bwd]]) / h2
-    if rest.any():
-        beta = tuple(2 if k == d else 0 for k in range(grid.n))
-        _lsq_derivative(grid, vals, np.nonzero(rest)[0], beta, out)
-    return out
-
-
-def _second_mixed(grid: BallGrid, vals: np.ndarray, i: int, j: int) -> np.ndarray:
-    h2 = grid.h**2
-    pp = grid.corner_neighbors(i, j, 1, 1)
-    pm = grid.corner_neighbors(i, j, 1, -1)
-    mp = grid.corner_neighbors(i, j, -1, 1)
-    mm = grid.corner_neighbors(i, j, -1, -1)
-    out = np.empty_like(vals)
-    full = (pp >= 0) & (pm >= 0) & (mp >= 0) & (mm >= 0)
-    out[full] = (vals[pp[full]] - vals[pm[full]]
-                 - vals[mp[full]] + vals[mm[full]]) / (4 * h2)
-    rest = ~full
-    if rest.any():
-        beta = tuple((1 if k == i else 0) + (1 if k == j else 0)
-                     for k in range(grid.n))
-        _lsq_derivative(grid, vals, np.nonzero(rest)[0], beta, out)
-    return out
-
-
-def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...]) -> np.ndarray:
-    """Finite-difference derivative of raw node values (no oracle shortcut)."""
+    vals has shape (N,) or (N, m); the result has the same shape, or drops
+    the node axis when node picks the single row to evaluate.
+    """
     beta = _canonical_beta(grid.n, beta)
+    vals = np.asarray(vals, dtype=np.float64)
+    if vals.shape[:1] != (grid.node_count,) or vals.ndim > 2:
+        raise ValueError(f"values shape {vals.shape} does not fit "
+                         f"{grid.node_count} nodes")
     order = sum(beta)
     if order == 0:
-        return vals.copy()
-    if order == 1:
-        return _first_derivative(grid, vals, beta.index(1))
-    if 2 in beta:
-        return _second_pure(grid, vals, beta.index(2))
-    i, j = [k for k, b in enumerate(beta) if b == 1]
-    return _second_mixed(grid, vals, i, j)
+        return (vals if node is None else vals[node]).copy()
+    table = stencil_table(grid)
+    N = grid.node_count
+    first, count = (0, N) if node is None else (node, 1)
+    start = table.betas.index(beta) * N + first
+    ptr = table.indptr[start:start + count + 1]
+    lo, hi = ptr[0], ptr[-1]
+    w = table.weight[lo:hi].reshape((-1,) + (1,) * (vals.ndim - 1))
+    out = np.add.reduceat(vals[table.index[lo:hi]] * w, ptr[:-1] - lo, axis=0)
+    out /= grid.h**order
+    return out if node is None else out[0]
 
 
 def fd_derivative(field: ScalarField, beta) -> ScalarField:
     """Derivative field for a multi-index with |beta| <= 2.
 
     Exact values are copied from the field's analytic oracle when present;
-    otherwise the stencil hierarchy documented in the module docstring runs.
+    otherwise the grid's stencil table is applied.
     """
     grid = field.grid
     beta = _canonical_beta(grid.n, beta)

@@ -12,12 +12,12 @@ is reproducible from (grid, seed, cap).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BallGrid, PairSet, ScalarField, VectorField, fd_values
+from .grid import (PairSet, ScalarField, VectorField, fd_derivative,
+                   multi_indices)
 
 _EPS = 1e-12
 
@@ -70,23 +70,6 @@ def holder_norm(field: ScalarField, alpha: float, pairs: PairSet) -> HolderRepor
     return HolderReport(sup, semi, weighted, alpha, pairs.size)
 
 
-def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
-    out = []
-    for combo in itertools.combinations_with_replacement(range(n), order):
-        beta = [0] * n
-        for d in combo:
-            beta[d] += 1
-        out.append(tuple(beta))
-    return out
-
-
-def derivative_values(field: ScalarField, beta: tuple[int, ...]) -> np.ndarray:
-    if field.analytic_derivs is not None:
-        return np.asarray(field.analytic_derivs(beta, field.grid.nodes),
-                          dtype=np.float64)
-    return fd_values(field.grid, field.values, beta)
-
-
 def jet_norm(field, alpha: float, pairs: PairSet) -> JetNormReport:
     """Weighted jet norms of a scalar or vector field for l = 0, 1, 2.
 
@@ -103,7 +86,7 @@ def jet_norm(field, alpha: float, pairs: PairSet) -> JetNormReport:
         worst = 0.0
         for beta in multi_indices(grid.n, order):
             for comp in components:
-                vals = derivative_values(comp, beta)
+                vals = fd_derivative(comp, beta).values
                 _, _, weighted = weighted_norm_values(vals, alpha, pairs)
                 worst = max(worst, weighted)
         orders.append(worst)
@@ -140,9 +123,9 @@ def taylor_remainder_ratio(field: ScalarField, alpha: float,
     dx = grid.nodes[i] - grid.nodes[j]
 
     f = field.values
-    grads = [derivative_values(field, beta) for beta in multi_indices(n, 1)]
+    grads = [fd_derivative(field, beta).values for beta in multi_indices(n, 1)]
     hess_beta = multi_indices(n, 2)
-    hess = {beta: derivative_values(field, beta) for beta in hess_beta}
+    hess = {beta: fd_derivative(field, beta).values for beta in hess_beta}
 
     semi_sum = 0.0
     for beta in hess_beta:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .picard import (OracleFailure, SolveConfig, SolveFailure, SolveReport,
-                     solve_system)
+                     _unit, solve_system)
 from .reduce import JetSpec
 from .systems import TargetManifold, harmonic_map_system
 
@@ -217,9 +217,3 @@ def estimate(query: KobayashiQuery,
                                  partner=partner)
     return KobayashiEstimate(upper_bound=1.0 / r_best, r_best=r_best,
                              outcomes=outcomes, partner=partner)
-
-
-def _unit(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return e

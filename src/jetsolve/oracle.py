@@ -1,9 +1,9 @@
 """Independent reference computations used to certify the main operators.
 
 Nothing in here shares stencil or quadrature code with the modules under
-test: the Laplacian reference rebuilds its own neighbor table from raw
-coordinates, and the closed forms below were derived by hand and are
-re-checked symbolically in the test suite.
+test: the finite-difference references rebuild their own neighbor tables
+from raw coordinates, and the closed forms below were derived by hand and
+are re-checked symbolically in the test suite.
 """
 
 from __future__ import annotations
@@ -90,6 +90,85 @@ def fd_laplacian_reference(field: ScalarField) -> ScalarField:
         if ok:
             out[k] = (acc - 2 * grid.n * f[k]) / (h * h)
     return ScalarField(grid, out)
+
+
+def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:
+    """Finite-difference derivative computed route by route, node by node.
+
+    Independent of the grid's stencil table: the neighbor lookup is rebuilt
+    from raw node coordinates, each stencil is written out as a formula, and
+    each stencil-starved node gets its own least-squares quadratic fit on
+    the K nearest nodes (distance, then lattice index) found by sorting all
+    nodes.  Meant for small grids; the fits cost O(N log N) per node.
+    """
+    nodes, h, n, N = grid.nodes, grid.h, grid.n, grid.node_count
+    f = np.asarray(vals, dtype=np.float64)
+    lat = np.rint((nodes + grid.R) / h).astype(np.int64)
+    cube = np.full((grid.res,) * n, -1, dtype=np.int64)
+    cube[tuple(lat.T)] = np.arange(N)
+
+    def at(*steps):
+        shifted = lat.copy()
+        for d, k in steps:
+            shifted[:, d] += k
+        ok = np.all((shifted >= 0) & (shifted < grid.res), axis=1)
+        out = np.full(N, -1, dtype=np.int64)
+        out[ok] = cube[tuple(shifted[ok].T)]
+        return out
+
+    beta = tuple(int(b) for b in beta)
+    out = np.full(N, np.nan)
+    if sum(beta) == 1:
+        d = beta.index(1)
+        p1, m1, p2, m2 = at((d, 1)), at((d, -1)), at((d, 2)), at((d, -2))
+        cen = (p1 >= 0) & (m1 >= 0)
+        fwd = ~cen & (p1 >= 0) & (p2 >= 0)
+        bwd = ~cen & ~fwd & (m1 >= 0) & (m2 >= 0)
+        out[cen] = (f[p1[cen]] - f[m1[cen]]) / (2 * h)
+        out[fwd] = (-3 * f[fwd] + 4 * f[p1[fwd]] - f[p2[fwd]]) / (2 * h)
+        out[bwd] = (3 * f[bwd] - 4 * f[m1[bwd]] + f[m2[bwd]]) / (2 * h)
+    elif 2 in beta:
+        d = beta.index(2)
+        p = [at((d, k)) for k in (1, 2, 3)]
+        m = [at((d, -k)) for k in (1, 2, 3)]
+        cen = (p[0] >= 0) & (m[0] >= 0)
+        fwd = ~cen & np.all([q >= 0 for q in p], axis=0)
+        bwd = ~cen & ~fwd & np.all([q >= 0 for q in m], axis=0)
+        out[cen] = (f[p[0][cen]] - 2 * f[cen] + f[m[0][cen]]) / h**2
+        for mask, q in ((fwd, p), (bwd, m)):
+            out[mask] = (2 * f[mask] - 5 * f[q[0][mask]] + 4 * f[q[1][mask]]
+                         - f[q[2][mask]]) / h**2
+    else:
+        i, j = [k for k, b in enumerate(beta) if b == 1]
+        pp, pm = at((i, 1), (j, 1)), at((i, 1), (j, -1))
+        mp, mm = at((i, -1), (j, 1)), at((i, -1), (j, -1))
+        full = (pp >= 0) & (pm >= 0) & (mp >= 0) & (mm >= 0)
+        out[full] = (f[pp[full]] - f[pm[full]] - f[mp[full]]
+                     + f[mm[full]]) / (4 * h**2)
+
+    mono = [(0,) * n]
+    for d in range(n):
+        mono.append(tuple(1 if k == d else 0 for k in range(n)))
+    for i in range(n):
+        for j in range(i, n):
+            mono.append(tuple((k == i) + (k == j) for k in range(n)))
+    nm = len(mono)
+    fact = math.prod(math.factorial(b) for b in beta)
+    for node in np.nonzero(np.isnan(out))[0]:
+        d2 = np.einsum("ij,ij->i", nodes - nodes[node], nodes - nodes[node])
+        order = np.lexsort(tuple(lat[:, d] for d in range(n - 1, -1, -1))
+                           + (d2,))
+        K = min(N, 2 * nm)
+        while True:
+            xi = (nodes[order[:K]] - nodes[node]) / h
+            V = np.column_stack([np.prod(xi**np.asarray(e), axis=1)
+                                 for e in mono])
+            if np.linalg.matrix_rank(V) == nm or K >= N:
+                break
+            K = min(N, K + nm)
+        coef = np.linalg.pinv(V) @ f[order[:K]]
+        out[node] = coef[mono.index(beta)] * fact / h**sum(beta)
+    return out
 
 
 def ball_lattice_count(n: int, R: float, res: int) -> int:

@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (BallGrid, PairSet, ScalarField, VectorField, build_grid,
-                   build_pair_set, fd_values)
-from .holder import jet_norm
+                   build_pair_set, fd_values, multi_indices)
+from .holder import weighted_norm_values
 from .potential import _apply_potential, check_potential_norm_bound
 from .probes import potential_probes
 from .reduce import (JetSpec, PoissonSystem, SystemDef, check_ellipticity,
@@ -234,18 +234,11 @@ def make_state(grid: BallGrid, values: np.ndarray,
     n, m, big_n = grid.n, vals.shape[1], grid.node_count
     grad = np.empty((big_n, m, n))
     hess = np.empty((big_n, m, n, n))
-    for k in range(m):
-        col = vals[:, k]
-        for d in range(n):
-            e = tuple(1 if i == d else 0 for i in range(n))
-            grad[:, k, d] = fd_values(grid, col, e)
-        for i in range(n):
-            for j in range(i, n):
-                e = tuple((2 if a == i else 0) if i == j
-                          else (1 if a in (i, j) else 0) for a in range(n))
-                d2 = fd_values(grid, col, e)
-                hess[:, k, i, j] = d2
-                hess[:, k, j, i] = d2
+    for d, beta in enumerate(multi_indices(n, 1)):
+        grad[:, :, d] = fd_values(grid, vals, beta)
+    for beta in multi_indices(n, 2):
+        i, j = [d for d, k in enumerate(beta) for _ in range(k)]
+        hess[:, :, i, j] = hess[:, :, j, i] = fd_values(grid, vals, beta)
     return IterateState(grid=grid, values=vals, grad=grad, hess=hess,
                         index=index)
 
@@ -286,48 +279,22 @@ def source_term(system: PoissonSystem, state: IterateState) -> np.ndarray:
     return out
 
 
-def potential_map(system: PoissonSystem, state: IterateState,
-                  want_derivatives: bool = True) -> dict:
-    """Newtonian potential of the source term, with its kernel jet.
+def _origin_jet_polynomial(grid: BallGrid, vals: np.ndarray) -> np.ndarray:
+    """Evaluate the subtracted jet polynomial of an (N,) or (N, m) field.
 
-    Returns a dict with 'source' (N, m), 'values' (N, m) and, when
-    want_derivatives, 'gradients' (N, m, n) and 'hessians' (N, m, n, n)
-    computed by the singular-kernel formulas (not finite differences), so
-    the two derivative routes can be compared.
+    The polynomial collects the origin-node value, the finite-difference
+    gradient, and the off-diagonal second-order terms, each read from the
+    origin's stencil row; its diagonal second-order part is empty, so its
+    (discrete and continuous) Laplacian vanishes and the subtraction leaves
+    the field's Laplacian untouched.
     """
-    grid = state.grid
-    src = source_term(system, state)
-    res = _apply_potential(grid, src, want_value=True,
-                           want_grad=want_derivatives,
-                           want_hess=want_derivatives)
-    out = {"source": src, "values": res["value"]}
-    if want_derivatives:
-        out["gradients"] = res["grad"].transpose(0, 2, 1)      # -> (N, m, n)
-        out["hessians"] = res["hess"].transpose(0, 3, 1, 2)    # -> (N, m, n, n)
-    return out
-
-
-def _origin_jet_polynomial(grid: BallGrid, col: np.ndarray) -> np.ndarray:
-    """Evaluate the subtracted jet polynomial of one component on the grid.
-
-    The polynomial collects the origin-node value, the central-difference
-    gradient, and the off-diagonal second-order terms; its diagonal
-    second-order part is empty, so its (discrete and continuous) Laplacian
-    vanishes and the subtraction leaves the field's Laplacian untouched.
-    """
-    n = grid.n
     o = grid.origin_index
-    value = col[o]
-    poly = np.full(grid.node_count, value)
-    for d in range(n):
-        e = tuple(1 if i == d else 0 for i in range(n))
-        g = fd_values(grid, col, e)[o]
-        poly += g * grid.nodes[:, d]
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = tuple(1 if a in (i, j) else 0 for a in range(n))
-            mij = fd_values(grid, col, e)[o]
-            poly += mij * grid.nodes[:, i] * grid.nodes[:, j]
+    vals = np.asarray(vals, dtype=np.float64)
+    poly = np.zeros_like(vals) + vals[o]
+    mixed = [b for b in multi_indices(grid.n, 2) if max(b) == 1]
+    for beta in multi_indices(grid.n, 1) + mixed:
+        mono = np.prod(grid.nodes ** np.asarray(beta), axis=1)
+        poly += np.multiply.outer(mono, fd_values(grid, vals, beta, node=o))
     return poly
 
 
@@ -343,10 +310,7 @@ def picard_map(system: PoissonSystem, state: IterateState,
     src = source_term(system, state)
     omega = _apply_potential(grid, src, want_value=True)["value"]
     cand = omega + seed_values
-    new = np.empty_like(cand)
-    for k in range(state.m):
-        new[:, k] = cand[:, k] - _origin_jet_polynomial(grid, cand[:, k])
-    return new, src
+    return cand - _origin_jet_polynomial(grid, cand), src
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +319,20 @@ def picard_map(system: PoissonSystem, state: IterateState,
 
 def solver_norm(grid: BallGrid, values: np.ndarray, alpha: float,
                 pairs: PairSet) -> float:
-    """Discrete second-order weighted Holder norm of an (N, m) field."""
+    """Discrete second-order weighted Holder norm of an (N, m) field.
+
+    The order-2 entry of :func:`jet_norm`: the largest weighted norm over
+    every second derivative of every component.
+    """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim == 1:
         vals = vals[:, None]
-    fields = [ScalarField(grid, vals[:, k]) for k in range(vals.shape[1])]
-    vf = VectorField(tuple(fields))
-    return jet_norm(vf, alpha, pairs).solver_norm
+    worst = 0.0
+    for beta in multi_indices(grid.n, 2):
+        deriv = fd_values(grid, vals, beta)
+        for k in range(vals.shape[1]):
+            worst = max(worst, weighted_norm_values(deriv[:, k], alpha, pairs)[2])
+    return worst
 
 
 def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
@@ -478,11 +449,8 @@ def origin_jet_magnitudes(grid: BallGrid,
         vals = vals[:, None]
     o = grid.origin_index
     value_mag = float(np.abs(vals[o]).max())
-    grad_mag = 0.0
-    for k in range(vals.shape[1]):
-        for d in range(grid.n):
-            e = tuple(1 if i == d else 0 for i in range(grid.n))
-            grad_mag = max(grad_mag, abs(float(fd_values(grid, vals[:, k], e)[o])))
+    grad_mag = max(float(np.abs(fd_values(grid, vals, beta, node=o)).max())
+                   for beta in multi_indices(grid.n, 1))
     return value_mag, grad_mag
 
 

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import BallGrid, PairSet, ScalarField, build_pair_set, fd_values
-from .holder import HolderReport, holder_norm, multi_indices, weighted_norm_values
+from .grid import (BallGrid, PairSet, ScalarField, build_pair_set, fd_values,
+                   multi_indices)
+from .holder import holder_norm, weighted_norm_values
 
 _BLOCK_BYTES = 4e7
 
@@ -49,33 +50,11 @@ class KernelSpec:
     def unit_ball_volume(self) -> float:
         return math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0 + 1.0)
 
-    def at_radius(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        if np.any(r <= 0):
-            raise ValueError("fundamental solution is singular at z = 0")
-        if self.n == 2:
-            return -np.log(r) / (2.0 * math.pi)
-        c = 1.0 / (self.n * (self.n - 2) * self.unit_ball_volume)
-        return c * r ** (2 - self.n)
-
     def ball_integral(self, r: float) -> float:
         """Integral of the fundamental solution over B_r (closed form)."""
         if self.n == 2:
             return r * r * (1.0 - 2.0 * math.log(r)) / 4.0
         return r * r / (2.0 * (self.n - 2))
-
-
-def fundamental_solution(z, kernel: KernelSpec) -> np.ndarray:
-    """Evaluate the fundamental solution at displacement vectors z."""
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    if z.shape[-1] != kernel.n:
-        raise ValueError(f"expected vectors of length {kernel.n}")
-    r = np.sqrt(np.einsum("...i,...i->...", z, z))
-    out = kernel.at_radius(r)
-    return float(out[0]) if single else out
 
 
 @dataclass(eq=False)
@@ -275,13 +254,8 @@ def laplacian_consistency(f, grid: BallGrid | None = None) -> dict:
         trace = np.einsum("nii->n", res["hess"])
     else:
         trace = np.einsum("niim->nm", res["hess"])
-    cols = res["value"][:, None] if vals.ndim == 1 else res["value"]
-    fd_cols = np.zeros_like(cols)
-    for k in range(cols.shape[1]):
-        for d in range(grid.n):
-            beta = tuple(2 if i == d else 0 for i in range(grid.n))
-            fd_cols[:, k] += fd_values(grid, cols[:, k], beta)
-    fd_lap = fd_cols[:, 0] if vals.ndim == 1 else fd_cols
+    fd_lap = sum(fd_values(grid, res["value"], beta)
+                 for beta in multi_indices(grid.n, 2) if max(beta) == 2)
 
     mask = grid.interior_mask
     scale = max(float(np.abs(vals).max()), 1e-300)
@@ -302,36 +276,6 @@ def _quad_meta(grid: BallGrid) -> dict:
         "singular_rule": "equal-volume ball (value), dropped cell (derivatives)",
         "boundary_rule": "fractional in-ball cell weights",
     }
-
-
-def truncated_kernel_integrals(grid: BallGrid, x, rho: float) -> np.ndarray:
-    """Quadrature of the second-derivative kernel over B_R minus B_rho(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (grid.n,):
-        raise ValueError(f"x must be a point in R^{grid.n}")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    n = grid.n
-    kernel = KernelSpec(n)
-    w = quad_weights(grid)
-    Z = x[None, :] - grid.nodes
-    r2 = np.einsum("ij,ij->i", Z, Z)
-    keep = r2 > rho * rho
-    Z, r2, wk = Z[keep], r2[keep], w[keep]
-    C = wk * r2 ** (-n / 2.0) / (n * kernel.unit_ball_volume)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = float(((n * Z[:, i] * Z[:, j] / r2
-                          - (1.0 if i == j else 0.0)) * C).sum())
-            out[i, j] = val
-            out[j, i] = val
-    return out
-
-
-def check_truncated_kernel_bound(grid: BallGrid, x, rho: float) -> float:
-    """Largest entry magnitude of the truncated kernel integral at (x, rho)."""
-    return float(np.abs(truncated_kernel_integrals(grid, x, rho)).max())
 
 
 @dataclass(frozen=True)

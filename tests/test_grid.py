@@ -1,5 +1,7 @@
 """Grid geometry, finite differences, and pair sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,19 @@ from jetsolve import (
     build_grid,
     build_pair_set,
     fd_values,
+    fd_values_reference,
     field_from_callable,
     laplacian,
+    multi_indices,
     vector_field_from_matrix,
 )
+from jetsolve.grid import _nearest, stencil_table
+
+# Small grids whose stencil tables hold every route: central, one-sided and
+# least-squares rows (res 5 also widens the least-squares neighbor search).
+FD_GRIDS = [build_grid(n, R, res) for n, R, res in
+            [(2, 1.0, 5), (2, 1.0, 9), (2, 2.0, 17), (3, 1.0, 5), (3, 1.0, 9),
+             (3, 1.5, 13)]]
 
 
 # ---------------------------------------------------------------------------
@@ -50,40 +61,72 @@ def test_nodes_inside_closed_ball(grid3):
     assert np.all(r2 <= grid3.R**2 * (1 + 1e-12))
 
 
-def test_interior_mask_means_all_neighbors_exist(grid2):
-    for d in range(grid2.n):
-        for k in (-1, 1):
-            nbr = grid2.axis_neighbors(d, k)
-            assert np.all(nbr[grid2.interior_mask] >= 0)
-    # boundary nodes are missing at least one neighbor in the full unit box
-    # (corners count: the cross-derivative stencil needs them)
-    missing = np.zeros(grid2.node_count, dtype=bool)
-    for d in range(grid2.n):
-        for k in (-1, 1):
-            missing |= grid2.axis_neighbors(d, k) < 0
-    for si in (-1, 1):
-        for sj in (-1, 1):
-            missing |= grid2.corner_neighbors(0, 1, si, sj) < 0
-    assert np.all(missing[grid2.boundary_mask])
+def test_interior_mask_means_all_neighbors_exist(grid2, grid3):
+    # interior exactly when every lattice point of the unit box is a node
+    for grid in (grid2, grid3):
+        present = np.ones(grid.node_count, dtype=bool)
+        for off in itertools.product((-1, 0, 1), repeat=grid.n):
+            lat = grid.lattice + np.asarray(off)
+            inside = np.all((lat >= 0) & (lat < grid.res), axis=1)
+            hit = grid.index_map[tuple(np.clip(lat, 0, grid.res - 1).T)]
+            present &= inside & (hit >= 0)
+        np.testing.assert_array_equal(present, grid.interior_mask)
+        assert grid.boundary_mask.any() and grid.interior_mask.any()
 
 
-def test_axis_neighbor_coordinates(grid2):
-    nbr = grid2.axis_neighbors(0, 1)
-    ok = nbr >= 0
-    shifted = grid2.nodes[ok].copy()
-    shifted[:, 0] += grid2.h
-    np.testing.assert_allclose(grid2.nodes[nbr[ok]], shifted, atol=1e-12)
+def _fixed_stencils(beta, n):
+    """Lattice offsets of the central and one-sided stencils, in order."""
+    axes = [d for d, k in enumerate(beta) for _ in range(k)]
+
+    def along(*steps):
+        out = []
+        for step in steps:
+            off = [0] * n
+            for d, k in zip(axes, step):
+                off[d] += k
+            out.append(tuple(off))
+        return out
+
+    if len(axes) == 1:
+        return [along((1,), (-1,)), along((0,), (1,), (2,)),
+                along((0,), (-1,), (-2,))]
+    if axes[0] == axes[1]:
+        return [along((1,), (0,), (-1,)), along((0,), (1,), (2,), (3,)),
+                along((0,), (-1,), (-2,), (-3,))]
+    return [along((1, 1), (1, -1), (-1, 1), (-1, -1))]
 
 
-def test_corner_neighbors_compose_axis_steps(grid2):
-    ij = grid2.corner_neighbors(0, 1, 1, -1)
-    step0 = grid2.axis_neighbors(0, 1)
-    ok = (ij >= 0) & (step0 >= 0)
-    # one step along axis 0 then one along axis 1 lands on the corner node
-    second = np.full(grid2.node_count, -1, dtype=np.int64)
-    nbr1 = grid2.axis_neighbors(1, -1)
-    second[ok] = nbr1[step0[ok]]
-    np.testing.assert_array_equal(second[ok], ij[ok])
+def test_stencil_entries_at_allowed_offsets(grid2, grid3):
+    # every row is the first fixed stencil whose nodes all exist, or else a
+    # least-squares fit on at least 2 * (monomial count) nearest nodes; every
+    # entry sits at node + h * (lattice offset)
+    for grid in (grid2, grid3, FD_GRIDS[0], FD_GRIDS[3]):
+        table = stencil_table(grid)
+        N, n, h = grid.node_count, grid.n, grid.h
+        assert table.betas == tuple(multi_indices(n, 1) + multi_indices(n, 2))
+        n_mono = (n + 1) * (n + 2) // 2
+        node_at = {tuple(lat): k for k, lat in enumerate(grid.lattice)}
+        for b, beta in enumerate(table.betas):
+            stencils = _fixed_stencils(beta, n)
+            for node in range(N):
+                row = slice(table.indptr[b * N + node],
+                            table.indptr[b * N + node + 1])
+                nbr = table.index[row]
+                off = grid.lattice[nbr] - grid.lattice[node]
+                np.testing.assert_allclose(grid.nodes[nbr] - grid.nodes[node],
+                                           off * h, atol=1e-12)
+                base = tuple(grid.lattice[node])
+                fits = [s for s in stencils
+                        if all(tuple(np.add(base, o)) in node_at for o in s)]
+                if fits:
+                    assert set(map(tuple, off)) == set(fits[0])
+                    continue
+                assert nbr.size >= 2 * n_mono
+                assert len(set(nbr.tolist())) == nbr.size
+                dist = np.linalg.norm(grid.nodes - grid.nodes[node], axis=1)
+                others = np.setdiff1d(np.arange(N), nbr)
+                if others.size:
+                    assert dist[nbr].max() <= dist[others].min() + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +148,56 @@ def _random_quadratic(rng, n):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_fd_exact_on_quadratics(data_seed):
+    # every route (central, one-sided, least-squares) on every node of 2-d
+    # and 3-d grids reproduces a quadratic up to rounding
     rng = np.random.default_rng(data_seed)
-    grid = build_grid(2, 1.0, 9)
-    A, b, c, fn = _random_quadratic(rng, 2)
-    vals = fn(grid.nodes)
-    scale = max(1.0, np.abs(vals).max())
-    interior = grid.interior_mask
-    for beta, exact in [
-        ((1, 0), 2 * (grid.nodes @ A)[:, 0] + b[0]),
-        ((0, 1), 2 * (grid.nodes @ A)[:, 1] + b[1]),
-        ((2, 0), np.full(grid.node_count, 2 * A[0, 0])),
-        ((0, 2), np.full(grid.node_count, 2 * A[1, 1])),
-        ((1, 1), np.full(grid.node_count, 2 * A[0, 1])),
-    ]:
-        got = fd_values(grid, vals, beta)
-        err = np.abs(got - exact)[interior].max()
-        assert err <= 1e-8 * scale
+    for grid in FD_GRIDS:
+        n = grid.n
+        A, b, c, fn = _random_quadratic(rng, n)
+        vals = fn(grid.nodes)
+        tol = 1e-12 * max(1.0, np.abs(vals).max()) / grid.h**2
+        for beta in multi_indices(n, 1) + multi_indices(n, 2):
+            axes = [d for d, k in enumerate(beta) for _ in range(k)]
+            if len(axes) == 1:
+                exact = 2 * (grid.nodes @ A)[:, axes[0]] + b[axes[0]]
+            else:
+                exact = np.full(grid.node_count, 2 * A[axes[0], axes[1]])
+            err = np.abs(fd_values(grid, vals, beta) - exact).max()
+            assert err <= tol, (grid.n, grid.res, beta, err, tol)
+
+
+@pytest.mark.parametrize("K", [12, 60, None])
+def test_nearest_nodes_match_full_sort(K):
+    # large K pushes the K-th neighbor out of the first lattice box, so the
+    # box search must widen to agree with a sort over every node
+    grid = build_grid(2, 1.0, 17)
+    K = K or grid.node_count
+    nodes = np.arange(0, grid.node_count, 7)
+    got = _nearest(grid, nodes, K)
+    for row, node in zip(got, nodes):
+        diff = grid.nodes - grid.nodes[node]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((grid.lattice[:, 1], grid.lattice[:, 0], d2))
+        np.testing.assert_array_equal(row, order[:K])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_stencil_table_matches_reference(data_seed):
+    # the table against the route-by-route reference, on (N,) and (N, m)
+    rng = np.random.default_rng(data_seed)
+    for grid in FD_GRIDS[:2] + FD_GRIDS[3:5]:
+        vals = rng.normal(size=(grid.node_count, 2))
+        for beta in multi_indices(grid.n, 1) + multi_indices(grid.n, 2):
+            both = fd_values(grid, vals, beta)
+            for k in range(2):
+                ref = fd_values_reference(grid, vals[:, k], beta)
+                got = fd_values(grid, vals[:, k], beta)
+                np.testing.assert_array_equal(both[:, k], got)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            o = grid.origin_index
+            np.testing.assert_array_equal(fd_values(grid, vals, beta, node=o),
+                                          both[o])
 
 
 def test_fd_values_everywhere_finite(grid3, rng):
@@ -135,6 +212,8 @@ def test_fd_rejects_bad_multi_index(grid2):
         fd_values(grid2, np.zeros(grid2.node_count), (3, 0))
     with pytest.raises(ValueError):
         fd_values(grid2, np.zeros(grid2.node_count), (1, 0, 0))
+    with pytest.raises(ValueError):
+        fd_values(grid2, np.zeros(grid2.node_count + 1), (1, 0))
 
 
 def test_laplacian_of_quadratic_is_constant(grid2):

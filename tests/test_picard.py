@@ -16,8 +16,10 @@ from jetsolve import (
     PoissonSystem,
     SolveConfig,
     build_grid,
+    build_pair_set,
     coefficient_deviation_sup,
     diagonalize,
+    jet_norm,
     make_state,
     minimal_surface_system,
     origin_jet_magnitudes,
@@ -27,7 +29,9 @@ from jetsolve import (
     residual_check,
     seed_field_values,
     solve_system,
+    solver_norm,
     source_term,
+    vector_field_from_matrix,
 )
 from jetsolve.picard import _origin_jet_polynomial
 
@@ -121,6 +125,24 @@ def test_sweep_output_has_zero_origin_jet(seed):
     value_mag, grad_mag = origin_jet_magnitudes(grid, new)
     assert value_mag <= 1e-10
     assert grad_mag <= 1e-10
+
+
+@pytest.mark.parametrize("n,res,m", [(2, 17, 3), (2, 41, 2), (3, 9, 3)])
+def test_solver_norm_is_order_two_jet_norm(n, res, m, rng):
+    # res 41 in 2-d exceeds the pair cap, so the pairs are sampled
+    grid = build_grid(n, 0.8, res)
+    pairs = build_pair_set(grid, seed=3)
+    vals = rng.normal(size=(grid.node_count, m))
+    expected = jet_norm(vector_field_from_matrix(grid, vals), 0.4, pairs)
+    assert solver_norm(grid, vals, 0.4, pairs) == expected.solver_norm
+
+
+def test_jet_subtraction_acts_per_component(grid2, rng):
+    vals = rng.normal(size=(grid2.node_count, 3))
+    poly = _origin_jet_polynomial(grid2, vals)
+    for k in range(3):
+        np.testing.assert_array_equal(
+            poly[:, k], _origin_jet_polynomial(grid2, vals[:, k]))
 
 
 def test_source_term_signs(grid3):
