@@ -74,6 +74,55 @@ def test_interior_mask_means_all_neighbors_exist(grid2, grid3):
         assert grid.boundary_mask.any() and grid.interior_mask.any()
 
 
+def _row(table, grid, beta, node):
+    """Neighbour indices and weights of the stencil of beta at node."""
+    r = table.betas.index(beta) * grid.node_count + node
+    row = slice(table.indptr[r], table.indptr[r + 1])
+    return table.index[row], table.weight[row]
+
+
+def test_axis_neighbor_coordinates(grid2):
+    # where both axis neighbours exist, d/dx_0 is the central difference
+    # on the nodes at x -+ h e_0
+    table = stencil_table(grid2)
+    checked = 0
+    for node in range(grid2.node_count):
+        lat = grid2.lattice[node]
+        step = [lat + s * np.array([1, 0]) for s in (1, -1)]
+        if not all(np.all((p >= 0) & (p < grid2.res)) for p in step):
+            continue
+        fwd, bwd = (int(grid2.index_map[tuple(p)]) for p in step)
+        if fwd < 0 or bwd < 0:
+            continue
+        nbr, w = _row(table, grid2, (1, 0), node)
+        shifted = grid2.nodes[node] + np.array([grid2.h, 0.0])
+        np.testing.assert_allclose(grid2.nodes[fwd], shifted, atol=1e-12)
+        assert dict(zip(nbr.tolist(), w.tolist())) == {fwd: 0.5, bwd: -0.5}
+        checked += 1
+    assert checked > 0
+
+
+def test_corner_neighbors_compose_axis_steps(grid2):
+    # the mixed-derivative corner at (+1, -1) is one step along axis 0
+    # then one along axis 1, and carries weight -1/4
+    table = stencil_table(grid2)
+    checked = 0
+    for node in grid2.interior_mask.nonzero()[0]:
+        lat = grid2.lattice[node]
+        step0 = int(grid2.index_map[tuple(lat + np.array([1, 0]))])
+        corner = int(grid2.index_map[tuple(grid2.lattice[step0]
+                                           + np.array([0, -1]))])
+        np.testing.assert_allclose(grid2.nodes[corner],
+                                   grid2.nodes[node]
+                                   + grid2.h * np.array([1.0, -1.0]),
+                                   atol=1e-12)
+        nbr, w = _row(table, grid2, (1, 1), node)
+        weights = dict(zip(nbr.tolist(), w.tolist()))
+        assert len(weights) == 4 and weights[corner] == -0.25
+        checked += 1
+    assert checked > 0
+
+
 def _fixed_stencils(beta, n):
     """Lattice offsets of the central and one-sided stencils, in order."""
     axes = [d for d, k in enumerate(beta) for _ in range(k)]
