@@ -21,7 +21,7 @@ from .kobayashi import (KobayashiEstimate, KobayashiQuery,
                         orthogonal_partner)
 from .oracle import (ball_lattice_count, exhaustive_holder,
                      fd_laplacian_reference, fd_values_reference,
-                     uniform_ball_potential)
+                     source_term_reference, uniform_ball_potential)
 from .picard import (AttemptRecord, HarmonicPolynomial, IterateState,
                      IterateEscaped, NoConvergence, OracleFailure,
                      ResidualReport, SolveConfig, SolveFailure, SolveReport,
@@ -75,6 +75,7 @@ __all__ = [
     "register_system", "register_target", "residual_check",
     "run_lemma_suite", "seed_field_values", "self_cell_integrals",
     "separable", "shift_jet", "solve_system", "solver_norm", "source_term",
-    "sphere_stereographic_target", "taylor_remainder_ratio",
+    "source_term_reference", "sphere_stereographic_target",
+    "taylor_remainder_ratio",
     "uniform_ball_potential", "vector_field_from_matrix", "weighted_norm_values", "with_zero_jet",
 ]

@@ -6,9 +6,10 @@ Usage:
     jetsolve kobayashi <config.json> [--key value ...]
 
 A config file is the single positional argument; flags mirror top-level
-config keys and override file values.  Outputs are a `report.json` (schema
-1, deterministic for a fixed config and seed — volatile values live in the
-`metadata` field) and, for solves, a `field.csv` with one row per node.
+config keys and override file values.  Outputs are a `report.json`
+(versioned by REPORT_SCHEMA, deterministic for a fixed config and seed —
+volatile values live in the `metadata` field) and, for solves, a
+`field.csv` with one row per node.
 
 Exit codes: 0 success, 2 solve failure (no convergence / iterate escape /
 inconclusive search), 3 configuration error, 4 oracle or verification
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -38,11 +38,14 @@ EXIT_SOLVE_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
 EXIT_ORACLE_FAILURE = 4
 
+# version of the report.json layout, bumped when the layout changes
+REPORT_SCHEMA = 2
+
 _SOLVER_KEYS = {
     "R0": float, "R_min": float, "res": int, "alpha": float, "tol": float,
     "max_iter": int, "gamma0": float, "gamma0_floor": float,
     "contraction_threshold": float, "max_gamma_doublings": int,
-    "c_samples": int, "pair_cap": int, "seed": int, "threads": int,
+    "c_samples": int, "pair_cap": int, "seed": int,
 }
 
 
@@ -89,27 +92,11 @@ def _coerce(cfg: dict, key: str, caster, default=None):
                           f"as {caster.__name__}") from exc
 
 
-def _resolve_threads(cfg_value) -> int | None:
-    """--threads / config value, falling back to JETSOLVE_THREADS."""
-    if cfg_value is not None:
-        return int(cfg_value)
-    env = os.environ.get("JETSOLVE_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(
-                f"environment JETSOLVE_THREADS={env!r} is not an integer"
-            ) from exc
-    return None
-
-
 def _build_solve_config(cfg: dict) -> SolveConfig:
     kwargs = {}
     for key, caster in _SOLVER_KEYS.items():
         if key in cfg and cfg[key] is not None:
             kwargs[key] = _coerce(cfg, key, caster)
-    kwargs["threads"] = _resolve_threads(kwargs.get("threads"))
     if "harmonic_seed" in cfg and cfg["harmonic_seed"] is not None:
         kwargs["harmonic_seed"] = _parse_seed(cfg["harmonic_seed"])
     try:
@@ -286,7 +273,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     grid = report.grid
     payload = {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "command": "solve",
         "config": resolved,
         "grid": {
@@ -312,7 +299,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _failure_payload(resolved: dict, message: str, partial: dict | None,
                      started: float, command: str = "solve") -> dict:
     return {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "command": command,
         "config": resolved,
         "error": message,
@@ -339,7 +326,7 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
 
     result = run_lemma_suite(n=n, R=radius, res=res, alpha=alpha, seed=seed)
     payload = {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "command": "verify-lemmas",
         "config": {"n": n, "R": radius, "res": res, "alpha": alpha,
                    "seed": seed},
@@ -424,7 +411,7 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
         return EXIT_ORACLE_FAILURE
 
     payload = {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "command": "kobayashi",
         "config": resolved,
         "result": {

@@ -15,12 +15,12 @@ bound to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .picard import (OracleFailure, SolveConfig, SolveFailure, SolveReport,
-                     _unit, solve_system)
+                     solve_system)
 from .reduce import JetSpec
 from .systems import TargetManifold, harmonic_map_system
 
@@ -105,8 +105,7 @@ def orthogonal_partner(target: TargetManifold, p: np.ndarray,
     if xx <= 0:
         raise ValueError("metric is not positive on X")
     # seed with the coordinate axis least aligned with X (in the metric)
-    alignments = [abs(float(_unit(m, i) @ h @ X)) for i in range(m)]
-    seed = _unit(m, int(np.argmin(alignments)))
+    seed = np.eye(m)[int(np.argmin(np.abs(h @ X)))]
     y = seed - (float(seed @ h @ X) / xx) * X
     yy = float(y @ h @ y)
     if yy <= 1e-24 * xx:
@@ -142,11 +141,8 @@ def _target_is_flat(target: TargetManifold, samples: int = 32) -> bool:
         return True
     rng = np.random.default_rng(0)
     cap = target.chart_radius if target.chart_radius is not None else 2.0
-    for _ in range(samples):
-        u = rng.uniform(-0.5, 0.5, size=target.dimension) * cap
-        if np.abs(np.asarray(target.christoffel(u))).max() > 1e-14:
-            return False
-    return True
+    u = rng.uniform(-0.5, 0.5, size=(samples, target.dimension)) * cap
+    return bool(np.abs(np.asarray(target.christoffel(u))).max() <= 1e-14)
 
 
 def estimate(query: KobayashiQuery,
@@ -183,15 +179,8 @@ def estimate(query: KobayashiQuery,
     outcomes: list[RadiusOutcome] = []
     r_best = None
     for radius in query.schedule():
-        cfg = SolveConfig(
-            R0=radius, R_min=radius * 0.99, res=base.res, alpha=base.alpha,
-            tol=base.tol, max_iter=base.max_iter, gamma0=base.gamma0,
-            gamma0_floor=base.gamma0_floor,
-            contraction_threshold=base.contraction_threshold,
-            max_gamma_doublings=base.max_gamma_doublings,
-            c_samples=base.c_samples, pair_cap=base.pair_cap,
-            seed=base.seed, harmonic_seed=None, threads=base.threads,
-        )
+        cfg = replace(base, R0=radius, R_min=radius * 0.99,
+                      harmonic_seed=None)
         system = harmonic_map_system(2, query.target)
         try:
             report: SolveReport = solve_system(system, jet, cfg,

@@ -171,6 +171,23 @@ def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:
     return out
 
 
+def source_term_reference(system, state) -> np.ndarray:
+    """Source term -psi - sum_ij b^ij d_ij f^k computed node by node.
+
+    Calls the oracles of a PoissonSystem one point at a time (batch shape
+    ()) on the iterate's finite-difference tables, so it certifies both the
+    batched source term and the batched oracles themselves.
+    """
+    grid = state.grid
+    out = np.empty((grid.node_count, state.values.shape[1]))
+    for idx in range(grid.node_count):
+        x, p, q = grid.nodes[idx], state.values[idx], state.grad[idx]
+        psi_val = np.asarray(system.psi(x, p, q), dtype=np.float64)
+        b_val = np.asarray(system.b(x, p, q), dtype=np.float64)
+        out[idx] = -psi_val - np.einsum("ij,kij->k", b_val, state.hess[idx])
+    return out
+
+
 def ball_lattice_count(n: int, R: float, res: int) -> int:
     """Count lattice points of the res^n cube inside the closed ball.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .holder import weighted_norm_values
 from .potential import _apply_potential, check_potential_norm_bound
 from .probes import potential_probes
 from .reduce import (JetSpec, PoissonSystem, SystemDef, check_ellipticity,
-                     diagonalize, shift_jet)
+                     diagonalize, shift_jet, unit_ball)
 
 
 class SolveFailure(RuntimeError):
@@ -178,7 +178,6 @@ class SolveConfig:
     pair_cap: int = 200_000
     seed: int = 0
     harmonic_seed: Sequence[HarmonicPolynomial] | HarmonicPolynomial | None = None
-    threads: int | None = None          # advisory; recorded in reports
 
     def __post_init__(self):
         if self.R0 <= 0:
@@ -250,33 +249,45 @@ def make_state(grid: BallGrid, values: np.ndarray,
 def source_term(system: PoissonSystem, state: IterateState) -> np.ndarray:
     """Right side fed to the potential:  -psi - sum_ij b^ij d_ij f^k.
 
-    Evaluated nodewise from the iterate's finite-difference tables; any
-    oracle exception or non-finite return is reported with the offending
-    node's coordinates.
+    One batched psi call and one batched b call on all nodes of the
+    iterate's finite-difference tables.  A wrong result shape, a
+    non-finite row or an oracle exception raises OracleFailure; the last
+    two name the first offending node.
     """
     grid = state.grid
-    big_n, m = grid.node_count, state.m
-    out = np.empty((big_n, m))
-    for idx in range(big_n):
-        x = grid.nodes[idx]
-        p = state.values[idx]
-        q = state.grad[idx]
-        try:
-            psi_val = np.asarray(system.psi(x, p, q), dtype=np.float64)
-            b_val = np.asarray(system.b(x, p, q), dtype=np.float64)
-        except Exception as exc:  # noqa: BLE001 - wrap with location
-            raise OracleFailure(f"coefficient oracle raised {exc!r}",
-                                node=x) from exc
-        if psi_val.shape != (m,) or b_val.shape != (grid.n, grid.n):
-            raise OracleFailure(
-                f"oracle shape mismatch (psi {psi_val.shape}, b {b_val.shape})",
-                node=x,
-            )
-        row = -psi_val - np.einsum("ij,kij->k", b_val, state.hess[idx])
-        if not np.all(np.isfinite(row)):
-            raise OracleFailure("oracle produced non-finite values", node=x)
-        out[idx] = row
+    big_n, m, n = grid.node_count, state.m, grid.n
+    x, p, q = grid.nodes, state.values, state.grad
+    try:
+        psi_val = np.asarray(system.psi(x, p, q), dtype=np.float64)
+        b_val = np.asarray(system.b(x, p, q), dtype=np.float64)
+    except Exception as exc:  # noqa: BLE001 - wrap with location
+        _raise_at_failing_node(system, x, p, q, exc)
+    if psi_val.shape != (big_n, m) or b_val.shape != (big_n, n, n):
+        raise OracleFailure(
+            f"oracle shape mismatch (psi {psi_val.shape}, b {b_val.shape}; "
+            f"expected {(big_n, m)} and {(big_n, n, n)})"
+        )
+    out = -psi_val - np.einsum("kij,kmij->km", b_val, state.hess)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise OracleFailure("oracle produced non-finite values",
+                            node=x[np.argmin(finite)])
     return out
+
+
+def _raise_at_failing_node(system: PoissonSystem, x: np.ndarray,
+                           p: np.ndarray, q: np.ndarray,
+                           exc: Exception) -> NoReturn:
+    """Name the first node whose own oracle call raises (failure path only)."""
+    for idx in range(x.shape[0]):
+        try:
+            system.psi(x[idx], p[idx], q[idx])
+            system.b(x[idx], p[idx], q[idx])
+        except Exception as node_exc:  # noqa: BLE001 - wrap with location
+            raise OracleFailure(f"coefficient oracle raised {node_exc!r}",
+                                node=x[idx]) from node_exc
+    raise OracleFailure(f"coefficient oracle raised {exc!r} on the batch "
+                        "but on no single node") from exc
 
 
 def _origin_jet_polynomial(grid: BallGrid, vals: np.ndarray) -> np.ndarray:
@@ -369,52 +380,34 @@ def coefficient_deviation_sup(system: PoissonSystem, radius: float,
 
     Unit-ball draws are fixed by the seed and rescaled per box, and the
     box corners are always included, so shrinking the box can never raise
-    the estimate for coefficient families that grow along rays.
+    the estimate for coefficient families that grow along rays.  The draws
+    and the corner product each go to b in one batched call.
     """
     n, m = system.n, system.m
     rng = np.random.default_rng(seed)
     p_cap = radius * radius * gamma
     q_cap = radius * gamma
-
-    def unit_ball(dim: int, count: int) -> np.ndarray:
-        v = rng.standard_normal((count, dim))
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        norms[norms < 1e-12] = 1.0
-        radii = rng.uniform(size=(count, 1)) ** (1.0 / dim)
-        return v / norms * radii
-
-    xs = [unit_ball(n, samples) * radius]
-    ps = [unit_ball(m, samples) * p_cap]
-    qs = [unit_ball(m * n, samples).reshape(samples, m, n) * q_cap]
+    xs = unit_ball(rng, n, samples) * radius
+    ps = unit_ball(rng, m, samples) * p_cap
+    qs = unit_ball(rng, m * n, samples).reshape(samples, m, n) * q_cap
     # box corners, paired with the origin in the other slots
-    corner_x = [np.zeros(n)] + [s * radius * _unit(n, i)
-                                for i in range(n) for s in (-1.0, 1.0)]
-    corner_p = [np.zeros(m)] + [s * p_cap * _unit(m, i)
-                                for i in range(m) for s in (-1.0, 1.0)]
-    corner_q = [np.zeros((m, n))]
-    for k in range(m):
-        for l in range(n):
-            e = np.zeros((m, n))
-            e[k, l] = q_cap
-            corner_q.extend([e, -e])
-    corner_q.append(np.full((m, n), q_cap / math.sqrt(m * n)))
-
-    worst = 0.0
-    for x, p, q in zip(xs[0], ps[0], qs[0]):
-        worst = max(worst, float(np.abs(np.asarray(system.b(x, p, q))).max()))
-    for x in corner_x:
-        for p in corner_p:
-            for q in corner_q:
-                worst = max(
-                    worst, float(np.abs(np.asarray(system.b(x, p, q))).max())
-                )
-    return worst
+    corner_x = _signed_axes(n) * radius
+    corner_p = _signed_axes(m) * p_cap
+    corner_q = np.concatenate([
+        _signed_axes(m * n) * q_cap,
+        np.full((1, m * n), q_cap / math.sqrt(m * n)),
+    ]).reshape(-1, m, n)
+    ix, ip, iq = np.indices(
+        (len(corner_x), len(corner_p), len(corner_q))).reshape(3, -1)
+    drawn = np.asarray(system.b(xs, ps, qs), dtype=np.float64)
+    corners = np.asarray(system.b(corner_x[ix], corner_p[ip], corner_q[iq]),
+                         dtype=np.float64)
+    return float(max(np.abs(drawn).max(), np.abs(corners).max()))
 
 
-def _unit(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return e
+def _signed_axes(dim: int) -> np.ndarray:
+    """The origin and the points -e_i, +e_i of R^dim, as rows."""
+    return np.concatenate([np.zeros((1, dim)), -np.eye(dim), np.eye(dim)])
 
 
 @dataclass(frozen=True)
@@ -496,7 +489,6 @@ class SolveReport:
     jet_gradient: float | None
     solution_norm: float | None
     attempts: list[AttemptRecord]
-    deviation_history: list[float]
     config: SolveConfig
     pair_count: int | None = None
     # filled by solve_system when a jet/coordinate reduction is involved
@@ -523,7 +515,6 @@ class SolveReport:
             "jet_value": self.jet_value,
             "jet_gradient": self.jet_gradient,
             "solution_norm": self.solution_norm,
-            "deviation_history": self.deviation_history,
             "attempts": [
                 {
                     "R": a.R,
@@ -599,7 +590,6 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
     gamma0 = gamma
     doublings = 0
     attempts: list[AttemptRecord] = []
-    deviation_history: list[float] = []
     last_outcome = "never_ran"
 
     while True:
@@ -614,13 +604,12 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
                 system, radius, gamma, samples=config.c_samples,
                 seed=config.seed)
             attempts.append(record)
-            deviation_history.append(record.deviation_sup)
             last_outcome = outcome
 
             if outcome == "converged":
                 return _final_report(system, grid, pairs, f, config,
                                      gamma, gamma0, c_hat, psi0,
-                                     attempts, deviation_history)
+                                     attempts)
             if outcome == "escaped" and doublings < config.max_gamma_doublings:
                 doublings += 1
                 gamma *= 2.0
@@ -632,7 +621,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
         if radius < floor * (1.0 - 1e-12):
             report = _partial_report(system, config, radius * 2.0, gamma,
                                      gamma0, c_hat, psi0, attempts,
-                                     deviation_history, last_outcome)
+                                     last_outcome)
             if last_outcome == "escaped":
                 raise IterateEscaped(
                     f"norm ball exceeded after {doublings} doublings down to "
@@ -647,7 +636,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
 
 
 def _final_report(system, grid, pairs, f, config, gamma, gamma0, c_hat,
-                  psi0, attempts, deviation_history) -> SolveReport:
+                  psi0, attempts) -> SolveReport:
     res = residual_check(system, grid, f)
     jet_value, jet_gradient = origin_jet_magnitudes(grid, f)
     final = attempts[-1]
@@ -675,14 +664,13 @@ def _final_report(system, grid, pairs, f, config, gamma, gamma0, c_hat,
         jet_gradient=jet_gradient,
         solution_norm=solver_norm(grid, f, config.alpha, pairs),
         attempts=attempts,
-        deviation_history=deviation_history,
         config=config,
         pair_count=pairs.first.shape[0],
     )
 
 
 def _partial_report(system, config, last_R, gamma, gamma0, c_hat, psi0,
-                    attempts, deviation_history, outcome) -> SolveReport:
+                    attempts, outcome) -> SolveReport:
     return SolveReport(
         status=f"failed:{outcome}",
         grid=None, solution=None,
@@ -694,8 +682,7 @@ def _partial_report(system, config, last_R, gamma, gamma0, c_hat, psi0,
         ratio_geomean=None,
         residual=None, source_sup=None, node_residuals=None,
         jet_value=None, jet_gradient=None, solution_norm=None,
-        attempts=attempts, deviation_history=deviation_history,
-        config=config,
+        attempts=attempts, config=config,
     )
 
 

@@ -34,10 +34,13 @@ class ChartError(ValueError):
 class SystemDef:
     """Quasi-linear system sum_ij a^ij(x,u,Du) d_ij u^k = phi^k(x,u,Du).
 
-    a maps (x, p, q) with p in R^m, q in R^(m x n) to an (n, n) matrix;
-    phi maps the same arguments to an (m,) vector.  lam is the documented
-    ellipticity constant on the sampling box |p| <= p_bound, |q| <= q_bound,
-    |x| <= x_bound; chart_radius bounds |u| when the target is a chart.
+    The oracles are batched over points: a maps x (..., n), p (..., m)
+    and q (..., m, n) to coefficient matrices (..., n, n), and phi maps the
+    same arguments to right sides (..., m).  Every leading axis is a batch
+    axis and must broadcast; batch shape () is a single point.  lam is the
+    documented ellipticity constant on the sampling box |p| <= p_bound,
+    |q| <= q_bound, |x| <= x_bound; chart_radius bounds |u| when the target
+    is a chart.
     """
 
     n: int
@@ -46,7 +49,6 @@ class SystemDef:
     phi: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     lam: float
     name: str = "custom"
-    smoothness: str = "C^{1,alpha}"
     x_bound: float = 1.0
     p_bound: float = 1.0
     q_bound: float = 1.0
@@ -85,9 +87,11 @@ class JetSpec:
 class PoissonSystem:
     """Zero-jet Poisson form  lap(v) = psi + sum_ij b^ij d_ij v.
 
-    psi and b take (x, p, q) in the transformed coordinates; P is the
-    coordinate map (y = P x), P_inv its inverse.  b(0, 0, 0) vanishes by
-    construction, which is asserted at build time.
+    psi and b take (x, p, q) in the transformed coordinates, batched like
+    the SystemDef oracles: x (..., n), p (..., m), q (..., m, n) give
+    psi (..., m) and b (..., n, n).  P is the coordinate map (y = P x),
+    P_inv its inverse.  b(0, 0, 0) vanishes by construction, which is
+    asserted at build time.
     """
 
     n: int
@@ -127,16 +131,16 @@ def shift_jet(system: SystemDef, jet: JetSpec) -> SystemDef:
     c0, c1 = jet.c0, jet.c1
 
     def a_shift(x, p, q):
-        return system.a(x, p + c0 + c1 @ x, q + c1)
+        return system.a(x, p + c0 + x @ c1.T, q + c1)
 
     def phi_shift(x, p, q):
-        return system.phi(x, p + c0 + c1 @ x, q + c1)
+        return system.phi(x, p + c0 + x @ c1.T, q + c1)
 
     return SystemDef(
         n=system.n, m=system.m, a=a_shift, phi=phi_shift, lam=system.lam,
-        name=system.name + "+jet", smoothness=system.smoothness,
-        x_bound=system.x_bound, p_bound=system.p_bound,
-        q_bound=system.q_bound, chart_radius=system.chart_radius,
+        name=system.name + "+jet", x_bound=system.x_bound,
+        p_bound=system.p_bound, q_bound=system.q_bound,
+        chart_radius=system.chart_radius,
     )
 
 
@@ -166,10 +170,10 @@ def diagonalize(system: SystemDef, jet: JetSpec | None = None) -> PoissonSystem:
     P_inv = evecs @ np.diag(evals**0.5) @ evecs.T
 
     def psi(x, p, q):
-        return np.asarray(system.phi(P_inv @ x, p, q @ P), dtype=np.float64)
+        return np.asarray(system.phi(x @ P_inv.T, p, q @ P), dtype=np.float64)
 
     def b(x, p, q):
-        dev = A0 - np.asarray(system.a(P_inv @ x, p, q @ P), dtype=np.float64)
+        dev = A0 - np.asarray(system.a(x @ P_inv.T, p, q @ P), dtype=np.float64)
         return P @ dev @ P.T
 
     return PoissonSystem(
@@ -183,36 +187,39 @@ def check_ellipticity(system: SystemDef, samples: int = 1000,
                       seed: int = 0) -> float:
     """Sample xi^T a xi >= lam |xi|^2 over the documented (x, p, q) box.
 
-    Returns the worst observed margin (min of xi^T a xi / |xi|^2 - lam);
-    raises EllipticityError when any draw violates the bound.
+    All draws go to the coefficient oracle in one batched call.  Returns
+    the worst observed margin (min of xi^T a xi / |xi|^2 - lam); raises
+    EllipticityError naming the first draw that violates the bound.
     """
     rng = np.random.default_rng(seed)
     n, m = system.n, system.m
-    worst = np.inf
-    for k in range(samples):
-        x = _ball_point(rng, n) * system.x_bound
-        p = _ball_point(rng, m) * system.p_bound
-        q = _ball_point(rng, m * n).reshape(m, n) * system.q_bound
-        xi = rng.standard_normal(n)
-        norm = np.linalg.norm(xi)
-        if norm < 1e-12:
-            continue
-        xi /= norm
-        a = np.asarray(system.a(x, p, q), dtype=np.float64)
-        val = float(xi @ a @ xi)
-        worst = min(worst, val - system.lam)
-        if val < system.lam * (1.0 - 1e-9) - 1e-12:
-            raise EllipticityError(
-                f"ellipticity violated at draw {k}: xi^T a xi = {val} < "
-                f"lam = {system.lam} (x={x.tolist()}, p={p.tolist()}, "
-                f"q={q.tolist()})"
-            )
-    return worst
+    x = unit_ball(rng, n, samples) * system.x_bound
+    p = unit_ball(rng, m, samples) * system.p_bound
+    q = unit_ball(rng, m * n, samples).reshape(samples, m, n) * system.q_bound
+    xi = rng.standard_normal((samples, n))
+    norms = np.linalg.norm(xi, axis=1)
+    used = norms >= 1e-12
+    xi[used] /= norms[used, None]
+    a = np.asarray(system.a(x, p, q), dtype=np.float64)
+    if a.shape != (samples, n, n):
+        raise ValueError(f"coefficient oracle returned shape {a.shape}, "
+                         f"expected {(samples, n, n)}")
+    vals = np.einsum("ki,kij,kj->k", xi, a, xi)
+    bad = used & (vals < system.lam * (1.0 - 1e-9) - 1e-12)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EllipticityError(
+            f"ellipticity violated at draw {k}: xi^T a xi = {vals[k]} < "
+            f"lam = {system.lam} (x={x[k].tolist()}, p={p[k].tolist()}, "
+            f"q={q[k].tolist()})"
+        )
+    return float(np.min(vals[used] - system.lam, initial=np.inf))
 
 
-def _ball_point(rng, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        return np.zeros(dim)
-    return v / norm * rng.uniform() ** (1.0 / dim)
+def unit_ball(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """count points (count, dim) drawn uniformly from the closed unit ball."""
+    v = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    radii = rng.uniform(size=(count, 1)) ** (1.0 / dim)
+    return v / norms * radii

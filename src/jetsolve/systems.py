@@ -23,10 +23,12 @@ from .reduce import SystemDef
 class TargetManifold:
     """A Riemannian target presented in a single chart.
 
-    christoffel(p) returns the (m, m, m) array G[a, b, c] of connection
-    coefficients at the chart point p; metric(p) the (m, m) metric matrix.
-    chart_radius bounds |p| for admissible points (None = all of R^m);
-    flat marks targets whose connection vanishes identically.
+    christoffel(p) returns the connection coefficients G[..., a, b, c] at
+    chart points p (..., m), shaped (..., m, m, m); metric(p) the metric
+    matrices (..., m, m).  Leading axes are batch axes; a single point has
+    batch shape ().  chart_radius bounds |p| for admissible points
+    (None = all of R^m); flat marks targets whose connection vanishes
+    identically.
     """
 
     name: str
@@ -49,34 +51,38 @@ def _conformal_target(name: str, m: int, sign: float,
 
     and grad log lam = -sign * 2 u / (1 + sign * |u|^2).
     """
+    eye = np.eye(m)
 
-    def _check_chart(p: np.ndarray) -> None:
-        if chart_radius is not None and float(p @ p) >= chart_radius**2:
+    def _norm_sq(p: np.ndarray) -> np.ndarray:
+        """|p|^2 per point, after checking that every point is in the chart."""
+        r2 = np.einsum("...i,...i->...", p, p)
+        if chart_radius is not None and np.any(r2 >= chart_radius**2):
+            worst = float(np.sqrt(np.max(r2)))
             raise ValueError(
-                f"chart point |u| = {np.linalg.norm(p):.6g} outside the "
+                f"chart point |u| = {worst:.6g} outside the "
                 f"{name} chart of radius {chart_radius}"
             )
-
-    def log_lam_grad(p: np.ndarray) -> np.ndarray:
-        return -sign * 2.0 * p / (1.0 + sign * float(p @ p))
+        return r2
 
     def christoffel(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
-        _check_chart(p)
-        s = log_lam_grad(p)
-        eye = np.eye(m)
-        return (np.einsum("ab,c->abc", eye, s)
-                + np.einsum("ac,b->abc", eye, s)
-                - np.einsum("bc,a->abc", eye, s))
+        s = -sign * 2.0 * p / (1.0 + sign * _norm_sq(p))[..., None]
+        return (eye[:, :, None] * s[..., None, None, :]
+                + eye[:, None, :] * s[..., None, :, None]
+                - eye[None, :, :] * s[..., :, None, None])
 
     def metric(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
-        _check_chart(p)
-        lam = 2.0 / (1.0 + sign * float(p @ p))
-        return lam * lam * np.eye(m)
+        lam = 2.0 / (1.0 + sign * _norm_sq(p))
+        return (lam * lam)[..., None, None] * eye
 
     return TargetManifold(name=name, dimension=m, christoffel=christoffel,
                           metric=metric, chart_radius=chart_radius, flat=False)
+
+
+def _constant(value: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """value repeated over the batch axes of points (..., d): (..., *shape)."""
+    return np.broadcast_to(value, np.shape(point)[:-1] + value.shape)
 
 
 def euclidean_target(m: int) -> TargetManifold:
@@ -85,7 +91,8 @@ def euclidean_target(m: int) -> TargetManifold:
     eye = np.eye(m)
     return TargetManifold(
         name="euclidean", dimension=m,
-        christoffel=lambda p: zero, metric=lambda p: eye,
+        christoffel=lambda p: _constant(zero, p),
+        metric=lambda p: _constant(eye, p),
         chart_radius=None, flat=True,
     )
 
@@ -126,18 +133,25 @@ def poisson_system(n: int, const: np.ndarray | float = 0.0,
 
     return SystemDef(
         n=n, m=m,
-        a=lambda x, p, q: eye,
-        phi=lambda x, p, q: c + lin @ x,
-        lam=1.0, name="poisson", smoothness="C^infinity",
+        a=lambda x, p, q: _constant(eye, x),
+        phi=lambda x, p, q: c + x @ lin.T,
+        lam=1.0, name="poisson",
         x_bound=2.0, p_bound=2.0, q_bound=2.0,
     )
 
 
+def _graph_gradient_sq(q: np.ndarray) -> np.ndarray:
+    """|Du|^2 per point for scalar-graph gradients q (..., 1, n)."""
+    du = np.asarray(q, dtype=np.float64)[..., 0, :]
+    return np.einsum("...i,...i->...", du, du)
+
+
 def _graph_coefficients(q: np.ndarray) -> np.ndarray:
-    """I - Du Du^T / (1 + |Du|^2) for a scalar graph with gradient row q."""
-    du = np.asarray(q, dtype=np.float64).reshape(-1)
-    denom = 1.0 + float(du @ du)
-    return np.eye(du.shape[0]) - np.outer(du, du) / denom
+    """I - Du Du^T / (1 + |Du|^2) for scalar-graph gradients q (..., 1, n)."""
+    du = np.asarray(q, dtype=np.float64)[..., 0, :]
+    denom = 1.0 + _graph_gradient_sq(q)
+    outer = du[..., :, None] * du[..., None, :]
+    return np.eye(du.shape[-1]) - outer / denom[..., None, None]
 
 
 def minimal_surface_system(n: int, q_bound: float = 1.0) -> SystemDef:
@@ -150,23 +164,24 @@ def minimal_surface_system(n: int, q_bound: float = 1.0) -> SystemDef:
     return SystemDef(
         n=n, m=1,
         a=lambda x, p, q: _graph_coefficients(q),
-        phi=lambda x, p, q: np.zeros(1),
+        phi=lambda x, p, q: np.zeros(np.shape(p)),
         lam=1.0 / (1.0 + q_bound**2),
-        name="minimal_surface", smoothness="C^infinity",
+        name="minimal_surface",
         x_bound=2.0, p_bound=2.0, q_bound=q_bound,
     )
 
 
 def prescribed_mean_curvature_system(
     n: int,
-    mean_curvature: Callable[[np.ndarray, float], float] | float,
+    mean_curvature: Callable[[np.ndarray, np.ndarray], np.ndarray] | float,
     q_bound: float = 1.0,
 ) -> SystemDef:
     """Graph with prescribed mean curvature H(x, u).
 
     Same principal part as the minimal surface; right side
     n H (1 + |Du|^2)^(1/2).  mean_curvature may be a constant or a
-    callable (x, u) -> float.
+    callable (x, u) -> H taking points x (..., n) and values u (...) and
+    broadcasting over the batch axes.
     """
     if callable(mean_curvature):
         h_fn = mean_curvature
@@ -175,16 +190,16 @@ def prescribed_mean_curvature_system(
         h_fn = lambda x, u: h_val  # noqa: E731
 
     def phi(x, p, q):
-        du = np.asarray(q, dtype=np.float64).reshape(-1)
-        return np.array([n * h_fn(x, float(p[0]))
-                         * np.sqrt(1.0 + float(du @ du))])
+        p = np.asarray(p, dtype=np.float64)
+        rhs = n * h_fn(x, p[..., 0]) * np.sqrt(1.0 + _graph_gradient_sq(q))
+        return rhs[..., None]
 
     return SystemDef(
         n=n, m=1,
         a=lambda x, p, q: _graph_coefficients(q),
         phi=phi,
         lam=1.0 / (1.0 + q_bound**2),
-        name="prescribed_mean_curvature", smoothness="C^{1,alpha}",
+        name="prescribed_mean_curvature",
         x_bound=2.0, p_bound=2.0, q_bound=q_bound,
     )
 
@@ -194,57 +209,32 @@ def prescribed_mean_curvature_system(
 # ---------------------------------------------------------------------------
 
 def harmonic_map_system(n: int, target: TargetManifold,
-                        domain_metric: Callable[[np.ndarray], np.ndarray] | None = None,
                         q_bound: float = 1.0) -> SystemDef:
     """Harmonic map system from a flat domain into a chart of the target.
 
-    With the identity domain metric the equation is
+    The equation is
 
         lap(u^a) = - G^a_bc(u) <Du^b, Du^c>,
 
     so the coefficient matrix is the identity (deviation-free) and all the
-    nonlinearity sits in the right side.  A non-flat domain metric g(x)
-    replaces the identity coefficients with g^{-1}(x).
+    nonlinearity sits in the right side.
     """
     m = target.dimension
-
-    if domain_metric is None:
-        eye = np.eye(n)
-        a = lambda x, p, q: eye  # noqa: E731
-        lam = 1.0
-    else:
-        def a(x, p, q):
-            return np.linalg.inv(np.asarray(domain_metric(x), dtype=np.float64))
-        lam = _metric_inverse_floor(domain_metric, n)
+    eye = np.eye(n)
 
     def phi(x, p, q):
         gamma = target.christoffel(np.asarray(p, dtype=np.float64))
         qm = np.asarray(q, dtype=np.float64)
-        if domain_metric is None:
-            inner = qm @ qm.T           # <Du^b, Du^c>
-        else:
-            ginv = np.linalg.inv(np.asarray(domain_metric(x), dtype=np.float64))
-            inner = qm @ ginv @ qm.T
-        return -np.einsum("abc,bc->a", gamma, inner)
+        inner = qm @ np.swapaxes(qm, -1, -2)    # <Du^b, Du^c>
+        return -np.einsum("...abc,...bc->...a", gamma, inner)
 
     return SystemDef(
-        n=n, m=m, a=a, phi=phi, lam=lam,
-        name=f"harmonic_map[{target.name}]", smoothness="C^infinity",
+        n=n, m=m, a=lambda x, p, q: _constant(eye, x), phi=phi, lam=1.0,
+        name=f"harmonic_map[{target.name}]",
         x_bound=2.0, p_bound=min(2.0, 0.9 * (target.chart_radius or np.inf)),
         q_bound=q_bound,
         chart_radius=target.chart_radius,
     )
-
-
-def _metric_inverse_floor(domain_metric, n: int, samples: int = 200) -> float:
-    """Smallest eigenvalue of g^{-1} over a sample box, for the record."""
-    rng = np.random.default_rng(7)
-    lo = np.inf
-    for _ in range(samples):
-        x = rng.uniform(-1.0, 1.0, size=n)
-        ginv = np.linalg.inv(np.asarray(domain_metric(x), dtype=np.float64))
-        lo = min(lo, float(np.linalg.eigvalsh(0.5 * (ginv + ginv.T))[0]))
-    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_solve_writes_report_and_field(workdir):
     rc = main(["solve", _write(workdir / "cfg.json", cfg)])
     assert rc == 0
     payload = json.loads((workdir / "report.json").read_text())
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["command"] == "solve"
     assert payload["result"]["status"] == "converged"
     assert payload["config"]["res"] == 13
@@ -112,6 +112,7 @@ def test_solve_deterministic_reports(workdir):
     (lambda c: c.update(n=4), "n"),
     (lambda c: c.update(res=10), "res"),
     (lambda c: c.update(jet={"c0": [0.0], "c1": [[1.0, 0.0, 0.0]]}), "jet"),
+    (lambda c: c.update(threads=2), "threads"),
 ])
 def test_solve_config_errors(workdir, capsys, mutate, needle):
     cfg = _solve_cfg()
@@ -144,21 +145,6 @@ def test_jet_outside_chart_is_config_error(workdir):
         jet={"c0": [2.0, 0.0], "c1": [[0.0, 0.0], [0.0, 0.0]]},
     )
     assert main(["solve", _write(workdir / "cfg.json", cfg)]) == 3
-
-
-def test_bad_threads_env(workdir, monkeypatch):
-    monkeypatch.setenv("JETSOLVE_THREADS", "lots")
-    cfg = _solve_cfg()
-    assert main(["solve", _write(workdir / "cfg.json", cfg)]) == 3
-
-
-def test_threads_env_accepted(workdir, monkeypatch):
-    monkeypatch.setenv("JETSOLVE_THREADS", "2")
-    cfg = _solve_cfg(system={"name": "poisson", "params": {"const": 1.0}})
-    rc = main(["solve", _write(workdir / "cfg.json", cfg)])
-    assert rc == 0
-    payload = json.loads((workdir / "report.json").read_text())
-    assert payload["config"]["threads"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from jetsolve import (
     SolveConfig,
     build_grid,
     build_pair_set,
+    build_system,
     coefficient_deviation_sup,
     diagonalize,
     jet_norm,
@@ -28,9 +29,11 @@ from jetsolve import (
     poisson_system,
     residual_check,
     seed_field_values,
+    shift_jet,
     solve_system,
     solver_norm,
     source_term,
+    source_term_reference,
     vector_field_from_matrix,
 )
 from jetsolve.picard import _origin_jet_polynomial
@@ -153,27 +156,72 @@ def test_source_term_signs(grid3):
     np.testing.assert_allclose(src, -2.0, atol=1e-14)
 
 
-def test_source_term_wraps_oracle_exceptions(grid2):
-    def bad_psi(x, p, q):
-        raise ValueError("synthetic oracle breakage")
+def _node_predicates():
+    """Where a synthetic oracle misbehaves: everywhere, or where x0 > 0.3."""
+    return (lambda x: np.ones(np.shape(x)[:-1], dtype=bool),
+            lambda x: x[..., 0] > 0.3)
 
-    system = PoissonSystem(
-        n=2, m=1, psi=bad_psi, b=lambda x, p, q: np.zeros((2, 2)),
-        P=np.eye(2), P_inv=np.eye(2), lam=1.0)
-    state = make_state(grid2, np.zeros((grid2.node_count, 1)))
-    with pytest.raises(OracleFailure, match="node"):
-        source_term(system, state)
+
+def test_source_term_wraps_oracle_exceptions(grid2):
+    for breaks in _node_predicates():
+        def bad_psi(x, p, q, breaks=breaks):
+            if np.any(breaks(x)):
+                raise ValueError("synthetic oracle breakage")
+            return np.zeros(np.shape(p))
+
+        system = PoissonSystem(
+            n=2, m=1, psi=bad_psi,
+            b=lambda x, p, q: np.zeros(np.shape(x)[:-1] + (2, 2)),
+            P=np.eye(2), P_inv=np.eye(2), lam=1.0)
+        state = make_state(grid2, np.zeros((grid2.node_count, 1)))
+        with pytest.raises(OracleFailure, match="node") as err:
+            source_term(system, state)
+        first = grid2.nodes[np.argmax(breaks(grid2.nodes))]
+        np.testing.assert_array_equal(err.value.node, first)
 
 
 def test_source_term_rejects_nonfinite(grid2):
-    system = PoissonSystem(
-        n=2, m=1,
-        psi=lambda x, p, q: np.array([np.inf]),
-        b=lambda x, p, q: np.zeros((2, 2)),
-        P=np.eye(2), P_inv=np.eye(2), lam=1.0)
-    state = make_state(grid2, np.zeros((grid2.node_count, 1)))
-    with pytest.raises(OracleFailure):
-        source_term(system, state)
+    for breaks in _node_predicates():
+        system = PoissonSystem(
+            n=2, m=1,
+            psi=lambda x, p, q, breaks=breaks: np.where(
+                breaks(x)[..., None], np.inf, 0.0),
+            b=lambda x, p, q: np.zeros(np.shape(x)[:-1] + (2, 2)),
+            P=np.eye(2), P_inv=np.eye(2), lam=1.0)
+        state = make_state(grid2, np.zeros((grid2.node_count, 1)))
+        with pytest.raises(OracleFailure) as err:
+            source_term(system, state)
+        first = grid2.nodes[np.argmax(breaks(grid2.nodes))]
+        np.testing.assert_array_equal(err.value.node, first)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name,params", [
+    ("poisson", {"const": [1.5, -0.5], "m": 2}),
+    ("minimal_surface", {"q_bound": 2.0}),
+    ("prescribed_mean_curvature", {"mean_curvature": 0.7}),
+    ("harmonic_map", {"target": "euclidean"}),
+    ("harmonic_map", {"target": "sphere"}),
+    ("harmonic_map", {"target": "hyperbolic"}),
+])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_source_term_matches_node_by_node_reference(n, name, params, seed):
+    # batched oracles on all nodes against single-point calls, node by node
+    rng = np.random.default_rng(seed)
+    if name == "poisson":
+        params = {**params, "linear": rng.uniform(-1, 1, size=(2, n))}
+    system = build_system(name, n, params)
+    jet = JetSpec(rng.uniform(-0.1, 0.1, size=system.m),
+                  rng.uniform(-0.2, 0.2, size=(system.m, n)))
+    poisson = diagonalize(shift_jet(system, jet), jet)
+    grid = build_grid(n, 0.5, 7)
+    state = make_state(grid, rng.uniform(-0.05, 0.05,
+                                         size=(grid.node_count, system.m)))
+    got = source_term(poisson, state)
+    want = source_term_reference(poisson, state)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +321,15 @@ def test_floor_exhaustion_raises_with_partial_report():
 
 
 def _linear_deviation_system():
+    def b(x, p, q):
+        out = np.zeros(np.shape(x)[:-1] + (2, 2))
+        out[..., 0, 0] = x[..., 0]
+        return out
+
     return PoissonSystem(
         n=2, m=1,
-        psi=lambda x, p, q: np.zeros(1),
-        b=lambda x, p, q: np.array([[x[0], 0.0], [0.0, 0.0]]),
+        psi=lambda x, p, q: np.zeros(np.shape(p)),
+        b=b,
         P=np.eye(2), P_inv=np.eye(2), lam=1.0)
 
 

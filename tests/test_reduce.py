@@ -89,8 +89,8 @@ def _constant_coefficient_system(A):
 
     return SystemDef(
         n=n, m=1,
-        a=lambda x, p, q: A,
-        phi=lambda x, p, q: np.zeros(1),
+        a=lambda x, p, q: np.broadcast_to(A, np.shape(x)[:-1] + A.shape),
+        phi=lambda x, p, q: np.zeros(np.shape(p)),
         lam=0.01, name="const_coef",
     )
 
@@ -152,10 +152,16 @@ def test_check_ellipticity_accepts_minimal_surface():
 
 
 def test_check_ellipticity_catches_degenerate():
+    def a(x, p, q):
+        out = np.zeros(np.shape(q)[:-2] + (2, 2))
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = 1.0 - 4.0 * q[..., 0, 0] ** 2
+        return out
+
     bad = SystemDef(
         n=2, m=1,
-        a=lambda x, p, q: np.diag([1.0, 1.0 - 4.0 * float(q[0, 0]) ** 2]),
-        phi=lambda x, p, q: np.zeros(1),
+        a=a,
+        phi=lambda x, p, q: np.zeros(np.shape(p)),
         lam=0.5, name="degenerate", q_bound=1.0,
     )
     with pytest.raises(EllipticityError):

@@ -145,7 +145,7 @@ def test_pmc_source_scales_with_slope():
 
 def test_pmc_accepts_callable_curvature():
     sys1 = prescribed_mean_curvature_system(
-        2, mean_curvature=lambda x, u: float(x[0]) + float(u))
+        2, mean_curvature=lambda x, u: x[..., 0] + u)
     out = sys1.phi(np.array([0.25, 0.0]), np.array([0.75]), np.zeros((1, 2)))
     assert out[0] == pytest.approx(2 * 1.0 * 1.0)
 
