@@ -399,8 +399,6 @@ class PairSet:
     first: np.ndarray
     second: np.ndarray
     dist: np.ndarray
-    seed: int
-    cap: int
     complete: bool
     _pow_cache: dict = field(default_factory=dict, repr=False)
 
@@ -415,8 +413,7 @@ class PairSet:
         return self._pow_cache[key]
 
     @classmethod
-    def from_pairs(cls, grid: BallGrid, first, second,
-                   seed: int = 0, cap: int = 0) -> "PairSet":
+    def from_pairs(cls, grid: BallGrid, first, second) -> "PairSet":
         first = np.asarray(first, dtype=np.int64)
         second = np.asarray(second, dtype=np.int64)
         if first.shape != second.shape or first.ndim != 1:
@@ -426,7 +423,7 @@ class PairSet:
         diff = grid.nodes[first] - grid.nodes[second]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         return cls(grid=grid, first=first, second=second, dist=dist,
-                   seed=seed, cap=cap or first.shape[0], complete=False)
+                   complete=False)
 
 
 def build_pair_set(grid: BallGrid, seed: int = 0,
@@ -437,7 +434,7 @@ def build_pair_set(grid: BallGrid, seed: int = 0,
     total = N * (N - 1) // 2
     if total <= cap:
         iu, ju = np.triu_indices(N, k=1)
-        ps = PairSet.from_pairs(grid, iu, ju, seed=seed, cap=cap)
+        ps = PairSet.from_pairs(grid, iu, ju)
         ps.complete = True
         return ps
 
@@ -469,4 +466,4 @@ def build_pair_set(grid: BallGrid, seed: int = 0,
     firsts.extend(d[0] for d in draws)
     seconds.extend(d[1] for d in draws)
     return PairSet.from_pairs(grid, np.concatenate(firsts),
-                              np.concatenate(seconds), seed=seed, cap=cap)
+                              np.concatenate(seconds))

@@ -27,8 +27,6 @@ class HolderReport:
     sup_norm: float
     seminorm: float
     weighted: float
-    alpha: float
-    n_pairs: int
 
 
 @dataclass(frozen=True)
@@ -36,8 +34,6 @@ class JetNormReport:
     """Weighted jet norms by derivative order (l = 0, 1, 2)."""
 
     orders: tuple[float, float, float]
-    alpha: float
-    n_pairs: int
 
     @property
     def solver_norm(self) -> float:
@@ -45,15 +41,15 @@ class JetNormReport:
         return self.orders[2]
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return float(alpha)
-
-
 def weighted_norm_values(values: np.ndarray, alpha: float,
                          pairs: PairSet) -> tuple[float, float, float]:
-    """(sup, seminorm, weighted) for raw node values."""
+    """(sup, seminorm, weighted) for raw node values, one per node."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    values = np.asarray(values)
+    if values.shape != (pairs.grid.node_count,):
+        raise ValueError(f"values shape {values.shape} does not match node "
+                         f"count {pairs.grid.node_count}")
     sup = float(np.abs(values).max())
     semi = float((np.abs(values[pairs.first] - values[pairs.second])
                   / pairs.dist_pow(alpha)).max())
@@ -63,11 +59,9 @@ def weighted_norm_values(values: np.ndarray, alpha: float,
 
 def holder_norm(field: ScalarField, alpha: float, pairs: PairSet) -> HolderReport:
     """Weighted Hölder norm of a scalar field over the pair set."""
-    alpha = _check_alpha(alpha)
     if field.grid is not pairs.grid:
         raise ValueError("field and pairs live on different grids")
-    sup, semi, weighted = weighted_norm_values(field.values, alpha, pairs)
-    return HolderReport(sup, semi, weighted, alpha, pairs.size)
+    return HolderReport(*weighted_norm_values(field.values, alpha, pairs))
 
 
 def jet_norm(field, alpha: float, pairs: PairSet) -> JetNormReport:
@@ -76,7 +70,6 @@ def jet_norm(field, alpha: float, pairs: PairSet) -> JetNormReport:
     Derivatives come from the analytic oracle when a component carries one
     and from finite differences otherwise.
     """
-    alpha = _check_alpha(alpha)
     components = field.components if isinstance(field, VectorField) else (field,)
     grid = components[0].grid
     if grid is not pairs.grid:
@@ -90,18 +83,30 @@ def jet_norm(field, alpha: float, pairs: PairSet) -> JetNormReport:
                 _, _, weighted = weighted_norm_values(vals, alpha, pairs)
                 worst = max(worst, weighted)
         orders.append(worst)
-    return JetNormReport(tuple(orders), alpha, pairs.size)
+    return JetNormReport(tuple(orders))
+
+
+# ---------------------------------------------------------------------------
+# the norm lemmas: each verdict is a predicate on measured numbers
+
+
+def _within(x: float, y: float) -> bool:
+    """x <= y up to a relative and an absolute slack of _EPS."""
+    return x <= y * (1.0 + _EPS) + _EPS
+
+
+def banach_algebra_holds(nf: float, ng: float, nfg: float) -> bool:
+    """Verdict of ||fg|| <= ||f|| ||g|| on the three weighted norms."""
+    return _within(nfg, nf * ng)
 
 
 def check_banach_algebra(f: ScalarField, g: ScalarField, alpha: float,
                          pairs: PairSet) -> bool:
     """Submultiplicativity ||fg|| <= ||f|| ||g|| of the weighted norm."""
-    alpha = _check_alpha(alpha)
     prod = ScalarField(f.grid, f.values * g.values)
-    nf = holder_norm(f, alpha, pairs).weighted
-    ng = holder_norm(g, alpha, pairs).weighted
-    nfg = holder_norm(prod, alpha, pairs).weighted
-    return nfg <= nf * ng * (1.0 + _EPS) + _EPS
+    return banach_algebra_holds(holder_norm(f, alpha, pairs).weighted,
+                                holder_norm(g, alpha, pairs).weighted,
+                                holder_norm(prod, alpha, pairs).weighted)
 
 
 def taylor_remainder_ratio(field: ScalarField, alpha: float,
@@ -114,7 +119,6 @@ def taylor_remainder_ratio(field: ScalarField, alpha: float,
     Requires the analytic derivative oracle so the check certifies the
     inequality and not the stencils.
     """
-    alpha = _check_alpha(alpha)
     if field.analytic_derivs is None:
         raise ValueError("taylor_remainder_ratio needs analytic_derivs")
     grid = field.grid
@@ -156,6 +160,11 @@ def taylor_remainder_ratio(field: ScalarField, alpha: float,
     return worst
 
 
+def taylor_remainder_holds(ratio: float) -> bool:
+    """Verdict of the remainder bound on a :func:`taylor_remainder_ratio`."""
+    return ratio <= 1.0 + 1e-9
+
+
 def check_taylor_remainder(field: ScalarField, alpha: float,
                            pairs: PairSet) -> bool:
     """Second-order Taylor remainder bound, checked on every pair.
@@ -165,7 +174,40 @@ def check_taylor_remainder(field: ScalarField, alpha: float,
 
     evaluated in both directions via :func:`taylor_remainder_ratio`.
     """
-    return taylor_remainder_ratio(field, alpha, pairs) <= 1.0 + 1e-9
+    return taylor_remainder_holds(taylor_remainder_ratio(field, alpha, pairs))
+
+
+def comparison_base(grid) -> float:
+    """The constant 3 n R of the norm comparison lemma."""
+    return 3.0 * grid.n * grid.R
+
+
+def zero_jet_norm(field: ScalarField, alpha: float,
+                  pairs: PairSet) -> JetNormReport:
+    """:func:`jet_norm` of a field whose value and gradient vanish at 0.
+
+    Raises ValueError unless the zero-jet condition holds, checked with the
+    analytic derivatives at the origin node.
+    """
+    if field.analytic_derivs is None:
+        raise ValueError("zero_jet_norm needs analytic_derivs")
+    grid = field.grid
+    origin = grid.nodes[grid.origin_index:grid.origin_index + 1]
+    scale = max(1.0, float(np.abs(field.values).max()))
+    v0 = float(field.analytic_derivs(tuple(0 for _ in range(grid.n)), origin)[0])
+    if abs(v0) > 1e-10 * scale:
+        raise ValueError(f"field value at origin is {v0}, not 0")
+    for beta in multi_indices(grid.n, 1):
+        g0 = float(field.analytic_derivs(beta, origin)[0])
+        if abs(g0) > 1e-10 * scale:
+            raise ValueError(f"field gradient at origin is nonzero: {g0}")
+    return jet_norm(field, alpha, pairs)
+
+
+def norm_comparison_holds(orders, base: float) -> bool:
+    """Verdict of the comparison lemma on the jet norms, with base = 3 n R."""
+    top = orders[2]
+    return _within(orders[0], base**2 * top) and _within(orders[1], base * top)
 
 
 def check_norm_comparison(field: ScalarField, alpha: float,
@@ -180,22 +222,5 @@ def check_norm_comparison(field: ScalarField, alpha: float,
     Raises if the zero-jet condition fails (checked with analytic
     derivatives at the origin node).
     """
-    alpha = _check_alpha(alpha)
-    if field.analytic_derivs is None:
-        raise ValueError("check_norm_comparison needs analytic_derivs")
-    grid = field.grid
-    origin = grid.nodes[grid.origin_index:grid.origin_index + 1]
-    scale = max(1.0, float(np.abs(field.values).max()))
-    v0 = float(field.analytic_derivs(tuple(0 for _ in range(grid.n)), origin)[0])
-    if abs(v0) > 1e-10 * scale:
-        raise ValueError(f"field value at origin is {v0}, not 0")
-    for beta in multi_indices(grid.n, 1):
-        g0 = float(field.analytic_derivs(beta, origin)[0])
-        if abs(g0) > 1e-10 * scale:
-            raise ValueError(f"field gradient at origin is nonzero: {g0}")
-    report = jet_norm(field, alpha, pairs)
-    base = 3.0 * grid.n * grid.R
-    slack = 1.0 + _EPS
-    top = report.orders[2]
-    return (report.orders[0] <= base**2 * top * slack + _EPS
-            and report.orders[1] <= base * top * slack + _EPS)
+    report = zero_jet_norm(field, alpha, pairs)
+    return norm_comparison_holds(report.orders, comparison_base(field.grid))

@@ -17,7 +17,7 @@ O(h^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -216,16 +216,13 @@ class IterateState:
     values: np.ndarray            # (N, m)
     grad: np.ndarray              # (N, m, n)
     hess: np.ndarray              # (N, m, n, n), symmetric in the last axes
-    index: int = 0
-    norm: float | None = None
 
     @property
     def m(self) -> int:
         return self.values.shape[1]
 
 
-def make_state(grid: BallGrid, values: np.ndarray,
-               index: int = 0) -> IterateState:
+def make_state(grid: BallGrid, values: np.ndarray) -> IterateState:
     """Fill the derivative tables of an iterate by finite differences."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim == 1:
@@ -238,8 +235,7 @@ def make_state(grid: BallGrid, values: np.ndarray,
     for beta in multi_indices(n, 2):
         i, j = [d for d, k in enumerate(beta) for _ in range(k)]
         hess[:, :, i, j] = hess[:, :, j, i] = fd_values(grid, vals, beta)
-    return IterateState(grid=grid, values=vals, grad=grad, hess=hess,
-                        index=index)
+    return IterateState(grid=grid, values=vals, grad=grad, hess=hess)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +532,12 @@ class SolveReport:
 
 def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
                  seed_vals: np.ndarray, gamma: float,
-                 config: SolveConfig) -> tuple[str, np.ndarray, AttemptRecord]:
-    """Iterate at fixed (R, gamma) until convergence or a failure signal."""
+                 config: SolveConfig) -> tuple[str, np.ndarray, float,
+                                               AttemptRecord]:
+    """Iterate at fixed (R, gamma) until convergence or a failure signal.
+
+    Returns the outcome, the last iterate, its order-2 norm and the record.
+    """
     big_n, m = grid.node_count, system.m
     f = np.zeros((big_n, m))
     increments: list[float] = []
@@ -545,8 +545,8 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
     streak = 0
     outcome = "max_iter"
     escape_norm = None
-    for it in range(1, config.max_iter + 1):
-        state = make_state(grid, f, index=it - 1)
+    for _ in range(config.max_iter):
+        state = make_state(grid, f)
         new, _src = picard_map(system, state, seed_vals)
         inc = solver_norm(grid, new - f, config.alpha, pairs)
         increments.append(inc)
@@ -571,7 +571,7 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
         iterations=len(increments), outcome=outcome,
         increment_norms=increments, ratios=ratios, escape_norm=escape_norm,
     )
-    return outcome, f, record
+    return outcome, f, f_norm, record
 
 
 def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
@@ -598,7 +598,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
         seed_vals = seed_field_values(config.harmonic_seed, grid, system.m)
 
         while True:
-            outcome, f, record = _run_attempt(
+            outcome, f, f_norm, record = _run_attempt(
                 system, grid, pairs, seed_vals, gamma, config)
             record.deviation_sup = coefficient_deviation_sup(
                 system, radius, gamma, samples=config.c_samples,
@@ -607,7 +607,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
             last_outcome = outcome
 
             if outcome == "converged":
-                return _final_report(system, grid, pairs, f, config,
+                return _final_report(system, grid, pairs, f, f_norm, config,
                                      gamma, gamma0, c_hat, psi0,
                                      attempts)
             if outcome == "escaped" and doublings < config.max_gamma_doublings:
@@ -635,8 +635,8 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
             )
 
 
-def _final_report(system, grid, pairs, f, config, gamma, gamma0, c_hat,
-                  psi0, attempts) -> SolveReport:
+def _final_report(system, grid, pairs, f, f_norm, config, gamma, gamma0,
+                  c_hat, psi0, attempts) -> SolveReport:
     res = residual_check(system, grid, f)
     jet_value, jet_gradient = origin_jet_magnitudes(grid, f)
     final = attempts[-1]
@@ -662,7 +662,7 @@ def _final_report(system, grid, pairs, f, config, gamma, gamma0, c_hat,
         node_residuals=res.node_residuals,
         jet_value=jet_value,
         jet_gradient=jet_gradient,
-        solution_norm=solver_norm(grid, f, config.alpha, pairs),
+        solution_norm=f_norm,
         attempts=attempts,
         config=config,
         pair_count=pairs.first.shape[0],

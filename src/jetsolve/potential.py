@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class KernelSpec:
             raise ValueError(f"n must be >= 2, got {self.n}")
 
     @property
-    def form(self) -> str:
-        return "log" if self.n == 2 else "power"
-
-    @property
     def unit_ball_volume(self) -> float:
         return math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0 + 1.0)
 
@@ -65,16 +61,6 @@ class PotentialField:
     values: np.ndarray
     grad: np.ndarray | None = None       # (N, n)
     hess: np.ndarray | None = None       # (N, n, n)
-    meta: dict = dc_field(default_factory=dict)
-
-    def value_field(self) -> ScalarField:
-        return ScalarField(self.grid, self.values)
-
-    def grad_field(self, d: int) -> ScalarField:
-        return ScalarField(self.grid, self.grad[:, d])
-
-    def hess_field(self, i: int, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.hess[:, i, j])
 
 
 def quad_weights(grid: BallGrid) -> np.ndarray:
@@ -211,33 +197,26 @@ def newtonian_potential(f, grid: BallGrid | None = None) -> PotentialField:
     """Potential N(f) with laplace(N(f)) = -f, values only."""
     grid, vals = _source_values(f, grid)
     res = _apply_potential(grid, vals, want_value=True)
-    return PotentialField(grid, res["value"],
-                          meta=_quad_meta(grid))
+    return PotentialField(grid, res["value"])
 
 
 def potential_gradient(f, grid: BallGrid | None = None) -> PotentialField:
     grid, vals = _source_values(f, grid)
     res = _apply_potential(grid, vals, want_value=True, want_grad=True)
-    return PotentialField(grid, res["value"], grad=res["grad"],
-                          meta=_quad_meta(grid))
+    return PotentialField(grid, res["value"], grad=res["grad"])
 
 
-def potential_hessian(f, grid: BallGrid | None = None,
-                      alpha: float | None = None) -> PotentialField:
+def potential_hessian(f, grid: BallGrid | None = None) -> PotentialField:
     """Potential with first and second derivative fields.
 
     Second derivatives use the difference form of the singular integral, so
-    the diagonal sum equals -f identically (the kernel is traceless); alpha
-    is recorded in the metadata for norm bookkeeping only.
+    the diagonal sum equals -f identically (the kernel is traceless).
     """
     grid, vals = _source_values(f, grid)
     res = _apply_potential(grid, vals, want_value=True, want_grad=True,
                            want_hess=True)
-    meta = _quad_meta(grid)
-    if alpha is not None:
-        meta["alpha"] = float(alpha)
     return PotentialField(grid, res["value"], grad=res["grad"],
-                          hess=res["hess"], meta=meta)
+                          hess=res["hess"])
 
 
 def laplacian_consistency(f, grid: BallGrid | None = None) -> dict:
@@ -270,23 +249,12 @@ def laplacian_consistency(f, grid: BallGrid | None = None) -> dict:
     }
 
 
-def _quad_meta(grid: BallGrid) -> dict:
-    return {
-        "h": grid.h,
-        "singular_rule": "equal-volume ball (value), dropped cell (derivatives)",
-        "boundary_rule": "fractional in-ball cell weights",
-    }
-
-
 @dataclass(frozen=True)
 class NormRatioReport:
     """Measured ||N(f)||-order-2 / ||f||_a for each probe field."""
 
     ratios: dict
     max_ratio: float
-    alpha: float
-    R: float
-    n_pairs: int
 
 
 def check_potential_norm_bound(samples, grid: BallGrid, alpha: float,
@@ -306,7 +274,7 @@ def check_potential_norm_bound(samples, grid: BallGrid, alpha: float,
         den = holder_norm(f, alpha, pairs).weighted
         if den < 1e-14:
             continue
-        pf = potential_hessian(f, alpha=alpha)
+        pf = potential_hessian(f)
         num = 0.0
         for beta in multi_indices(grid.n, 2):
             i = beta.index(max(beta))
@@ -316,5 +284,4 @@ def check_potential_norm_bound(samples, grid: BallGrid, alpha: float,
         ratios[name] = num / den
     if not ratios:
         raise ValueError("all probes had vanishing norm")
-    return NormRatioReport(ratios=ratios, max_ratio=max(ratios.values()),
-                           alpha=float(alpha), R=grid.R, n_pairs=pairs.size)
+    return NormRatioReport(ratios=ratios, max_ratio=max(ratios.values()))

@@ -167,6 +167,18 @@ def test_weighted_norm_values_matches_holder_norm(grid2, pairs2, rng):
     assert (sup, semi, weighted) == (rep.sup_norm, rep.seminorm, rep.weighted)
 
 
+def test_weighted_norm_values_rejects_bad_input(grid2, pairs2):
+    n = grid2.node_count
+    good = np.ones(n)
+    # a longer array would put its extra entries into the sup
+    for bad in (np.full(n + 1, 5.0), np.ones(n - 1), np.ones((n, 1))):
+        with pytest.raises(ValueError, match="node count"):
+            weighted_norm_values(bad, 0.5, pairs2)
+    for alpha in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="alpha"):
+            weighted_norm_values(good, alpha, pairs2)
+
+
 def test_jet_norm_homogeneous_in_every_order(grid2, pairs2):
     f = polynomial("mix", {(2, 1): 0.5, (1, 0): -1.0}).field(grid2)
     rep = jet_norm(f, 0.5, pairs2)

@@ -1,8 +1,15 @@
 """The executable lemma suite: every block passes on the stock battery."""
 
+import json
+import sys
+
+import numpy as np
 import pytest
 
-from jetsolve import run_lemma_suite
+from jetsolve import polynomial, run_lemma_suite
+from jetsolve import verify
+from jetsolve.cli import EXIT_ORACLE_FAILURE, main
+from jetsolve.probes import Probe, lemma_battery
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +43,96 @@ def test_blocks_carry_worst_case_diagnostics(suite):
 def test_suite_3d_smoke():
     suite = run_lemma_suite(n=3, R=0.5, res=9, alpha=0.5, seed=0)
     assert suite["all_passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# the violation path
+
+
+def _wrong_cubic() -> Probe:
+    """x1^3 whose derivative oracle reports 0 for every |beta| = 2."""
+    cubic = polynomial("x1^3_wrong", {(3, 0): 1.0})
+
+    def deriv(beta, pts):
+        if sum(beta) == 2:
+            return np.zeros(pts.shape[0])
+        return cubic.deriv(beta, pts)
+
+    return Probe(cubic.name, cubic.fn, deriv)
+
+
+@pytest.fixture
+def wrong_battery(monkeypatch):
+    monkeypatch.setattr(verify, "lemma_battery",
+                        lambda n: lemma_battery(n) + [_wrong_cubic()])
+
+
+def test_wrong_second_derivatives_are_violations(wrong_battery):
+    suite = run_lemma_suite(n=2, R=1.0, res=9, alpha=0.5, seed=0)
+    blocks = {b["name"]: b for b in suite["lemmas"]}
+    for name in ("taylor_remainder", "norm_comparison"):
+        assert blocks[name]["violations"] == ["x1^3_wrong"], name
+        assert blocks[name]["passed"] is False, name
+    assert blocks["banach_algebra"]["passed"] is True
+    assert suite["all_passed"] is False
+
+
+def test_verify_lemmas_exits_four_on_violation(wrong_battery, tmp_path,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["verify-lemmas", "--n", "2", "--res", "9",
+               "--report", "lemmas.json"])
+    assert rc == EXIT_ORACLE_FAILURE == 4
+    payload = json.loads((tmp_path / "lemmas.json").read_text())
+    assert payload["result"]["all_passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# each quantity is measured once
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of jetsolve functions, under every name jetsolve binds."""
+    counts = dict.fromkeys(names, 0)
+    modules = [mod for key, mod in sorted(sys.modules.items())
+               if key == "jetsolve" or key.startswith("jetsolve.")]
+    for name in names:
+        mod_name, fn_name = name.split(".")
+        original = getattr(sys.modules[f"jetsolve.{mod_name}"], fn_name)
+
+        def wrapper(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("size", [22, 5])
+def test_each_quantity_measured_once(monkeypatch, size):
+    battery = lemma_battery(2)[:size]
+    monkeypatch.setattr(verify, "lemma_battery", lambda n: battery)
+    counts = _count_calls(monkeypatch, ["holder.taylor_remainder_ratio",
+                                        "holder.jet_norm",
+                                        "holder.holder_norm"])
+    banach_norms = []
+    banach_block = verify._banach_block
+
+    def counted_banach_block(*args, **kwargs):
+        before = counts["holder.holder_norm"]
+        out = banach_block(*args, **kwargs)
+        banach_norms.append(counts["holder.holder_norm"] - before)
+        return out
+
+    monkeypatch.setattr(verify, "_banach_block", counted_banach_block)
+    suite = run_lemma_suite(n=2, R=1.0, res=9, alpha=0.5, seed=0)
+    B = suite["battery_size"]
+    assert B == size
+    assert counts["holder.taylor_remainder_ratio"] == B
+    assert counts["holder.jet_norm"] == B
+    assert banach_norms == [B + B * (B + 1) // 2]
+    if B == 22:
+        assert banach_norms == [275]
