@@ -32,8 +32,8 @@ from .picard import (AttemptRecord, HarmonicPolynomial, IterateState,
                      source_term)
 from .potential import (KernelSpec, NormRatioReport, PotentialField,
                         check_potential_norm_bound, laplacian_consistency,
-                        newtonian_potential, potential_gradient,
-                        potential_hessian, quad_weights, self_cell_integrals)
+                        newtonian_potential, potential_hessian, quad_weights,
+                        self_cell_integrals)
 from .probes import (Probe, constant_probe, coordinate_probe, lemma_battery,
                      plane_exp, plane_sin, polynomial, potential_probes,
                      radius_squared_probe, separable, with_zero_jet)
@@ -71,7 +71,7 @@ __all__ = [
     "minimal_surface_system", "multi_indices", "newtonian_potential",
     "oracle", "origin_jet_magnitudes", "orthogonal_partner", "picard_map",
     "picard_solve", "plane_exp", "plane_sin", "poisson_system", "polynomial",
-    "potential_gradient", "potential_hessian", "potential_probes", "radius_squared_probe", "prescribed_mean_curvature_system", "quad_weights",
+    "potential_hessian", "potential_probes", "radius_squared_probe", "prescribed_mean_curvature_system", "quad_weights",
     "register_system", "register_target", "residual_check",
     "run_lemma_suite", "seed_field_values", "self_cell_integrals",
     "separable", "shift_jet", "solve_system", "solver_norm", "source_term",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -39,7 +40,7 @@ EXIT_CONFIG_ERROR = 3
 EXIT_ORACLE_FAILURE = 4
 
 # version of the report.json layout, bumped when the layout changes
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 _SOLVER_KEYS = {
     "R0": float, "R_min": float, "res": int, "alpha": float, "tol": float,
@@ -179,8 +180,10 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # strict JSON has no non-finite numbers: str gives "inf", "-inf", "nan"
+        value = float(obj)
+        return value if math.isfinite(value) else str(value)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -190,10 +193,15 @@ def _jsonify(obj):
     return obj
 
 
+def _report_text(payload: dict) -> str:
+    """The text of a report: strict JSON, which any JSON reader parses."""
+    return json.dumps(_jsonify(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
 def _write_report(path: str, payload: dict) -> None:
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(_report_text(payload))
 
 
 def _write_field_csv(path: str, coords: np.ndarray, values: np.ndarray,
@@ -333,8 +341,7 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
         "result": result,
         "metadata": _metadata(started),
     }
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2)
-    print(text)
+    print(_report_text(payload), end="")
     if args.report:
         _write_report(args.report, payload)
     return EXIT_OK if result["all_passed"] else EXIT_ORACLE_FAILURE

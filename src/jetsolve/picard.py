@@ -25,7 +25,7 @@ import numpy as np
 from .grid import (BallGrid, PairSet, ScalarField, VectorField, build_grid,
                    build_pair_set, fd_values, multi_indices)
 from .holder import weighted_norm_values
-from .potential import _apply_potential, check_potential_norm_bound
+from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
 from .reduce import (JetSpec, PoissonSystem, SystemDef, check_ellipticity,
                      diagonalize, shift_jet, unit_ball)
@@ -315,7 +315,7 @@ def picard_map(system: PoissonSystem, state: IterateState,
     """
     grid = state.grid
     src = source_term(system, state)
-    omega = _apply_potential(grid, src, want_value=True)["value"]
+    omega = newtonian_potential(src, grid).values
     cand = omega + seed_values
     return cand - _origin_jet_polynomial(grid, cand), src
 

@@ -1,11 +1,10 @@
 """Newtonian potential on the discretized ball.
 
-Midpoint quadrature over the node cells, with three singular-cell rules:
+Midpoint quadrature over the node cells, with two singular-cell rules:
 
 * value kernel: the cell containing the singularity is replaced by the ball
   of equal volume, over which the fundamental solution integrates in closed
   form;
-* gradient kernel: the singular cell is dropped (odd kernel, centered cell);
 * second-derivative kernel: the difference form
 
       d_ij N(f)(x) = int d_ij G(x - y) (f(y) - f(x)) dy - delta_ij f(x) / n
@@ -46,21 +45,22 @@ class KernelSpec:
     def unit_ball_volume(self) -> float:
         return math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0 + 1.0)
 
-    def ball_integral(self, r: float) -> float:
-        """Integral of the fundamental solution over B_r (closed form)."""
+    def ball_integral(self, r):
+        """Integral of the fundamental solution over B_r (closed form),
+        elementwise over an array of radii."""
+        r = np.asarray(r, dtype=np.float64)
         if self.n == 2:
-            return r * r * (1.0 - 2.0 * math.log(r)) / 4.0
+            return r * r * (1.0 - 2.0 * np.log(r)) / 4.0
         return r * r / (2.0 * (self.n - 2))
 
 
 @dataclass(eq=False)
 class PotentialField:
-    """Potential of one source field with optional derivative fields."""
+    """Potential of a source, with its Hessian when one was asked for."""
 
     grid: BallGrid
-    values: np.ndarray
-    grad: np.ndarray | None = None       # (N, n)
-    hess: np.ndarray | None = None       # (N, n, n)
+    values: np.ndarray                   # (N,) or (N, m)
+    hess: np.ndarray | None = None       # (N, n, n) or (N, n, n, m)
 
 
 def quad_weights(grid: BallGrid) -> np.ndarray:
@@ -102,35 +102,33 @@ def self_cell_integrals(grid: BallGrid, kernel: KernelSpec) -> np.ndarray:
     if key in grid._cache:
         return grid._cache[key]
     w = quad_weights(grid)
-    r_eq = (np.maximum(w, 1e-300) / kernel.unit_ball_volume) ** (1.0 / grid.n)
-    out = np.asarray([kernel.ball_integral(float(r)) if wi > 0 else 0.0
-                      for r, wi in zip(r_eq, w)])
+    out = np.zeros_like(w)
+    pos = w > 0
+    r_eq = (w[pos] / kernel.unit_ball_volume) ** (1.0 / grid.n)
+    out[pos] = kernel.ball_integral(r_eq)
     grid._cache[key] = out
     return out
 
 
 def _apply_potential(grid: BallGrid, source: np.ndarray,
-                     want_value: bool = True, want_grad: bool = False,
-                     want_hess: bool = False) -> dict:
-    """Shared block engine: potential, gradient, Hessian for (N, m) sources."""
+                     hess: bool = False) -> PotentialField:
+    """The one dense pass: N(f) of an (N,) or (N, m) source, and its Hessian.
+
+    Values come out shaped like the source; the Hessian, computed only when
+    asked, is (N, n, n) or (N, n, n, m).
+    """
     n = grid.n
     N = grid.node_count
     kernel = KernelSpec(n)
-    squeeze = source.ndim == 1
-    F = source[:, None] if squeeze else source
+    F = source.reshape(N, -1)
     m = F.shape[1]
     w = quad_weights(grid)
     self_int = self_cell_integrals(grid, kernel)
     nodes = grid.nodes
     n_omega = n * kernel.unit_ball_volume
 
-    out = {}
-    if want_value:
-        out["value"] = np.zeros((N, m))
-    if want_grad:
-        out["grad"] = np.zeros((N, n, m))
-    if want_hess:
-        out["hess"] = np.zeros((N, n, n, m))
+    value = np.zeros((N, m))
+    second = np.zeros((N, n, n, m)) if hess else None
 
     block = max(16, int(_BLOCK_BYTES / (N * n * 8)))
     for a in range(0, N, block):
@@ -142,26 +140,19 @@ def _apply_potential(grid: BallGrid, source: np.ndarray,
         self_mask[ids - a, ids] = True
         r2s = np.where(self_mask, 1.0, r2)
 
-        if want_value:
-            if n == 2:
-                K = -np.log(r2s) / (4.0 * math.pi)
-            else:
-                c = 1.0 / (n * (n - 2) * kernel.unit_ball_volume)
-                K = c * r2s ** ((2.0 - n) / 2.0)
-            K = K * w[None, :]
-            K[ids - a, ids] = self_int[ids]
-            out["value"][a:b] = K @ F
+        if n == 2:
+            K = -np.log(r2s) / (4.0 * math.pi)
+        else:
+            c = 1.0 / (n * (n - 2) * kernel.unit_ball_volume)
+            K = c * r2s ** ((2.0 - n) / 2.0)
+        K = K * w[None, :]
+        K[ids - a, ids] = self_int[ids]
+        value[a:b] = K @ F
 
-        if want_grad or want_hess:
+        if hess:
             # common factor w / (n omega_n r^n), zeroed on the self cell
             C = w[None, :] * r2s ** (-n / 2.0) / n_omega
             C[self_mask] = 0.0
-
-        if want_grad:
-            for d in range(n):
-                out["grad"][a:b, d] = (-Z[:, :, d] * C) @ F
-
-        if want_hess:
             F_here = F[a:b]
             for i in range(n):
                 for j in range(i, n):
@@ -169,18 +160,15 @@ def _apply_potential(grid: BallGrid, source: np.ndarray,
                          - (1.0 if i == j else 0.0)) * C
                     row_sums = H.sum(axis=1)
                     vals = H @ F - F_here * row_sums[:, None]
-                    out["hess"][a:b, i, j] = vals
+                    second[a:b, i, j] = vals
                     if i != j:
-                        out["hess"][a:b, j, i] = vals
+                        second[a:b, j, i] = vals
 
-    if want_hess:
+    if hess:
         for d in range(n):
-            out["hess"][:, d, d] -= F / n
-
-    if squeeze:
-        for k in list(out):
-            out[k] = out[k][..., 0]
-    return out
+            second[:, d, d] -= F / n
+        second = second.reshape((N, n, n) + source.shape[1:])
+    return PotentialField(grid, value.reshape(source.shape), hess=second)
 
 
 def _source_values(f, grid: BallGrid | None) -> tuple[BallGrid, np.ndarray]:
@@ -195,28 +183,16 @@ def _source_values(f, grid: BallGrid | None) -> tuple[BallGrid, np.ndarray]:
 
 def newtonian_potential(f, grid: BallGrid | None = None) -> PotentialField:
     """Potential N(f) with laplace(N(f)) = -f, values only."""
-    grid, vals = _source_values(f, grid)
-    res = _apply_potential(grid, vals, want_value=True)
-    return PotentialField(grid, res["value"])
-
-
-def potential_gradient(f, grid: BallGrid | None = None) -> PotentialField:
-    grid, vals = _source_values(f, grid)
-    res = _apply_potential(grid, vals, want_value=True, want_grad=True)
-    return PotentialField(grid, res["value"], grad=res["grad"])
+    return _apply_potential(*_source_values(f, grid))
 
 
 def potential_hessian(f, grid: BallGrid | None = None) -> PotentialField:
-    """Potential with first and second derivative fields.
+    """Potential with its second derivative fields.
 
     Second derivatives use the difference form of the singular integral, so
     the diagonal sum equals -f identically (the kernel is traceless).
     """
-    grid, vals = _source_values(f, grid)
-    res = _apply_potential(grid, vals, want_value=True, want_grad=True,
-                           want_hess=True)
-    return PotentialField(grid, res["value"], grad=res["grad"],
-                          hess=res["hess"])
+    return _apply_potential(*_source_values(f, grid), hess=True)
 
 
 def laplacian_consistency(f, grid: BallGrid | None = None) -> dict:
@@ -228,12 +204,15 @@ def laplacian_consistency(f, grid: BallGrid | None = None) -> dict:
     with -f on interior nodes, relative to sup |f|.
     """
     grid, vals = _source_values(f, grid)
-    res = _apply_potential(grid, vals, want_value=True, want_hess=True)
-    if vals.ndim == 1:
-        trace = np.einsum("nii->n", res["hess"])
-    else:
-        trace = np.einsum("niim->nm", res["hess"])
-    fd_lap = sum(fd_values(grid, res["value"], beta)
+    return _laplacian_gaps(_apply_potential(grid, vals, hess=True), vals)
+
+
+def _laplacian_gaps(pf: PotentialField, vals: np.ndarray) -> dict:
+    """The gaps of :func:`laplacian_consistency` for a potential already
+    computed with its Hessian from the source values ``vals``."""
+    grid = pf.grid
+    trace = np.trace(pf.hess, axis1=1, axis2=2)
+    fd_lap = sum(fd_values(grid, pf.values, beta)
                  for beta in multi_indices(grid.n, 2) if max(beta) == 2)
 
     mask = grid.interior_mask
@@ -263,25 +242,25 @@ def check_potential_norm_bound(samples, grid: BallGrid, alpha: float,
 
     The ratio is the empirical stand-in for the R-independent bound on the
     potential as a map into the order-2 space; probes with vanishing norm are
-    skipped.
+    skipped.  The remaining probes go through one stacked Hessian pass.
     """
     if pairs is None:
         pairs = build_pair_set(grid)
-    ratios = {}
+    names, columns, dens = [], [], []
     for k, probe in enumerate(samples):
         f = probe.field(grid) if hasattr(probe, "field") else probe
-        name = getattr(probe, "name", f"probe_{k}")
         den = holder_norm(f, alpha, pairs).weighted
         if den < 1e-14:
             continue
-        pf = potential_hessian(f)
-        num = 0.0
-        for beta in multi_indices(grid.n, 2):
-            i = beta.index(max(beta))
-            j = i if max(beta) == 2 else [d for d, v in enumerate(beta) if v][1]
-            _, _, weighted = weighted_norm_values(pf.hess[:, i, j], alpha, pairs)
-            num = max(num, weighted)
-        ratios[name] = num / den
-    if not ratios:
+        names.append(getattr(probe, "name", f"probe_{k}"))
+        columns.append(f.values)
+        dens.append(den)
+    if not names:
         raise ValueError("all probes had vanishing norm")
+    hess = potential_hessian(np.stack(columns, axis=1), grid).hess
+    ratios = {}
+    for k, name in enumerate(names):
+        num = max(weighted_norm_values(hess[:, i, j, k], alpha, pairs)[2]
+                  for i in range(grid.n) for j in range(i, grid.n))
+        ratios[name] = num / dens[k]
     return NormRatioReport(ratios=ratios, max_ratio=max(ratios.values()))

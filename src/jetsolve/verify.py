@@ -15,9 +15,13 @@ from .holder import (banach_algebra_holds, comparison_base, holder_norm,
                      norm_comparison_holds, taylor_remainder_holds,
                      taylor_remainder_ratio, zero_jet_norm)
 from .oracle import uniform_ball_potential
-from .potential import (check_potential_norm_bound, laplacian_consistency,
-                        newtonian_potential)
+from .potential import (_laplacian_gaps, check_potential_norm_bound,
+                        potential_hessian)
 from .probes import constant_probe, lemma_battery, with_zero_jet
+
+# The closed-form and Laplacian blocks run on their own grid of this
+# resolution, whatever the suite's res: their tolerances are set for it.
+_POTENTIAL_RES = 17
 
 
 def run_lemma_suite(n: int = 2, R: float = 1.0, res: int = 17,
@@ -33,16 +37,21 @@ def run_lemma_suite(n: int = 2, R: float = 1.0, res: int = 17,
     * norm_comparison: one jet norm per zero-jet probe; passes if
       order_l <= B^(2-l) order_2 (1 + eps) + eps for l = 0, 1.  A probe
       whose 1-jet at the origin is not zero raises ValueError.
+    * potential_closed_form and laplacian_consistency: one potential pass,
+      with its Hessian, of the constant source on a res-17 grid.
+    * potential_norm_bound: one stacked Hessian pass of up to six probes.
     """
     grid = build_grid(n, R, res)
     pairs = build_pair_set(grid, seed=seed)
     battery = lemma_battery(n)
+    constant = constant_probe(n).field(build_grid(n, R, _POTENTIAL_RES))
+    pot = potential_hessian(constant)
     blocks = [
         _taylor_block(battery, grid, pairs, alpha),
         _banach_block(battery, grid, pairs, alpha),
         _comparison_block(battery, grid, pairs, alpha),
-        _closed_form_block(n, R),
-        _laplacian_block(n, R),
+        _closed_form_block(pot),
+        _laplacian_block(pot, constant.values),
         _amplification_block(battery, grid, pairs, alpha),
     ]
     return {
@@ -129,11 +138,10 @@ def _comparison_block(battery, grid, pairs, alpha) -> dict:
     }
 
 
-def _closed_form_block(n, R, res: int = 17, tol: float = 0.03) -> dict:
-    grid = build_grid(n, R, res)
-    probe = constant_probe(n)
-    pot = newtonian_potential(probe.field(grid), grid)
-    exact = np.array([uniform_ball_potential(n, R, x) for x in grid.nodes])
+def _closed_form_block(pot, tol: float = 0.03) -> dict:
+    grid = pot.grid
+    exact = np.array([uniform_ball_potential(grid.n, grid.R, x)
+                      for x in grid.nodes])
     err = float(np.abs(pot.values - exact).max() / np.abs(exact).max())
     return {
         "name": "potential_closed_form",
@@ -142,14 +150,12 @@ def _closed_form_block(n, R, res: int = 17, tol: float = 0.03) -> dict:
         "passed": err <= tol,
         "relative_sup_error": err,
         "tolerance": tol,
-        "res": res,
+        "res": grid.res,
     }
 
 
-def _laplacian_block(n, R, res: int = 17, tol: float = 0.05) -> dict:
-    grid = build_grid(n, R, res)
-    probe = constant_probe(n)
-    rep = laplacian_consistency(probe.field(grid), grid)
+def _laplacian_block(pot, source, tol: float = 0.05) -> dict:
+    rep = _laplacian_gaps(pot, source)
     return {
         "name": "laplacian_consistency",
         "statement": "Hessian-trace and finite-difference routes to the "
@@ -159,7 +165,7 @@ def _laplacian_block(n, R, res: int = 17, tol: float = 0.05) -> dict:
         "trace_route_gap": rep["trace_gap"],
         "fd_route_gap": rep["fd_gap"],
         "tolerance": tol,
-        "res": res,
+        "res": pot.grid.res,
     }
 
 

@@ -5,9 +5,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from jetsolve.cli import main
+from jetsolve.cli import _report_text, main
 
 
 def _write(path, obj):
@@ -45,7 +46,7 @@ def test_solve_writes_report_and_field(workdir):
     rc = main(["solve", _write(workdir / "cfg.json", cfg)])
     assert rc == 0
     payload = json.loads((workdir / "report.json").read_text())
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["command"] == "solve"
     assert payload["result"]["status"] == "converged"
     assert payload["config"]["res"] == 13
@@ -224,6 +225,20 @@ def test_kobayashi_inconclusive_exits_two(workdir):
 def test_kobayashi_rejects_base_point_outside_chart(workdir):
     cfg = {"target": "hyperbolic", "p": [2.0, 0.0], "X": [0.5, 0.0]}
     assert main(["kobayashi", _write(workdir / "cfg.json", cfg)]) == 3
+
+
+# ---------------------------------------------------------------------------
+# report serialization
+
+
+def test_report_text_is_strict_json():
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    text = _report_text({"a": float("-inf"), "b": np.float64("nan"),
+                         "c": [np.inf, 1.5]})
+    assert json.loads(text, parse_constant=reject) == {
+        "a": "-inf", "b": "nan", "c": ["inf", 1.5]}
 
 
 # ---------------------------------------------------------------------------

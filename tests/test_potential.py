@@ -11,7 +11,6 @@ from jetsolve import (
     field_from_callable,
     laplacian_consistency,
     newtonian_potential,
-    potential_gradient,
     potential_hessian,
     potential_probes,
     quad_weights,
@@ -51,18 +50,6 @@ def test_quad_weights_sum_to_ball_volume():
         w = quad_weights(grid)
         assert w.sum() == pytest.approx(vol, rel=1e-12)
         assert np.all(w >= 0)
-
-
-def test_gradient_of_constant_source():
-    # N(1) = R^2/2 - |x|^2/6 in 3-d, so grad N(1) = -x/3
-    grid = build_grid(3, 1.0, 17)
-    pf = potential_gradient(constant_probe(3).field(grid))
-    want = -grid.nodes / 3.0
-    err = np.abs(pf.grad - want).max(axis=1)
-    r = np.linalg.norm(grid.nodes, axis=1)
-    # clipped-cell weights concentrate the quadrature error at the rim
-    assert err[r < 0.8].max() <= 0.005
-    assert err.max() <= 0.05
 
 
 def test_hessian_trace_recovers_source_exactly():
@@ -122,6 +109,33 @@ def test_potential_norm_ratio_stable_across_radii():
     hi, lo = max(ratios), min(ratios)
     assert hi / lo < 3.0
     assert hi < 10.0
+
+
+@pytest.mark.parametrize("n,res", [(2, 13), (3, 9)])
+def test_batched_sources_match_columns(n, res):
+    grid = build_grid(n, 1.0, res)
+    F = np.stack([p.field(grid).values for p in potential_probes(n)], axis=1)
+    assert F.shape == (grid.node_count, 4)
+    values = newtonian_potential(F, grid).values
+    pf = potential_hessian(F, grid)
+    assert pf.hess.shape == (grid.node_count, n, n, 4)
+    for k in range(4):
+        column = potential_hessian(F[:, k], grid)
+        alone = newtonian_potential(F[:, k], grid).values
+        assert _rel_sup(values[:, k], alone) <= 1e-12
+        assert _rel_sup(pf.values[:, k], column.values) <= 1e-12
+        assert _rel_sup(pf.hess[..., k], column.hess) <= 1e-12
+
+
+def test_norm_bound_stack_matches_single_probes():
+    grid = build_grid(2, 1.0, 13)
+    pairs = build_pair_set(grid, seed=0)
+    probes = potential_probes(2)
+    together = check_potential_norm_bound(probes, grid, 0.5, pairs=pairs)
+    for probe in probes:
+        alone = check_potential_norm_bound([probe], grid, 0.5, pairs=pairs)
+        assert alone.ratios[probe.name] == pytest.approx(
+            together.ratios[probe.name], rel=1e-12)
 
 
 def test_potential_accepts_raw_arrays():

@@ -87,6 +87,26 @@ def test_verify_lemmas_exits_four_on_violation(wrong_battery, tmp_path,
     assert payload["result"]["all_passed"] is False
 
 
+def _reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_verify_lemmas_report_is_strict_json(wrong_battery, tmp_path,
+                                             monkeypatch, capsys):
+    # the wrong probe's Hessian seminorms vanish while its remainder does
+    # not, so its Taylor ratio is infinite
+    monkeypatch.chdir(tmp_path)
+    main(["verify-lemmas", "--n", "2", "--res", "9",
+          "--report", "lemmas.json"])
+    payload = json.loads((tmp_path / "lemmas.json").read_text(),
+                         parse_constant=_reject_constant)
+    printed = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)
+    assert printed == payload
+    blocks = {b["name"]: b for b in payload["result"]["lemmas"]}
+    assert blocks["taylor_remainder"]["worst_ratio"] == "inf"
+
+
 # ---------------------------------------------------------------------------
 # each quantity is measured once
 
@@ -117,7 +137,8 @@ def test_each_quantity_measured_once(monkeypatch, size):
     monkeypatch.setattr(verify, "lemma_battery", lambda n: battery)
     counts = _count_calls(monkeypatch, ["holder.taylor_remainder_ratio",
                                         "holder.jet_norm",
-                                        "holder.holder_norm"])
+                                        "holder.holder_norm",
+                                        "potential._apply_potential"])
     banach_norms = []
     banach_block = verify._banach_block
 
@@ -134,5 +155,7 @@ def test_each_quantity_measured_once(monkeypatch, size):
     assert counts["holder.taylor_remainder_ratio"] == B
     assert counts["holder.jet_norm"] == B
     assert banach_norms == [B + B * (B + 1) // 2]
+    # one pass of the constant source, one stacked pass of the norm probes
+    assert counts["potential._apply_potential"] == 2
     if B == 22:
         assert banach_norms == [275]
