@@ -11,7 +11,7 @@ Riemannian analogue of the Kobayashi metric.
 
 from .grid import (BallGrid, PairSet, ScalarField, VectorField, build_grid,
                    build_pair_set, fd_derivative, fd_values, field_from_callable,
-                   laplacian, multi_indices, vector_field_from_matrix)
+                   multi_indices, vector_field_from_matrix)
 from .holder import (HolderReport, JetNormReport, check_banach_algebra,
                      check_norm_comparison, check_taylor_remainder,
                      holder_norm, jet_norm, taylor_remainder_ratio,
@@ -19,9 +19,7 @@ from .holder import (HolderReport, JetNormReport, check_banach_algebra,
 from .kobayashi import (KobayashiEstimate, KobayashiQuery,
                         conformality_defect, estimate, is_conformal_jet,
                         orthogonal_partner)
-from .oracle import (ball_lattice_count, exhaustive_holder,
-                     fd_laplacian_reference, fd_values_reference,
-                     source_term_reference, uniform_ball_potential)
+from .oracle import uniform_ball_potential
 from .picard import (AttemptRecord, HarmonicPolynomial, IterateState,
                      IterateEscaped, NoConvergence, OracleFailure,
                      ResidualReport, SolveConfig, SolveFailure, SolveReport,
@@ -57,25 +55,23 @@ __all__ = [
     "PairSet", "PoissonSystem", "PotentialField", "Probe", "ResidualReport",
     "ScalarField", "SolveConfig", "SolveFailure", "SolveReport",
     "SYSTEM_REGISTRY", "SystemDef", "TARGET_REGISTRY", "TargetManifold",
-    "VectorField", "ball_lattice_count", "build_grid", "build_pair_set",
-    "build_system", "check_banach_algebra", "check_ellipticity",
-    "check_norm_comparison", "check_potential_norm_bound",
-    "check_taylor_remainder", "constant_probe", "coordinate_probe",
-    "choose_norm_radius", "coefficient_deviation_sup", "conformality_defect",
-    "diagonalize", "estimate", "euclidean_target", "exhaustive_holder",
-    "fd_derivative", "fd_laplacian_reference", "fd_values",
-    "fd_values_reference", "field_from_callable", "harmonic_map_system",
-    "holder_norm",
-    "hyperbolic_disk_target", "is_conformal_jet", "jet_norm", "laplacian",
+    "VectorField", "build_grid", "build_pair_set", "build_system",
+    "check_banach_algebra", "check_ellipticity", "check_norm_comparison",
+    "check_potential_norm_bound", "check_taylor_remainder", "constant_probe",
+    "coordinate_probe", "choose_norm_radius", "coefficient_deviation_sup",
+    "conformality_defect", "diagonalize", "estimate", "euclidean_target",
+    "fd_derivative", "fd_values", "field_from_callable", "harmonic_map_system",
+    "holder_norm", "hyperbolic_disk_target", "is_conformal_jet", "jet_norm",
     "laplacian_consistency", "lemma_battery", "make_state",
-    "minimal_surface_system", "multi_indices", "newtonian_potential",
-    "oracle", "origin_jet_magnitudes", "orthogonal_partner", "picard_map",
+    "minimal_surface_system", "multi_indices", "newtonian_potential", "oracle",
+    "origin_jet_magnitudes", "orthogonal_partner", "picard_map",
     "picard_solve", "plane_exp", "plane_sin", "poisson_system", "polynomial",
-    "potential_hessian", "potential_probes", "radius_squared_probe", "prescribed_mean_curvature_system", "quad_weights",
-    "register_system", "register_target", "residual_check",
-    "run_lemma_suite", "seed_field_values", "self_cell_integrals",
-    "separable", "shift_jet", "solve_system", "solver_norm", "source_term",
-    "source_term_reference", "sphere_stereographic_target",
-    "taylor_remainder_ratio",
-    "uniform_ball_potential", "vector_field_from_matrix", "weighted_norm_values", "with_zero_jet",
+    "potential_hessian", "potential_probes", "radius_squared_probe",
+    "prescribed_mean_curvature_system", "quad_weights", "register_system",
+    "register_target", "residual_check", "run_lemma_suite",
+    "seed_field_values", "self_cell_integrals", "separable", "shift_jet",
+    "solve_system", "solver_norm", "source_term",
+    "sphere_stereographic_target", "taylor_remainder_ratio",
+    "uniform_ball_potential", "vector_field_from_matrix",
+    "weighted_norm_values", "with_zero_jet",
 ]

@@ -372,16 +372,6 @@ def fd_derivative(field: ScalarField, beta) -> ScalarField:
     return ScalarField(grid, fd_values(grid, field.values, beta))
 
 
-def laplacian(field: ScalarField) -> ScalarField:
-    """Sum of pure second derivatives; trust it on interior nodes."""
-    grid = field.grid
-    total = np.zeros(grid.node_count)
-    for d in range(grid.n):
-        beta = tuple(2 if k == d else 0 for k in range(grid.n))
-        total += fd_derivative(field, beta).values
-    return ScalarField(grid, total)
-
-
 # ---------------------------------------------------------------------------
 # pair sampling for discrete Hölder seminorms
 

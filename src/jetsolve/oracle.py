@@ -1,9 +1,12 @@
 """Independent reference computations used to certify the main operators.
 
-Nothing in here shares stencil or quadrature code with the modules under
-test: the finite-difference references rebuild their own neighbor tables
-from raw coordinates, and the closed forms below were derived by hand and
-are re-checked symbolically in the test suite.
+The finite-difference references rebuild their own neighbor tables from
+raw coordinates, and the closed forms below were derived by hand and are
+re-checked symbolically in the test suite.  The one shared piece is the
+potential's quadrature: ``potential_reference`` takes ``quad_weights`` and
+``self_cell_integrals`` from the potential module on purpose, because it
+checks the FFT convolution of that module, not its quadrature rule (the
+closed-form ``uniform_ball_potential`` checks the rule).
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ import math
 import numpy as np
 
 from .grid import BallGrid, ScalarField
+from .potential import (KernelSpec, PotentialField, quad_weights,
+                        self_cell_integrals)
+
+_BLOCK_BYTES = 4e7
 
 
 def uniform_ball_potential(n: int, R: float, x) -> float:
@@ -209,3 +216,62 @@ def ball_lattice_count(n: int, R: float, res: int) -> int:
                         count += 1
         return count
     raise ValueError(f"n must be 2 or 3, got {n}")
+
+
+def potential_reference(grid: BallGrid, source: np.ndarray,
+                        hess: bool = False) -> PotentialField:
+    """Dense O(N^2) kernel sum: N(f) of an (N,) or (N, m) source, and its
+    Hessian, summed node pair by node pair in row blocks.  The reference
+    for the FFT pass of the potential module."""
+    n = grid.n
+    N = grid.node_count
+    kernel = KernelSpec(n)
+    F = source.reshape(N, -1)
+    m = F.shape[1]
+    w = quad_weights(grid)
+    self_int = self_cell_integrals(grid, kernel)
+    nodes = grid.nodes
+    n_omega = n * kernel.unit_ball_volume
+
+    value = np.zeros((N, m))
+    second = np.zeros((N, n, n, m)) if hess else None
+
+    block = max(16, int(_BLOCK_BYTES / (N * n * 8)))
+    for a in range(0, N, block):
+        b = min(a + block, N)
+        ids = np.arange(a, b)
+        Z = nodes[a:b, None, :] - nodes[None, :, :]
+        r2 = np.einsum("bqi,bqi->bq", Z, Z)
+        self_mask = np.zeros(r2.shape, dtype=bool)
+        self_mask[ids - a, ids] = True
+        r2s = np.where(self_mask, 1.0, r2)
+
+        if n == 2:
+            K = -np.log(r2s) / (4.0 * math.pi)
+        else:
+            c = 1.0 / (n * (n - 2) * kernel.unit_ball_volume)
+            K = c * r2s ** ((2.0 - n) / 2.0)
+        K = K * w[None, :]
+        K[ids - a, ids] = self_int[ids]
+        value[a:b] = K @ F
+
+        if hess:
+            # common factor w / (n omega_n r^n), zeroed on the self cell
+            C = w[None, :] * r2s ** (-n / 2.0) / n_omega
+            C[self_mask] = 0.0
+            F_here = F[a:b]
+            for i in range(n):
+                for j in range(i, n):
+                    H = (n * Z[:, :, i] * Z[:, :, j] / r2s
+                         - (1.0 if i == j else 0.0)) * C
+                    row_sums = H.sum(axis=1)
+                    vals = H @ F - F_here * row_sums[:, None]
+                    second[a:b, i, j] = vals
+                    if i != j:
+                        second[a:b, j, i] = vals
+
+    if hess:
+        for d in range(n):
+            second[:, d, d] -= F / n
+        second = second.reshape((N, n, n) + source.shape[1:])
+    return PotentialField(grid, value.reshape(source.shape), hess=second)

@@ -4,16 +4,21 @@ Midpoint quadrature over the node cells, with two singular-cell rules:
 
 * value kernel: the cell containing the singularity is replaced by the ball
   of equal volume, over which the fundamental solution integrates in closed
-  form;
+  form; the kernel's self cell is zero and ``self_cell_integrals * f`` is
+  added after the convolution;
 * second-derivative kernel: the difference form
 
       d_ij N(f)(x) = int d_ij G(x - y) (f(y) - f(x)) dy - delta_ij f(x) / n
 
-  makes the integrand integrable and the singular cell is dropped.
+  makes the integrand integrable and the singular cell is dropped: with
+  H_ij = d_ij G zeroed there, the sum is conv(H_ij, w f) - f conv(H_ij, w),
+  the second term computed once per grid.
 
 Cells straddling the sphere get a fractional weight (subsampled in-ball
 volume fraction), which is the quadrature correction the clipped tensor grid
-relies on.
+relies on.  All nodes sit on one lattice, so each sum is an FFT convolution
+on the res^n box zero-padded per axis to the next 5-smooth length >=
+2 res - 1: no offsets wrap, so it is the free-space sum, in O(N log N).
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ import numpy as np
 from .grid import (BallGrid, PairSet, ScalarField, build_pair_set, fd_values,
                    multi_indices)
 from .holder import holder_norm, weighted_norm_values
-
-_BLOCK_BYTES = 4e7
 
 
 @dataclass(frozen=True)
@@ -110,63 +113,73 @@ def self_cell_integrals(grid: BallGrid, kernel: KernelSpec) -> np.ndarray:
     return out
 
 
+def _fft_length(k: int) -> int:
+    """Smallest 5-smooth integer >= k, a length the FFT handles fast."""
+    m = k
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return k if m == 1 else _fft_length(k + 1)
+
+
+def _convolve(grid: BallGrid, spectra: np.ndarray, source: np.ndarray):
+    """Free-space convolution of each kernel with an (N, m) node source,
+    through the zero-padded lattice box; (kernels, m, N) at the nodes."""
+    n, L = grid.n, spectra.shape[1]
+    axes = tuple(range(-n, 0))
+    at_nodes = (slice(None),) + tuple(grid.lattice.T)
+    padded = np.zeros((source.shape[1],) + (L,) * n)
+    padded[at_nodes] = source.T
+    out = np.fft.irfftn(spectra[:, None] * np.fft.rfftn(padded, axes=axes),
+                        s=(L,) * n, axes=axes)
+    return out[(slice(None),) + at_nodes]
+
+
+def _kernel_spectra(grid: BallGrid, hess: bool):
+    """Kernel spectra on the padded offset lattice, self cell zeroed, cached
+    on the grid: the value kernel, then with hess H_ij = d_ij G for i <= j
+    and the source-free sums conv(H_ij, w) at the nodes, (pairs, N)."""
+    cached = grid._cache.get("potential_spectra")
+    if cached is not None and (cached[1] is not None or not hess):
+        return cached
+    n, kernel, L = grid.n, KernelSpec(grid.n), _fft_length(2 * grid.res - 1)
+    k = np.arange(L)
+    Z = np.ix_(*[np.where(k <= L // 2, k, k - L) * grid.h] * n)
+    r2 = sum(z * z for z in Z)
+    r2[(0,) * n] = 1.0
+    kernels = [-np.log(r2) / (4.0 * math.pi) if n == 2 else
+               r2 ** ((2.0 - n) / 2.0) / (n * (n - 2) * kernel.unit_ball_volume)]
+    if hess:
+        C = r2 ** (-n / 2.0) / (n * kernel.unit_ball_volume)
+        kernels += [(n * Z[i] * Z[j] / r2 - (1.0 if i == j else 0.0)) * C
+                    for i, j in zip(*np.triu_indices(n))]
+    kernels = np.stack(kernels)
+    kernels[(slice(None),) + (0,) * n] = 0.0
+    # each kernel is even in the offset, so its spectrum is real
+    spectra = np.fft.rfftn(kernels, axes=tuple(range(1, n + 1))).real
+    row_sums = (_convolve(grid, spectra[1:], quad_weights(grid)[:, None])[:, 0]
+                if hess else None)
+    grid._cache["potential_spectra"] = (spectra, row_sums)
+    return spectra, row_sums
+
+
 def _apply_potential(grid: BallGrid, source: np.ndarray,
                      hess: bool = False) -> PotentialField:
-    """The one dense pass: N(f) of an (N,) or (N, m) source, and its Hessian.
-
-    Values come out shaped like the source; the Hessian, computed only when
-    asked, is (N, n, n) or (N, n, n, m).
-    """
-    n = grid.n
-    N = grid.node_count
-    kernel = KernelSpec(n)
+    """One FFT pass: N(f) of an (N,) or (N, m) source, shaped like it, and
+    when asked its Hessian, (N, n, n) or (N, n, n, m)."""
+    n, N = grid.n, grid.node_count
     F = source.reshape(N, -1)
-    m = F.shape[1]
+    spectra, row_sums = _kernel_spectra(grid, hess)
     w = quad_weights(grid)
-    self_int = self_cell_integrals(grid, kernel)
-    nodes = grid.nodes
-    n_omega = n * kernel.unit_ball_volume
-
-    value = np.zeros((N, m))
-    second = np.zeros((N, n, n, m)) if hess else None
-
-    block = max(16, int(_BLOCK_BYTES / (N * n * 8)))
-    for a in range(0, N, block):
-        b = min(a + block, N)
-        ids = np.arange(a, b)
-        Z = nodes[a:b, None, :] - nodes[None, :, :]
-        r2 = np.einsum("bqi,bqi->bq", Z, Z)
-        self_mask = np.zeros(r2.shape, dtype=bool)
-        self_mask[ids - a, ids] = True
-        r2s = np.where(self_mask, 1.0, r2)
-
-        if n == 2:
-            K = -np.log(r2s) / (4.0 * math.pi)
-        else:
-            c = 1.0 / (n * (n - 2) * kernel.unit_ball_volume)
-            K = c * r2s ** ((2.0 - n) / 2.0)
-        K = K * w[None, :]
-        K[ids - a, ids] = self_int[ids]
-        value[a:b] = K @ F
-
-        if hess:
-            # common factor w / (n omega_n r^n), zeroed on the self cell
-            C = w[None, :] * r2s ** (-n / 2.0) / n_omega
-            C[self_mask] = 0.0
-            F_here = F[a:b]
-            for i in range(n):
-                for j in range(i, n):
-                    H = (n * Z[:, :, i] * Z[:, :, j] / r2s
-                         - (1.0 if i == j else 0.0)) * C
-                    row_sums = H.sum(axis=1)
-                    vals = H @ F - F_here * row_sums[:, None]
-                    second[a:b, i, j] = vals
-                    if i != j:
-                        second[a:b, j, i] = vals
-
+    conv = _convolve(grid, spectra if hess else spectra[:1], w[:, None] * F)
+    value = conv[0].T + self_cell_integrals(grid, KernelSpec(n))[:, None] * F
+    second = None
     if hess:
-        for d in range(n):
-            second[:, d, d] -= F / n
+        I, J = np.triu_indices(n)
+        vals = np.moveaxis(conv[1:] - row_sums[:, None] * F.T, -1, 0)
+        vals[:, I == J] -= F[:, None] / n
+        second = np.empty((N, n, n, F.shape[1]))
+        second[:, I, J] = second[:, J, I] = vals
         second = second.reshape((N, n, n) + source.shape[1:])
     return PotentialField(grid, value.reshape(source.shape), hess=second)
 

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jetsolve
 from jetsolve.cli import _report_text, main
 
 
@@ -100,6 +103,31 @@ def test_solve_deterministic_reports(workdir):
     fa = (workdir / "a" / "field.csv").read_bytes()
     fb = (workdir / "b" / "field.csv").read_bytes()
     assert fa == fb
+
+
+def test_solve_report_independent_of_thread_count(workdir):
+    # one child process per BLAS/OpenMP thread count; the reports must match
+    cfg = _solve_cfg(system="minimal_surface",
+                     jet={"c0": [0.0], "c1": [[0.3, 0.0]]}, res=17)
+    path = _write(workdir / "cfg.json", cfg)
+    src = str(Path(jetsolve.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "jetsolve.cli", "solve", path,
+             "--report", f"report{threads}.json",
+             "--field", f"field{threads}.csv"],
+            env=env, cwd=workdir, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        payload = json.loads((workdir / f"report{threads}.json").read_text())
+        payload.pop("metadata")
+        payload["config"].pop("report"), payload["config"].pop("field")
+        reports.append(json.dumps(payload, sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

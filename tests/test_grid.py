@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 from jetsolve import (
     PairSet,
     ScalarField,
-    ball_lattice_count,
     build_grid,
     build_pair_set,
     fd_values,
-    fd_values_reference,
-    field_from_callable,
-    laplacian,
     multi_indices,
     vector_field_from_matrix,
 )
 from jetsolve.grid import _nearest, stencil_table
+from jetsolve.oracle import ball_lattice_count, fd_values_reference
 
 # Small grids whose stencil tables hold every route: central, one-sided and
 # least-squares rows (res 5 also widens the least-squares neighbor search).
@@ -263,13 +260,6 @@ def test_fd_rejects_bad_multi_index(grid2):
         fd_values(grid2, np.zeros(grid2.node_count), (1, 0, 0))
     with pytest.raises(ValueError):
         fd_values(grid2, np.zeros(grid2.node_count + 1), (1, 0))
-
-
-def test_laplacian_of_quadratic_is_constant(grid2):
-    f = field_from_callable(grid2, lambda p: p[:, 0] ** 2 - 3 * p[:, 1] ** 2)
-    lap = laplacian(f)
-    got = lap.values[grid2.interior_mask]
-    np.testing.assert_allclose(got, -4.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from jetsolve import (
-    ball_lattice_count,
-    build_grid,
-    exhaustive_holder,
-    fd_laplacian_reference,
-    field_from_callable,
-    uniform_ball_potential,
-)
+from jetsolve import build_grid, field_from_callable, uniform_ball_potential
+from jetsolve.oracle import (ball_lattice_count, exhaustive_holder,
+                             fd_laplacian_reference)
 
 
 def test_uniform_ball_potential_laplacian_is_minus_one():

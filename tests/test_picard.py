@@ -33,9 +33,9 @@ from jetsolve import (
     solve_system,
     solver_norm,
     source_term,
-    source_term_reference,
     vector_field_from_matrix,
 )
+from jetsolve.oracle import source_term_reference
 from jetsolve.picard import _origin_jet_polynomial
 
 

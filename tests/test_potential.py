@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetsolve import (
     build_grid,
@@ -16,6 +18,7 @@ from jetsolve import (
     quad_weights,
     uniform_ball_potential,
 )
+from jetsolve.oracle import potential_reference
 
 
 def _rel_sup(got, want):
@@ -143,3 +146,42 @@ def test_potential_accepts_raw_arrays():
     pf = newtonian_potential(np.ones(grid.node_count), grid)
     assert pf.values.shape == (grid.node_count,)
     assert np.all(np.isfinite(pf.values))
+
+
+# ---------------------------------------------------------------------------
+# the FFT pass against the dense reference
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from([(2, 1.0, 13), (2, 0.3, 21), (2, 2.5, 33),
+                              (3, 1.0, 9), (3, 0.4, 13), (3, 2.0, 13)]),
+       columns=st.sampled_from([None, 1, 3]),
+       data_seed=st.integers(0, 2**31 - 1))
+# 2 res - 1 = 41 is prime, so the padded box is 45 wide, not 41
+@example(shape=(3, 0.5, 21), columns=2, data_seed=7)
+def test_fft_pass_matches_dense_reference(shape, columns, data_seed):
+    grid = build_grid(*shape)
+    rng = np.random.default_rng(data_seed)
+    size = (grid.node_count,) if columns is None else (grid.node_count, columns)
+    F = rng.normal(size=size) * rng.lognormal()
+    want = potential_reference(grid, F, hess=True)
+    got = potential_hessian(F, grid)
+    for values in (got.values, newtonian_potential(F, grid).values):
+        assert values.shape == want.values.shape
+        assert np.abs(values - want.values).max() <= (
+            1e-12 * np.abs(want.values).max())
+    assert got.hess.shape == want.hess.shape
+    assert np.abs(got.hess - want.hess).max() <= 1e-12 * np.abs(want.hess).max()
+
+
+@pytest.mark.parametrize("n,res", [(2, 21), (3, 9)])
+def test_cached_spectra_give_bitwise_equal_passes(n, res):
+    rng = np.random.default_rng(3)
+    warm = build_grid(n, 0.7, res)
+    newtonian_potential(rng.normal(size=warm.node_count), warm)
+    potential_hessian(rng.normal(size=warm.node_count), warm)
+    F = rng.normal(size=(warm.node_count, 2))
+    again = potential_hessian(F, warm)
+    fresh = potential_hessian(F, build_grid(n, 0.7, res))
+    np.testing.assert_array_equal(again.values, fresh.values)
+    np.testing.assert_array_equal(again.hess, fresh.hess)
