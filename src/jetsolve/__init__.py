@@ -12,10 +12,8 @@ Riemannian analogue of the Kobayashi metric.
 from .grid import (BallGrid, PairSet, ScalarField, VectorField, build_grid,
                    build_pair_set, fd_derivative, fd_values, field_from_callable,
                    multi_indices, vector_field_from_matrix)
-from .holder import (HolderReport, JetNormReport, check_banach_algebra,
-                     check_norm_comparison, check_taylor_remainder,
-                     holder_norm, jet_norm, taylor_remainder_ratio,
-                     weighted_norm_values)
+from .holder import (HolderReport, JetNormReport, holder_norm, jet_norm,
+                     taylor_remainder_ratio, weighted_norm_values)
 from .kobayashi import (KobayashiEstimate, KobayashiQuery,
                         conformality_defect, estimate, is_conformal_jet,
                         orthogonal_partner)
@@ -56,8 +54,7 @@ __all__ = [
     "ScalarField", "SolveConfig", "SolveFailure", "SolveReport",
     "SYSTEM_REGISTRY", "SystemDef", "TARGET_REGISTRY", "TargetManifold",
     "VectorField", "build_grid", "build_pair_set", "build_system",
-    "check_banach_algebra", "check_ellipticity", "check_norm_comparison",
-    "check_potential_norm_bound", "check_taylor_remainder", "constant_probe",
+    "check_ellipticity", "check_potential_norm_bound", "constant_probe",
     "coordinate_probe", "choose_norm_radius", "coefficient_deviation_sup",
     "conformality_defect", "diagonalize", "estimate", "euclidean_target",
     "fd_derivative", "fd_values", "field_from_callable", "harmonic_map_system",

@@ -391,6 +391,7 @@ class PairSet:
     dist: np.ndarray
     complete: bool
     _pow_cache: dict = field(default_factory=dict, repr=False)
+    _steps: tuple | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -401,6 +402,14 @@ class PairSet:
         if key not in self._pow_cache:
             self._pow_cache[key] = self.dist**key
         return self._pow_cache[key]
+
+    def steps(self) -> tuple[np.ndarray, ...]:
+        """Offsets x_first - x_second, one contiguous array per axis."""
+        if self._steps is None:
+            nodes = self.grid.nodes
+            self._steps = tuple(nodes[self.first, d] - nodes[self.second, d]
+                                for d in range(self.grid.n))
+        return self._steps
 
     @classmethod
     def from_pairs(cls, grid: BallGrid, first, second) -> "PairSet":

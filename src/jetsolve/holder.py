@@ -100,15 +100,6 @@ def banach_algebra_holds(nf: float, ng: float, nfg: float) -> bool:
     return _within(nfg, nf * ng)
 
 
-def check_banach_algebra(f: ScalarField, g: ScalarField, alpha: float,
-                         pairs: PairSet) -> bool:
-    """Submultiplicativity ||fg|| <= ||f|| ||g|| of the weighted norm."""
-    prod = ScalarField(f.grid, f.values * g.values)
-    return banach_algebra_holds(holder_norm(f, alpha, pairs).weighted,
-                                holder_norm(g, alpha, pairs).weighted,
-                                holder_norm(prod, alpha, pairs).weighted)
-
-
 def taylor_remainder_ratio(field: ScalarField, alpha: float,
                            pairs: PairSet) -> float:
     """Worst ratio of remainder to bound over all pairs, both directions.
@@ -118,13 +109,19 @@ def taylor_remainder_ratio(field: ScalarField, alpha: float,
     Pairs where both sides vanish (quadratic fields) contribute 0.
     Requires the analytic derivative oracle so the check certifies the
     inequality and not the stencils.
+
+    The pair offsets and |y-x|^(2+a) are cached on the pair set.  The
+    reverse direction negates every offset, which IEEE arithmetic does
+    exactly, so it subtracts the gradient terms and adds the same Hessian
+    terms; every ratio is bitwise that of the direct expansion
+    (``oracle.taylor_remainder_ratio_reference``).
     """
     if field.analytic_derivs is None:
         raise ValueError("taylor_remainder_ratio needs analytic_derivs")
-    grid = field.grid
-    n = grid.n
+    n = field.grid.n
     i, j = pairs.first, pairs.second
-    dx = grid.nodes[i] - grid.nodes[j]
+    steps = pairs.steps()
+    squares = [c**2 for c in steps]
 
     f = field.values
     grads = [fd_derivative(field, beta).values for beta in multi_indices(n, 1)]
@@ -135,46 +132,43 @@ def taylor_remainder_ratio(field: ScalarField, alpha: float,
     for beta in hess_beta:
         _, semi, _ = weighted_norm_values(hess[beta], alpha, pairs)
         semi_sum += semi
-    rhs = 0.5 * semi_sum * pairs.dist ** (2.0 + alpha)
+    rhs = 0.5 * semi_sum * pairs.dist_pow(2.0 + alpha)
 
     scale = max(1.0, float(np.abs(f).max()))
+    # Gathers write into two reused buffers.  Pair indices are in range, and
+    # mode="clip" skips the scratch copy of `out` that take's default makes.
+    taylor, term = np.empty(i.shape[0]), np.empty(i.shape[0])
     worst = 0.0
-    for a, b, step in ((i, j, dx), (j, i, -dx)):
-        taylor = f[b].copy()
+    for base, target, grad_op in ((j, i, np.add), (i, j, np.subtract)):
+        np.take(f, base, out=taylor, mode="clip")
         for d in range(n):
-            taylor += grads[d][b] * step[:, d]
+            np.take(grads[d], base, out=term, mode="clip")
+            term *= steps[d]
+            grad_op(taylor, term, out=taylor)
         for beta in hess_beta:
-            d1 = beta.index(max(beta))
+            np.take(hess[beta], base, out=term, mode="clip")
             if max(beta) == 2:
-                taylor += 0.5 * hess[beta][b] * step[:, d1] ** 2
+                term *= 0.5
+                term *= squares[beta.index(2)]
             else:
                 d1, d2 = [k for k, v in enumerate(beta) if v == 1]
-                taylor += hess[beta][b] * step[:, d1] * step[:, d2]
-        lhs = np.abs(f[a] - taylor)
+                term *= steps[d1]
+                term *= steps[d2]
+            taylor += term
+        np.take(f, target, out=term, mode="clip")
+        lhs = np.subtract(term, taylor, out=taylor)
+        np.abs(lhs, out=lhs)
         live = lhs > _EPS * scale
-        if not np.any(live):
-            continue
-        with np.errstate(divide="ignore"):
-            ratios = np.where(rhs[live] > 0.0, lhs[live] / rhs[live], np.inf)
-        worst = max(worst, float(ratios.max()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lhs /= rhs
+        lhs[~live] = 0.0
+        worst = max(worst, float(lhs.max()))
     return worst
 
 
 def taylor_remainder_holds(ratio: float) -> bool:
     """Verdict of the remainder bound on a :func:`taylor_remainder_ratio`."""
     return ratio <= 1.0 + 1e-9
-
-
-def check_taylor_remainder(field: ScalarField, alpha: float,
-                           pairs: PairSet) -> bool:
-    """Second-order Taylor remainder bound, checked on every pair.
-
-    |f(y) - T2[f, x](y)| <= (1/2) (sum over |beta| = 2 of H_a[d^beta f])
-                            * |y - x|^(2 + alpha)
-
-    evaluated in both directions via :func:`taylor_remainder_ratio`.
-    """
-    return taylor_remainder_holds(taylor_remainder_ratio(field, alpha, pairs))
 
 
 def comparison_base(grid) -> float:
@@ -208,19 +202,3 @@ def norm_comparison_holds(orders, base: float) -> bool:
     """Verdict of the comparison lemma on the jet norms, with base = 3 n R."""
     top = orders[2]
     return _within(orders[0], base**2 * top) and _within(orders[1], base * top)
-
-
-def check_norm_comparison(field: ScalarField, alpha: float,
-                          pairs: PairSet) -> bool:
-    """Lower-order jet norms controlled by the order-2 norm.
-
-    For fields whose value and gradient vanish at the origin,
-
-        ||f||_a       <= (3 n R)^2 * ||f||-order-2
-        ||f||-order-1 <= (3 n R)   * ||f||-order-2.
-
-    Raises if the zero-jet condition fails (checked with analytic
-    derivatives at the origin node).
-    """
-    report = zero_jet_norm(field, alpha, pairs)
-    return norm_comparison_holds(report.orders, comparison_base(field.grid))

@@ -2,11 +2,15 @@
 
 The finite-difference references rebuild their own neighbor tables from
 raw coordinates, and the closed forms below were derived by hand and are
-re-checked symbolically in the test suite.  The one shared piece is the
-potential's quadrature: ``potential_reference`` takes ``quad_weights`` and
-``self_cell_integrals`` from the potential module on purpose, because it
-checks the FFT convolution of that module, not its quadrature rule (the
-closed-form ``uniform_ball_potential`` checks the rule).
+re-checked symbolically in the test suite.  Some references share pieces
+of the code they check, on purpose, because each certifies one step and
+not the pieces under it: ``potential_reference`` takes ``quad_weights``
+and ``self_cell_integrals`` from the potential module, because it checks
+the FFT convolution of that module, not its quadrature rule (the
+closed-form ``uniform_ball_potential`` checks the rule);
+``taylor_remainder_ratio_reference`` takes the derivatives and seminorms
+of ``holder``, and ``run_attempt_reference`` takes the sweep and the norm
+of ``picard``, because they check the pair scan and the norm schedule.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import math
 
 import numpy as np
 
-from .grid import BallGrid, ScalarField
+from .grid import BallGrid, ScalarField, fd_derivative, multi_indices
+from .holder import _EPS, weighted_norm_values
+from .picard import AttemptRecord, make_state, picard_map, solver_norm
 from .potential import (KernelSpec, PotentialField, quad_weights,
                         self_cell_integrals)
 
@@ -275,3 +281,96 @@ def potential_reference(grid: BallGrid, source: np.ndarray,
             second[:, d, d] -= F / n
         second = second.reshape((N, n, n) + source.shape[1:])
     return PotentialField(grid, value.reshape(source.shape), hess=second)
+
+
+def taylor_remainder_ratio_reference(field: ScalarField, alpha: float,
+                                     pairs) -> float:
+    """Taylor remainder ratio by the direct expansion in both directions.
+
+    Rebuilds the pair offsets on every call, expands around each end with
+    the offset (or its negation) as written, and divides only the live
+    pairs.  The reference for ``holder.taylor_remainder_ratio``.
+    """
+    if field.analytic_derivs is None:
+        raise ValueError("taylor_remainder_ratio needs analytic_derivs")
+    grid = field.grid
+    n = grid.n
+    i, j = pairs.first, pairs.second
+    dx = grid.nodes[i] - grid.nodes[j]
+
+    f = field.values
+    grads = [fd_derivative(field, beta).values for beta in multi_indices(n, 1)]
+    hess_beta = multi_indices(n, 2)
+    hess = {beta: fd_derivative(field, beta).values for beta in hess_beta}
+
+    semi_sum = 0.0
+    for beta in hess_beta:
+        _, semi, _ = weighted_norm_values(hess[beta], alpha, pairs)
+        semi_sum += semi
+    rhs = 0.5 * semi_sum * pairs.dist ** (2.0 + alpha)
+
+    scale = max(1.0, float(np.abs(f).max()))
+    worst = 0.0
+    for a, b, step in ((i, j, dx), (j, i, -dx)):
+        taylor = f[b].copy()
+        for d in range(n):
+            taylor += grads[d][b] * step[:, d]
+        for beta in hess_beta:
+            d1 = beta.index(max(beta))
+            if max(beta) == 2:
+                taylor += 0.5 * hess[beta][b] * step[:, d1] ** 2
+            else:
+                d1, d2 = [k for k, v in enumerate(beta) if v == 1]
+                taylor += hess[beta][b] * step[:, d1] * step[:, d2]
+        lhs = np.abs(f[a] - taylor)
+        live = lhs > _EPS * scale
+        if not np.any(live):
+            continue
+        with np.errstate(divide="ignore"):
+            ratios = np.where(rhs[live] > 0.0, lhs[live] / rhs[live], np.inf)
+        worst = max(worst, float(ratios.max()))
+    return worst
+
+
+def run_attempt_reference(system, grid: BallGrid, pairs, seed_vals,
+                          gamma: float, config):
+    """One fixed-(R, gamma) attempt measuring the iterate's norm every sweep.
+
+    The eager loop: both the increment norm and the iterate norm are full
+    scans on every sweep.  Same arguments and result as
+    ``picard._run_attempt``, whose lazy iterate norms it certifies; the
+    returned norm is that of the last iterate whatever the outcome.
+    """
+    f = np.zeros((grid.node_count, system.m))
+    increments: list[float] = []
+    ratios: list[float] = []
+    streak = 0
+    outcome = "max_iter"
+    escape_norm = None
+    for _ in range(config.max_iter):
+        state = make_state(grid, f)
+        new, _src = picard_map(system, state, seed_vals)
+        inc = solver_norm(grid, new - f, config.alpha, pairs)
+        increments.append(inc)
+        f = new
+        f_norm = solver_norm(grid, f, config.alpha, pairs)
+        if f_norm > gamma:
+            outcome = "escaped"
+            escape_norm = f_norm
+            break
+        if inc < config.tol:
+            outcome = "converged"
+            break
+        if len(increments) >= 2 and increments[-2] > 0:
+            r = increments[-1] / increments[-2]
+            ratios.append(r)
+            streak = streak + 1 if r > config.contraction_threshold else 0
+            if streak >= 3:
+                outcome = "no_contraction"
+                break
+    record = AttemptRecord(
+        R=grid.R, gamma_start=gamma, gamma_end=gamma,
+        iterations=len(increments), outcome=outcome,
+        increment_norms=increments, ratios=ratios, escape_norm=escape_norm,
+    )
+    return outcome, f, f_norm, record

@@ -10,9 +10,6 @@ from jetsolve import (
     ScalarField,
     build_grid,
     build_pair_set,
-    check_banach_algebra,
-    check_norm_comparison,
-    check_taylor_remainder,
     coordinate_probe,
     field_from_callable,
     holder_norm,
@@ -24,6 +21,10 @@ from jetsolve import (
     weighted_norm_values,
     with_zero_jet,
 )
+from jetsolve.holder import (banach_algebra_holds, comparison_base,
+                             norm_comparison_holds, taylor_remainder_holds,
+                             zero_jet_norm)
+from jetsolve.oracle import taylor_remainder_ratio_reference
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,18 @@ def _poly_field(grid, rng):
     return polynomial("rand", terms).field(grid)
 
 
+def _banach_holds(f, g, alpha, pairs):
+    prod = ScalarField(f.grid, f.values * g.values)
+    return banach_algebra_holds(holder_norm(f, alpha, pairs).weighted,
+                                holder_norm(g, alpha, pairs).weighted,
+                                holder_norm(prod, alpha, pairs).weighted)
+
+
+def _comparison_holds(f, alpha, pairs):
+    return norm_comparison_holds(zero_jet_norm(f, alpha, pairs).orders,
+                                 comparison_base(f.grid))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(0.1, 0.9))
 def test_norm_homogeneity_and_triangle(seed, alpha):
@@ -100,7 +113,7 @@ def test_banach_algebra_on_random_polynomials(seed):
     rng = np.random.default_rng(seed)
     f = _poly_field(grid, rng)
     g = _poly_field(grid, rng)
-    assert check_banach_algebra(f, g, 0.5, pairs)
+    assert _banach_holds(f, g, 0.5, pairs)
 
 
 def test_banach_algebra_on_battery(grid2, pairs2):
@@ -108,7 +121,7 @@ def test_banach_algebra_on_battery(grid2, pairs2):
     fields = [p.field(grid2) for p in battery[:8]]
     for f in fields:
         for g in fields:
-            assert check_banach_algebra(f, g, 0.5, pairs2)
+            assert _banach_holds(f, g, 0.5, pairs2)
 
 
 # ---------------------------------------------------------------------------
@@ -125,35 +138,59 @@ def test_taylor_remainder_on_battery(grid2, pairs2):
         f = probe.field(grid2)
         ratio = taylor_remainder_ratio(f, 0.5, pairs2)
         assert ratio <= 1.0 + 1e-9, probe.name
-        assert check_taylor_remainder(f, 0.5, pairs2)
+        assert taylor_remainder_holds(ratio)
 
 
 def test_taylor_remainder_3d(grid3, pairs3):
     for probe in lemma_battery(3)[:10]:
         f = probe.field(grid3)
-        assert check_taylor_remainder(f, 0.5, pairs3), probe.name
+        assert taylor_remainder_holds(
+            taylor_remainder_ratio(f, 0.5, pairs3)), probe.name
+
+
+@pytest.mark.parametrize("n,res", [(2, 9), (3, 9), (2, 33), (3, 17)])
+def test_taylor_ratio_matches_reference_bitwise(n, res):
+    # res 9 uses every pair; 2-d res 33 and 3-d res 17 sample them
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=0)
+    assert pairs.complete == (res == 9)
+    cubic = polynomial("x1_cubed", {(3,) + (0,) * (n - 1): 1.0}).field(grid)
+
+    def no_hessian(beta, pts):
+        if sum(beta) == 2:
+            return np.zeros(pts.shape[0])
+        return cubic.analytic_derivs(beta, pts)
+
+    # a wrong (zero) Hessian bounds nothing: the ratio is infinite
+    fields = [p.field(grid) for p in lemma_battery(n)] + [
+        cubic, ScalarField(grid, cubic.values, analytic_derivs=no_hessian)]
+    got = [taylor_remainder_ratio(f, 0.5, pairs).hex() for f in fields]
+    want = [taylor_remainder_ratio_reference(f, 0.5, pairs).hex()
+            for f in fields]
+    assert got == want
+    assert got[-1] == float("inf").hex()
 
 
 def test_comparison_needs_zero_jet(grid2, pairs2):
     f = coordinate_probe(2, 0).field(grid2)  # gradient e1 at the origin
     with pytest.raises(ValueError):
-        check_norm_comparison(f, 0.5, pairs2)
+        zero_jet_norm(f, 0.5, pairs2)
     g = polynomial("affine", {(0, 0): 1.0}).field(grid2)
     with pytest.raises(ValueError):
-        check_norm_comparison(g, 0.5, pairs2)
+        zero_jet_norm(g, 0.5, pairs2)
 
 
 def test_comparison_on_zero_jet_battery(grid2, pairs2):
     for probe in lemma_battery(2):
         f = with_zero_jet(probe, 2).field(grid2)
-        assert check_norm_comparison(f, 0.5, pairs2), probe.name
+        assert _comparison_holds(f, 0.5, pairs2), probe.name
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_comparison_other_exponents(grid2, pairs2, alpha):
     for probe in lemma_battery(2)[:6]:
         f = with_zero_jet(probe, 2).field(grid2)
-        assert check_norm_comparison(f, alpha, pairs2), probe.name
+        assert _comparison_holds(f, alpha, pairs2), probe.name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Fixed-point sweep machinery and the adaptive solve driver."""
 
+import functools
 import json
 
 import numpy as np
@@ -35,7 +36,8 @@ from jetsolve import (
     source_term,
     vector_field_from_matrix,
 )
-from jetsolve.oracle import source_term_reference
+import jetsolve.picard as picard_module
+from jetsolve.oracle import run_attempt_reference, source_term_reference
 from jetsolve.picard import _origin_jet_polynomial
 
 
@@ -138,6 +140,33 @@ def test_solver_norm_is_order_two_jet_norm(n, res, m, rng):
     vals = rng.normal(size=(grid.node_count, m))
     expected = jet_norm(vector_field_from_matrix(grid, vals), 0.4, pairs)
     assert solver_norm(grid, vals, 0.4, pairs) == expected.solver_norm
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_and_pairs(n, res):
+    grid = build_grid(n, 0.8, res)
+    return grid, build_pair_set(grid, seed=5)
+
+
+@pytest.mark.parametrize("n,res,complete", [
+    (2, 9, True), (2, 33, False), (3, 7, True), (3, 13, False)])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), scale=st.floats(-8.0, 2.0))
+def test_solver_norm_is_subadditive(n, res, complete, seed, scale):
+    # the lazy iterate norms of the solve rest on this triangle inequality;
+    # cubics plus noise make the stencils cancel large values
+    grid, pairs = _grid_and_pairs(n, res)
+    assert pairs.complete == complete
+    rng = np.random.default_rng(seed)
+
+    def field(size):
+        cubic = grid.nodes @ rng.normal(size=(n, 2))
+        return (cubic**3 + rng.normal(size=(grid.node_count, 2))
+                * 10.0**rng.uniform(-8.0, 0.0)) * size
+
+    a, b = field(1.0), field(10.0**scale)
+    total = solver_norm(grid, a, 0.5, pairs) + solver_norm(grid, b, 0.5, pairs)
+    assert solver_norm(grid, a + b, 0.5, pairs) <= total * (1.0 + 1e-9)
 
 
 def test_jet_subtraction_acts_per_component(grid2, rng):
@@ -314,6 +343,67 @@ def test_floor_exhaustion_raises_with_partial_report():
     assert report is not None
     assert len(report.attempts) >= 2
     assert report.status in ("failed:escaped", "failed:no_convergence")
+
+
+_SADDLE = [HarmonicPolynomial({(2, 0): 0.6, (0, 2): -0.6})]
+# name -> (system, dimension, config, (outcome, sweeps) of the first attempt)
+_ATTEMPT_CASES = {
+    # the configuration of test_gamma_doubles_until_the_iterate_fits
+    "converged_after_escapes": (
+        poisson_system(3, linear=[1.0, 0.0, 0.0]), 3,
+        dict(R0=1.0, res=13, seed=0, gamma0_floor=0.5), ("escaped", 1)),
+    # the configuration of test_floor_exhaustion_raises_with_partial_report
+    "escaped_to_the_floor": (
+        poisson_system(3, const=5.0), 3,
+        dict(R0=1.0, res=9, seed=0, gamma0=1e-6, R_min=0.5,
+             max_gamma_doublings=1, max_iter=5), ("escaped", 1)),
+    # the iterate's norm is first measured when its bound nears gamma
+    "escape_inside_the_attempt": (
+        minimal_surface_system(2, q_bound=2.5), 2,
+        dict(R0=3.0, res=17, seed=4, gamma0=6.0, harmonic_seed=_SADDLE),
+        ("escaped", 4)),
+    "max_iter": (
+        minimal_surface_system(2, q_bound=2.5), 2,
+        dict(R0=3.0, res=17, seed=4, gamma0=40.0, max_iter=7,
+             harmonic_seed=_SADDLE), ("max_iter", 7)),
+    # sampled pairs: res 33 has more pairs than the cap
+    "no_contraction": (
+        minimal_surface_system(2, q_bound=2.5), 2,
+        dict(R0=3.0, res=33, seed=0, gamma0=40.0, max_iter=60,
+             harmonic_seed=_SADDLE), ("no_contraction", 8)),
+}
+
+
+def _bits(value):
+    """float.hex of every float in a record, so == compares bit patterns."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("case", list(_ATTEMPT_CASES))
+def test_lazy_iterate_norms_match_eager_reference(case, monkeypatch):
+    system, n, kwargs, first = _ATTEMPT_CASES[case]
+
+    def run():
+        try:
+            return solve_system(system, JetSpec.zero(1, n),
+                                SolveConfig(**kwargs))
+        except (IterateEscaped, NoConvergence) as err:
+            return err.report
+
+    lazy = run()
+    monkeypatch.setattr(picard_module, "_run_attempt", run_attempt_reference)
+    eager = run()
+    assert (lazy.attempts[0].outcome, lazy.attempts[0].iterations) == first
+    assert lazy.status == eager.status
+    assert _bits(lazy.solution_norm) == _bits(eager.solution_norm)
+    assert ([_bits(vars(a)) for a in lazy.attempts]
+            == [_bits(vars(a)) for a in eager.attempts])
 
 
 # ---------------------------------------------------------------------------
