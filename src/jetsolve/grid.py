@@ -9,6 +9,12 @@ inside the ball, else a 2nd-order one-sided stencil, else (at the handful of
 nodes, e.g. the poles, whose lattice line is too short for either) a
 least-squares quadratic fit on the nearest nodes.  Every row reproduces
 polynomials of degree <= 2 exactly.
+
+The nearest nodes of a fit are searched in a lattice ball of integer radius
+r around the node, grown by one until it holds K nodes: every lattice point
+outside the ball is farther than every point inside, so the K nearest
+candidates are the K nearest nodes.  They are ordered by the float squared
+distance, ties going to the lower lattice index.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 # Oracle giving exact derivative values: (beta, points) -> values.
 DerivOracle = Callable[[tuple[int, ...], np.ndarray], np.ndarray]
 
-_DEFAULT_PAIR_CAP = 200_000
+DEFAULT_PAIR_CAP = 200_000
 
 
 @dataclass(eq=False)
@@ -53,10 +59,10 @@ class BallGrid:
 
 def _lookup(index_map: np.ndarray, lat: np.ndarray) -> np.ndarray:
     """Node index at each lattice point of lat (..., n); -1 where absent."""
-    ok = np.all((lat >= 0) & (lat < index_map.shape[0]), axis=-1)
-    out = np.full(lat.shape[:-1], -1, dtype=np.int64)
-    out[ok] = index_map[tuple(lat[ok].T)]
-    return out
+    res = index_map.shape[0]
+    ok = np.all((lat >= 0) & (lat < res), axis=-1)
+    flat = lat @ (res ** np.arange(lat.shape[-1] - 1, -1, -1))
+    return np.where(ok, index_map.reshape(-1).take(flat, mode="clip"), -1)
 
 
 def build_grid(n: int, R: float, res: int) -> BallGrid:
@@ -214,39 +220,48 @@ class StencilTable:
     weight: np.ndarray
 
 
-def _nearest(grid: BallGrid, nodes: np.ndarray, K: int) -> np.ndarray:
-    """The K nearest nodes to each of nodes, ties broken by lattice index.
+def _ball_offsets(n: int, r: int) -> np.ndarray:
+    """The lattice offsets o with |o|^2 <= r^2, as (count, n) rows in
+    lattice (lexicographic) order."""
+    span = np.arange(-r, r + 1)
+    box = np.stack(np.meshgrid(*([span] * n), indexing="ij"),
+                   axis=-1).reshape(-1, n)
+    return box[np.einsum("ij,ij->i", box, box) <= r * r]
 
-    Candidates come from the lattice box of half-width 3 around each node;
-    a node whose K-th candidate is not closer than every lattice point
-    outside the box (or whose box is too small to hold K nodes) is searched
-    again in a box twice as wide.
+
+def _nearest(grid: BallGrid, nodes: np.ndarray, K: int) -> np.ndarray:
+    """The K nearest nodes to each of nodes, by the float squared distance.
+
+    Ties in that distance go to the lower lattice index.  The float
+    distances of equal lattice distances round differently with R, so
+    where lattice distances tie, rounding noise, not the lattice, decides
+    the order, and the result can change with R at fixed (n, res).
+
+    Candidates come from the lattice ball of integer radius r around each
+    node, r starting where the ball holds K lattice points; a node whose
+    K-th candidate is not closer than every lattice point outside the ball
+    (each at least sqrt(r^2 + 1) h away) is searched again at r + 1.
     """
     n = grid.n
     out = np.empty((nodes.shape[0], K), dtype=np.int64)
     todo = np.arange(nodes.shape[0])
-    box = 3
+    r = 1
+    while _ball_offsets(n, r).shape[0] < K:
+        r += 1
     while todo.size:
-        if (2 * box + 1) ** n < K:  # too few lattice points to hold K nodes
-            box = min(2 * box, grid.res - 1)
-            continue
-        offsets = np.asarray(list(itertools.product(range(-box, box + 1),
-                                                    repeat=n)))
-        lat = grid.lattice[nodes[todo], None, :] + offsets
+        lat = grid.lattice[nodes[todo], None, :] + _ball_offsets(n, r)
         cand = _lookup(grid.index_map, lat)
         diff = (grid.nodes[cand] - grid.nodes[nodes[todo], None, :]).reshape(-1, n)
         d2 = np.einsum("ij,ij->i", diff, diff).reshape(cand.shape)
         d2[cand < 0] = np.inf
-        keys = tuple(lat[..., d] for d in range(n - 1, -1, -1)) + (d2,)
-        order = np.lexsort(keys, axis=-1)[:, :K]
+        # the offsets run in lattice order, so a stable sort breaks ties
+        # in d2 by lattice index
+        order = np.argsort(d2, axis=-1, kind="stable")[:, :K]
         kth = np.take_along_axis(d2, order[:, K - 1:], axis=1)[:, 0]
-        # every lattice point outside the box is at least (box + 1) h away
-        done = kth < ((box + 1) * grid.h) ** 2 * (1.0 - 1e-9)
-        if box >= grid.res - 1:  # the box holds every node
-            done[:] = True
+        done = kth < (r * r + 1) * grid.h**2 * (1.0 - 1e-9)
         out[todo[done]] = np.take_along_axis(cand[done], order[done], axis=1)
         todo = todo[~done]
-        box = min(2 * box, grid.res - 1)
+        r += 1
     return out
 
 
@@ -261,13 +276,16 @@ def _quadratic_fits(grid: BallGrid, nodes: np.ndarray) -> list:
     """
     mono = np.asarray([b for order in (0, 1, 2)
                        for b in multi_indices(grid.n, order)])
+    axes = np.arange(grid.n)
     nm, N = mono.shape[0], grid.node_count
     K = min(N, 2 * nm)
     groups = []
     while nodes.size:
         nbr = _nearest(grid, nodes, K)
         xi = (grid.nodes[nbr] - grid.nodes[nodes, None, :]) / grid.h
-        V = np.prod(xi[:, :, None, :] ** mono, axis=-1)
+        # each xi ** e for e = 0, 1, 2 once, then picked per monomial
+        powers = xi[:, :, None, :] ** np.arange(3)[:, None]
+        V = np.prod(powers[:, :, mono, axes], axis=-1)
         full = (np.linalg.matrix_rank(V) == nm) | (K >= N)
         if full.any():
             groups.append((nodes[full], nbr[full], np.linalg.pinv(V[full])))
@@ -419,14 +437,20 @@ class PairSet:
             raise ValueError("pair index arrays must be 1-D and equal length")
         if np.any(first == second):
             raise ValueError("pairs must join distinct nodes")
-        diff = grid.nodes[first] - grid.nodes[second]
+        # gathered column by column: one coordinate array per axis is far
+        # cheaper to index than the (N, n) rows
+        diff = np.empty((first.shape[0], grid.n))
+        for d in range(grid.n):
+            column = np.ascontiguousarray(grid.nodes[:, d])
+            np.subtract(column.take(first), column.take(second),
+                        out=diff[:, d])
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         return cls(grid=grid, first=first, second=second, dist=dist,
                    complete=False)
 
 
 def build_pair_set(grid: BallGrid, seed: int = 0,
-                   cap: int = _DEFAULT_PAIR_CAP) -> PairSet:
+                   cap: int = DEFAULT_PAIR_CAP) -> PairSet:
     N = grid.node_count
     if cap < 2 * N:
         raise ValueError(f"pair cap {cap} too small for {N} nodes")

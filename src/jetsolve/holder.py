@@ -46,13 +46,18 @@ def weighted_norm_values(values: np.ndarray, alpha: float,
     """(sup, seminorm, weighted) for raw node values, one per node."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=np.float64)
     if values.shape != (pairs.grid.node_count,):
         raise ValueError(f"values shape {values.shape} does not match node "
                          f"count {pairs.grid.node_count}")
     sup = float(np.abs(values).max())
-    semi = float((np.abs(values[pairs.first] - values[pairs.second])
-                  / pairs.dist_pow(alpha)).max())
+    # One pair-length buffer: pair indices are in range, and mode="clip"
+    # skips the scratch copy that take's default mode makes.
+    quotient = values.take(pairs.first, mode="clip")
+    quotient -= values.take(pairs.second, mode="clip")
+    np.abs(quotient, out=quotient)
+    quotient /= pairs.dist_pow(alpha)
+    semi = float(quotient.max())
     weighted = sup + (2.0 * pairs.grid.R) ** alpha * semi
     return sup, semi, weighted
 

@@ -111,8 +111,11 @@ def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:
     Independent of the grid's stencil table: the neighbor lookup is rebuilt
     from raw node coordinates, each stencil is written out as a formula, and
     each stencil-starved node gets its own least-squares quadratic fit on
-    the K nearest nodes (distance, then lattice index) found by sorting all
-    nodes.  Meant for small grids; the fits cost O(N log N) per node.
+    the K nearest nodes found by sorting all nodes on the float squared
+    distance, then lattice index.  Equal lattice distances round to
+    different floats, and differently for each R, so where they tie,
+    rounding noise rather than the lattice index picks the order.  Meant
+    for small grids; the fits cost O(N log N) per node.
     """
     nodes, h, n, N = grid.nodes, grid.h, grid.n, grid.node_count
     f = np.asarray(vals, dtype=np.float64)

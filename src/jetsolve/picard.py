@@ -22,8 +22,9 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .grid import (BallGrid, PairSet, ScalarField, VectorField, build_grid,
-                   build_pair_set, fd_values, multi_indices)
+from .grid import (DEFAULT_PAIR_CAP, BallGrid, PairSet, ScalarField,
+                   VectorField, build_grid, build_pair_set, fd_values,
+                   multi_indices)
 from .holder import weighted_norm_values
 from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
@@ -175,7 +176,7 @@ class SolveConfig:
     contraction_threshold: float = 0.9
     max_gamma_doublings: int = 6
     c_samples: int = 512
-    pair_cap: int = 200_000
+    pair_cap: int = DEFAULT_PAIR_CAP
     seed: int = 0
     harmonic_seed: Sequence[HarmonicPolynomial] | HarmonicPolynomial | None = None
 
@@ -342,7 +343,15 @@ def solver_norm(grid: BallGrid, values: np.ndarray, alpha: float,
     return worst
 
 
+def _probe_res(n: int, res: int) -> int:
+    """Resolution of the C_hat probe grid: the solve's, capped at 21 in 2D
+    and 17 in 3D (odd, as a valid config.res is)."""
+    return min(res, 17 if n == 3 else 21)
+
+
 def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
+                       grid: BallGrid | None = None,
+                       pairs: PairSet | None = None,
                        ) -> tuple[float, float | None, float]:
     """Initial norm-ball radius gamma0 from the source size at the origin.
 
@@ -350,6 +359,11 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
     measured potential norm-amplification ratio on a coarse probe grid at
     the solve radius.  An explicit config.gamma0 short-circuits the rule.
     Returns (gamma0, C_hat or None, |psi(0)|).
+
+    grid, when given, is the probe grid, built at (n, R0, probe resolution)
+    by the caller; pairs, a pair set on it, stands in for the probe's
+    default one only when it is that same set: complete, and within the
+    default cap.
     """
     z_x = np.zeros(system.n)
     z_p = np.zeros(system.m)
@@ -357,12 +371,14 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
     psi0 = float(np.max(np.abs(np.asarray(system.psi(z_x, z_p, z_q)))))
     if config.gamma0 is not None:
         return float(config.gamma0), None, psi0
-    probe_res = min(config.res, 17 if system.n == 3 else 21)
-    if probe_res % 2 == 0:
-        probe_res -= 1
-    probe_grid = build_grid(system.n, config.R0, max(probe_res, 5))
+    if grid is None:
+        grid = build_grid(system.n, config.R0,
+                          _probe_res(system.n, config.res))
+    if pairs is not None and not (pairs.complete
+                                  and pairs.size <= DEFAULT_PAIR_CAP):
+        pairs = None
     report = check_potential_norm_bound(
-        potential_probes(system.n), probe_grid, config.alpha,
+        potential_probes(system.n), grid, config.alpha, pairs=pairs,
     )
     c_hat = report.max_ratio
     gamma0 = max(4.0 * c_hat * psi0, config.gamma0_floor)
@@ -604,15 +620,29 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
     """
     radius = config.R0
     floor = config.radius_floor
-    gamma, c_hat, psi0 = choose_norm_radius(system, config)
+
+    def grid_and_pairs(radius: float) -> tuple[BallGrid, PairSet]:
+        grid = build_grid(system.n, radius, config.res)
+        return grid, build_pair_set(grid, seed=config.seed,
+                                    cap=config.pair_cap)
+
+    # When the C_hat probe has the solve's resolution, it runs on the first
+    # solve grid, whose cached quadrature weights and kernel spectra the
+    # solve then reuses.  Otherwise no solve grid exists during the probe.
+    first = None
+    if (config.gamma0 is None
+            and _probe_res(system.n, config.res) == config.res):
+        first = grid_and_pairs(radius)
+    gamma, c_hat, psi0 = choose_norm_radius(system, config, *(first or ()))
     gamma0 = gamma
     doublings = 0
     attempts: list[AttemptRecord] = []
     last_outcome = "never_ran"
 
     while True:
-        grid = build_grid(system.n, radius, config.res)
-        pairs = build_pair_set(grid, seed=config.seed, cap=config.pair_cap)
+        # the probe's grid serves the first radius; later ones build their own
+        grid, pairs = first or grid_and_pairs(radius)
+        first = None
         seed_vals = seed_field_values(config.harmonic_seed, grid, system.m)
 
         while True:

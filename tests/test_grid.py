@@ -212,18 +212,28 @@ def test_fd_exact_on_quadratics(data_seed):
             assert err <= tol, (grid.n, grid.res, beta, err, tol)
 
 
-@pytest.mark.parametrize("K", [12, 60, None])
-def test_nearest_nodes_match_full_sort(K):
-    # large K pushes the K-th neighbor out of the first lattice box, so the
-    # box search must widen to agree with a sort over every node
-    grid = build_grid(2, 1.0, 17)
+@pytest.mark.parametrize("n,R,res,K,step", [
+    pytest.param(2, 1.0, 17, 12, 7, id="12"),
+    pytest.param(2, 1.0, 17, 60, 7, id="60"),
+    pytest.param(2, 1.0, 17, None, 7, id="None"),
+    (2, 0.375, 21, 12, 1), (3, 1.0, 13, 20, 3), (3, 1.0, 13, 30, 3),
+    (3, 0.375, 13, None, 97), (3, 1.0, 21, 20, 1), (3, 0.375, 21, 30, 1),
+])
+def test_nearest_nodes_match_full_sort(n, R, res, K, step):
+    # K beyond the first lattice ball's reach makes the ball search grow,
+    # and it must agree with a sort over every node on the same float
+    # distances, ties by lattice index; res-21 rows are the boundary nodes
+    grid = build_grid(n, R, res)
     K = K or grid.node_count
-    nodes = np.arange(0, grid.node_count, 7)
+    nodes = np.arange(0, grid.node_count, step)
+    if res == 21:
+        nodes = np.nonzero(grid.boundary_mask)[0]
     got = _nearest(grid, nodes, K)
+    keys = tuple(grid.lattice[:, d] for d in range(n - 1, -1, -1))
     for row, node in zip(got, nodes):
         diff = grid.nodes - grid.nodes[node]
         d2 = np.einsum("ij,ij->i", diff, diff)
-        order = np.lexsort((grid.lattice[:, 1], grid.lattice[:, 0], d2))
+        order = np.lexsort(keys + (d2,))
         np.testing.assert_array_equal(row, order[:K])
 
 
@@ -341,6 +351,24 @@ def test_pair_set_deterministic():
     b = build_pair_set(grid, seed=7, cap=50_000)
     np.testing.assert_array_equal(a.first, b.first)
     np.testing.assert_array_equal(a.second, b.second)
+
+
+@pytest.mark.parametrize("n,R,res,seed", [(2, 1.0, 21, 0), (2, 3.0, 33, 5),
+                                          (3, 0.375, 13, 2), (3, 1.0, 21, 7)])
+def test_pair_set_matches_row_gather(n, R, res, seed):
+    # the column-by-column gather gives bitwise the row-gather distances
+    grid = build_grid(n, R, res)
+    ps = build_pair_set(grid, seed=seed)
+    N = grid.node_count
+    if ps.complete:
+        first, second = np.triu_indices(N, k=1)
+    else:
+        first, second = ps.first, ps.second
+    diff = grid.nodes[first] - grid.nodes[second]
+    np.testing.assert_array_equal(ps.first, first)
+    np.testing.assert_array_equal(ps.second, second)
+    np.testing.assert_array_equal(ps.dist,
+                                  np.sqrt(np.einsum("ij,ij->i", diff, diff)))
 
 
 def test_from_pairs_rejects_degenerate():

@@ -204,6 +204,27 @@ def test_weighted_norm_values_matches_holder_norm(grid2, pairs2, rng):
     assert (sup, semi, weighted) == (rep.sup_norm, rep.seminorm, rep.weighted)
 
 
+@pytest.mark.parametrize("n,res", [(2, 9), (2, 33), (3, 9), (3, 17)])
+def test_weighted_norm_values_matches_one_line_scan(n, res):
+    # the in-place scan against the plain expression, float.hex-equal, on
+    # complete (res 9) and sampled pair sets; a strided column as in
+    # solver_norm, and a constant field whose seminorm is 0
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=3)
+    assert pairs.complete == (res == 9)
+    rng = np.random.default_rng(res)
+    block = rng.normal(size=(grid.node_count, 3)) * [1.0, 1e-9, 1e6]
+    for vals in (*block.T, np.full(grid.node_count, 2.5)):
+        for alpha in (0.25, 0.5, 0.9):
+            semi = float((np.abs(vals[pairs.first] - vals[pairs.second])
+                          / pairs.dist**alpha).max())
+            sup = float(np.abs(vals).max())
+            weighted = sup + (2.0 * grid.R) ** alpha * semi
+            got = weighted_norm_values(vals, alpha, pairs)
+            assert [x.hex() for x in got] == [sup.hex(), semi.hex(),
+                                              weighted.hex()]
+
+
 def test_weighted_norm_values_rejects_bad_input(grid2, pairs2):
     n = grid2.node_count
     good = np.ones(n)

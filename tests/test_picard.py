@@ -14,6 +14,7 @@ from jetsolve import (
     JetSpec,
     NoConvergence,
     OracleFailure,
+    PairSet,
     PoissonSystem,
     SolveConfig,
     build_grid,
@@ -21,6 +22,7 @@ from jetsolve import (
     build_system,
     coefficient_deviation_sup,
     diagonalize,
+    harmonic_map_system,
     jet_norm,
     make_state,
     minimal_surface_system,
@@ -34,6 +36,7 @@ from jetsolve import (
     solve_system,
     solver_norm,
     source_term,
+    sphere_stereographic_target,
     vector_field_from_matrix,
 )
 import jetsolve.picard as picard_module
@@ -404,6 +407,91 @@ def test_lazy_iterate_norms_match_eager_reference(case, monkeypatch):
     assert _bits(lazy.solution_norm) == _bits(eager.solution_norm)
     assert ([_bits(vars(a)) for a in lazy.attempts]
             == [_bits(vars(a)) for a in eager.attempts])
+
+
+# (system, jet, config, probe shares the first grid)
+_SHARING_CASES = {
+    "2d_res21_one_radius": (
+        minimal_surface_system(2, q_bound=2.5),
+        JetSpec(np.zeros(1), np.array([[0.2, -0.1]])),
+        dict(R0=1.0, res=21, seed=4), True),
+    "2d_res21_halving": (
+        minimal_surface_system(2, q_bound=2.5),
+        JetSpec(np.zeros(1), np.array([[0.2, -0.1]])),
+        dict(R0=3.0, res=21, seed=4, harmonic_seed=_SADDLE), True),
+    # sampled pairs: the probe shares the grid but builds its own pair set
+    "3d_res13_sampled": (
+        harmonic_map_system(3, sphere_stereographic_target(2)),
+        JetSpec(np.zeros(2), np.array([[0.3, 0.0, 0.0], [0.0, 0.1, 0.0]])),
+        dict(R0=1.0, res=13, seed=3), True),
+    # the probe runs at res 17 on its own grid
+    "3d_res21": (
+        harmonic_map_system(3, sphere_stereographic_target(2)),
+        JetSpec(np.zeros(2), np.array([[0.3, 0.0, 0.0], [0.0, 0.1, 0.0]])),
+        dict(R0=1.0, res=21, seed=3), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_SHARING_CASES))
+def test_probe_shares_the_first_solve_grid(case, monkeypatch):
+    # one grid per radius when the probe has the solve's resolution, and
+    # every report field bitwise that of a run with its own probe grid
+    system, jet, kwargs, shares = _SHARING_CASES[case]
+    built = []
+    build = picard_module.build_grid
+
+    def counting_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def run():
+        built.clear()
+        report = solve_system(system, jet, SolveConfig(**kwargs))
+        radii = len({a.R for a in report.attempts})
+        fields = [report.solution.values_matrix(), report.node_residuals,
+                  report.reconstructed, report.original_coords]
+        return (len(built) - radii, _bits(report.summary()),
+                [f.tobytes() for f in fields])
+
+    monkeypatch.setattr(picard_module, "build_grid", counting_build)
+    extra, summary, fields = run()
+    assert extra == (0 if shares else 1)
+    if "halving" in case:
+        assert len({a["R"] for a in summary["attempts"]}) == 2
+    choose = picard_module.choose_norm_radius
+    monkeypatch.setattr(picard_module, "choose_norm_radius",
+                        lambda system, config, *shared: choose(system, config))
+    own_extra, own_summary, own_fields = run()
+    assert own_extra == 1
+    assert own_summary == summary
+    assert own_fields == fields
+
+
+def test_probe_reuses_only_its_default_pair_set(monkeypatch):
+    # a given pair set replaces the probe's build_pair_set(grid) only when
+    # it is that set: complete, and no larger than the default cap
+    seen = []
+    check = picard_module.check_potential_norm_bound
+
+    def spy(probes, grid, alpha, pairs=None):
+        seen.append(pairs)
+        return check(probes, grid, alpha, pairs=pairs)
+
+    monkeypatch.setattr(picard_module, "check_potential_norm_bound", spy)
+    system = PoissonSystem(
+        n=2, m=1, psi=lambda x, p, q: np.ones(np.shape(p)),
+        b=lambda x, p, q: np.zeros(np.shape(x)[:-1] + (2, 2)),
+        P=np.eye(2), P_inv=np.eye(2), lam=1.0)
+    for res, cap, reused in [(21, 200_000, True), (13, 200_000, False),
+                             (33, 400_000, False)]:
+        config = SolveConfig(res=res, seed=3, pair_cap=cap)
+        grid = build_grid(2, config.R0, res)
+        pairs = build_pair_set(grid, seed=config.seed, cap=cap)
+        if res == 13:  # a sampled set on the same grid
+            pairs = PairSet.from_pairs(grid, pairs.first[:5000],
+                                       pairs.second[:5000])
+        picard_module.choose_norm_radius(system, config, grid, pairs)
+        assert (seen[-1] is pairs) == reused
 
 
 # ---------------------------------------------------------------------------
