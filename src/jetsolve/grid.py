@@ -286,9 +286,20 @@ def _quadratic_fits(grid: BallGrid, nodes: np.ndarray) -> list:
         # each xi ** e for e = 0, 1, 2 once, then picked per monomial
         powers = xi[:, :, None, :] ** np.arange(3)[:, None]
         V = np.prod(powers[:, :, mono, axes], axis=-1)
-        full = (np.linalg.matrix_rank(V) == nm) | (K >= N)
+        # One SVD serves both the rank test and the pseudo-inverse, each
+        # written as np.linalg.matrix_rank and np.linalg.pinv compute them.
+        u, s, vt = np.linalg.svd(V, full_matrices=False)
+        rank_tol = s.max(axis=-1, keepdims=True, initial=0) * (
+            max(K, nm) * np.finfo(s.dtype).eps)
+        full = (np.count_nonzero(s > rank_tol, axis=-1) == nm) | (K >= N)
         if full.any():
-            groups.append((nodes[full], nbr[full], np.linalg.pinv(V[full])))
+            u, s, vt = u[full], s[full], vt[full]
+            large = s > 1e-15 * s.max(axis=-1, keepdims=True)
+            s = np.divide(1, s, where=large, out=s)
+            s[~large] = 0
+            pinv = np.matmul(vt.swapaxes(-1, -2),
+                             s[..., None] * u.swapaxes(-1, -2))
+            groups.append((nodes[full], nbr[full], pinv))
         nodes = nodes[~full]
         K = min(N, K + nm)
     return groups
@@ -410,6 +421,7 @@ class PairSet:
     complete: bool
     _pow_cache: dict = field(default_factory=dict, repr=False)
     _steps: tuple | None = field(default=None, repr=False)
+    _buckets: "PairBuckets | None" = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -428,6 +440,22 @@ class PairSet:
             self._steps = tuple(nodes[self.first, d] - nodes[self.second, d]
                                 for d in range(self.grid.n))
         return self._steps
+
+    def buckets(self) -> "PairBuckets":
+        """The pairs grouped by the lattice cubes of their nodes; built on
+        first use and kept on the pair set."""
+        if self._buckets is None:
+            self._buckets = _bucket_pairs(self)
+        return self._buckets
+
+    def bucket_min_dist_pow(self, alpha: float) -> np.ndarray:
+        """The least dist_pow(alpha) of each bucket of :meth:`buckets`."""
+        buckets = self.buckets()
+        key = float(alpha)
+        if key not in buckets.min_dist_pow:
+            buckets.min_dist_pow[key] = np.minimum.reduceat(
+                self.dist_pow(key).take(buckets.order), buckets.indptr[:-1])
+        return buckets.min_dist_pow[key]
 
     @classmethod
     def from_pairs(cls, grid: BallGrid, first, second) -> "PairSet":
@@ -449,6 +477,67 @@ class PairSet:
                    complete=False)
 
 
+@dataclass(eq=False)
+class PairBuckets:
+    """The pairs of a PairSet grouped by the lattice cubes of their nodes.
+
+    Cube c holds the nodes node_order[cube_start[c]:cube_start[c + 1]].
+    Bucket b holds the pairs whose nodes lie in the cubes cube_a[b] <=
+    cube_b[b], in either orientation: the pair indices order[indptr[b]:
+    indptr[b + 1]], in stored order.  min_dist_pow caches, per alpha, the
+    least dist_pow of each bucket.
+    """
+
+    node_order: np.ndarray
+    cube_start: np.ndarray
+    order: np.ndarray        # int32
+    indptr: np.ndarray
+    cube_a: np.ndarray
+    cube_b: np.ndarray
+    min_dist_pow: dict = field(default_factory=dict, repr=False)
+
+
+# Cube ids then fit in uint8 and bucket keys cube_a * count + cube_b in uint16.
+_MAX_CUBES = 256
+
+
+def _node_cubes(grid: BallGrid) -> tuple[np.ndarray, int]:
+    """Each node's lattice cube, numbered 0..count-1 over the cubes that
+    hold nodes.  The cube side is 4 lattice steps, or the least side
+    giving at most _MAX_CUBES cubes."""
+    side = 4
+    while True:
+        cells = -(-grid.res // side)
+        flat = (grid.lattice // side) @ (cells ** np.arange(grid.n - 1, -1, -1))
+        present, cube = np.unique(flat, return_inverse=True)
+        if present.size <= _MAX_CUBES:
+            return cube.astype(np.uint8), present.size
+        side += 1
+
+
+def _bucket_pairs(pairs: PairSet) -> PairBuckets:
+    # Allocated before the temporaries below: allocated after them, the kept
+    # array raised the peak RSS of a 2D res-33 halving solve by 1 MB.
+    order = np.empty(pairs.size, dtype=np.int32)
+    cube, count = _node_cubes(pairs.grid)
+    node_order = np.argsort(cube, kind="stable")
+    cube_start = np.searchsorted(cube[node_order], np.arange(count))
+    # uint16 keys of the unordered cube pair: a stable radix sort groups
+    # the pairs by bucket and keeps their stored order inside each
+    ca, cb = cube.take(pairs.first), cube.take(pairs.second)
+    key = np.minimum(ca, cb).astype(np.uint16)
+    key *= count
+    key += np.maximum(ca, cb)
+    order[:] = np.argsort(key, kind="stable")
+    key = key.take(order)
+    starts = np.flatnonzero(key[1:] != key[:-1]) + 1
+    indptr = np.concatenate(([0], starts, [key.shape[0]]))
+    cube_a, cube_b = np.divmod(key[indptr[:-1]].astype(np.intp), count)
+    return PairBuckets(node_order=node_order, cube_start=cube_start,
+                       order=order, indptr=indptr, cube_a=cube_a,
+                       cube_b=cube_b)
+
+
 def build_pair_set(grid: BallGrid, seed: int = 0,
                    cap: int = DEFAULT_PAIR_CAP) -> PairSet:
     N = grid.node_count
@@ -460,7 +549,16 @@ def build_pair_set(grid: BallGrid, seed: int = 0,
         ps = PairSet.from_pairs(grid, iu, ju)
         ps.complete = True
         return ps
+    # the draws are made in a helper, so its temporaries are freed before
+    # from_pairs allocates its own pair-length arrays
+    return PairSet.from_pairs(grid, *_sampled_pairs(grid, seed, cap))
 
+
+def _sampled_pairs(grid: BallGrid, seed: int,
+                   cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second nodes of cap pairs: the forced ones, then
+    seeded uniform draws of distinct nodes."""
+    N = grid.node_count
     # forced pairs: antipodes and rays to the origin
     anti_lat = (grid.res - 1) - grid.lattice
     anti = grid.index_map[tuple(anti_lat.T)]
@@ -488,5 +586,4 @@ def build_pair_set(grid: BallGrid, seed: int = 0,
         got += take
     firsts.extend(d[0] for d in draws)
     seconds.extend(d[1] for d in draws)
-    return PairSet.from_pairs(grid, np.concatenate(firsts),
-                              np.concatenate(seconds))
+    return np.concatenate(firsts), np.concatenate(seconds)

@@ -8,6 +8,13 @@ with H_a the Hölder seminorm; the order-l jet norm takes the max of ||.||_a
 over all derivatives of order exactly l, and vector fields take the max over
 components.  Seminorms are evaluated on a PairSet, so every reported value
 is reproducible from (grid, seed, cap).
+
+A norm of one field is a plain scan of every pair.  A max over several
+fields (the jet norms, the solver norm, the potential's probe numerators)
+comes from :func:`max_weighted_norm`, a pruned scan of the same pair set:
+it bounds whole buckets of pairs, grouped by the lattice cubes of their
+nodes, and scans only the buckets that can hold the max.  Its value is
+bitwise that of the full scan.
 """
 
 from __future__ import annotations
@@ -41,25 +48,133 @@ class JetNormReport:
         return self.orders[2]
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _max_quotient(values: np.ndarray, first: np.ndarray, second: np.ndarray,
+                  dist_pow: np.ndarray) -> float:
+    """max |v(first) - v(second)| / dist_pow over the given pairs."""
+    # One pair-length buffer: pair indices are in range, and mode="clip"
+    # skips the scratch copy that take's default mode makes.
+    quotient = values.take(first, mode="clip")
+    quotient -= values.take(second, mode="clip")
+    np.abs(quotient, out=quotient)
+    quotient /= dist_pow
+    return quotient.max()
+
+
+def _column_max_quotients(values: np.ndarray, first: np.ndarray,
+                          second: np.ndarray,
+                          dist_pow: np.ndarray) -> np.ndarray:
+    """:func:`_max_quotient` of each column of values (N, k), scanned one
+    contiguous column at a time: a gather of (N, k) rows costs about three
+    times more per pair and column."""
+    return np.array([_max_quotient(column, first, second, dist_pow)
+                     for column in np.ascontiguousarray(values.T)])
+
+
 def weighted_norm_values(values: np.ndarray, alpha: float,
                          pairs: PairSet) -> tuple[float, float, float]:
     """(sup, seminorm, weighted) for raw node values, one per node."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (pairs.grid.node_count,):
         raise ValueError(f"values shape {values.shape} does not match node "
                          f"count {pairs.grid.node_count}")
     sup = float(np.abs(values).max())
-    # One pair-length buffer: pair indices are in range, and mode="clip"
-    # skips the scratch copy that take's default mode makes.
-    quotient = values.take(pairs.first, mode="clip")
-    quotient -= values.take(pairs.second, mode="clip")
-    np.abs(quotient, out=quotient)
-    quotient /= pairs.dist_pow(alpha)
-    semi = float(quotient.max())
+    semi = float(_max_quotient(values, pairs.first, pairs.second,
+                               pairs.dist_pow(alpha)))
     weighted = sup + (2.0 * pairs.grid.R) ** alpha * semi
     return sup, semi, weighted
+
+
+# max_weighted_norm takes its floor from the buckets of largest bound, enough
+# of them to hold this many pairs.
+_FLOOR_PAIRS = 4096
+
+
+def _quotient_bounds(values: np.ndarray, alpha: float,
+                     pairs: PairSet) -> np.ndarray:
+    """(buckets, k) bounds on |v(x) - v(y)| / |x - y|^alpha over each bucket.
+
+    With x in cube A and y in cube B, fl(v(x) - v(y)) lies between
+    -fl(max_B v - min_A v) and fl(max_A v - min_B v), since rounded
+    subtraction is monotone; a division by the bucket's least dist_pow
+    only grows the quotient.  So every pair's float quotient is at most
+    its bucket's bound, with no slack.
+    """
+    buckets = pairs.buckets()
+    by_cube = values.take(buckets.node_order, axis=0)
+    top = np.maximum.reduceat(by_cube, buckets.cube_start, axis=0)
+    low = np.minimum.reduceat(by_cube, buckets.cube_start, axis=0)
+    a, b = buckets.cube_a, buckets.cube_b
+    span = np.maximum(top[a] - low[b], top[b] - low[a])
+    span /= pairs.bucket_min_dist_pow(alpha)[:, None]
+    return span
+
+
+def _bucket_scan(values: np.ndarray, alpha: float, pairs: PairSet,
+                 chosen: np.ndarray) -> np.ndarray:
+    """Per-column max of the quotient over the pairs of the chosen buckets."""
+    buckets = pairs.buckets()
+    start = buckets.indptr[chosen]
+    size = buckets.indptr[chosen + 1] - start
+    # positions in buckets.order of every chosen pair, bucket after bucket
+    at = np.repeat(start - (np.cumsum(size) - size), size)
+    at += np.arange(at.shape[0])
+    ids = buckets.order.take(at)
+    return _column_max_quotients(values, pairs.first.take(ids),
+                                 pairs.second.take(ids),
+                                 pairs.dist_pow(alpha).take(ids))
+
+
+def max_weighted_norm(values: np.ndarray, alpha: float,
+                      pairs: PairSet) -> float:
+    """The largest weighted norm over the columns of values (N, k).
+
+    Bitwise the max over columns of :func:`weighted_norm_values`, NaN and
+    inf propagating as in ``ndarray.max``, from a pruned pair scan.  Each
+    column's norm is sup + c * (its largest pair quotient), with c =
+    (2R)^alpha, which is monotone in the quotient; so each bucket of
+    pairs is bounded by sup + c * (its quotient bound).  The buckets of
+    largest bound are scanned first for an exact floor, then only the
+    buckets whose bound is not <= that floor.  A skipped pair cannot beat
+    the floor, so the result is the full scan's float.
+    """
+    _check_alpha(alpha)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != pairs.grid.node_count:
+        raise ValueError(f"values shape {values.shape} is not (node count "
+                         f"{pairs.grid.node_count}, k)")
+    c = (2.0 * pairs.grid.R) ** alpha
+    sup = np.abs(values).max(axis=0)
+    # Small sets, and non-finite values (inf - inf makes NaN quotients
+    # that no bound sees), take the full scan.
+    if pairs.size > 2 * _FLOOR_PAIRS and np.isfinite(sup).all():
+        bound = (sup + c * _quotient_bounds(values, alpha, pairs)).max(axis=1)
+        size = np.diff(pairs.buckets().indptr)
+        rank = np.argsort(bound)[::-1]
+        top = rank[:np.searchsorted(np.cumsum(size[rank]), _FLOOR_PAIRS) + 1]
+        best = (sup + c * _bucket_scan(values, alpha, pairs, top)).max()
+        live = ~(bound <= best)
+        live[top] = False
+        rest = np.flatnonzero(live)
+        # A bucket scan costs about 6 ns a pair to gather the pairs and 2 ns
+        # a pair per column; the stored-order scan costs 2.5 ns a pair per
+        # column (measured on the 200k-pair sets of 2D res 33 and 3D res
+        # 21).  With the 3 to 12 columns of the solver and probe norms the
+        # two meet at 60-90% of the set, so past half the full scan runs.
+        if size[rest].sum() <= pairs.size // 2:
+            if rest.size:
+                more = (sup + c * _bucket_scan(values, alpha, pairs, rest)).max()
+                best = np.maximum(best, more)
+            return float(best)
+    with np.errstate(invalid="ignore"):
+        semi = _column_max_quotients(values, pairs.first, pairs.second,
+                                     pairs.dist_pow(alpha))
+    return float((sup + c * semi).max())
 
 
 def holder_norm(field: ScalarField, alpha: float, pairs: PairSet) -> HolderReport:
@@ -81,13 +196,11 @@ def jet_norm(field, alpha: float, pairs: PairSet) -> JetNormReport:
         raise ValueError("field and pairs live on different grids")
     orders = []
     for order in (0, 1, 2):
-        worst = 0.0
-        for beta in multi_indices(grid.n, order):
-            for comp in components:
-                vals = fd_derivative(comp, beta).values
-                _, _, weighted = weighted_norm_values(vals, alpha, pairs)
-                worst = max(worst, weighted)
-        orders.append(worst)
+        columns = [fd_derivative(comp, beta).values
+                   for beta in multi_indices(grid.n, order)
+                   for comp in components]
+        orders.append(max_weighted_norm(np.stack(columns, axis=1), alpha,
+                                        pairs))
     return JetNormReport(tuple(orders))
 
 

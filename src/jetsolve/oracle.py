@@ -11,6 +11,9 @@ closed-form ``uniform_ball_potential`` checks the rule);
 ``taylor_remainder_ratio_reference`` takes the derivatives and seminorms
 of ``holder``, and ``run_attempt_reference`` takes the sweep and the norm
 of ``picard``, because they check the pair scan and the norm schedule.
+``max_weighted_norm_reference`` shares only the pair set (its nodes and
+distances) with ``holder.max_weighted_norm``: it checks the pruning and
+the order of the scan, which it does not have, not the sampling of pairs.
 """
 
 from __future__ import annotations
@@ -286,6 +289,17 @@ def potential_reference(grid: BallGrid, source: np.ndarray,
     return PotentialField(grid, value.reshape(source.shape), hess=second)
 
 
+def max_weighted_norm_reference(values, alpha: float, pairs) -> float:
+    """Largest weighted norm over the columns of values (N, k), each column
+    a full scan of every pair written out in one line.  The reference for
+    ``holder.max_weighted_norm``."""
+    c = (2.0 * pairs.grid.R) ** alpha
+    i, j, dist = pairs.first, pairs.second, pairs.dist
+    return float(np.max([np.abs(v).max()
+                         + c * (np.abs(v[i] - v[j]) / dist**alpha).max()
+                         for v in np.asarray(values, dtype=np.float64).T]))
+
+
 def taylor_remainder_ratio_reference(field: ScalarField, alpha: float,
                                      pairs) -> float:
     """Taylor remainder ratio by the direct expansion in both directions.
@@ -357,7 +371,7 @@ def run_attempt_reference(system, grid: BallGrid, pairs, seed_vals,
         increments.append(inc)
         f = new
         f_norm = solver_norm(grid, f, config.alpha, pairs)
-        if f_norm > gamma:
+        if not f_norm <= gamma:
             outcome = "escaped"
             escape_norm = f_norm
             break

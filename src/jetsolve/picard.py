@@ -25,7 +25,7 @@ import numpy as np
 from .grid import (DEFAULT_PAIR_CAP, BallGrid, PairSet, ScalarField,
                    VectorField, build_grid, build_pair_set, fd_values,
                    multi_indices)
-from .holder import weighted_norm_values
+from .holder import max_weighted_norm
 from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
 from .reduce import (JetSpec, PoissonSystem, SystemDef, check_ellipticity,
@@ -335,12 +335,8 @@ def solver_norm(grid: BallGrid, values: np.ndarray, alpha: float,
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim == 1:
         vals = vals[:, None]
-    worst = 0.0
-    for beta in multi_indices(grid.n, 2):
-        deriv = fd_values(grid, vals, beta)
-        for k in range(vals.shape[1]):
-            worst = max(worst, weighted_norm_values(deriv[:, k], alpha, pairs)[2])
-    return worst
+    derivs = [fd_values(grid, vals, beta) for beta in multi_indices(grid.n, 2)]
+    return max_weighted_norm(np.concatenate(derivs, axis=1), alpha, pairs)
 
 
 def _probe_res(n: int, res: int) -> int:
@@ -558,6 +554,7 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
     so it is measured only when the triangle bound (last measured norm plus
     the increments since) cannot rule out an escape, and at convergence;
     the returned norm is None when the last iterate's was never measured.
+    A nan or inf norm ends the attempt as an escape, never as converged.
     """
     f = np.zeros((grid.node_count, system.m))
     increments: list[float] = []
@@ -580,11 +577,15 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
             # Rounding moves a measured norm by about 1e-9 relative at most
             # on res <= 65 grids (eps times FD weights ~h^-2 on values up to
             # (3nR)^2 times the norm), so the 1e-6 slack covers hundreds of
-            # sweeps between two measurements.
-            if bound * (1.0 + 1e-6) >= gamma:
+            # sweeps between two measurements.  This test and the escape
+            # test below are negated so that nan, which fails every
+            # comparison, takes the safe branch: a nan or inf increment
+            # makes the bound non-finite, the iterate's norm is measured,
+            # and a non-finite norm escapes.
+            if not bound * (1.0 + 1e-6) < gamma:
                 f_norm = bound = solver_norm(grid, new, config.alpha, pairs)
         f = new
-        if f_norm is not None and f_norm > gamma:
+        if f_norm is not None and not f_norm <= gamma:
             outcome = "escaped"
             escape_norm = f_norm
             break

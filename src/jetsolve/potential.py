@@ -31,7 +31,7 @@ import numpy as np
 
 from .grid import (BallGrid, PairSet, ScalarField, build_pair_set, fd_values,
                    multi_indices)
-from .holder import holder_norm, weighted_norm_values
+from .holder import holder_norm, max_weighted_norm
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,8 @@ def check_potential_norm_bound(samples, grid: BallGrid, alpha: float,
         raise ValueError("all probes had vanishing norm")
     hess = potential_hessian(np.stack(columns, axis=1), grid).hess
     ratios = {}
+    upper = np.triu_indices(grid.n)
     for k, name in enumerate(names):
-        num = max(weighted_norm_values(hess[:, i, j, k], alpha, pairs)[2]
-                  for i in range(grid.n) for j in range(i, grid.n))
+        num = max_weighted_norm(hess[:, upper[0], upper[1], k], alpha, pairs)
         ratios[name] = num / dens[k]
     return NormRatioReport(ratios=ratios, max_ratio=max(ratios.values()))

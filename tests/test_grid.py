@@ -16,6 +16,7 @@ from jetsolve import (
     multi_indices,
     vector_field_from_matrix,
 )
+import jetsolve.grid as grid_module
 from jetsolve.grid import _nearest, stencil_table
 from jetsolve.oracle import ball_lattice_count, fd_values_reference
 
@@ -254,6 +255,44 @@ def test_stencil_table_matches_reference(data_seed):
             o = grid.origin_index
             np.testing.assert_array_equal(fd_values(grid, vals, beta, node=o),
                                           both[o])
+
+
+def _fits_rank_then_pinv(grid, nodes):
+    # the fits as two SVDs compute them: np.linalg.matrix_rank, then
+    # np.linalg.pinv of the full-rank matrices
+    mono = np.asarray([b for order in (0, 1, 2)
+                       for b in multi_indices(grid.n, order)])
+    axes = np.arange(grid.n)
+    nm, N = mono.shape[0], grid.node_count
+    K = min(N, 2 * nm)
+    groups = []
+    while nodes.size:
+        nbr = grid_module._nearest(grid, nodes, K)
+        xi = (grid.nodes[nbr] - grid.nodes[nodes, None, :]) / grid.h
+        powers = xi[:, :, None, :] ** np.arange(3)[:, None]
+        V = np.prod(powers[:, :, mono, axes], axis=-1)
+        full = (np.linalg.matrix_rank(V) == nm) | (K >= N)
+        if full.any():
+            groups.append((nodes[full], nbr[full], np.linalg.pinv(V[full])))
+        nodes = nodes[~full]
+        K = min(N, K + nm)
+    return groups
+
+
+@pytest.mark.parametrize("n,res", [(2, 5), (2, 9), (2, 21), (2, 33), (3, 5),
+                                   (3, 9), (3, 13)])
+def test_stencil_fits_match_rank_and_pinv(n, res, monkeypatch):
+    # one SVD per fit gives bitwise the tables of matrix_rank + pinv
+    for k in (0, 3, 7):
+        R = 0.25 * 1.5**k
+        table = stencil_table(build_grid(n, R, res))
+        with monkeypatch.context() as patch:
+            patch.setattr(grid_module, "_quadratic_fits", _fits_rank_then_pinv)
+            want = stencil_table(build_grid(n, R, res))
+        np.testing.assert_array_equal(table.indptr, want.indptr)
+        np.testing.assert_array_equal(table.index, want.index)
+        np.testing.assert_array_equal(table.weight.view(np.int64),
+                                      want.weight.view(np.int64))
 
 
 def test_fd_values_everywhere_finite(grid3, rng):

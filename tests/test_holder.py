@@ -21,10 +21,12 @@ from jetsolve import (
     weighted_norm_values,
     with_zero_jet,
 )
-from jetsolve.holder import (banach_algebra_holds, comparison_base,
+from jetsolve.holder import (_quotient_bounds, banach_algebra_holds,
+                             comparison_base, max_weighted_norm,
                              norm_comparison_holds, taylor_remainder_holds,
                              zero_jet_norm)
-from jetsolve.oracle import taylor_remainder_ratio_reference
+from jetsolve.oracle import (max_weighted_norm_reference,
+                             taylor_remainder_ratio_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +268,157 @@ def test_grid_mismatch_rejected(grid2, pairs2):
     f = ScalarField(other, np.zeros(other.node_count))
     with pytest.raises(ValueError):
         holder_norm(f, 0.5, pairs2)
+
+
+# ---------------------------------------------------------------------------
+# the pruned max over fields
+
+
+def _node_cube(pairs):
+    """Each node's cube, read back from the bucket structure."""
+    buckets = pairs.buckets()
+    cube = np.empty(pairs.grid.node_count, dtype=np.int64)
+    sizes = np.diff(np.append(buckets.cube_start, pairs.grid.node_count))
+    cube[buckets.node_order] = np.repeat(np.arange(sizes.shape[0]), sizes)
+    return cube
+
+
+def _bucket_of_pair(pairs):
+    buckets = pairs.buckets()
+    bucket = np.empty(pairs.size, dtype=np.int64)
+    bucket[buckets.order] = np.repeat(np.arange(buckets.indptr.shape[0] - 1),
+                                      np.diff(buckets.indptr))
+    return bucket
+
+
+def _column(kind, grid, rng):
+    x = grid.nodes
+    N = grid.node_count
+    if kind == "constant":
+        return np.full(N, rng.normal())
+    if kind == "rough":
+        return rng.normal(size=N) * 10.0 ** rng.uniform(-9.0, 6.0)
+    smooth = np.sin(x @ rng.normal(size=grid.n) * rng.uniform(0.5, 6.0)
+                    + rng.uniform(0, 6.3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind != "smooth":
+        # "inf2" puts inf on two nodes, whose pair quotient is nan
+        nodes = rng.choice(N, size=2 if kind == "inf2" else 1, replace=False)
+        smooth[nodes] = {"spike": 1e3 * np.abs(smooth).max(), "inf": np.inf,
+                         "-inf": -np.inf, "inf2": np.inf, "nan": np.nan}[kind]
+    return smooth
+
+
+# (n, res): complete sets small enough for the plain scan (2D res 9),
+# complete sets that prune (2D res 17, 3D res 9), sampled ones (res 33, 13)
+_ENGINE_GRIDS = [(2, 9), (2, 17), (3, 9), (2, 33), (3, 13)]
+_KINDS = ["smooth", "rough", "constant", "spike", "inf", "-inf", "inf2",
+          "nan"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_ENGINE_GRIDS), R=st.floats(0.2, 4.0),
+       alpha=st.floats(0.01, 0.99),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+       seed=st.integers(0, 2**31 - 1))
+def test_max_weighted_norm_matches_full_scan(case, R, alpha, kinds, seed):
+    n, res = case
+    grid = build_grid(n, R, res)
+    pairs = build_pair_set(grid, seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    values = np.stack([_column(k, grid, rng) for k in kinds], axis=1)
+    # inf - inf makes the nan that both must report
+    with np.errstate(invalid="ignore"):
+        got = max_weighted_norm(values, alpha, pairs)
+        want = max_weighted_norm_reference(values, alpha, pairs)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("n,res,seed", [(2, 17, 0), (3, 9, 0), (2, 33, 1),
+                                        (3, 21, 2)])
+def test_pair_buckets_hold_their_invariants(n, res, seed):
+    grid = build_grid(n, 1.3, res)
+    pairs = build_pair_set(grid, seed=seed)
+    buckets = pairs.buckets()
+    assert buckets.order.dtype == np.int32
+    np.testing.assert_array_equal(np.sort(buckets.order), np.arange(pairs.size))
+    # stored order inside every bucket
+    rising = np.diff(buckets.order.astype(np.int64)) > 0
+    rising[buckets.indptr[1:-1] - 1] = True
+    assert rising.all()
+    # cubes of 4 lattice steps while at most 256 of them hold nodes
+    cube = _node_cube(pairs)
+    assert cube.max() < 256
+    cells = grid.lattice // 4
+    assert np.array_equal(np.unique(cells, axis=0, return_inverse=True)[1]
+                          .reshape(-1), cube)
+    # every pair sits in the bucket of its own unordered cube pair
+    bucket = _bucket_of_pair(pairs)
+    a, b = cube[pairs.first], cube[pairs.second]
+    np.testing.assert_array_equal(np.minimum(a, b), buckets.cube_a[bucket])
+    np.testing.assert_array_equal(np.maximum(a, b), buckets.cube_b[bucket])
+    rng = np.random.default_rng(seed)
+    values = np.stack([_column(k, grid, rng) for k in
+                       ("smooth", "rough", "constant", "spike")], axis=1)
+    for alpha in (0.05, 0.5, 0.95):
+        dist_pow = pairs.dist_pow(alpha)
+        least = pairs.bucket_min_dist_pow(alpha)
+        assert np.all(dist_pow >= least[bucket])
+        assert np.all(np.minimum.reduceat(dist_pow[buckets.order],
+                                          buckets.indptr[:-1]) == least)
+        # every pair's float quotient is within its bucket's bound
+        bound = _quotient_bounds(values, alpha, pairs)
+        quotient = (np.abs(values[pairs.first] - values[pairs.second])
+                    / dist_pow[:, None])
+        assert np.all(quotient <= bound[bucket])
+
+
+def test_max_weighted_norm_scans_buckets_just_above_the_floor():
+    # Column 0 steps from 0 to s across x1 = 0: each straddling bucket's
+    # bound is its exact max.  Column 1 puts a dipole, +1 and -1 on two
+    # diagonal neighbours, into every full cube left of x1 = -0.3; their
+    # buckets bound at about 1.2 times their values and fill the floor
+    # scan.  The first dipole is 1e-3 stronger, so its bucket is scanned
+    # first and the floor is column 1's norm.  s puts column 0's norm 3e-4
+    # above it: the step's buckets beat the floor by less than a relative
+    # slack of 1e-3 would let through.
+    grid = build_grid(2, 1.0, 33)
+    N = grid.node_count
+    pairs = build_pair_set(grid, cap=N * (N - 1) // 2)
+    assert pairs.complete
+    alpha, x = 0.5, grid.nodes
+    cube = _node_cube(pairs)
+    dipoles = np.zeros(N)
+    strength = 1.001
+    for c in np.unique(cube):
+        members = np.flatnonzero(cube == c)
+        if members.size == 16 and np.all(x[members, 0] < -0.3):
+            local = grid.lattice[members] - grid.lattice[members].min(axis=0)
+            dipoles[members[np.all(local == 0, axis=1)]] = strength
+            dipoles[members[np.all(local == 1, axis=1)]] = -strength
+            strength = 1.0
+    floor = max_weighted_norm_reference(dipoles[:, None], alpha, pairs)
+    step = (x[:, 0] > 0).astype(float)
+    s = floor * (1 + 3e-4) / max_weighted_norm_reference(step[:, None],
+                                                         alpha, pairs)
+    values = np.stack([s * step, dipoles], axis=1)
+    want = max_weighted_norm_reference(values, alpha, pairs)
+    assert floor < want < floor * (1 + 1e-3)
+    # the setting: the buckets bounding above the answer hold more than the
+    # floor scan, and those bounding above the floor less than half the set
+    c = (2.0 * grid.R) ** alpha
+    sup = np.abs(values).max(axis=0)
+    bound = (sup + c * _quotient_bounds(values, alpha, pairs)).max(axis=1)
+    size = np.diff(pairs.buckets().indptr)
+    assert size[bound > want].sum() > 4096
+    assert size[bound > floor].sum() < pairs.size / 2
+    assert max_weighted_norm(values, alpha, pairs).hex() == want.hex()
+
+
+def test_max_weighted_norm_rejects_bad_input(grid2, pairs2):
+    n = grid2.node_count
+    for bad in (np.ones(n), np.ones((n + 1, 2)), np.ones((n, 2, 1))):
+        with pytest.raises(ValueError, match="node count"):
+            max_weighted_norm(bad, 0.5, pairs2)
+    for alpha in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="alpha"):
+            max_weighted_norm(np.ones((n, 2)), alpha, pairs2)

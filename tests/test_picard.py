@@ -39,8 +39,11 @@ from jetsolve import (
     sphere_stereographic_target,
     vector_field_from_matrix,
 )
+import jetsolve.oracle as oracle_module
 import jetsolve.picard as picard_module
-from jetsolve.oracle import run_attempt_reference, source_term_reference
+from jetsolve.grid import fd_values, multi_indices
+from jetsolve.oracle import (max_weighted_norm_reference,
+                             run_attempt_reference, source_term_reference)
 from jetsolve.picard import _origin_jet_polynomial
 
 
@@ -170,6 +173,59 @@ def test_solver_norm_is_subadditive(n, res, complete, seed, scale):
     a, b = field(1.0), field(10.0**scale)
     total = solver_norm(grid, a, 0.5, pairs) + solver_norm(grid, b, 0.5, pairs)
     assert solver_norm(grid, a + b, 0.5, pairs) <= total * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_solver_norm_propagates_non_finite_values(bad):
+    # one non-finite node makes the norm nan or inf, never a finite number
+    grid = build_grid(2, 1.0, 9)
+    pairs = build_pair_set(grid)
+    vals = np.zeros((grid.node_count, 2))
+    vals[grid.origin_index + 3, 1] = bad
+    with np.errstate(invalid="ignore"):
+        norm = solver_norm(grid, vals, 0.5, pairs)
+        hessian = [fd_values(grid, vals, beta)
+                   for beta in multi_indices(grid.n, 2)]
+        want = max_weighted_norm_reference(np.concatenate(hessian, axis=1),
+                                           0.5, pairs)
+    assert not np.isfinite(norm)
+    assert norm.hex() == want.hex()
+
+
+@pytest.mark.parametrize("attempt", ["lazy", "eager"])
+@pytest.mark.parametrize("sweep", [1, 2])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_iterate_escapes(bad, sweep, attempt, monkeypatch):
+    # from its first or its second sweep on, every attempt's iterate has
+    # one non-finite node: the attempt must escape on that sweep with a
+    # non-finite norm, and the solve must end in IterateEscaped.  On the
+    # second sweep the lazy attempt first sees it in the increment.
+    real = picard_module.picard_map
+
+    def broken(system, state, seed_vals):
+        new, src = real(system, state, seed_vals)
+        if sweep == 2 and not np.any(state.values):
+            return new, src
+        new = new.copy()
+        new[3, 0] = bad
+        return new, src
+
+    monkeypatch.setattr(picard_module, "picard_map", broken)
+    monkeypatch.setattr(oracle_module, "picard_map", broken)
+    if attempt == "eager":
+        monkeypatch.setattr(picard_module, "_run_attempt",
+                            run_attempt_reference)
+    cfg = SolveConfig(R0=1.0, res=9, seed=0, gamma0=10.0, R_min=0.5,
+                      max_gamma_doublings=1)
+    with np.errstate(invalid="ignore"), pytest.raises(IterateEscaped) as err:
+        solve_system(poisson_system(2, const=1.0), JetSpec.zero(1, 2), cfg)
+    report = err.value.report
+    assert report.status == "failed:escaped"
+    assert [(a.R, a.outcome, a.iterations) for a in report.attempts] == [
+        (1.0, "escaped", sweep), (1.0, "escaped", sweep),
+        (0.5, "escaped", sweep)]
+    assert not any(np.isfinite(a.escape_norm) for a in report.attempts)
+    assert not np.isfinite(report.increment_norms[-1])
 
 
 def test_jet_subtraction_acts_per_component(grid2, rng):
