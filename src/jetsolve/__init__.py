@@ -39,7 +39,6 @@ from .systems import (SYSTEM_REGISTRY, TARGET_REGISTRY, TargetManifold,
                       build_system, euclidean_target, harmonic_map_system,
                       hyperbolic_disk_target, minimal_surface_system,
                       poisson_system, prescribed_mean_curvature_system,
-                      register_system, register_target,
                       sphere_stereographic_target)
 from .verify import run_lemma_suite
 
@@ -64,8 +63,8 @@ __all__ = [
     "origin_jet_magnitudes", "orthogonal_partner", "picard_map",
     "picard_solve", "plane_exp", "plane_sin", "poisson_system", "polynomial",
     "potential_hessian", "potential_probes", "radius_squared_probe",
-    "prescribed_mean_curvature_system", "quad_weights", "register_system",
-    "register_target", "residual_check", "run_lemma_suite",
+    "prescribed_mean_curvature_system", "quad_weights", "residual_check",
+    "run_lemma_suite",
     "seed_field_values", "self_cell_integrals", "separable", "shift_jet",
     "solve_system", "solver_norm", "source_term",
     "sphere_stereographic_target", "taylor_remainder_ratio",

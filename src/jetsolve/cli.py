@@ -12,8 +12,8 @@ volatile values live in the `metadata` field) and, for solves, a
 `field.csv` with one row per node.
 
 Exit codes: 0 success, 2 solve failure (no convergence / iterate escape /
-inconclusive search), 3 configuration error, 4 oracle or verification
-failure.
+inconclusive search), 3 configuration or usage error, 4 oracle or
+verification failure.
 """
 
 from __future__ import annotations
@@ -40,18 +40,32 @@ EXIT_CONFIG_ERROR = 3
 EXIT_ORACLE_FAILURE = 4
 
 # version of the report.json layout, bumped when the layout changes
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 
 _SOLVER_KEYS = {
     "R0": float, "R_min": float, "res": int, "alpha": float, "tol": float,
-    "max_iter": int, "gamma0": float, "gamma0_floor": float,
-    "contraction_threshold": float, "max_gamma_doublings": int,
-    "c_samples": int, "pair_cap": int, "seed": int,
+    "max_iter": int, "gamma0": float, "max_gamma_doublings": int,
+    "seed": int,
+}
+
+# the Kobayashi radius schedule; KobayashiQuery holds the defaults
+_SCHEDULE_KEYS = {
+    "r_start": float, "growth": float, "max_steps": int,
+    "conformality_tol": float,
 }
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so that it exits 3 like any
+    other bad configuration; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +97,12 @@ def _merge_flags(file_cfg: dict, args: argparse.Namespace,
     return merged
 
 
-def _coerce(cfg: dict, key: str, caster, default=None):
+def _coerce(cfg: dict, key: str, caster):
     if key not in cfg or cfg[key] is None:
-        return default
+        return None
     try:
         return caster(cfg[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {key!r}: cannot interpret {cfg[key]!r} "
                           f"as {caster.__name__}") from exc
 
@@ -327,8 +341,9 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     if not 0 < alpha < 1:
         raise ConfigError(f"field 'alpha': must lie in (0, 1), got {alpha}")
-    if radius <= 0:
-        raise ConfigError(f"field 'R': must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ConfigError(f"field 'R': must be positive and finite, "
+                          f"got {radius}")
     if res < 5 or res % 2 == 0:
         raise ConfigError(f"field 'res': must be odd and >= 5, got {res}")
 
@@ -350,11 +365,8 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
 def _cmd_kobayashi(args: argparse.Namespace) -> int:
     started = time.monotonic()
     file_cfg = _load_config_file(args.config)
-    cfg = _merge_flags(file_cfg, args,
-                       ["r_start", "growth", "max_steps", "conformality_tol",
-                        "report"])
-    known = {"target", "p", "X", "r_start", "growth", "max_steps",
-             "conformality_tol", "solver", "report"}
+    cfg = _merge_flags(file_cfg, args, list(_SCHEDULE_KEYS) + ["report"])
+    known = set(_SCHEDULE_KEYS) | {"target", "p", "X", "solver", "report"}
     unknown = set(cfg) - known
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
@@ -382,15 +394,15 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
     if not isinstance(solver_cfg, dict):
         raise ConfigError("field 'solver': expected an object of solver keys")
     base = _build_solve_config(solver_cfg)
+    schedule = {key: _coerce(cfg, key, caster)
+                for key, caster in _SCHEDULE_KEYS.items()
+                if cfg.get(key) is not None}
     try:
         query = KobayashiQuery(
             target=target,
             p=np.asarray(cfg["p"], dtype=np.float64),
             X=np.asarray(cfg["X"], dtype=np.float64),
-            r_start=_coerce(cfg, "r_start", float, 0.25),
-            growth=_coerce(cfg, "growth", float, 1.5),
-            max_steps=_coerce(cfg, "max_steps", int, 8),
-            conformality_tol=_coerce(cfg, "conformality_tol", float, 1e-8),
+            **schedule,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -400,10 +412,7 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
         "target": {"name": tname, "dim": tdim},
         "p": query.p.tolist(),
         "X": query.X.tolist(),
-        "r_start": query.r_start,
-        "growth": query.growth,
-        "max_steps": query.max_steps,
-        "conformality_tol": query.conformality_tol,
+        **{k: getattr(query, k) for k in _SCHEDULE_KEYS},
         "solver": {k: getattr(base, k) for k in _SOLVER_KEYS},
         "report": report_path,
     }
@@ -452,7 +461,7 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="jetsolve",
         description="Interior solver for quasi-linear elliptic systems with "
                     "prescribed 1-jets, plus lemma verification and "
@@ -485,35 +494,26 @@ def _build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("kobayashi", help="estimate a Kobayashi-type upper bound")
     pk.add_argument("config", nargs="?", default=None,
                     help="JSON config file with target, p, X")
-    pk.add_argument("--r_start", type=float, default=None)
-    pk.add_argument("--growth", type=float, default=None)
-    pk.add_argument("--max_steps", type=int, default=None)
-    pk.add_argument("--conformality_tol", type=float, default=None)
+    for key, caster in _SCHEDULE_KEYS.items():
+        pk.add_argument(f"--{key}", type=caster, default=None)
     pk.add_argument("--report", type=str, default=None)
     return parser
 
 
+_COMMANDS = {"solve": _cmd_solve, "verify-lemmas": _cmd_verify_lemmas,
+             "kobayashi": _cmd_kobayashi}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.cmd == "solve":
-            return _cmd_solve(args)
-        if args.cmd == "verify-lemmas":
-            return _cmd_verify_lemmas(args)
-        if args.cmd == "kobayashi":
-            return _cmd_kobayashi(args)
-        parser.error(f"unknown command {args.cmd!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ChartError as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.cmd](args)
+    except (ConfigError, ChartError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except EllipticityError as exc:
         print(f"ellipticity check failed: {exc}", file=sys.stderr)
         return EXIT_ORACLE_FAILURE
-    return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ bound to 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,9 +52,13 @@ class KobayashiQuery:
                     f"chart point |p| = {np.linalg.norm(self.p)} outside "
                     f"chart radius {self.target.chart_radius}"
                 )
-        if self.r_start <= 0 or self.growth <= 1 or self.max_steps < 1:
-            raise ValueError("schedule requires r_start > 0, growth > 1, "
-                             "max_steps >= 1")
+        # "not in range" also rejects nan, which fails every comparison
+        if not (0 < self.r_start < math.inf and 1 < self.growth < math.inf
+                and self.max_steps >= 1):
+            raise ValueError("schedule requires finite r_start > 0, finite "
+                             "growth > 1 and max_steps >= 1")
+        if not 0 <= self.conformality_tol < math.inf:
+            raise ValueError("conformality_tol must be finite and >= 0")
 
     def schedule(self) -> list[float]:
         return [self.r_start * self.growth**k for k in range(self.max_steps)]

@@ -1,7 +1,7 @@
 """Independent reference computations used to certify the main operators.
 
-The finite-difference references rebuild their own neighbor tables from
-raw coordinates, and the closed forms below were derived by hand and are
+The finite-difference reference rebuilds its own neighbor table from raw
+coordinates, and the closed forms below were derived by hand and are
 re-checked symbolically in the test suite.  Some references share pieces
 of the code they check, on purpose, because each certifies one step and
 not the pieces under it: ``potential_reference`` takes ``quad_weights``
@@ -24,7 +24,8 @@ import numpy as np
 
 from .grid import BallGrid, ScalarField, fd_derivative, multi_indices
 from .holder import _EPS, weighted_norm_values
-from .picard import AttemptRecord, make_state, picard_map, solver_norm
+from .picard import (CONTRACTION_THRESHOLD, AttemptRecord, make_state,
+                     picard_map, solver_norm)
 from .potential import (KernelSpec, PotentialField, quad_weights,
                         self_cell_integrals)
 
@@ -48,64 +49,6 @@ def uniform_ball_potential(n: int, R: float, x) -> float:
     if n == 2:
         return R * R * (1.0 - 2.0 * math.log(R)) / 4.0 - r2 / 4.0
     raise ValueError(f"n must be 2 or 3, got {n}")
-
-
-def exhaustive_holder(f_1d_section, alpha: float, resolution: int,
-                      halfwidth: float = 1.0) -> float:
-    """Brute-force Hölder seminorm of a 1-D section by a full pair scan.
-
-    f_1d_section is a callable on [-halfwidth, halfwidth]; every pair of the
-    dense sample is inspected, so this is O(resolution^2) and meant only to
-    certify the pair-sampled seminorm on separable test functions.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    t = np.linspace(-halfwidth, halfwidth, resolution)
-    v = np.asarray([f_1d_section(ti) for ti in t], dtype=np.float64)
-    best = 0.0
-    for i in range(resolution - 1):
-        dt = t[i + 1:] - t[i]
-        q = np.abs(v[i + 1:] - v[i]) / dt**alpha
-        m = float(q.max())
-        if m > best:
-            best = m
-    return best
-
-
-def fd_laplacian_reference(field: ScalarField) -> ScalarField:
-    """Plain 2nd-order central Laplacian, coded independently of grid stencils.
-
-    The neighbor table is rebuilt here from raw node coordinates.  Values are
-    only meaningful where the full central stencil exists (all interior nodes
-    qualify); other nodes are set to zero.
-    """
-    grid = field.grid
-    nodes = grid.nodes
-    h = grid.h
-    lat = np.rint((nodes + grid.R) / h).astype(np.int64)
-    table = {tuple(row): k for k, row in enumerate(lat)}
-    out = np.zeros(grid.node_count)
-    f = field.values
-    for k in range(grid.node_count):
-        acc = 0.0
-        ok = True
-        base = lat[k]
-        for d in range(grid.n):
-            up = list(base)
-            dn = list(base)
-            up[d] += 1
-            dn[d] -= 1
-            iu = table.get(tuple(up))
-            idn = table.get(tuple(dn))
-            if iu is None or idn is None:
-                ok = False
-                break
-            acc += f[iu] + f[idn]
-        if ok:
-            out[k] = (acc - 2 * grid.n * f[k]) / (h * h)
-    return ScalarField(grid, out)
 
 
 def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:
@@ -381,7 +324,7 @@ def run_attempt_reference(system, grid: BallGrid, pairs, seed_vals,
         if len(increments) >= 2 and increments[-2] > 0:
             r = increments[-1] / increments[-2]
             ratios.append(r)
-            streak = streak + 1 if r > config.contraction_threshold else 0
+            streak = streak + 1 if r > CONTRACTION_THRESHOLD else 0
             if streak >= 3:
                 outcome = "no_contraction"
                 break

@@ -17,7 +17,7 @@ O(h^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -161,6 +161,16 @@ def seed_field_values(seed, grid: BallGrid, m: int) -> np.ndarray:
 # configuration and state
 # ---------------------------------------------------------------------------
 
+# Constants of the method rather than settings of a solve: three sweeps in
+# a row whose increment ratio exceeds CONTRACTION_THRESHOLD count as stalled
+# contraction; gamma0 never falls below GAMMA0_FLOOR, which keeps a positive
+# norm ball when the source vanishes at the origin; the coefficient
+# deviation estimate draws DEVIATION_SAMPLES points per box.
+CONTRACTION_THRESHOLD = 0.9
+GAMMA0_FLOOR = 0.5
+DEVIATION_SAMPLES = 512
+
+
 @dataclass
 class SolveConfig:
     """Knobs for one solve.  Field names mirror the CLI/config schema."""
@@ -172,37 +182,29 @@ class SolveConfig:
     tol: float = 1e-7
     max_iter: int = 40
     gamma0: float | None = None         # None -> derived from the source rule
-    gamma0_floor: float = 0.5
-    contraction_threshold: float = 0.9
     max_gamma_doublings: int = 6
-    c_samples: int = 512
-    pair_cap: int = DEFAULT_PAIR_CAP
     seed: int = 0
     harmonic_seed: Sequence[HarmonicPolynomial] | HarmonicPolynomial | None = None
 
     def __post_init__(self):
-        if self.R0 <= 0:
-            raise ValueError("R0 must be positive")
+        # written as "not in range" so that nan, which fails every
+        # comparison, is rejected too
+        if not 0 < self.R0 < math.inf:
+            raise ValueError("R0 must be positive and finite")
         if self.R_min is not None and not 0 < self.R_min < self.R0 * (1 + 1e-12):
             raise ValueError("R_min must lie in (0, R0]")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.res < 5 or self.res % 2 == 0:
             raise ValueError("res must be odd and at least 5")
-        if self.gamma0 is not None and self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
-        if self.gamma0_floor <= 0:
-            raise ValueError("gamma0_floor must be positive")
-        if not 0 < self.contraction_threshold < 1:
-            raise ValueError("contraction_threshold must lie in (0, 1)")
+        if self.gamma0 is not None and not 0 < self.gamma0 < math.inf:
+            raise ValueError("gamma0 must be positive and finite")
         if self.max_gamma_doublings < 0:
             raise ValueError("max_gamma_doublings must be >= 0")
-        if self.c_samples < 1:
-            raise ValueError("c_samples must be positive")
 
     @property
     def radius_floor(self) -> float:
@@ -377,21 +379,21 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
         potential_probes(system.n), grid, config.alpha, pairs=pairs,
     )
     c_hat = report.max_ratio
-    gamma0 = max(4.0 * c_hat * psi0, config.gamma0_floor)
+    gamma0 = max(4.0 * c_hat * psi0, GAMMA0_FLOOR)
     return gamma0, c_hat, psi0
 
 
 def coefficient_deviation_sup(system: PoissonSystem, radius: float,
-                              gamma: float, samples: int = 512,
-                              seed: int = 0) -> float:
+                              gamma: float, seed: int = 0) -> float:
     """Largest |b^kl| over the box |x| <= R, |p| <= R^2 g, |q| <= R g.
 
-    Unit-ball draws are fixed by the seed and rescaled per box, and the
-    box corners are always included, so shrinking the box can never raise
-    the estimate for coefficient families that grow along rays.  The draws
-    and the corner product each go to b in one batched call.
+    DEVIATION_SAMPLES unit-ball draws are fixed by the seed and rescaled
+    per box, and the box corners are always included, so shrinking the box
+    can never raise the estimate for coefficient families that grow along
+    rays.  The draws and the corner product each go to b in one batched
+    call.
     """
-    n, m = system.n, system.m
+    n, m, samples = system.n, system.m, DEVIATION_SAMPLES
     rng = np.random.default_rng(seed)
     p_cap = radius * radius * gamma
     q_cap = radius * gamma
@@ -507,7 +509,7 @@ class SolveReport:
 
     def summary(self) -> dict:
         """JSON-safe digest (no whole-field arrays)."""
-        out = {
+        return {
             "status": self.status,
             "final_R": self.final_R,
             "gamma": self.gamma,
@@ -523,23 +525,10 @@ class SolveReport:
             "jet_value": self.jet_value,
             "jet_gradient": self.jet_gradient,
             "solution_norm": self.solution_norm,
-            "attempts": [
-                {
-                    "R": a.R,
-                    "gamma_start": a.gamma_start,
-                    "gamma_end": a.gamma_end,
-                    "iterations": a.iterations,
-                    "outcome": a.outcome,
-                    "increment_norms": a.increment_norms,
-                    "ratios": a.ratios,
-                    "deviation_sup": a.deviation_sup,
-                }
-                for a in self.attempts
-            ],
+            "attempts": [asdict(a) for a in self.attempts],
             "pair_count": self.pair_count,
             "in_chart": self.in_chart,
         }
-        return out
 
 
 def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
@@ -597,7 +586,7 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
         if len(increments) >= 2 and increments[-2] > 0:
             r = increments[-1] / increments[-2]
             ratios.append(r)
-            streak = streak + 1 if r > config.contraction_threshold else 0
+            streak = streak + 1 if r > CONTRACTION_THRESHOLD else 0
             if streak >= 3:
                 outcome = "no_contraction"
                 break
@@ -624,8 +613,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
 
     def grid_and_pairs(radius: float) -> tuple[BallGrid, PairSet]:
         grid = build_grid(system.n, radius, config.res)
-        return grid, build_pair_set(grid, seed=config.seed,
-                                    cap=config.pair_cap)
+        return grid, build_pair_set(grid, seed=config.seed)
 
     # When the C_hat probe has the solve's resolution, it runs on the first
     # solve grid, whose cached quadrature weights and kernel spectra the
@@ -650,8 +638,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
             outcome, f, f_norm, record = _run_attempt(
                 system, grid, pairs, seed_vals, gamma, config)
             record.deviation_sup = coefficient_deviation_sup(
-                system, radius, gamma, samples=config.c_samples,
-                seed=config.seed)
+                system, radius, gamma, seed=config.seed)
             attempts.append(record)
             last_outcome = outcome
 
@@ -666,6 +653,8 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
                 continue
             break  # halve the radius
 
+        # release this radius's grid and pair set before the next are built
+        grid = pairs = None
         radius *= 0.5
         if radius < floor * (1.0 - 1e-12):
             report = _partial_report(system, config, radius * 2.0, gamma,

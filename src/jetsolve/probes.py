@@ -30,9 +30,6 @@ class Probe:
         return ScalarField(grid, np.asarray(self.fn(grid.nodes), dtype=np.float64),
                            analytic_derivs=self.deriv)
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.fn(pts)
-
 
 def _falling(e: int, k: int) -> float:
     out = 1.0

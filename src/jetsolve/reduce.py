@@ -102,7 +102,6 @@ class PoissonSystem:
     P_inv: np.ndarray
     lam: float
     chart_radius: float | None = None
-    source: SystemDef | None = None
     jet: JetSpec | None = None
     meta: dict = field(default_factory=dict)
 
@@ -178,7 +177,7 @@ def diagonalize(system: SystemDef, jet: JetSpec | None = None) -> PoissonSystem:
 
     return PoissonSystem(
         n=n, m=m, psi=psi, b=b, P=P, P_inv=P_inv, lam=system.lam,
-        chart_radius=system.chart_radius, source=system, jet=jet,
+        chart_radius=system.chart_radius, jet=jet,
         meta={"A0_eigenvalues": evals.tolist(), "system": system.name},
     )
 

@@ -296,13 +296,3 @@ def build_system(name: str, n: int, params: dict | None = None) -> SystemDef:
             f"unknown system {name!r}; known: {sorted(SYSTEM_REGISTRY)}"
         )
     return SYSTEM_REGISTRY[name](n, params or {})
-
-
-def register_system(name: str,
-                    builder: Callable[[int, dict], SystemDef]) -> None:
-    SYSTEM_REGISTRY[name] = builder
-
-
-def register_target(name: str,
-                    builder: Callable[..., TargetManifold]) -> None:
-    TARGET_REGISTRY[name] = builder

@@ -49,7 +49,7 @@ def test_solve_writes_report_and_field(workdir):
     rc = main(["solve", _write(workdir / "cfg.json", cfg)])
     assert rc == 0
     payload = json.loads((workdir / "report.json").read_text())
-    assert payload["schema"] == 3
+    assert payload["schema"] == 4
     assert payload["command"] == "solve"
     assert payload["result"]["status"] == "converged"
     assert payload["config"]["res"] == 13
@@ -142,6 +142,15 @@ def test_solve_report_independent_of_thread_count(workdir):
     (lambda c: c.update(res=10), "res"),
     (lambda c: c.update(jet={"c0": [0.0], "c1": [[1.0, 0.0, 0.0]]}), "jet"),
     (lambda c: c.update(threads=2), "threads"),
+    (lambda c: c.update(c_samples=512), "c_samples"),
+    (lambda c: c.update(pair_cap=200_000), "pair_cap"),
+    (lambda c: c.update(contraction_threshold=0.9), "contraction_threshold"),
+    (lambda c: c.update(gamma0_floor=0.5), "gamma0_floor"),
+    (lambda c: c.update(R0=float("nan")), "R0"),
+    (lambda c: c.update(R0=float("inf")), "R0"),
+    (lambda c: c.update(tol=float("nan")), "tol"),
+    (lambda c: c.update(gamma0=float("nan")), "gamma0"),
+    (lambda c: c.update(max_iter=float("inf")), "max_iter"),
 ])
 def test_solve_config_errors(workdir, capsys, mutate, needle):
     cfg = _solve_cfg()
@@ -150,6 +159,28 @@ def test_solve_config_errors(workdir, capsys, mutate, needle):
     assert rc == 3
     err = capsys.readouterr().err
     assert needle in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--bogus", "1"],
+    ["solve", "--res", "abc"],
+    ["not-a-command"],
+])
+def test_usage_errors_exit_three(workdir, capsys, argv):
+    assert main(argv) == 3
+    assert "config error" in capsys.readouterr().err
+
+
+def test_readme_solve_config_runs(workdir):
+    # the solve config shown in the README is a working config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A solve config", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    path = workdir / "cfg.json"
+    path.write_text(block)
+    assert main(["solve", str(path), "--res", "9"]) == 0
+    payload = json.loads((workdir / "report.json").read_text())
+    assert payload["result"]["status"] == "converged"
 
 
 def test_solve_requires_n(workdir):
@@ -190,6 +221,11 @@ def test_unreachable_floor_exits_two(workdir):
     payload = json.loads((workdir / "report.json").read_text())
     assert "error" in payload
     assert payload["result"]["status"].startswith("failed")
+    # every escape records the norm that left the ball
+    escaped = [a for a in payload["result"]["attempts"]
+               if a["outcome"] == "escaped"]
+    assert escaped
+    assert all(a["escape_norm"] > a["gamma_start"] for a in escaped)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +247,8 @@ def test_verify_lemmas_passes(workdir, capsys):
 def test_verify_lemmas_validates_args(workdir):
     assert main(["verify-lemmas", "--alpha", "2.0"]) == 3
     assert main(["verify-lemmas", "--res", "8"]) == 3
+    assert main(["verify-lemmas", "--R", "nan"]) == 3
+    assert main(["verify-lemmas", "--R", "inf"]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +286,17 @@ def test_kobayashi_inconclusive_exits_two(workdir):
     assert rc == 2
     payload = json.loads((workdir / "kob.json").read_text())
     assert payload["result"]["inconclusive"] is True
+
+
+def test_kobayashi_rejects_non_finite_schedule(workdir, capsys):
+    cfg = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.5, 0.0],
+           "max_steps": 2, "solver": {"res": 7, "gamma0": 1.0}}
+    path = _write(workdir / "cfg.json", cfg)
+    for flag, value in [("r_start", "nan"), ("growth", "inf"),
+                        ("conformality_tol", "-1"),
+                        ("conformality_tol", "nan")]:
+        assert main(["kobayashi", path, f"--{flag}", value]) == 3
+        assert flag in capsys.readouterr().err
 
 
 def test_kobayashi_rejects_base_point_outside_chart(workdir):

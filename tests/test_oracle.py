@@ -1,13 +1,10 @@
-"""Independent oracles: closed forms, brute-force seminorms, enumeration."""
-
-import math
+"""Independent oracles: closed forms and enumeration."""
 
 import numpy as np
 import pytest
 
-from jetsolve import build_grid, field_from_callable, uniform_ball_potential
-from jetsolve.oracle import (ball_lattice_count, exhaustive_holder,
-                             fd_laplacian_reference)
+from jetsolve import build_grid, uniform_ball_potential
+from jetsolve.oracle import ball_lattice_count
 
 
 def test_uniform_ball_potential_laplacian_is_minus_one():
@@ -48,27 +45,6 @@ def test_uniform_ball_potential_rejects_bad_dimension():
         uniform_ball_potential(4, 1.0, np.zeros(4))
 
 
-def test_exhaustive_holder_on_linear_section():
-    # |t - s| / |t - s|^a maximizes at the endpoints: (2w)^(1-a)
-    alpha = 0.5
-    w = 1.0
-    got = exhaustive_holder(lambda t: t, alpha, 801, halfwidth=w)
-    assert got == pytest.approx((2 * w) ** (1 - alpha), rel=1e-6)
-
-
-def test_exhaustive_holder_on_sqrt_abs():
-    # |t|^(1/2) has Hoelder-1/2 seminorm exactly 1 (pairs through 0)
-    got = exhaustive_holder(lambda t: math.sqrt(abs(t)), 0.5, 1601)
-    assert got == pytest.approx(1.0, abs=5e-3)
-
-
-def test_exhaustive_holder_validates_args():
-    with pytest.raises(ValueError):
-        exhaustive_holder(lambda t: t, 1.0, 100)
-    with pytest.raises(ValueError):
-        exhaustive_holder(lambda t: t, 0.5, 1)
-
-
 @pytest.mark.parametrize("n,res", [(2, 9), (2, 13), (3, 9)])
 def test_lattice_count_agrees_with_grid(n, res):
     R = 1.0
@@ -79,11 +55,3 @@ def test_lattice_count_monotone_in_resolution():
     counts = [ball_lattice_count(2, 1.0, r) for r in (5, 9, 13, 17, 21)]
     assert counts == sorted(counts)
     assert counts[0] >= 5
-
-
-def test_fd_laplacian_reference_on_quadratic():
-    grid = build_grid(2, 1.0, 17)
-    f = field_from_callable(grid, lambda p: p[:, 0] ** 2 + 2 * p[:, 1] ** 2)
-    lap = fd_laplacian_reference(f)
-    got = lap.values[grid.interior_mask]
-    np.testing.assert_allclose(got, 6.0, atol=1e-9)

@@ -1,7 +1,9 @@
 """Fixed-point sweep machinery and the adaptive solve driver."""
 
 import functools
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -366,7 +368,7 @@ def test_reconstruction_adds_jet_back():
 def test_gamma_doubles_until_the_iterate_fits():
     # psi(0) = 0 keeps gamma at the floor; the solution norm (~1.8) forces
     # exactly two doublings: 0.5 -> 1 -> 2
-    cfg = SolveConfig(R0=1.0, res=13, seed=0, gamma0_floor=0.5)
+    cfg = SolveConfig(R0=1.0, res=13, seed=0)
     report = solve_system(poisson_system(3, linear=[1.0, 0.0, 0.0]),
                           JetSpec.zero(1, 3), cfg)
     assert report.status == "converged"
@@ -391,6 +393,32 @@ def test_radius_halves_when_contraction_stalls():
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
+def test_old_grid_is_released_before_the_next_is_built(monkeypatch):
+    # reference counting alone must free the previous radius's grid (and
+    # its pair set), so the process never holds two radii's worth at once
+    refs, alive = [], []
+    build = picard_module.build_grid
+
+    def tracking_build(*args):
+        alive.append([ref() is not None for ref in refs])
+        grid = build(*args)
+        refs.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(picard_module, "build_grid", tracking_build)
+    cfg = SolveConfig(R0=3.0, res=17, seed=4, gamma0=40.0, max_iter=7,
+                      harmonic_seed=_SADDLE)
+    gc.disable()
+    try:
+        report = solve_system(minimal_surface_system(2, q_bound=2.5),
+                              JetSpec.zero(1, 2), cfg)
+    finally:
+        gc.enable()
+    assert len({a.R for a in report.attempts}) >= 2
+    assert len(alive) >= 2
+    assert not any(any(seen) for seen in alive)
+
+
 def test_floor_exhaustion_raises_with_partial_report():
     # an unconditionally escaping iterate (psi of order 1 with gamma pinned
     # microscopically) exhausts doublings and halvings
@@ -410,7 +438,7 @@ _ATTEMPT_CASES = {
     # the configuration of test_gamma_doubles_until_the_iterate_fits
     "converged_after_escapes": (
         poisson_system(3, linear=[1.0, 0.0, 0.0]), 3,
-        dict(R0=1.0, res=13, seed=0, gamma0_floor=0.5), ("escaped", 1)),
+        dict(R0=1.0, res=13, seed=0), ("escaped", 1)),
     # the configuration of test_floor_exhaustion_raises_with_partial_report
     "escaped_to_the_floor": (
         poisson_system(3, const=5.0), 3,
@@ -540,7 +568,7 @@ def test_probe_reuses_only_its_default_pair_set(monkeypatch):
         P=np.eye(2), P_inv=np.eye(2), lam=1.0)
     for res, cap, reused in [(21, 200_000, True), (13, 200_000, False),
                              (33, 400_000, False)]:
-        config = SolveConfig(res=res, seed=3, pair_cap=cap)
+        config = SolveConfig(res=res, seed=3)
         grid = build_grid(2, config.R0, res)
         pairs = build_pair_set(grid, seed=config.seed, cap=cap)
         if res == 13:  # a sampled set on the same grid
@@ -622,9 +650,14 @@ def test_picard_solve_accepts_prediagonalized():
     {"R0": 0.0},
     {"tol": 0.0},
     {"max_iter": 0},
-    {"contraction_threshold": 1.5},
+    {"R0": float("nan")},
     {"gamma0": -1.0},
     {"max_gamma_doublings": -1},
+    {"R0": float("inf")},
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+    {"gamma0": float("nan")},
+    {"gamma0": float("inf")},
 ])
 def test_solve_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -13,8 +13,6 @@ from jetsolve import (
     minimal_surface_system,
     poisson_system,
     prescribed_mean_curvature_system,
-    register_system,
-    register_target,
     sphere_stereographic_target,
 )
 
@@ -213,7 +211,7 @@ def test_register_round_trip():
     def build(n, params):
         return poisson_system(n, const=params.get("c", 0.0))
 
-    register_system("custom_poisson_for_test", build)
+    SYSTEM_REGISTRY["custom_poisson_for_test"] = build
     try:
         sys1 = build_system("custom_poisson_for_test", 2, {"c": 4.0})
         assert sys1.phi(np.zeros(2), np.zeros(1),
@@ -221,7 +219,7 @@ def test_register_round_trip():
     finally:
         SYSTEM_REGISTRY.pop("custom_poisson_for_test", None)
 
-    register_target("flat_for_test", lambda dim: euclidean_target(dim))
+    TARGET_REGISTRY["flat_for_test"] = euclidean_target
     try:
         sys2 = build_system("harmonic_map", 2, {"target": "flat_for_test"})
         assert sys2.m == 2
