@@ -40,7 +40,7 @@ EXIT_CONFIG_ERROR = 3
 EXIT_ORACLE_FAILURE = 4
 
 # version of the report.json layout, bumped when the layout changes
-REPORT_SCHEMA = 4
+REPORT_SCHEMA = 5
 
 _SOLVER_KEYS = {
     "R0": float, "R_min": float, "res": int, "alpha": float, "tol": float,
@@ -97,11 +97,23 @@ def _merge_flags(file_cfg: dict, args: argparse.Namespace,
     return merged
 
 
+def _integral(value) -> int:
+    """An integer field's value: an int, or a float with no fractional part.
+
+    int() alone would truncate 21.5 to 21, read "21" as 21 and true as 1.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError("not an integral number")
+
+
 def _coerce(cfg: dict, key: str, caster):
     if key not in cfg or cfg[key] is None:
         return None
     try:
-        return caster(cfg[key])
+        return _integral(cfg[key]) if caster is int else caster(cfg[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {key!r}: cannot interpret {cfg[key]!r} "
                           f"as {caster.__name__}") from exc
@@ -346,6 +358,8 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
                           f"got {radius}")
     if res < 5 or res % 2 == 0:
         raise ConfigError(f"field 'res': must be odd and >= 5, got {res}")
+    if seed < 0:
+        raise ConfigError(f"field 'seed': must be >= 0, got {seed}")
 
     result = run_lemma_suite(n=n, R=radius, res=res, alpha=alpha, seed=seed)
     payload = {
@@ -379,7 +393,10 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
         tname, tdim = raw_target, 2
     elif isinstance(raw_target, dict) and "name" in raw_target:
         tname = raw_target["name"]
-        tdim = int(raw_target.get("dim", 2))
+        tdim = _coerce(raw_target, "dim", int)
+        tdim = 2 if tdim is None else tdim
+        if tdim < 1:
+            raise ConfigError(f"field 'dim': must be >= 1, got {tdim}")
     else:
         raise ConfigError("field 'target': expected a name or an object "
                           "with a 'name' entry")

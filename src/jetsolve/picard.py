@@ -205,6 +205,8 @@ class SolveConfig:
             raise ValueError("gamma0 must be positive and finite")
         if self.max_gamma_doublings < 0:
             raise ValueError("max_gamma_doublings must be >= 0")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def radius_floor(self) -> float:
@@ -353,10 +355,13 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
                        ) -> tuple[float, float | None, float]:
     """Initial norm-ball radius gamma0 from the source size at the origin.
 
-    gamma0 = max(4 * C_hat * max_i |psi^i(0,0,0)|, floor), with C_hat the
-    measured potential norm-amplification ratio on a coarse probe grid at
-    the solve radius.  An explicit config.gamma0 short-circuits the rule.
-    Returns (gamma0, C_hat or None, |psi(0)|).
+    gamma0 = max(4 * C_hat * max_i |psi^i(0,0,0)|, GAMMA0_FLOOR), with C_hat
+    the measured potential norm-amplification ratio on a coarse probe grid
+    at the solve radius.  Returns (gamma0, C_hat or None, |psi(0)|).  C_hat
+    is measured only when it can set gamma0: an explicit config.gamma0
+    short-circuits the rule, and when psi(0) is exactly zero the product is
+    zero for every finite C_hat, so gamma0 is GAMMA0_FLOOR and no probe
+    runs.  A nan psi(0) still runs the probe, as the rule then reads C_hat.
 
     grid, when given, is the probe grid, built at (n, R0, probe resolution)
     by the caller; pairs, a pair set on it, stands in for the probe's
@@ -369,6 +374,8 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
     psi0 = float(np.max(np.abs(np.asarray(system.psi(z_x, z_p, z_q)))))
     if config.gamma0 is not None:
         return float(config.gamma0), None, psi0
+    if psi0 == 0.0:
+        return GAMMA0_FLOOR, None, psi0
     if grid is None:
         grid = build_grid(system.n, config.R0,
                           _probe_res(system.n, config.res))
@@ -615,9 +622,10 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
         grid = build_grid(system.n, radius, config.res)
         return grid, build_pair_set(grid, seed=config.seed)
 
-    # When the C_hat probe has the solve's resolution, it runs on the first
-    # solve grid, whose cached quadrature weights and kernel spectra the
-    # solve then reuses.  Otherwise no solve grid exists during the probe.
+    # When the C_hat probe has the solve's resolution, it runs (if psi(0)
+    # is not zero) on the first solve grid, whose cached quadrature weights
+    # and kernel spectra the solve then reuses.  Otherwise no solve grid
+    # exists during the probe.
     first = None
     if (config.gamma0 is None
             and _probe_res(system.n, config.res) == config.res):

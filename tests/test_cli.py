@@ -49,7 +49,7 @@ def test_solve_writes_report_and_field(workdir):
     rc = main(["solve", _write(workdir / "cfg.json", cfg)])
     assert rc == 0
     payload = json.loads((workdir / "report.json").read_text())
-    assert payload["schema"] == 4
+    assert payload["schema"] == 5
     assert payload["command"] == "solve"
     assert payload["result"]["status"] == "converged"
     assert payload["config"]["res"] == 13
@@ -151,6 +151,14 @@ def test_solve_report_independent_of_thread_count(workdir):
     (lambda c: c.update(tol=float("nan")), "tol"),
     (lambda c: c.update(gamma0=float("nan")), "gamma0"),
     (lambda c: c.update(max_iter=float("inf")), "max_iter"),
+    pytest.param(lambda c: c.update(seed=-1), "seed", id="seed_negative"),
+    # integer fields take integral numbers only, never a bool or a string
+    pytest.param(lambda c: c.update(res=21.5), "res", id="res_fractional"),
+    pytest.param(lambda c: c.update(max_iter=True), "max_iter",
+                 id="max_iter_bool"),
+    pytest.param(lambda c: c.update(max_gamma_doublings="3"),
+                 "max_gamma_doublings", id="max_gamma_doublings_string"),
+    pytest.param(lambda c: c.update(seed=1.5), "seed", id="seed_fractional"),
 ])
 def test_solve_config_errors(workdir, capsys, mutate, needle):
     cfg = _solve_cfg()
@@ -249,6 +257,9 @@ def test_verify_lemmas_validates_args(workdir):
     assert main(["verify-lemmas", "--res", "8"]) == 3
     assert main(["verify-lemmas", "--R", "nan"]) == 3
     assert main(["verify-lemmas", "--R", "inf"]) == 3
+    # complete pair sets (res 9) never read the seed, sampled ones (res 33) do
+    for res in ("9", "33"):
+        assert main(["verify-lemmas", "--res", res, "--seed", "-1"]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +308,19 @@ def test_kobayashi_rejects_non_finite_schedule(workdir, capsys):
                         ("conformality_tol", "nan")]:
         assert main(["kobayashi", path, f"--{flag}", value]) == 3
         assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("update,needle", [
+    ({"solver": {"res": 7, "gamma0": 1.0, "seed": -1}}, "seed"),
+    ({"max_steps": 2.5}, "max_steps"),
+    ({"target": {"name": "hyperbolic", "dim": "two"}}, "dim"),
+    ({"target": {"name": "hyperbolic", "dim": -1}}, "dim"),
+])
+def test_kobayashi_config_errors(workdir, capsys, update, needle):
+    cfg = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.5, 0.0],
+           "max_steps": 2, "solver": {"res": 7, "gamma0": 1.0}, **update}
+    assert main(["kobayashi", _write(workdir / "cfg.json", cfg)]) == 3
+    assert needle in capsys.readouterr().err
 
 
 def test_kobayashi_rejects_base_point_outside_chart(workdir):

@@ -14,6 +14,7 @@ from jetsolve import (
     HarmonicPolynomial,
     IterateEscaped,
     JetSpec,
+    KobayashiQuery,
     NoConvergence,
     OracleFailure,
     PairSet,
@@ -24,7 +25,9 @@ from jetsolve import (
     build_system,
     coefficient_deviation_sup,
     diagonalize,
+    estimate,
     harmonic_map_system,
+    hyperbolic_disk_target,
     jet_norm,
     make_state,
     minimal_surface_system,
@@ -32,6 +35,7 @@ from jetsolve import (
     picard_map,
     picard_solve,
     poisson_system,
+    prescribed_mean_curvature_system,
     residual_check,
     seed_field_values,
     shift_jet,
@@ -43,10 +47,12 @@ from jetsolve import (
 )
 import jetsolve.oracle as oracle_module
 import jetsolve.picard as picard_module
+import jetsolve.potential as potential_module
 from jetsolve.grid import fd_values, multi_indices
 from jetsolve.oracle import (max_weighted_norm_reference,
                              run_attempt_reference, source_term_reference)
-from jetsolve.picard import _origin_jet_polynomial
+from jetsolve.picard import GAMMA0_FLOOR, _origin_jet_polynomial
+from jetsolve.probes import potential_probes
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +439,10 @@ def test_floor_exhaustion_raises_with_partial_report():
 
 
 _SADDLE = [HarmonicPolynomial({(2, 0): 0.6, (0, 2): -0.6})]
+# the sphere jet of the 3D benchmark moved off the chart centre, where
+# psi(0) = 0.064 rather than 0
+_OFF_CENTRE_SPHERE_JET = JetSpec(np.array([0.5, 0.0]),
+                                 np.array([[0.3, 0.0, 0.0], [0.0, 0.1, 0.0]]))
 # name -> (system, dimension, config, (outcome, sweeps) of the first attempt)
 _ATTEMPT_CASES = {
     # the configuration of test_gamma_doubles_until_the_iterate_fits
@@ -493,26 +503,25 @@ def test_lazy_iterate_norms_match_eager_reference(case, monkeypatch):
             == [_bits(vars(a)) for a in eager.attempts])
 
 
-# (system, jet, config, probe shares the first grid)
+# (system, jet, config, probe shares the first grid); every system has
+# psi(0) != 0, so the C_hat probe runs
 _SHARING_CASES = {
     "2d_res21_one_radius": (
-        minimal_surface_system(2, q_bound=2.5),
+        prescribed_mean_curvature_system(2, mean_curvature=0.3),
         JetSpec(np.zeros(1), np.array([[0.2, -0.1]])),
         dict(R0=1.0, res=21, seed=4), True),
     "2d_res21_halving": (
-        minimal_surface_system(2, q_bound=2.5),
+        prescribed_mean_curvature_system(2, mean_curvature=0.3),
         JetSpec(np.zeros(1), np.array([[0.2, -0.1]])),
         dict(R0=3.0, res=21, seed=4, harmonic_seed=_SADDLE), True),
     # sampled pairs: the probe shares the grid but builds its own pair set
     "3d_res13_sampled": (
         harmonic_map_system(3, sphere_stereographic_target(2)),
-        JetSpec(np.zeros(2), np.array([[0.3, 0.0, 0.0], [0.0, 0.1, 0.0]])),
-        dict(R0=1.0, res=13, seed=3), True),
+        _OFF_CENTRE_SPHERE_JET, dict(R0=1.0, res=13, seed=3), True),
     # the probe runs at res 17 on its own grid
     "3d_res21": (
         harmonic_map_system(3, sphere_stereographic_target(2)),
-        JetSpec(np.zeros(2), np.array([[0.3, 0.0, 0.0], [0.0, 0.1, 0.0]])),
-        dict(R0=1.0, res=21, seed=3), False),
+        _OFF_CENTRE_SPHERE_JET, dict(R0=1.0, res=21, seed=3), False),
 }
 
 
@@ -540,8 +549,9 @@ def test_probe_shares_the_first_solve_grid(case, monkeypatch):
     monkeypatch.setattr(picard_module, "build_grid", counting_build)
     extra, summary, fields = run()
     assert extra == (0 if shares else 1)
+    assert summary["c_hat"] is not None
     if "halving" in case:
-        assert len({a["R"] for a in summary["attempts"]}) == 2
+        assert len({a["R"] for a in summary["attempts"]}) == 3
     choose = picard_module.choose_norm_radius
     monkeypatch.setattr(picard_module, "choose_norm_radius",
                         lambda system, config, *shared: choose(system, config))
@@ -549,6 +559,92 @@ def test_probe_shares_the_first_solve_grid(case, monkeypatch):
     assert own_extra == 1
     assert own_summary == summary
     assert own_fields == fields
+
+
+def _kobayashi_radius(config):
+    """Solve one radius of a Kobayashi search: the hyperbolic disk, a
+    conformal jet at the chart centre."""
+    query = KobayashiQuery(hyperbolic_disk_target(2), np.zeros(2),
+                           np.array([0.4, 0.0]), max_steps=1)
+    est = estimate(query, solve_config=config)
+    assert [o.success for o in est.outcomes] == [True]
+
+
+def _solving(system, jet):
+    return functools.partial(solve_system, system, jet)
+
+
+# name -> (run(config), dimension, config, psi(0) == 0)
+_ORIGIN_SOURCE_CASES = {
+    "2d_minimal_surface_res21": (
+        _solving(minimal_surface_system(2, q_bound=2.5),
+                 JetSpec(np.zeros(1), np.array([[0.2, -0.1]]))),
+        2, dict(R0=1.0, res=21, seed=4), True),
+    "3d_sphere_centre_res13": (
+        _solving(harmonic_map_system(3, sphere_stereographic_target(2)),
+                 JetSpec(np.zeros(2),
+                         np.array([[0.3, 0.0, 0.0], [0.0, 0.1, 0.0]]))),
+        3, dict(R0=1.0, res=13, seed=3), True),
+    "kobayashi_radius": (_kobayashi_radius, 2, dict(res=21, seed=0), True),
+    # the control: off the chart centre psi(0) = 0.064 and the probe runs
+    "3d_sphere_off_centre_res13": (
+        _solving(harmonic_map_system(3, sphere_stereographic_target(2)),
+                 _OFF_CENTRE_SPHERE_JET),
+        3, dict(R0=1.0, res=13, seed=3), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORIGIN_SOURCE_CASES))
+def test_zero_origin_source_skips_the_probe(case, monkeypatch):
+    # psi(0) = 0 fixes gamma0 at the floor whatever C_hat is, so no probe
+    # grid, probe norm or potential Hessian pass is spent on measuring it
+    run, n, kwargs, vanishes = _ORIGIN_SOURCE_CASES[case]
+    calls = {"check": 0, "hessian": 0, "grids": 0}
+    reports = []
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    def recording_solve(*args):
+        reports.append(solve(*args))
+        return reports[-1]
+
+    solve = picard_module.picard_solve
+    check = potential_module.check_potential_norm_bound
+    hessian = potential_module.potential_hessian
+    monkeypatch.setattr(picard_module, "picard_solve", recording_solve)
+    monkeypatch.setattr(picard_module, "check_potential_norm_bound",
+                        counting("check", check))
+    monkeypatch.setattr(potential_module, "potential_hessian",
+                        counting("hessian", hessian))
+    monkeypatch.setattr(picard_module, "build_grid",
+                        counting("grids", picard_module.build_grid))
+    run(SolveConfig(**kwargs))
+    (report,) = reports
+    if not vanishes:
+        assert report.psi_origin > 0.0
+        assert isinstance(report.c_hat, float)
+        assert calls["check"] == 1 and calls["hessian"] == 1
+        assert report.gamma0 == max(4.0 * report.c_hat * report.psi_origin,
+                                    GAMMA0_FLOOR)
+        return
+    assert report.status == "converged"
+    assert report.psi_origin == 0.0
+    assert report.c_hat is None
+    assert report.gamma0 == GAMMA0_FLOOR
+    radii = len({a.R for a in report.attempts})
+    assert calls == {"check": 0, "hessian": 0, "grids": radii}
+    # what the probe would have read: the floor wins for its C_hat too
+    config = report.config
+    probe_grid = build_grid(n, config.R0,
+                            picard_module._probe_res(n, config.res))
+    c_hat = check(potential_probes(n), probe_grid, config.alpha).max_ratio
+    assert (max(4.0 * c_hat * 0.0, GAMMA0_FLOOR).hex()
+            == GAMMA0_FLOOR.hex())
 
 
 def test_probe_reuses_only_its_default_pair_set(monkeypatch):
@@ -658,6 +754,7 @@ def test_picard_solve_accepts_prediagonalized():
     {"tol": float("inf")},
     {"gamma0": float("nan")},
     {"gamma0": float("inf")},
+    {"seed": -1},
 ])
 def test_solve_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
