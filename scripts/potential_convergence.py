@@ -24,8 +24,7 @@ def sweep(n: int, R: float, resolutions: list[int]) -> list[tuple[int, float]]:
     for res in resolutions:
         grid = build_grid(n, R, res)
         approx = newtonian_potential(np.ones(grid.node_count), grid).values
-        exact = np.array([uniform_ball_potential(n, R, x)
-                          for x in grid.nodes])
+        exact = uniform_ball_potential(n, R, grid.nodes)
         err = np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
         rows.append((res, float(err)))
     return rows

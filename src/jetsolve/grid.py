@@ -15,6 +15,12 @@ r around the node, grown by one until it holds K nodes: every lattice point
 outside the ball is farther than every point inside, so the K nearest
 candidates are the K nearest nodes.  They are ordered by the float squared
 distance, ties going to the lower lattice index.
+
+A pair set, for the Hölder seminorms, stores its node pairs bucket by
+bucket: nodes are grouped into lattice cubes, and a bucket holds the pairs
+joining one unordered pair of cubes, as one contiguous slice of every
+pair-length array.  The Hölder scans bound whole buckets from the cubes'
+value ranges and read only the slices that can hold a max.
 """
 
 from __future__ import annotations
@@ -412,6 +418,13 @@ class PairSet:
     Always contains every antipodal pair (x, -x) and every (node, origin)
     pair; when the grid is small enough all pairs are used, otherwise the
     remainder is drawn from a seeded generator up to the cap.
+
+    The pairs are stored bucket by bucket (see :class:`PairBuckets`), in
+    drawn order (triu order for a complete set, given order for
+    :meth:`from_pairs`) inside each bucket: bucket b is the slice
+    buckets.indptr[b]:buckets.indptr[b + 1] of first, second, dist,
+    dist_pow and steps(), so a scan of chosen buckets reads contiguous
+    ranges.
     """
 
     grid: BallGrid
@@ -419,9 +432,9 @@ class PairSet:
     second: np.ndarray
     dist: np.ndarray
     complete: bool
+    buckets: PairBuckets
     _pow_cache: dict = field(default_factory=dict, repr=False)
     _steps: tuple | None = field(default=None, repr=False)
-    _buckets: "PairBuckets | None" = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -441,40 +454,22 @@ class PairSet:
                                 for d in range(self.grid.n))
         return self._steps
 
-    def buckets(self) -> "PairBuckets":
-        """The pairs grouped by the lattice cubes of their nodes; built on
-        first use and kept on the pair set."""
-        if self._buckets is None:
-            self._buckets = _bucket_pairs(self)
-        return self._buckets
-
     def bucket_min_dist_pow(self, alpha: float) -> np.ndarray:
-        """The least dist_pow(alpha) of each bucket of :meth:`buckets`."""
-        buckets = self.buckets()
+        """The least dist_pow(alpha) of each bucket."""
         key = float(alpha)
-        if key not in buckets.min_dist_pow:
-            buckets.min_dist_pow[key] = np.minimum.reduceat(
-                self.dist_pow(key).take(buckets.order), buckets.indptr[:-1])
-        return buckets.min_dist_pow[key]
+        least = self.buckets.min_dist_pow
+        if key not in least:
+            least[key] = np.minimum.reduceat(self.dist_pow(key),
+                                             self.buckets.indptr[:-1])
+        return least[key]
 
     @classmethod
     def from_pairs(cls, grid: BallGrid, first, second) -> "PairSet":
-        first = np.asarray(first, dtype=np.int64)
-        second = np.asarray(second, dtype=np.int64)
-        if first.shape != second.shape or first.ndim != 1:
-            raise ValueError("pair index arrays must be 1-D and equal length")
-        if np.any(first == second):
-            raise ValueError("pairs must join distinct nodes")
-        # gathered column by column: one coordinate array per axis is far
-        # cheaper to index than the (N, n) rows
-        diff = np.empty((first.shape[0], grid.n))
-        for d in range(grid.n):
-            column = np.ascontiguousarray(grid.nodes[:, d])
-            np.subtract(column.take(first), column.take(second),
-                        out=diff[:, d])
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        return cls(grid=grid, first=first, second=second, dist=dist,
-                   complete=False)
+        """The pair set of the pairs (first[p], second[p]): copies of the
+        two arrays, regrouped bucket by bucket with their given order kept
+        inside each bucket."""
+        return _pair_set(grid, np.array(first, dtype=np.int64),
+                         np.array(second, dtype=np.int64))
 
 
 @dataclass(eq=False)
@@ -483,18 +478,41 @@ class PairBuckets:
 
     Cube c holds the nodes node_order[cube_start[c]:cube_start[c + 1]].
     Bucket b holds the pairs whose nodes lie in the cubes cube_a[b] <=
-    cube_b[b], in either orientation: the pair indices order[indptr[b]:
-    indptr[b + 1]], in stored order.  min_dist_pow caches, per alpha, the
+    cube_b[b], in either orientation: the pair set stores them as the
+    slice indptr[b]:indptr[b + 1].  min_dist_pow caches, per alpha, the
     least dist_pow of each bucket.
     """
 
     node_order: np.ndarray
     cube_start: np.ndarray
-    order: np.ndarray        # int32
     indptr: np.ndarray
     cube_a: np.ndarray
     cube_b: np.ndarray
     min_dist_pow: dict = field(default_factory=dict, repr=False)
+
+
+def _pair_set(grid: BallGrid, first: np.ndarray, second: np.ndarray,
+              complete: bool = False) -> PairSet:
+    """The pair set of the int64 arrays first and second, which it takes
+    over: they are regrouped bucket by bucket in place, so a pair set's
+    build holds no second copy of its pairs."""
+    if first.shape != second.shape or first.ndim != 1:
+        raise ValueError("pair index arrays must be 1-D and equal length")
+    if np.any(first == second):
+        raise ValueError("pairs must join distinct nodes")
+    buckets, order = _bucket_pairs(grid, first, second)
+    first[:] = first.take(order)
+    second[:] = second.take(order)
+    del order
+    # gathered column by column: one coordinate array per axis is far
+    # cheaper to index than the (N, n) rows
+    diff = np.empty((first.shape[0], grid.n))
+    for d in range(grid.n):
+        column = np.ascontiguousarray(grid.nodes[:, d])
+        np.subtract(column.take(first), column.take(second), out=diff[:, d])
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return PairSet(grid=grid, first=first, second=second, dist=dist,
+                   complete=complete, buckets=buckets)
 
 
 # Cube ids then fit in uint8 and bucket keys cube_a * count + cube_b in uint16.
@@ -515,27 +533,27 @@ def _node_cubes(grid: BallGrid) -> tuple[np.ndarray, int]:
         side += 1
 
 
-def _bucket_pairs(pairs: PairSet) -> PairBuckets:
-    # Allocated before the temporaries below: allocated after them, the kept
-    # array raised the peak RSS of a 2D res-33 halving solve by 1 MB.
-    order = np.empty(pairs.size, dtype=np.int32)
-    cube, count = _node_cubes(pairs.grid)
+def _bucket_pairs(grid: BallGrid, first: np.ndarray,
+                  second: np.ndarray) -> tuple[PairBuckets, np.ndarray]:
+    """The buckets of the pairs (first, second), and the permutation that
+    stores them bucket by bucket, keeping their order inside each."""
+    cube, count = _node_cubes(grid)
     node_order = np.argsort(cube, kind="stable")
     cube_start = np.searchsorted(cube[node_order], np.arange(count))
     # uint16 keys of the unordered cube pair: a stable radix sort groups
-    # the pairs by bucket and keeps their stored order inside each
-    ca, cb = cube.take(pairs.first), cube.take(pairs.second)
+    # the pairs by bucket and keeps their order inside each
+    ca, cb = cube.take(first), cube.take(second)
     key = np.minimum(ca, cb).astype(np.uint16)
     key *= count
     key += np.maximum(ca, cb)
-    order[:] = np.argsort(key, kind="stable")
-    key = key.take(order)
-    starts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    indptr = np.concatenate(([0], starts, [key.shape[0]]))
-    cube_a, cube_b = np.divmod(key[indptr[:-1]].astype(np.intp), count)
+    del ca, cb
+    order = np.argsort(key, kind="stable")
+    sizes = np.bincount(key, minlength=count * count)
+    present = np.flatnonzero(sizes)
+    indptr = np.concatenate(([0], np.cumsum(sizes[present])))
+    cube_a, cube_b = np.divmod(present, count)
     return PairBuckets(node_order=node_order, cube_start=cube_start,
-                       order=order, indptr=indptr, cube_a=cube_a,
-                       cube_b=cube_b)
+                       indptr=indptr, cube_a=cube_a, cube_b=cube_b), order
 
 
 def build_pair_set(grid: BallGrid, seed: int = 0,
@@ -545,13 +563,10 @@ def build_pair_set(grid: BallGrid, seed: int = 0,
         raise ValueError(f"pair cap {cap} too small for {N} nodes")
     total = N * (N - 1) // 2
     if total <= cap:
-        iu, ju = np.triu_indices(N, k=1)
-        ps = PairSet.from_pairs(grid, iu, ju)
-        ps.complete = True
-        return ps
+        return _pair_set(grid, *np.triu_indices(N, k=1), complete=True)
     # the draws are made in a helper, so its temporaries are freed before
-    # from_pairs allocates its own pair-length arrays
-    return PairSet.from_pairs(grid, *_sampled_pairs(grid, seed, cap))
+    # _pair_set allocates its own pair-length arrays
+    return _pair_set(grid, *_sampled_pairs(grid, seed, cap))
 
 
 def _sampled_pairs(grid: BallGrid, seed: int,

@@ -9,12 +9,13 @@ over all derivatives of order exactly l, and vector fields take the max over
 components.  Seminorms are evaluated on a PairSet, so every reported value
 is reproducible from (grid, seed, cap).
 
-A norm of one field is a plain scan of every pair.  A max over several
-fields (the jet norms, the solver norm, the potential's probe numerators)
-comes from :func:`max_weighted_norm`, a pruned scan of the same pair set:
-it bounds whole buckets of pairs, grouped by the lattice cubes of their
-nodes, and scans only the buckets that can hold the max.  Its value is
-bitwise that of the full scan.
+Every seminorm comes from a pruned scan of the pair set: pairs are stored
+in buckets by the lattice cubes of their nodes, each bucket is bounded from
+the cube maxima and minima, and only the buckets that can hold the max are
+scanned.  :func:`weighted_norm_values` prunes each field (column) on its
+own; :func:`max_weighted_norm`, the max over several fields (the jet norms,
+the solver norm, the potential's probe numerators), prunes them with one
+shared floor.  Either value is bitwise that of the full scan.
 """
 
 from __future__ import annotations
@@ -76,23 +77,40 @@ def _column_max_quotients(values: np.ndarray, first: np.ndarray,
 
 
 def weighted_norm_values(values: np.ndarray, alpha: float,
-                         pairs: PairSet) -> tuple[float, float, float]:
-    """(sup, seminorm, weighted) for raw node values, one per node."""
+                         pairs: PairSet) -> tuple:
+    """(sup, seminorm, weighted) of raw node values.
+
+    values has shape (N,), giving three floats, or (N, k), giving three
+    (k,) arrays, one entry per column.  Each column's seminorm is the max
+    quotient of a pruned pair scan (:func:`_column_semis`), bitwise that
+    of the full scan, NaN and inf propagating as in ``ndarray.max``.
+    """
     _check_alpha(alpha)
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (pairs.grid.node_count,):
+    if values.shape[:1] != (pairs.grid.node_count,) or values.ndim > 2:
         raise ValueError(f"values shape {values.shape} does not match node "
                          f"count {pairs.grid.node_count}")
-    sup = float(np.abs(values).max())
-    semi = float(_max_quotient(values, pairs.first, pairs.second,
-                               pairs.dist_pow(alpha)))
-    weighted = sup + (2.0 * pairs.grid.R) ** alpha * semi
-    return sup, semi, weighted
+    c = (2.0 * pairs.grid.R) ** alpha
+    block = values.reshape(values.shape[0], -1)
+    sup = np.abs(block).max(axis=0)
+    semi = _column_semis(block, sup, alpha, pairs)
+    if values.ndim == 2:
+        return sup, semi, sup + c * semi
+    sup, semi = float(sup[0]), float(semi[0])
+    return sup, semi, sup + c * semi
 
 
-# max_weighted_norm takes its floor from the buckets of largest bound, enough
-# of them to hold this many pairs.
+# A pruned scan takes its floor from the buckets of largest bound, enough of
+# them to hold this many pairs.
 _FLOOR_PAIRS = 4096
+# Per pair, a scan of chosen buckets costs 5-8 ns to build the index and
+# gather the pair, plus 4-5 ns per column; the stored-order scan costs
+# 4-5 ns a pair and column (measured on the 200k-pair sets of 2D res 33
+# and 3D res 21, one core of a 2-core x86 VM).  With the gather at about
+# 1.5 column scans, a bucket scan of k columns pays while the surviving
+# buckets hold at most k / (k + _GATHER) of the set: 40% for one column,
+# 67% for three, 89% for twelve.
+_GATHER = 1.5
 
 
 def _quotient_bounds(values: np.ndarray, alpha: float,
@@ -105,7 +123,7 @@ def _quotient_bounds(values: np.ndarray, alpha: float,
     only grows the quotient.  So every pair's float quotient is at most
     its bucket's bound, with no slack.
     """
-    buckets = pairs.buckets()
+    buckets = pairs.buckets
     by_cube = values.take(buckets.node_order, axis=0)
     top = np.maximum.reduceat(by_cube, buckets.cube_start, axis=0)
     low = np.minimum.reduceat(by_cube, buckets.cube_start, axis=0)
@@ -117,17 +135,69 @@ def _quotient_bounds(values: np.ndarray, alpha: float,
 
 def _bucket_scan(values: np.ndarray, alpha: float, pairs: PairSet,
                  chosen: np.ndarray) -> np.ndarray:
-    """Per-column max of the quotient over the pairs of the chosen buckets."""
-    buckets = pairs.buckets()
-    start = buckets.indptr[chosen]
-    size = buckets.indptr[chosen + 1] - start
-    # positions in buckets.order of every chosen pair, bucket after bucket
+    """Per-column max of the quotient over the pairs of the chosen buckets,
+    each a contiguous range of the stored pairs."""
+    indptr = pairs.buckets.indptr
+    start = indptr[chosen]
+    size = indptr[chosen + 1] - start
+    # the stored positions of every chosen pair, bucket after bucket
     at = np.repeat(start - (np.cumsum(size) - size), size)
     at += np.arange(at.shape[0])
-    ids = buckets.order.take(at)
-    return _column_max_quotients(values, pairs.first.take(ids),
-                                 pairs.second.take(ids),
-                                 pairs.dist_pow(alpha).take(ids))
+    first, second = pairs.first.take(at), pairs.second.take(at)
+    dist_pow = pairs.dist_pow(alpha).take(at)
+    del at
+    return _column_max_quotients(values, first, second, dist_pow)
+
+
+def _pruned_max(bound: np.ndarray, scan, pairs: PairSet, k: int):
+    """The max of scan(chosen buckets) over every bucket, or None when
+    pruning would not pay for k columns.
+
+    bound bounds, per bucket, every value scan can give for its pairs.
+    The buckets of largest bound, enough of them to hold _FLOOR_PAIRS
+    pairs, are scanned first for an exact floor, then only the buckets
+    whose bound is not <= that floor.  A skipped bucket cannot beat the
+    floor, so the result is the float of a scan of every bucket.
+    """
+    size = np.diff(pairs.buckets.indptr)
+    rank = np.argsort(bound)[::-1]
+    top = rank[:np.searchsorted(np.cumsum(size[rank]), _FLOOR_PAIRS) + 1]
+    best = scan(top)
+    live = ~(bound <= best)
+    live[top] = False
+    rest = np.flatnonzero(live)
+    if size[rest].sum() * (k + _GATHER) > pairs.size * k:
+        return None
+    return max(best, scan(rest)) if rest.size else best
+
+
+def _column_semis(values: np.ndarray, sup: np.ndarray, alpha: float,
+                  pairs: PairSet) -> np.ndarray:
+    """The max pair quotient (the seminorm) of each column of values (N, k).
+
+    Each finite column of a set over 2 * _FLOOR_PAIRS pairs is pruned on
+    its own (:func:`_pruned_max` with its own quotient bounds and floor).
+    Non-finite columns (inf - inf makes NaN quotients that no bound sees),
+    small sets and columns whose surviving buckets hold too much of the
+    set for pruning to pay take the full scan.
+    """
+    semi = np.empty(values.shape[1])
+    full = np.ones(values.shape[1], dtype=bool)
+    if pairs.size > 2 * _FLOOR_PAIRS:
+        cols = np.flatnonzero(np.isfinite(sup))
+        bounds = _quotient_bounds(values[:, cols], alpha, pairs)
+        for col, bound in zip(cols, bounds.T):
+            column = values[:, col:col + 1]
+            best = _pruned_max(bound, lambda chosen: _bucket_scan(
+                column, alpha, pairs, chosen)[0], pairs, 1)
+            if best is not None:
+                semi[col], full[col] = best, False
+    if full.any():
+        with np.errstate(invalid="ignore"):
+            semi[full] = _column_max_quotients(values[:, full], pairs.first,
+                                               pairs.second,
+                                               pairs.dist_pow(alpha))
+    return semi
 
 
 def max_weighted_norm(values: np.ndarray, alpha: float,
@@ -135,13 +205,12 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
     """The largest weighted norm over the columns of values (N, k).
 
     Bitwise the max over columns of :func:`weighted_norm_values`, NaN and
-    inf propagating as in ``ndarray.max``, from a pruned pair scan.  Each
-    column's norm is sup + c * (its largest pair quotient), with c =
-    (2R)^alpha, which is monotone in the quotient; so each bucket of
-    pairs is bounded by sup + c * (its quotient bound).  The buckets of
-    largest bound are scanned first for an exact floor, then only the
-    buckets whose bound is not <= that floor.  A skipped pair cannot beat
-    the floor, so the result is the full scan's float.
+    inf propagating as in ``ndarray.max``, from a pruned pair scan with one
+    floor shared by the columns.  Each column's norm is sup + c * (its
+    largest pair quotient), with c = (2R)^alpha, which is monotone in the
+    quotient; so each bucket of pairs is bounded by sup + c * (its
+    quotient bound), and :func:`_pruned_max` scans only the buckets that
+    can hold the max.
     """
     _check_alpha(alpha)
     values = np.asarray(values, dtype=np.float64)
@@ -154,22 +223,9 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
     # that no bound sees), take the full scan.
     if pairs.size > 2 * _FLOOR_PAIRS and np.isfinite(sup).all():
         bound = (sup + c * _quotient_bounds(values, alpha, pairs)).max(axis=1)
-        size = np.diff(pairs.buckets().indptr)
-        rank = np.argsort(bound)[::-1]
-        top = rank[:np.searchsorted(np.cumsum(size[rank]), _FLOOR_PAIRS) + 1]
-        best = (sup + c * _bucket_scan(values, alpha, pairs, top)).max()
-        live = ~(bound <= best)
-        live[top] = False
-        rest = np.flatnonzero(live)
-        # A bucket scan costs about 6 ns a pair to gather the pairs and 2 ns
-        # a pair per column; the stored-order scan costs 2.5 ns a pair per
-        # column (measured on the 200k-pair sets of 2D res 33 and 3D res
-        # 21).  With the 3 to 12 columns of the solver and probe norms the
-        # two meet at 60-90% of the set, so past half the full scan runs.
-        if size[rest].sum() <= pairs.size // 2:
-            if rest.size:
-                more = (sup + c * _bucket_scan(values, alpha, pairs, rest)).max()
-                best = np.maximum(best, more)
+        best = _pruned_max(bound, lambda chosen: (sup + c * _bucket_scan(
+            values, alpha, pairs, chosen)).max(), pairs, values.shape[1])
+        if best is not None:
             return float(best)
     with np.errstate(invalid="ignore"):
         semi = _column_max_quotients(values, pairs.first, pairs.second,
@@ -246,9 +302,10 @@ def taylor_remainder_ratio(field: ScalarField, alpha: float,
     hess_beta = multi_indices(n, 2)
     hess = {beta: fd_derivative(field, beta).values for beta in hess_beta}
 
+    semis = weighted_norm_values(np.stack(list(hess.values()), axis=1),
+                                 alpha, pairs)[1]
     semi_sum = 0.0
-    for beta in hess_beta:
-        _, semi, _ = weighted_norm_values(hess[beta], alpha, pairs)
+    for semi in semis.tolist():
         semi_sum += semi
     rhs = 0.5 * semi_sum * pairs.dist_pow(2.0 + alpha)
 

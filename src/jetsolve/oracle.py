@@ -8,12 +8,14 @@ not the pieces under it: ``potential_reference`` takes ``quad_weights``
 and ``self_cell_integrals`` from the potential module, because it checks
 the FFT convolution of that module, not its quadrature rule (the
 closed-form ``uniform_ball_potential`` checks the rule);
-``taylor_remainder_ratio_reference`` takes the derivatives and seminorms
-of ``holder``, and ``run_attempt_reference`` takes the sweep and the norm
-of ``picard``, because they check the pair scan and the norm schedule.
-``max_weighted_norm_reference`` shares only the pair set (its nodes and
-distances) with ``holder.max_weighted_norm``: it checks the pruning and
-the order of the scan, which it does not have, not the sampling of pairs.
+``taylor_remainder_ratio_reference`` takes the derivatives of ``grid``,
+and ``run_attempt_reference`` takes the sweep and the norm of ``picard``,
+because they check the pair scan and the norm schedule.
+``max_weighted_norm_reference`` and the Hessian seminorms of
+``taylor_remainder_ratio_reference`` share only the pair set (its nodes
+and distances) with ``holder``: each is a full scan written out in one
+line, so it checks the pruning and the order of the scan, which it does
+not have, not the sampling of pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import numpy as np
 
 from .grid import BallGrid, ScalarField, fd_derivative, multi_indices
-from .holder import _EPS, weighted_norm_values
+from .holder import _EPS
 from .picard import (CONTRACTION_THRESHOLD, AttemptRecord, make_state,
                      picard_map, solver_norm)
 from .potential import (KernelSpec, PotentialField, quad_weights,
@@ -32,23 +34,26 @@ from .potential import (KernelSpec, PotentialField, quad_weights,
 _BLOCK_BYTES = 4e7
 
 
-def uniform_ball_potential(n: int, R: float, x) -> float:
-    """Newtonian potential of f = 1 on B_R, evaluated at x.
+def uniform_ball_potential(n: int, R: float, x):
+    """Newtonian potential of f = 1 on B_R, evaluated at the points x.
 
-    Closed forms (u solves laplace(u) = -1, radially symmetric, with the
-    additive constant fixed by integrating the fundamental solution over
-    B_R at the origin):
+    x is one point (n,), giving a float, or a batch (..., n), giving an
+    array (...).  Closed forms (u solves laplace(u) = -1, radially
+    symmetric, with the additive constant fixed by integrating the
+    fundamental solution over B_R at the origin):
 
         n = 3:  u(x) = R^2/2 - |x|^2/6
         n = 2:  u(x) = R^2 (1 - 2 ln R)/4 - |x|^2/4
     """
     x = np.asarray(x, dtype=np.float64)
-    r2 = float(np.dot(x, x))
+    r2 = np.einsum("...i,...i->...", x, x)
     if n == 3:
-        return R * R / 2.0 - r2 / 6.0
-    if n == 2:
-        return R * R * (1.0 - 2.0 * math.log(R)) / 4.0 - r2 / 4.0
-    raise ValueError(f"n must be 2 or 3, got {n}")
+        u = R * R / 2.0 - r2 / 6.0
+    elif n == 2:
+        u = R * R * (1.0 - 2.0 * math.log(R)) / 4.0 - r2 / 4.0
+    else:
+        raise ValueError(f"n must be 2 or 3, got {n}")
+    return float(u) if x.ndim == 1 else u
 
 
 def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:
@@ -247,9 +252,10 @@ def taylor_remainder_ratio_reference(field: ScalarField, alpha: float,
                                      pairs) -> float:
     """Taylor remainder ratio by the direct expansion in both directions.
 
-    Rebuilds the pair offsets on every call, expands around each end with
-    the offset (or its negation) as written, and divides only the live
-    pairs.  The reference for ``holder.taylor_remainder_ratio``.
+    Rebuilds the pair offsets on every call, takes each Hessian seminorm
+    from a full scan of every pair, expands around each end with the
+    offset (or its negation) as written, and divides only the live pairs.
+    The reference for ``holder.taylor_remainder_ratio``.
     """
     if field.analytic_derivs is None:
         raise ValueError("taylor_remainder_ratio needs analytic_derivs")
@@ -265,8 +271,8 @@ def taylor_remainder_ratio_reference(field: ScalarField, alpha: float,
 
     semi_sum = 0.0
     for beta in hess_beta:
-        _, semi, _ = weighted_norm_values(hess[beta], alpha, pairs)
-        semi_sum += semi
+        v = hess[beta]
+        semi_sum += float((np.abs(v[i] - v[j]) / pairs.dist**alpha).max())
     rhs = 0.5 * semi_sum * pairs.dist ** (2.0 + alpha)
 
     scale = max(1.0, float(np.abs(f).max()))

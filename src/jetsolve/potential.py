@@ -31,7 +31,7 @@ import numpy as np
 
 from .grid import (BallGrid, PairSet, ScalarField, build_pair_set, fd_values,
                    multi_indices)
-from .holder import holder_norm, max_weighted_norm
+from .holder import max_weighted_norm, weighted_norm_values
 
 
 @dataclass(frozen=True)
@@ -259,21 +259,22 @@ def check_potential_norm_bound(samples, grid: BallGrid, alpha: float,
     """
     if pairs is None:
         pairs = build_pair_set(grid)
-    names, columns, dens = [], [], []
+    names, columns = [], []
     for k, probe in enumerate(samples):
         f = probe.field(grid) if hasattr(probe, "field") else probe
-        den = holder_norm(f, alpha, pairs).weighted
-        if den < 1e-14:
-            continue
+        if f.grid is not pairs.grid:
+            raise ValueError("field and pairs live on different grids")
         names.append(getattr(probe, "name", f"probe_{k}"))
         columns.append(f.values)
-        dens.append(den)
-    if not names:
+    dens = weighted_norm_values(np.stack(columns, axis=1), alpha, pairs)[2]
+    keep = np.flatnonzero(~(dens < 1e-14))
+    if not keep.size:
         raise ValueError("all probes had vanishing norm")
-    hess = potential_hessian(np.stack(columns, axis=1), grid).hess
+    hess = potential_hessian(np.stack([columns[k] for k in keep], axis=1),
+                             grid).hess
     ratios = {}
     upper = np.triu_indices(grid.n)
-    for k, name in enumerate(names):
-        num = max_weighted_norm(hess[:, upper[0], upper[1], k], alpha, pairs)
-        ratios[name] = num / dens[k]
+    for col, k in enumerate(keep):
+        num = max_weighted_norm(hess[:, upper[0], upper[1], col], alpha, pairs)
+        ratios[names[k]] = num / float(dens[k])
     return NormRatioReport(ratios=ratios, max_ratio=max(ratios.values()))

@@ -395,14 +395,22 @@ def test_pair_set_deterministic():
 @pytest.mark.parametrize("n,R,res,seed", [(2, 1.0, 21, 0), (2, 3.0, 33, 5),
                                           (3, 0.375, 13, 2), (3, 1.0, 21, 7)])
 def test_pair_set_matches_row_gather(n, R, res, seed):
-    # the column-by-column gather gives bitwise the row-gather distances
+    # the pairs are the draws (or triu) stably sorted on their unordered
+    # pair of lattice cubes of side 4, and the column-by-column gather
+    # gives bitwise the row-gather distances
     grid = build_grid(n, R, res)
     ps = build_pair_set(grid, seed=seed)
     N = grid.node_count
     if ps.complete:
         first, second = np.triu_indices(N, k=1)
     else:
-        first, second = ps.first, ps.second
+        first, second = grid_module._sampled_pairs(grid, seed,
+                                                   grid_module.DEFAULT_PAIR_CAP)
+    cube = np.unique(grid.lattice // 4, axis=0, return_inverse=True)[1]
+    a, b = cube.reshape(-1)[first], cube.reshape(-1)[second]
+    key = np.minimum(a, b) * (cube.max() + 1) + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    first, second = first[order], second[order]
     diff = grid.nodes[first] - grid.nodes[second]
     np.testing.assert_array_equal(ps.first, first)
     np.testing.assert_array_equal(ps.second, second)

@@ -21,6 +21,8 @@ from jetsolve import (
     weighted_norm_values,
     with_zero_jet,
 )
+from jetsolve import verify
+from jetsolve.grid import DEFAULT_PAIR_CAP, _sampled_pairs
 from jetsolve.holder import (_quotient_bounds, banach_algebra_holds,
                              comparison_base, max_weighted_norm,
                              norm_comparison_holds, taylor_remainder_holds,
@@ -230,8 +232,10 @@ def test_weighted_norm_values_matches_one_line_scan(n, res):
 def test_weighted_norm_values_rejects_bad_input(grid2, pairs2):
     n = grid2.node_count
     good = np.ones(n)
-    # a longer array would put its extra entries into the sup
-    for bad in (np.full(n + 1, 5.0), np.ones(n - 1), np.ones((n, 1))):
+    # a longer array would put its extra entries into the sup; (N, k)
+    # columns are accepted, a third axis is not
+    for bad in (np.full(n + 1, 5.0), np.ones(n - 1), np.full((n + 1, 2), 5.0),
+                np.ones((n, 2, 1))):
         with pytest.raises(ValueError, match="node count"):
             weighted_norm_values(bad, 0.5, pairs2)
     for alpha in (0.0, 1.0, -0.5, 1.5):
@@ -276,7 +280,7 @@ def test_grid_mismatch_rejected(grid2, pairs2):
 
 def _node_cube(pairs):
     """Each node's cube, read back from the bucket structure."""
-    buckets = pairs.buckets()
+    buckets = pairs.buckets
     cube = np.empty(pairs.grid.node_count, dtype=np.int64)
     sizes = np.diff(np.append(buckets.cube_start, pairs.grid.node_count))
     cube[buckets.node_order] = np.repeat(np.arange(sizes.shape[0]), sizes)
@@ -284,11 +288,9 @@ def _node_cube(pairs):
 
 
 def _bucket_of_pair(pairs):
-    buckets = pairs.buckets()
-    bucket = np.empty(pairs.size, dtype=np.int64)
-    bucket[buckets.order] = np.repeat(np.arange(buckets.indptr.shape[0] - 1),
-                                      np.diff(buckets.indptr))
-    return bucket
+    """Each stored pair's bucket, read from the bucket slices."""
+    indptr = pairs.buckets.indptr
+    return np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
 
 
 def _column(kind, grid, rng):
@@ -333,24 +335,82 @@ def test_max_weighted_norm_matches_full_scan(case, R, alpha, kinds, seed):
     assert got.hex() == want.hex()
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_ENGINE_GRIDS), R=st.floats(0.2, 4.0),
+       alpha=st.floats(0.01, 0.99),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+       seed=st.integers(0, 2**31 - 1))
+def test_weighted_norm_values_matches_full_scan_per_column(case, R, alpha,
+                                                           kinds, seed):
+    # every column of the pruned per-column engine against the one-line
+    # scan of that column alone, float.hex-equal
+    n, res = case
+    grid = build_grid(n, R, res)
+    pairs = build_pair_set(grid, seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    values = np.stack([_column(k, grid, rng) for k in kinds], axis=1)
+    c = (2.0 * grid.R) ** alpha
+    with np.errstate(invalid="ignore"):
+        got = weighted_norm_values(values, alpha, pairs)
+        for k, v in enumerate(values.T):
+            sup = float(np.abs(v).max())
+            semi = float((np.abs(v[pairs.first] - v[pairs.second])
+                          / pairs.dist**alpha).max())
+            assert [float(x[k]).hex() for x in got] == [
+                sup.hex(), semi.hex(), (sup + c * semi).hex()]
+
+
+@pytest.mark.parametrize("n,res,seed", [(2, 33, 3), (2, 17, 0), (3, 13, 1)])
+def test_banach_block_matches_per_field_full_scans(n, res, seed):
+    # the block's column-block norms against one plain scan per field and
+    # per product, the worst ratio float.hex-equal
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=seed)
+    battery = lemma_battery(n)
+    fields = [p.field(grid).values for p in battery]
+
+    def norm(v):
+        return max_weighted_norm_reference(v[:, None], 0.5, pairs)
+
+    norms = [norm(v) for v in fields]
+    worst, worst_pair = 0.0, None
+    for i in range(len(fields)):
+        for j in range(i, len(fields)):
+            ratio = norm(fields[i] * fields[j]) / (norms[i] * norms[j])
+            if ratio > worst:
+                worst, worst_pair = ratio, [battery[i].name, battery[j].name]
+    block = verify._banach_block(battery, grid, pairs, 0.5)
+    assert block["worst_ratio"].hex() == worst.hex()
+    assert block["worst_pair"] == worst_pair
+    assert block["violations"] == []
+
+
 @pytest.mark.parametrize("n,res,seed", [(2, 17, 0), (3, 9, 0), (2, 33, 1),
                                         (3, 21, 2)])
 def test_pair_buckets_hold_their_invariants(n, res, seed):
     grid = build_grid(n, 1.3, res)
     pairs = build_pair_set(grid, seed=seed)
-    buckets = pairs.buckets()
-    assert buckets.order.dtype == np.int32
-    np.testing.assert_array_equal(np.sort(buckets.order), np.arange(pairs.size))
-    # stored order inside every bucket
-    rising = np.diff(buckets.order.astype(np.int64)) > 0
+    buckets = pairs.buckets
+    N = grid.node_count
+    drawn = (np.triu_indices(N, k=1) if pairs.complete
+             else _sampled_pairs(grid, seed, DEFAULT_PAIR_CAP))
+    # every bucket is a contiguous slice holding its pairs in drawn order:
+    # the stored pairs are the draws, stably sorted on the test's own key
+    cells = np.unique(grid.lattice // 4, axis=0, return_inverse=True)[1]
+    a, b = cells.reshape(-1)[drawn[0]], cells.reshape(-1)[drawn[1]]
+    perm = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
+    np.testing.assert_array_equal(pairs.first, drawn[0][perm])
+    np.testing.assert_array_equal(pairs.second, drawn[1][perm])
+    rising = np.diff(perm) > 0
     rising[buckets.indptr[1:-1] - 1] = True
     assert rising.all()
+    assert buckets.indptr[0] == 0 and buckets.indptr[-1] == pairs.size
+    assert np.all(np.diff(buckets.indptr) > 0)
+    assert np.all(np.diff(buckets.cube_a * 256 + buckets.cube_b) > 0)
     # cubes of 4 lattice steps while at most 256 of them hold nodes
     cube = _node_cube(pairs)
     assert cube.max() < 256
-    cells = grid.lattice // 4
-    assert np.array_equal(np.unique(cells, axis=0, return_inverse=True)[1]
-                          .reshape(-1), cube)
+    assert np.array_equal(cells.reshape(-1), cube)
     # every pair sits in the bucket of its own unordered cube pair
     bucket = _bucket_of_pair(pairs)
     a, b = cube[pairs.first], cube[pairs.second]
@@ -363,8 +423,8 @@ def test_pair_buckets_hold_their_invariants(n, res, seed):
         dist_pow = pairs.dist_pow(alpha)
         least = pairs.bucket_min_dist_pow(alpha)
         assert np.all(dist_pow >= least[bucket])
-        assert np.all(np.minimum.reduceat(dist_pow[buckets.order],
-                                          buckets.indptr[:-1]) == least)
+        assert np.all(np.minimum.reduceat(dist_pow, buckets.indptr[:-1])
+                      == least)
         # every pair's float quotient is within its bucket's bound
         bound = _quotient_bounds(values, alpha, pairs)
         quotient = (np.abs(values[pairs.first] - values[pairs.second])
@@ -408,10 +468,52 @@ def test_max_weighted_norm_scans_buckets_just_above_the_floor():
     c = (2.0 * grid.R) ** alpha
     sup = np.abs(values).max(axis=0)
     bound = (sup + c * _quotient_bounds(values, alpha, pairs)).max(axis=1)
-    size = np.diff(pairs.buckets().indptr)
+    size = np.diff(pairs.buckets.indptr)
     assert size[bound > want].sum() > 4096
     assert size[bound > floor].sum() < pairs.size / 2
     assert max_weighted_norm(values, alpha, pairs).hex() == want.hex()
+
+
+def test_weighted_norm_values_scans_buckets_just_above_a_column_floor():
+    # One column: a dipole, +1 and -1 on two diagonal neighbours, in every
+    # full cube left of x1 = 0.1 (the first 1e-3 stronger), plus a step of
+    # height t across x1 = 0.5.  A dipole's own bucket bounds at about 1.2
+    # times its value, so those buckets fill the floor scan and the floor
+    # is the first dipole's quotient.  t puts the step's quotient 3e-4
+    # above it, in buckets whose bound is exact: they beat the column's
+    # floor by less than a relative slack of 1e-3 would let through.
+    grid = build_grid(2, 1.0, 33)
+    N = grid.node_count
+    pairs = build_pair_set(grid, cap=N * (N - 1) // 2)
+    alpha, x = 0.5, grid.nodes
+    cube = _node_cube(pairs)
+    dipoles = np.zeros(N)
+    strength = 1.001
+    for c in np.unique(cube):
+        members = np.flatnonzero(cube == c)
+        if members.size == 16 and np.all(x[members, 0] < 0.1):
+            local = grid.lattice[members] - grid.lattice[members].min(axis=0)
+            dipoles[members[np.all(local == 0, axis=1)]] = strength
+            dipoles[members[np.all(local == 1, axis=1)]] = -strength
+            strength = 1.0
+
+    def semi(v):
+        return float((np.abs(v[pairs.first] - v[pairs.second])
+                      / pairs.dist**alpha).max())
+
+    floor = semi(dipoles)
+    step = (x[:, 0] > 0.5).astype(float)
+    column = dipoles + floor * (1 + 3e-4) / semi(step) * step
+    want = semi(column)
+    assert floor < want < floor * (1 + 1e-3)
+    # the setting: the buckets bounding above the answer hold more than the
+    # floor scan, and those bounding above the floor a small share
+    bound = _quotient_bounds(column[:, None], alpha, pairs)[:, 0]
+    size = np.diff(pairs.buckets.indptr)
+    assert size[bound > want].sum() > 4096
+    assert size[bound > floor].sum() < pairs.size / 10
+    got = weighted_norm_values(column[:, None], alpha, pairs)[1]
+    assert float(got[0]).hex() == want.hex()
 
 
 def test_max_weighted_norm_rejects_bad_input(grid2, pairs2):

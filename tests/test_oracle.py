@@ -1,5 +1,7 @@
 """Independent oracles: closed forms and enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,28 @@ def test_uniform_ball_potential_radial():
         a = uniform_ball_potential(n, R, np.array([0.3, 0.0, 0.0][:n]))
         b = uniform_ball_potential(n, R, np.array([0.0, -0.3, 0.0][:n]))
         assert a == pytest.approx(b, rel=1e-14)
+
+
+@pytest.mark.parametrize("n,R", [(2, 0.4), (2, 1.0), (2, 2.5), (3, 0.7),
+                                 (3, 1.0), (3, 3.0)])
+def test_uniform_ball_potential_batch_matches_scalar_form(n, R):
+    # a batch (..., n) gives, point for point, the value of one point (n,),
+    # and both agree with the closed form written with np.dot to within
+    # 4 ulp of the largest value
+    nodes = build_grid(n, R, 17).nodes
+    batch = uniform_ball_potential(n, R, nodes)
+    scalar = np.array([uniform_ball_potential(n, R, x) for x in nodes])
+    assert batch.shape == (nodes.shape[0],)
+    np.testing.assert_array_equal(batch, scalar)
+    stacked = uniform_ball_potential(n, R, nodes[:40].reshape(2, 20, n))
+    np.testing.assert_array_equal(stacked, batch[:40].reshape(2, 20))
+    assert isinstance(uniform_ball_potential(n, R, nodes[3]), float)
+    const = (R * R / 2.0 if n == 3
+             else R * R * (1.0 - 2.0 * math.log(R)) / 4.0)
+    dotted = np.array([const - float(np.dot(x, x)) / (2.0 * n)
+                       for x in nodes])
+    np.testing.assert_allclose(batch, dotted, rtol=0,
+                               atol=4 * np.spacing(np.abs(dotted).max()))
 
 
 def test_uniform_ball_potential_rejects_bad_dimension():

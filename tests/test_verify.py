@@ -137,25 +137,26 @@ def test_each_quantity_measured_once(monkeypatch, size):
     monkeypatch.setattr(verify, "lemma_battery", lambda n: battery)
     counts = _count_calls(monkeypatch, ["holder.taylor_remainder_ratio",
                                         "holder.jet_norm",
-                                        "holder.holder_norm",
                                         "potential._apply_potential"])
-    banach_norms = []
-    banach_block = verify._banach_block
+    # the columns each of the Banach block's weighted_norm_values calls
+    # measures: the B fields, then the products of field i with fields
+    # i, ..., B - 1, one block per i
+    columns = []
+    measure = verify.weighted_norm_values
 
-    def counted_banach_block(*args, **kwargs):
-        before = counts["holder.holder_norm"]
-        out = banach_block(*args, **kwargs)
-        banach_norms.append(counts["holder.holder_norm"] - before)
-        return out
+    def counted(values, *args, **kwargs):
+        columns.append(np.shape(values)[1])
+        return measure(values, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "_banach_block", counted_banach_block)
+    monkeypatch.setattr(verify, "weighted_norm_values", counted)
     suite = run_lemma_suite(n=2, R=1.0, res=9, alpha=0.5, seed=0)
     B = suite["battery_size"]
     assert B == size
     assert counts["holder.taylor_remainder_ratio"] == B
     assert counts["holder.jet_norm"] == B
-    assert banach_norms == [B + B * (B + 1) // 2]
+    assert columns == [B] + list(range(B, 0, -1))
+    assert sum(columns) == B + B * (B + 1) // 2
     # one pass of the constant source, one stacked pass of the norm probes
     assert counts["potential._apply_potential"] == 2
     if B == 22:
-        assert banach_norms == [275]
+        assert sum(columns) == 275
