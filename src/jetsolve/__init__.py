@@ -9,9 +9,9 @@ search on top of the harmonic-map machinery yields upper bounds for a
 Riemannian analogue of the Kobayashi metric.
 """
 
-from .grid import (BallGrid, PairSet, ScalarField, VectorField, build_grid,
-                   build_pair_set, fd_derivative, fd_values, field_from_callable,
-                   multi_indices, vector_field_from_matrix)
+from .grid import (BallGrid, PairSet, ScalarField, build_grid, build_pair_set,
+                   fd_derivative, fd_values, field_from_callable,
+                   multi_indices)
 from .holder import (HolderReport, JetNormReport, holder_norm, jet_norm,
                      taylor_remainder_ratio, weighted_norm_values)
 from .kobayashi import (KobayashiEstimate, KobayashiQuery,
@@ -52,7 +52,7 @@ __all__ = [
     "PairSet", "PoissonSystem", "PotentialField", "Probe", "ResidualReport",
     "ScalarField", "SolveConfig", "SolveFailure", "SolveReport",
     "SYSTEM_REGISTRY", "SystemDef", "TARGET_REGISTRY", "TargetManifold",
-    "VectorField", "build_grid", "build_pair_set", "build_system",
+    "build_grid", "build_pair_set", "build_system",
     "check_ellipticity", "check_potential_norm_bound", "constant_probe",
     "coordinate_probe", "choose_norm_radius", "coefficient_deviation_sup",
     "conformality_defect", "diagonalize", "estimate", "euclidean_target",
@@ -68,6 +68,6 @@ __all__ = [
     "seed_field_values", "self_cell_integrals", "separable", "shift_jet",
     "solve_system", "solver_norm", "source_term",
     "sphere_stereographic_target", "taylor_remainder_ratio",
-    "uniform_ball_potential", "vector_field_from_matrix",
+    "uniform_ball_potential",
     "weighted_norm_values", "with_zero_jet",
 ]

@@ -19,6 +19,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,7 +32,8 @@ from .kobayashi import KobayashiQuery, estimate
 from .picard import (HarmonicPolynomial, OracleFailure, SolveConfig,
                      SolveFailure, solve_system)
 from .reduce import ChartError, EllipticityError, JetSpec
-from .systems import SYSTEM_REGISTRY, TARGET_REGISTRY, build_system
+from .systems import (SYSTEM_REGISTRY, TARGET_REGISTRY, build_system,
+                      integral_value)
 from .verify import run_lemma_suite
 
 EXIT_OK = 0
@@ -40,19 +42,15 @@ EXIT_CONFIG_ERROR = 3
 EXIT_ORACLE_FAILURE = 4
 
 # version of the report.json layout, bumped when the layout changes
-REPORT_SCHEMA = 5
+REPORT_SCHEMA = 6
 
 _SOLVER_KEYS = {
     "R0": float, "R_min": float, "res": int, "alpha": float, "tol": float,
-    "max_iter": int, "gamma0": float, "max_gamma_doublings": int,
-    "seed": int,
+    "max_iter": int, "gamma0": float, "seed": int,
 }
 
 # the Kobayashi radius schedule; KobayashiQuery holds the defaults
-_SCHEDULE_KEYS = {
-    "r_start": float, "growth": float, "max_steps": int,
-    "conformality_tol": float,
-}
+_SCHEDULE_KEYS = {"r_start": float, "growth": float, "max_steps": int}
 
 
 class ConfigError(ValueError):
@@ -87,6 +85,12 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
+def _reject_unknown(cfg: dict, known: set[str], where: str = "config") -> None:
+    unknown = set(cfg) - known
+    if unknown:
+        raise ConfigError(f"unknown {where} field(s): {sorted(unknown)}")
+
+
 def _merge_flags(file_cfg: dict, args: argparse.Namespace,
                  keys: list[str]) -> dict:
     merged = dict(file_cfg)
@@ -97,23 +101,11 @@ def _merge_flags(file_cfg: dict, args: argparse.Namespace,
     return merged
 
 
-def _integral(value) -> int:
-    """An integer field's value: an int, or a float with no fractional part.
-
-    int() alone would truncate 21.5 to 21, read "21" as 21 and true as 1.
-    """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise TypeError("not an integral number")
-
-
 def _coerce(cfg: dict, key: str, caster):
     if key not in cfg or cfg[key] is None:
         return None
     try:
-        return _integral(cfg[key]) if caster is int else caster(cfg[key])
+        return integral_value(cfg[key]) if caster is int else caster(cfg[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {key!r}: cannot interpret {cfg[key]!r} "
                           f"as {caster.__name__}") from exc
@@ -190,7 +182,7 @@ def _parse_system(cfg: dict, n: int):
             f"known: {sorted(SYSTEM_REGISTRY)}")
     try:
         system = build_system(name, n, params)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"field 'system.params': {exc}") from exc
     return name, params, system
 
@@ -231,13 +223,11 @@ def _write_report(path: str, payload: dict) -> None:
 
 
 def _write_field_csv(path: str, coords: np.ndarray, values: np.ndarray,
-                     residuals: np.ndarray | None) -> None:
+                     residuals: np.ndarray) -> None:
     n = coords.shape[1]
     m = values.shape[1]
     header = ([f"x{i+1}" for i in range(n)] + [f"u{k+1}" for k in range(m)]
               + ["residual"])
-    if residuals is None:
-        residuals = np.full(coords.shape[0], np.nan)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(coords.shape[0]):
@@ -263,11 +253,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _merge_flags(file_cfg, args,
                        list(_SOLVER_KEYS) + ["system", "n", "report", "field"])
-    known = (set(_SOLVER_KEYS) | {"system", "n", "m", "jet", "harmonic_seed",
-                                  "report", "field"})
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+    _reject_unknown(cfg, set(_SOLVER_KEYS) | {
+        "system", "n", "m", "jet", "harmonic_seed", "report", "field"})
 
     n = _coerce(cfg, "n", int)
     if n not in (2, 3):
@@ -319,11 +306,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "metadata": _metadata(started),
     }
     _write_report(report_path, payload)
-    coords = (report.original_coords if report.original_coords is not None
-              else grid.nodes)
-    values = (report.reconstructed if report.reconstructed is not None
-              else report.solution.values_matrix())
-    _write_field_csv(field_path, coords, values, report.node_residuals)
+    _write_field_csv(field_path, report.original_coords, report.reconstructed,
+                     report.node_residuals)
     print(f"converged at R={report.final_R:g} after {report.iterations} "
           f"iterations; residual={report.residual:.3e}; "
           f"report -> {report_path}; field -> {field_path}")
@@ -361,7 +345,12 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     if seed < 0:
         raise ConfigError(f"field 'seed': must be >= 0, got {seed}")
 
-    result = run_lemma_suite(n=n, R=radius, res=res, alpha=alpha, seed=seed)
+    try:
+        result = run_lemma_suite(n=n, R=radius, res=res, alpha=alpha,
+                                 seed=seed)
+    except ValueError as exc:  # every argument is valid: R overflows a field
+        raise ConfigError(f"field 'R': {radius} is out of range "
+                          f"({exc})") from exc
     payload = {
         "schema": REPORT_SCHEMA,
         "command": "verify-lemmas",
@@ -380,10 +369,8 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
     started = time.monotonic()
     file_cfg = _load_config_file(args.config)
     cfg = _merge_flags(file_cfg, args, list(_SCHEDULE_KEYS) + ["report"])
-    known = set(_SCHEDULE_KEYS) | {"target", "p", "X", "solver", "report"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+    _reject_unknown(cfg, set(_SCHEDULE_KEYS) | {"target", "p", "X", "solver",
+                                                "report"})
 
     raw_target = cfg.get("target")
     if raw_target is None:
@@ -410,6 +397,8 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
     solver_cfg = cfg.get("solver") or {}
     if not isinstance(solver_cfg, dict):
         raise ConfigError("field 'solver': expected an object of solver keys")
+    _reject_unknown(solver_cfg, set(_SOLVER_KEYS) | {"harmonic_seed"},
+                    where="solver")
     base = _build_solve_config(solver_cfg)
     schedule = {key: _coerce(cfg, key, caster)
                 for key, caster in _SCHEDULE_KEYS.items()
@@ -447,19 +436,7 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
         "schema": REPORT_SCHEMA,
         "command": "kobayashi",
         "config": resolved,
-        "result": {
-            "upper_bound": est.upper_bound,
-            "r_best": est.r_best,
-            "certificate": est.certificate,
-            "inconclusive": est.inconclusive,
-            "partner": None if est.partner is None else est.partner.tolist(),
-            "outcomes": [
-                {"R": o.R, "success": o.success, "reason": o.reason,
-                 "residual": o.residual, "iterations": o.iterations,
-                 "conformality_defect": o.conformality_defect}
-                for o in est.outcomes
-            ],
-        },
+        "result": dataclasses.asdict(est),
         "metadata": _metadata(started),
     }
     _write_report(report_path, payload)

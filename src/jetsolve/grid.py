@@ -138,41 +138,9 @@ class ScalarField:
             raise ValueError("field values must be finite")
 
 
-@dataclass(eq=False)
-class VectorField:
-    """Tuple of scalar components on a shared grid."""
-
-    components: tuple[ScalarField, ...]
-
-    def __post_init__(self):
-        self.components = tuple(self.components)
-        if not self.components:
-            raise ValueError("VectorField needs at least one component")
-        g = self.components[0].grid
-        if any(c.grid is not g for c in self.components[1:]):
-            raise ValueError("components must share one grid")
-
-    @property
-    def grid(self) -> BallGrid:
-        return self.components[0].grid
-
-    @property
-    def m(self) -> int:
-        return len(self.components)
-
-    def values_matrix(self) -> np.ndarray:
-        return np.stack([c.values for c in self.components], axis=1)
-
-
 def field_from_callable(grid: BallGrid, fn, analytic_derivs=None) -> ScalarField:
     return ScalarField(grid, np.asarray(fn(grid.nodes), dtype=np.float64),
                        analytic_derivs=analytic_derivs)
-
-
-def vector_field_from_matrix(grid: BallGrid, values: np.ndarray) -> VectorField:
-    values = np.asarray(values, dtype=np.float64)
-    return VectorField(tuple(ScalarField(grid, values[:, c])
-                             for c in range(values.shape[1])))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ The scale-invariant weighted norm on B_R is
     ||f||_a = sup |f| + (2R)^a * H_a[f],
 
 with H_a the Hölder seminorm; the order-l jet norm takes the max of ||.||_a
-over all derivatives of order exactly l, and vector fields take the max over
-components.  Seminorms are evaluated on a PairSet, so every reported value
-is reproducible from (grid, seed, cap).
+over all derivatives of order exactly l, and the solver's norm of an (N, m)
+iterate over its components too.  Seminorms are evaluated on a PairSet, so
+every reported value is reproducible from (grid, seed, cap).
 
 Every seminorm comes from a pruned scan of the pair set: pairs are stored
 in buckets by the lattice cubes of their nodes, each bucket is bounded from
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (PairSet, ScalarField, VectorField, fd_derivative,
-                   multi_indices)
+from .grid import PairSet, ScalarField, fd_derivative, multi_indices
 
 _EPS = 1e-12
 
@@ -240,21 +239,19 @@ def holder_norm(field: ScalarField, alpha: float, pairs: PairSet) -> HolderRepor
     return HolderReport(*weighted_norm_values(field.values, alpha, pairs))
 
 
-def jet_norm(field, alpha: float, pairs: PairSet) -> JetNormReport:
-    """Weighted jet norms of a scalar or vector field for l = 0, 1, 2.
+def jet_norm(field: ScalarField, alpha: float,
+             pairs: PairSet) -> JetNormReport:
+    """Weighted jet norms of a scalar field for l = 0, 1, 2.
 
-    Derivatives come from the analytic oracle when a component carries one
+    Derivatives come from the analytic oracle when the field carries one
     and from finite differences otherwise.
     """
-    components = field.components if isinstance(field, VectorField) else (field,)
-    grid = components[0].grid
-    if grid is not pairs.grid:
+    if field.grid is not pairs.grid:
         raise ValueError("field and pairs live on different grids")
     orders = []
     for order in (0, 1, 2):
-        columns = [fd_derivative(comp, beta).values
-                   for beta in multi_indices(grid.n, order)
-                   for comp in components]
+        columns = [fd_derivative(field, beta).values
+                   for beta in multi_indices(field.grid.n, order)]
         orders.append(max_weighted_norm(np.stack(columns, axis=1), alpha,
                                         pairs))
     return JetNormReport(tuple(orders))

@@ -25,6 +25,10 @@ from .picard import (OracleFailure, SolveConfig, SolveFailure, SolveReport,
 from .reduce import JetSpec
 from .systems import TargetManifold, harmonic_map_system
 
+# Relative tolerance of a conformal jet: |h(u_x,u_x) - h(u_y,u_y)| +
+# |h(u_x,u_y)| may reach CONFORMALITY_TOL times h(u_x,u_x).
+CONFORMALITY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class KobayashiQuery:
@@ -36,7 +40,6 @@ class KobayashiQuery:
     r_start: float = 0.25
     growth: float = 1.5
     max_steps: int = 8
-    conformality_tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
@@ -57,8 +60,6 @@ class KobayashiQuery:
                 and self.max_steps >= 1):
             raise ValueError("schedule requires finite r_start > 0, finite "
                              "growth > 1 and max_steps >= 1")
-        if not 0 <= self.conformality_tol < math.inf:
-            raise ValueError("conformality_tol must be finite and >= 0")
 
     def schedule(self) -> list[float]:
         return [self.r_start * self.growth**k for k in range(self.max_steps)]
@@ -130,14 +131,14 @@ def conformality_defect(target: TargetManifold, p: np.ndarray,
 
 
 def is_conformal_jet(target: TargetManifold, p: np.ndarray,
-                     jet_matrix: np.ndarray, tol: float = 1e-8) -> bool:
+                     jet_matrix: np.ndarray) -> bool:
     """Relative conformality test of a prescribed (u_x, u_y) pair."""
     c1 = np.asarray(jet_matrix, dtype=np.float64)
     h = np.asarray(target.metric(np.asarray(p, dtype=np.float64)))
     scale = float(c1[:, 0] @ h @ c1[:, 0])
     if scale == 0.0:
         return bool(conformality_defect(target, p, c1) == 0.0)
-    return bool(conformality_defect(target, p, c1) <= tol * scale)
+    return bool(conformality_defect(target, p, c1) <= CONFORMALITY_TOL * scale)
 
 
 def _target_is_flat(target: TargetManifold, samples: int = 32) -> bool:
@@ -174,7 +175,7 @@ def estimate(query: KobayashiQuery,
     jet = JetSpec(query.p, np.column_stack([query.X, partner]))
     defect = conformality_defect(query.target, query.p, jet.c1)
     scale = float(query.X @ np.asarray(query.target.metric(query.p)) @ query.X)
-    if defect > query.conformality_tol * scale:
+    if defect > CONFORMALITY_TOL * scale:
         raise ValueError(
             f"constructed jet is not conformal (defect {defect}); "
             "orthogonal partner construction failed"

@@ -22,9 +22,8 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .grid import (DEFAULT_PAIR_CAP, BallGrid, PairSet, ScalarField,
-                   VectorField, build_grid, build_pair_set, fd_values,
-                   multi_indices)
+from .grid import (DEFAULT_PAIR_CAP, BallGrid, PairSet, build_grid,
+                   build_pair_set, fd_values, multi_indices)
 from .holder import max_weighted_norm
 from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
@@ -164,10 +163,12 @@ def seed_field_values(seed, grid: BallGrid, m: int) -> np.ndarray:
 # Constants of the method rather than settings of a solve: three sweeps in
 # a row whose increment ratio exceeds CONTRACTION_THRESHOLD count as stalled
 # contraction; gamma0 never falls below GAMMA0_FLOOR, which keeps a positive
-# norm ball when the source vanishes at the origin; the coefficient
+# norm ball when the source vanishes at the origin; gamma doubles at most
+# MAX_GAMMA_DOUBLINGS times in a solve, across all radii; the coefficient
 # deviation estimate draws DEVIATION_SAMPLES points per box.
 CONTRACTION_THRESHOLD = 0.9
 GAMMA0_FLOOR = 0.5
+MAX_GAMMA_DOUBLINGS = 6
 DEVIATION_SAMPLES = 512
 
 
@@ -182,7 +183,6 @@ class SolveConfig:
     tol: float = 1e-7
     max_iter: int = 40
     gamma0: float | None = None         # None -> derived from the source rule
-    max_gamma_doublings: int = 6
     seed: int = 0
     harmonic_seed: Sequence[HarmonicPolynomial] | HarmonicPolynomial | None = None
 
@@ -203,8 +203,6 @@ class SolveConfig:
             raise ValueError("res must be odd and at least 5")
         if self.gamma0 is not None and not 0 < self.gamma0 < math.inf:
             raise ValueError("gamma0 must be positive and finite")
-        if self.max_gamma_doublings < 0:
-            raise ValueError("max_gamma_doublings must be >= 0")
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
 
@@ -489,7 +487,7 @@ class SolveReport:
 
     status: str
     grid: BallGrid | None
-    solution: VectorField | None
+    solution: np.ndarray | None   # (N, m) converged iterate
     final_R: float
     gamma: float
     gamma0: float
@@ -609,7 +607,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
     """Run the adaptive fixed-point iteration.
 
     Policy: escape of the norm ball doubles gamma (bounded by
-    max_gamma_doublings, shared across radii); non-contraction, iteration
+    MAX_GAMMA_DOUBLINGS, shared across radii); non-contraction, iteration
     exhaustion, or an exhausted doubling budget halves the radius and
     restarts from zero on a fresh grid; gamma is carried across halvings.
     Raises NoConvergence/IterateEscaped at the radius floor, with the
@@ -654,7 +652,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
                 return _final_report(system, grid, pairs, f, f_norm, config,
                                      gamma, gamma0, c_hat, psi0,
                                      attempts)
-            if outcome == "escaped" and doublings < config.max_gamma_doublings:
+            if outcome == "escaped" and doublings < MAX_GAMMA_DOUBLINGS:
                 doublings += 1
                 gamma *= 2.0
                 record.gamma_end = gamma
@@ -689,11 +687,10 @@ def _final_report(system, grid, pairs, f, f_norm, config, gamma, gamma0,
     ratios = final.ratios
     geo = (float(np.exp(np.mean(np.log(ratios))))
            if ratios and all(r > 0 for r in ratios) else None)
-    fields = tuple(ScalarField(grid, f[:, k].copy()) for k in range(system.m))
     return SolveReport(
         status="converged",
         grid=grid,
-        solution=VectorField(fields),
+        solution=f,
         final_R=grid.R,
         gamma=gamma,
         gamma0=gamma0,
@@ -759,7 +756,7 @@ def solve_system(system: SystemDef, jet: JetSpec | None,
         check_ellipticity(system, samples=ellipticity_samples,
                           seed=config.seed)
     shifted = shift_jet(system, jet)
-    poisson = diagonalize(shifted, jet)
+    poisson = diagonalize(shifted)
     report = picard_solve(poisson, config)
     _attach_reconstruction(report, poisson, jet)
     return report
@@ -771,8 +768,7 @@ def _attach_reconstruction(report: SolveReport, poisson: PoissonSystem,
         return
     grid = report.grid
     x_orig = grid.nodes @ poisson.P_inv.T
-    v_vals = report.solution.values_matrix()
-    u_vals = jet.c0[None, :] + x_orig @ jet.c1.T + v_vals
+    u_vals = jet.c0[None, :] + x_orig @ jet.c1.T + report.solution
     report.original_coords = x_orig
     report.reconstructed = u_vals
     report.transform = poisson.P

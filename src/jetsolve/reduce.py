@@ -16,7 +16,8 @@ iteration consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,6 +54,13 @@ class SystemDef:
     p_bound: float = 1.0
     q_bound: float = 1.0
     chart_radius: float | None = None
+
+    def __post_init__(self):
+        # "not in range" also rejects nan, which would switch the
+        # ellipticity check off: nan fails every comparison
+        for key in ("x_bound", "p_bound", "q_bound", "lam"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,7 @@ class PoissonSystem:
     b: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     P: np.ndarray
     P_inv: np.ndarray
-    lam: float
     chart_radius: float | None = None
-    jet: JetSpec | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         z_x = np.zeros(self.n)
@@ -143,15 +148,13 @@ def shift_jet(system: SystemDef, jet: JetSpec) -> SystemDef:
     )
 
 
-def diagonalize(system: SystemDef, jet: JetSpec | None = None) -> PoissonSystem:
+def diagonalize(system: SystemDef) -> PoissonSystem:
     """Flatten the principal part at the zero jet into the Laplacian.
 
     Uses the symmetric inverse square root P = A0^(-1/2); gradients
     transform contravariantly, so the oracles receive q P where q is the
-    gradient in the new coordinates.
-
-    `jet` is recorded on the result for reconstruction bookkeeping only;
-    shift with shift_jet first when the expansion point is not the zero jet.
+    gradient in the new coordinates.  Shift with shift_jet first when the
+    expansion point is not the zero jet.
     """
     n, m = system.n, system.m
     z_x, z_p, z_q = np.zeros(n), np.zeros(m), np.zeros((m, n))
@@ -176,9 +179,8 @@ def diagonalize(system: SystemDef, jet: JetSpec | None = None) -> PoissonSystem:
         return P @ dev @ P.T
 
     return PoissonSystem(
-        n=n, m=m, psi=psi, b=b, P=P, P_inv=P_inv, lam=system.lam,
-        chart_radius=system.chart_radius, jet=jet,
-        meta={"A0_eigenvalues": evals.tolist(), "system": system.name},
+        n=n, m=m, psi=psi, b=b, P=P, P_inv=P_inv,
+        chart_radius=system.chart_radius,
     )
 
 

@@ -241,6 +241,29 @@ def harmonic_map_system(n: int, target: TargetManifold,
 # registries
 # ---------------------------------------------------------------------------
 
+def integral_value(value) -> int:
+    """An integer field's value: an int, or a float with no fractional part.
+
+    int() alone would truncate 21.5 to 21, read "21" as 21 and true as 1.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError("not an integral number")
+
+
+def _count_param(params: dict, key: str, default: int) -> int:
+    """A dimension parameter: an integral number, at least 1."""
+    value = params.get(key, default)
+    try:
+        if integral_value(value) >= 1:
+            return int(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{key!r} must be an integer >= 1, got {value!r}")
+
+
 TARGET_REGISTRY: dict[str, Callable[..., TargetManifold]] = {
     "euclidean": euclidean_target,
     "sphere": sphere_stereographic_target,
@@ -254,7 +277,7 @@ def _build_poisson(n: int, params: dict) -> SystemDef:
         const=params.get("const", 0.0),
         linear=np.asarray(params["linear"], dtype=np.float64)
         if "linear" in params else None,
-        m=int(params.get("m", 1)),
+        m=_count_param(params, "m", 1),
     )
 
 
@@ -276,7 +299,7 @@ def _build_harmonic_map(n: int, params: dict) -> SystemDef:
         raise ValueError(
             f"unknown target {target_name!r}; known: {sorted(TARGET_REGISTRY)}"
         )
-    target = TARGET_REGISTRY[target_name](int(params.get("target_dim", 2)))
+    target = TARGET_REGISTRY[target_name](_count_param(params, "target_dim", 2))
     return harmonic_map_system(n, target,
                                q_bound=float(params.get("q_bound", 1.0)))
 

@@ -133,7 +133,7 @@ def test_criterion_06_exact_quadratic_fixed_point():
                           SolveConfig(R0=1.0, res=17, seed=0))
     grid = report.grid
     want = c * np.einsum("ij,ij->i", grid.nodes, grid.nodes) / 6.0
-    got = report.solution.values_matrix()[:, 0]
+    got = report.solution[:, 0]
     rel = np.abs(got - want).max() / np.abs(want).max()
     ok = (report.status == "converged" and report.iterations <= 2
           and rel <= 0.02 and report.jet_value <= 1e-10
@@ -150,7 +150,7 @@ def test_criterion_07_minimal_surface_jet():
     flat = solve_system(system, JetSpec.zero(1, 2),
                         SolveConfig(R0=1.0, res=21, seed=0))
     flat_exact = (flat.status == "converged" and flat.iterations == 1
-                  and float(np.abs(flat.solution.values_matrix()).max()) == 0.0)
+                  and float(np.abs(flat.solution).max()) == 0.0)
 
     jet = JetSpec(np.zeros(1), np.array([[0.3, 0.0]]))
     cfg = SolveConfig(R0=1.0, res=41, seed=0)
@@ -193,7 +193,7 @@ def test_criterion_08_sphere_harmonic_maps():
                          JetSpec(np.array([0.3, -0.1]), np.zeros((2, 2))),
                          SolveConfig(R0=1.0, res=21, seed=0))
     const_exact = (const.status == "converged" and const.iterations == 1
-                   and float(np.abs(const.solution.values_matrix()).max()) == 0.0
+                   and float(np.abs(const.solution).max()) == 0.0
                    and const.in_chart)
 
     jet = JetSpec(np.zeros(2), np.array([[0.2, 0.0], [0.0, 0.0]]))

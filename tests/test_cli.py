@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import jetsolve
+import jetsolve.picard as picard_module
 from jetsolve.cli import _report_text, main
 
 
@@ -49,7 +50,7 @@ def test_solve_writes_report_and_field(workdir):
     rc = main(["solve", _write(workdir / "cfg.json", cfg)])
     assert rc == 0
     payload = json.loads((workdir / "report.json").read_text())
-    assert payload["schema"] == 5
+    assert payload["schema"] == 6
     assert payload["command"] == "solve"
     assert payload["result"]["status"] == "converged"
     assert payload["config"]["res"] == 13
@@ -156,9 +157,22 @@ def test_solve_report_independent_of_thread_count(workdir):
     pytest.param(lambda c: c.update(res=21.5), "res", id="res_fractional"),
     pytest.param(lambda c: c.update(max_iter=True), "max_iter",
                  id="max_iter_bool"),
+    # a constant of the method now, so an unknown field whatever its value
     pytest.param(lambda c: c.update(max_gamma_doublings="3"),
                  "max_gamma_doublings", id="max_gamma_doublings_string"),
     pytest.param(lambda c: c.update(seed=1.5), "seed", id="seed_fractional"),
+    # system parameters get the same number checks as solver keys
+    pytest.param(lambda c: c.update(system={
+        "name": "harmonic_map",
+        "params": {"target": "sphere", "target_dim": 2.5}}),
+        "target_dim", id="target_dim_fractional"),
+    pytest.param(lambda c: c.update(system={
+        "name": "poisson", "params": {"m": 1.7}}), "'m'", id="m_fractional"),
+    pytest.param(lambda c: c.update(system={
+        "name": "poisson", "params": {"m": 0}}), "'m'", id="m_zero"),
+    pytest.param(lambda c: c.update(system={
+        "name": "minimal_surface", "params": {"q_bound": "nan"}}),
+        "q_bound", id="q_bound_nan"),
 ])
 def test_solve_config_errors(workdir, capsys, mutate, needle):
     cfg = _solve_cfg()
@@ -219,10 +233,11 @@ def test_jet_outside_chart_is_config_error(workdir):
 # solve failures -> exit 2 with a report
 
 
-def test_unreachable_floor_exits_two(workdir):
+def test_unreachable_floor_exits_two(workdir, monkeypatch):
+    monkeypatch.setattr(picard_module, "MAX_GAMMA_DOUBLINGS", 1)
     cfg = _solve_cfg(
         system={"name": "poisson", "params": {"const": 5.0}},
-        gamma0=1e-6, R_min=0.5, max_gamma_doublings=1, max_iter=5, res=9,
+        gamma0=1e-6, R_min=0.5, max_iter=5, res=9,
     )
     rc = main(["solve", _write(workdir / "cfg.json", cfg)])
     assert rc == 2
@@ -252,7 +267,7 @@ def test_verify_lemmas_passes(workdir, capsys):
     assert stdout["result"]["all_passed"] is True
 
 
-def test_verify_lemmas_validates_args(workdir):
+def test_verify_lemmas_validates_args(workdir, capsys):
     assert main(["verify-lemmas", "--alpha", "2.0"]) == 3
     assert main(["verify-lemmas", "--res", "8"]) == 3
     assert main(["verify-lemmas", "--R", "nan"]) == 3
@@ -260,6 +275,11 @@ def test_verify_lemmas_validates_args(workdir):
     # complete pair sets (res 9) never read the seed, sampled ones (res 33) do
     for res in ("9", "33"):
         assert main(["verify-lemmas", "--res", res, "--seed", "-1"]) == 3
+    # a finite R at which a battery product overflows (past R of about 355)
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify-lemmas", "--R", "400", "--res", "9"]) == 3
+    assert "field 'R'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +323,7 @@ def test_kobayashi_rejects_non_finite_schedule(workdir, capsys):
     cfg = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.5, 0.0],
            "max_steps": 2, "solver": {"res": 7, "gamma0": 1.0}}
     path = _write(workdir / "cfg.json", cfg)
-    for flag, value in [("r_start", "nan"), ("growth", "inf"),
-                        ("conformality_tol", "-1"),
-                        ("conformality_tol", "nan")]:
+    for flag, value in [("r_start", "nan"), ("growth", "inf")]:
         assert main(["kobayashi", path, f"--{flag}", value]) == 3
         assert flag in capsys.readouterr().err
 
@@ -315,6 +333,10 @@ def test_kobayashi_rejects_non_finite_schedule(workdir, capsys):
     ({"max_steps": 2.5}, "max_steps"),
     ({"target": {"name": "hyperbolic", "dim": "two"}}, "dim"),
     ({"target": {"name": "hyperbolic", "dim": -1}}, "dim"),
+    # constants of the method now, so unknown fields
+    ({"conformality_tol": 1e-8}, "conformality_tol"),
+    ({"solver": {"res": 7, "gamma0": 1.0, "max_gamma_doublings": 6}},
+     "max_gamma_doublings"),
 ])
 def test_kobayashi_config_errors(workdir, capsys, update, needle):
     cfg = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.5, 0.0],

@@ -14,7 +14,6 @@ from jetsolve import (
     build_pair_set,
     fd_values,
     multi_indices,
-    vector_field_from_matrix,
 )
 import jetsolve.grid as grid_module
 from jetsolve.grid import _nearest, stencil_table
@@ -322,23 +321,6 @@ def test_scalar_field_validates_shape_and_finiteness(grid2):
     bad[0] = np.nan
     with pytest.raises(ValueError):
         ScalarField(grid2, bad)
-
-
-def test_vector_field_round_trip(grid2, rng):
-    mat = rng.normal(size=(grid2.node_count, 3))
-    vf = vector_field_from_matrix(grid2, mat)
-    assert vf.m == 3
-    np.testing.assert_array_equal(vf.values_matrix(), mat)
-
-
-def test_vector_field_requires_shared_grid(grid2):
-    other = build_grid(2, 1.0, 9)
-    from jetsolve import VectorField
-
-    a = ScalarField(grid2, np.zeros(grid2.node_count))
-    b = ScalarField(other, np.zeros(other.node_count))
-    with pytest.raises(ValueError):
-        VectorField((a, b))
 
 
 # ---------------------------------------------------------------------------

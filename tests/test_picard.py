@@ -19,6 +19,7 @@ from jetsolve import (
     OracleFailure,
     PairSet,
     PoissonSystem,
+    ScalarField,
     SolveConfig,
     build_grid,
     build_pair_set,
@@ -43,7 +44,6 @@ from jetsolve import (
     solver_norm,
     source_term,
     sphere_stereographic_target,
-    vector_field_from_matrix,
 )
 import jetsolve.oracle as oracle_module
 import jetsolve.picard as picard_module
@@ -152,8 +152,10 @@ def test_solver_norm_is_order_two_jet_norm(n, res, m, rng):
     grid = build_grid(n, 0.8, res)
     pairs = build_pair_set(grid, seed=3)
     vals = rng.normal(size=(grid.node_count, m))
-    expected = jet_norm(vector_field_from_matrix(grid, vals), 0.4, pairs)
-    assert solver_norm(grid, vals, 0.4, pairs) == expected.solver_norm
+    # a max is exact, so the max of per-component norms is bitwise the same
+    expected = max(jet_norm(ScalarField(grid, vals[:, k]), 0.4,
+                            pairs).solver_norm for k in range(m))
+    assert solver_norm(grid, vals, 0.4, pairs) == expected
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,8 +225,8 @@ def test_non_finite_iterate_escapes(bad, sweep, attempt, monkeypatch):
     if attempt == "eager":
         monkeypatch.setattr(picard_module, "_run_attempt",
                             run_attempt_reference)
-    cfg = SolveConfig(R0=1.0, res=9, seed=0, gamma0=10.0, R_min=0.5,
-                      max_gamma_doublings=1)
+    monkeypatch.setattr(picard_module, "MAX_GAMMA_DOUBLINGS", 1)
+    cfg = SolveConfig(R0=1.0, res=9, seed=0, gamma0=10.0, R_min=0.5)
     with np.errstate(invalid="ignore"), pytest.raises(IterateEscaped) as err:
         solve_system(poisson_system(2, const=1.0), JetSpec.zero(1, 2), cfg)
     report = err.value.report
@@ -268,7 +270,7 @@ def test_source_term_wraps_oracle_exceptions(grid2):
         system = PoissonSystem(
             n=2, m=1, psi=bad_psi,
             b=lambda x, p, q: np.zeros(np.shape(x)[:-1] + (2, 2)),
-            P=np.eye(2), P_inv=np.eye(2), lam=1.0)
+            P=np.eye(2), P_inv=np.eye(2))
         state = make_state(grid2, np.zeros((grid2.node_count, 1)))
         with pytest.raises(OracleFailure, match="node") as err:
             source_term(system, state)
@@ -283,7 +285,7 @@ def test_source_term_rejects_nonfinite(grid2):
             psi=lambda x, p, q, breaks=breaks: np.where(
                 breaks(x)[..., None], np.inf, 0.0),
             b=lambda x, p, q: np.zeros(np.shape(x)[:-1] + (2, 2)),
-            P=np.eye(2), P_inv=np.eye(2), lam=1.0)
+            P=np.eye(2), P_inv=np.eye(2))
         state = make_state(grid2, np.zeros((grid2.node_count, 1)))
         with pytest.raises(OracleFailure) as err:
             source_term(system, state)
@@ -310,7 +312,7 @@ def test_source_term_matches_node_by_node_reference(n, name, params, seed):
     system = build_system(name, n, params)
     jet = JetSpec(rng.uniform(-0.1, 0.1, size=system.m),
                   rng.uniform(-0.2, 0.2, size=(system.m, n)))
-    poisson = diagonalize(shift_jet(system, jet), jet)
+    poisson = diagonalize(shift_jet(system, jet))
     grid = build_grid(n, 0.5, 7)
     state = make_state(grid, rng.uniform(-0.05, 0.05,
                                          size=(grid.node_count, system.m)))
@@ -332,7 +334,7 @@ def test_constant_source_quadratic_solution():
     assert report.iterations <= 2
     grid = report.grid
     want = c * np.einsum("ij,ij->i", grid.nodes, grid.nodes) / 6.0
-    got = report.solution.values_matrix()[:, 0]
+    got = report.solution[:, 0]
     rel = np.abs(got - want).max() / np.abs(want).max()
     assert rel <= 0.02
     assert report.jet_value <= 1e-10
@@ -351,7 +353,7 @@ def test_linear_source_cubic_solution():
     grid = report.grid
     r2 = np.einsum("ij,ij->i", grid.nodes, grid.nodes)
     want = d * grid.nodes[:, 0] * r2 / 10.0
-    got = report.solution.values_matrix()[:, 0]
+    got = report.solution[:, 0]
     rel = np.abs(got - want).max() / np.abs(want).max()
     assert rel <= 0.05
 
@@ -363,7 +365,7 @@ def test_reconstruction_adds_jet_back():
     assert report.status == "converged"
     u = report.reconstructed[:, 0]
     x = report.original_coords
-    v = report.solution.values_matrix()[:, 0]
+    v = report.solution[:, 0]
     np.testing.assert_allclose(u, 0.2 + 0.3 * x[:, 0] + v, atol=1e-12)
 
 
@@ -425,11 +427,12 @@ def test_old_grid_is_released_before_the_next_is_built(monkeypatch):
     assert not any(any(seen) for seen in alive)
 
 
-def test_floor_exhaustion_raises_with_partial_report():
+def test_floor_exhaustion_raises_with_partial_report(monkeypatch):
     # an unconditionally escaping iterate (psi of order 1 with gamma pinned
     # microscopically) exhausts doublings and halvings
+    monkeypatch.setattr(picard_module, "MAX_GAMMA_DOUBLINGS", 1)
     cfg = SolveConfig(R0=1.0, res=9, seed=0, gamma0=1e-6, R_min=0.5,
-                      max_gamma_doublings=1, max_iter=5)
+                      max_iter=5)
     with pytest.raises((IterateEscaped, NoConvergence)) as err:
         solve_system(poisson_system(3, const=5.0), JetSpec.zero(1, 3), cfg)
     report = err.value.report
@@ -452,8 +455,8 @@ _ATTEMPT_CASES = {
     # the configuration of test_floor_exhaustion_raises_with_partial_report
     "escaped_to_the_floor": (
         poisson_system(3, const=5.0), 3,
-        dict(R0=1.0, res=9, seed=0, gamma0=1e-6, R_min=0.5,
-             max_gamma_doublings=1, max_iter=5), ("escaped", 1)),
+        dict(R0=1.0, res=9, seed=0, gamma0=1e-6, R_min=0.5, max_iter=5),
+        ("escaped", 1)),
     # the iterate's norm is first measured when its bound nears gamma
     "escape_inside_the_attempt": (
         minimal_surface_system(2, q_bound=2.5), 2,
@@ -470,6 +473,9 @@ _ATTEMPT_CASES = {
              harmonic_seed=_SADDLE), ("no_contraction", 8)),
 }
 
+# cases whose solve allows one gamma doubling, not MAX_GAMMA_DOUBLINGS
+_ONE_DOUBLING = {"escaped_to_the_floor"}
+
 
 def _bits(value):
     """float.hex of every float in a record, so == compares bit patterns."""
@@ -485,6 +491,8 @@ def _bits(value):
 @pytest.mark.parametrize("case", list(_ATTEMPT_CASES))
 def test_lazy_iterate_norms_match_eager_reference(case, monkeypatch):
     system, n, kwargs, first = _ATTEMPT_CASES[case]
+    if case in _ONE_DOUBLING:
+        monkeypatch.setattr(picard_module, "MAX_GAMMA_DOUBLINGS", 1)
 
     def run():
         try:
@@ -541,7 +549,7 @@ def test_probe_shares_the_first_solve_grid(case, monkeypatch):
         built.clear()
         report = solve_system(system, jet, SolveConfig(**kwargs))
         radii = len({a.R for a in report.attempts})
-        fields = [report.solution.values_matrix(), report.node_residuals,
+        fields = [report.solution, report.node_residuals,
                   report.reconstructed, report.original_coords]
         return (len(built) - radii, _bits(report.summary()),
                 [f.tobytes() for f in fields])
@@ -661,7 +669,7 @@ def test_probe_reuses_only_its_default_pair_set(monkeypatch):
     system = PoissonSystem(
         n=2, m=1, psi=lambda x, p, q: np.ones(np.shape(p)),
         b=lambda x, p, q: np.zeros(np.shape(x)[:-1] + (2, 2)),
-        P=np.eye(2), P_inv=np.eye(2), lam=1.0)
+        P=np.eye(2), P_inv=np.eye(2))
     for res, cap, reused in [(21, 200_000, True), (13, 200_000, False),
                              (33, 400_000, False)]:
         config = SolveConfig(res=res, seed=3)
@@ -688,7 +696,7 @@ def _linear_deviation_system():
         n=2, m=1,
         psi=lambda x, p, q: np.zeros(np.shape(p)),
         b=b,
-        P=np.eye(2), P_inv=np.eye(2), lam=1.0)
+        P=np.eye(2), P_inv=np.eye(2))
 
 
 def test_deviation_sup_exact_on_linear_coefficient():
@@ -748,7 +756,7 @@ def test_picard_solve_accepts_prediagonalized():
     {"max_iter": 0},
     {"R0": float("nan")},
     {"gamma0": -1.0},
-    {"max_gamma_doublings": -1},
+    {"R_min": 2.0},              # above R0
     {"R0": float("inf")},
     {"tol": float("nan")},
     {"tol": float("inf")},

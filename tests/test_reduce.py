@@ -121,11 +121,10 @@ def test_diagonalize_minimal_surface_origin_matrix():
     # the shift folds the jet into the oracle arguments first
     jet = JetSpec(np.zeros(1), np.array([[0.6, 0.0]]))
     sys0 = minimal_surface_system(2)
-    ps = diagonalize(shift_jet(sys0, jet), jet)
-    evs = np.asarray(ps.meta["A0_eigenvalues"])
-    want = np.array([1 - 0.36 / 1.36, 1.0])
-    np.testing.assert_allclose(np.sort(evs), np.sort(want), atol=1e-12)
-    assert ps.jet is jet
+    ps = diagonalize(shift_jet(sys0, jet))
+    want = np.eye(2) - np.outer([0.6, 0.0], [0.6, 0.0]) / 1.36
+    # P_inv = A0^(1/2), so P_inv @ P_inv is the symmetrized A0
+    np.testing.assert_allclose(ps.P_inv @ ps.P_inv, want, atol=1e-12)
 
 
 def test_diagonalize_rejects_indefinite():
