@@ -9,11 +9,10 @@ search on top of the harmonic-map machinery yields upper bounds for a
 Riemannian analogue of the Kobayashi metric.
 """
 
-from .grid import (BallGrid, PairSet, ScalarField, build_grid, build_pair_set,
-                   fd_derivative, fd_values, field_from_callable,
+from .grid import (BallGrid, PairSet, build_grid, build_pair_set, fd_values,
                    multi_indices)
-from .holder import (HolderReport, JetNormReport, holder_norm, jet_norm,
-                     taylor_remainder_ratio, weighted_norm_values)
+from .holder import (JetNormReport, jet_norm, taylor_remainder_ratio,
+                     weighted_norm_values)
 from .kobayashi import (KobayashiEstimate, KobayashiQuery,
                         conformality_defect, estimate, is_conformal_jet,
                         orthogonal_partner)
@@ -46,18 +45,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttemptRecord", "BallGrid", "ChartError", "EllipticityError",
-    "HarmonicPolynomial", "HolderReport", "IterateEscaped", "IterateState",
+    "HarmonicPolynomial", "IterateEscaped", "IterateState",
     "JetNormReport", "JetSpec", "KernelSpec", "KobayashiEstimate",
     "KobayashiQuery", "NoConvergence", "NormRatioReport", "OracleFailure",
     "PairSet", "PoissonSystem", "PotentialField", "Probe", "ResidualReport",
-    "ScalarField", "SolveConfig", "SolveFailure", "SolveReport",
+    "SolveConfig", "SolveFailure", "SolveReport",
     "SYSTEM_REGISTRY", "SystemDef", "TARGET_REGISTRY", "TargetManifold",
     "build_grid", "build_pair_set", "build_system",
     "check_ellipticity", "check_potential_norm_bound", "constant_probe",
     "coordinate_probe", "choose_norm_radius", "coefficient_deviation_sup",
     "conformality_defect", "diagonalize", "estimate", "euclidean_target",
-    "fd_derivative", "fd_values", "field_from_callable", "harmonic_map_system",
-    "holder_norm", "hyperbolic_disk_target", "is_conformal_jet", "jet_norm",
+    "fd_values", "harmonic_map_system", "hyperbolic_disk_target", "is_conformal_jet", "jet_norm",
     "laplacian_consistency", "lemma_battery", "make_state",
     "minimal_surface_system", "multi_indices", "newtonian_potential", "oracle",
     "origin_jet_magnitudes", "orthogonal_partner", "picard_map",

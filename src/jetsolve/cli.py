@@ -397,8 +397,7 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
     solver_cfg = cfg.get("solver") or {}
     if not isinstance(solver_cfg, dict):
         raise ConfigError("field 'solver': expected an object of solver keys")
-    _reject_unknown(solver_cfg, set(_SOLVER_KEYS) | {"harmonic_seed"},
-                    where="solver")
+    _reject_unknown(solver_cfg, set(_SOLVER_KEYS), where="solver")
     base = _build_solve_config(solver_cfg)
     schedule = {key: _coerce(cfg, key, caster)
                 for key, caster in _SCHEDULE_KEYS.items()

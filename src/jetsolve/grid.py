@@ -28,12 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-
-# Oracle giving exact derivative values: (beta, points) -> values.
-DerivOracle = Callable[[tuple[int, ...], np.ndarray], np.ndarray]
 
 DEFAULT_PAIR_CAP = 200_000
 
@@ -113,34 +109,6 @@ def build_grid(n: int, R: float, res: int) -> BallGrid:
         nodes=nodes, lattice=lattice, index_map=index_map,
         interior_mask=interior, origin_index=origin_index,
     )
-
-
-@dataclass(eq=False)
-class ScalarField:
-    """Scalar function sampled on the grid nodes.
-
-    analytic_derivs, when present, maps (beta, points) to exact derivative
-    values and is preferred over finite differences.
-    """
-
-    grid: BallGrid
-    values: np.ndarray
-    analytic_derivs: DerivOracle | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.grid.node_count,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match "
-                f"node count {self.grid.node_count}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-
-def field_from_callable(grid: BallGrid, fn, analytic_derivs=None) -> ScalarField:
-    return ScalarField(grid, np.asarray(fn(grid.nodes), dtype=np.float64),
-                       analytic_derivs=analytic_derivs)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +302,7 @@ def stencil_table(grid: BallGrid) -> StencilTable:
 
 def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
               node: int | None = None) -> np.ndarray:
-    """Finite-difference derivative of raw node values (no oracle shortcut).
+    """Finite-difference derivative of node values.
 
     vals has shape (N,) or (N, m); the result has the same shape, or drops
     the node axis when node picks the single row to evaluate.
@@ -357,22 +325,6 @@ def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
     out = np.add.reduceat(vals[table.index[lo:hi]] * w, ptr[:-1] - lo, axis=0)
     out /= grid.h**order
     return out if node is None else out[0]
-
-
-def fd_derivative(field: ScalarField, beta) -> ScalarField:
-    """Derivative field for a multi-index with |beta| <= 2.
-
-    Exact values are copied from the field's analytic oracle when present;
-    otherwise the grid's stencil table is applied.
-    """
-    grid = field.grid
-    beta = _canonical_beta(grid.n, beta)
-    if field.analytic_derivs is not None:
-        vals = np.asarray(field.analytic_derivs(beta, grid.nodes), dtype=np.float64)
-        if vals.shape != (grid.node_count,):
-            raise ValueError("analytic_derivs returned a bad shape")
-        return ScalarField(grid, vals)
-    return ScalarField(grid, fd_values(grid, field.values, beta))
 
 
 # ---------------------------------------------------------------------------

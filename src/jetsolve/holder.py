@@ -24,16 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PairSet, ScalarField, fd_derivative, multi_indices
+from .grid import PairSet, multi_indices
+from .probes import Probe
 
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    sup_norm: float
-    seminorm: float
-    weighted: float
 
 
 @dataclass(frozen=True)
@@ -41,11 +35,6 @@ class JetNormReport:
     """Weighted jet norms by derivative order (l = 0, 1, 2)."""
 
     orders: tuple[float, float, float]
-
-    @property
-    def solver_norm(self) -> float:
-        """The order-2 norm: the metric the fixed-point iteration lives in."""
-        return self.orders[2]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -232,26 +221,14 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
     return float((sup + c * semi).max())
 
 
-def holder_norm(field: ScalarField, alpha: float, pairs: PairSet) -> HolderReport:
-    """Weighted Hölder norm of a scalar field over the pair set."""
-    if field.grid is not pairs.grid:
-        raise ValueError("field and pairs live on different grids")
-    return HolderReport(*weighted_norm_values(field.values, alpha, pairs))
-
-
-def jet_norm(field: ScalarField, alpha: float,
-             pairs: PairSet) -> JetNormReport:
-    """Weighted jet norms of a scalar field for l = 0, 1, 2.
-
-    Derivatives come from the analytic oracle when the field carries one
-    and from finite differences otherwise.
-    """
-    if field.grid is not pairs.grid:
-        raise ValueError("field and pairs live on different grids")
+def jet_norm(probe: Probe, alpha: float, pairs: PairSet) -> JetNormReport:
+    """Weighted jet norms of a probe on the pair set's grid for l = 0, 1, 2,
+    from the probe's exact derivatives."""
+    grid = pairs.grid
     orders = []
     for order in (0, 1, 2):
-        columns = [fd_derivative(field, beta).values
-                   for beta in multi_indices(field.grid.n, order)]
+        columns = [probe.values(grid, beta)
+                   for beta in multi_indices(grid.n, order)]
         orders.append(max_weighted_norm(np.stack(columns, axis=1), alpha,
                                         pairs))
     return JetNormReport(tuple(orders))
@@ -271,14 +248,14 @@ def banach_algebra_holds(nf: float, ng: float, nfg: float) -> bool:
     return _within(nfg, nf * ng)
 
 
-def taylor_remainder_ratio(field: ScalarField, alpha: float,
+def taylor_remainder_ratio(probe: Probe, alpha: float,
                            pairs: PairSet) -> float:
     """Worst ratio of remainder to bound over all pairs, both directions.
 
     The bound is (1/2) (sum over |beta| = 2 of H_a[d^beta f]) |y-x|^(2+a);
     a return value <= 1 means the remainder inequality held everywhere.
-    Pairs where both sides vanish (quadratic fields) contribute 0.
-    Requires the analytic derivative oracle so the check certifies the
+    Pairs where both sides vanish (quadratic fields) contribute 0.  The
+    derivatives are the probe's exact ones, so the check certifies the
     inequality and not the stencils.
 
     The pair offsets and |y-x|^(2+a) are cached on the pair set.  The
@@ -287,17 +264,16 @@ def taylor_remainder_ratio(field: ScalarField, alpha: float,
     terms; every ratio is bitwise that of the direct expansion
     (``oracle.taylor_remainder_ratio_reference``).
     """
-    if field.analytic_derivs is None:
-        raise ValueError("taylor_remainder_ratio needs analytic_derivs")
-    n = field.grid.n
+    grid = pairs.grid
+    n = grid.n
     i, j = pairs.first, pairs.second
     steps = pairs.steps()
     squares = [c**2 for c in steps]
 
-    f = field.values
-    grads = [fd_derivative(field, beta).values for beta in multi_indices(n, 1)]
+    f = probe.values(grid)
+    grads = [probe.values(grid, beta) for beta in multi_indices(n, 1)]
     hess_beta = multi_indices(n, 2)
-    hess = {beta: fd_derivative(field, beta).values for beta in hess_beta}
+    hess = {beta: probe.values(grid, beta) for beta in hess_beta}
 
     semis = weighted_norm_values(np.stack(list(hess.values()), axis=1),
                                  alpha, pairs)[1]
@@ -348,26 +324,24 @@ def comparison_base(grid) -> float:
     return 3.0 * grid.n * grid.R
 
 
-def zero_jet_norm(field: ScalarField, alpha: float,
+def zero_jet_norm(probe: Probe, alpha: float,
                   pairs: PairSet) -> JetNormReport:
-    """:func:`jet_norm` of a field whose value and gradient vanish at 0.
+    """:func:`jet_norm` of a probe whose value and gradient vanish at 0.
 
     Raises ValueError unless the zero-jet condition holds, checked with the
-    analytic derivatives at the origin node.
+    exact derivatives at the origin node.
     """
-    if field.analytic_derivs is None:
-        raise ValueError("zero_jet_norm needs analytic_derivs")
-    grid = field.grid
+    grid = pairs.grid
     origin = grid.nodes[grid.origin_index:grid.origin_index + 1]
-    scale = max(1.0, float(np.abs(field.values).max()))
-    v0 = float(field.analytic_derivs(tuple(0 for _ in range(grid.n)), origin)[0])
+    scale = max(1.0, float(np.abs(probe.values(grid)).max()))
+    v0 = float(probe.deriv(tuple(0 for _ in range(grid.n)), origin)[0])
     if abs(v0) > 1e-10 * scale:
         raise ValueError(f"field value at origin is {v0}, not 0")
     for beta in multi_indices(grid.n, 1):
-        g0 = float(field.analytic_derivs(beta, origin)[0])
+        g0 = float(probe.deriv(beta, origin)[0])
         if abs(g0) > 1e-10 * scale:
             raise ValueError(f"field gradient at origin is nonzero: {g0}")
-    return jet_norm(field, alpha, pairs)
+    return jet_norm(probe, alpha, pairs)
 
 
 def norm_comparison_holds(orders, base: float) -> bool:

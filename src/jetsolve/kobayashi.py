@@ -45,6 +45,9 @@ class KobayashiQuery:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
         object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
         m = self.target.dimension
+        if m < 2:
+            raise ValueError(f"target dimension must be at least 2, got {m}: "
+                             "the search needs X and an orthogonal partner")
         if self.p.shape != (m,) or self.X.shape != (m,):
             raise ValueError(f"p and X must be vectors of length {m}")
         if not np.all(np.isfinite(self.p)) or not np.all(np.isfinite(self.X)):
@@ -174,8 +177,7 @@ def estimate(query: KobayashiQuery,
     partner = orthogonal_partner(query.target, query.p, query.X)
     jet = JetSpec(query.p, np.column_stack([query.X, partner]))
     defect = conformality_defect(query.target, query.p, jet.c1)
-    scale = float(query.X @ np.asarray(query.target.metric(query.p)) @ query.X)
-    if defect > CONFORMALITY_TOL * scale:
+    if not is_conformal_jet(query.target, query.p, jet.c1):
         raise ValueError(
             f"constructed jet is not conformal (defect {defect}); "
             "orthogonal partner construction failed"

@@ -8,7 +8,7 @@ not the pieces under it: ``potential_reference`` takes ``quad_weights``
 and ``self_cell_integrals`` from the potential module, because it checks
 the FFT convolution of that module, not its quadrature rule (the
 closed-form ``uniform_ball_potential`` checks the rule);
-``taylor_remainder_ratio_reference`` takes the derivatives of ``grid``,
+``taylor_remainder_ratio_reference`` takes the probe's exact derivatives,
 and ``run_attempt_reference`` takes the sweep and the norm of ``picard``,
 because they check the pair scan and the norm schedule.
 ``max_weighted_norm_reference`` and the Hessian seminorms of
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .grid import BallGrid, ScalarField, fd_derivative, multi_indices
+from .grid import BallGrid, multi_indices
 from .holder import _EPS
 from .picard import (CONTRACTION_THRESHOLD, AttemptRecord, make_state,
                      picard_map, solver_norm)
@@ -248,8 +248,7 @@ def max_weighted_norm_reference(values, alpha: float, pairs) -> float:
                          for v in np.asarray(values, dtype=np.float64).T]))
 
 
-def taylor_remainder_ratio_reference(field: ScalarField, alpha: float,
-                                     pairs) -> float:
+def taylor_remainder_ratio_reference(probe, alpha: float, pairs) -> float:
     """Taylor remainder ratio by the direct expansion in both directions.
 
     Rebuilds the pair offsets on every call, takes each Hessian seminorm
@@ -257,17 +256,15 @@ def taylor_remainder_ratio_reference(field: ScalarField, alpha: float,
     offset (or its negation) as written, and divides only the live pairs.
     The reference for ``holder.taylor_remainder_ratio``.
     """
-    if field.analytic_derivs is None:
-        raise ValueError("taylor_remainder_ratio needs analytic_derivs")
-    grid = field.grid
+    grid = pairs.grid
     n = grid.n
     i, j = pairs.first, pairs.second
     dx = grid.nodes[i] - grid.nodes[j]
 
-    f = field.values
-    grads = [fd_derivative(field, beta).values for beta in multi_indices(n, 1)]
+    f = probe.values(grid)
+    grads = [probe.values(grid, beta) for beta in multi_indices(n, 1)]
     hess_beta = multi_indices(n, 2)
-    hess = {beta: fd_derivative(field, beta).values for beta in hess_beta}
+    hess = {beta: probe.values(grid, beta) for beta in hess_beta}
 
     semi_sum = 0.0
     for beta in hess_beta:

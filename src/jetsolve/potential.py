@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BallGrid, PairSet, ScalarField, build_pair_set, fd_values,
-                   multi_indices)
+from .grid import BallGrid, PairSet, build_pair_set, fd_values, multi_indices
 from .holder import max_weighted_norm, weighted_norm_values
 
 
@@ -184,54 +183,40 @@ def _apply_potential(grid: BallGrid, source: np.ndarray,
     return PotentialField(grid, value.reshape(source.shape), hess=second)
 
 
-def _source_values(f, grid: BallGrid | None) -> tuple[BallGrid, np.ndarray]:
-    if isinstance(f, ScalarField):
-        if grid is not None and grid is not f.grid:
-            raise ValueError("field grid and explicit grid disagree")
-        return f.grid, f.values
-    if grid is None:
-        raise ValueError("grid required when f is a raw array")
-    return grid, np.asarray(f, dtype=np.float64)
+def newtonian_potential(values: np.ndarray, grid: BallGrid) -> PotentialField:
+    """Potential N(f) with laplace(N(f)) = -f of (N,) or (N, m) node
+    values, values only."""
+    return _apply_potential(grid, np.asarray(values, dtype=np.float64))
 
 
-def newtonian_potential(f, grid: BallGrid | None = None) -> PotentialField:
-    """Potential N(f) with laplace(N(f)) = -f, values only."""
-    return _apply_potential(*_source_values(f, grid))
-
-
-def potential_hessian(f, grid: BallGrid | None = None) -> PotentialField:
+def potential_hessian(values: np.ndarray, grid: BallGrid) -> PotentialField:
     """Potential with its second derivative fields.
 
     Second derivatives use the difference form of the singular integral, so
     the diagonal sum equals -f identically (the kernel is traceless).
     """
-    return _apply_potential(*_source_values(f, grid), hess=True)
+    return _apply_potential(grid, np.asarray(values, dtype=np.float64),
+                            hess=True)
 
 
-def laplacian_consistency(f, grid: BallGrid | None = None) -> dict:
-    """Two independent routes to the potential's Laplacian, compared.
+def laplacian_consistency(pf: PotentialField, values: np.ndarray) -> dict:
+    """Two independent routes to the Laplacian of a potential, compared.
 
-    The trace route sums the kernel-formula second derivatives (identically
+    pf is the potential, with its Hessian, of the source values (N,).  The
+    trace route sums the kernel-formula second derivatives (identically
     -f, the kernel being traceless plus the delta term); the stencil route
     applies finite differences to the potential values.  Both are compared
     with -f on interior nodes, relative to sup |f|.
     """
-    grid, vals = _source_values(f, grid)
-    return _laplacian_gaps(_apply_potential(grid, vals, hess=True), vals)
-
-
-def _laplacian_gaps(pf: PotentialField, vals: np.ndarray) -> dict:
-    """The gaps of :func:`laplacian_consistency` for a potential already
-    computed with its Hessian from the source values ``vals``."""
     grid = pf.grid
     trace = np.trace(pf.hess, axis1=1, axis2=2)
     fd_lap = sum(fd_values(grid, pf.values, beta)
                  for beta in multi_indices(grid.n, 2) if max(beta) == 2)
 
     mask = grid.interior_mask
-    scale = max(float(np.abs(vals).max()), 1e-300)
-    trace_gap = float(np.abs(trace + vals)[mask].max()) / scale
-    fd_gap = float(np.abs(fd_lap + vals)[mask].max()) / scale
+    scale = max(float(np.abs(values).max()), 1e-300)
+    trace_gap = float(np.abs(trace + values)[mask].max()) / scale
+    fd_gap = float(np.abs(fd_lap + values)[mask].max()) / scale
     route_gap = float(np.abs(trace - fd_lap)[mask].max()) / scale
     return {
         "trace_gap": trace_gap,
@@ -249,7 +234,7 @@ class NormRatioReport:
     max_ratio: float
 
 
-def check_potential_norm_bound(samples, grid: BallGrid, alpha: float,
+def check_potential_norm_bound(probes, grid: BallGrid, alpha: float,
                                pairs: PairSet | None = None) -> NormRatioReport:
     """Order-2 jet norm of N(f) against the weighted norm of f, per probe.
 
@@ -259,13 +244,10 @@ def check_potential_norm_bound(samples, grid: BallGrid, alpha: float,
     """
     if pairs is None:
         pairs = build_pair_set(grid)
-    names, columns = [], []
-    for k, probe in enumerate(samples):
-        f = probe.field(grid) if hasattr(probe, "field") else probe
-        if f.grid is not pairs.grid:
-            raise ValueError("field and pairs live on different grids")
-        names.append(getattr(probe, "name", f"probe_{k}"))
-        columns.append(f.values)
+    if pairs.grid is not grid:
+        raise ValueError("pairs live on a different grid")
+    names = [probe.name for probe in probes]
+    columns = [probe.values(grid) for probe in probes]
     dens = weighted_norm_values(np.stack(columns, axis=1), alpha, pairs)[2]
     keep = np.flatnonzero(~(dens < 1e-14))
     if not keep.size:

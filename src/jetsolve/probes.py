@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import BallGrid, ScalarField
+from .grid import BallGrid
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,17 @@ class Probe:
     fn: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[tuple[int, ...], np.ndarray], np.ndarray]
 
-    def field(self, grid: BallGrid) -> ScalarField:
-        return ScalarField(grid, np.asarray(self.fn(grid.nodes), dtype=np.float64),
-                           analytic_derivs=self.deriv)
+    def values(self, grid: BallGrid, beta=None) -> np.ndarray:
+        """The function, or its exact derivative beta, at every grid node,
+        as an (N,) array of finite floats."""
+        vals = np.asarray(self.fn(grid.nodes) if beta is None
+                          else self.deriv(beta, grid.nodes), dtype=np.float64)
+        if vals.shape != (grid.node_count,):
+            raise ValueError(f"values shape {vals.shape} does not match "
+                             f"node count {grid.node_count}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field values must be finite")
+        return vals
 
 
 def _falling(e: int, k: int) -> float:

@@ -16,7 +16,7 @@ from .holder import (banach_algebra_holds, comparison_base,
                      taylor_remainder_ratio, weighted_norm_values,
                      zero_jet_norm)
 from .oracle import uniform_ball_potential
-from .potential import (_laplacian_gaps, check_potential_norm_bound,
+from .potential import (check_potential_norm_bound, laplacian_consistency,
                         potential_hessian)
 from .probes import constant_probe, lemma_battery, with_zero_jet
 
@@ -45,14 +45,15 @@ def run_lemma_suite(n: int = 2, R: float = 1.0, res: int = 17,
     grid = build_grid(n, R, res)
     pairs = build_pair_set(grid, seed=seed)
     battery = lemma_battery(n)
-    constant = constant_probe(n).field(build_grid(n, R, _POTENTIAL_RES))
-    pot = potential_hessian(constant)
+    potential_grid = build_grid(n, R, _POTENTIAL_RES)
+    constant = constant_probe(n).values(potential_grid)
+    pot = potential_hessian(constant, potential_grid)
     blocks = [
-        _taylor_block(battery, grid, pairs, alpha),
+        _taylor_block(battery, pairs, alpha),
         _banach_block(battery, grid, pairs, alpha),
-        _comparison_block(battery, grid, pairs, alpha),
+        _comparison_block(battery, pairs, alpha),
         _closed_form_block(pot),
-        _laplacian_block(pot, constant.values),
+        _laplacian_block(pot, constant),
         _amplification_block(battery, grid, pairs, alpha),
     ]
     return {
@@ -64,11 +65,11 @@ def run_lemma_suite(n: int = 2, R: float = 1.0, res: int = 17,
     }
 
 
-def _taylor_block(battery, grid, pairs, alpha) -> dict:
+def _taylor_block(battery, pairs, alpha) -> dict:
     ratios = {}
     violations = []
     for probe in battery:
-        ratio = taylor_remainder_ratio(probe.field(grid), alpha, pairs)
+        ratio = taylor_remainder_ratio(probe, alpha, pairs)
         ratios[probe.name] = ratio
         if not taylor_remainder_holds(ratio):
             violations.append(probe.name)
@@ -86,7 +87,7 @@ def _taylor_block(battery, grid, pairs, alpha) -> dict:
 
 def _banach_block(battery, grid, pairs, alpha) -> dict:
     names = [p.name for p in battery]
-    fields = np.stack([p.field(grid).values for p in battery], axis=1)
+    fields = np.stack([p.values(grid) for p in battery], axis=1)
     norms = weighted_norm_values(fields, alpha, pairs)[2].tolist()
     worst = 0.0
     worst_pair = None
@@ -116,13 +117,12 @@ def _banach_block(battery, grid, pairs, alpha) -> dict:
     }
 
 
-def _comparison_block(battery, grid, pairs, alpha) -> dict:
-    base = comparison_base(grid)
+def _comparison_block(battery, pairs, alpha) -> dict:
+    base = comparison_base(pairs.grid)
     worst0 = worst1 = 0.0
     violations = []
     for probe in battery:
-        f = with_zero_jet(probe, grid.n).field(grid)
-        rep = zero_jet_norm(f, alpha, pairs)
+        rep = zero_jet_norm(with_zero_jet(probe, pairs.grid.n), alpha, pairs)
         if not norm_comparison_holds(rep.orders, base):
             violations.append(probe.name)
         top = rep.orders[2]
@@ -157,7 +157,7 @@ def _closed_form_block(pot, tol: float = 0.03) -> dict:
 
 
 def _laplacian_block(pot, source, tol: float = 0.05) -> dict:
-    rep = _laplacian_gaps(pot, source)
+    rep = laplacian_consistency(pot, source)
     return {
         "name": "laplacian_consistency",
         "statement": "Hessian-trace and finite-difference routes to the "

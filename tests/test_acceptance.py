@@ -23,9 +23,7 @@ from jetsolve import (
     coordinate_probe,
     estimate,
     euclidean_target,
-    field_from_callable,
     harmonic_map_system,
-    holder_norm,
     hyperbolic_disk_target,
     is_conformal_jet,
     laplacian_consistency,
@@ -33,10 +31,12 @@ from jetsolve import (
     newtonian_potential,
     poisson_system,
     potential_probes,
+    potential_hessian,
     run_lemma_suite,
     solve_system,
     sphere_stereographic_target,
     uniform_ball_potential,
+    weighted_norm_values,
 )
 from jetsolve.cli import main as cli_main
 
@@ -63,8 +63,8 @@ def test_criterion_01_norm_exactness():
             pairs = build_pair_set(grid, seed=0)
             for alpha in (0.25, 0.5, 0.75):
                 for d in range(n):
-                    f = coordinate_probe(n, d).field(grid)
-                    got = holder_norm(f, alpha, pairs).weighted
+                    f = coordinate_probe(n, d).values(grid)
+                    got = weighted_norm_values(f, alpha, pairs)[2]
                     worst = max(worst, abs(got - 3.0 * R))
     _finish(1, "coordinate norms equal 3R", 1.0, t0,
             worst <= 1e-12, f"worst |error| = {worst:.2e}, tol 1e-12")
@@ -85,7 +85,7 @@ def test_criterion_03_potential_closed_form():
     errs = {}
     for res in (17, 25):
         grid = build_grid(3, 1.0, res)
-        pf = newtonian_potential(constant_probe(3).field(grid))
+        pf = newtonian_potential(constant_probe(3).values(grid), grid)
         want = np.array([uniform_ball_potential(3, 1.0, x)
                          for x in grid.nodes])
         errs[res] = np.abs(pf.values - want).max() / np.abs(want).max()
@@ -105,7 +105,8 @@ def test_criterion_04_laplacian_two_routes():
     }
     worst = 0.0
     for fn in probes.values():
-        rep = laplacian_consistency(field_from_callable(grid, fn), grid)
+        f = fn(grid.nodes)
+        rep = laplacian_consistency(potential_hessian(f, grid), f)
         worst = max(worst, rep["max_relative_gap"])
     _finish(4, "kernel-trace vs stencil Laplacian", 30.0, t0,
             worst <= 0.05, f"worst relative gap {worst:.4%}, tol 5%")

@@ -337,6 +337,15 @@ def test_kobayashi_rejects_non_finite_schedule(workdir, capsys):
     ({"conformality_tol": 1e-8}, "conformality_tol"),
     ({"solver": {"res": 7, "gamma0": 1.0, "max_gamma_doublings": 6}},
      "max_gamma_doublings"),
+    # the search needs X and an orthogonal partner
+    ({"target": {"name": "hyperbolic", "dim": 1}, "p": [0.0], "X": [0.4]},
+     "dimension"),
+    ({"target": {"name": "euclidean", "dim": 1}, "p": [0.0], "X": [0.4]},
+     "dimension"),
+    # every radius starts from zero, so a seed would be ignored
+    ({"solver": {"res": 7, "gamma0": 1.0,
+                 "harmonic_seed": [[[[2, 0], 5.0]], [[[0, 2], 5.0]]]}},
+     "harmonic_seed"),
 ])
 def test_kobayashi_config_errors(workdir, capsys, update, needle):
     cfg = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.5, 0.0],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from jetsolve import (
     PairSet,
-    ScalarField,
+    Probe,
     build_grid,
     build_pair_set,
     fd_values,
@@ -311,16 +311,30 @@ def test_fd_rejects_bad_multi_index(grid2):
 
 
 # ---------------------------------------------------------------------------
-# fields
+# probe values on the grid
 
 
-def test_scalar_field_validates_shape_and_finiteness(grid2):
-    with pytest.raises(ValueError):
-        ScalarField(grid2, np.zeros(grid2.node_count - 1))
-    bad = np.zeros(grid2.node_count)
-    bad[0] = np.nan
-    with pytest.raises(ValueError):
-        ScalarField(grid2, bad)
+def test_probe_values_validate_shape_and_finiteness(grid2):
+    def zeros(pts):
+        return np.zeros(pts.shape[0])
+
+    def with_nan(pts):
+        out = zeros(pts)
+        out[0] = np.nan
+        return out
+
+    short = Probe("short", lambda pts: zeros(pts)[1:],
+                  lambda beta, pts: zeros(pts)[1:])
+    for beta in (None, (1, 0)):
+        with pytest.raises(ValueError, match="node count"):
+            short.values(grid2, beta)
+    # a non-finite value, or a non-finite derivative alone
+    nan_value = Probe("nan", with_nan, lambda beta, pts: zeros(pts))
+    nan_hessian = Probe("nan d2", zeros, lambda beta, pts: with_nan(pts))
+    for probe, beta in ((nan_value, None), (nan_hessian, (0, 2))):
+        with pytest.raises(ValueError, match="finite"):
+            probe.values(grid2, beta)
+    assert not nan_hessian.values(grid2).any()
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetsolve import (
-    PairSet,
-    ScalarField,
+    Probe,
     build_grid,
     build_pair_set,
     coordinate_probe,
-    field_from_callable,
-    holder_norm,
     jet_norm,
     lemma_battery,
     multi_indices,
@@ -44,26 +41,23 @@ def test_coordinate_norm_is_three_radii(R, alpha, n):
     grid = build_grid(n, R, 9)
     pairs = build_pair_set(grid, seed=0)
     for d in range(n):
-        f = coordinate_probe(n, d).field(grid)
-        got = holder_norm(f, alpha, pairs).weighted
+        values = coordinate_probe(n, d).values(grid)
+        got = weighted_norm_values(values, alpha, pairs)[2]
         assert abs(got - 3.0 * R) <= 1e-12 * max(1.0, R)
 
 
 def test_constant_norm_is_absolute_value(grid2, pairs2):
-    f = ScalarField(grid2, np.full(grid2.node_count, -2.5))
-    rep = holder_norm(f, 0.5, pairs2)
-    assert rep.sup_norm == 2.5
-    assert rep.seminorm == 0.0
-    assert rep.weighted == 2.5
+    values = np.full(grid2.node_count, -2.5)
+    assert weighted_norm_values(values, 0.5, pairs2) == (2.5, 0.0, 2.5)
 
 
 def test_cubic_jet_norm_frozen_value(grid2, pairs2):
     # f = x1^3 at R = 1: the largest order-2 entry is d11 f = 6 x1 with
     # sup 6 and seminorm 6 (2R)^(1-a), so the weighted norm is
     # 6 + (2R)^a 6 (2R)^(1-a) = 6 + 12 R = 18.
-    f = polynomial("x1_cubed", {(3, 0): 1.0}).field(grid2)
+    f = polynomial("x1_cubed", {(3, 0): 1.0})
     rep = jet_norm(f, 0.5, pairs2)
-    assert rep.solver_norm == pytest.approx(18.0, rel=1e-12)
+    assert rep.orders[2] == pytest.approx(18.0, rel=1e-12)
     assert rep.orders[2] >= rep.orders[1] / (3 * 2 * 1.0)
 
 
@@ -76,19 +70,21 @@ def _poly_field(grid, rng):
     for _ in range(rng.integers(1, 4)):
         e = tuple(int(v) for v in rng.integers(0, 3, size=grid.n))
         terms[e] = float(rng.normal())
-    return polynomial("rand", terms).field(grid)
+    return polynomial("rand", terms).values(grid)
+
+
+def _norm(values, alpha, pairs):
+    return weighted_norm_values(values, alpha, pairs)[2]
 
 
 def _banach_holds(f, g, alpha, pairs):
-    prod = ScalarField(f.grid, f.values * g.values)
-    return banach_algebra_holds(holder_norm(f, alpha, pairs).weighted,
-                                holder_norm(g, alpha, pairs).weighted,
-                                holder_norm(prod, alpha, pairs).weighted)
+    return banach_algebra_holds(_norm(f, alpha, pairs), _norm(g, alpha, pairs),
+                                _norm(f * g, alpha, pairs))
 
 
-def _comparison_holds(f, alpha, pairs):
-    return norm_comparison_holds(zero_jet_norm(f, alpha, pairs).orders,
-                                 comparison_base(f.grid))
+def _comparison_holds(probe, alpha, pairs):
+    return norm_comparison_holds(zero_jet_norm(probe, alpha, pairs).orders,
+                                 comparison_base(pairs.grid))
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,13 +96,11 @@ def test_norm_homogeneity_and_triangle(seed, alpha):
     f = _poly_field(grid, rng)
     g = _poly_field(grid, rng)
     c = float(rng.normal())
-    nf = holder_norm(f, alpha, pairs).weighted
-    ng = holder_norm(g, alpha, pairs).weighted
-    scaled = ScalarField(grid, c * f.values)
-    summed = ScalarField(grid, f.values + g.values)
-    assert holder_norm(scaled, alpha, pairs).weighted == pytest.approx(
+    nf = _norm(f, alpha, pairs)
+    ng = _norm(g, alpha, pairs)
+    assert _norm(c * f, alpha, pairs) == pytest.approx(
         abs(c) * nf, rel=1e-12, abs=1e-12)
-    assert holder_norm(summed, alpha, pairs).weighted <= nf + ng + 1e-10
+    assert _norm(f + g, alpha, pairs) <= nf + ng + 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,7 +116,7 @@ def test_banach_algebra_on_random_polynomials(seed):
 
 def test_banach_algebra_on_battery(grid2, pairs2):
     battery = lemma_battery(2)
-    fields = [p.field(grid2) for p in battery[:8]]
+    fields = [p.values(grid2) for p in battery[:8]]
     for f in fields:
         for g in fields:
             assert _banach_holds(f, g, 0.5, pairs2)
@@ -133,23 +127,21 @@ def test_banach_algebra_on_battery(grid2, pairs2):
 
 
 def test_taylor_ratio_zero_for_quadratics(grid2, pairs2):
-    f = polynomial("quad", {(2, 0): 1.0, (1, 1): -2.0, (0, 0): 3.0}).field(grid2)
+    f = polynomial("quad", {(2, 0): 1.0, (1, 1): -2.0, (0, 0): 3.0})
     assert taylor_remainder_ratio(f, 0.5, pairs2) == 0.0
 
 
 def test_taylor_remainder_on_battery(grid2, pairs2):
     for probe in lemma_battery(2):
-        f = probe.field(grid2)
-        ratio = taylor_remainder_ratio(f, 0.5, pairs2)
+        ratio = taylor_remainder_ratio(probe, 0.5, pairs2)
         assert ratio <= 1.0 + 1e-9, probe.name
         assert taylor_remainder_holds(ratio)
 
 
 def test_taylor_remainder_3d(grid3, pairs3):
     for probe in lemma_battery(3)[:10]:
-        f = probe.field(grid3)
         assert taylor_remainder_holds(
-            taylor_remainder_ratio(f, 0.5, pairs3)), probe.name
+            taylor_remainder_ratio(probe, 0.5, pairs3)), probe.name
 
 
 @pytest.mark.parametrize("n,res", [(2, 9), (3, 9), (2, 33), (3, 17)])
@@ -158,54 +150,47 @@ def test_taylor_ratio_matches_reference_bitwise(n, res):
     grid = build_grid(n, 1.0, res)
     pairs = build_pair_set(grid, seed=0)
     assert pairs.complete == (res == 9)
-    cubic = polynomial("x1_cubed", {(3,) + (0,) * (n - 1): 1.0}).field(grid)
+    cubic = polynomial("x1_cubed", {(3,) + (0,) * (n - 1): 1.0})
 
     def no_hessian(beta, pts):
         if sum(beta) == 2:
             return np.zeros(pts.shape[0])
-        return cubic.analytic_derivs(beta, pts)
+        return cubic.deriv(beta, pts)
 
     # a wrong (zero) Hessian bounds nothing: the ratio is infinite
-    fields = [p.field(grid) for p in lemma_battery(n)] + [
-        cubic, ScalarField(grid, cubic.values, analytic_derivs=no_hessian)]
-    got = [taylor_remainder_ratio(f, 0.5, pairs).hex() for f in fields]
-    want = [taylor_remainder_ratio_reference(f, 0.5, pairs).hex()
-            for f in fields]
+    probes = lemma_battery(n) + [
+        cubic, Probe("x1_cubed_no_hessian", cubic.fn, no_hessian)]
+    got = [taylor_remainder_ratio(p, 0.5, pairs).hex() for p in probes]
+    want = [taylor_remainder_ratio_reference(p, 0.5, pairs).hex()
+            for p in probes]
     assert got == want
     assert got[-1] == float("inf").hex()
 
 
 def test_comparison_needs_zero_jet(grid2, pairs2):
-    f = coordinate_probe(2, 0).field(grid2)  # gradient e1 at the origin
+    f = coordinate_probe(2, 0)  # gradient e1 at the origin
     with pytest.raises(ValueError):
         zero_jet_norm(f, 0.5, pairs2)
-    g = polynomial("affine", {(0, 0): 1.0}).field(grid2)
+    g = polynomial("affine", {(0, 0): 1.0})
     with pytest.raises(ValueError):
         zero_jet_norm(g, 0.5, pairs2)
 
 
 def test_comparison_on_zero_jet_battery(grid2, pairs2):
     for probe in lemma_battery(2):
-        f = with_zero_jet(probe, 2).field(grid2)
+        f = with_zero_jet(probe, 2)
         assert _comparison_holds(f, 0.5, pairs2), probe.name
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
 def test_comparison_other_exponents(grid2, pairs2, alpha):
     for probe in lemma_battery(2)[:6]:
-        f = with_zero_jet(probe, 2).field(grid2)
+        f = with_zero_jet(probe, 2)
         assert _comparison_holds(f, alpha, pairs2), probe.name
 
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-
-def test_weighted_norm_values_matches_holder_norm(grid2, pairs2, rng):
-    vals = rng.normal(size=grid2.node_count)
-    sup, semi, weighted = weighted_norm_values(vals, 0.5, pairs2)
-    rep = holder_norm(ScalarField(grid2, vals), 0.5, pairs2)
-    assert (sup, semi, weighted) == (rep.sup_norm, rep.seminorm, rep.weighted)
 
 
 @pytest.mark.parametrize("n,res", [(2, 9), (2, 33), (3, 9), (3, 17)])
@@ -244,11 +229,10 @@ def test_weighted_norm_values_rejects_bad_input(grid2, pairs2):
 
 
 def test_jet_norm_homogeneous_in_every_order(grid2, pairs2):
-    f = polynomial("mix", {(2, 1): 0.5, (1, 0): -1.0}).field(grid2)
+    f = polynomial("mix", {(2, 1): 0.5, (1, 0): -1.0})
     rep = jet_norm(f, 0.5, pairs2)
-    doubled = ScalarField(
-        grid2, 2 * f.values,
-        analytic_derivs=lambda beta, pts: 2 * f.analytic_derivs(beta, pts))
+    doubled = Probe("2 mix", lambda pts: 2 * f.fn(pts),
+                    lambda beta, pts: 2 * f.deriv(beta, pts))
     rep2 = jet_norm(doubled, 0.5, pairs2)
     for a, b in zip(rep.orders, rep2.orders):
         assert b == pytest.approx(2 * a, rel=1e-12)
@@ -258,20 +242,6 @@ def test_multi_indices_complete():
     assert multi_indices(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert len(multi_indices(3, 2)) == 6
     assert len(multi_indices(3, 1)) == 3
-
-
-def test_alpha_validation(grid2, pairs2):
-    f = ScalarField(grid2, np.zeros(grid2.node_count))
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            holder_norm(f, bad, pairs2)
-
-
-def test_grid_mismatch_rejected(grid2, pairs2):
-    other = build_grid(2, 1.0, 9)
-    f = ScalarField(other, np.zeros(other.node_count))
-    with pytest.raises(ValueError):
-        holder_norm(f, 0.5, pairs2)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +337,7 @@ def test_banach_block_matches_per_field_full_scans(n, res, seed):
     grid = build_grid(n, 1.0, res)
     pairs = build_pair_set(grid, seed=seed)
     battery = lemma_battery(n)
-    fields = [p.field(grid).values for p in battery]
+    fields = [p.values(grid) for p in battery]
 
     def norm(v):
         return max_weighted_norm_reference(v[:, None], 0.5, pairs)

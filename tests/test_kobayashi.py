@@ -14,6 +14,7 @@ from jetsolve import (
     orthogonal_partner,
     sphere_stereographic_target,
 )
+import jetsolve.kobayashi as kobayashi_module
 
 
 HYP = hyperbolic_disk_target(2)
@@ -68,6 +69,14 @@ def test_partner_jet_is_conformal():
     jet = np.column_stack([X, orthogonal_partner(HYP, np.zeros(2), X)])
     assert conformality_defect(HYP, np.zeros(2), jet) <= 1e-12
     assert is_conformal_jet(HYP, np.zeros(2), jet)
+
+
+def test_estimate_rejects_a_partner_that_is_not_conformal(monkeypatch):
+    # the self-check applies the rule of is_conformal_jet before any solve
+    monkeypatch.setattr(kobayashi_module, "orthogonal_partner",
+                        lambda target, p, X: X)
+    with pytest.raises(ValueError, match="not conformal"):
+        estimate(KobayashiQuery(HYP, np.zeros(2), np.array([0.5, 0.0])))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from jetsolve import (
     OracleFailure,
     PairSet,
     PoissonSystem,
-    ScalarField,
     SolveConfig,
     build_grid,
     build_pair_set,
@@ -29,7 +28,6 @@ from jetsolve import (
     estimate,
     harmonic_map_system,
     hyperbolic_disk_target,
-    jet_norm,
     make_state,
     minimal_surface_system,
     origin_jet_magnitudes,
@@ -152,10 +150,12 @@ def test_solver_norm_is_order_two_jet_norm(n, res, m, rng):
     grid = build_grid(n, 0.8, res)
     pairs = build_pair_set(grid, seed=3)
     vals = rng.normal(size=(grid.node_count, m))
-    # a max is exact, so the max of per-component norms is bitwise the same
-    expected = max(jet_norm(ScalarField(grid, vals[:, k]), 0.4,
-                            pairs).solver_norm for k in range(m))
-    assert solver_norm(grid, vals, 0.4, pairs) == expected
+    # every second derivative of every component, as separate columns: a
+    # max is exact, so the max of their full-scan norms is bitwise the same
+    hessian = [fd_values(grid, vals, beta) for beta in multi_indices(n, 2)]
+    expected = max_weighted_norm_reference(np.concatenate(hessian, axis=1),
+                                           0.4, pairs)
+    assert solver_norm(grid, vals, 0.4, pairs).hex() == expected.hex()
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,6 @@ from jetsolve import (
     build_pair_set,
     check_potential_norm_bound,
     constant_probe,
-    field_from_callable,
     laplacian_consistency,
     newtonian_potential,
     potential_hessian,
@@ -32,7 +31,7 @@ def _rel_sup(got, want):
 @pytest.mark.parametrize("n,res,tol", [(3, 17, 0.03), (2, 17, 0.03), (2, 25, 0.02)])
 def test_constant_source_matches_closed_form(n, res, tol):
     grid = build_grid(n, 1.0, res)
-    pf = newtonian_potential(constant_probe(n).field(grid))
+    pf = newtonian_potential(constant_probe(n).values(grid), grid)
     want = np.array([uniform_ball_potential(n, 1.0, x) for x in grid.nodes])
     assert _rel_sup(pf.values, want) <= tol
 
@@ -41,7 +40,7 @@ def test_constant_source_error_decreases_with_resolution():
     errs = []
     for res in (17, 25):
         grid = build_grid(3, 1.0, res)
-        pf = newtonian_potential(constant_probe(3).field(grid))
+        pf = newtonian_potential(constant_probe(3).values(grid), grid)
         want = np.array([uniform_ball_potential(3, 1.0, x) for x in grid.nodes])
         errs.append(_rel_sup(pf.values, want))
     assert errs[1] < errs[0]
@@ -59,16 +58,17 @@ def test_hessian_trace_recovers_source_exactly():
     # the second-derivative kernel is traceless and the diagonal carries
     # -f/n explicitly, so the trace identity is machine-exact
     grid = build_grid(2, 1.0, 13)
-    f = field_from_callable(grid, lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2)
-    pf = potential_hessian(f)
+    x = grid.nodes
+    f = np.sin(x[:, 0]) + x[:, 1] ** 2
+    pf = potential_hessian(f, grid)
     trace = np.einsum("nii->n", pf.hess)
-    np.testing.assert_allclose(trace, -f.values, atol=1e-12)
+    np.testing.assert_allclose(trace, -f, atol=1e-12)
 
 
 def test_hessian_symmetric():
     grid = build_grid(2, 1.0, 13)
-    f = field_from_callable(grid, lambda p: np.exp(0.3 * p[:, 0]) * p[:, 1])
-    pf = potential_hessian(f)
+    x = grid.nodes
+    pf = potential_hessian(np.exp(0.3 * x[:, 0]) * x[:, 1], grid)
     np.testing.assert_allclose(pf.hess, np.transpose(pf.hess, (0, 2, 1)),
                                atol=1e-12)
 
@@ -84,13 +84,15 @@ def test_hessian_symmetric():
 ])
 def test_laplacian_routes_agree(make):
     grid = build_grid(2, 1.0, 21)
-    rep = laplacian_consistency(field_from_callable(grid, make), grid)
+    f = make(grid.nodes)
+    rep = laplacian_consistency(potential_hessian(f, grid), f)
     assert rep["max_relative_gap"] <= 0.05
 
 
 def test_laplacian_consistency_keys():
     grid = build_grid(2, 1.0, 13)
-    rep = laplacian_consistency(field_from_callable(grid, lambda p: p[:, 0]))
+    f = grid.nodes[:, 0]
+    rep = laplacian_consistency(potential_hessian(f, grid), f)
     for key in ("trace_gap", "fd_gap", "route_gap", "max_relative_gap"):
         assert key in rep and np.isfinite(rep[key])
 
@@ -117,7 +119,7 @@ def test_potential_norm_ratio_stable_across_radii():
 @pytest.mark.parametrize("n,res", [(2, 13), (3, 9)])
 def test_batched_sources_match_columns(n, res):
     grid = build_grid(n, 1.0, res)
-    F = np.stack([p.field(grid).values for p in potential_probes(n)], axis=1)
+    F = np.stack([p.values(grid) for p in potential_probes(n)], axis=1)
     assert F.shape == (grid.node_count, 4)
     values = newtonian_potential(F, grid).values
     pf = potential_hessian(F, grid)
@@ -139,6 +141,14 @@ def test_norm_bound_stack_matches_single_probes():
         alone = check_potential_norm_bound([probe], grid, 0.5, pairs=pairs)
         assert alone.ratios[probe.name] == pytest.approx(
             together.ratios[probe.name], rel=1e-12)
+
+
+def test_norm_bound_rejects_pairs_of_another_grid():
+    grid = build_grid(2, 1.0, 9)
+    pairs = build_pair_set(build_grid(2, 1.0, 9))
+    with pytest.raises(ValueError, match="different grid"):
+        check_potential_norm_bound(potential_probes(2), grid, 0.5,
+                                   pairs=pairs)
 
 
 def test_potential_accepts_raw_arrays():
