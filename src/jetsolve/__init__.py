@@ -9,8 +9,8 @@ search on top of the harmonic-map machinery yields upper bounds for a
 Riemannian analogue of the Kobayashi metric.
 """
 
-from .grid import (BallGrid, PairSet, build_grid, build_pair_set, fd_values,
-                   multi_indices)
+from .grid import (BallGrid, LatticeBall, PairSet, build_grid, build_pair_set,
+                   fd_values, multi_indices)
 from .holder import (JetNormReport, jet_norm, taylor_remainder_ratio,
                      weighted_norm_values)
 from .kobayashi import (KobayashiEstimate, KobayashiQuery,
@@ -47,8 +47,8 @@ __all__ = [
     "AttemptRecord", "BallGrid", "ChartError", "EllipticityError",
     "HarmonicPolynomial", "IterateEscaped", "IterateState",
     "JetNormReport", "JetSpec", "KernelSpec", "KobayashiEstimate",
-    "KobayashiQuery", "NoConvergence", "NormRatioReport", "OracleFailure",
-    "PairSet", "PoissonSystem", "PotentialField", "Probe", "ResidualReport",
+    "KobayashiQuery", "LatticeBall", "NoConvergence", "NormRatioReport",
+    "OracleFailure", "PairSet", "PoissonSystem", "PotentialField", "Probe", "ResidualReport",
     "SolveConfig", "SolveFailure", "SolveReport",
     "SYSTEM_REGISTRY", "SystemDef", "TARGET_REGISTRY", "TargetManifold",
     "build_grid", "build_pair_set", "build_system",

@@ -1,14 +1,25 @@
-"""Discretization of the ball B_R: tensor grid, finite differences, pair sampling.
+"""Discretization of the ball B_R: lattice ball, stencils, pair sampling.
 
 The grid is a Cartesian lattice clipped to the closed ball.  The resolution is
 odd so the origin is always a node, and axis endpoints land exactly on |x| = R.
+
+What depends only on (n, res) lives on a :class:`LatticeBall`, shared by
+the grids of every radius at that (n, res): the kept lattice points, their
+index map, interior mask and origin, the fixed stencil rows below, the
+nodes' lattice cubes and the pair ids of each pair set.  A
+:class:`BallGrid` is the ball plus R: the node coordinates, h and the cell
+volume, and, cached on the grid, the least-squares stencil rows, the pair
+distances, the quadrature weights and the kernel spectra.  The fits stay
+per R because their neighbours are ordered by float distances whose ties
+rounding settles differently for each R.
+
 Every derivative of order 1 or 2 is read off one stencil table per grid: a
-sparse row per (multi-index, node), built once and applied as one gather plus
-a segmented sum.  A row holds the 2nd-order central stencil where it fits
-inside the ball, else a 2nd-order one-sided stencil, else (at the handful of
-nodes, e.g. the poles, whose lattice line is too short for either) a
-least-squares quadratic fit on the nearest nodes.  Every row reproduces
-polynomials of degree <= 2 exactly.
+sparse row per (multi-index, node), applied as one gather plus a segmented
+sum.  A row holds the 2nd-order central stencil where it fits inside the
+ball, else a 2nd-order one-sided stencil, else (at the handful of nodes,
+e.g. the poles, whose lattice line is too short for either) a least-squares
+quadratic fit on the nearest nodes.  Every row reproduces polynomials of
+degree <= 2 exactly.
 
 The nearest nodes of a fit are searched in a lattice ball of integer radius
 r around the node, grown by one until it holds K nodes: every lattice point
@@ -34,21 +45,90 @@ import numpy as np
 DEFAULT_PAIR_CAP = 200_000
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class LatticeBall:
+    """The R-free structure shared by the grids of one (n, res).
+
+    The kept lattice points (N, n), those with |k - c| <= c for the centre
+    index c, in lexicographic order; the index map (-1 outside the ball),
+    the interior mask (every unit-offset neighbour is a node) and the
+    origin's node index; and, built on first use, the fixed stencil rows,
+    the node cubes and each pair set's pair ids.  It holds no grid and
+    nothing that depends on R.  Its arrays are read-only, but for the pair
+    ids, which pair sets give out as read-only views (see
+    :meth:`PairSet.take_ids`).
+    """
+
+    def __init__(self, n: int, res: int):
+        if n not in (2, 3):
+            raise ValueError(f"n must be 2 or 3, got {n}")
+        if res < 5 or res % 2 == 0:
+            raise ValueError(f"res must be odd and >= 5, got {res}")
+        c = (res - 1) // 2
+        box = np.stack(np.meshgrid(*([np.arange(res)] * n), indexing="ij"),
+                       axis=-1).reshape(-1, n)
+        offset = box - c
+        lattice = box[np.einsum("ij,ij->i", offset, offset) <= c * c]
+        index_map = np.full((res,) * n, -1, dtype=np.int64)
+        index_map[tuple(lattice.T)] = np.arange(lattice.shape[0])
+        unit_box = np.asarray(list(itertools.product((-1, 0, 1), repeat=n)))
+        interior = np.all(
+            _lookup(index_map, lattice[:, None, :] + unit_box) >= 0, axis=1)
+        self.n, self.res = n, res
+        self.lattice, self.index_map, self.interior_mask = _read_only(
+            lattice, index_map, interior)
+        self.origin_index = int(index_map[(c,) * n])
+        # R-free tables built on first use: fixed stencils, cubes, pair ids
+        self._shared: dict = {}
+
+    @property
+    def node_count(self) -> int:
+        return self.lattice.shape[0]
+
+    def require(self, n: int, res: int) -> "LatticeBall":
+        """This ball, if it is the lattice ball of (n, res)."""
+        if (self.n, self.res) != (n, res):
+            raise ValueError(f"lattice ball has (n, res) = ({self.n}, "
+                             f"{self.res}), not ({n}, {res})")
+        return self
+
+
+def _from_ball(name: str) -> property:
+    return property(lambda self: getattr(self.ball, name),
+                    doc=f"The lattice ball's {name}.")
+
+
 @dataclass(eq=False)
 class BallGrid:
-    """Cartesian tensor grid clipped to the closed ball of radius R."""
+    """Cartesian tensor grid clipped to the closed ball of radius R.
 
-    n: int
+    A grid is its lattice ball plus R.  n, res, lattice, index_map,
+    interior_mask and origin_index are the ball's, shared by every radius
+    at (n, res), as are the fixed stencil rows and the pair ids.  The grid
+    holds the node coordinates (N, n), h and the cell volume, and caches
+    what moves with R: the least-squares stencil rows (float ties in their
+    neighbour order settle differently for each R), the pair distances,
+    the quadrature weights and the kernel spectra.
+    """
+
+    ball: LatticeBall
     R: float
-    res: int
     h: float
     cell_volume: float
     nodes: np.ndarray        # (N, n) float coordinates
-    lattice: np.ndarray      # (N, n) integer lattice indices
-    index_map: np.ndarray    # (res,)*n -> node index, -1 outside the ball
-    interior_mask: np.ndarray  # True where every unit-offset neighbor is a node
-    origin_index: int
     _cache: dict = field(default_factory=dict, repr=False)
+
+    n = _from_ball("n")
+    res = _from_ball("res")
+    lattice = _from_ball("lattice")
+    index_map = _from_ball("index_map")
+    interior_mask = _from_ball("interior_mask")
+    origin_index = _from_ball("origin_index")
 
     @property
     def node_count(self) -> int:
@@ -67,48 +147,21 @@ def _lookup(index_map: np.ndarray, lat: np.ndarray) -> np.ndarray:
     return np.where(ok, index_map.reshape(-1).take(flat, mode="clip"), -1)
 
 
-def build_grid(n: int, R: float, res: int) -> BallGrid:
+def build_grid(n: int, R: float, res: int,
+               ball: LatticeBall | None = None) -> BallGrid:
     """Build the clipped tensor grid on B_R.
 
     res must be odd and >= 5 so the origin is a node and one-sided stencils
-    have room; nodes keep every lattice point with |x| <= R.
+    have room; nodes keep every lattice point with |x| <= R.  ball, when
+    given, must be the lattice ball of (n, res), shared with every grid
+    built on it; without one the grid gets its own.
     """
-    if n not in (2, 3):
-        raise ValueError(f"n must be 2 or 3, got {n}")
     if not (R > 0) or not np.isfinite(R):
         raise ValueError(f"R must be positive and finite, got {R}")
-    if res < 5 or res % 2 == 0:
-        raise ValueError(f"res must be odd and >= 5, got {res}")
-
-    axis = np.linspace(-R, R, res)
+    ball = LatticeBall(n, res) if ball is None else ball.require(n, res)
     h = 2.0 * R / (res - 1)
-    lat_full = np.stack(
-        np.meshgrid(*([np.arange(res)] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    pts = axis[lat_full]
-    r2 = np.einsum("ij,ij->i", pts, pts)
-    keep = r2 <= R * R * (1.0 + 1e-12)
-    lattice = np.ascontiguousarray(lat_full[keep])
-    nodes = np.ascontiguousarray(pts[keep])
-    N = nodes.shape[0]
-
-    index_map = np.full((res,) * n, -1, dtype=np.int64)
-    index_map[tuple(lattice.T)] = np.arange(N)
-
-    center = (res - 1) // 2
-    origin_index = int(index_map[(center,) * n])
-    if origin_index < 0:  # pragma: no cover - origin is always inside
-        raise RuntimeError("origin node missing")
-
-    unit_box = np.asarray(list(itertools.product((-1, 0, 1), repeat=n)))
-    interior = np.all(_lookup(index_map, lattice[:, None, :] + unit_box) >= 0,
-                      axis=1)
-
-    return BallGrid(
-        n=n, R=float(R), res=res, h=h, cell_volume=h**n,
-        nodes=nodes, lattice=lattice, index_map=index_map,
-        interior_mask=interior, origin_index=origin_index,
-    )
+    nodes = np.linspace(-R, R, res)[ball.lattice]
+    return BallGrid(ball=ball, R=float(R), h=h, cell_volume=h**n, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +215,17 @@ class StencilTable:
     weight: np.ndarray
 
 
-def _ball_offsets(n: int, r: int) -> np.ndarray:
+def _ball_offsets(ball: LatticeBall, r: int) -> np.ndarray:
     """The lattice offsets o with |o|^2 <= r^2, as (count, n) rows in
-    lattice (lexicographic) order."""
-    span = np.arange(-r, r + 1)
-    box = np.stack(np.meshgrid(*([span] * n), indexing="ij"),
-                   axis=-1).reshape(-1, n)
-    return box[np.einsum("ij,ij->i", box, box) <= r * r]
+    lattice (lexicographic) order; built once per ball and r, read-only."""
+    key = ("ball_offsets", r)
+    if key not in ball._shared:
+        span = np.arange(-r, r + 1)
+        box = np.stack(np.meshgrid(*([span] * ball.n), indexing="ij"),
+                       axis=-1).reshape(-1, ball.n)
+        ball._shared[key] = _read_only(
+            box[np.einsum("ij,ij->i", box, box) <= r * r])[0]
+    return ball._shared[key]
 
 
 def _nearest(grid: BallGrid, nodes: np.ndarray, K: int) -> np.ndarray:
@@ -188,10 +245,10 @@ def _nearest(grid: BallGrid, nodes: np.ndarray, K: int) -> np.ndarray:
     out = np.empty((nodes.shape[0], K), dtype=np.int64)
     todo = np.arange(nodes.shape[0])
     r = 1
-    while _ball_offsets(n, r).shape[0] < K:
+    while _ball_offsets(grid.ball, r).shape[0] < K:
         r += 1
     while todo.size:
-        lat = grid.lattice[nodes[todo], None, :] + _ball_offsets(n, r)
+        lat = grid.lattice[nodes[todo], None, :] + _ball_offsets(grid.ball, r)
         cand = _lookup(grid.index_map, lat)
         diff = (grid.nodes[cand] - grid.nodes[nodes[todo], None, :]).reshape(-1, n)
         d2 = np.einsum("ij,ij->i", diff, diff).reshape(cand.shape)
@@ -247,20 +304,19 @@ def _quadratic_fits(grid: BallGrid, nodes: np.ndarray) -> list:
     return groups
 
 
-def stencil_table(grid: BallGrid) -> StencilTable:
-    """The grid's finite-difference table for every 1 <= |beta| <= 2.
-
-    Built on first use and cached on the grid.  Each (beta, node) row is
-    the first fixed stencil whose nodes all exist, or else the node's
-    least-squares quadratic fit; all of them reproduce quadratics exactly.
+def _fixed_stencils(ball: LatticeBall) -> tuple[StencilTable, np.ndarray]:
+    """The table of every 1 <= |beta| <= 2 whose (beta, node) rows hold the
+    first fixed stencil whose nodes all exist, empty where none does, and
+    the (betas, N) mask of those starved rows.  Neither depends on R, so
+    both are built once per ball, on first use, and are read-only.
     """
-    key = "stencil_table"
-    if key in grid._cache:
-        return grid._cache[key]
-    n, N = grid.n, grid.node_count
+    key = "fixed_stencils"
+    if key in ball._shared:
+        return ball._shared[key]
+    n, N = ball.n, ball.node_count
     betas = tuple(multi_indices(n, 1) + multi_indices(n, 2))
-    parts = []          # (rows, neighbours (s, k), weights (k,) or (s, k))
-    starved = []
+    parts = []          # (rows, neighbours (s, k), weights (k,))
+    starved = np.empty((len(betas), N), dtype=bool)
     for b, beta in enumerate(betas):
         axes = [d for d, k in enumerate(beta) if k]
         stencils = (_MIXED if len(axes) == 2
@@ -269,35 +325,78 @@ def stencil_table(grid: BallGrid) -> StencilTable:
         for steps, weights in stencils:
             offsets = np.zeros((len(steps), n), dtype=np.int64)
             offsets[:, axes] = steps
-            nbr = _lookup(grid.index_map, grid.lattice[:, None, :] + offsets)
+            nbr = _lookup(ball.index_map, ball.lattice[:, None, :] + offsets)
             take = free & np.all(nbr >= 0, axis=1)
             parts.append((b * N + np.nonzero(take)[0], nbr[take],
                           np.asarray(weights)))
             free &= ~take
-        starved.append(free)
+        starved[b] = free
+    table = _assemble(betas, len(betas) * N, parts)
+    ball._shared[key] = (
+        StencilTable(betas, *_read_only(table.indptr, table.index,
+                                        table.weight)),
+        *_read_only(starved))
+    return ball._shared[key]
 
-    fact = [math.prod(math.factorial(k) for k in beta) for beta in betas]
-    any_starved = np.nonzero(np.any(starved, axis=0))[0]
-    for nodes, nbr, pinv in _quadratic_fits(grid, any_starved):
-        for b in range(len(betas)):
-            sel = starved[b][nodes]
-            # the fit's coefficient 0 is the constant, 1 + b is betas[b]
-            parts.append((b * N + nodes[sel], nbr[sel],
-                          pinv[sel, 1 + b, :] * fact[b]))
 
-    width = np.zeros(len(betas) * N, dtype=np.int64)
+def _assemble(betas, count: int, parts,
+              base: StencilTable | None = None) -> StencilTable:
+    """The table of count rows filled from parts, (rows, neighbours (s, k),
+    weights (k,) or (s, k)) each, on top of base's rows, whose entries
+    keep their order, each row's moved by the part entries before it."""
+    width = np.zeros(count, dtype=np.int64) if base is None else np.diff(
+        base.indptr)
     for rows, nbr, _ in parts:
         width[rows] = nbr.shape[1]
     indptr = np.concatenate(([0], np.cumsum(width)))
     index = np.empty(indptr[-1], dtype=np.int64)
     weight = np.empty(indptr[-1])
+    if base is not None:
+        moved = np.repeat(indptr[:-1] - base.indptr[:-1], np.diff(base.indptr))
+        moved += np.arange(moved.shape[0])
+        index[moved] = base.index
+        weight[moved] = base.weight
     for rows, nbr, w in parts:
         slots = indptr[rows][:, None] + np.arange(nbr.shape[1])
         index[slots] = nbr
         weight[slots] = w
-    table = StencilTable(betas=betas, indptr=indptr, index=index, weight=weight)
+    return StencilTable(betas=betas, indptr=indptr, index=index, weight=weight)
+
+
+def stencil_table(grid: BallGrid) -> StencilTable:
+    """The grid's finite-difference table for every 1 <= |beta| <= 2.
+
+    Built on first use and cached on the grid: the ball's fixed rows, with
+    each row no fixed stencil fits filled from the node's least-squares
+    quadratic fit on this grid; all of them reproduce quadratics exactly.
+    """
+    key = "stencil_table"
+    if key in grid._cache:
+        return grid._cache[key]
+    fixed, starved = _fixed_stencils(grid.ball)
+    betas, N = fixed.betas, grid.node_count
+    fact = [math.prod(math.factorial(k) for k in beta) for beta in betas]
+    parts = []
+    for nodes, nbr, pinv in _quadratic_fits(
+            grid, np.nonzero(np.any(starved, axis=0))[0]):
+        for b in range(len(betas)):
+            sel = starved[b][nodes]
+            # the fit's coefficient 0 is the constant, 1 + b is betas[b]
+            parts.append((b * N + nodes[sel], nbr[sel],
+                          pinv[sel, 1 + b, :] * fact[b]))
+    table = _assemble(betas, len(betas) * N, parts, base=fixed)
     grid._cache[key] = table
     return table
+
+
+def node_values(grid: BallGrid, vals) -> np.ndarray:
+    """vals as float64 node values, (N,) or (N, m); a ValueError for any
+    other shape."""
+    vals = np.asarray(vals, dtype=np.float64)
+    if vals.shape[:1] != (grid.node_count,) or vals.ndim > 2:
+        raise ValueError(f"values shape {vals.shape} does not fit "
+                         f"{grid.node_count} nodes")
+    return vals
 
 
 def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
@@ -308,10 +407,7 @@ def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
     the node axis when node picks the single row to evaluate.
     """
     beta = _canonical_beta(grid.n, beta)
-    vals = np.asarray(vals, dtype=np.float64)
-    if vals.shape[:1] != (grid.node_count,) or vals.ndim > 2:
-        raise ValueError(f"values shape {vals.shape} does not fit "
-                         f"{grid.node_count} nodes")
+    vals = node_values(grid, vals)
     order = sum(beta)
     if order == 0:
         return (vals if node is None else vals[node]).copy()
@@ -344,7 +440,10 @@ class PairSet:
     :meth:`from_pairs`) inside each bucket: bucket b is the slice
     buckets.indptr[b]:buckets.indptr[b + 1] of first, second, dist,
     dist_pow and steps(), so a scan of chosen buckets reads contiguous
-    ranges.
+    ranges.  first, second and buckets are read-only and, for a set from
+    :func:`build_pair_set`, shared with the sets of the same (seed, cap)
+    on every grid of the lattice ball; dist and what is computed from it
+    belong to this grid.
     """
 
     grid: BallGrid
@@ -353,7 +452,9 @@ class PairSet:
     dist: np.ndarray
     complete: bool
     buckets: PairBuckets
+    _take_ids: tuple = field(repr=False)
     _pow_cache: dict = field(default_factory=dict, repr=False)
+    _min_pow_cache: dict = field(default_factory=dict, repr=False)
     _steps: tuple | None = field(default=None, repr=False)
 
     @property
@@ -374,33 +475,44 @@ class PairSet:
                                 for d in range(self.grid.n))
         return self._steps
 
+    def take_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The writeable arrays behind the read-only first and second,
+        shared with every pair set of the lattice ball, to be used as take
+        indices only: ndarray.take copies an index array that is not
+        writeable on every call, ten times the cost of a 200k-pair gather.
+        """
+        return self._take_ids
+
     def bucket_min_dist_pow(self, alpha: float) -> np.ndarray:
         """The least dist_pow(alpha) of each bucket."""
         key = float(alpha)
-        least = self.buckets.min_dist_pow
-        if key not in least:
-            least[key] = np.minimum.reduceat(self.dist_pow(key),
-                                             self.buckets.indptr[:-1])
-        return least[key]
+        if key not in self._min_pow_cache:
+            self._min_pow_cache[key] = np.minimum.reduceat(
+                self.dist_pow(key), self.buckets.indptr[:-1])
+        return self._min_pow_cache[key]
 
     @classmethod
     def from_pairs(cls, grid: BallGrid, first, second) -> "PairSet":
         """The pair set of the pairs (first[p], second[p]): copies of the
         two arrays, regrouped bucket by bucket with their given order kept
         inside each bucket."""
-        return _pair_set(grid, np.array(first, dtype=np.int64),
-                         np.array(second, dtype=np.int64))
+        first = np.array(first, dtype=np.int64)
+        second = np.array(second, dtype=np.int64)
+        if first.shape != second.shape or first.ndim != 1:
+            raise ValueError("pair index arrays must be 1-D and equal length")
+        if np.any(first == second):
+            raise ValueError("pairs must join distinct nodes")
+        return _pair_set(grid, *_bucketed(grid.ball, first, second))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class PairBuckets:
     """The pairs of a PairSet grouped by the lattice cubes of their nodes.
 
     Cube c holds the nodes node_order[cube_start[c]:cube_start[c + 1]].
     Bucket b holds the pairs whose nodes lie in the cubes cube_a[b] <=
     cube_b[b], in either orientation: the pair set stores them as the
-    slice indptr[b]:indptr[b + 1].  min_dist_pow caches, per alpha, the
-    least dist_pow of each bucket.
+    slice indptr[b]:indptr[b + 1].  Every array is read-only and R-free.
     """
 
     node_order: np.ndarray
@@ -408,22 +520,13 @@ class PairBuckets:
     indptr: np.ndarray
     cube_a: np.ndarray
     cube_b: np.ndarray
-    min_dist_pow: dict = field(default_factory=dict, repr=False)
 
 
-def _pair_set(grid: BallGrid, first: np.ndarray, second: np.ndarray,
-              complete: bool = False) -> PairSet:
-    """The pair set of the int64 arrays first and second, which it takes
-    over: they are regrouped bucket by bucket in place, so a pair set's
-    build holds no second copy of its pairs."""
-    if first.shape != second.shape or first.ndim != 1:
-        raise ValueError("pair index arrays must be 1-D and equal length")
-    if np.any(first == second):
-        raise ValueError("pairs must join distinct nodes")
-    buckets, order = _bucket_pairs(grid, first, second)
-    first[:] = first.take(order)
-    second[:] = second.take(order)
-    del order
+def _pair_set(grid: BallGrid, ids: tuple[np.ndarray, np.ndarray],
+              buckets: PairBuckets, complete: bool = False) -> PairSet:
+    """The pair set on grid of the bucketed pairs ids = (first, second):
+    only their distances are computed here."""
+    first, second = ids
     # gathered column by column: one coordinate array per axis is far
     # cheaper to index than the (N, n) rows
     diff = np.empty((first.shape[0], grid.n))
@@ -431,35 +534,59 @@ def _pair_set(grid: BallGrid, first: np.ndarray, second: np.ndarray,
         column = np.ascontiguousarray(grid.nodes[:, d])
         np.subtract(column.take(first), column.take(second), out=diff[:, d])
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return PairSet(grid=grid, first=first, second=second, dist=dist,
-                   complete=complete, buckets=buckets)
+    views = _read_only(first.view(), second.view())
+    return PairSet(grid=grid, first=views[0], second=views[1], dist=dist,
+                   complete=complete, buckets=buckets, _take_ids=ids)
+
+
+def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray
+              ) -> tuple[tuple[np.ndarray, np.ndarray], PairBuckets]:
+    """The int64 pairs (first, second), which it takes over and regroups
+    bucket by bucket in place (so it holds no second copy of them), and
+    their buckets.  The pairs stay writeable as take indices (see
+    :meth:`PairSet.take_ids`); pair sets give out read-only views."""
+    buckets, order = _bucket_pairs(ball, first, second)
+    first[:] = first.take(order)
+    second[:] = second.take(order)
+    return (first, second), buckets
 
 
 # Cube ids then fit in uint8 and bucket keys cube_a * count + cube_b in uint16.
 _MAX_CUBES = 256
 
 
-def _node_cubes(grid: BallGrid) -> tuple[np.ndarray, int]:
+def _node_cubes(ball: LatticeBall) -> tuple[np.ndarray, int, np.ndarray,
+                                             np.ndarray]:
     """Each node's lattice cube, numbered 0..count-1 over the cubes that
-    hold nodes.  The cube side is 4 lattice steps, or the least side
-    giving at most _MAX_CUBES cubes."""
-    side = 4
-    while True:
-        cells = -(-grid.res // side)
-        flat = (grid.lattice // side) @ (cells ** np.arange(grid.n - 1, -1, -1))
-        present, cube = np.unique(flat, return_inverse=True)
-        if present.size <= _MAX_CUBES:
-            return cube.astype(np.uint8), present.size
-        side += 1
+    hold nodes, the count, and the nodes' order and starts cube by cube.
+    The cube side is 4 lattice steps, or the least side giving at most
+    _MAX_CUBES cubes.  Built once per ball, on first use, read-only."""
+    key = "node_cubes"
+    if key not in ball._shared:
+        side = 4
+        while True:
+            cells = -(-ball.res // side)
+            flat = (ball.lattice // side) @ (cells ** np.arange(ball.n - 1,
+                                                                -1, -1))
+            present, cube = np.unique(flat, return_inverse=True)
+            if present.size <= _MAX_CUBES:
+                break
+            side += 1
+        cube = cube.astype(np.uint8)
+        count = present.size
+        node_order = np.argsort(cube, kind="stable")
+        cube_start = np.searchsorted(cube[node_order], np.arange(count))
+        cube, node_order, cube_start = _read_only(cube, node_order,
+                                                  cube_start)
+        ball._shared[key] = (cube, count, node_order, cube_start)
+    return ball._shared[key]
 
 
-def _bucket_pairs(grid: BallGrid, first: np.ndarray,
+def _bucket_pairs(ball: LatticeBall, first: np.ndarray,
                   second: np.ndarray) -> tuple[PairBuckets, np.ndarray]:
     """The buckets of the pairs (first, second), and the permutation that
     stores them bucket by bucket, keeping their order inside each."""
-    cube, count = _node_cubes(grid)
-    node_order = np.argsort(cube, kind="stable")
-    cube_start = np.searchsorted(cube[node_order], np.arange(count))
+    cube, count, node_order, cube_start = _node_cubes(ball)
     # uint16 keys of the unordered cube pair: a stable radix sort groups
     # the pairs by bucket and keeps their order inside each
     ca, cb = cube.take(first), cube.take(second)
@@ -472,21 +599,33 @@ def _bucket_pairs(grid: BallGrid, first: np.ndarray,
     present = np.flatnonzero(sizes)
     indptr = np.concatenate(([0], np.cumsum(sizes[present])))
     cube_a, cube_b = np.divmod(present, count)
-    return PairBuckets(node_order=node_order, cube_start=cube_start,
-                       indptr=indptr, cube_a=cube_a, cube_b=cube_b), order
+    return PairBuckets(node_order, cube_start,
+                       *_read_only(indptr, cube_a, cube_b)), order
 
 
 def build_pair_set(grid: BallGrid, seed: int = 0,
                    cap: int = DEFAULT_PAIR_CAP) -> PairSet:
+    """The grid's pair set: every pair when there are at most cap, else
+    the forced pairs and seeded draws up to cap.
+
+    The node pairs and their buckets depend on (n, res, seed, cap) only (a
+    complete set on no seed), so they are built once per lattice ball and
+    shared by the sets of every grid on it, for as long as the ball lives;
+    each set computes its own distances.
+    """
     N = grid.node_count
     if cap < 2 * N:
         raise ValueError(f"pair cap {cap} too small for {N} nodes")
-    total = N * (N - 1) // 2
-    if total <= cap:
-        return _pair_set(grid, *np.triu_indices(N, k=1), complete=True)
-    # the draws are made in a helper, so its temporaries are freed before
-    # _pair_set allocates its own pair-length arrays
-    return _pair_set(grid, *_sampled_pairs(grid, seed, cap))
+    complete = N * (N - 1) // 2 <= cap
+    key = ("pairs",) if complete else ("pairs", seed, cap)
+    shared = grid.ball._shared
+    if key not in shared:
+        # the draws are made in a helper, so its temporaries are freed
+        # before the bucket sort allocates its own pair-length arrays
+        shared[key] = _bucketed(grid.ball, *(
+            np.triu_indices(N, k=1) if complete
+            else _sampled_pairs(grid, seed, cap)))
+    return _pair_set(grid, *shared[key], complete=complete)
 
 
 def _sampled_pairs(grid: BallGrid, seed: int,

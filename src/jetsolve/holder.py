@@ -182,8 +182,8 @@ def _column_semis(values: np.ndarray, sup: np.ndarray, alpha: float,
                 semi[col], full[col] = best, False
     if full.any():
         with np.errstate(invalid="ignore"):
-            semi[full] = _column_max_quotients(values[:, full], pairs.first,
-                                               pairs.second,
+            semi[full] = _column_max_quotients(values[:, full],
+                                               *pairs.take_ids(),
                                                pairs.dist_pow(alpha))
     return semi
 
@@ -216,7 +216,7 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
         if best is not None:
             return float(best)
     with np.errstate(invalid="ignore"):
-        semi = _column_max_quotients(values, pairs.first, pairs.second,
+        semi = _column_max_quotients(values, *pairs.take_ids(),
                                      pairs.dist_pow(alpha))
     return float((sup + c * semi).max())
 
@@ -266,7 +266,7 @@ def taylor_remainder_ratio(probe: Probe, alpha: float,
     """
     grid = pairs.grid
     n = grid.n
-    i, j = pairs.first, pairs.second
+    i, j = pairs.take_ids()
     steps = pairs.steps()
     squares = [c**2 for c in steps]
 

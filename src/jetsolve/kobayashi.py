@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .grid import LatticeBall
 from .picard import (OracleFailure, SolveConfig, SolveFailure, SolveReport,
                      solve_system)
 from .reduce import JetSpec
@@ -162,8 +163,14 @@ def estimate(query: KobayashiQuery,
     so any adaptive shrinking counts as failure at that radius rather than
     a silent success at a smaller one.  The schedule ascends and stops at
     the first failure; if even the smallest radius fails, the estimate is
-    flagged inconclusive rather than reported as infinite.
+    flagged inconclusive rather than reported as infinite.  Every radius
+    solves from a zero start, so a solve_config with a harmonic_seed is a
+    ValueError.  The radii's grids share one lattice ball, built here.
     """
+    base = solve_config or SolveConfig(res=21, tol=1e-7)
+    if base.harmonic_seed is not None:
+        raise ValueError("SolveConfig.harmonic_seed must be None: the "
+                         "Kobayashi search solves every radius from zero")
     if float(np.linalg.norm(query.X)) == 0.0:
         return KobayashiEstimate(upper_bound=0.0, r_best=None,
                                  certificate="zero_vector")
@@ -183,16 +190,16 @@ def estimate(query: KobayashiQuery,
             "orthogonal partner construction failed"
         )
 
-    base = solve_config or SolveConfig(res=21, tol=1e-7)
+    ball = LatticeBall(2, base.res)
     outcomes: list[RadiusOutcome] = []
     r_best = None
     for radius in query.schedule():
-        cfg = replace(base, R0=radius, R_min=radius * 0.99,
-                      harmonic_seed=None)
+        cfg = replace(base, R0=radius, R_min=radius * 0.99)
         system = harmonic_map_system(2, query.target)
         try:
             report: SolveReport = solve_system(system, jet, cfg,
-                                               ellipticity_samples=0)
+                                               ellipticity_samples=0,
+                                               ball=ball)
         except (SolveFailure, OracleFailure) as exc:
             outcomes.append(RadiusOutcome(
                 R=radius, success=False, reason=type(exc).__name__))

@@ -22,8 +22,8 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .grid import (DEFAULT_PAIR_CAP, BallGrid, PairSet, build_grid,
-                   build_pair_set, fd_values, multi_indices)
+from .grid import (DEFAULT_PAIR_CAP, BallGrid, LatticeBall, PairSet,
+                   build_grid, build_pair_set, fd_values, multi_indices)
 from .holder import max_weighted_norm
 from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
@@ -603,7 +603,8 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
     return outcome, f, f_norm, record
 
 
-def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
+def picard_solve(system: PoissonSystem, config: SolveConfig,
+                 ball: LatticeBall | None = None) -> SolveReport:
     """Run the adaptive fixed-point iteration.
 
     Policy: escape of the norm ball doubles gamma (bounded by
@@ -612,12 +613,18 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
     restarts from zero on a fresh grid; gamma is carried across halvings.
     Raises NoConvergence/IterateEscaped at the radius floor, with the
     partial report attached to the exception.
+
+    Every radius's grid and pair set is built on one lattice ball of
+    (system.n, config.res): ball when given (a ValueError if it is not of
+    that (n, res)), else one made for this call alone.
     """
     radius = config.R0
     floor = config.radius_floor
+    ball = (LatticeBall(system.n, config.res) if ball is None
+            else ball.require(system.n, config.res))
 
     def grid_and_pairs(radius: float) -> tuple[BallGrid, PairSet]:
-        grid = build_grid(system.n, radius, config.res)
+        grid = build_grid(system.n, radius, config.res, ball)
         return grid, build_pair_set(grid, seed=config.seed)
 
     # When the C_hat probe has the solve's resolution, it runs (if psi(0)
@@ -635,7 +642,8 @@ def picard_solve(system: PoissonSystem, config: SolveConfig) -> SolveReport:
     last_outcome = "never_ran"
 
     while True:
-        # the probe's grid serves the first radius; later ones build their own
+        # the probe's grid serves the first radius; later ones build their
+        # own on the shared ball
         grid, pairs = first or grid_and_pairs(radius)
         first = None
         seed_vals = seed_field_values(config.harmonic_seed, grid, system.m)
@@ -735,7 +743,8 @@ def _partial_report(system, config, last_R, gamma, gamma0, c_hat, psi0,
 
 def solve_system(system: SystemDef, jet: JetSpec | None,
                  config: SolveConfig,
-                 ellipticity_samples: int = 1000) -> SolveReport:
+                 ellipticity_samples: int = 1000,
+                 ball: LatticeBall | None = None) -> SolveReport:
     """Solve a quasi-linear system with a prescribed 1-jet at the origin.
 
     The system is sampled for ellipticity, shifted so the unknown has a
@@ -743,7 +752,9 @@ def solve_system(system: SystemDef, jet: JetSpec | None,
     iteration, and the solution is mapped back:
     u(x) = c0 + c1 x + v(P x).  The report gains the node coordinates in
     the original frame, the reconstructed values, the coordinate map, and
-    an in-chart flag when the system declares a chart radius.
+    an in-chart flag when the system declares a chart radius.  ball, when
+    given, is the lattice ball of (system.n, config.res) that the solve's
+    grids share (see :func:`picard_solve`).
     """
     if jet is None:
         jet = JetSpec.zero(system.m, system.n)
@@ -757,7 +768,7 @@ def solve_system(system: SystemDef, jet: JetSpec | None,
                           seed=config.seed)
     shifted = shift_jet(system, jet)
     poisson = diagonalize(shifted)
-    report = picard_solve(poisson, config)
+    report = picard_solve(poisson, config, ball)
     _attach_reconstruction(report, poisson, jet)
     return report
 

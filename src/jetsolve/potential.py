@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BallGrid, PairSet, build_pair_set, fd_values, multi_indices
+from .grid import (BallGrid, PairSet, build_pair_set, fd_values, multi_indices,
+                   node_values)
 from .holder import max_weighted_norm, weighted_norm_values
 
 
@@ -186,7 +187,7 @@ def _apply_potential(grid: BallGrid, source: np.ndarray,
 def newtonian_potential(values: np.ndarray, grid: BallGrid) -> PotentialField:
     """Potential N(f) with laplace(N(f)) = -f of (N,) or (N, m) node
     values, values only."""
-    return _apply_potential(grid, np.asarray(values, dtype=np.float64))
+    return _apply_potential(grid, node_values(grid, values))
 
 
 def potential_hessian(values: np.ndarray, grid: BallGrid) -> PotentialField:
@@ -195,8 +196,7 @@ def potential_hessian(values: np.ndarray, grid: BallGrid) -> PotentialField:
     Second derivatives use the difference form of the singular integral, so
     the diagonal sum equals -f identically (the kernel is traceless).
     """
-    return _apply_potential(grid, np.asarray(values, dtype=np.float64),
-                            hess=True)
+    return _apply_potential(grid, node_values(grid, values), hess=True)
 
 
 def laplacian_consistency(pf: PotentialField, values: np.ndarray) -> dict:

@@ -1,6 +1,8 @@
 """Grid geometry, finite differences, and pair sampling."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -418,3 +420,95 @@ def test_from_pairs_rejects_degenerate():
     grid = build_grid(2, 1.0, 9)
     with pytest.raises(ValueError):
         PairSet.from_pairs(grid, [0, 1], [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# one lattice ball shared by the grids of every radius
+
+
+def _grid_bytes(grid, seed):
+    """The bytes of everything a grid, its stencil table and its pair set
+    hold, in a fixed order."""
+    table = stencil_table(grid)
+    ps = build_pair_set(grid, seed=seed)
+    b = ps.buckets
+    arrays = [grid.nodes, grid.lattice, grid.index_map, grid.interior_mask,
+              table.indptr, table.index, table.weight,
+              ps.first, ps.second, ps.dist, b.node_order, b.cube_start,
+              b.indptr, b.cube_a, b.cube_b, ps.bucket_min_dist_pow(0.5)]
+    return ([a.tobytes() for a in arrays]
+            + [(grid.origin_index, grid.h.hex(), ps.complete)])
+
+
+@pytest.mark.parametrize("n,res,seed,radii", [
+    (2, 21, 0, [0.25 * 1.5**k for k in range(8)]),
+    (3, 9, 0, [0.25 * 1.5**k for k in range(8)]),
+    (2, 33, 5, [3.0, 1.5]),          # a sampled set
+])
+def test_shared_ball_builds_equal_fresh_builds(n, res, seed, radii):
+    # grids, stencil tables and pair sets built on one ball, each radius
+    # after the ball's tables were filled by the radii before it, hold
+    # bitwise what a grid with a ball of its own holds
+    ball = grid_module.LatticeBall(n, res)
+    shared_pairs = []
+    for R in radii:
+        grid = build_grid(n, R, res, ball)
+        assert grid.ball is ball
+        assert _grid_bytes(grid, seed) == _grid_bytes(build_grid(n, R, res),
+                                                      seed)
+        shared_pairs.append(build_pair_set(grid, seed=seed))
+    # the pair ids are one array for every radius; the distances are not
+    assert len({id(ps.take_ids()[0]) for ps in shared_pairs}) == 1
+    assert all(np.shares_memory(ps.first, ps.take_ids()[0])
+               for ps in shared_pairs)
+    assert len({id(ps.dist) for ps in shared_pairs}) == len(radii)
+    assert shared_pairs[0].complete == (res != 33)
+
+
+def test_ball_must_fit_the_grid():
+    ball = grid_module.LatticeBall(2, 11)
+    for n, res in [(2, 9), (3, 11)]:
+        with pytest.raises(ValueError, match="lattice ball"):
+            build_grid(n, 1.0, res, ball)
+    with pytest.raises(ValueError, match="res must be odd"):
+        grid_module.LatticeBall(2, 10)
+
+
+def test_shared_arrays_are_read_only():
+    # an in-place write through any grid or pair set cannot reach the
+    # arrays every other grid of the ball reads
+    ball = grid_module.LatticeBall(2, 13)
+    grid = build_grid(2, 1.0, 13, ball)
+    stencil_table(grid)
+    ps = build_pair_set(grid)
+    b = ps.buckets
+    for array in (grid.lattice, grid.index_map, grid.interior_mask,
+                  ps.first, ps.second, b.node_order, b.cube_start, b.indptr,
+                  b.cube_a, b.cube_b):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+    fixed, starved = grid_module._fixed_stencils(ball)
+    for array in (fixed.indptr, fixed.index, fixed.weight, starved):
+        assert not array.flags.writeable
+    # the scans gather through the writeable arrays behind the read-only
+    # ids: take copies a read-only index array on every call
+    for ids, view in zip(ps.take_ids(), (ps.first, ps.second)):
+        assert ids.flags.writeable and np.shares_memory(ids, view)
+
+
+def test_ball_keeps_no_grid_alive():
+    # the ball holds only R-free arrays: a grid and its pair set go with
+    # their last reference while the ball lives on
+    ball = grid_module.LatticeBall(2, 17)
+    gc.disable()
+    try:
+        grid = build_grid(2, 0.5, 17, ball)
+        ps = build_pair_set(grid, seed=3)
+        fd_values(grid, np.ones(grid.node_count), (2, 0))
+        refs = [weakref.ref(grid), weakref.ref(ps),
+                weakref.ref(stencil_table(grid))]
+        del grid, ps
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
+    assert ball._shared

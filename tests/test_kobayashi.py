@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jetsolve import (
+    HarmonicPolynomial,
     KobayashiQuery,
     SolveConfig,
     conformality_defect,
@@ -14,7 +15,9 @@ from jetsolve import (
     orthogonal_partner,
     sphere_stereographic_target,
 )
+import jetsolve.grid as grid_module
 import jetsolve.kobayashi as kobayashi_module
+import jetsolve.picard as picard_module
 
 
 HYP = hyperbolic_disk_target(2)
@@ -176,3 +179,41 @@ def test_sphere_short_schedule_succeeds():
     est = estimate(q, solve_config=FAST)
     assert not est.inconclusive
     assert est.upper_bound == pytest.approx(1.0 / 0.375)
+
+
+def test_estimate_rejects_a_seeded_config():
+    # every radius solves from zero: a seed would be silently dropped
+    saddle = HarmonicPolynomial({(2, 0): 5.0, (0, 2): -5.0})
+    q = KobayashiQuery(HYP, np.zeros(2), np.array([0.4, 0.0]), max_steps=2)
+    with pytest.raises(ValueError, match="harmonic_seed"):
+        estimate(q, solve_config=SolveConfig(res=7,
+                                             harmonic_seed=[saddle] * 2))
+
+
+def test_one_lattice_ball_per_estimate(monkeypatch):
+    # the seven radii of one search build their grids on one ball, and a
+    # second search builds its own
+    balls, grid_balls = [], []
+    init = grid_module.LatticeBall.__init__
+    build = picard_module.build_grid
+
+    def counting_init(self, *args):
+        balls.append(self)
+        init(self, *args)
+
+    def recording_build(*args):
+        grid = build(*args)
+        grid_balls.append(grid.ball)
+        return grid
+
+    monkeypatch.setattr(grid_module.LatticeBall, "__init__", counting_init)
+    monkeypatch.setattr(picard_module, "build_grid", recording_build)
+    q = KobayashiQuery(HYP, np.zeros(2), np.array([0.4, 0.0]), max_steps=7)
+    config = SolveConfig(res=13, tol=1e-7)
+    first = estimate(q, solve_config=config)
+    assert len(first.outcomes) == 7
+    assert len(balls) == 1
+    assert grid_balls == [balls[0]] * 7
+    estimate(q, solve_config=config)
+    assert len(balls) == 2 and balls[1] is not balls[0]
+    assert grid_balls[7:] == [balls[1]] * 7

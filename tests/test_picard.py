@@ -15,6 +15,7 @@ from jetsolve import (
     IterateEscaped,
     JetSpec,
     KobayashiQuery,
+    LatticeBall,
     NoConvergence,
     OracleFailure,
     PairSet,
@@ -43,6 +44,7 @@ from jetsolve import (
     source_term,
     sphere_stereographic_target,
 )
+import jetsolve.grid as grid_module
 import jetsolve.oracle as oracle_module
 import jetsolve.picard as picard_module
 import jetsolve.potential as potential_module
@@ -425,6 +427,50 @@ def test_old_grid_is_released_before_the_next_is_built(monkeypatch):
     assert len({a.R for a in report.attempts}) >= 2
     assert len(alive) >= 2
     assert not any(any(seen) for seen in alive)
+
+
+def test_halving_builds_every_radius_on_one_ball(monkeypatch):
+    # the radii of one solve share one lattice ball, and with it one array
+    # of sampled pair ids
+    balls, grids, pair_sets = [], [], []
+    init = grid_module.LatticeBall.__init__
+    build = picard_module.build_grid
+    build_pairs = picard_module.build_pair_set
+
+    def counting_init(self, *args):
+        balls.append(self)
+        init(self, *args)
+
+    def recording_build(*args):
+        grids.append(build(*args))
+        return grids[-1]
+
+    def recording_pairs(*args, **kwargs):
+        pair_sets.append(build_pairs(*args, **kwargs))
+        return pair_sets[-1]
+
+    monkeypatch.setattr(grid_module.LatticeBall, "__init__", counting_init)
+    monkeypatch.setattr(picard_module, "build_grid", recording_build)
+    monkeypatch.setattr(picard_module, "build_pair_set", recording_pairs)
+    cfg = SolveConfig(R0=3.0, res=33, seed=4, gamma0=40.0, max_iter=7,
+                      harmonic_seed=_SADDLE)
+    report = solve_system(minimal_surface_system(2, q_bound=2.5),
+                          JetSpec.zero(1, 2), cfg)
+    assert len({a.R for a in report.attempts}) == len(grids) >= 2
+    assert len(balls) == 1
+    assert all(grid.ball is balls[0] for grid in grids)
+    assert report.grid is grids[-1]
+    assert not pair_sets[0].complete
+    ids = pair_sets[0].take_ids()
+    assert all(ps.take_ids()[0] is ids[0] for ps in pair_sets)
+
+
+def test_solve_rejects_a_ball_of_another_shape():
+    cfg = SolveConfig(R0=1.0, res=9, seed=0)
+    system = poisson_system(2, const=1.0)
+    for ball in (LatticeBall(2, 11), LatticeBall(3, 9)):
+        with pytest.raises(ValueError, match="lattice ball"):
+            solve_system(system, JetSpec.zero(1, 2), cfg, ball=ball)
 
 
 def test_floor_exhaustion_raises_with_partial_report(monkeypatch):

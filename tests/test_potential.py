@@ -158,6 +158,17 @@ def test_potential_accepts_raw_arrays():
     assert np.all(np.isfinite(pf.values))
 
 
+@pytest.mark.parametrize("apply", [newtonian_potential, potential_hessian])
+def test_potential_rejects_values_of_another_shape(apply):
+    # a (2N,) source is not two interleaved columns, nor an (N, 2, 1) one
+    # N rows of a matrix: the node axis comes first, with at most one more
+    grid = build_grid(2, 1.0, 9)
+    N = grid.node_count
+    for shape in [(2 * N,), (N - 1,), (N, 2, 1)]:
+        with pytest.raises(ValueError, match=f"does not fit {N} nodes"):
+            apply(np.ones(shape), grid)
+
+
 # ---------------------------------------------------------------------------
 # the FFT pass against the dense reference
 
