@@ -5,27 +5,25 @@ odd so the origin is always a node, and axis endpoints land exactly on |x| = R.
 
 What depends only on (n, res) lives on a :class:`LatticeBall`, shared by
 the grids of every radius at that (n, res): the kept lattice points, their
-index map, interior mask and origin, the fixed stencil rows below, the
-nodes' lattice cubes and the pair ids of each pair set.  A
-:class:`BallGrid` is the ball plus R: the node coordinates, h and the cell
-volume, and, cached on the grid, the least-squares stencil rows, the pair
-distances, the quadrature weights and the kernel spectra.  The fits stay
-per R because their neighbours are ordered by float distances whose ties
-rounding settles differently for each R.
+index map, interior mask and origin, the stencil table below, the nodes'
+lattice cubes, and each pair set's pair ids with their integer squared
+lattice distances.  A :class:`BallGrid` is the ball plus R: the node
+coordinates, h and the cell volume, and, cached on the grid, the
+quadrature weights and the kernel spectra.
 
-Every derivative of order 1 or 2 is read off one stencil table per grid: a
-sparse row per (multi-index, node), applied as one gather plus a segmented
-sum.  A row holds the 2nd-order central stencil where it fits inside the
-ball, else a 2nd-order one-sided stencil, else (at the handful of nodes,
-e.g. the poles, whose lattice line is too short for either) a least-squares
-quadratic fit on the nearest nodes.  Every row reproduces polynomials of
-degree <= 2 exactly.
+Every derivative of order 1 or 2 is read off one stencil table per lattice
+ball, in units of h^-|beta|: a sparse row per (multi-index, node), applied
+as one gather plus a segmented sum.  A row holds the 2nd-order central
+stencil where it fits inside the ball, else a 2nd-order one-sided stencil,
+else (at the handful of nodes, e.g. the poles, whose lattice line is too
+short for either) a least-squares quadratic fit on the nearest nodes.
+Every row reproduces polynomials of degree <= 2 exactly.
 
 The nearest nodes of a fit are searched in a lattice ball of integer radius
 r around the node, grown by one until it holds K nodes: every lattice point
 outside the ball is farther than every point inside, so the K nearest
-candidates are the K nearest nodes.  They are ordered by the float squared
-distance, ties going to the lower lattice index.
+candidates are the K nearest nodes.  They are ordered by the integer squared
+lattice distance, ties going to the lower lattice index.
 
 A pair set, for the Hölder seminorms, stores its node pairs bucket by
 bucket: nodes are grouped into lattice cubes, and a bucket holds the pairs
@@ -57,11 +55,11 @@ class LatticeBall:
     The kept lattice points (N, n), those with |k - c| <= c for the centre
     index c, in lexicographic order; the index map (-1 outside the ball),
     the interior mask (every unit-offset neighbour is a node) and the
-    origin's node index; and, built on first use, the fixed stencil rows,
-    the node cubes and each pair set's pair ids.  It holds no grid and
-    nothing that depends on R.  Its arrays are read-only, but for the pair
-    ids, which pair sets give out as read-only views (see
-    :meth:`PairSet.take_ids`).
+    origin's node index; and, built on first use, the stencil table, the
+    node cubes and each pair set's pair ids and integer squared distances.
+    It holds no grid and nothing that depends on R.  Its arrays are
+    read-only, but for the pair ids, which pair sets give out as read-only
+    views (see :meth:`PairSet.take_ids`).
     """
 
     def __init__(self, n: int, res: int):
@@ -83,7 +81,7 @@ class LatticeBall:
         self.lattice, self.index_map, self.interior_mask = _read_only(
             lattice, index_map, interior)
         self.origin_index = int(index_map[(c,) * n])
-        # R-free tables built on first use: fixed stencils, cubes, pair ids
+        # R-free tables built on first use: stencils, cubes, pairs
         self._shared: dict = {}
 
     @property
@@ -109,11 +107,9 @@ class BallGrid:
 
     A grid is its lattice ball plus R.  n, res, lattice, index_map,
     interior_mask and origin_index are the ball's, shared by every radius
-    at (n, res), as are the fixed stencil rows and the pair ids.  The grid
-    holds the node coordinates (N, n), h and the cell volume, and caches
-    what moves with R: the least-squares stencil rows (float ties in their
-    neighbour order settle differently for each R), the pair distances,
-    the quadrature weights and the kernel spectra.
+    at (n, res), as are the stencil table and the pairs.  The grid holds
+    the node coordinates (N, n), h and the cell volume, and caches what
+    moves with R: the quadrature weights and the kernel spectra.
     """
 
     ball: LatticeBall
@@ -165,7 +161,7 @@ def build_grid(n: int, R: float, res: int,
 
 
 # ---------------------------------------------------------------------------
-# finite differences: one stencil table per grid
+# finite differences: one stencil table per lattice ball
 
 
 def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
@@ -202,7 +198,8 @@ _MIXED = ((((1, 1), (1, -1), (-1, 1), (-1, -1)), (0.25, -0.25, -0.25, 0.25)),)
 
 @dataclass(frozen=True)
 class StencilTable:
-    """Finite-difference rows of one grid, one per (multi-index, node).
+    """Finite-difference rows of one lattice ball, one per (multi-index,
+    node).
 
     Row b * N + k holds the stencil of multi-index betas[b] at node k: its
     entries indptr[row]:indptr[row + 1] of index (neighbour nodes) and
@@ -228,60 +225,56 @@ def _ball_offsets(ball: LatticeBall, r: int) -> np.ndarray:
     return ball._shared[key]
 
 
-def _nearest(grid: BallGrid, nodes: np.ndarray, K: int) -> np.ndarray:
-    """The K nearest nodes to each of nodes, by the float squared distance.
-
-    Ties in that distance go to the lower lattice index.  The float
-    distances of equal lattice distances round differently with R, so
-    where lattice distances tie, rounding noise, not the lattice, decides
-    the order, and the result can change with R at fixed (n, res).
+def _nearest(ball: LatticeBall, nodes: np.ndarray, K: int) -> np.ndarray:
+    """The K nearest nodes to each of nodes, by the integer squared lattice
+    distance, ties going to the lower lattice index.
 
     Candidates come from the lattice ball of integer radius r around each
     node, r starting where the ball holds K lattice points; a node whose
-    K-th candidate is not closer than every lattice point outside the ball
-    (each at least sqrt(r^2 + 1) h away) is searched again at r + 1.
+    K-th candidate has squared distance above r^2 (every lattice point
+    outside the ball has at least r^2 + 1) is searched again at r + 1.
     """
-    n = grid.n
     out = np.empty((nodes.shape[0], K), dtype=np.int64)
     todo = np.arange(nodes.shape[0])
     r = 1
-    while _ball_offsets(grid.ball, r).shape[0] < K:
+    while _ball_offsets(ball, r).shape[0] < K:
         r += 1
     while todo.size:
-        lat = grid.lattice[nodes[todo], None, :] + _ball_offsets(grid.ball, r)
-        cand = _lookup(grid.index_map, lat)
-        diff = (grid.nodes[cand] - grid.nodes[nodes[todo], None, :]).reshape(-1, n)
-        d2 = np.einsum("ij,ij->i", diff, diff).reshape(cand.shape)
-        d2[cand < 0] = np.inf
+        offsets = _ball_offsets(ball, r)
+        cand = _lookup(ball.index_map, ball.lattice[nodes[todo], None, :]
+                       + offsets)
+        # a missing candidate sorts after every lattice point of the ball
+        d2 = np.where(cand >= 0, np.einsum("ij,ij->i", offsets, offsets),
+                      r * r + 1)
         # the offsets run in lattice order, so a stable sort breaks ties
         # in d2 by lattice index
         order = np.argsort(d2, axis=-1, kind="stable")[:, :K]
-        kth = np.take_along_axis(d2, order[:, K - 1:], axis=1)[:, 0]
-        done = kth < (r * r + 1) * grid.h**2 * (1.0 - 1e-9)
+        done = np.take_along_axis(d2, order[:, K - 1:], axis=1)[:, 0] <= r * r
         out[todo[done]] = np.take_along_axis(cand[done], order[done], axis=1)
         todo = todo[~done]
         r += 1
     return out
 
 
-def _quadratic_fits(grid: BallGrid, nodes: np.ndarray) -> list:
-    """Least-squares quadratic fits at the given nodes.
+def _quadratic_fits(ball: LatticeBall, nodes: np.ndarray) -> list:
+    """Least-squares quadratic fits at the given nodes, in lattice units.
 
     Each node fits the monomials of degree <= 2 on its K nearest nodes, K
     starting at twice the monomial count and growing by the monomial count
     until the fit has full rank.  Returns (nodes, neighbours, pinv) groups,
-    one per K; pinv maps neighbour values to the coefficients, in
-    (x - x_node) / h, of the multi-indices of order 0, 1 and 2 in order.
+    one per K; pinv maps neighbour values to the coefficients, in the
+    integer lattice offsets (x - x_node) / h, of the multi-indices of
+    order 0, 1 and 2 in order.
     """
     mono = np.asarray([b for order in (0, 1, 2)
-                       for b in multi_indices(grid.n, order)])
-    axes = np.arange(grid.n)
-    nm, N = mono.shape[0], grid.node_count
+                       for b in multi_indices(ball.n, order)])
+    axes = np.arange(ball.n)
+    nm, N = mono.shape[0], ball.node_count
     K = min(N, 2 * nm)
     groups = []
     while nodes.size:
-        nbr = _nearest(grid, nodes, K)
-        xi = (grid.nodes[nbr] - grid.nodes[nodes, None, :]) / grid.h
+        nbr = _nearest(ball, nodes, K)
+        xi = (ball.lattice[nbr] - ball.lattice[nodes, None, :]).astype(float)
         # each xi ** e for e = 0, 1, 2 once, then picked per monomial
         powers = xi[:, :, None, :] ** np.arange(3)[:, None]
         V = np.prod(powers[:, :, mono, axes], axis=-1)
@@ -304,18 +297,38 @@ def _quadratic_fits(grid: BallGrid, nodes: np.ndarray) -> list:
     return groups
 
 
-def _fixed_stencils(ball: LatticeBall) -> tuple[StencilTable, np.ndarray]:
-    """The table of every 1 <= |beta| <= 2 whose (beta, node) rows hold the
-    first fixed stencil whose nodes all exist, empty where none does, and
-    the (betas, N) mask of those starved rows.  Neither depends on R, so
-    both are built once per ball, on first use, and are read-only.
+def _assemble(betas, count: int, parts) -> StencilTable:
+    """The read-only table of count rows filled from parts, (rows,
+    neighbours (s, k), weights (k,) or (s, k)) each."""
+    width = np.zeros(count, dtype=np.int64)
+    for rows, nbr, _ in parts:
+        width[rows] = nbr.shape[1]
+    indptr = np.concatenate(([0], np.cumsum(width)))
+    index = np.empty(indptr[-1], dtype=np.int64)
+    weight = np.empty(indptr[-1])
+    for rows, nbr, w in parts:
+        slots = indptr[rows][:, None] + np.arange(nbr.shape[1])
+        index[slots] = nbr
+        weight[slots] = w
+    return StencilTable(betas, *_read_only(indptr, index, weight))
+
+
+def stencil_table(grid: BallGrid) -> StencilTable:
+    """The finite-difference table of grid's lattice ball for every
+    1 <= |beta| <= 2.
+
+    Row (beta, node) holds the first fixed stencil whose nodes all exist,
+    else the node's least-squares quadratic fit; all of them reproduce
+    quadratics exactly.  The table is R-free, so it is built once per
+    ball, on first use, and shared read-only by the grids of every radius.
     """
-    key = "fixed_stencils"
+    ball = grid.ball
+    key = "stencil_table"
     if key in ball._shared:
         return ball._shared[key]
     n, N = ball.n, ball.node_count
     betas = tuple(multi_indices(n, 1) + multi_indices(n, 2))
-    parts = []          # (rows, neighbours (s, k), weights (k,))
+    parts = []          # (rows, neighbours (s, k), weights (k,) or (s, k))
     starved = np.empty((len(betas), N), dtype=bool)
     for b, beta in enumerate(betas):
         axes = [d for d, k in enumerate(beta) if k]
@@ -331,62 +344,16 @@ def _fixed_stencils(ball: LatticeBall) -> tuple[StencilTable, np.ndarray]:
                           np.asarray(weights)))
             free &= ~take
         starved[b] = free
-    table = _assemble(betas, len(betas) * N, parts)
-    ball._shared[key] = (
-        StencilTable(betas, *_read_only(table.indptr, table.index,
-                                        table.weight)),
-        *_read_only(starved))
-    return ball._shared[key]
-
-
-def _assemble(betas, count: int, parts,
-              base: StencilTable | None = None) -> StencilTable:
-    """The table of count rows filled from parts, (rows, neighbours (s, k),
-    weights (k,) or (s, k)) each, on top of base's rows, whose entries
-    keep their order, each row's moved by the part entries before it."""
-    width = np.zeros(count, dtype=np.int64) if base is None else np.diff(
-        base.indptr)
-    for rows, nbr, _ in parts:
-        width[rows] = nbr.shape[1]
-    indptr = np.concatenate(([0], np.cumsum(width)))
-    index = np.empty(indptr[-1], dtype=np.int64)
-    weight = np.empty(indptr[-1])
-    if base is not None:
-        moved = np.repeat(indptr[:-1] - base.indptr[:-1], np.diff(base.indptr))
-        moved += np.arange(moved.shape[0])
-        index[moved] = base.index
-        weight[moved] = base.weight
-    for rows, nbr, w in parts:
-        slots = indptr[rows][:, None] + np.arange(nbr.shape[1])
-        index[slots] = nbr
-        weight[slots] = w
-    return StencilTable(betas=betas, indptr=indptr, index=index, weight=weight)
-
-
-def stencil_table(grid: BallGrid) -> StencilTable:
-    """The grid's finite-difference table for every 1 <= |beta| <= 2.
-
-    Built on first use and cached on the grid: the ball's fixed rows, with
-    each row no fixed stencil fits filled from the node's least-squares
-    quadratic fit on this grid; all of them reproduce quadratics exactly.
-    """
-    key = "stencil_table"
-    if key in grid._cache:
-        return grid._cache[key]
-    fixed, starved = _fixed_stencils(grid.ball)
-    betas, N = fixed.betas, grid.node_count
     fact = [math.prod(math.factorial(k) for k in beta) for beta in betas]
-    parts = []
     for nodes, nbr, pinv in _quadratic_fits(
-            grid, np.nonzero(np.any(starved, axis=0))[0]):
+            ball, np.nonzero(np.any(starved, axis=0))[0]):
         for b in range(len(betas)):
             sel = starved[b][nodes]
             # the fit's coefficient 0 is the constant, 1 + b is betas[b]
             parts.append((b * N + nodes[sel], nbr[sel],
                           pinv[sel, 1 + b, :] * fact[b]))
-    table = _assemble(betas, len(betas) * N, parts, base=fixed)
-    grid._cache[key] = table
-    return table
+    ball._shared[key] = _assemble(betas, len(betas) * N, parts)
+    return ball._shared[key]
 
 
 def node_values(grid: BallGrid, vals) -> np.ndarray:
@@ -404,15 +371,19 @@ def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
     """Finite-difference derivative of node values.
 
     vals has shape (N,) or (N, m); the result has the same shape, or drops
-    the node axis when node picks the single row to evaluate.
+    the node axis when node, an integer in range(N), picks the single row
+    to evaluate.
     """
     beta = _canonical_beta(grid.n, beta)
     vals = node_values(grid, vals)
+    N = grid.node_count
+    if node is not None and not (isinstance(node, (int, np.integer))
+                                 and 0 <= node < N):
+        raise ValueError(f"node {node!r} is not a node index in range({N})")
     order = sum(beta)
     if order == 0:
         return (vals if node is None else vals[node]).copy()
     table = stencil_table(grid)
-    N = grid.node_count
     first, count = (0, N) if node is None else (node, 1)
     start = table.betas.index(beta) * N + first
     ptr = table.indptr[start:start + count + 1]
@@ -442,7 +413,8 @@ class PairSet:
     dist_pow and steps(), so a scan of chosen buckets reads contiguous
     ranges.  first, second and buckets are read-only and, for a set from
     :func:`build_pair_set`, shared with the sets of the same (seed, cap)
-    on every grid of the lattice ball; dist and what is computed from it
+    on every grid of the lattice ball, as are the pairs' integer squared
+    lattice distances d2; dist, h * sqrt(d2), and what is computed from it
     belong to this grid.
     """
 
@@ -493,11 +465,19 @@ class PairSet:
 
     @classmethod
     def from_pairs(cls, grid: BallGrid, first, second) -> "PairSet":
-        """The pair set of the pairs (first[p], second[p]): copies of the
-        two arrays, regrouped bucket by bucket with their given order kept
-        inside each bucket."""
-        first = np.array(first, dtype=np.int64)
-        second = np.array(second, dtype=np.int64)
+        """The pair set of the pairs (first[p], second[p]): int64 copies of
+        the two arrays of node ids, regrouped bucket by bucket with their
+        given order kept inside each bucket."""
+        N = grid.node_count
+        ids = []
+        for given in map(np.asarray, (first, second)):
+            with np.errstate(invalid="ignore"):     # a nan id fails below
+                ids.append(given.astype(np.int64))
+            if np.any(ids[-1] != given) or np.any((ids[-1] < 0)
+                                                  | (ids[-1] >= N)):
+                raise ValueError(f"pair node ids must be integers in "
+                                 f"range({N})")
+        first, second = ids
         if first.shape != second.shape or first.ndim != 1:
             raise ValueError("pair index arrays must be 1-D and equal length")
         if np.any(first == second):
@@ -523,32 +503,44 @@ class PairBuckets:
 
 
 def _pair_set(grid: BallGrid, ids: tuple[np.ndarray, np.ndarray],
-              buckets: PairBuckets, complete: bool = False) -> PairSet:
-    """The pair set on grid of the bucketed pairs ids = (first, second):
-    only their distances are computed here."""
+              buckets: PairBuckets, d2: np.ndarray,
+              complete: bool = False) -> PairSet:
+    """The pair set on grid of the bucketed pairs ids = (first, second),
+    d2 their integer squared lattice distances: only their distances,
+    h * sqrt(d2), are computed here."""
     first, second = ids
-    # gathered column by column: one coordinate array per axis is far
-    # cheaper to index than the (N, n) rows
-    diff = np.empty((first.shape[0], grid.n))
-    for d in range(grid.n):
-        column = np.ascontiguousarray(grid.nodes[:, d])
-        np.subtract(column.take(first), column.take(second), out=diff[:, d])
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dist = np.sqrt(d2, dtype=np.float64)
+    dist *= grid.h
     views = _read_only(first.view(), second.view())
     return PairSet(grid=grid, first=views[0], second=views[1], dist=dist,
                    complete=complete, buckets=buckets, _take_ids=ids)
 
 
 def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray
-              ) -> tuple[tuple[np.ndarray, np.ndarray], PairBuckets]:
+              ) -> tuple[tuple[np.ndarray, np.ndarray], PairBuckets,
+                         np.ndarray]:
     """The int64 pairs (first, second), which it takes over and regroups
-    bucket by bucket in place (so it holds no second copy of them), and
-    their buckets.  The pairs stay writeable as take indices (see
-    :meth:`PairSet.take_ids`); pair sets give out read-only views."""
+    bucket by bucket in place (so it holds no second copy of them), their
+    buckets and their read-only integer squared lattice distances, in the
+    least unsigned dtype that holds n (res - 1)^2.  The pairs stay
+    writeable as take indices (see :meth:`PairSet.take_ids`); pair sets
+    give out read-only views."""
     buckets, order = _bucket_pairs(ball, first, second)
     first[:] = first.take(order)
     second[:] = second.take(order)
-    return (first, second), buckets
+    # The integer offsets are exact in float64.  They are gathered column
+    # by column into one (pairs, n) block: once glibc has freed a block
+    # that size, it serves the Hölder scans' pair-length temporaries from
+    # the heap (with per-axis temporaries alone they stayed mmapped, and
+    # the scans ran about 25% slower at 2D res 33).
+    offset = np.empty((first.shape[0], ball.n))
+    for d in range(ball.n):
+        column = ball.lattice[:, d].astype(np.float64)
+        np.subtract(column.take(first), column.take(second),
+                    out=offset[:, d])
+    d2 = np.einsum("ij,ij->i", offset, offset).astype(
+        np.min_scalar_type(ball.n * (ball.res - 1)**2))
+    return (first, second), buckets, *_read_only(d2)
 
 
 # Cube ids then fit in uint8 and bucket keys cube_a * count + cube_b in uint16.
@@ -608,10 +600,11 @@ def build_pair_set(grid: BallGrid, seed: int = 0,
     """The grid's pair set: every pair when there are at most cap, else
     the forced pairs and seeded draws up to cap.
 
-    The node pairs and their buckets depend on (n, res, seed, cap) only (a
-    complete set on no seed), so they are built once per lattice ball and
-    shared by the sets of every grid on it, for as long as the ball lives;
-    each set computes its own distances.
+    The node pairs, their buckets and their integer squared lattice
+    distances depend on (n, res, seed, cap) only (a complete set on no
+    seed), so they are built once per lattice ball and shared by the sets
+    of every grid on it, for as long as the ball lives; each set scales
+    its own distances by h.
     """
     N = grid.node_count
     if cap < 2 * N:

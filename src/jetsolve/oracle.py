@@ -59,14 +59,13 @@ def uniform_ball_potential(n: int, R: float, x):
 def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:
     """Finite-difference derivative computed route by route, node by node.
 
-    Independent of the grid's stencil table: the neighbor lookup is rebuilt
-    from raw node coordinates, each stencil is written out as a formula, and
-    each stencil-starved node gets its own least-squares quadratic fit on
-    the K nearest nodes found by sorting all nodes on the float squared
-    distance, then lattice index.  Equal lattice distances round to
-    different floats, and differently for each R, so where they tie,
-    rounding noise rather than the lattice index picks the order.  Meant
-    for small grids; the fits cost O(N log N) per node.
+    Independent of the grid's stencil table: the lattice and the neighbor
+    lookup are rebuilt from raw node coordinates, each stencil is written
+    out as a formula, and each stencil-starved node gets its own
+    least-squares quadratic fit on the K nearest nodes found by sorting
+    all nodes on the integer squared distance in that lattice, then on
+    lattice index.  Meant for small grids; the fits cost O(N log N) per
+    node.
     """
     nodes, h, n, N = grid.nodes, grid.h, grid.n, grid.node_count
     f = np.asarray(vals, dtype=np.float64)
@@ -122,7 +121,7 @@ def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:
     nm = len(mono)
     fact = math.prod(math.factorial(b) for b in beta)
     for node in np.nonzero(np.isnan(out))[0]:
-        d2 = np.einsum("ij,ij->i", nodes - nodes[node], nodes - nodes[node])
+        d2 = np.einsum("ij,ij->i", lat - lat[node], lat - lat[node])
         order = np.lexsort(tuple(lat[:, d] for d in range(n - 1, -1, -1))
                            + (d2,))
         K = min(N, 2 * nm)

@@ -223,18 +223,19 @@ def test_fd_exact_on_quadratics(data_seed):
 ])
 def test_nearest_nodes_match_full_sort(n, R, res, K, step):
     # K beyond the first lattice ball's reach makes the ball search grow,
-    # and it must agree with a sort over every node on the same float
-    # distances, ties by lattice index; res-21 rows are the boundary nodes
+    # and it must agree with a sort over every node on the integer squared
+    # lattice distance, ties by lattice index; res-21 rows are the boundary
+    # nodes
     grid = build_grid(n, R, res)
     K = K or grid.node_count
     nodes = np.arange(0, grid.node_count, step)
     if res == 21:
         nodes = np.nonzero(grid.boundary_mask)[0]
-    got = _nearest(grid, nodes, K)
+    got = _nearest(grid.ball, nodes, K)
     keys = tuple(grid.lattice[:, d] for d in range(n - 1, -1, -1))
     for row, node in zip(got, nodes):
-        diff = grid.nodes - grid.nodes[node]
-        d2 = np.einsum("ij,ij->i", diff, diff)
+        offset = grid.lattice - grid.lattice[node]
+        d2 = np.einsum("ij,ij->i", offset, offset)
         order = np.lexsort(keys + (d2,))
         np.testing.assert_array_equal(row, order[:K])
 
@@ -258,18 +259,18 @@ def test_stencil_table_matches_reference(data_seed):
                                           both[o])
 
 
-def _fits_rank_then_pinv(grid, nodes):
+def _fits_rank_then_pinv(ball, nodes):
     # the fits as two SVDs compute them: np.linalg.matrix_rank, then
-    # np.linalg.pinv of the full-rank matrices
+    # np.linalg.pinv of the full-rank matrices, on integer lattice offsets
     mono = np.asarray([b for order in (0, 1, 2)
-                       for b in multi_indices(grid.n, order)])
-    axes = np.arange(grid.n)
-    nm, N = mono.shape[0], grid.node_count
+                       for b in multi_indices(ball.n, order)])
+    axes = np.arange(ball.n)
+    nm, N = mono.shape[0], ball.node_count
     K = min(N, 2 * nm)
     groups = []
     while nodes.size:
-        nbr = grid_module._nearest(grid, nodes, K)
-        xi = (grid.nodes[nbr] - grid.nodes[nodes, None, :]) / grid.h
+        nbr = grid_module._nearest(ball, nodes, K)
+        xi = (ball.lattice[nbr] - ball.lattice[nodes, None, :]).astype(float)
         powers = xi[:, :, None, :] ** np.arange(3)[:, None]
         V = np.prod(powers[:, :, mono, axes], axis=-1)
         full = (np.linalg.matrix_rank(V) == nm) | (K >= N)
@@ -283,17 +284,16 @@ def _fits_rank_then_pinv(grid, nodes):
 @pytest.mark.parametrize("n,res", [(2, 5), (2, 9), (2, 21), (2, 33), (3, 5),
                                    (3, 9), (3, 13)])
 def test_stencil_fits_match_rank_and_pinv(n, res, monkeypatch):
-    # one SVD per fit gives bitwise the tables of matrix_rank + pinv
-    for k in (0, 3, 7):
-        R = 0.25 * 1.5**k
-        table = stencil_table(build_grid(n, R, res))
-        with monkeypatch.context() as patch:
-            patch.setattr(grid_module, "_quadratic_fits", _fits_rank_then_pinv)
-            want = stencil_table(build_grid(n, R, res))
-        np.testing.assert_array_equal(table.indptr, want.indptr)
-        np.testing.assert_array_equal(table.index, want.index)
-        np.testing.assert_array_equal(table.weight.view(np.int64),
-                                      want.weight.view(np.int64))
+    # one SVD per fit gives bitwise the tables of matrix_rank + pinv (the
+    # table is R-free, see test_stencil_table_is_r_free)
+    table = stencil_table(build_grid(n, 1.0, res))
+    with monkeypatch.context() as patch:
+        patch.setattr(grid_module, "_quadratic_fits", _fits_rank_then_pinv)
+        want = stencil_table(build_grid(n, 1.0, res))
+    np.testing.assert_array_equal(table.indptr, want.indptr)
+    np.testing.assert_array_equal(table.index, want.index)
+    np.testing.assert_array_equal(table.weight.view(np.int64),
+                                  want.weight.view(np.int64))
 
 
 def test_fd_values_everywhere_finite(grid3, rng):
@@ -301,6 +301,21 @@ def test_fd_values_everywhere_finite(grid3, rng):
     for beta in [(1, 0, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1)]:
         out = fd_values(grid3, vals, beta)
         assert np.all(np.isfinite(out))
+
+
+def test_fd_rejects_node_out_of_range(grid2):
+    # a row index past either end of one multi-index's rows would read
+    # another multi-index's rows; order 0 must not wrap -1 either
+    vals = np.arange(grid2.node_count, dtype=float)
+    N = grid2.node_count
+    for beta, node in [((0, 1), -1), ((0, 1), N), ((0, 0), -1),
+                       ((1, 1), 0.5), ((0, 0), N)]:
+        with pytest.raises(ValueError, match="node"):
+            fd_values(grid2, vals, beta, node=node)
+    for beta in [(0, 0), (0, 1), (2, 0)]:
+        full = fd_values(grid2, vals, beta)
+        for node in (0, np.int64(N - 1)):
+            assert fd_values(grid2, vals, beta, node=node) == full[node]
 
 
 def test_fd_rejects_bad_multi_index(grid2):
@@ -394,8 +409,8 @@ def test_pair_set_deterministic():
                                           (3, 0.375, 13, 2), (3, 1.0, 21, 7)])
 def test_pair_set_matches_row_gather(n, R, res, seed):
     # the pairs are the draws (or triu) stably sorted on their unordered
-    # pair of lattice cubes of side 4, and the column-by-column gather
-    # gives bitwise the row-gather distances
+    # pair of lattice cubes of side 4, and the distances are bitwise h *
+    # sqrt(d2) of their integer squared lattice distances d2
     grid = build_grid(n, R, res)
     ps = build_pair_set(grid, seed=seed)
     N = grid.node_count
@@ -409,17 +424,45 @@ def test_pair_set_matches_row_gather(n, R, res, seed):
     key = np.minimum(a, b) * (cube.max() + 1) + np.maximum(a, b)
     order = np.argsort(key, kind="stable")
     first, second = first[order], second[order]
-    diff = grid.nodes[first] - grid.nodes[second]
+    offset = grid.lattice[first] - grid.lattice[second]
     np.testing.assert_array_equal(ps.first, first)
     np.testing.assert_array_equal(ps.second, second)
-    np.testing.assert_array_equal(ps.dist,
-                                  np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+    d2 = np.einsum("ij,ij->i", offset, offset)
+    np.testing.assert_array_equal(ps.dist, grid.h * np.sqrt(d2))
+    # the ball keeps d2, read-only, in uint16
+    key = ("pairs",) if ps.complete else ("pairs", seed,
+                                          grid_module.DEFAULT_PAIR_CAP)
+    stored = grid.ball._shared[key][2]
+    assert stored.dtype == np.uint16 and not stored.flags.writeable
+    np.testing.assert_array_equal(stored, d2)
+    # within 4 ulp of 2R of the row gather of node coordinates, whose own
+    # error is on that scale: it subtracts coordinates up to R in size
+    # (0.3 - 0.2 on a res-21 unit grid reads 0.09999999999999987)
+    diff = grid.nodes[first] - grid.nodes[second]
+    gather = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    assert np.abs(ps.dist - gather).max() <= 4 * np.spacing(2 * grid.R)
+    # a set of given pairs computes its d2 the same way
+    given = PairSet.from_pairs(grid, first[::7], second[::7])
+    np.testing.assert_array_equal(given.dist, ps.dist[::7])
 
 
 def test_from_pairs_rejects_degenerate():
     grid = build_grid(2, 1.0, 9)
     with pytest.raises(ValueError):
         PairSet.from_pairs(grid, [0, 1], [0, 1])
+
+
+def test_from_pairs_rejects_ids_that_are_not_nodes():
+    # a negative id would wrap to a node from the end in the scans' take,
+    # and a fractional one would be truncated
+    grid = build_grid(2, 1.0, 9)
+    N = grid.node_count
+    for first, second in [([-1, 3], [0, 5]), ([0.5], [1]), ([0, N], [1, 2]),
+                          ([1], [np.nan])]:
+        with pytest.raises(ValueError, match="node ids"):
+            PairSet.from_pairs(grid, first, second)
+    ps = PairSet.from_pairs(grid, np.array([0.0, N - 1.0]), [1, 2])
+    assert ps.size == 2 and ps.first.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +530,8 @@ def test_shared_arrays_are_read_only():
                   b.cube_a, b.cube_b):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
-    fixed, starved = grid_module._fixed_stencils(ball)
-    for array in (fixed.indptr, fixed.index, fixed.weight, starved):
+    table = stencil_table(grid)
+    for array in (table.indptr, table.index, table.weight):
         assert not array.flags.writeable
     # the scans gather through the writeable arrays behind the read-only
     # ids: take copies a read-only index array on every call
@@ -498,17 +541,37 @@ def test_shared_arrays_are_read_only():
 
 def test_ball_keeps_no_grid_alive():
     # the ball holds only R-free arrays: a grid and its pair set go with
-    # their last reference while the ball lives on
+    # their last reference while the ball, and the stencil table on it,
+    # live on
     ball = grid_module.LatticeBall(2, 17)
     gc.disable()
     try:
         grid = build_grid(2, 0.5, 17, ball)
         ps = build_pair_set(grid, seed=3)
         fd_values(grid, np.ones(grid.node_count), (2, 0))
-        refs = [weakref.ref(grid), weakref.ref(ps),
-                weakref.ref(stencil_table(grid))]
+        table = stencil_table(grid)
+        refs = [weakref.ref(grid), weakref.ref(ps)]
         del grid, ps
-        assert [ref() for ref in refs] == [None] * 3
+        assert [ref() for ref in refs] == [None] * 2
     finally:
         gc.enable()
-    assert ball._shared
+    assert ball._shared["stencil_table"] is table
+
+
+@pytest.mark.parametrize("n,res", [(2, 21), (3, 13)])
+def test_stencil_table_is_r_free(n, res):
+    # the fits read integer offsets and integer neighbour distances, so
+    # tables built on fresh balls at any radius are bitwise equal
+    radii = [0.25 * 1.5**k for k in range(8)]
+    tables = [stencil_table(build_grid(n, R, res)) for R in radii]
+    for table in tables[1:]:
+        assert table.betas == tables[0].betas
+        for name in ("indptr", "index", "weight"):
+            assert (getattr(table, name).tobytes()
+                    == getattr(tables[0], name).tobytes())
+
+
+def test_grids_of_one_ball_share_one_table():
+    ball = grid_module.LatticeBall(3, 9)
+    grids = [build_grid(3, R, 9, ball) for R in (0.25, 1.0, 3.0)]
+    assert len({id(stencil_table(grid)) for grid in grids}) == 1
