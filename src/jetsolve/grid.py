@@ -23,7 +23,8 @@ The nearest nodes of a fit are searched in a lattice ball of integer radius
 r around the node, grown by one until it holds K nodes: every lattice point
 outside the ball is farther than every point inside, so the K nearest
 candidates are the K nearest nodes.  They are ordered by the integer squared
-lattice distance, ties going to the lower lattice index.
+lattice distance, ties going to the smaller float squared distance on the
+unit grid (R = 1), then to the lower lattice index.
 
 A pair set, for the Hölder seminorms, stores its node pairs bucket by
 bucket: nodes are grouped into lattice cubes, and a bucket holds the pairs
@@ -227,13 +228,22 @@ def _ball_offsets(ball: LatticeBall, r: int) -> np.ndarray:
 
 def _nearest(ball: LatticeBall, nodes: np.ndarray, K: int) -> np.ndarray:
     """The K nearest nodes to each of nodes, by the integer squared lattice
-    distance, ties going to the lower lattice index.
+    distance.
+
+    Ties go to the smaller float squared distance on the unit grid (the
+    nodes of build_grid at R = 1), then to the lower lattice index.  As
+    scaling by 2 is exact, that is the order a sort on a grid's own float
+    distances gives at every R = 2^k, so such grids keep those neighbours,
+    and the answers computed with them, while the table stays R-free.
+    Ties by lattice index alone pick other nodes inside the tie shells and
+    move a 3D res-7 solve's residual by 2.7e-6 relative.
 
     Candidates come from the lattice ball of integer radius r around each
     node, r starting where the ball holds K lattice points; a node whose
     K-th candidate has squared distance above r^2 (every lattice point
     outside the ball has at least r^2 + 1) is searched again at r + 1.
     """
+    unit = np.linspace(-1.0, 1.0, ball.res)[ball.lattice]
     out = np.empty((nodes.shape[0], K), dtype=np.int64)
     todo = np.arange(nodes.shape[0])
     r = 1
@@ -243,12 +253,15 @@ def _nearest(ball: LatticeBall, nodes: np.ndarray, K: int) -> np.ndarray:
         offsets = _ball_offsets(ball, r)
         cand = _lookup(ball.index_map, ball.lattice[nodes[todo], None, :]
                        + offsets)
-        # a missing candidate sorts after every lattice point of the ball
+        # a missing candidate sorts after every lattice point of the ball,
+        # whatever unit distance its index -1 reads
         d2 = np.where(cand >= 0, np.einsum("ij,ij->i", offsets, offsets),
                       r * r + 1)
-        # the offsets run in lattice order, so a stable sort breaks ties
-        # in d2 by lattice index
-        order = np.argsort(d2, axis=-1, kind="stable")[:, :K]
+        diff = unit[cand] - unit[nodes[todo], None, :]
+        # lexsort is stable and the offsets run in lattice order, so what
+        # ties in both distances goes by lattice index
+        order = np.lexsort((np.einsum("...i,...i->...", diff, diff), d2),
+                           axis=-1)[:, :K]
         done = np.take_along_axis(d2, order[:, K - 1:], axis=1)[:, 0] <= r * r
         out[todo[done]] = np.take_along_axis(cand[done], order[done], axis=1)
         todo = todo[~done]

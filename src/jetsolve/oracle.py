@@ -63,9 +63,10 @@ def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:
     lookup are rebuilt from raw node coordinates, each stencil is written
     out as a formula, and each stencil-starved node gets its own
     least-squares quadratic fit on the K nearest nodes found by sorting
-    all nodes on the integer squared distance in that lattice, then on
-    lattice index.  Meant for small grids; the fits cost O(N log N) per
-    node.
+    all nodes on the integer squared distance in that lattice, then on the
+    float squared distance of the same lattice points on the unit grid
+    (np.linspace(-1, 1, res) per axis), then on lattice index.  Meant for
+    small grids; the fits cost O(N log N) per node.
     """
     nodes, h, n, N = grid.nodes, grid.h, grid.n, grid.node_count
     f = np.asarray(vals, dtype=np.float64)
@@ -120,10 +121,12 @@ def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:
             mono.append(tuple((k == i) + (k == j) for k in range(n)))
     nm = len(mono)
     fact = math.prod(math.factorial(b) for b in beta)
+    unit = np.linspace(-1.0, 1.0, grid.res)[lat]
     for node in np.nonzero(np.isnan(out))[0]:
         d2 = np.einsum("ij,ij->i", lat - lat[node], lat - lat[node])
+        du = unit - unit[node]
         order = np.lexsort(tuple(lat[:, d] for d in range(n - 1, -1, -1))
-                           + (d2,))
+                           + (np.einsum("ij,ij->i", du, du), d2))
         K = min(N, 2 * nm)
         while True:
             xi = (nodes[order[:K]] - nodes[node]) / h

@@ -224,8 +224,8 @@ def test_fd_exact_on_quadratics(data_seed):
 def test_nearest_nodes_match_full_sort(n, R, res, K, step):
     # K beyond the first lattice ball's reach makes the ball search grow,
     # and it must agree with a sort over every node on the integer squared
-    # lattice distance, ties by lattice index; res-21 rows are the boundary
-    # nodes
+    # lattice distance, ties by the unit grid's float squared distance, then
+    # by lattice index; res-21 rows are the boundary nodes
     grid = build_grid(n, R, res)
     K = K or grid.node_count
     nodes = np.arange(0, grid.node_count, step)
@@ -233,11 +233,31 @@ def test_nearest_nodes_match_full_sort(n, R, res, K, step):
         nodes = np.nonzero(grid.boundary_mask)[0]
     got = _nearest(grid.ball, nodes, K)
     keys = tuple(grid.lattice[:, d] for d in range(n - 1, -1, -1))
+    unit = build_grid(n, 1.0, res).nodes
     for row, node in zip(got, nodes):
         offset = grid.lattice - grid.lattice[node]
         d2 = np.einsum("ij,ij->i", offset, offset)
-        order = np.lexsort(keys + (d2,))
+        du = unit - unit[node]
+        order = np.lexsort(keys + (np.einsum("ij,ij->i", du, du), d2))
         np.testing.assert_array_equal(row, order[:K])
+
+
+@pytest.mark.parametrize("n,res", [(2, 17), (3, 7), (3, 13)])
+def test_nearest_nodes_follow_float_distance_at_powers_of_two(n, res):
+    # at R = 2^k the order is that of a sort on the grid's own float squared
+    # distance, ties by lattice index: such grids keep the neighbours that
+    # sort gives
+    K = 2 * len(multi_indices(n, 0) + multi_indices(n, 1)
+                + multi_indices(n, 2))
+    for R in (0.25, 1.0, 4.0):
+        grid = build_grid(n, R, res)
+        nodes = np.nonzero(grid.boundary_mask)[0]
+        got = _nearest(grid.ball, nodes, K)
+        keys = tuple(grid.lattice[:, d] for d in range(n - 1, -1, -1))
+        for row, node in zip(got, nodes):
+            diff = grid.nodes - grid.nodes[node]
+            order = np.lexsort(keys + (np.einsum("ij,ij->i", diff, diff),))
+            np.testing.assert_array_equal(row, order[:K])
 
 
 @settings(max_examples=10, deadline=None)
@@ -435,12 +455,17 @@ def test_pair_set_matches_row_gather(n, R, res, seed):
     stored = grid.ball._shared[key][2]
     assert stored.dtype == np.uint16 and not stored.flags.writeable
     np.testing.assert_array_equal(stored, d2)
-    # within 4 ulp of 2R of the row gather of node coordinates, whose own
-    # error is on that scale: it subtracts coordinates up to R in size
-    # (0.3 - 0.2 on a res-21 unit grid reads 0.09999999999999987)
+    # within 4 ulp of the row gather of node coordinates, counted per pair
+    # at the scale of the gather's own error: one ulp of the larger
+    # coordinate it subtracts on each axis, plus one of the distance.  An
+    # ulp of the distance alone is too fine, since the gather rounds at
+    # the coordinates' scale (0.3 - 0.2 on a res-21 unit grid reads
+    # 0.09999999999999987, 10 ulp of 0.1)
     diff = grid.nodes[first] - grid.nodes[second]
     gather = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    assert np.abs(ps.dist - gather).max() <= 4 * np.spacing(2 * grid.R)
+    larger = np.maximum(np.abs(grid.nodes[first]), np.abs(grid.nodes[second]))
+    ulp = np.spacing(larger).sum(axis=1) + np.spacing(gather)
+    assert np.all(np.abs(ps.dist - gather) <= 4 * ulp)
     # a set of given pairs computes its d2 the same way
     given = PairSet.from_pairs(grid, first[::7], second[::7])
     np.testing.assert_array_equal(given.dist, ps.dist[::7])
