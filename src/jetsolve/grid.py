@@ -13,11 +13,20 @@ quadrature weights and the kernel spectra.
 
 Every derivative of order 1 or 2 is read off one stencil table per lattice
 ball, in units of h^-|beta|: a sparse row per (multi-index, node), applied
-as one gather plus a segmented sum.  A row holds the 2nd-order central
+as one gather plus a segmented sum.  The rows of consecutive multi-indices
+are one contiguous range, so all derivatives of a field, or those of one
+order, come from one such pass.  A row holds the 2nd-order central
 stencil where it fits inside the ball, else a 2nd-order one-sided stencil,
 else (at the handful of nodes, e.g. the poles, whose lattice line is too
 short for either) a least-squares quadratic fit on the nearest nodes.
 Every row reproduces polynomials of degree <= 2 exactly.
+
+The least-squares rows are fitted once per symmetry class of the actual
+neighbour set: a signed permutation of the axes takes each node's offsets
+to a canonical frame, nodes whose neighbour offsets agree there share one
+fit, and the class's first node is fitted directly while the others take
+its rows through the symmetry (weights permuted and sign-flipped, so equal
+to a direct fit up to rounding).
 
 The nearest nodes of a fit are searched in a lattice ball of integer radius
 r around the node, grown by one until it holds K nodes: every lattice point
@@ -75,15 +84,15 @@ class LatticeBall:
         lattice = box[np.einsum("ij,ij->i", offset, offset) <= c * c]
         index_map = np.full((res,) * n, -1, dtype=np.int64)
         index_map[tuple(lattice.T)] = np.arange(lattice.shape[0])
-        unit_box = np.asarray(list(itertools.product((-1, 0, 1), repeat=n)))
-        interior = np.all(
-            _lookup(index_map, lattice[:, None, :] + unit_box) >= 0, axis=1)
         self.n, self.res = n, res
-        self.lattice, self.index_map, self.interior_mask = _read_only(
-            lattice, index_map, interior)
+        self.lattice, self.index_map = _read_only(lattice, index_map)
         self.origin_index = int(index_map[(c,) * n])
         # R-free tables built on first use: stencils, cubes, pairs
         self._shared: dict = {}
+        unit_box = np.asarray(list(itertools.product((-1, 0, 1), repeat=n)))
+        self.interior_mask = _read_only(np.all(
+            _neighbours(self, np.arange(lattice.shape[0]), unit_box) >= 0,
+            axis=1))[0]
 
     @property
     def node_count(self) -> int:
@@ -136,12 +145,28 @@ class BallGrid:
         return ~self.interior_mask
 
 
-def _lookup(index_map: np.ndarray, lat: np.ndarray) -> np.ndarray:
-    """Node index at each lattice point of lat (..., n); -1 where absent."""
-    res = index_map.shape[0]
-    ok = np.all((lat >= 0) & (lat < res), axis=-1)
-    flat = lat @ (res ** np.arange(lat.shape[-1] - 1, -1, -1))
-    return np.where(ok, index_map.reshape(-1).take(flat, mode="clip"), -1)
+def _neighbours(ball: LatticeBall, nodes: np.ndarray,
+                offsets: np.ndarray) -> np.ndarray:
+    """The node at lattice[nodes] + offsets, (len(nodes), len(offsets)),
+    -1 where there is none.
+
+    It reads the index map padded with -1 by a margin of at least the
+    largest |offset| component, so each lookup is one flat shift and one
+    gather, with no bounds test.  The padded map is kept on the ball until
+    the stencil table is built, and widened when a larger margin is asked
+    for.
+    """
+    margin = max(1, int(np.abs(offsets).max()))
+    padded = ball._shared.get("padded_index")
+    if padded is None or padded[0] < margin:
+        res, n = ball.res, ball.n
+        strides = (res + 2 * margin) ** np.arange(n - 1, -1, -1)
+        padded = (margin, strides, (ball.lattice + margin) @ strides,
+                  np.pad(ball.index_map, margin,
+                         constant_values=-1).reshape(-1))
+        ball._shared["padded_index"] = padded
+    _, strides, start, flat = padded
+    return flat.take(start[nodes, None] + offsets @ strides)
 
 
 def build_grid(n: int, R: float, res: int,
@@ -251,8 +276,7 @@ def _nearest(ball: LatticeBall, nodes: np.ndarray, K: int) -> np.ndarray:
         r += 1
     while todo.size:
         offsets = _ball_offsets(ball, r)
-        cand = _lookup(ball.index_map, ball.lattice[nodes[todo], None, :]
-                       + offsets)
+        cand = _neighbours(ball, nodes[todo], offsets)
         # a missing candidate sorts after every lattice point of the ball,
         # whatever unit distance its index -1 reads
         d2 = np.where(cand >= 0, np.einsum("ij,ij->i", offsets, offsets),
@@ -269,6 +293,68 @@ def _nearest(ball: LatticeBall, nodes: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def _symmetries(n: int, mono: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The 2^n n! signed permutations of the axes, and what each does to a
+    quadratic fit.
+
+    Element e = p * 2^n + (the sum of 2^i over the flipped axes i), p the
+    index of perm[e] in itertools.permutations order, maps a lattice offset
+    x to g x, (g x)_i = +-x[perm[e, i]], negative on the flipped axes i.
+    Coefficients d over the monomials mono of g x are c = row_sign[e] *
+    d[rows[e]] over those of x.  Returns (perm (G, n), rows (G, nm),
+    row_sign (G, nm)).
+    """
+    at = {b: k for k, b in enumerate(map(tuple, mono.tolist()))}
+    perm, rows, row_sign = [], [], []
+    for p in itertools.permutations(range(n)):
+        for bits in range(2**n):
+            s = [-1 if bits >> i & 1 else 1 for i in range(n)]
+            # (g x)^gamma = prod(s^gamma) x^beta for gamma = beta[p]
+            gammas = [tuple(b[d] for d in p) for b in at]
+            perm.append(p)
+            rows.append([at[g] for g in gammas])
+            row_sign.append([math.prod(si**gi for si, gi in zip(s, g))
+                             for g in gammas])
+    return np.asarray(perm), np.asarray(rows), np.asarray(row_sign, float)
+
+
+def _fit_classes(ball: LatticeBall, nodes: np.ndarray, nbr: np.ndarray,
+                 perm: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The symmetry classes of the fits at nodes on the neighbours nbr.
+
+    Each node gets the signed permutation g (an element of _symmetries) that
+    flips the negative axes of p = lattice - centre and sorts the axes by
+    |p|, descending and stable; its class key is the sorted integer codes
+    of g (neighbour offsets).  Two nodes of a class fit the same data in
+    g's frame.  Returns (first, cls, elem, rank): the position of each
+    class's first node, each node's class and element, and each
+    neighbour's place among its node's sorted codes.
+    """
+    n, res = ball.n, ball.res
+    p = ball.lattice[nodes] - (res - 1) // 2
+    order = np.argsort(-np.abs(p), axis=1, kind="stable")
+    flip = np.take_along_axis(p, order, axis=1) < 0
+    perm_index = np.argmax(np.all(order[:, None, :] == perm[None, ::2**n],
+                                  axis=2), axis=1)
+    elem = perm_index * 2**n + flip @ (1 << np.arange(n))
+    off = ball.lattice[nbr] - ball.lattice[nodes, None, :]
+    canon = np.take_along_axis(off, order[:, None, :], axis=2)
+    canon *= np.where(flip, -1, 1)[:, None, :]
+    codes = (canon + res - 1) @ ((2 * res - 1) ** np.arange(n - 1, -1, -1))
+    col = np.argsort(codes, axis=1)
+    key = np.take_along_axis(codes, col, axis=1)
+    rank = np.empty_like(col)
+    np.put_along_axis(rank, col, np.arange(col.shape[1]), axis=1)
+    # a stable lexsort on the keys' columns, first column first, keeps the
+    # nodes of a class in node order
+    by_key = np.lexsort(key.T[::-1])
+    new = np.ones(nodes.size, dtype=bool)
+    new[1:] = np.any(key[by_key[1:]] != key[by_key[:-1]], axis=1)
+    cls = np.empty(nodes.size, dtype=np.int64)
+    cls[by_key] = np.cumsum(new) - 1
+    return by_key[new], cls, elem, rank
+
+
 def _quadratic_fits(ball: LatticeBall, nodes: np.ndarray) -> list:
     """Least-squares quadratic fits at the given nodes, in lattice units.
 
@@ -278,16 +364,26 @@ def _quadratic_fits(ball: LatticeBall, nodes: np.ndarray) -> list:
     one per K; pinv maps neighbour values to the coefficients, in the
     integer lattice offsets (x - x_node) / h, of the multi-indices of
     order 0, 1 and 2 in order.
+
+    Only the first node of each symmetry class (see _fit_classes) is fitted;
+    its rows are those of a direct fit, bitwise.  The other members take
+    them through the symmetry, monomial rows by the element's row map and
+    signs and neighbour columns by the matched codes: the same
+    least-squares solution, within rounding of a direct fit.
     """
     mono = np.asarray([b for order in (0, 1, 2)
                        for b in multi_indices(ball.n, order)])
     axes = np.arange(ball.n)
     nm, N = mono.shape[0], ball.node_count
+    perm, rows, row_sign = _symmetries(ball.n, mono)
     K = min(N, 2 * nm)
     groups = []
     while nodes.size:
         nbr = _nearest(ball, nodes, K)
-        xi = (ball.lattice[nbr] - ball.lattice[nodes, None, :]).astype(float)
+        first, cls, elem, rank = _fit_classes(ball, nodes, nbr, perm)
+        rep = nodes[first]
+        xi = (ball.lattice[nbr[first]]
+              - ball.lattice[rep, None, :]).astype(float)
         # each xi ** e for e = 0, 1, 2 once, then picked per monomial
         powers = xi[:, :, None, :] ** np.arange(3)[:, None]
         V = np.prod(powers[:, :, mono, axes], axis=-1)
@@ -296,14 +392,30 @@ def _quadratic_fits(ball: LatticeBall, nodes: np.ndarray) -> list:
         u, s, vt = np.linalg.svd(V, full_matrices=False)
         rank_tol = s.max(axis=-1, keepdims=True, initial=0) * (
             max(K, nm) * np.finfo(s.dtype).eps)
-        full = (np.count_nonzero(s > rank_tol, axis=-1) == nm) | (K >= N)
+        full_cls = (np.count_nonzero(s > rank_tol, axis=-1) == nm) | (K >= N)
+        full = full_cls[cls]
         if full.any():
-            u, s, vt = u[full], s[full], vt[full]
+            u, s, vt = u[full_cls], s[full_cls], vt[full_cls]
             large = s > 1e-15 * s.max(axis=-1, keepdims=True)
             s = np.divide(1, s, where=large, out=s)
             s[~large] = 0
             pinv = np.matmul(vt.swapaxes(-1, -2),
                              s[..., None] * u.swapaxes(-1, -2))
+            # each fitted class in its canonical frame: rows by monomial of
+            # g x, columns in code order (multiplying by +-1 is exact)
+            e = elem[first[full_cls]]
+            col = np.argsort(rank[first[full_cls]], axis=1)
+            pinv = np.take_along_axis(pinv, col[:, None], axis=2)
+            canon = np.empty_like(pinv)
+            np.put_along_axis(canon, rows[e][..., None],
+                              pinv * row_sign[e][..., None], axis=1)
+            # and in each node's own frame
+            e = elem[full]
+            pinv = np.take_along_axis(canon[(np.cumsum(full_cls) - 1)
+                                            [cls[full]]],
+                                      rows[e][..., None], axis=1)
+            pinv *= row_sign[e][..., None]
+            pinv = np.take_along_axis(pinv, rank[full][:, None], axis=2)
             groups.append((nodes[full], nbr[full], pinv))
         nodes = nodes[~full]
         K = min(N, K + nm)
@@ -342,21 +454,20 @@ def stencil_table(grid: BallGrid) -> StencilTable:
     n, N = ball.n, ball.node_count
     betas = tuple(multi_indices(n, 1) + multi_indices(n, 2))
     parts = []          # (rows, neighbours (s, k), weights (k,) or (s, k))
-    starved = np.empty((len(betas), N), dtype=bool)
+    starved = np.zeros((len(betas), N), dtype=bool)
     for b, beta in enumerate(betas):
         axes = [d for d, k in enumerate(beta) if k]
         stencils = (_MIXED if len(axes) == 2
                     else _FIRST if sum(beta) == 1 else _PURE)
-        free = np.ones(N, dtype=bool)
+        free = np.arange(N)         # the nodes no stencil so far took
         for steps, weights in stencils:
             offsets = np.zeros((len(steps), n), dtype=np.int64)
             offsets[:, axes] = steps
-            nbr = _lookup(ball.index_map, ball.lattice[:, None, :] + offsets)
-            take = free & np.all(nbr >= 0, axis=1)
-            parts.append((b * N + np.nonzero(take)[0], nbr[take],
-                          np.asarray(weights)))
-            free &= ~take
-        starved[b] = free
+            nbr = _neighbours(ball, free, offsets)
+            take = np.all(nbr >= 0, axis=1)
+            parts.append((b * N + free[take], nbr[take], np.asarray(weights)))
+            free = free[~take]
+        starved[b, free] = True
     fact = [math.prod(math.factorial(k) for k in beta) for beta in betas]
     for nodes, nbr, pinv in _quadratic_fits(
             ball, np.nonzero(np.any(starved, axis=0))[0]):
@@ -366,6 +477,8 @@ def stencil_table(grid: BallGrid) -> StencilTable:
             parts.append((b * N + nodes[sel], nbr[sel],
                           pinv[sel, 1 + b, :] * fact[b]))
     ball._shared[key] = _assemble(betas, len(betas) * N, parts)
+    # the padded index map serves the lookups of the build only
+    ball._shared.pop("padded_index", None)
     return ball._shared[key]
 
 
@@ -379,6 +492,47 @@ def node_values(grid: BallGrid, vals) -> np.ndarray:
     return vals
 
 
+def _apply_table(grid: BallGrid, vals: np.ndarray, start: int,
+                 stop: int) -> np.ndarray:
+    """Rows start:stop of the grid's stencil table applied to the node
+    values vals, (N,) or (N, m), each divided by h^|beta| of its
+    multi-index: one gather, one in-place product and one segmented sum
+    over the rows' contiguous entries.  Returns (stop - start,) +
+    vals.shape[1:]."""
+    table = stencil_table(grid)
+    N = grid.node_count
+    ptr = table.indptr[start:stop + 1]
+    lo, hi = ptr[0], ptr[-1]
+    terms = vals.take(table.index[lo:hi], axis=0)
+    terms *= table.weight[lo:hi].reshape((-1,) + (1,) * (vals.ndim - 1))
+    out = np.add.reduceat(terms, ptr[:-1] - lo, axis=0)
+    for b in range(start // N, (stop - 1) // N + 1):
+        rows = slice(max(b * N, start) - start, min(b * N + N, stop) - start)
+        out[rows] /= grid.h**sum(table.betas[b])
+    return out
+
+
+def fd_derivatives(grid: BallGrid, vals, order: int | None = None
+                   ) -> np.ndarray:
+    """Every finite-difference derivative of order 1 and 2 of node values,
+    or of the one order given, in one pass.
+
+    vals has shape (N,) or (N, m); the result is (len(betas), N) +
+    vals.shape[1:] for betas = multi_indices(n, 1) + multi_indices(n, 2),
+    or multi_indices(n, order).  Each derivative is bitwise the one
+    fd_values gives.
+    """
+    if order not in (None, 1, 2):
+        raise ValueError(f"order must be 1, 2 or None, got {order!r}")
+    vals = node_values(grid, vals)
+    n, N = grid.n, grid.node_count
+    # the table's betas are those of order 1, then those of order 2
+    first = n if order == 2 else 0
+    stop = n if order == 1 else len(stencil_table(grid).betas)
+    out = _apply_table(grid, vals, first * N, stop * N)
+    return out.reshape((stop - first, N) + vals.shape[1:])
+
+
 def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
               node: int | None = None) -> np.ndarray:
     """Finite-difference derivative of node values.
@@ -390,20 +544,15 @@ def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
     beta = _canonical_beta(grid.n, beta)
     vals = node_values(grid, vals)
     N = grid.node_count
-    if node is not None and not (isinstance(node, (int, np.integer))
-                                 and 0 <= node < N):
+    if node is not None and (isinstance(node, bool)
+                             or not isinstance(node, (int, np.integer))
+                             or not 0 <= node < N):
         raise ValueError(f"node {node!r} is not a node index in range({N})")
-    order = sum(beta)
-    if order == 0:
+    if sum(beta) == 0:
         return (vals if node is None else vals[node]).copy()
-    table = stencil_table(grid)
     first, count = (0, N) if node is None else (node, 1)
-    start = table.betas.index(beta) * N + first
-    ptr = table.indptr[start:start + count + 1]
-    lo, hi = ptr[0], ptr[-1]
-    w = table.weight[lo:hi].reshape((-1,) + (1,) * (vals.ndim - 1))
-    out = np.add.reduceat(vals[table.index[lo:hi]] * w, ptr[:-1] - lo, axis=0)
-    out /= grid.h**order
+    start = stencil_table(grid).betas.index(beta) * N + first
+    out = _apply_table(grid, vals, start, start + count)
     return out if node is None else out[0]
 
 

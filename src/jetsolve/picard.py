@@ -23,7 +23,8 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from .grid import (DEFAULT_PAIR_CAP, BallGrid, LatticeBall, PairSet,
-                   build_grid, build_pair_set, fd_values, multi_indices)
+                   build_grid, build_pair_set, fd_derivatives, fd_values,
+                   multi_indices)
 from .holder import max_weighted_norm
 from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
@@ -231,13 +232,14 @@ def make_state(grid: BallGrid, values: np.ndarray) -> IterateState:
     if vals.ndim == 1:
         vals = vals[:, None]
     n, m, big_n = grid.n, vals.shape[1], grid.node_count
+    derivs = fd_derivatives(grid, vals)
     grad = np.empty((big_n, m, n))
     hess = np.empty((big_n, m, n, n))
-    for d, beta in enumerate(multi_indices(n, 1)):
-        grad[:, :, d] = fd_values(grid, vals, beta)
-    for beta in multi_indices(n, 2):
+    for d in range(n):
+        grad[:, :, d] = derivs[d]
+    for deriv, beta in zip(derivs[n:], multi_indices(n, 2)):
         i, j = [d for d, k in enumerate(beta) for _ in range(k)]
-        hess[:, :, i, j] = hess[:, :, j, i] = fd_values(grid, vals, beta)
+        hess[:, :, i, j] = hess[:, :, j, i] = deriv
     return IterateState(grid=grid, values=vals, grad=grad, hess=hess)
 
 
@@ -301,11 +303,25 @@ def _origin_jet_polynomial(grid: BallGrid, vals: np.ndarray) -> np.ndarray:
     o = grid.origin_index
     vals = np.asarray(vals, dtype=np.float64)
     poly = np.zeros_like(vals) + vals[o]
-    mixed = [b for b in multi_indices(grid.n, 2) if max(b) == 1]
-    for beta in multi_indices(grid.n, 1) + mixed:
-        mono = np.prod(grid.nodes ** np.asarray(beta), axis=1)
+    betas, monos = _jet_monomials(grid)
+    for beta, mono in zip(betas, monos):
         poly += np.multiply.outer(mono, fd_values(grid, vals, beta, node=o))
     return poly
+
+
+def _jet_monomials(grid: BallGrid) -> tuple[list, list]:
+    """The multi-indices of the subtracted jet, those of order 1 and then
+    the mixed ones of order 2, and their monomials at the nodes: x_i and
+    x_i * x_j by plain products, bitwise the values of
+    np.prod(nodes ** beta, axis=1).  Built once per grid."""
+    key = "jet_monomials"
+    if key not in grid._cache:
+        n, x = grid.n, grid.nodes.T
+        mixed = [b for b in multi_indices(n, 2) if max(b) == 1]
+        pairs = [[d for d in range(n) if b[d]] for b in mixed]
+        grid._cache[key] = (multi_indices(n, 1) + mixed,
+                            list(x) + [x[i] * x[j] for i, j in pairs])
+    return grid._cache[key]
 
 
 def picard_map(system: PoissonSystem, state: IterateState,
@@ -337,7 +353,7 @@ def solver_norm(grid: BallGrid, values: np.ndarray, alpha: float,
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim == 1:
         vals = vals[:, None]
-    derivs = [fd_values(grid, vals, beta) for beta in multi_indices(grid.n, 2)]
+    derivs = fd_derivatives(grid, vals, order=2)
     return max_weighted_norm(np.concatenate(derivs, axis=1), alpha, pairs)
 
 

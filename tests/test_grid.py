@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -279,11 +280,15 @@ def test_stencil_table_matches_reference(data_seed):
                                           both[o])
 
 
+def _fit_monomials(n):
+    return np.asarray([b for order in (0, 1, 2)
+                       for b in multi_indices(n, order)])
+
+
 def _fits_rank_then_pinv(ball, nodes):
     # the fits as two SVDs compute them: np.linalg.matrix_rank, then
     # np.linalg.pinv of the full-rank matrices, on integer lattice offsets
-    mono = np.asarray([b for order in (0, 1, 2)
-                       for b in multi_indices(ball.n, order)])
+    mono = _fit_monomials(ball.n)
     axes = np.arange(ball.n)
     nm, N = mono.shape[0], ball.node_count
     K = min(N, 2 * nm)
@@ -301,19 +306,92 @@ def _fits_rank_then_pinv(ball, nodes):
     return groups
 
 
+def _class_firsts(ball, groups):
+    """The nodes whose own fits the class fits keep: the first node of
+    each symmetry class, per group of one K."""
+    perm = grid_module._symmetries(ball.n, _fit_monomials(ball.n))[0]
+    return np.concatenate([
+        nodes[grid_module._fit_classes(ball, nodes, nbr, perm)[0]]
+        for nodes, nbr, _ in groups])
+
+
 @pytest.mark.parametrize("n,res", [(2, 5), (2, 9), (2, 21), (2, 33), (3, 5),
                                    (3, 9), (3, 13)])
 def test_stencil_fits_match_rank_and_pinv(n, res, monkeypatch):
-    # one SVD per fit gives bitwise the tables of matrix_rank + pinv (the
-    # table is R-free, see test_stencil_table_is_r_free)
+    # the class fits pick the neighbours of per-node matrix_rank + pinv
+    # fits, bitwise (the table is R-free, see test_stencil_table_is_r_free);
+    # each class's first node keeps its direct fit's weights bitwise, and
+    # the nodes mapped from it are the same least-squares solution, rounded
+    # another way
     table = stencil_table(build_grid(n, 1.0, res))
+    direct = []
+
+    def record(ball, nodes):
+        groups = _fits_rank_then_pinv(ball, nodes)
+        direct.extend(groups)
+        return groups
+
     with monkeypatch.context() as patch:
-        patch.setattr(grid_module, "_quadratic_fits", _fits_rank_then_pinv)
-        want = stencil_table(build_grid(n, 1.0, res))
+        patch.setattr(grid_module, "_quadratic_fits", record)
+        grid = build_grid(n, 1.0, res)
+        want = stencil_table(grid)
     np.testing.assert_array_equal(table.indptr, want.indptr)
     np.testing.assert_array_equal(table.index, want.index)
-    np.testing.assert_array_equal(table.weight.view(np.int64),
-                                  want.weight.view(np.int64))
+    rows = np.repeat(np.arange(want.indptr.size - 1), np.diff(want.indptr))
+    firsts = np.isin(rows % grid.node_count, _class_firsts(grid.ball, direct))
+    np.testing.assert_array_equal(table.weight[firsts].view(np.int64),
+                                  want.weight[firsts].view(np.int64))
+    scale = np.maximum.reduceat(np.abs(want.weight), want.indptr[:-1])[rows]
+    assert np.all(np.abs(table.weight - want.weight) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("n,res", [(2, 9), (2, 33), (3, 9), (3, 21)])
+def test_mapped_fits_reproduce_quadratics(n, res):
+    # every least-squares row, fitted or mapped, is exact on the monomials
+    # of degree <= 2 in lattice offsets: beta! on its own, 0 on the others
+    grid = build_grid(n, 1.0, res)
+    table, N = stencil_table(grid), grid.node_count
+    mono = _fit_monomials(n)
+    widths = np.diff(table.indptr)
+    fitted = np.nonzero(widths >= 2 * mono.shape[0])[0]
+    assert fitted.size
+    for row in fitted:
+        entries = slice(table.indptr[row], table.indptr[row + 1])
+        node, beta = row % N, table.betas[row // N]
+        off = grid.lattice[table.index[entries]] - grid.lattice[node]
+        terms = (table.weight[entries, None]
+                 * np.prod(off[:, None, :] ** mono, axis=-1))
+        want = [float(np.prod([math.factorial(k) for k in beta]))
+                if tuple(b) == beta else 0.0 for b in mono]
+        assert np.all(np.abs(terms.sum(axis=0) - want)
+                      <= 1e-12 * np.abs(terms).sum(axis=0).clip(min=1.0))
+
+
+def test_fits_run_once_per_symmetry_class(monkeypatch):
+    # at 3D res 21, 1440 nodes need a fit; the full-rank ones fall into
+    # 207 classes at the first K and 19 at the second, and one node per
+    # class meets an SVD (212 classes at the first K, with those whose rank
+    # falls short there, and 19 at the second)
+    svd_inputs, fitted = [], []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        svd_inputs.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    def fits(ball, nodes):
+        groups = quadratic_fits(ball, nodes)
+        fitted.extend(groups)
+        return groups
+
+    quadratic_fits = grid_module._quadratic_fits
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(grid_module, "_quadratic_fits", fits)
+    grid = build_grid(3, 1.0, 21)
+    stencil_table(grid)
+    assert sum(nodes.size for nodes, _, _ in fitted) == 1440
+    assert _class_firsts(grid.ball, fitted).size <= 226
+    assert sum(svd_inputs) <= 212 + 19
 
 
 def test_fd_values_everywhere_finite(grid3, rng):
@@ -325,11 +403,13 @@ def test_fd_values_everywhere_finite(grid3, rng):
 
 def test_fd_rejects_node_out_of_range(grid2):
     # a row index past either end of one multi-index's rows would read
-    # another multi-index's rows; order 0 must not wrap -1 either
+    # another multi-index's rows; order 0 must not wrap -1 either, and a
+    # bool is no node index, though True == 1
     vals = np.arange(grid2.node_count, dtype=float)
     N = grid2.node_count
     for beta, node in [((0, 1), -1), ((0, 1), N), ((0, 0), -1),
-                       ((1, 1), 0.5), ((0, 0), N)]:
+                       ((1, 1), 0.5), ((0, 0), N), ((0, 1), True),
+                       ((2, 0), np.bool_(False)), ((0, 0), True)]:
         with pytest.raises(ValueError, match="node"):
             fd_values(grid2, vals, beta, node=node)
     for beta in [(0, 0), (0, 1), (2, 0)]:
@@ -345,6 +425,8 @@ def test_fd_rejects_bad_multi_index(grid2):
         fd_values(grid2, np.zeros(grid2.node_count), (1, 0, 0))
     with pytest.raises(ValueError):
         fd_values(grid2, np.zeros(grid2.node_count + 1), (1, 0))
+    with pytest.raises(ValueError, match="order"):
+        grid_module.fd_derivatives(grid2, np.zeros(grid2.node_count), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ import jetsolve.oracle as oracle_module
 import jetsolve.picard as picard_module
 import jetsolve.potential as potential_module
 from jetsolve.grid import fd_values, multi_indices
+from jetsolve.holder import max_weighted_norm
 from jetsolve.oracle import (max_weighted_norm_reference,
                              run_attempt_reference, source_term_reference)
 from jetsolve.picard import GAMMA0_FLOOR, _origin_jet_polynomial
@@ -158,6 +159,78 @@ def test_solver_norm_is_order_two_jet_norm(n, res, m, rng):
     expected = max_weighted_norm_reference(np.concatenate(hessian, axis=1),
                                            0.4, pairs)
     assert solver_norm(grid, vals, 0.4, pairs).hex() == expected.hex()
+
+
+def _per_beta(grid, vals, beta):
+    """One multi-index's derivative as fd_values computed it per beta: its
+    rows of the stencil table gathered, weighted, summed segment by segment
+    and divided by h^|beta|."""
+    table = grid_module.stencil_table(grid)
+    N = grid.node_count
+    start = table.betas.index(beta) * N
+    ptr = table.indptr[start:start + N + 1]
+    lo, hi = ptr[0], ptr[-1]
+    w = table.weight[lo:hi].reshape((-1,) + (1,) * (vals.ndim - 1))
+    out = np.add.reduceat(vals[table.index[lo:hi]] * w, ptr[:-1] - lo, axis=0)
+    out /= grid.h**sum(beta)
+    return out
+
+
+# 2D and 3D grids at R = 1 and at radii that are no power of two, with
+# least-squares rows on all of them
+_ONE_PASS_GRIDS = [(2, 1.0, 21), (2, 0.7, 33), (3, 1.0, 13), (3, 1.3, 9)]
+
+
+@pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS)
+@pytest.mark.parametrize("m", [None, 3])
+def test_one_pass_derivatives_match_per_beta(n, R, res, m, rng):
+    # make_state, solver_norm and fd_values read every multi-index off one
+    # pass over the table: the same segments, summed in the same order and
+    # divided the same way, so bitwise the per-beta derivatives
+    grid = build_grid(n, R, res)
+    shape = (grid.node_count,) if m is None else (grid.node_count, m)
+    vals = rng.normal(size=shape)
+    cols = vals[:, None] if m is None else vals
+    state = make_state(grid, vals)
+    for d, beta in enumerate(multi_indices(n, 1)):
+        want = _per_beta(grid, vals, beta)
+        np.testing.assert_array_equal(fd_values(grid, vals, beta), want)
+        np.testing.assert_array_equal(state.grad[:, :, d],
+                                      _per_beta(grid, cols, beta))
+    hessian = []
+    for beta in multi_indices(n, 2):
+        want = _per_beta(grid, vals, beta)
+        np.testing.assert_array_equal(fd_values(grid, vals, beta), want)
+        i, j = [d for d, k in enumerate(beta) for _ in range(k)]
+        hessian.append(_per_beta(grid, cols, beta))
+        np.testing.assert_array_equal(state.hess[:, :, i, j], hessian[-1])
+        np.testing.assert_array_equal(state.hess[:, :, j, i], hessian[-1])
+    for order, betas in ((1, multi_indices(n, 1)), (2, multi_indices(n, 2))):
+        np.testing.assert_array_equal(
+            grid_module.fd_derivatives(grid, vals, order),
+            np.stack([_per_beta(grid, vals, beta) for beta in betas]))
+    pairs = build_pair_set(grid, seed=2)
+    want = max_weighted_norm(np.concatenate(hessian, axis=1), 0.4, pairs)
+    assert solver_norm(grid, vals, 0.4, pairs).hex() == want.hex()
+
+
+@pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS)
+@pytest.mark.parametrize("m", [None, 2])
+def test_jet_polynomial_matches_power_monomials(n, R, res, m, rng):
+    # the cached monomials x_i and x_i * x_j are bitwise the values of
+    # np.prod(nodes ** beta, axis=1), so the subtracted jet is unchanged
+    grid = build_grid(n, R, res)
+    shape = (grid.node_count,) if m is None else (grid.node_count, m)
+    vals = rng.normal(size=shape)
+    o = grid.origin_index
+    want = np.zeros_like(vals) + vals[o]
+    mixed = [b for b in multi_indices(n, 2) if max(b) == 1]
+    for beta in multi_indices(n, 1) + mixed:
+        mono = np.prod(grid.nodes ** np.asarray(beta), axis=1)
+        want += np.multiply.outer(mono, fd_values(grid, vals, beta, node=o))
+    for _ in range(2):          # built, then read from the grid's cache
+        got = _origin_jet_polynomial(grid, vals)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @functools.lru_cache(maxsize=None)
