@@ -39,7 +39,8 @@ A pair set, for the Hölder seminorms, stores its node pairs bucket by
 bucket: nodes are grouped into lattice cubes, and a bucket holds the pairs
 joining one unordered pair of cubes, as one contiguous slice of every
 pair-length array.  The Hölder scans bound whole buckets from the cubes'
-value ranges and read only the slices that can hold a max.
+value ranges and read only the slices that can hold a max.  A sampled set
+keeps each drawn unordered pair once.
 """
 
 from __future__ import annotations
@@ -229,13 +230,16 @@ class StencilTable:
 
     Row b * N + k holds the stencil of multi-index betas[b] at node k: its
     entries indptr[row]:indptr[row + 1] of index (neighbour nodes) and
-    weight (in units of h^-|beta|).
+    weight (in units of h^-|beta|).  index is a read-only view of
+    _take_index, which table passes gather through: ndarray.take copies an
+    index array that is not writeable on every call.
     """
 
     betas: tuple[tuple[int, ...], ...]
     indptr: np.ndarray
     index: np.ndarray
     weight: np.ndarray
+    _take_index: np.ndarray = field(repr=False)
 
 
 def _ball_offsets(ball: LatticeBall, r: int) -> np.ndarray:
@@ -435,7 +439,8 @@ def _assemble(betas, count: int, parts) -> StencilTable:
         slots = indptr[rows][:, None] + np.arange(nbr.shape[1])
         index[slots] = nbr
         weight[slots] = w
-    return StencilTable(betas, *_read_only(indptr, index, weight))
+    return StencilTable(betas, *_read_only(indptr, index.view(), weight),
+                        index)
 
 
 def stencil_table(grid: BallGrid) -> StencilTable:
@@ -503,7 +508,7 @@ def _apply_table(grid: BallGrid, vals: np.ndarray, start: int,
     N = grid.node_count
     ptr = table.indptr[start:stop + 1]
     lo, hi = ptr[0], ptr[-1]
-    terms = vals.take(table.index[lo:hi], axis=0)
+    terms = vals.take(table._take_index[lo:hi], axis=0)
     terms *= table.weight[lo:hi].reshape((-1,) + (1,) * (vals.ndim - 1))
     out = np.add.reduceat(terms, ptr[:-1] - lo, axis=0)
     for b in range(start // N, (stop - 1) // N + 1):
@@ -566,11 +571,15 @@ class PairSet:
 
     Always contains every antipodal pair (x, -x) and every (node, origin)
     pair; when the grid is small enough all pairs are used, otherwise the
-    remainder is drawn from a seeded generator up to the cap.
+    remainder is drawn from a seeded generator up to the cap, and the
+    distinct unordered pairs among the drawn ones are kept.  drawn counts
+    the pairs drawn, repeats included: the cap for a sample, size
+    otherwise.
 
     The pairs are stored bucket by bucket (see :class:`PairBuckets`), in
-    drawn order (triu order for a complete set, given order for
-    :meth:`from_pairs`) inside each bucket: bucket b is the slice
+    key order inside each bucket, each pair oriented lower -> higher node
+    id (triu order for a complete set, given order and orientation for
+    :meth:`from_pairs`): bucket b is the slice
     buckets.indptr[b]:buckets.indptr[b + 1] of first, second, dist,
     dist_pow and steps(), so a scan of chosen buckets reads contiguous
     ranges.  first, second and buckets are read-only and, for a set from
@@ -586,6 +595,7 @@ class PairSet:
     dist: np.ndarray
     complete: bool
     buckets: PairBuckets
+    drawn: int
     _take_ids: tuple = field(repr=False)
     _pow_cache: dict = field(default_factory=dict, repr=False)
     _min_pow_cache: dict = field(default_factory=dict, repr=False)
@@ -665,17 +675,20 @@ class PairBuckets:
 
 
 def _pair_set(grid: BallGrid, ids: tuple[np.ndarray, np.ndarray],
-              buckets: PairBuckets, d2: np.ndarray,
-              complete: bool = False) -> PairSet:
+              buckets: PairBuckets, d2: np.ndarray, complete: bool = False,
+              drawn: int | None = None) -> PairSet:
     """The pair set on grid of the bucketed pairs ids = (first, second),
-    d2 their integer squared lattice distances: only their distances,
-    h * sqrt(d2), are computed here."""
+    d2 their integer squared lattice distances, drawn pairs in all (their
+    count if None): only their distances, h * sqrt(d2), are computed
+    here."""
     first, second = ids
     dist = np.sqrt(d2, dtype=np.float64)
     dist *= grid.h
     views = _read_only(first.view(), second.view())
     return PairSet(grid=grid, first=views[0], second=views[1], dist=dist,
-                   complete=complete, buckets=buckets, _take_ids=ids)
+                   complete=complete, buckets=buckets,
+                   drawn=first.shape[0] if drawn is None else drawn,
+                   _take_ids=ids)
 
 
 def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray
@@ -760,7 +773,7 @@ def _bucket_pairs(ball: LatticeBall, first: np.ndarray,
 def build_pair_set(grid: BallGrid, seed: int = 0,
                    cap: int = DEFAULT_PAIR_CAP) -> PairSet:
     """The grid's pair set: every pair when there are at most cap, else
-    the forced pairs and seeded draws up to cap.
+    the distinct pairs among the forced pairs and seeded draws up to cap.
 
     The node pairs, their buckets and their integer squared lattice
     distances depend on (n, res, seed, cap) only (a complete set on no
@@ -780,30 +793,56 @@ def build_pair_set(grid: BallGrid, seed: int = 0,
         shared[key] = _bucketed(grid.ball, *(
             np.triu_indices(N, k=1) if complete
             else _sampled_pairs(grid, seed, cap)))
-    return _pair_set(grid, *shared[key], complete=complete)
+    return _pair_set(grid, *shared[key], complete=complete,
+                     drawn=None if complete else cap)
 
 
 def _sampled_pairs(grid: BallGrid, seed: int,
                    cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first and second nodes of cap pairs: the forced ones, then
-    seeded uniform draws of distinct nodes."""
+    """The distinct unordered pairs among cap drawn ones (the forced pairs,
+    then seeded uniform draws of distinct nodes), as (lower, higher) node
+    ids in increasing order of that key.
+
+    Dropping a repeat changes no seminorm, as a max over a multiset is the
+    max over its set, and both orientations of a pair give the same
+    quotient and the same two-direction Taylor scan bit for bit.
+    """
+    shift = (grid.node_count - 1).bit_length()
+    key = _drawn_keys(grid, seed, cap, shift)   # the draws are freed
+    key.sort()
+    keep = np.empty(key.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    del keep
+    first = np.empty(key.shape[0], dtype=np.int64)
+    second = np.empty(key.shape[0], dtype=np.int64)
+    np.right_shift(key, shift, out=first)
+    np.bitwise_and(key, (1 << shift) - 1, out=second)
+    return first, second
+
+
+def _drawn_keys(grid: BallGrid, seed: int, cap: int,
+                shift: int) -> np.ndarray:
+    """(lower << shift) | higher for each of the cap drawn pairs: the
+    forced ones, then seeded uniform draws of distinct nodes.  The keys are
+    written straight into one array, uint32 while they fit (up to 65536
+    nodes; it sorts twice as fast as int64), so no concatenated copy of the
+    draws is made."""
     N = grid.node_count
     # forced pairs: antipodes and rays to the origin
     anti_lat = (grid.res - 1) - grid.lattice
     anti = grid.index_map[tuple(anti_lat.T)]
     idx = np.arange(N)
     mask = (anti >= 0) & (idx < anti)
-    firsts = [idx[mask]]
-    seconds = [anti[mask]]
     o = grid.origin_index
     not_o = idx[idx != o]
-    firsts.append(not_o)
-    seconds.append(np.full(not_o.shape[0], o, dtype=np.int64))
+    pieces = [(idx[mask], anti[mask]),
+              (not_o, np.full(not_o.shape[0], o, dtype=np.int64))]
 
-    forced = int(sum(a.shape[0] for a in firsts))
+    forced = int(sum(a.shape[0] for a, _ in pieces))
     rng = np.random.default_rng(seed)
     need = cap - forced
-    draws = []
     got = 0
     while got < need:
         a = rng.integers(0, N, size=need - got + 1024)
@@ -811,8 +850,16 @@ def _sampled_pairs(grid: BallGrid, seed: int,
         ok = a != b
         a, b = a[ok], b[ok]
         take = min(a.shape[0], need - got)
-        draws.append((a[:take], b[:take]))
+        pieces.append((a[:take], b[:take]))
         got += take
-    firsts.extend(d[0] for d in draws)
-    seconds.extend(d[1] for d in draws)
-    return np.concatenate(firsts), np.concatenate(seconds)
+    key = np.empty(cap, dtype=np.uint32 if 2 * shift <= 32 else np.int64)
+    at = 0
+    for a, b in pieces:
+        # node ids and keys fit the key dtype, so the casts are exact
+        out = key[at:at + a.shape[0]]
+        np.minimum(a, b, out=out, casting="unsafe")
+        np.maximum(a, b, out=a)
+        out <<= shift
+        np.bitwise_or(out, a, out=out, casting="unsafe")
+        at += a.shape[0]
+    return key

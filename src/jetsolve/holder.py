@@ -188,6 +188,18 @@ def _column_semis(values: np.ndarray, sup: np.ndarray, alpha: float,
     return semi
 
 
+def weighted_norm_bounds(values: np.ndarray, alpha: float,
+                         pairs: PairSet) -> np.ndarray:
+    """An upper bound on the weighted norm of each column of finite values
+    (N, k), from the cube maxima and minima alone: sup + (2R)^alpha * the
+    largest bucket bound of :func:`_quotient_bounds`.  Rounding is
+    monotone, so each bound is >= the column's weighted norm from
+    :func:`weighted_norm_values`, with no slack."""
+    c = (2.0 * pairs.grid.R) ** alpha
+    sup = np.abs(values).max(axis=0)
+    return sup + c * _quotient_bounds(values, alpha, pairs).max(axis=0)
+
+
 def max_weighted_norm(values: np.ndarray, alpha: float,
                       pairs: PairSet) -> float:
     """The largest weighted norm over the columns of values (N, k).
@@ -221,17 +233,51 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
     return float((sup + c * semi).max())
 
 
+def _order_norm(probe: Probe, alpha: float, pairs: PairSet,
+                order: int) -> float:
+    """The order-l entry of :func:`jet_norm`."""
+    grid = pairs.grid
+    columns = [probe.values(grid, beta)
+               for beta in multi_indices(grid.n, order)]
+    return max_weighted_norm(np.stack(columns, axis=1), alpha, pairs)
+
+
 def jet_norm(probe: Probe, alpha: float, pairs: PairSet) -> JetNormReport:
     """Weighted jet norms of a probe on the pair set's grid for l = 0, 1, 2,
     from the probe's exact derivatives."""
+    return JetNormReport(tuple(_order_norm(probe, alpha, pairs, order)
+                               for order in (0, 1, 2)))
+
+
+@dataclass(frozen=True)
+class ProbeJet:
+    """A probe's exact node values on a pair set's grid, and the weighted
+    norms of its Hessian entries on that set.
+
+    values is (N,); grads holds one (N,) array per multi-index of
+    multi_indices(n, 1), and hess one (N,) row per multi-index of
+    multi_indices(n, 2); hess_norms is weighted_norm_values(hess.T, alpha,
+    pairs), (sup, semi, weighted) with one entry per row each.  The
+    largest weighted entry is the probe's order-2 jet norm, bitwise
+    (:func:`max_weighted_norm`).
+    """
+
+    values: np.ndarray
+    grads: tuple[np.ndarray, ...]
+    hess: np.ndarray
+    hess_norms: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def probe_jet(probe: Probe, alpha: float, pairs: PairSet) -> ProbeJet:
+    """The probe's exact values of order 0, 1 and 2 on the pair set's
+    grid, each evaluated once, and its Hessian entries' weighted norms."""
     grid = pairs.grid
-    orders = []
-    for order in (0, 1, 2):
-        columns = [probe.values(grid, beta)
-                   for beta in multi_indices(grid.n, order)]
-        orders.append(max_weighted_norm(np.stack(columns, axis=1), alpha,
-                                        pairs))
-    return JetNormReport(tuple(orders))
+    hess = np.stack([probe.values(grid, beta)
+                     for beta in multi_indices(grid.n, 2)])
+    return ProbeJet(probe.values(grid),
+                    tuple(probe.values(grid, beta)
+                          for beta in multi_indices(grid.n, 1)),
+                    hess, weighted_norm_values(hess.T, alpha, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +294,20 @@ def banach_algebra_holds(nf: float, ng: float, nfg: float) -> bool:
     return _within(nfg, nf * ng)
 
 
-def taylor_remainder_ratio(probe: Probe, alpha: float,
-                           pairs: PairSet) -> float:
+def taylor_remainder_ratio(probe: Probe, alpha: float, pairs: PairSet,
+                           jet: ProbeJet | None = None,
+                           work: np.ndarray | None = None) -> float:
     """Worst ratio of remainder to bound over all pairs, both directions.
 
     The bound is (1/2) (sum over |beta| = 2 of H_a[d^beta f]) |y-x|^(2+a);
     a return value <= 1 means the remainder inequality held everywhere.
     Pairs where both sides vanish (quadratic fields) contribute 0.  The
     derivatives are the probe's exact ones, so the check certifies the
-    inequality and not the stencils.
+    inequality and not the stencils.  jet, if given, is
+    ``probe_jet(probe, alpha, pairs)``, already measured; work, if given,
+    a float64 (4, pairs.size) array the scan works in, so that a caller
+    scanning many probes allocates (and page-faults) its pair-length
+    buffers once.
 
     The pair offsets and |y-x|^(2+a) are cached on the pair set.  The
     reverse direction negates every offset, which IEEE arithmetic does
@@ -264,54 +315,66 @@ def taylor_remainder_ratio(probe: Probe, alpha: float,
     terms; every ratio is bitwise that of the direct expansion
     (``oracle.taylor_remainder_ratio_reference``).
     """
-    grid = pairs.grid
-    n = grid.n
+    if jet is None:
+        jet = probe_jet(probe, alpha, pairs)
     i, j = pairs.take_ids()
     steps = pairs.steps()
-    squares = [c**2 for c in steps]
+    expand = (jet.grads, tuple(zip(multi_indices(pairs.grid.n, 2), jet.hess)),
+              steps, [c**2 for c in steps])
 
-    f = probe.values(grid)
-    grads = [probe.values(grid, beta) for beta in multi_indices(n, 1)]
-    hess_beta = multi_indices(n, 2)
-    hess = {beta: probe.values(grid, beta) for beta in hess_beta}
-
-    semis = weighted_norm_values(np.stack(list(hess.values()), axis=1),
-                                 alpha, pairs)[1]
     semi_sum = 0.0
-    for semi in semis.tolist():
+    for semi in jet.hess_norms[1].tolist():
         semi_sum += semi
-    rhs = 0.5 * semi_sum * pairs.dist_pow(2.0 + alpha)
+    if work is None:
+        work = np.empty((4, pairs.size))
+    rhs, f_second, f_first, acc = work
+    np.multiply(0.5 * semi_sum, pairs.dist_pow(2.0 + alpha), out=rhs)
 
-    scale = max(1.0, float(np.abs(f).max()))
-    # Gathers write into two reused buffers.  Pair indices are in range, and
-    # mode="clip" skips the scratch copy of `out` that take's default makes.
-    taylor, term = np.empty(i.shape[0]), np.empty(i.shape[0])
-    worst = 0.0
-    for base, target, grad_op in ((j, i, np.add), (i, j, np.subtract)):
-        np.take(f, base, out=taylor, mode="clip")
-        for d in range(n):
-            np.take(grads[d], base, out=term, mode="clip")
-            term *= steps[d]
-            grad_op(taylor, term, out=taylor)
-        for beta in hess_beta:
-            np.take(hess[beta], base, out=term, mode="clip")
-            if max(beta) == 2:
-                term *= 0.5
-                term *= squares[beta.index(2)]
-            else:
-                d1, d2 = [k for k, v in enumerate(beta) if v == 1]
-                term *= steps[d1]
-                term *= steps[d2]
-            taylor += term
-        np.take(f, target, out=term, mode="clip")
-        lhs = np.subtract(term, taylor, out=taylor)
-        np.abs(lhs, out=lhs)
-        live = lhs > _EPS * scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lhs /= rhs
-        lhs[~live] = 0.0
-        worst = max(worst, float(lhs.max()))
-    return worst
+    f = jet.values
+    floor = _EPS * max(1.0, float(np.abs(f).max()))
+    # Each end's f is gathered once: the forward target, f(first), is the
+    # reverse base, and the forward base, f(second), the reverse target.
+    # Pair indices are in range, and mode="clip" skips the scratch copy of
+    # `out` that take's default makes.
+    np.take(f, j, out=f_second, mode="clip")
+    _expand(f_second, j, acc, f_first, np.add, *expand)
+    np.take(f, i, out=f_first, mode="clip")
+    forward = _live_max(np.subtract(f_first, acc, out=acc), rhs, floor)
+    _expand(f_first, i, f_first, acc, np.subtract, *expand)
+    reverse = _live_max(np.subtract(f_second, f_first, out=f_first), rhs,
+                        floor)
+    return max(0.0, forward, reverse)
+
+
+def _expand(start, base, acc, term, grad_op, grads, hess, steps, squares):
+    """acc = start (f at the base nodes) grad_op each gradient term, then
+    + each Hessian term, in that order; term is the scratch buffer, and
+    acc may be start."""
+    for d, grad in enumerate(grads):
+        np.take(grad, base, out=term, mode="clip")
+        term *= steps[d]
+        grad_op(start if d == 0 else acc, term, out=acc)
+    for beta, row in hess:
+        np.take(row, base, out=term, mode="clip")
+        if max(beta) == 2:
+            term *= 0.5
+            term *= squares[beta.index(2)]
+        else:
+            d1, d2 = [k for k, v in enumerate(beta) if v == 1]
+            term *= steps[d1]
+            term *= steps[d2]
+        acc += term
+
+
+def _live_max(lhs, rhs, floor) -> float:
+    """max |lhs| / rhs over the pairs whose |lhs| > floor, 0 over the
+    others; works in place on lhs."""
+    np.abs(lhs, out=lhs)
+    live = lhs > floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs /= rhs
+    lhs[~live] = 0.0
+    return float(lhs.max())
 
 
 def taylor_remainder_holds(ratio: float) -> bool:
@@ -324,12 +387,15 @@ def comparison_base(grid) -> float:
     return 3.0 * grid.n * grid.R
 
 
-def zero_jet_norm(probe: Probe, alpha: float,
-                  pairs: PairSet) -> JetNormReport:
+def zero_jet_norm(probe: Probe, alpha: float, pairs: PairSet,
+                  order2: float | None = None) -> JetNormReport:
     """:func:`jet_norm` of a probe whose value and gradient vanish at 0.
 
     Raises ValueError unless the zero-jet condition holds, checked with the
-    exact derivatives at the origin node.
+    exact derivatives at the origin node.  order2, if given, is the order-2
+    norm, already measured: subtracting a 1-jet leaves the Hessian as it
+    is, so it is the largest weighted entry of the unshifted probe's
+    :attr:`ProbeJet.hess_norms`.
     """
     grid = pairs.grid
     origin = grid.nodes[grid.origin_index:grid.origin_index + 1]
@@ -341,7 +407,10 @@ def zero_jet_norm(probe: Probe, alpha: float,
         g0 = float(probe.deriv(beta, origin)[0])
         if abs(g0) > 1e-10 * scale:
             raise ValueError(f"field gradient at origin is nonzero: {g0}")
-    return jet_norm(probe, alpha, pairs)
+    if order2 is None:
+        return jet_norm(probe, alpha, pairs)
+    return JetNormReport((_order_norm(probe, alpha, pairs, 0),
+                          _order_norm(probe, alpha, pairs, 1), order2))
 
 
 def norm_comparison_holds(orders, base: float) -> bool:

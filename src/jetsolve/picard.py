@@ -732,7 +732,7 @@ def _final_report(system, grid, pairs, f, f_norm, config, gamma, gamma0,
         solution_norm=f_norm,
         attempts=attempts,
         config=config,
-        pair_count=pairs.first.shape[0],
+        pair_count=pairs.drawn,
     )
 
 

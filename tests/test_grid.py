@@ -644,6 +644,10 @@ def test_shared_arrays_are_read_only():
     # ids: take copies a read-only index array on every call
     for ids, view in zip(ps.take_ids(), (ps.first, ps.second)):
         assert ids.flags.writeable and np.shares_memory(ids, view)
+    # and so do the table passes, through the array behind table.index
+    assert table._take_index.flags.writeable
+    assert np.shares_memory(table._take_index, table.index)
+    np.testing.assert_array_equal(table._take_index, table.index)
 
 
 def test_ball_keeps_no_grid_alive():

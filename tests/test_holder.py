@@ -18,11 +18,12 @@ from jetsolve import (
     weighted_norm_values,
     with_zero_jet,
 )
-from jetsolve import verify
+from jetsolve import PairSet, verify
 from jetsolve.grid import DEFAULT_PAIR_CAP, _sampled_pairs
 from jetsolve.holder import (_quotient_bounds, banach_algebra_holds,
                              comparison_base, max_weighted_norm,
-                             norm_comparison_holds, taylor_remainder_holds,
+                             norm_comparison_holds, probe_jet,
+                             taylor_remainder_holds, weighted_norm_bounds,
                              zero_jet_norm)
 from jetsolve.oracle import (max_weighted_norm_reference,
                              taylor_remainder_ratio_reference)
@@ -165,6 +166,11 @@ def test_taylor_ratio_matches_reference_bitwise(n, res):
             for p in probes]
     assert got == want
     assert got[-1] == float("inf").hex()
+    # as the lemma suite calls it: each probe's jet measured beforehand,
+    # and one work array, left dirty by the probe before, for all of them
+    work = np.full((4, pairs.size), np.nan)
+    assert [taylor_remainder_ratio(p, 0.5, pairs, probe_jet(p, 0.5, pairs),
+                                   work).hex() for p in probes] == want
 
 
 def test_comparison_needs_zero_jet(grid2, pairs2):
@@ -180,6 +186,39 @@ def test_comparison_on_zero_jet_battery(grid2, pairs2):
     for probe in lemma_battery(2):
         f = with_zero_jet(probe, 2)
         assert _comparison_holds(f, 0.5, pairs2), probe.name
+
+
+@pytest.mark.parametrize("n,res", [(2, 33), (3, 13)])
+def test_zero_jet_order2_is_the_largest_hessian_norm(n, res):
+    # subtracting the 1-jet leaves the Hessian as it is, so the probe's
+    # Hessian norms, measured once, give the zero-jet probe's order-2 norm
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=2)
+    for probe in lemma_battery(n):
+        jet = probe_jet(probe, 0.5, pairs)
+        zero = with_zero_jet(probe, n)
+        want = zero_jet_norm(zero, 0.5, pairs).orders
+        got = zero_jet_norm(zero, 0.5, pairs,
+                            order2=float(jet.hess_norms[2].max())).orders
+        assert [x.hex() for x in got] == [x.hex() for x in want], probe.name
+        # the jet's Hessian norms are those of its rows, measured anew
+        hess = np.stack([probe.values(grid, beta)
+                         for beta in multi_indices(n, 2)], axis=1)
+        for a, b in zip(jet.hess_norms, weighted_norm_values(hess, 0.5,
+                                                             pairs)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n,res", [(2, 9), (2, 33), (3, 13)])
+def test_weighted_norm_bounds_hold_without_slack(n, res):
+    grid = build_grid(n, 1.7, res)
+    pairs = build_pair_set(grid, seed=3)
+    rng = np.random.default_rng(res)
+    values = np.stack([_column(k, grid, rng) for k in
+                       ("smooth", "rough", "constant", "spike") * 3], axis=1)
+    for alpha in (0.05, 0.5, 0.95):
+        exact = weighted_norm_values(values, alpha, pairs)[2]
+        assert np.all(weighted_norm_bounds(values, alpha, pairs) >= exact)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
@@ -355,6 +394,44 @@ def test_banach_block_matches_per_field_full_scans(n, res, seed):
     assert block["violations"] == []
 
 
+def _raw_draws(grid, seed, cap):
+    """The pairs a sampled set draws, repeats kept and oriented as drawn:
+    the antipodal pairs (lower id first), the rays (node, origin), then
+    seeded uniform draws of distinct nodes up to cap."""
+    N = grid.node_count
+    anti = grid.index_map[tuple(((grid.res - 1) - grid.lattice).T)]
+    idx = np.arange(N)
+    mask = (anti >= 0) & (idx < anti)
+    not_o = idx[idx != grid.origin_index]
+    first = [idx[mask], not_o]
+    second = [anti[mask], np.full(not_o.shape[0], grid.origin_index)]
+    rng = np.random.default_rng(seed)
+    need = cap - sum(a.shape[0] for a in first)
+    while need:
+        a = rng.integers(0, N, size=need + 1024)
+        b = rng.integers(0, N, size=need + 1024)
+        ok = a != b
+        take = min(int(ok.sum()), need)
+        first.append(a[ok][:take])
+        second.append(b[ok][:take])
+        need -= take
+    return np.concatenate(first), np.concatenate(second)
+
+
+@pytest.mark.parametrize("n,res", [(2, 33), (3, 53)])
+def test_sampled_pairs_are_the_distinct_draws(n, res):
+    # 3D res 53 has 73,525 nodes: its pair keys no longer fit 32 bits
+    grid = build_grid(n, 1.0, res)
+    N = grid.node_count
+    first, second = _sampled_pairs(grid, 4, DEFAULT_PAIR_CAP)
+    raw = _raw_draws(grid, 4, DEFAULT_PAIR_CAP)
+    assert first.dtype == second.dtype == np.int64
+    assert np.all(first < second)
+    np.testing.assert_array_equal(
+        first * N + second, np.unique(np.minimum(*raw) * N
+                                      + np.maximum(*raw)))
+
+
 @pytest.mark.parametrize("n,res,seed", [(2, 17, 0), (3, 9, 0), (2, 33, 1),
                                         (3, 21, 2)])
 def test_pair_buckets_hold_their_invariants(n, res, seed):
@@ -362,16 +439,25 @@ def test_pair_buckets_hold_their_invariants(n, res, seed):
     pairs = build_pair_set(grid, seed=seed)
     buckets = pairs.buckets
     N = grid.node_count
-    drawn = (np.triu_indices(N, k=1) if pairs.complete
-             else _sampled_pairs(grid, seed, DEFAULT_PAIR_CAP))
-    # every bucket is a contiguous slice holding its pairs in drawn order:
-    # the stored pairs are the draws, stably sorted on the test's own key
+    # the stored pairs are every pair of a complete set, or the distinct
+    # unordered pairs of the draws, each oriented lower -> higher, in key
+    # order (lower, higher), stably sorted on the test's own bucket key
+    if pairs.complete:
+        stored = np.triu_indices(N, k=1)
+        assert pairs.drawn == pairs.size == N * (N - 1) // 2
+    else:
+        raw = _raw_draws(grid, seed, DEFAULT_PAIR_CAP)
+        keys = np.unique(np.minimum(*raw) * N + np.maximum(*raw))
+        stored = np.divmod(keys, N)
+        assert pairs.drawn == DEFAULT_PAIR_CAP > pairs.size == keys.size
     cells = np.unique(grid.lattice // 4, axis=0, return_inverse=True)[1]
-    a, b = cells.reshape(-1)[drawn[0]], cells.reshape(-1)[drawn[1]]
+    a, b = cells.reshape(-1)[stored[0]], cells.reshape(-1)[stored[1]]
     perm = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
-    np.testing.assert_array_equal(pairs.first, drawn[0][perm])
-    np.testing.assert_array_equal(pairs.second, drawn[1][perm])
-    rising = np.diff(perm) > 0
+    np.testing.assert_array_equal(pairs.first, stored[0][perm])
+    np.testing.assert_array_equal(pairs.second, stored[1][perm])
+    assert np.all(pairs.first < pairs.second)
+    # inside each bucket the keys rise strictly: key order, no repeat
+    rising = np.diff(pairs.first * N + pairs.second) > 0
     rising[buckets.indptr[1:-1] - 1] = True
     assert rising.all()
     assert buckets.indptr[0] == 0 and buckets.indptr[-1] == pairs.size
@@ -400,6 +486,104 @@ def test_pair_buckets_hold_their_invariants(n, res, seed):
         quotient = (np.abs(values[pairs.first] - values[pairs.second])
                     / dist_pow[:, None])
         assert np.all(quotient <= bound[bucket])
+
+
+@pytest.mark.parametrize("n,res,seed", [(2, 33, 0), (3, 21, 0)])
+def test_sampled_set_gives_the_norms_of_its_raw_draws(n, res, seed):
+    # a sampled set keeps each drawn unordered pair once; a max over a
+    # multiset is the max over its set, and a pair's quotient and its
+    # two-direction Taylor scan are the same bit for bit in either
+    # orientation, so every norm and ratio equals that of the raw draws,
+    # repeats and drawn orientation kept
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=seed)
+    raw = _raw_draws(grid, seed, DEFAULT_PAIR_CAP)
+    N = grid.node_count
+    keys = pairs.first * N + pairs.second
+    assert np.all(pairs.first < pairs.second)
+    assert np.unique(keys).size == pairs.size < DEFAULT_PAIR_CAP
+    np.testing.assert_array_equal(
+        np.sort(keys), np.unique(np.minimum(*raw) * N + np.maximum(*raw)))
+    assert pairs.drawn == DEFAULT_PAIR_CAP
+    with_repeats = PairSet.from_pairs(grid, *raw)
+    assert with_repeats.size == with_repeats.drawn == DEFAULT_PAIR_CAP
+    battery = lemma_battery(n)
+    rng = np.random.default_rng(seed)
+    values = np.stack([p.values(grid) for p in battery]
+                      + [_column(k, grid, rng) for k in _KINDS], axis=1)
+    for alpha in (0.25, 0.5, 0.9):
+        with np.errstate(invalid="ignore"):
+            got = weighted_norm_values(values, alpha, pairs)
+            want = weighted_norm_values(values, alpha, with_repeats)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+            finite = values[:, np.isfinite(values).all(axis=0)]
+            for v in (values, finite, finite[:, ::3]):
+                assert (max_weighted_norm(v, alpha, pairs).hex()
+                        == max_weighted_norm(v, alpha, with_repeats).hex())
+    for probe in battery:
+        assert (taylor_remainder_ratio(probe, 0.5, pairs).hex()
+                == taylor_remainder_ratio(probe, 0.5, with_repeats).hex())
+
+
+def _banach_every_product(battery, grid, pairs, alpha) -> dict:
+    """The Banach block as a norm of every product gives it."""
+    names = [p.name for p in battery]
+    fields = np.stack([p.values(grid) for p in battery], axis=1)
+    norms = weighted_norm_values(fields, alpha, pairs)[2].tolist()
+    worst, worst_pair, violations = 0.0, None, []
+    for i in range(len(names)):
+        products = fields[:, i:i + 1] * fields[:, i:]
+        for j, nfg in enumerate(weighted_norm_values(products, alpha,
+                                                     pairs)[2].tolist(), i):
+            if not verify.banach_algebra_holds(norms[i], norms[j], nfg):
+                violations.append([names[i], names[j]])
+            if norms[i] * norms[j] > 0:
+                ratio = nfg / (norms[i] * norms[j])
+                if ratio > worst:
+                    worst, worst_pair = ratio, [names[i], names[j]]
+    return {"passed": not violations, "violations": violations,
+            "worst_ratio": worst, "worst_pair": worst_pair}
+
+
+@pytest.mark.parametrize("n,res,seed", [(2, 33, 0), (2, 17, 1), (3, 13, 2)])
+@pytest.mark.parametrize("strict", [False, True])
+def test_bounded_banach_block_matches_every_product(n, res, seed, strict,
+                                                    monkeypatch):
+    # the block measures only the products whose bound can matter; its
+    # verdicts, violations (in order), worst ratio and worst pair, ties
+    # included, are those of a norm of every product.  The battery holds
+    # a zero field, whose products have no ratio, and copies of probes,
+    # which tie every ratio of their originals.
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=seed)
+    battery = lemma_battery(n)
+    copies = [Probe(p.name + "'", p.fn, p.deriv) for p in battery]
+    battery = (copies[1::2] + [polynomial("zero", {(0,) * n: 0.0})]
+               + battery + copies[::2])
+    if strict:
+        # a stricter verdict, which some products fail
+        monkeypatch.setattr(verify, "banach_algebra_holds",
+                            lambda nf, ng, nfg: nfg <= 0.5 * nf * ng)
+    want = _banach_every_product(battery, grid, pairs, 0.5)
+    measured = []
+    measure = verify.weighted_norm_values
+
+    def counted(values, *args, **kwargs):
+        measured.append(np.ndim(values))
+        return measure(values, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "weighted_norm_values", counted)
+    block = verify._banach_block(battery, grid, pairs, 0.5)
+    assert block["passed"] is want["passed"] is not strict
+    assert block["violations"] == want["violations"]
+    assert block["worst_ratio"].hex() == want["worst_ratio"].hex()
+    assert block["worst_pair"] == want["worst_pair"]
+    # the field norms, then one call per measured product
+    B = len(battery)
+    assert measured[0] == 2 and set(measured[1:]) == {1}
+    if not strict:
+        assert len(measured) - 1 < B * (B + 1) // 2
 
 
 def test_max_weighted_norm_scans_buckets_just_above_the_floor():

@@ -538,6 +538,20 @@ def test_halving_builds_every_radius_on_one_ball(monkeypatch):
     assert all(ps.take_ids()[0] is ids[0] for ps in pair_sets)
 
 
+@pytest.mark.parametrize("res,drawn", [(33, 200_000), (17, 197 * 196 // 2)])
+def test_report_gives_the_drawn_pair_count(res, drawn):
+    # a sampled set (res 33) scans only the distinct pairs among the 200k
+    # it drew, but the report, like the lemma report, gives the drawn count
+    cfg = SolveConfig(R0=1.0, res=res, seed=0)
+    report = solve_system(poisson_system(2, const=1.0), JetSpec.zero(1, 2),
+                          cfg)
+    assert report.status == "converged"
+    assert report.pair_count == report.summary()["pair_count"] == drawn
+    pairs = build_pair_set(report.grid, seed=0)
+    assert pairs.drawn == drawn
+    assert (pairs.size < drawn) is (res == 33)
+
+
 def test_solve_rejects_a_ball_of_another_shape():
     cfg = SolveConfig(R0=1.0, res=9, seed=0)
     system = poisson_system(2, const=1.0)

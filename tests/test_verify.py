@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jetsolve import polynomial, run_lemma_suite
-from jetsolve import verify
+from jetsolve import holder, potential, verify
 from jetsolve.cli import EXIT_ORACLE_FAILURE, main
 from jetsolve.probes import Probe, lemma_battery
 
@@ -38,6 +38,18 @@ def test_blocks_carry_worst_case_diagnostics(suite):
     for block in suite["lemmas"]:
         if "worst_ratio" in block:
             assert block["worst_ratio"] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("res,drawn", [(13, 113 * 112 // 2), (33, 200_000)])
+def test_report_gives_drawn_and_distinct_pair_counts(res, drawn):
+    # pairs is the number drawn, as the README defines the sample;
+    # distinct_pairs the number scanned, fewer once a sample drops repeats
+    grid = run_lemma_suite(n=2, R=1.0, res=res, alpha=0.5, seed=0)["grid"]
+    assert grid["pairs"] == drawn
+    if res == 33:
+        assert grid["distinct_pairs"] == 148_469
+    else:
+        assert grid["distinct_pairs"] == drawn
 
 
 def test_suite_3d_smoke():
@@ -135,28 +147,43 @@ def _count_calls(monkeypatch, names):
 def test_each_quantity_measured_once(monkeypatch, size):
     battery = lemma_battery(2)[:size]
     monkeypatch.setattr(verify, "lemma_battery", lambda n: battery)
-    counts = _count_calls(monkeypatch, ["holder.taylor_remainder_ratio",
+    counts = _count_calls(monkeypatch, ["holder.probe_jet",
+                                        "holder.taylor_remainder_ratio",
                                         "holder.jet_norm",
+                                        "holder.max_weighted_norm",
                                         "potential._apply_potential"])
-    # the columns each of the Banach block's weighted_norm_values calls
-    # measures: the B fields, then the products of field i with fields
-    # i, ..., B - 1, one block per i
+    # the columns each weighted_norm_values call measures, whichever
+    # module makes it (1 for a single (N,) field)
     columns = []
-    measure = verify.weighted_norm_values
+    measure = holder.weighted_norm_values
 
     def counted(values, *args, **kwargs):
-        columns.append(np.shape(values)[1])
+        columns.append(1 if np.ndim(values) == 1 else np.shape(values)[1])
         return measure(values, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "weighted_norm_values", counted)
+    for mod in (holder, verify, potential):
+        monkeypatch.setattr(mod, "weighted_norm_values", counted)
     suite = run_lemma_suite(n=2, R=1.0, res=9, alpha=0.5, seed=0)
     B = suite["battery_size"]
     assert B == size
+    # one Hessian norm per probe, of its three entries, which the Taylor
+    # block sums and the comparison block takes the max of
+    assert counts["holder.probe_jet"] == B
+    assert columns[:B] == [3] * B
     assert counts["holder.taylor_remainder_ratio"] == B
-    assert counts["holder.jet_norm"] == B
-    assert columns == [B] + list(range(B, 0, -1))
-    assert sum(columns) == B + B * (B + 1) // 2
+    # no jet_norm: the comparison block measures orders 0 and 1 of each
+    # zero-jet probe, and the potential block one numerator per probe
+    assert counts["holder.jet_norm"] == 0
+    assert counts["holder.max_weighted_norm"] == 2 * B + min(B, 6)
+    # the Banach block: the B fields, then one column per product it
+    # measures, at most one per product; then the potential block's sources
+    assert columns[B] == B
+    products = columns[B + 1:-1]
+    assert set(products) == {1}
+    assert len(products) <= B * (B + 1) // 2
+    assert columns[-1] == min(B, 6)
     # one pass of the constant source, one stacked pass of the norm probes
     assert counts["potential._apply_potential"] == 2
     if B == 22:
-        assert sum(columns) == 275
+        # the bucket bounds leave most of the 253 products unmeasured
+        assert len(products) < 253 // 2
