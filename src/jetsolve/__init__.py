@@ -11,8 +11,7 @@ Riemannian analogue of the Kobayashi metric.
 
 from .grid import (BallGrid, LatticeBall, PairSet, build_grid, build_pair_set,
                    fd_values, multi_indices)
-from .holder import (JetNormReport, jet_norm, taylor_remainder_ratio,
-                     weighted_norm_values)
+from .holder import jet_norm, taylor_remainder_ratio, weighted_norm_values
 from .kobayashi import (KobayashiEstimate, KobayashiQuery,
                         conformality_defect, estimate, is_conformal_jet,
                         orthogonal_partner)
@@ -25,7 +24,7 @@ from .picard import (AttemptRecord, HarmonicPolynomial, IterateState,
                      picard_solve, residual_check,
                      seed_field_values, solve_system, solver_norm,
                      source_term)
-from .potential import (KernelSpec, NormRatioReport, PotentialField,
+from .potential import (KernelSpec, PotentialField,
                         check_potential_norm_bound, laplacian_consistency,
                         newtonian_potential, potential_hessian, quad_weights,
                         self_cell_integrals)
@@ -46,8 +45,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AttemptRecord", "BallGrid", "ChartError", "EllipticityError",
     "HarmonicPolynomial", "IterateEscaped", "IterateState",
-    "JetNormReport", "JetSpec", "KernelSpec", "KobayashiEstimate",
-    "KobayashiQuery", "LatticeBall", "NoConvergence", "NormRatioReport",
+    "JetSpec", "KernelSpec", "KobayashiEstimate",
+    "KobayashiQuery", "LatticeBall", "NoConvergence",
     "OracleFailure", "PairSet", "PoissonSystem", "PotentialField", "Probe", "ResidualReport",
     "SolveConfig", "SolveFailure", "SolveReport",
     "SYSTEM_REGISTRY", "SystemDef", "TARGET_REGISTRY", "TargetManifold",

@@ -141,10 +141,6 @@ class BallGrid:
     def node_count(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        return ~self.interior_mask
-
 
 def _neighbours(ball: LatticeBall, nodes: np.ndarray,
                 offsets: np.ndarray) -> np.ndarray:

@@ -30,13 +30,6 @@ from .probes import Probe
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class JetNormReport:
-    """Weighted jet norms by derivative order (l = 0, 1, 2)."""
-
-    orders: tuple[float, float, float]
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -242,11 +235,12 @@ def _order_norm(probe: Probe, alpha: float, pairs: PairSet,
     return max_weighted_norm(np.stack(columns, axis=1), alpha, pairs)
 
 
-def jet_norm(probe: Probe, alpha: float, pairs: PairSet) -> JetNormReport:
-    """Weighted jet norms of a probe on the pair set's grid for l = 0, 1, 2,
-    from the probe's exact derivatives."""
-    return JetNormReport(tuple(_order_norm(probe, alpha, pairs, order)
-                               for order in (0, 1, 2)))
+def jet_norm(probe: Probe, alpha: float,
+             pairs: PairSet) -> tuple[float, float, float]:
+    """Weighted jet norms (order 0, order 1, order 2) of a probe on the pair
+    set's grid, from the probe's exact derivatives."""
+    return tuple(_order_norm(probe, alpha, pairs, order)
+                 for order in (0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -388,7 +382,7 @@ def comparison_base(grid) -> float:
 
 
 def zero_jet_norm(probe: Probe, alpha: float, pairs: PairSet,
-                  order2: float | None = None) -> JetNormReport:
+                  order2: float | None = None) -> tuple[float, float, float]:
     """:func:`jet_norm` of a probe whose value and gradient vanish at 0.
 
     Raises ValueError unless the zero-jet condition holds, checked with the
@@ -409,8 +403,8 @@ def zero_jet_norm(probe: Probe, alpha: float, pairs: PairSet,
             raise ValueError(f"field gradient at origin is nonzero: {g0}")
     if order2 is None:
         return jet_norm(probe, alpha, pairs)
-    return JetNormReport((_order_norm(probe, alpha, pairs, 0),
-                          _order_norm(probe, alpha, pairs, 1), order2))
+    return (_order_norm(probe, alpha, pairs, 0),
+            _order_norm(probe, alpha, pairs, 1), order2)
 
 
 def norm_comparison_holds(orders, base: float) -> bool:

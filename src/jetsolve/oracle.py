@@ -297,8 +297,7 @@ def taylor_remainder_ratio_reference(probe, alpha: float, pairs) -> float:
     return worst
 
 
-def run_attempt_reference(system, grid: BallGrid, pairs, seed_vals,
-                          gamma: float, config):
+def run_attempt_reference(system, pairs, seed_vals, gamma: float, config):
     """One fixed-(R, gamma) attempt measuring the iterate's norm every sweep.
 
     The eager loop: both the increment norm and the iterate norm are full
@@ -306,6 +305,7 @@ def run_attempt_reference(system, grid: BallGrid, pairs, seed_vals,
     ``picard._run_attempt``, whose lazy iterate norms it certifies; the
     returned norm is that of the last iterate whatever the outcome.
     """
+    grid = pairs.grid
     f = np.zeros((grid.node_count, system.m))
     increments: list[float] = []
     ratios: list[float] = []
@@ -315,10 +315,10 @@ def run_attempt_reference(system, grid: BallGrid, pairs, seed_vals,
     for _ in range(config.max_iter):
         state = make_state(grid, f)
         new, _src = picard_map(system, state, seed_vals)
-        inc = solver_norm(grid, new - f, config.alpha, pairs)
+        inc = solver_norm(new - f, config.alpha, pairs)
         increments.append(inc)
         f = new
-        f_norm = solver_norm(grid, f, config.alpha, pairs)
+        f_norm = solver_norm(f, config.alpha, pairs)
         if not f_norm <= gamma:
             outcome = "escaped"
             escape_norm = f_norm

@@ -22,14 +22,14 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .grid import (DEFAULT_PAIR_CAP, BallGrid, LatticeBall, PairSet,
-                   build_grid, build_pair_set, fd_derivatives, fd_values,
-                   multi_indices)
+from .grid import (BallGrid, LatticeBall, PairSet, build_grid, build_pair_set,
+                   fd_derivatives, fd_values, multi_indices)
 from .holder import max_weighted_norm
 from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
 from .reduce import (JetSpec, PoissonSystem, SystemDef, check_ellipticity,
                      diagonalize, shift_jet, unit_ball)
+from .systems import integral_value
 
 
 class SolveFailure(RuntimeError):
@@ -188,6 +188,11 @@ class SolveConfig:
     harmonic_seed: Sequence[HarmonicPolynomial] | HarmonicPolynomial | None = None
 
     def __post_init__(self):
+        for key in ("res", "max_iter", "seed"):
+            try:
+                setattr(self, key, integral_value(getattr(self, key)))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         # written as "not in range" so that nan, which fails every
         # comparison, is rejected too
         if not 0 < self.R0 < math.inf:
@@ -343,9 +348,9 @@ def picard_map(system: PoissonSystem, state: IterateState,
 # norms, gamma rule, deviation estimate, residual
 # ---------------------------------------------------------------------------
 
-def solver_norm(grid: BallGrid, values: np.ndarray, alpha: float,
-                pairs: PairSet) -> float:
-    """Discrete second-order weighted Holder norm of an (N, m) field.
+def solver_norm(values: np.ndarray, alpha: float, pairs: PairSet) -> float:
+    """Discrete second-order weighted Holder norm of an (N, m) field on
+    pairs.grid.
 
     The order-2 entry of :func:`jet_norm`: the largest weighted norm over
     every second derivative of every component.
@@ -353,7 +358,7 @@ def solver_norm(grid: BallGrid, values: np.ndarray, alpha: float,
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim == 1:
         vals = vals[:, None]
-    derivs = fd_derivatives(grid, vals, order=2)
+    derivs = fd_derivatives(pairs.grid, vals, order=2)
     return max_weighted_norm(np.concatenate(derivs, axis=1), alpha, pairs)
 
 
@@ -364,8 +369,6 @@ def _probe_res(n: int, res: int) -> int:
 
 
 def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
-                       grid: BallGrid | None = None,
-                       pairs: PairSet | None = None,
                        ) -> tuple[float, float | None, float]:
     """Initial norm-ball radius gamma0 from the source size at the origin.
 
@@ -376,11 +379,7 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
     short-circuits the rule, and when psi(0) is exactly zero the product is
     zero for every finite C_hat, so gamma0 is GAMMA0_FLOOR and no probe
     runs.  A nan psi(0) still runs the probe, as the rule then reads C_hat.
-
-    grid, when given, is the probe grid, built at (n, R0, probe resolution)
-    by the caller; pairs, a pair set on it, stands in for the probe's
-    default one only when it is that same set: complete, and within the
-    default cap.
+    The probe builds its own grid of radius R0 and its seed-0 pair set.
     """
     z_x = np.zeros(system.n)
     z_p = np.zeros(system.m)
@@ -390,16 +389,10 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
         return float(config.gamma0), None, psi0
     if psi0 == 0.0:
         return GAMMA0_FLOOR, None, psi0
-    if grid is None:
-        grid = build_grid(system.n, config.R0,
-                          _probe_res(system.n, config.res))
-    if pairs is not None and not (pairs.complete
-                                  and pairs.size <= DEFAULT_PAIR_CAP):
-        pairs = None
-    report = check_potential_norm_bound(
-        potential_probes(system.n), grid, config.alpha, pairs=pairs,
-    )
-    c_hat = report.max_ratio
+    grid = build_grid(system.n, config.R0, _probe_res(system.n, config.res))
+    ratios = check_potential_norm_bound(potential_probes(system.n),
+                                        config.alpha, build_pair_set(grid))
+    c_hat = max(ratios.values())
     gamma0 = max(4.0 * c_hat * psi0, GAMMA0_FLOOR)
     return gamma0, c_hat, psi0
 
@@ -484,7 +477,12 @@ def origin_jet_magnitudes(grid: BallGrid,
 
 @dataclass
 class AttemptRecord:
-    """One (radius, gamma) attempt of the iteration."""
+    """One (radius, gamma) attempt of the iteration.
+
+    deviation_sup is a sampled sup: the largest |b^kl| over the
+    DEVIATION_SAMPLES (512) seeded draws in the attempt's box plus the box
+    corners (see :func:`coefficient_deviation_sup`).
+    """
 
     R: float
     gamma_start: float
@@ -552,11 +550,12 @@ class SolveReport:
         }
 
 
-def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
+def _run_attempt(system: PoissonSystem, pairs: PairSet,
                  seed_vals: np.ndarray, gamma: float,
                  config: SolveConfig) -> tuple[str, np.ndarray, float | None,
                                                AttemptRecord]:
-    """Iterate at fixed (R, gamma) until convergence or a failure signal.
+    """Iterate at fixed (R, gamma) on pairs.grid until convergence or a
+    failure signal.
 
     Returns the outcome, the last iterate, its order-2 norm and the record.
     The increment norm is measured on every sweep.  The iterate's own norm
@@ -566,6 +565,7 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
     the returned norm is None when the last iterate's was never measured.
     A nan or inf norm ends the attempt as an escape, never as converged.
     """
+    grid = pairs.grid
     f = np.zeros((grid.node_count, system.m))
     increments: list[float] = []
     ratios: list[float] = []
@@ -577,7 +577,7 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
     for sweep in range(config.max_iter):
         state = make_state(grid, f)
         new, _src = picard_map(system, state, seed_vals)
-        inc = solver_norm(grid, new - f, config.alpha, pairs)
+        inc = solver_norm(new - f, config.alpha, pairs)
         increments.append(inc)
         if sweep == 0:
             f_norm = bound = inc  # f is zero, so new - f is new bit for bit
@@ -593,7 +593,7 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
             # makes the bound non-finite, the iterate's norm is measured,
             # and a non-finite norm escapes.
             if not bound * (1.0 + 1e-6) < gamma:
-                f_norm = bound = solver_norm(grid, new, config.alpha, pairs)
+                f_norm = bound = solver_norm(new, config.alpha, pairs)
         f = new
         if f_norm is not None and not f_norm <= gamma:
             outcome = "escaped"
@@ -602,7 +602,7 @@ def _run_attempt(system: PoissonSystem, grid: BallGrid, pairs: PairSet,
         if inc < config.tol:
             outcome = "converged"
             if f_norm is None:
-                f_norm = solver_norm(grid, f, config.alpha, pairs)
+                f_norm = solver_norm(f, config.alpha, pairs)
             break
         if len(increments) >= 2 and increments[-2] > 0:
             r = increments[-1] / increments[-2]
@@ -639,43 +639,28 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
     ball = (LatticeBall(system.n, config.res) if ball is None
             else ball.require(system.n, config.res))
 
-    def grid_and_pairs(radius: float) -> tuple[BallGrid, PairSet]:
-        grid = build_grid(system.n, radius, config.res, ball)
-        return grid, build_pair_set(grid, seed=config.seed)
-
-    # When the C_hat probe has the solve's resolution, it runs (if psi(0)
-    # is not zero) on the first solve grid, whose cached quadrature weights
-    # and kernel spectra the solve then reuses.  Otherwise no solve grid
-    # exists during the probe.
-    first = None
-    if (config.gamma0 is None
-            and _probe_res(system.n, config.res) == config.res):
-        first = grid_and_pairs(radius)
-    gamma, c_hat, psi0 = choose_norm_radius(system, config, *(first or ()))
+    gamma, c_hat, psi0 = choose_norm_radius(system, config)
     gamma0 = gamma
     doublings = 0
     attempts: list[AttemptRecord] = []
     last_outcome = "never_ran"
 
     while True:
-        # the probe's grid serves the first radius; later ones build their
-        # own on the shared ball
-        grid, pairs = first or grid_and_pairs(radius)
-        first = None
+        grid = build_grid(system.n, radius, config.res, ball)
+        pairs = build_pair_set(grid, seed=config.seed)
         seed_vals = seed_field_values(config.harmonic_seed, grid, system.m)
 
         while True:
             outcome, f, f_norm, record = _run_attempt(
-                system, grid, pairs, seed_vals, gamma, config)
+                system, pairs, seed_vals, gamma, config)
             record.deviation_sup = coefficient_deviation_sup(
                 system, radius, gamma, seed=config.seed)
             attempts.append(record)
             last_outcome = outcome
 
             if outcome == "converged":
-                return _final_report(system, grid, pairs, f, f_norm, config,
-                                     gamma, gamma0, c_hat, psi0,
-                                     attempts)
+                return _final_report(system, pairs, f, f_norm, config,
+                                     gamma, gamma0, c_hat, psi0, attempts)
             if outcome == "escaped" and doublings < MAX_GAMMA_DOUBLINGS:
                 doublings += 1
                 gamma *= 2.0
@@ -703,8 +688,9 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
             )
 
 
-def _final_report(system, grid, pairs, f, f_norm, config, gamma, gamma0,
+def _final_report(system, pairs, f, f_norm, config, gamma, gamma0,
                   c_hat, psi0, attempts) -> SolveReport:
+    grid = pairs.grid
     res = residual_check(system, grid, f)
     jet_value, jet_gradient = origin_jet_magnitudes(grid, f)
     final = attempts[-1]

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BallGrid, PairSet, build_pair_set, fd_values, multi_indices,
-                   node_values)
+from .grid import BallGrid, PairSet, fd_values, multi_indices, node_values
 from .holder import max_weighted_norm, weighted_norm_values
 
 
@@ -226,26 +225,16 @@ def laplacian_consistency(pf: PotentialField, values: np.ndarray) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class NormRatioReport:
-    """Measured ||N(f)||-order-2 / ||f||_a for each probe field."""
-
-    ratios: dict
-    max_ratio: float
-
-
-def check_potential_norm_bound(probes, grid: BallGrid, alpha: float,
-                               pairs: PairSet | None = None) -> NormRatioReport:
-    """Order-2 jet norm of N(f) against the weighted norm of f, per probe.
+def check_potential_norm_bound(probes, alpha: float,
+                               pairs: PairSet) -> dict[str, float]:
+    """Order-2 jet norm of N(f) against the weighted norm of f, per probe,
+    on pairs.grid: the ratios by probe name.
 
     The ratio is the empirical stand-in for the R-independent bound on the
     potential as a map into the order-2 space; probes with vanishing norm are
     skipped.  The remaining probes go through one stacked Hessian pass.
     """
-    if pairs is None:
-        pairs = build_pair_set(grid)
-    if pairs.grid is not grid:
-        raise ValueError("pairs live on a different grid")
+    grid = pairs.grid
     names = [probe.name for probe in probes]
     columns = [probe.values(grid) for probe in probes]
     dens = weighted_norm_values(np.stack(columns, axis=1), alpha, pairs)[2]
@@ -259,4 +248,4 @@ def check_potential_norm_bound(probes, grid: BallGrid, alpha: float,
     for col, k in enumerate(keep):
         num = max_weighted_norm(hess[:, upper[0], upper[1], col], alpha, pairs)
         ratios[names[k]] = num / float(dens[k])
-    return NormRatioReport(ratios=ratios, max_ratio=max(ratios.values()))
+    return ratios

@@ -7,6 +7,7 @@ config files) to builders so new systems plug in without touching the solver.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -242,15 +243,17 @@ def harmonic_map_system(n: int, target: TargetManifold,
 # ---------------------------------------------------------------------------
 
 def integral_value(value) -> int:
-    """An integer field's value: an int, or a float with no fractional part.
+    """An integer field's value as a Python int: from an integer (numpy's
+    included) or a float with no fractional part; anything else, a bool
+    among them, raises ValueError.
 
     int() alone would truncate 21.5 to 21, read "21" as 21 and true as 1.
     """
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise TypeError("not an integral number")
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"not an integral number: {value!r}")
 
 
 def _count_param(params: dict, key: str, default: int) -> int:
@@ -259,7 +262,7 @@ def _count_param(params: dict, key: str, default: int) -> int:
     try:
         if integral_value(value) >= 1:
             return int(value)
-    except TypeError:
+    except ValueError:
         pass
     raise ValueError(f"{key!r} must be an integer >= 1, got {value!r}")
 

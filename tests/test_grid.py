@@ -71,7 +71,7 @@ def test_interior_mask_means_all_neighbors_exist(grid2, grid3):
             hit = grid.index_map[tuple(np.clip(lat, 0, grid.res - 1).T)]
             present &= inside & (hit >= 0)
         np.testing.assert_array_equal(present, grid.interior_mask)
-        assert grid.boundary_mask.any() and grid.interior_mask.any()
+        assert (~grid.interior_mask).any() and grid.interior_mask.any()
 
 
 def _row(table, grid, beta, node):
@@ -231,7 +231,7 @@ def test_nearest_nodes_match_full_sort(n, R, res, K, step):
     K = K or grid.node_count
     nodes = np.arange(0, grid.node_count, step)
     if res == 21:
-        nodes = np.nonzero(grid.boundary_mask)[0]
+        nodes = np.nonzero(~grid.interior_mask)[0]
     got = _nearest(grid.ball, nodes, K)
     keys = tuple(grid.lattice[:, d] for d in range(n - 1, -1, -1))
     unit = build_grid(n, 1.0, res).nodes
@@ -252,7 +252,7 @@ def test_nearest_nodes_follow_float_distance_at_powers_of_two(n, res):
                 + multi_indices(n, 2))
     for R in (0.25, 1.0, 4.0):
         grid = build_grid(n, R, res)
-        nodes = np.nonzero(grid.boundary_mask)[0]
+        nodes = np.nonzero(~grid.interior_mask)[0]
         got = _nearest(grid.ball, nodes, K)
         keys = tuple(grid.lattice[:, d] for d in range(n - 1, -1, -1))
         for row, node in zip(got, nodes):

@@ -57,9 +57,9 @@ def test_cubic_jet_norm_frozen_value(grid2, pairs2):
     # sup 6 and seminorm 6 (2R)^(1-a), so the weighted norm is
     # 6 + (2R)^a 6 (2R)^(1-a) = 6 + 12 R = 18.
     f = polynomial("x1_cubed", {(3, 0): 1.0})
-    rep = jet_norm(f, 0.5, pairs2)
-    assert rep.orders[2] == pytest.approx(18.0, rel=1e-12)
-    assert rep.orders[2] >= rep.orders[1] / (3 * 2 * 1.0)
+    orders = jet_norm(f, 0.5, pairs2)
+    assert orders[2] == pytest.approx(18.0, rel=1e-12)
+    assert orders[2] >= orders[1] / (3 * 2 * 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def _banach_holds(f, g, alpha, pairs):
 
 
 def _comparison_holds(probe, alpha, pairs):
-    return norm_comparison_holds(zero_jet_norm(probe, alpha, pairs).orders,
+    return norm_comparison_holds(zero_jet_norm(probe, alpha, pairs),
                                  comparison_base(pairs.grid))
 
 
@@ -197,9 +197,9 @@ def test_zero_jet_order2_is_the_largest_hessian_norm(n, res):
     for probe in lemma_battery(n):
         jet = probe_jet(probe, 0.5, pairs)
         zero = with_zero_jet(probe, n)
-        want = zero_jet_norm(zero, 0.5, pairs).orders
+        want = zero_jet_norm(zero, 0.5, pairs)
         got = zero_jet_norm(zero, 0.5, pairs,
-                            order2=float(jet.hess_norms[2].max())).orders
+                            order2=float(jet.hess_norms[2].max()))
         assert [x.hex() for x in got] == [x.hex() for x in want], probe.name
         # the jet's Hessian norms are those of its rows, measured anew
         hess = np.stack([probe.values(grid, beta)
@@ -269,11 +269,10 @@ def test_weighted_norm_values_rejects_bad_input(grid2, pairs2):
 
 def test_jet_norm_homogeneous_in_every_order(grid2, pairs2):
     f = polynomial("mix", {(2, 1): 0.5, (1, 0): -1.0})
-    rep = jet_norm(f, 0.5, pairs2)
+    orders = jet_norm(f, 0.5, pairs2)
     doubled = Probe("2 mix", lambda pts: 2 * f.fn(pts),
                     lambda beta, pts: 2 * f.deriv(beta, pts))
-    rep2 = jet_norm(doubled, 0.5, pairs2)
-    for a, b in zip(rep.orders, rep2.orders):
+    for a, b in zip(orders, jet_norm(doubled, 0.5, pairs2)):
         assert b == pytest.approx(2 * a, rel=1e-12)
 
 
@@ -388,7 +387,8 @@ def test_banach_block_matches_per_field_full_scans(n, res, seed):
             ratio = norm(fields[i] * fields[j]) / (norms[i] * norms[j])
             if ratio > worst:
                 worst, worst_pair = ratio, [battery[i].name, battery[j].name]
-    block = verify._banach_block(battery, grid, pairs, 0.5)
+    block = verify._banach_block(battery, pairs, 0.5,
+                                 np.stack(fields, axis=1))
     assert block["worst_ratio"].hex() == worst.hex()
     assert block["worst_pair"] == worst_pair
     assert block["violations"] == []
@@ -573,8 +573,9 @@ def test_bounded_banach_block_matches_every_product(n, res, seed, strict,
         measured.append(np.ndim(values))
         return measure(values, *args, **kwargs)
 
+    fields = np.stack([p.values(grid) for p in battery], axis=1)
     monkeypatch.setattr(verify, "weighted_norm_values", counted)
-    block = verify._banach_block(battery, grid, pairs, 0.5)
+    block = verify._banach_block(battery, pairs, 0.5, fields)
     assert block["passed"] is want["passed"] is not strict
     assert block["violations"] == want["violations"]
     assert block["worst_ratio"].hex() == want["worst_ratio"].hex()

@@ -18,7 +18,6 @@ from jetsolve import (
     LatticeBall,
     NoConvergence,
     OracleFailure,
-    PairSet,
     PoissonSystem,
     SolveConfig,
     build_grid,
@@ -158,7 +157,7 @@ def test_solver_norm_is_order_two_jet_norm(n, res, m, rng):
     hessian = [fd_values(grid, vals, beta) for beta in multi_indices(n, 2)]
     expected = max_weighted_norm_reference(np.concatenate(hessian, axis=1),
                                            0.4, pairs)
-    assert solver_norm(grid, vals, 0.4, pairs).hex() == expected.hex()
+    assert solver_norm(vals, 0.4, pairs).hex() == expected.hex()
 
 
 def _per_beta(grid, vals, beta):
@@ -211,7 +210,7 @@ def test_one_pass_derivatives_match_per_beta(n, R, res, m, rng):
             np.stack([_per_beta(grid, vals, beta) for beta in betas]))
     pairs = build_pair_set(grid, seed=2)
     want = max_weighted_norm(np.concatenate(hessian, axis=1), 0.4, pairs)
-    assert solver_norm(grid, vals, 0.4, pairs).hex() == want.hex()
+    assert solver_norm(vals, 0.4, pairs).hex() == want.hex()
 
 
 @pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS)
@@ -256,8 +255,8 @@ def test_solver_norm_is_subadditive(n, res, complete, seed, scale):
                 * 10.0**rng.uniform(-8.0, 0.0)) * size
 
     a, b = field(1.0), field(10.0**scale)
-    total = solver_norm(grid, a, 0.5, pairs) + solver_norm(grid, b, 0.5, pairs)
-    assert solver_norm(grid, a + b, 0.5, pairs) <= total * (1.0 + 1e-9)
+    total = solver_norm(a, 0.5, pairs) + solver_norm(b, 0.5, pairs)
+    assert solver_norm(a + b, 0.5, pairs) <= total * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -268,7 +267,7 @@ def test_solver_norm_propagates_non_finite_values(bad):
     vals = np.zeros((grid.node_count, 2))
     vals[grid.origin_index + 3, 1] = bad
     with np.errstate(invalid="ignore"):
-        norm = solver_norm(grid, vals, 0.5, pairs)
+        norm = solver_norm(vals, 0.5, pairs)
         hessian = [fd_values(grid, vals, beta)
                    for beta in multi_indices(grid.n, 2)]
         want = max_weighted_norm_reference(np.concatenate(hessian, axis=1),
@@ -644,62 +643,68 @@ def test_lazy_iterate_norms_match_eager_reference(case, monkeypatch):
             == [_bits(vars(a)) for a in eager.attempts])
 
 
-# (system, jet, config, probe shares the first grid); every system has
-# psi(0) != 0, so the C_hat probe runs
-_SHARING_CASES = {
+# (system, jet, config); every system has psi(0) != 0, so the C_hat probe
+# runs
+_PROBE_CASES = {
     "2d_res21_one_radius": (
         prescribed_mean_curvature_system(2, mean_curvature=0.3),
         JetSpec(np.zeros(1), np.array([[0.2, -0.1]])),
-        dict(R0=1.0, res=21, seed=4), True),
+        dict(R0=1.0, res=21, seed=4)),
     "2d_res21_halving": (
         prescribed_mean_curvature_system(2, mean_curvature=0.3),
         JetSpec(np.zeros(1), np.array([[0.2, -0.1]])),
-        dict(R0=3.0, res=21, seed=4, harmonic_seed=_SADDLE), True),
-    # sampled pairs: the probe shares the grid but builds its own pair set
+        dict(R0=3.0, res=21, seed=4, harmonic_seed=_SADDLE)),
+    # the solve's pairs are sampled, the probe's complete
     "3d_res13_sampled": (
         harmonic_map_system(3, sphere_stereographic_target(2)),
-        _OFF_CENTRE_SPHERE_JET, dict(R0=1.0, res=13, seed=3), True),
-    # the probe runs at res 17 on its own grid
+        _OFF_CENTRE_SPHERE_JET, dict(R0=1.0, res=13, seed=3)),
+    # the probe runs at res 17
     "3d_res21": (
         harmonic_map_system(3, sphere_stereographic_target(2)),
-        _OFF_CENTRE_SPHERE_JET, dict(R0=1.0, res=21, seed=3), False),
+        _OFF_CENTRE_SPHERE_JET, dict(R0=1.0, res=21, seed=3)),
+}
+# (c_hat, gamma0) as float.hex
+_PROBE_PINS = {
+    "2d_res21_one_radius": ("0x1.7f3973536e018p-1", "0x1.d739ce78944f2p+0"),
+    "3d_res13_sampled": ("0x1.32ccd626442edp-1", "0x1.0000000000000p-1"),
 }
 
 
-@pytest.mark.parametrize("case", list(_SHARING_CASES))
-def test_probe_shares_the_first_solve_grid(case, monkeypatch):
-    # one grid per radius when the probe has the solve's resolution, and
-    # every report field bitwise that of a run with its own probe grid
-    system, jet, kwargs, shares = _SHARING_CASES[case]
-    built = []
-    build = picard_module.build_grid
+@pytest.mark.parametrize("case", list(_PROBE_CASES))
+def test_probe_builds_its_own_grid(case, monkeypatch):
+    # one grid and one pair set per radius, and one more of each for the
+    # probe: its grid of (n, R0, probe resolution) and its seed-0 pair set
+    system, jet, kwargs = _PROBE_CASES[case]
+    grids, pair_sets = [], []
+    build_grid_, build_pairs = (picard_module.build_grid,
+                                picard_module.build_pair_set)
 
-    def counting_build(*args):
-        built.append(args)
-        return build(*args)
+    def counting_grid(n, R, res, *ball):
+        grids.append((n, R, res))
+        return build_grid_(n, R, res, *ball)
 
-    def run():
-        built.clear()
-        report = solve_system(system, jet, SolveConfig(**kwargs))
-        radii = len({a.R for a in report.attempts})
-        fields = [report.solution, report.node_residuals,
-                  report.reconstructed, report.original_coords]
-        return (len(built) - radii, _bits(report.summary()),
-                [f.tobytes() for f in fields])
+    def counting_pairs(grid, seed=0):
+        pair_sets.append((grid.R, grid.res, seed))
+        return build_pairs(grid, seed=seed)
 
-    monkeypatch.setattr(picard_module, "build_grid", counting_build)
-    extra, summary, fields = run()
-    assert extra == (0 if shares else 1)
-    assert summary["c_hat"] is not None
+    monkeypatch.setattr(picard_module, "build_grid", counting_grid)
+    monkeypatch.setattr(picard_module, "build_pair_set", counting_pairs)
+    config = SolveConfig(**kwargs)
+    report = solve_system(system, jet, config)
+    n, res = system.n, config.res
+    probe_res = picard_module._probe_res(n, res)
+    radii = list(dict.fromkeys(a.R for a in report.attempts))
+    assert grids == ([(n, config.R0, probe_res)]
+                     + [(n, R, res) for R in radii])
+    assert pair_sets == ([(config.R0, probe_res, 0)]
+                         + [(R, res, config.seed) for R in radii])
     if "halving" in case:
-        assert len({a["R"] for a in summary["attempts"]}) == 3
-    choose = picard_module.choose_norm_radius
-    monkeypatch.setattr(picard_module, "choose_norm_radius",
-                        lambda system, config, *shared: choose(system, config))
-    own_extra, own_summary, own_fields = run()
-    assert own_extra == 1
-    assert own_summary == summary
-    assert own_fields == fields
+        assert len(radii) == 3
+    assert isinstance(report.c_hat, float)
+    assert report.gamma0 == max(4.0 * report.c_hat * report.psi_origin,
+                                GAMMA0_FLOOR)
+    if case in _PROBE_PINS:
+        assert (report.c_hat.hex(), report.gamma0.hex()) == _PROBE_PINS[case]
 
 
 def _kobayashi_radius(config):
@@ -781,38 +786,11 @@ def test_zero_origin_source_skips_the_probe(case, monkeypatch):
     assert calls == {"check": 0, "hessian": 0, "grids": radii}
     # what the probe would have read: the floor wins for its C_hat too
     config = report.config
-    probe_grid = build_grid(n, config.R0,
-                            picard_module._probe_res(n, config.res))
-    c_hat = check(potential_probes(n), probe_grid, config.alpha).max_ratio
+    probe_pairs = build_pair_set(
+        build_grid(n, config.R0, picard_module._probe_res(n, config.res)))
+    c_hat = max(check(potential_probes(n), config.alpha, probe_pairs).values())
     assert (max(4.0 * c_hat * 0.0, GAMMA0_FLOOR).hex()
             == GAMMA0_FLOOR.hex())
-
-
-def test_probe_reuses_only_its_default_pair_set(monkeypatch):
-    # a given pair set replaces the probe's build_pair_set(grid) only when
-    # it is that set: complete, and no larger than the default cap
-    seen = []
-    check = picard_module.check_potential_norm_bound
-
-    def spy(probes, grid, alpha, pairs=None):
-        seen.append(pairs)
-        return check(probes, grid, alpha, pairs=pairs)
-
-    monkeypatch.setattr(picard_module, "check_potential_norm_bound", spy)
-    system = PoissonSystem(
-        n=2, m=1, psi=lambda x, p, q: np.ones(np.shape(p)),
-        b=lambda x, p, q: np.zeros(np.shape(x)[:-1] + (2, 2)),
-        P=np.eye(2), P_inv=np.eye(2))
-    for res, cap, reused in [(21, 200_000, True), (13, 200_000, False),
-                             (33, 400_000, False)]:
-        config = SolveConfig(res=res, seed=3)
-        grid = build_grid(2, config.R0, res)
-        pairs = build_pair_set(grid, seed=config.seed, cap=cap)
-        if res == 13:  # a sampled set on the same grid
-            pairs = PairSet.from_pairs(grid, pairs.first[:5000],
-                                       pairs.second[:5000])
-        picard_module.choose_norm_radius(system, config, grid, pairs)
-        assert (seen[-1] is pairs) == reused
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +835,7 @@ def test_residual_zero_for_exact_quadratic(grid3):
     assert rep.residual_sup <= 1e-10
     assert rep.source_sup == pytest.approx(3.0)
     # residuals are only defined on interior nodes
-    assert np.isnan(rep.node_residuals[grid3.boundary_mask]).all()
+    assert np.isnan(rep.node_residuals[~grid3.interior_mask]).all()
 
 
 def test_report_summary_is_json_ready():
@@ -896,10 +874,20 @@ def test_picard_solve_accepts_prediagonalized():
     {"gamma0": float("nan")},
     {"gamma0": float("inf")},
     {"seed": -1},
+    {"res": 21.5},               # integer fields take no fractions ...
+    {"max_iter": 2.5},
+    {"seed": 1.5},
+    {"max_iter": True},          # ... and no bools
 ])
 def test_solve_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SolveConfig(**kwargs)
+
+
+def test_solve_config_stores_integer_fields_as_ints():
+    for res in (21.0, np.int64(21)):
+        cfg = SolveConfig(res=res)
+        assert cfg.res == 21 and type(cfg.res) is int
 
 
 def test_solve_config_radius_floor_default():

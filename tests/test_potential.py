@@ -106,11 +106,9 @@ def test_potential_norm_ratio_stable_across_radii():
     # drift as the ball shrinks; check a 4x radius range at fixed res
     ratios = []
     for R in (1.0, 0.25):
-        grid = build_grid(2, R, 17)
-        pairs = build_pair_set(grid, seed=0)
-        rep = check_potential_norm_bound(potential_probes(2), grid, 0.5,
-                                         pairs=pairs)
-        ratios.append(rep.max_ratio)
+        pairs = build_pair_set(build_grid(2, R, 17), seed=0)
+        rep = check_potential_norm_bound(potential_probes(2), 0.5, pairs)
+        ratios.append(max(rep.values()))
     hi, lo = max(ratios), min(ratios)
     assert hi / lo < 3.0
     assert hi < 10.0
@@ -133,22 +131,13 @@ def test_batched_sources_match_columns(n, res):
 
 
 def test_norm_bound_stack_matches_single_probes():
-    grid = build_grid(2, 1.0, 13)
-    pairs = build_pair_set(grid, seed=0)
+    pairs = build_pair_set(build_grid(2, 1.0, 13), seed=0)
     probes = potential_probes(2)
-    together = check_potential_norm_bound(probes, grid, 0.5, pairs=pairs)
+    together = check_potential_norm_bound(probes, 0.5, pairs)
     for probe in probes:
-        alone = check_potential_norm_bound([probe], grid, 0.5, pairs=pairs)
-        assert alone.ratios[probe.name] == pytest.approx(
-            together.ratios[probe.name], rel=1e-12)
-
-
-def test_norm_bound_rejects_pairs_of_another_grid():
-    grid = build_grid(2, 1.0, 9)
-    pairs = build_pair_set(build_grid(2, 1.0, 9))
-    with pytest.raises(ValueError, match="different grid"):
-        check_potential_norm_bound(potential_probes(2), grid, 0.5,
-                                   pairs=pairs)
+        alone = check_potential_norm_bound([probe], 0.5, pairs)
+        assert alone[probe.name] == pytest.approx(together[probe.name],
+                                                  rel=1e-12)
 
 
 def test_potential_accepts_raw_arrays():
