@@ -26,8 +26,7 @@ from .picard import (AttemptRecord, HarmonicPolynomial, IterateState,
                      source_term)
 from .potential import (KernelSpec, PotentialField,
                         check_potential_norm_bound, laplacian_consistency,
-                        newtonian_potential, potential_hessian, quad_weights,
-                        self_cell_integrals)
+                        newtonian_potential, potential_hessian, quad_weights)
 from .probes import (Probe, constant_probe, coordinate_probe, lemma_battery,
                      plane_exp, plane_sin, polynomial, potential_probes,
                      radius_squared_probe, separable, with_zero_jet)
@@ -62,7 +61,7 @@ __all__ = [
     "potential_hessian", "potential_probes", "radius_squared_probe",
     "prescribed_mean_curvature_system", "quad_weights", "residual_check",
     "run_lemma_suite",
-    "seed_field_values", "self_cell_integrals", "separable", "shift_jet",
+    "seed_field_values", "separable", "shift_jet",
     "solve_system", "solver_norm", "source_term",
     "sphere_stereographic_target", "taylor_remainder_ratio",
     "uniform_ball_potential",

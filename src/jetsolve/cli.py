@@ -105,6 +105,8 @@ def _coerce(cfg: dict, key: str, caster):
     if key not in cfg or cfg[key] is None:
         return None
     try:
+        if caster is float and isinstance(cfg[key], bool):
+            raise ValueError("a bool is not a number")
         return integral_value(cfg[key]) if caster is int else caster(cfg[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {key!r}: cannot interpret {cfg[key]!r} "

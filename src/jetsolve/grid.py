@@ -3,13 +3,12 @@
 The grid is a Cartesian lattice clipped to the closed ball.  The resolution is
 odd so the origin is always a node, and axis endpoints land exactly on |x| = R.
 
-What depends only on (n, res) lives on a :class:`LatticeBall`, shared by
-the grids of every radius at that (n, res): the kept lattice points, their
-index map, interior mask and origin, the stencil table below, the nodes'
-lattice cubes, and each pair set's pair ids with their integer squared
-lattice distances.  A :class:`BallGrid` is the ball plus R: the node
-coordinates, h and the cell volume, and, cached on the grid, the
-quadrature weights and the kernel spectra.
+A radius is one number.  Every array lives on a :class:`LatticeBall`,
+shared by the grids of every radius at its (n, res): the lattice, the
+stencil table below, the pairs, and the quadrature and kernel spectra of
+the potential module, each R-free or built at R = 1.  A
+:class:`BallGrid` is the ball plus R, h and the node coordinates, and
+every R-dependent quantity is a ball array times a power of R.
 
 Every derivative of order 1 or 2 is read off one stencil table per lattice
 ball, in units of h^-|beta|: a sparse row per (multi-index, node), applied
@@ -65,12 +64,10 @@ class LatticeBall:
 
     The kept lattice points (N, n), those with |k - c| <= c for the centre
     index c, in lexicographic order; the index map (-1 outside the ball),
-    the interior mask (every unit-offset neighbour is a node) and the
-    origin's node index; and, built on first use, the stencil table, the
-    node cubes and each pair set's pair ids and integer squared distances.
-    It holds no grid and nothing that depends on R.  Its arrays are
-    read-only, but for the pair ids, which pair sets give out as read-only
-    views (see :meth:`PairSet.take_ids`).
+    the interior mask (every unit-offset neighbour is a node), the origin's
+    node index, and the nodes unit_nodes and spacing unit_h at R = 1.  The
+    tables built on first use go into _shared.  It holds no grid, and its
+    arrays are read-only but for the pair ids (see :meth:`PairSet.take_ids`).
     """
 
     def __init__(self, n: int, res: int):
@@ -88,7 +85,10 @@ class LatticeBall:
         self.n, self.res = n, res
         self.lattice, self.index_map = _read_only(lattice, index_map)
         self.origin_index = int(index_map[(c,) * n])
-        # R-free tables built on first use: stencils, cubes, pairs
+        # the grid at R = 1, exactly as build_grid(n, 1.0, res) makes it
+        self.unit_h = 2.0 / (res - 1)
+        self.unit_nodes = _read_only(np.linspace(-1.0, 1.0, res)[lattice])[0]
+        # tables built on first use: stencils, cubes, pairs, quadrature
         self._shared: dict = {}
         unit_box = np.asarray(list(itertools.product((-1, 0, 1), repeat=n)))
         self.interior_mask = _read_only(np.all(
@@ -99,47 +99,35 @@ class LatticeBall:
     def node_count(self) -> int:
         return self.lattice.shape[0]
 
-    def require(self, n: int, res: int) -> "LatticeBall":
-        """This ball, if it is the lattice ball of (n, res)."""
-        if (self.n, self.res) != (n, res):
-            raise ValueError(f"lattice ball has (n, res) = ({self.n}, "
-                             f"{self.res}), not ({n}, {res})")
-        return self
 
-
-def _from_ball(name: str) -> property:
-    return property(lambda self: getattr(self.ball, name),
-                    doc=f"The lattice ball's {name}.")
+def _forward(owner: str, name: str) -> property:
+    return property(lambda self: getattr(getattr(self, owner), name),
+                    doc=f"The {owner}'s {name}.")
 
 
 @dataclass(eq=False)
 class BallGrid:
     """Cartesian tensor grid clipped to the closed ball of radius R.
 
-    A grid is its lattice ball plus R.  n, res, lattice, index_map,
-    interior_mask and origin_index are the ball's, shared by every radius
-    at (n, res), as are the stencil table and the pairs.  The grid holds
-    the node coordinates (N, n), h and the cell volume, and caches what
-    moves with R: the quadrature weights and the kernel spectra.
+    A grid is its lattice ball plus R, h and the node coordinates (N, n);
+    every other array it reads is the ball's, R-free or taken at R = 1.
     """
 
     ball: LatticeBall
     R: float
     h: float
-    cell_volume: float
     nodes: np.ndarray        # (N, n) float coordinates
+    # Nothing writes _cache; the benchmark's traced mode iterates it, and
+    # the benchmark change of ROADMAP item 1 deletes both.
     _cache: dict = field(default_factory=dict, repr=False)
 
-    n = _from_ball("n")
-    res = _from_ball("res")
-    lattice = _from_ball("lattice")
-    index_map = _from_ball("index_map")
-    interior_mask = _from_ball("interior_mask")
-    origin_index = _from_ball("origin_index")
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
+    n = _forward("ball", "n")
+    res = _forward("ball", "res")
+    lattice = _forward("ball", "lattice")
+    index_map = _forward("ball", "index_map")
+    interior_mask = _forward("ball", "interior_mask")
+    origin_index = _forward("ball", "origin_index")
+    node_count = _forward("ball", "node_count")
 
 
 def _neighbours(ball: LatticeBall, nodes: np.ndarray,
@@ -177,10 +165,14 @@ def build_grid(n: int, R: float, res: int,
     """
     if not (R > 0) or not np.isfinite(R):
         raise ValueError(f"R must be positive and finite, got {R}")
-    ball = LatticeBall(n, res) if ball is None else ball.require(n, res)
+    if ball is None:
+        ball = LatticeBall(n, res)
+    elif (ball.n, ball.res) != (n, res):
+        raise ValueError(f"lattice ball has (n, res) = ({ball.n}, "
+                         f"{ball.res}), not ({n}, {res})")
     h = 2.0 * R / (res - 1)
     nodes = np.linspace(-R, R, res)[ball.lattice]
-    return BallGrid(ball=ball, R=float(R), h=h, cell_volume=h**n, nodes=nodes)
+    return BallGrid(ball=ball, R=float(R), h=h, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +260,7 @@ def _nearest(ball: LatticeBall, nodes: np.ndarray, K: int) -> np.ndarray:
     K-th candidate has squared distance above r^2 (every lattice point
     outside the ball has at least r^2 + 1) is searched again at r + 1.
     """
-    unit = np.linspace(-1.0, 1.0, ball.res)[ball.lattice]
+    unit = ball.unit_nodes
     out = np.empty((nodes.shape[0], K), dtype=np.int64)
     todo = np.arange(nodes.shape[0])
     r = 1
@@ -562,74 +554,79 @@ def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
 
 
 @dataclass(eq=False)
+class UnitPairs:
+    """The read-only arrays of a pair set, shared by its sets on every grid
+    of the lattice ball.
+
+    first and second hold the pairs bucket by bucket (see
+    :class:`PairBuckets`), in key order inside each bucket, each oriented
+    lower -> higher node id (triu order for a complete set, given order and
+    orientation for :meth:`PairSet.from_pairs`), so a scan of chosen buckets
+    reads contiguous ranges of every pair-length array.  offset (n, pairs)
+    is lattice[first] - lattice[second] and dist the distances at R = 1.
+    drawn counts the pairs drawn, repeats included.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    complete: bool
+    buckets: PairBuckets
+    drawn: int
+    offset: np.ndarray
+    dist: np.ndarray
+    _take_ids: tuple = field(repr=False)
+    _pow: dict = field(default_factory=dict, repr=False)
+    _min_pow: dict = field(default_factory=dict, repr=False)
+
+    def dist_pow(self, alpha: float) -> np.ndarray:
+        key = float(alpha)
+        if key not in self._pow:
+            self._pow[key] = _read_only(self.dist**key)[0]
+        return self._pow[key]
+
+    def bucket_min_dist_pow(self, alpha: float) -> np.ndarray:
+        """The least dist_pow(alpha) of each bucket."""
+        key = float(alpha)
+        if key not in self._min_pow:
+            self._min_pow[key] = _read_only(np.minimum.reduceat(
+                self.dist_pow(key), self.buckets.indptr[:-1]))[0]
+        return self._min_pow[key]
+
+
+@dataclass(eq=False)
 class PairSet:
-    """Node-index pairs used for discrete Hölder seminorms.
+    """Node-index pairs of one grid, for discrete Hölder seminorms: the
+    grid plus its :class:`UnitPairs`.
 
     Always contains every antipodal pair (x, -x) and every (node, origin)
     pair; when the grid is small enough all pairs are used, otherwise the
     remainder is drawn from a seeded generator up to the cap, and the
-    distinct unordered pairs among the drawn ones are kept.  drawn counts
-    the pairs drawn, repeats included: the cap for a sample, size
-    otherwise.
-
-    The pairs are stored bucket by bucket (see :class:`PairBuckets`), in
-    key order inside each bucket, each pair oriented lower -> higher node
-    id (triu order for a complete set, given order and orientation for
-    :meth:`from_pairs`): bucket b is the slice
-    buckets.indptr[b]:buckets.indptr[b + 1] of first, second, dist,
-    dist_pow and steps(), so a scan of chosen buckets reads contiguous
-    ranges.  first, second and buckets are read-only and, for a set from
-    :func:`build_pair_set`, shared with the sets of the same (seed, cap)
-    on every grid of the lattice ball, as are the pairs' integer squared
-    lattice distances d2; dist, h * sqrt(d2), and what is computed from it
-    belong to this grid.
+    distinct unordered pairs among the drawn ones are kept.
     """
 
     grid: BallGrid
-    first: np.ndarray
-    second: np.ndarray
-    dist: np.ndarray
-    complete: bool
-    buckets: PairBuckets
-    drawn: int
-    _take_ids: tuple = field(repr=False)
-    _pow_cache: dict = field(default_factory=dict, repr=False)
-    _min_pow_cache: dict = field(default_factory=dict, repr=False)
-    _steps: tuple | None = field(default=None, repr=False)
+    unit: UnitPairs
+
+    first = _forward("unit", "first")
+    second = _forward("unit", "second")
+    complete = _forward("unit", "complete")
+    buckets = _forward("unit", "buckets")
+    drawn = _forward("unit", "drawn")
 
     @property
     def size(self) -> int:
         return self.first.shape[0]
 
-    def dist_pow(self, alpha: float) -> np.ndarray:
-        key = float(alpha)
-        if key not in self._pow_cache:
-            self._pow_cache[key] = self.dist**key
-        return self._pow_cache[key]
-
     def steps(self) -> tuple[np.ndarray, ...]:
-        """Offsets x_first - x_second, one contiguous array per axis."""
-        if self._steps is None:
-            nodes = self.grid.nodes
-            self._steps = tuple(nodes[self.first, d] - nodes[self.second, d]
-                                for d in range(self.grid.n))
-        return self._steps
+        """Offsets x_first - x_second, one contiguous array per axis: h
+        times the integer offsets, exact to one rounding."""
+        return tuple(self.grid.h * axis for axis in self.unit.offset)
 
     def take_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """The writeable arrays behind the read-only first and second,
-        shared with every pair set of the lattice ball, to be used as take
-        indices only: ndarray.take copies an index array that is not
-        writeable on every call, ten times the cost of a 200k-pair gather.
-        """
-        return self._take_ids
-
-    def bucket_min_dist_pow(self, alpha: float) -> np.ndarray:
-        """The least dist_pow(alpha) of each bucket."""
-        key = float(alpha)
-        if key not in self._min_pow_cache:
-            self._min_pow_cache[key] = np.minimum.reduceat(
-                self.dist_pow(key), self.buckets.indptr[:-1])
-        return self._min_pow_cache[key]
+        """The writeable arrays behind first and second, for take indices
+        only: ndarray.take copies a read-only index array on every call,
+        ten times the cost of a 200k-pair gather."""
+        return self.unit._take_ids
 
     @classmethod
     def from_pairs(cls, grid: BallGrid, first, second) -> "PairSet":
@@ -650,7 +647,7 @@ class PairSet:
             raise ValueError("pair index arrays must be 1-D and equal length")
         if np.any(first == second):
             raise ValueError("pairs must join distinct nodes")
-        return _pair_set(grid, *_bucketed(grid.ball, first, second))
+        return cls(grid, _bucketed(grid.ball, first, second))
 
 
 @dataclass(frozen=True)
@@ -670,32 +667,12 @@ class PairBuckets:
     cube_b: np.ndarray
 
 
-def _pair_set(grid: BallGrid, ids: tuple[np.ndarray, np.ndarray],
-              buckets: PairBuckets, d2: np.ndarray, complete: bool = False,
-              drawn: int | None = None) -> PairSet:
-    """The pair set on grid of the bucketed pairs ids = (first, second),
-    d2 their integer squared lattice distances, drawn pairs in all (their
-    count if None): only their distances, h * sqrt(d2), are computed
-    here."""
-    first, second = ids
-    dist = np.sqrt(d2, dtype=np.float64)
-    dist *= grid.h
-    views = _read_only(first.view(), second.view())
-    return PairSet(grid=grid, first=views[0], second=views[1], dist=dist,
-                   complete=complete, buckets=buckets,
-                   drawn=first.shape[0] if drawn is None else drawn,
-                   _take_ids=ids)
-
-
-def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray
-              ) -> tuple[tuple[np.ndarray, np.ndarray], PairBuckets,
-                         np.ndarray]:
-    """The int64 pairs (first, second), which it takes over and regroups
-    bucket by bucket in place (so it holds no second copy of them), their
-    buckets and their read-only integer squared lattice distances, in the
-    least unsigned dtype that holds n (res - 1)^2.  The pairs stay
-    writeable as take indices (see :meth:`PairSet.take_ids`); pair sets
-    give out read-only views."""
+def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray,
+              complete: bool = False, drawn: int | None = None) -> UnitPairs:
+    """The unit pairs of the int64 pairs (first, second), which it takes
+    over and regroups bucket by bucket in place (so it holds no second copy
+    of them) as the writeable take indices behind read-only views, drawn
+    pairs in all (their count if None)."""
     buckets, order = _bucket_pairs(ball, first, second)
     first[:] = first.take(order)
     second[:] = second.take(order)
@@ -711,7 +688,13 @@ def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray
                     out=offset[:, d])
     d2 = np.einsum("ij,ij->i", offset, offset).astype(
         np.min_scalar_type(ball.n * (ball.res - 1)**2))
-    return (first, second), buckets, *_read_only(d2)
+    # a signed dtype that holds +-(res - 1), one contiguous row per axis
+    offset = offset.T.astype(np.min_scalar_type(-ball.res), order="C")
+    dist = np.sqrt(d2, dtype=np.float64)
+    dist *= ball.unit_h
+    return UnitPairs(*_read_only(first.view(), second.view()), complete,
+                     buckets, first.shape[0] if drawn is None else drawn,
+                     *_read_only(offset, dist), _take_ids=(first, second))
 
 
 # Cube ids then fit in uint8 and bucket keys cube_a * count + cube_b in uint16.
@@ -771,11 +754,10 @@ def build_pair_set(grid: BallGrid, seed: int = 0,
     """The grid's pair set: every pair when there are at most cap, else
     the distinct pairs among the forced pairs and seeded draws up to cap.
 
-    The node pairs, their buckets and their integer squared lattice
-    distances depend on (n, res, seed, cap) only (a complete set on no
-    seed), so they are built once per lattice ball and shared by the sets
-    of every grid on it, for as long as the ball lives; each set scales
-    its own distances by h.
+    The node pairs, their buckets, offsets and distances at R = 1 depend
+    on (n, res, seed, cap) only (a complete set on no seed), so they are
+    built once per lattice ball and shared by the sets of every grid on
+    it, for as long as the ball lives; a set computes nothing per radius.
     """
     N = grid.node_count
     if cap < 2 * N:
@@ -788,9 +770,9 @@ def build_pair_set(grid: BallGrid, seed: int = 0,
         # before the bucket sort allocates its own pair-length arrays
         shared[key] = _bucketed(grid.ball, *(
             np.triu_indices(N, k=1) if complete
-            else _sampled_pairs(grid, seed, cap)))
-    return _pair_set(grid, *shared[key], complete=complete,
-                     drawn=None if complete else cap)
+            else _sampled_pairs(grid, seed, cap)), complete=complete,
+            drawn=None if complete else cap)
+    return PairSet(grid, shared[key])
 
 
 def _sampled_pairs(grid: BallGrid, seed: int,

@@ -8,6 +8,8 @@ with H_a the Hölder seminorm; the order-l jet norm takes the max of ||.||_a
 over all derivatives of order exactly l, and the solver's norm of an (N, m)
 iterate over its components too.  Seminorms are evaluated on a PairSet, so
 every reported value is reproducible from (grid, seed, cap).
+The quotients divide by the distances at R = 1 (|x - y| / R is R-free),
+so (2R)^a H_a[f] is 2^a times their max, and H_a[f] that max over R^a.
 
 Every seminorm comes from a pruned scan of the pair set: pairs are stored
 in buckets by the lattice cubes of their nodes, each bucket is bounded from
@@ -71,14 +73,13 @@ def weighted_norm_values(values: np.ndarray, alpha: float,
     if values.shape[:1] != (pairs.grid.node_count,) or values.ndim > 2:
         raise ValueError(f"values shape {values.shape} does not match node "
                          f"count {pairs.grid.node_count}")
-    c = (2.0 * pairs.grid.R) ** alpha
     block = values.reshape(values.shape[0], -1)
     sup = np.abs(block).max(axis=0)
     semi = _column_semis(block, sup, alpha, pairs)
+    norms = sup, semi / pairs.grid.R**alpha, sup + 2.0**alpha * semi
     if values.ndim == 2:
-        return sup, semi, sup + c * semi
-    sup, semi = float(sup[0]), float(semi[0])
-    return sup, semi, sup + c * semi
+        return norms
+    return tuple(float(x[0]) for x in norms)
 
 
 # A pruned scan takes its floor from the buckets of largest bound, enough of
@@ -100,8 +101,8 @@ def _quotient_bounds(values: np.ndarray, alpha: float,
 
     With x in cube A and y in cube B, fl(v(x) - v(y)) lies between
     -fl(max_B v - min_A v) and fl(max_A v - min_B v), since rounded
-    subtraction is monotone; a division by the bucket's least dist_pow
-    only grows the quotient.  So every pair's float quotient is at most
+    subtraction is monotone; a division by the bucket's least dist_pow (at
+    R = 1) only grows the quotient.  So every pair's float quotient is at most
     its bucket's bound, with no slack.
     """
     buckets = pairs.buckets
@@ -110,7 +111,7 @@ def _quotient_bounds(values: np.ndarray, alpha: float,
     low = np.minimum.reduceat(by_cube, buckets.cube_start, axis=0)
     a, b = buckets.cube_a, buckets.cube_b
     span = np.maximum(top[a] - low[b], top[b] - low[a])
-    span /= pairs.bucket_min_dist_pow(alpha)[:, None]
+    span /= pairs.unit.bucket_min_dist_pow(alpha)[:, None]
     return span
 
 
@@ -125,7 +126,7 @@ def _bucket_scan(values: np.ndarray, alpha: float, pairs: PairSet,
     at = np.repeat(start - (np.cumsum(size) - size), size)
     at += np.arange(at.shape[0])
     first, second = pairs.first.take(at), pairs.second.take(at)
-    dist_pow = pairs.dist_pow(alpha).take(at)
+    dist_pow = pairs.unit.dist_pow(alpha).take(at)
     del at
     return _column_max_quotients(values, first, second, dist_pow)
 
@@ -154,7 +155,7 @@ def _pruned_max(bound: np.ndarray, scan, pairs: PairSet, k: int):
 
 def _column_semis(values: np.ndarray, sup: np.ndarray, alpha: float,
                   pairs: PairSet) -> np.ndarray:
-    """The max pair quotient (the seminorm) of each column of values (N, k).
+    """The max pair quotient of each column of values (N, k), at R = 1.
 
     Each finite column of a set over 2 * _FLOOR_PAIRS pairs is pruned on
     its own (:func:`_pruned_max` with its own quotient bounds and floor).
@@ -177,20 +178,20 @@ def _column_semis(values: np.ndarray, sup: np.ndarray, alpha: float,
         with np.errstate(invalid="ignore"):
             semi[full] = _column_max_quotients(values[:, full],
                                                *pairs.take_ids(),
-                                               pairs.dist_pow(alpha))
+                                               pairs.unit.dist_pow(alpha))
     return semi
 
 
 def weighted_norm_bounds(values: np.ndarray, alpha: float,
                          pairs: PairSet) -> np.ndarray:
     """An upper bound on the weighted norm of each column of finite values
-    (N, k), from the cube maxima and minima alone: sup + (2R)^alpha * the
+    (N, k), from the cube maxima and minima alone: sup + 2^alpha * the
     largest bucket bound of :func:`_quotient_bounds`.  Rounding is
     monotone, so each bound is >= the column's weighted norm from
     :func:`weighted_norm_values`, with no slack."""
-    c = (2.0 * pairs.grid.R) ** alpha
     sup = np.abs(values).max(axis=0)
-    return sup + c * _quotient_bounds(values, alpha, pairs).max(axis=0)
+    return sup + 2.0**alpha * _quotient_bounds(values, alpha,
+                                                pairs).max(axis=0)
 
 
 def max_weighted_norm(values: np.ndarray, alpha: float,
@@ -200,8 +201,8 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
     Bitwise the max over columns of :func:`weighted_norm_values`, NaN and
     inf propagating as in ``ndarray.max``, from a pruned pair scan with one
     floor shared by the columns.  Each column's norm is sup + c * (its
-    largest pair quotient), with c = (2R)^alpha, which is monotone in the
-    quotient; so each bucket of pairs is bounded by sup + c * (its
+    largest pair quotient at R = 1), with c = 2^alpha, which is monotone
+    in the quotient; so each bucket of pairs is bounded by sup + c * (its
     quotient bound), and :func:`_pruned_max` scans only the buckets that
     can hold the max.
     """
@@ -210,7 +211,7 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
     if values.ndim != 2 or values.shape[0] != pairs.grid.node_count:
         raise ValueError(f"values shape {values.shape} is not (node count "
                          f"{pairs.grid.node_count}, k)")
-    c = (2.0 * pairs.grid.R) ** alpha
+    c = 2.0**alpha
     sup = np.abs(values).max(axis=0)
     # Small sets, and non-finite values (inf - inf makes NaN quotients
     # that no bound sees), take the full scan.
@@ -222,7 +223,7 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
             return float(best)
     with np.errstate(invalid="ignore"):
         semi = _column_max_quotients(values, *pairs.take_ids(),
-                                     pairs.dist_pow(alpha))
+                                     pairs.unit.dist_pow(alpha))
     return float((sup + c * semi).max())
 
 
@@ -303,11 +304,11 @@ def taylor_remainder_ratio(probe: Probe, alpha: float, pairs: PairSet,
     scanning many probes allocates (and page-faults) its pair-length
     buffers once.
 
-    The pair offsets and |y-x|^(2+a) are cached on the pair set.  The
-    reverse direction negates every offset, which IEEE arithmetic does
-    exactly, so it subtracts the gradient terms and adds the same Hessian
-    terms; every ratio is bitwise that of the direct expansion
-    (``oracle.taylor_remainder_ratio_reference``).
+    |y-x|^(2+a) is R^(2+a) times the unit pairs' dist_pow.  The reverse
+    direction negates every offset, which IEEE arithmetic does exactly, so
+    it subtracts the gradient terms and adds the same Hessian terms, bitwise
+    the direct expansion.  ``oracle.taylor_remainder_ratio_reference``
+    reads the nodes' own offsets, and agrees to rounding.
     """
     if jet is None:
         jet = probe_jet(probe, alpha, pairs)
@@ -322,7 +323,8 @@ def taylor_remainder_ratio(probe: Probe, alpha: float, pairs: PairSet,
     if work is None:
         work = np.empty((4, pairs.size))
     rhs, f_second, f_first, acc = work
-    np.multiply(0.5 * semi_sum, pairs.dist_pow(2.0 + alpha), out=rhs)
+    np.multiply(0.5 * semi_sum * pairs.grid.R**(2.0 + alpha),
+                pairs.unit.dist_pow(2.0 + alpha), out=rhs)
 
     f = jet.values
     floor = _EPS * max(1.0, float(np.abs(f).max()))

@@ -5,17 +5,18 @@ coordinates, and the closed forms below were derived by hand and are
 re-checked symbolically in the test suite.  Some references share pieces
 of the code they check, on purpose, because each certifies one step and
 not the pieces under it: ``potential_reference`` takes ``quad_weights``
-and ``self_cell_integrals`` from the potential module, because it checks
-the FFT convolution of that module, not its quadrature rule (the
+from the potential module, because it checks the FFT convolution of that
+module and its rescaling from R = 1, not its quadrature rule (the
 closed-form ``uniform_ball_potential`` checks the rule);
 ``taylor_remainder_ratio_reference`` takes the probe's exact derivatives,
 and ``run_attempt_reference`` takes the sweep and the norm of ``picard``,
 because they check the pair scan and the norm schedule.
 ``max_weighted_norm_reference`` and the Hessian seminorms of
-``taylor_remainder_ratio_reference`` share only the pair set (its nodes
-and distances) with ``holder``: each is a full scan written out in one
-line, so it checks the pruning and the order of the scan, which it does
-not have, not the sampling of pairs.
+``taylor_remainder_ratio_reference`` share only the pair set's node ids
+with ``holder``: each takes its distances from the grid's own nodes and
+is a full scan written out in one line, so it checks the pruning, the
+order of the scan and the R = 1 distances ``holder`` reads, which it
+does not have, not the sampling of pairs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .grid import BallGrid, multi_indices
 from .holder import _EPS
 from .picard import (CONTRACTION_THRESHOLD, AttemptRecord, make_state,
                      picard_map, solver_norm)
-from .potential import (KernelSpec, PotentialField, quad_weights,
-                        self_cell_integrals)
+from .potential import KernelSpec, PotentialField, quad_weights
 
 _BLOCK_BYTES = 4e7
 
@@ -191,7 +191,7 @@ def potential_reference(grid: BallGrid, source: np.ndarray,
     F = source.reshape(N, -1)
     m = F.shape[1]
     w = quad_weights(grid)
-    self_int = self_cell_integrals(grid, kernel)
+    self_int = kernel.ball_integral((w / kernel.unit_ball_volume) ** (1 / n))
     nodes = grid.nodes
     n_omega = n * kernel.unit_ball_volume
 
@@ -244,7 +244,8 @@ def max_weighted_norm_reference(values, alpha: float, pairs) -> float:
     a full scan of every pair written out in one line.  The reference for
     ``holder.max_weighted_norm``."""
     c = (2.0 * pairs.grid.R) ** alpha
-    i, j, dist = pairs.first, pairs.second, pairs.dist
+    i, j, nodes = pairs.first, pairs.second, pairs.grid.nodes
+    dist = np.linalg.norm(nodes[i] - nodes[j], axis=1)
     return float(np.max([np.abs(v).max()
                          + c * (np.abs(v[i] - v[j]) / dist**alpha).max()
                          for v in np.asarray(values, dtype=np.float64).T]))
@@ -253,15 +254,17 @@ def max_weighted_norm_reference(values, alpha: float, pairs) -> float:
 def taylor_remainder_ratio_reference(probe, alpha: float, pairs) -> float:
     """Taylor remainder ratio by the direct expansion in both directions.
 
-    Rebuilds the pair offsets on every call, takes each Hessian seminorm
-    from a full scan of every pair, expands around each end with the
-    offset (or its negation) as written, and divides only the live pairs.
+    Rebuilds the pair offsets and distances from the grid's nodes on every
+    call, takes each Hessian seminorm from a full scan of every pair,
+    expands around each end with the offset (or its negation) as written,
+    and divides only the live pairs.
     The reference for ``holder.taylor_remainder_ratio``.
     """
     grid = pairs.grid
     n = grid.n
     i, j = pairs.first, pairs.second
     dx = grid.nodes[i] - grid.nodes[j]
+    dist = np.linalg.norm(dx, axis=1)
 
     f = probe.values(grid)
     grads = [probe.values(grid, beta) for beta in multi_indices(n, 1)]
@@ -271,8 +274,8 @@ def taylor_remainder_ratio_reference(probe, alpha: float, pairs) -> float:
     semi_sum = 0.0
     for beta in hess_beta:
         v = hess[beta]
-        semi_sum += float((np.abs(v[i] - v[j]) / pairs.dist**alpha).max())
-    rhs = 0.5 * semi_sum * pairs.dist ** (2.0 + alpha)
+        semi_sum += float((np.abs(v[i] - v[j]) / dist**alpha).max())
+    rhs = 0.5 * semi_sum * dist ** (2.0 + alpha)
 
     scale = max(1.0, float(np.abs(f).max()))
     worst = 0.0

@@ -193,6 +193,9 @@ class SolveConfig:
                 setattr(self, key, integral_value(getattr(self, key)))
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
+        for key in ("R0", "R_min", "alpha", "tol", "gamma0"):
+            if isinstance(getattr(self, key), (bool, np.bool_)):
+                raise ValueError(f"{key}: not a real number")
         # written as "not in range" so that nan, which fails every
         # comparison, is rejected too
         if not 0 < self.R0 < math.inf:
@@ -303,30 +306,32 @@ def _origin_jet_polynomial(grid: BallGrid, vals: np.ndarray) -> np.ndarray:
     gradient, and the off-diagonal second-order terms, each read from the
     origin's stencil row; its diagonal second-order part is empty, so its
     (discrete and continuous) Laplacian vanishes and the subtraction leaves
-    the field's Laplacian untouched.
+    the field's Laplacian untouched.  The monomials are those of the unit
+    nodes, so each origin stencil value is scaled by R^|beta| instead.
     """
     o = grid.origin_index
     vals = np.asarray(vals, dtype=np.float64)
     poly = np.zeros_like(vals) + vals[o]
-    betas, monos = _jet_monomials(grid)
+    betas, monos = _jet_monomials(grid.ball)
     for beta, mono in zip(betas, monos):
-        poly += np.multiply.outer(mono, fd_values(grid, vals, beta, node=o))
+        coeff = fd_values(grid, vals, beta, node=o) * grid.R**sum(beta)
+        poly += np.multiply.outer(mono, coeff)
     return poly
 
 
-def _jet_monomials(grid: BallGrid) -> tuple[list, list]:
+def _jet_monomials(ball: LatticeBall) -> tuple[list, list]:
     """The multi-indices of the subtracted jet, those of order 1 and then
-    the mixed ones of order 2, and their monomials at the nodes: x_i and
-    x_i * x_j by plain products, bitwise the values of
-    np.prod(nodes ** beta, axis=1).  Built once per grid."""
+    the mixed ones of order 2, and their monomials at the unit nodes (R =
+    1): x_i and x_i * x_j by plain products, bitwise the values of
+    np.prod(unit_nodes ** beta, axis=1).  Built once per ball."""
     key = "jet_monomials"
-    if key not in grid._cache:
-        n, x = grid.n, grid.nodes.T
+    if key not in ball._shared:
+        n, x = ball.n, ball.unit_nodes.T
         mixed = [b for b in multi_indices(n, 2) if max(b) == 1]
         pairs = [[d for d in range(n) if b[d]] for b in mixed]
-        grid._cache[key] = (multi_indices(n, 1) + mixed,
-                            list(x) + [x[i] * x[j] for i, j in pairs])
-    return grid._cache[key]
+        ball._shared[key] = (multi_indices(n, 1) + mixed,
+                             list(x) + [x[i] * x[j] for i, j in pairs])
+    return ball._shared[key]
 
 
 def picard_map(system: PoissonSystem, state: IterateState,
@@ -631,13 +636,12 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
     partial report attached to the exception.
 
     Every radius's grid and pair set is built on one lattice ball of
-    (system.n, config.res): ball when given (a ValueError if it is not of
-    that (n, res)), else one made for this call alone.
+    (system.n, config.res): ball when given (build_grid raises ValueError
+    if it is not of that (n, res)), else one made for this call alone.
     """
     radius = config.R0
     floor = config.radius_floor
-    ball = (LatticeBall(system.n, config.res) if ball is None
-            else ball.require(system.n, config.res))
+    ball = LatticeBall(system.n, config.res) if ball is None else ball
 
     gamma, c_hat, psi0 = choose_norm_radius(system, config)
     gamma0 = gamma

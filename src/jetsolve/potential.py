@@ -4,21 +4,24 @@ Midpoint quadrature over the node cells, with two singular-cell rules:
 
 * value kernel: the cell containing the singularity is replaced by the ball
   of equal volume, over which the fundamental solution integrates in closed
-  form; the kernel's self cell is zero and ``self_cell_integrals * f`` is
-  added after the convolution;
+  form; the kernel's self cell is zero and that integral times f is added
+  after the convolution;
 * second-derivative kernel: the difference form
 
       d_ij N(f)(x) = int d_ij G(x - y) (f(y) - f(x)) dy - delta_ij f(x) / n
 
   makes the integrand integrable and the singular cell is dropped: with
   H_ij = d_ij G zeroed there, the sum is conv(H_ij, w f) - f conv(H_ij, w),
-  the second term computed once per grid.
+  the second term computed once per lattice ball.
 
 Cells straddling the sphere get a fractional weight (subsampled in-ball
 volume fraction), which is the quadrature correction the clipped tensor grid
 relies on.  All nodes sit on one lattice, so each sum is an FFT convolution
 on the res^n box zero-padded per axis to the next 5-smooth length >=
 2 res - 1: no offsets wrap, so it is the free-space sum, in O(N log N).
+
+The potential scales exactly with the ball, so the quadrature and kernel
+spectra are built once per lattice ball, at R = 1, and rescaled per radius.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BallGrid, PairSet, fd_values, multi_indices, node_values
+from .grid import (BallGrid, LatticeBall, PairSet, _read_only, fd_values,
+                   multi_indices, node_values)
 from .holder import max_weighted_norm, weighted_norm_values
 
 
@@ -65,51 +69,44 @@ class PotentialField:
     hess: np.ndarray | None = None       # (N, n, n) or (N, n, n, m)
 
 
-def quad_weights(grid: BallGrid) -> np.ndarray:
-    """Per-node quadrature weights with a boundary-layer correction.
+def _unit_quadrature(ball: LatticeBall) -> tuple[np.ndarray, np.ndarray]:
+    """The quadrature weights and self-cell integrals (the kernel over each
+    node's ball of equal volume) at R = 1, built once per ball, read-only.
 
     Interior cells keep the full h^n weight.  Cells straddling the sphere are
     first clipped to their subsampled in-ball volume fraction, then the whole
-    boundary layer is rescaled so the weights sum to |B_R| exactly: lattice
+    boundary layer is rescaled so the weights sum to |B_1| exactly: lattice
     cells whose center falls outside the ball carry no node, and their in-ball
     volume has to be charged to the neighboring boundary cells or the
     potential develops an O(h) deficit near the sphere.
     """
-    key = "quad_weights"
-    if key in grid._cache:
-        return grid._cache[key]
-    n, h, R = grid.n, grid.h, grid.R
-    w = np.full(grid.node_count, grid.cell_volume)
-    circum = 0.5 * h * math.sqrt(n)
-    radius = np.sqrt(np.einsum("ij,ij->i", grid.nodes, grid.nodes))
-    straddle = radius + circum > R
-    if straddle.any():
-        sub = 9 if n == 2 else 7
-        offs = (np.arange(sub) + 0.5) / sub - 0.5
-        corners = np.asarray(list(itertools.product(offs, repeat=n))) * h
-        pts = grid.nodes[straddle][:, None, :] + corners[None, :, :]
-        inside = np.einsum("ijk,ijk->ij", pts, pts) <= R * R
-        frac = inside.mean(axis=1)
-        w[straddle] = frac * grid.cell_volume
-        ball_volume = KernelSpec(n).unit_ball_volume * R**n
-        missing = ball_volume - w.sum()
-        w[straddle] += missing * w[straddle] / w[straddle].sum()
-    grid._cache[key] = w
-    return w
+    key = "quadrature"
+    if key not in ball._shared:
+        n, h, nodes = ball.n, ball.unit_h, ball.unit_nodes
+        kernel = KernelSpec(n)
+        w = np.full(ball.node_count, h**n)
+        circum = 0.5 * h * math.sqrt(n)
+        radius = np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
+        straddle = radius + circum > 1.0
+        if straddle.any():
+            sub = 9 if n == 2 else 7
+            offs = (np.arange(sub) + 0.5) / sub - 0.5
+            corners = np.asarray(list(itertools.product(offs, repeat=n))) * h
+            pts = nodes[straddle][:, None, :] + corners[None, :, :]
+            frac = (np.einsum("ijk,ijk->ij", pts, pts) <= 1.0).mean(axis=1)
+            w[straddle] = frac * h**n
+            missing = kernel.unit_ball_volume - w.sum()
+            w[straddle] += missing * w[straddle] / w[straddle].sum()
+        # every weight is positive: the subsamples hold the cell's centre
+        r_eq = (w / kernel.unit_ball_volume) ** (1.0 / n)
+        ball._shared[key] = _read_only(w, kernel.ball_integral(r_eq))
+    return ball._shared[key]
 
 
-def self_cell_integrals(grid: BallGrid, kernel: KernelSpec) -> np.ndarray:
-    """Closed-form integral of the kernel over each node's equal-volume ball."""
-    key = "self_cell"
-    if key in grid._cache:
-        return grid._cache[key]
-    w = quad_weights(grid)
-    out = np.zeros_like(w)
-    pos = w > 0
-    r_eq = (w[pos] / kernel.unit_ball_volume) ** (1.0 / grid.n)
-    out[pos] = kernel.ball_integral(r_eq)
-    grid._cache[key] = out
-    return out
+def quad_weights(grid: BallGrid) -> np.ndarray:
+    """Per-node quadrature weights with a boundary-layer correction: R^n
+    times those at R = 1, so a rim cell's in-ball fraction is R-free."""
+    return grid.R**grid.n * _unit_quadrature(grid.ball)[0]
 
 
 def _fft_length(k: int) -> int:
@@ -121,12 +118,12 @@ def _fft_length(k: int) -> int:
     return k if m == 1 else _fft_length(k + 1)
 
 
-def _convolve(grid: BallGrid, spectra: np.ndarray, source: np.ndarray):
+def _convolve(ball: LatticeBall, spectra: np.ndarray, source: np.ndarray):
     """Free-space convolution of each kernel with an (N, m) node source,
     through the zero-padded lattice box; (kernels, m, N) at the nodes."""
-    n, L = grid.n, spectra.shape[1]
+    n, L = ball.n, spectra.shape[1]
     axes = tuple(range(-n, 0))
-    at_nodes = (slice(None),) + tuple(grid.lattice.T)
+    at_nodes = (slice(None),) + tuple(ball.lattice.T)
     padded = np.zeros((source.shape[1],) + (L,) * n)
     padded[at_nodes] = source.T
     out = np.fft.irfftn(spectra[:, None] * np.fft.rfftn(padded, axes=axes),
@@ -134,16 +131,17 @@ def _convolve(grid: BallGrid, spectra: np.ndarray, source: np.ndarray):
     return out[(slice(None),) + at_nodes]
 
 
-def _kernel_spectra(grid: BallGrid, hess: bool):
-    """Kernel spectra on the padded offset lattice, self cell zeroed, cached
-    on the grid: the value kernel, then with hess H_ij = d_ij G for i <= j
-    and the source-free sums conv(H_ij, w) at the nodes, (pairs, N)."""
-    cached = grid._cache.get("potential_spectra")
+def _kernel_spectra(ball: LatticeBall, hess: bool):
+    """Kernel spectra on the padded offset lattice at R = 1, self cell
+    zeroed, built once per ball: the value kernel, then with hess H_ij =
+    d_ij G for i <= j and the source-free sums conv(H_ij, w) at the nodes,
+    (pairs, N)."""
+    cached = ball._shared.get("potential_spectra")
     if cached is not None and (cached[1] is not None or not hess):
         return cached
-    n, kernel, L = grid.n, KernelSpec(grid.n), _fft_length(2 * grid.res - 1)
+    n, kernel, L = ball.n, KernelSpec(ball.n), _fft_length(2 * ball.res - 1)
     k = np.arange(L)
-    Z = np.ix_(*[np.where(k <= L // 2, k, k - L) * grid.h] * n)
+    Z = np.ix_(*[np.where(k <= L // 2, k, k - L) * ball.unit_h] * n)
     r2 = sum(z * z for z in Z)
     r2[(0,) * n] = 1.0
     kernels = [-np.log(r2) / (4.0 * math.pi) if n == 2 else
@@ -156,22 +154,30 @@ def _kernel_spectra(grid: BallGrid, hess: bool):
     kernels[(slice(None),) + (0,) * n] = 0.0
     # each kernel is even in the offset, so its spectrum is real
     spectra = np.fft.rfftn(kernels, axes=tuple(range(1, n + 1))).real
-    row_sums = (_convolve(grid, spectra[1:], quad_weights(grid)[:, None])[:, 0]
+    row_sums = (_convolve(ball, spectra[1:],
+                          _unit_quadrature(ball)[0][:, None])[:, 0]
                 if hess else None)
-    grid._cache["potential_spectra"] = (spectra, row_sums)
+    ball._shared["potential_spectra"] = (spectra, row_sums)
     return spectra, row_sums
 
 
 def _apply_potential(grid: BallGrid, source: np.ndarray,
                      hess: bool = False) -> PotentialField:
-    """One FFT pass: N(f) of an (N,) or (N, m) source, shaped like it, and
-    when asked its Hessian, (N, n, n) or (N, n, n, m)."""
-    n, N = grid.n, grid.node_count
+    """One FFT pass on the ball at R = 1: N(f) of an (N,) or (N, m) source,
+    shaped like it, and when asked its Hessian, (N, n, n) or (N, n, n, m).
+    The Hessian is R-free and the value scales as R^2, less in 2D the log
+    kernel's and self cells' shift R^2 log(R) / (2 pi) per unit weight."""
+    ball, R = grid.ball, grid.R
+    n, N = ball.n, ball.node_count
     F = source.reshape(N, -1)
-    spectra, row_sums = _kernel_spectra(grid, hess)
-    w = quad_weights(grid)
-    conv = _convolve(grid, spectra if hess else spectra[:1], w[:, None] * F)
-    value = conv[0].T + self_cell_integrals(grid, KernelSpec(n))[:, None] * F
+    spectra, row_sums = _kernel_spectra(ball, hess)
+    w, self_cell = _unit_quadrature(ball)
+    wF = w[:, None] * F
+    conv = _convolve(ball, spectra if hess else spectra[:1], wF)
+    value = conv[0].T + self_cell[:, None] * F
+    value *= R * R
+    if n == 2 and R != 1.0:
+        value -= R * R * math.log(R) / (2.0 * math.pi) * wF.sum(axis=0)
     second = None
     if hess:
         I, J = np.triu_indices(n)

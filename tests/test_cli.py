@@ -157,6 +157,13 @@ def test_solve_report_independent_of_thread_count(workdir):
     pytest.param(lambda c: c.update(res=21.5), "res", id="res_fractional"),
     pytest.param(lambda c: c.update(max_iter=True), "max_iter",
                  id="max_iter_bool"),
+    # nor do the real fields take a bool, which float() reads as 1.0
+    pytest.param(lambda c: c.update(R0=True), "R0", id="R0_bool"),
+    pytest.param(lambda c: c.update(R_min=True), "R_min", id="R_min_bool"),
+    pytest.param(lambda c: c.update(tol=True), "tol", id="tol_bool"),
+    pytest.param(lambda c: c.update(gamma0=True), "gamma0",
+                 id="gamma0_bool"),
+    pytest.param(lambda c: c.update(alpha=False), "alpha", id="alpha_bool"),
     # a constant of the method now, so an unknown field whatever its value
     pytest.param(lambda c: c.update(max_gamma_doublings="3"),
                  "max_gamma_doublings", id="max_gamma_doublings_string"),

@@ -475,7 +475,7 @@ def test_pair_cap_respected():
     assert not ps.complete
     assert ps.size <= cap
     assert np.all(ps.first != ps.second)
-    assert np.all(ps.dist > 0)
+    assert np.all(ps.unit.dist > 0)
 
 
 def test_antipodal_and_origin_pairs_forced():
@@ -511,8 +511,8 @@ def test_pair_set_deterministic():
                                           (3, 0.375, 13, 2), (3, 1.0, 21, 7)])
 def test_pair_set_matches_row_gather(n, R, res, seed):
     # the pairs are the draws (or triu) stably sorted on their unordered
-    # pair of lattice cubes of side 4, and the distances are bitwise h *
-    # sqrt(d2) of their integer squared lattice distances d2
+    # pair of lattice cubes of side 4, and the distances at R = 1 are
+    # bitwise unit_h * sqrt(d2) of their integer squared lattice distances
     grid = build_grid(n, R, res)
     ps = build_pair_set(grid, seed=seed)
     N = grid.node_count
@@ -530,27 +530,53 @@ def test_pair_set_matches_row_gather(n, R, res, seed):
     np.testing.assert_array_equal(ps.first, first)
     np.testing.assert_array_equal(ps.second, second)
     d2 = np.einsum("ij,ij->i", offset, offset)
-    np.testing.assert_array_equal(ps.dist, grid.h * np.sqrt(d2))
-    # the ball keeps d2, read-only, in uint16
+    unit = ps.unit
+    np.testing.assert_array_equal(unit.dist,
+                                  grid.ball.unit_h * np.sqrt(d2))
+    # the ball keeps the integer offsets, read-only, one int8 row per axis
     key = ("pairs",) if ps.complete else ("pairs", seed,
                                           grid_module.DEFAULT_PAIR_CAP)
-    stored = grid.ball._shared[key][2]
-    assert stored.dtype == np.uint16 and not stored.flags.writeable
-    np.testing.assert_array_equal(stored, d2)
-    # within 4 ulp of the row gather of node coordinates, counted per pair
-    # at the scale of the gather's own error: one ulp of the larger
-    # coordinate it subtracts on each axis, plus one of the distance.  An
-    # ulp of the distance alone is too fine, since the gather rounds at
-    # the coordinates' scale (0.3 - 0.2 on a res-21 unit grid reads
-    # 0.09999999999999987, 10 ulp of 0.1)
+    assert grid.ball._shared[key] is unit
+    assert unit.offset.dtype == np.int8 and unit.offset.flags.c_contiguous
+    assert not unit.offset.flags.writeable and not unit.dist.flags.writeable
+    np.testing.assert_array_equal(unit.offset, offset.T)
+    # R times the distance at R = 1 is within 4 ulp of the row gather of
+    # node coordinates, counted per pair at the scale of the gather's own
+    # error: one ulp of the larger coordinate it subtracts on each axis,
+    # plus one of the distance.  An ulp of the distance alone is too fine,
+    # since the gather rounds at the coordinates' scale (0.3 - 0.2 on a
+    # res-21 unit grid reads 0.09999999999999987, 10 ulp of 0.1)
     diff = grid.nodes[first] - grid.nodes[second]
     gather = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     larger = np.maximum(np.abs(grid.nodes[first]), np.abs(grid.nodes[second]))
     ulp = np.spacing(larger).sum(axis=1) + np.spacing(gather)
-    assert np.all(np.abs(ps.dist - gather) <= 4 * ulp)
-    # a set of given pairs computes its d2 the same way
+    assert np.all(np.abs(grid.R * unit.dist - gather) <= 4 * ulp)
+    # a set of given pairs computes its offsets and distances the same way
     given = PairSet.from_pairs(grid, first[::7], second[::7])
-    np.testing.assert_array_equal(given.dist, ps.dist[::7])
+    np.testing.assert_array_equal(given.unit.dist, unit.dist[::7])
+    np.testing.assert_array_equal(given.unit.offset, unit.offset[:, ::7])
+
+
+@pytest.mark.parametrize("n,R,res", [(2, 1.0, 21), (2, 0.5625, 21),
+                                     (3, 0.6, 13), (2, 1.0, 33)])
+def test_pair_steps_are_h_times_integer_offsets(n, R, res):
+    # each step is h times the integer lattice offset, one rounding:
+    # bitwise, whatever the float node coordinates round to
+    grid = build_grid(n, R, res)
+    ps = build_pair_set(grid)
+    offset = grid.lattice[ps.first] - grid.lattice[ps.second]
+    steps = ps.steps()
+    assert len(steps) == n
+    for d in range(n):
+        assert steps[d].dtype == np.float64 and steps[d].flags.c_contiguous
+        want = grid.h * offset[:, d].astype(np.float64)
+        assert steps[d].tobytes() == want.tobytes()
+    # the node gather rounds at the coordinates' scale: on 2D res 21 at
+    # R = 1 it misses h times the offset on many steps, while h = 1/16 on
+    # res 33 makes every node, and so every gathered step, exact
+    gathered = grid.nodes[ps.first] - grid.nodes[ps.second]
+    exact = np.all(gathered == np.stack(steps, axis=1), axis=1)
+    assert exact.all() == (res == 33)
 
 
 def test_from_pairs_rejects_degenerate():
@@ -584,8 +610,9 @@ def _grid_bytes(grid, seed):
     b = ps.buckets
     arrays = [grid.nodes, grid.lattice, grid.index_map, grid.interior_mask,
               table.indptr, table.index, table.weight,
-              ps.first, ps.second, ps.dist, b.node_order, b.cube_start,
-              b.indptr, b.cube_a, b.cube_b, ps.bucket_min_dist_pow(0.5)]
+              ps.first, ps.second, ps.unit.dist, ps.unit.offset,
+              b.node_order, b.cube_start, b.indptr, b.cube_a, b.cube_b,
+              ps.unit.bucket_min_dist_pow(0.5)]
     return ([a.tobytes() for a in arrays]
             + [(grid.origin_index, grid.h.hex(), ps.complete)])
 
@@ -607,11 +634,11 @@ def test_shared_ball_builds_equal_fresh_builds(n, res, seed, radii):
         assert _grid_bytes(grid, seed) == _grid_bytes(build_grid(n, R, res),
                                                       seed)
         shared_pairs.append(build_pair_set(grid, seed=seed))
-    # the pair ids are one array for every radius; the distances are not
-    assert len({id(ps.take_ids()[0]) for ps in shared_pairs}) == 1
+    # every array of the pairs, distances included, is one for every
+    # radius: a pair set is its grid plus the ball's unit pairs
+    assert len({id(ps.unit) for ps in shared_pairs}) == 1
     assert all(np.shares_memory(ps.first, ps.take_ids()[0])
                for ps in shared_pairs)
-    assert len({id(ps.dist) for ps in shared_pairs}) == len(radii)
     assert shared_pairs[0].complete == (res != 33)
 
 

@@ -29,6 +29,27 @@ from jetsolve.oracle import (max_weighted_norm_reference,
                              taylor_remainder_ratio_reference)
 
 
+def _unit_scan(values, alpha, pairs):
+    """(sup, seminorm, weighted norm) of each column of values (N, k) from
+    the one-line scan of every pair on the distances at R = 1 that the
+    engine reads: a max quotient semi_1, the weighted norm sup + 2^alpha
+    semi_1 and the seminorm semi_1 / R^alpha.  The oracle's references take
+    their distances from the nodes instead."""
+    v = np.asarray(values, dtype=np.float64)
+    sup = np.abs(v).max(axis=0)
+    semi = (np.abs(v[pairs.first] - v[pairs.second])
+            / pairs.unit.dist_pow(alpha)[:, None]).max(axis=0)
+    return sup, semi / pairs.grid.R**alpha, sup + 2.0**alpha * semi
+
+
+def _close_to_reference(got, want):
+    """got within 1e-12 relative of the oracle's want, or both the same
+    non-finite value."""
+    if not np.isfinite(want):
+        return float(got).hex() == float(want).hex()
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # exact norm values
 
@@ -173,6 +194,20 @@ def test_taylor_ratio_matches_reference_bitwise(n, res):
                                    work).hex() for p in probes] == want
 
 
+@pytest.mark.parametrize("n,R,res", [(2, 3.0, 21), (2, 0.5625, 33),
+                                     (3, 0.75, 9), (3, 1.3, 13)])
+def test_taylor_ratio_matches_reference_at_any_radius(n, R, res):
+    # the scan reads h times the integer offsets and R^(2 + alpha) times
+    # the distances at R = 1, the reference the node gathers: on grids
+    # whose h is no power of two they agree to rounding
+    grid = build_grid(n, R, res)
+    pairs = build_pair_set(grid, seed=1)
+    for probe in lemma_battery(n):
+        got = taylor_remainder_ratio(probe, 0.5, pairs)
+        want = taylor_remainder_ratio_reference(probe, 0.5, pairs)
+        assert _close_to_reference(got, want), probe.name
+
+
 def test_comparison_needs_zero_jet(grid2, pairs2):
     f = coordinate_probe(2, 0)  # gradient e1 at the origin
     with pytest.raises(ValueError):
@@ -244,13 +279,10 @@ def test_weighted_norm_values_matches_one_line_scan(n, res):
     block = rng.normal(size=(grid.node_count, 3)) * [1.0, 1e-9, 1e6]
     for vals in (*block.T, np.full(grid.node_count, 2.5)):
         for alpha in (0.25, 0.5, 0.9):
-            semi = float((np.abs(vals[pairs.first] - vals[pairs.second])
-                          / pairs.dist**alpha).max())
-            sup = float(np.abs(vals).max())
-            weighted = sup + (2.0 * grid.R) ** alpha * semi
+            want = [float(x[0]).hex()
+                    for x in _unit_scan(vals[:, None], alpha, pairs)]
             got = weighted_norm_values(vals, alpha, pairs)
-            assert [x.hex() for x in got] == [sup.hex(), semi.hex(),
-                                              weighted.hex()]
+            assert [x.hex() for x in got] == want
 
 
 def test_weighted_norm_values_rejects_bad_input(grid2, pairs2):
@@ -336,11 +368,13 @@ def test_max_weighted_norm_matches_full_scan(case, R, alpha, kinds, seed):
     pairs = build_pair_set(grid, seed=seed % 7)
     rng = np.random.default_rng(seed)
     values = np.stack([_column(k, grid, rng) for k in kinds], axis=1)
-    # inf - inf makes the nan that both must report
+    # inf - inf makes the nan that all three must report
     with np.errstate(invalid="ignore"):
         got = max_weighted_norm(values, alpha, pairs)
-        want = max_weighted_norm_reference(values, alpha, pairs)
+        want = _unit_scan(values, alpha, pairs)[2].max()
+        reference = max_weighted_norm_reference(values, alpha, pairs)
     assert got.hex() == want.hex()
+    assert _close_to_reference(got, reference)
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,15 +391,12 @@ def test_weighted_norm_values_matches_full_scan_per_column(case, R, alpha,
     pairs = build_pair_set(grid, seed=seed % 7)
     rng = np.random.default_rng(seed)
     values = np.stack([_column(k, grid, rng) for k in kinds], axis=1)
-    c = (2.0 * grid.R) ** alpha
     with np.errstate(invalid="ignore"):
         got = weighted_norm_values(values, alpha, pairs)
         for k, v in enumerate(values.T):
-            sup = float(np.abs(v).max())
-            semi = float((np.abs(v[pairs.first] - v[pairs.second])
-                          / pairs.dist**alpha).max())
+            want = _unit_scan(v[:, None], alpha, pairs)
             assert [float(x[k]).hex() for x in got] == [
-                sup.hex(), semi.hex(), (sup + c * semi).hex()]
+                float(x[0]).hex() for x in want]
 
 
 @pytest.mark.parametrize("n,res,seed", [(2, 33, 3), (2, 17, 0), (3, 13, 1)])
@@ -378,7 +409,7 @@ def test_banach_block_matches_per_field_full_scans(n, res, seed):
     fields = [p.values(grid) for p in battery]
 
     def norm(v):
-        return max_weighted_norm_reference(v[:, None], 0.5, pairs)
+        return float(_unit_scan(v[:, None], 0.5, pairs)[2][0])
 
     norms = [norm(v) for v in fields]
     worst, worst_pair = 0.0, None
@@ -476,8 +507,8 @@ def test_pair_buckets_hold_their_invariants(n, res, seed):
     values = np.stack([_column(k, grid, rng) for k in
                        ("smooth", "rough", "constant", "spike")], axis=1)
     for alpha in (0.05, 0.5, 0.95):
-        dist_pow = pairs.dist_pow(alpha)
-        least = pairs.bucket_min_dist_pow(alpha)
+        dist_pow = pairs.unit.dist_pow(alpha)
+        least = pairs.unit.bucket_min_dist_pow(alpha)
         assert np.all(dist_pow >= least[bucket])
         assert np.all(np.minimum.reduceat(dist_pow, buckets.indptr[:-1])
                       == least)
@@ -611,16 +642,18 @@ def test_max_weighted_norm_scans_buckets_just_above_the_floor():
             dipoles[members[np.all(local == 0, axis=1)]] = strength
             dipoles[members[np.all(local == 1, axis=1)]] = -strength
             strength = 1.0
-    floor = max_weighted_norm_reference(dipoles[:, None], alpha, pairs)
+    def norm(v):
+        return float(_unit_scan(v, alpha, pairs)[2].max())
+
+    floor = norm(dipoles[:, None])
     step = (x[:, 0] > 0).astype(float)
-    s = floor * (1 + 3e-4) / max_weighted_norm_reference(step[:, None],
-                                                         alpha, pairs)
+    s = floor * (1 + 3e-4) / norm(step[:, None])
     values = np.stack([s * step, dipoles], axis=1)
-    want = max_weighted_norm_reference(values, alpha, pairs)
+    want = norm(values)
     assert floor < want < floor * (1 + 1e-3)
     # the setting: the buckets bounding above the answer hold more than the
     # floor scan, and those bounding above the floor less than half the set
-    c = (2.0 * grid.R) ** alpha
+    c = 2.0**alpha
     sup = np.abs(values).max(axis=0)
     bound = (sup + c * _quotient_bounds(values, alpha, pairs)).max(axis=1)
     size = np.diff(pairs.buckets.indptr)
@@ -653,8 +686,7 @@ def test_weighted_norm_values_scans_buckets_just_above_a_column_floor():
             strength = 1.0
 
     def semi(v):
-        return float((np.abs(v[pairs.first] - v[pairs.second])
-                      / pairs.dist**alpha).max())
+        return float(_unit_scan(v[:, None], alpha, pairs)[1][0])
 
     floor = semi(dipoles)
     step = (x[:, 0] > 0.5).astype(float)

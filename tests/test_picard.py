@@ -153,11 +153,14 @@ def test_solver_norm_is_order_two_jet_norm(n, res, m, rng):
     pairs = build_pair_set(grid, seed=3)
     vals = rng.normal(size=(grid.node_count, m))
     # every second derivative of every component, as separate columns: a
-    # max is exact, so the max of their full-scan norms is bitwise the same
-    hessian = [fd_values(grid, vals, beta) for beta in multi_indices(n, 2)]
-    expected = max_weighted_norm_reference(np.concatenate(hessian, axis=1),
-                                           0.4, pairs)
-    assert solver_norm(vals, 0.4, pairs).hex() == expected.hex()
+    # max is exact, so the max of their norms is bitwise the same, and
+    # within rounding of the full scan on the nodes' own distances
+    hessian = np.concatenate([fd_values(grid, vals, beta)
+                              for beta in multi_indices(n, 2)], axis=1)
+    norm = solver_norm(vals, 0.4, pairs)
+    assert norm.hex() == max_weighted_norm(hessian, 0.4, pairs).hex()
+    expected = max_weighted_norm_reference(hessian, 0.4, pairs)
+    assert abs(norm - expected) <= 1e-12 * expected
 
 
 def _per_beta(grid, vals, beta):
@@ -216,20 +219,30 @@ def test_one_pass_derivatives_match_per_beta(n, R, res, m, rng):
 @pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS)
 @pytest.mark.parametrize("m", [None, 2])
 def test_jet_polynomial_matches_power_monomials(n, R, res, m, rng):
-    # the cached monomials x_i and x_i * x_j are bitwise the values of
-    # np.prod(nodes ** beta, axis=1), so the subtracted jet is unchanged
+    # the cached monomials x_i and x_i * x_j on the unit nodes are bitwise
+    # the values of np.prod(unit_nodes ** beta, axis=1), and each origin
+    # stencil value is scaled by R^|beta|; at R = 1 that is the jet on the
+    # grid's own nodes, bitwise, and at any R within rounding of it
     grid = build_grid(n, R, res)
     shape = (grid.node_count,) if m is None else (grid.node_count, m)
     vals = rng.normal(size=shape)
     o = grid.origin_index
     want = np.zeros_like(vals) + vals[o]
+    on_nodes = want.copy()
     mixed = [b for b in multi_indices(n, 2) if max(b) == 1]
     for beta in multi_indices(n, 1) + mixed:
-        mono = np.prod(grid.nodes ** np.asarray(beta), axis=1)
-        want += np.multiply.outer(mono, fd_values(grid, vals, beta, node=o))
-    for _ in range(2):          # built, then read from the grid's cache
+        mono = np.prod(grid.ball.unit_nodes ** np.asarray(beta), axis=1)
+        coeff = fd_values(grid, vals, beta, node=o)
+        want += np.multiply.outer(mono, coeff * R**sum(beta))
+        on_nodes += np.multiply.outer(
+            np.prod(grid.nodes ** np.asarray(beta), axis=1), coeff)
+    for _ in range(2):          # built, then read from the ball's cache
         got = _origin_jet_polynomial(grid, vals)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    if R == 1.0:
+        np.testing.assert_array_equal(got, on_nodes)
+    np.testing.assert_allclose(got, on_nodes, rtol=0,
+                               atol=1e-13 * np.abs(on_nodes).max())
 
 
 @functools.lru_cache(maxsize=None)
@@ -878,10 +891,23 @@ def test_picard_solve_accepts_prediagonalized():
     {"max_iter": 2.5},
     {"seed": 1.5},
     {"max_iter": True},          # ... and no bools
+    {"R0": True},                # nor do the real fields, though 0 < True
+    {"R_min": True, "R0": 2.0},
+    {"tol": True},
+    {"gamma0": True},
+    {"R0": True, "gamma0": True, "tol": True, "res": 9},
 ])
 def test_solve_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SolveConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["R0", "R_min", "alpha", "tol", "gamma0"])
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_solve_config_rejects_bools_in_real_fields(key, flag):
+    # float() would read the bool as 1.0, which passes most range checks
+    with pytest.raises(ValueError, match=f"{key}: not a real number"):
+        SolveConfig(**{key: flag})
 
 
 def test_solve_config_stores_integer_fields_as_ints():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetsolve import (
+    LatticeBall,
     build_grid,
     build_pair_set,
     check_potential_norm_bound,
@@ -186,12 +187,53 @@ def test_fft_pass_matches_dense_reference(shape, columns, data_seed):
 
 @pytest.mark.parametrize("n,res", [(2, 21), (3, 9)])
 def test_cached_spectra_give_bitwise_equal_passes(n, res):
+    # the spectra and weights are built once per lattice ball: a pass on
+    # a grid whose ball earlier radii warmed is bitwise a pass on a fresh
+    # ball, and the Hessian pass, being R-free, is bitwise the same at
+    # every radius
     rng = np.random.default_rng(3)
-    warm = build_grid(n, 0.7, res)
+    ball = LatticeBall(n, res)
+    warm = build_grid(n, 0.7, res, ball)
     newtonian_potential(rng.normal(size=warm.node_count), warm)
     potential_hessian(rng.normal(size=warm.node_count), warm)
     F = rng.normal(size=(warm.node_count, 2))
-    again = potential_hessian(F, warm)
-    fresh = potential_hessian(F, build_grid(n, 0.7, res))
-    np.testing.assert_array_equal(again.values, fresh.values)
-    np.testing.assert_array_equal(again.hess, fresh.hess)
+    for R in (0.7, 1.3):
+        again = potential_hessian(F, build_grid(n, R, res, ball))
+        fresh = potential_hessian(F, build_grid(n, R, res))
+        np.testing.assert_array_equal(again.values, fresh.values)
+        np.testing.assert_array_equal(again.hess, fresh.hess)
+        np.testing.assert_array_equal(
+            again.hess, potential_hessian(F, build_grid(n, 1.0, res)).hess)
+
+
+@pytest.mark.parametrize("n,R,res", [(2, 3.0, 21), (2, 0.375, 17),
+                                     (3, 0.75, 13), (3, 1.7, 9)])
+def test_rescaled_pass_matches_dense_reference(n, R, res):
+    # the pass runs on the ball at R = 1 and rescales; the dense reference
+    # sums the kernel at the grid's own nodes with its own self cells, so
+    # in 2D it checks the log(R) term.  A source of nonzero mean makes
+    # that term large.
+    grid = build_grid(n, R, res)
+    rng = np.random.default_rng(res)
+    F = 1.0 + rng.normal(size=(grid.node_count, 2)) * [0.3, 3.0]
+    want = potential_reference(grid, F, hess=True)
+    got = potential_hessian(F, grid)
+    assert _rel_sup(got.values, want.values) <= 1e-12
+    assert _rel_sup(got.hess, want.hess) <= 1e-12
+
+
+_KOBAYASHI_RADII = [0.25 * 1.5**k for k in range(7)]
+
+
+@pytest.mark.parametrize("R", _KOBAYASHI_RADII + [0.5, 2.0, 4.0])
+def test_quad_weights_are_r_invariant(R):
+    # the weights at R are R^n times those at R = 1, whatever the float
+    # in-ball test of rim cells would give at R: within one rounding of
+    # the product, and bitwise where R is a power of two
+    unit = quad_weights(build_grid(2, 1.0, 21))
+    w = quad_weights(build_grid(2, R, 21))
+    scaled = R**2 * unit
+    if np.log2(R).is_integer():
+        assert w.tobytes() == scaled.tobytes()
+    assert np.abs(w - scaled).max() <= 1e-15 * np.abs(scaled).max()
+    assert w.sum() == pytest.approx(np.pi * R**2, rel=1e-13)
