@@ -33,7 +33,7 @@ from .picard import (HarmonicPolynomial, OracleFailure, SolveConfig,
                      SolveFailure, solve_system)
 from .reduce import ChartError, EllipticityError, JetSpec
 from .systems import (SYSTEM_REGISTRY, TARGET_REGISTRY, build_system,
-                      integral_value)
+                      integral_value, real_value)
 from .verify import run_lemma_suite
 
 EXIT_OK = 0
@@ -105,9 +105,7 @@ def _coerce(cfg: dict, key: str, caster):
     if key not in cfg or cfg[key] is None:
         return None
     try:
-        if caster is float and isinstance(cfg[key], bool):
-            raise ValueError("a bool is not a number")
-        return integral_value(cfg[key]) if caster is int else caster(cfg[key])
+        return (integral_value if caster is int else real_value)(cfg[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {key!r}: cannot interpret {cfg[key]!r} "
                           f"as {caster.__name__}") from exc
@@ -127,7 +125,8 @@ def _build_solve_config(cfg: dict) -> SolveConfig:
 
 
 def _parse_seed(raw) -> list[HarmonicPolynomial]:
-    """Per-component seed: [[ [[e1..en], coeff], ... ], ...]."""
+    """Per-component seed: [[ [[e1..en], coeff], ... ], ...], each
+    component's pairs read by HarmonicPolynomial itself."""
     if not isinstance(raw, list):
         raise ConfigError("field 'harmonic_seed': expected a list with one "
                           "entry per solution component")
@@ -137,8 +136,7 @@ def _parse_seed(raw) -> list[HarmonicPolynomial]:
             polys.append(None)
             continue
         try:
-            terms = {tuple(int(v) for v in e): float(c) for e, c in comp}
-            polys.append(HarmonicPolynomial(terms))
+            polys.append(HarmonicPolynomial(comp))
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"field 'harmonic_seed[{k}]': {exc}") from exc

@@ -16,9 +16,12 @@ as one gather plus a segmented sum.  The rows of consecutive multi-indices
 are one contiguous range, so all derivatives of a field, or those of one
 order, come from one such pass.  A row holds the 2nd-order central
 stencil where it fits inside the ball, else a 2nd-order one-sided stencil,
-else (at the handful of nodes, e.g. the poles, whose lattice line is too
-short for either) a least-squares quadratic fit on the nearest nodes.
-Every row reproduces polynomials of degree <= 2 exactly.
+else (where the lattice lines through the node are too short for either) a
+least-squares quadratic fit on the nearest nodes.  Near the rim those rows
+are many, mostly mixed derivatives: 3,642 rows at 1,440 of the 4,169 nodes
+of 3D res 21, 3,498 of them mixed, and 132 rows at 124 of the 797 nodes of
+2D res 33, 124 of them mixed.  Every row reproduces polynomials of degree
+<= 2 exactly.
 
 The least-squares rows are fitted once per symmetry class of the actual
 neighbour set: a signed permutation of the axes takes each node's offsets
@@ -50,7 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_PAIR_CAP = 200_000
+# The most pairs a pair set holds: a grid with more node pairs gets a
+# seeded sample of this many.
+PAIR_CAP = 200_000
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -194,8 +199,9 @@ def _canonical_beta(n: int, beta) -> tuple[int, ...]:
     beta = tuple(int(b) for b in beta)
     if len(beta) != n or any(b < 0 for b in beta):
         raise ValueError(f"bad multi-index {beta} for n={n}")
-    if sum(beta) > 2:
-        raise ValueError(f"only derivatives of order <= 2 supported, got {beta}")
+    if not 1 <= sum(beta) <= 2:
+        raise ValueError(f"only derivatives of order 1 or 2 supported, "
+                         f"got {beta}")
     return beta
 
 
@@ -528,7 +534,7 @@ def fd_derivatives(grid: BallGrid, vals, order: int | None = None
 
 def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
               node: int | None = None) -> np.ndarray:
-    """Finite-difference derivative of node values.
+    """Finite-difference derivative of order 1 or 2 of node values.
 
     vals has shape (N,) or (N, m); the result has the same shape, or drops
     the node axis when node, an integer in range(N), picks the single row
@@ -541,8 +547,6 @@ def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],
                              or not isinstance(node, (int, np.integer))
                              or not 0 <= node < N):
         raise ValueError(f"node {node!r} is not a node index in range({N})")
-    if sum(beta) == 0:
-        return (vals if node is None else vals[node]).copy()
     first, count = (0, N) if node is None else (node, 1)
     start = stencil_table(grid).betas.index(beta) * N + first
     out = _apply_table(grid, vals, start, start + count)
@@ -560,11 +564,10 @@ class UnitPairs:
 
     first and second hold the pairs bucket by bucket (see
     :class:`PairBuckets`), in key order inside each bucket, each oriented
-    lower -> higher node id (triu order for a complete set, given order and
-    orientation for :meth:`PairSet.from_pairs`), so a scan of chosen buckets
-    reads contiguous ranges of every pair-length array.  offset (n, pairs)
-    is lattice[first] - lattice[second] and dist the distances at R = 1.
-    drawn counts the pairs drawn, repeats included.
+    lower -> higher node id (in triu order for a complete set), so a scan of
+    chosen buckets reads contiguous ranges of every pair-length array.
+    offset (n, pairs) is lattice[first] - lattice[second] and dist the
+    distances at R = 1.  drawn counts the pairs drawn, repeats included.
     """
 
     first: np.ndarray
@@ -617,37 +620,17 @@ class PairSet:
     def size(self) -> int:
         return self.first.shape[0]
 
-    def steps(self) -> tuple[np.ndarray, ...]:
-        """Offsets x_first - x_second, one contiguous array per axis: h
-        times the integer offsets, exact to one rounding."""
-        return tuple(self.grid.h * axis for axis in self.unit.offset)
+    def steps(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Offsets x_first - x_second, (n, size) float64, one contiguous
+        row per axis: h times the integer offsets, exact to one rounding;
+        written into out when given."""
+        return np.multiply(self.grid.h, self.unit.offset, out=out)
 
     def take_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """The writeable arrays behind first and second, for take indices
         only: ndarray.take copies a read-only index array on every call,
         ten times the cost of a 200k-pair gather."""
         return self.unit._take_ids
-
-    @classmethod
-    def from_pairs(cls, grid: BallGrid, first, second) -> "PairSet":
-        """The pair set of the pairs (first[p], second[p]): int64 copies of
-        the two arrays of node ids, regrouped bucket by bucket with their
-        given order kept inside each bucket."""
-        N = grid.node_count
-        ids = []
-        for given in map(np.asarray, (first, second)):
-            with np.errstate(invalid="ignore"):     # a nan id fails below
-                ids.append(given.astype(np.int64))
-            if np.any(ids[-1] != given) or np.any((ids[-1] < 0)
-                                                  | (ids[-1] >= N)):
-                raise ValueError(f"pair node ids must be integers in "
-                                 f"range({N})")
-        first, second = ids
-        if first.shape != second.shape or first.ndim != 1:
-            raise ValueError("pair index arrays must be 1-D and equal length")
-        if np.any(first == second):
-            raise ValueError("pairs must join distinct nodes")
-        return cls(grid, _bucketed(grid.ball, first, second))
 
 
 @dataclass(frozen=True)
@@ -668,11 +651,11 @@ class PairBuckets:
 
 
 def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray,
-              complete: bool = False, drawn: int | None = None) -> UnitPairs:
+              complete: bool, drawn: int) -> UnitPairs:
     """The unit pairs of the int64 pairs (first, second), which it takes
     over and regroups bucket by bucket in place (so it holds no second copy
     of them) as the writeable take indices behind read-only views, drawn
-    pairs in all (their count if None)."""
+    pairs in all."""
     buckets, order = _bucket_pairs(ball, first, second)
     first[:] = first.take(order)
     second[:] = second.take(order)
@@ -693,8 +676,8 @@ def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray,
     dist = np.sqrt(d2, dtype=np.float64)
     dist *= ball.unit_h
     return UnitPairs(*_read_only(first.view(), second.view()), complete,
-                     buckets, first.shape[0] if drawn is None else drawn,
-                     *_read_only(offset, dist), _take_ids=(first, second))
+                     buckets, drawn, *_read_only(offset, dist),
+                     _take_ids=(first, second))
 
 
 # Cube ids then fit in uint8 and bucket keys cube_a * count + cube_b in uint16.
@@ -749,29 +732,31 @@ def _bucket_pairs(ball: LatticeBall, first: np.ndarray,
                        *_read_only(indptr, cube_a, cube_b)), order
 
 
-def build_pair_set(grid: BallGrid, seed: int = 0,
-                   cap: int = DEFAULT_PAIR_CAP) -> PairSet:
-    """The grid's pair set: every pair when there are at most cap, else
-    the distinct pairs among the forced pairs and seeded draws up to cap.
+def build_pair_set(grid: BallGrid, seed: int = 0) -> PairSet:
+    """The grid's pair set: every pair when there are at most PAIR_CAP,
+    else the distinct pairs among the forced pairs and seeded draws up to
+    PAIR_CAP.
 
     The node pairs, their buckets, offsets and distances at R = 1 depend
-    on (n, res, seed, cap) only (a complete set on no seed), so they are
-    built once per lattice ball and shared by the sets of every grid on
-    it, for as long as the ball lives; a set computes nothing per radius.
+    on (n, res, seed) only (a complete set on no seed), so they are built
+    once per lattice ball and shared by the sets of every grid on it, for
+    as long as the ball lives; a set computes nothing per radius.  A
+    ValueError when the cap cannot hold the forced pairs (3D grids above
+    about 100k nodes).
     """
-    N = grid.node_count
+    N, cap = grid.node_count, PAIR_CAP
     if cap < 2 * N:
         raise ValueError(f"pair cap {cap} too small for {N} nodes")
     complete = N * (N - 1) // 2 <= cap
-    key = ("pairs",) if complete else ("pairs", seed, cap)
+    key = ("pairs",) if complete else ("pairs", seed)
     shared = grid.ball._shared
     if key not in shared:
         # the draws are made in a helper, so its temporaries are freed
         # before the bucket sort allocates its own pair-length arrays
-        shared[key] = _bucketed(grid.ball, *(
-            np.triu_indices(N, k=1) if complete
-            else _sampled_pairs(grid, seed, cap)), complete=complete,
-            drawn=None if complete else cap)
+        first, second = (np.triu_indices(N, k=1) if complete
+                         else _sampled_pairs(grid, seed, cap))
+        shared[key] = _bucketed(grid.ball, first, second, complete,
+                                first.shape[0] if complete else cap)
     return PairSet(grid, shared[key])
 
 

@@ -7,7 +7,7 @@ The scale-invariant weighted norm on B_R is
 with H_a the Hölder seminorm; the order-l jet norm takes the max of ||.||_a
 over all derivatives of order exactly l, and the solver's norm of an (N, m)
 iterate over its components too.  Seminorms are evaluated on a PairSet, so
-every reported value is reproducible from (grid, seed, cap).
+every reported value is reproducible from (grid, seed).
 The quotients divide by the distances at R = 1 (|x - y| / R is R-free),
 so (2R)^a H_a[f] is 2^a times their max, and H_a[f] that max over R^a.
 
@@ -229,19 +229,12 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
 
 def _order_norm(probe: Probe, alpha: float, pairs: PairSet,
                 order: int) -> float:
-    """The order-l entry of :func:`jet_norm`."""
+    """The order-l weighted jet norm of a probe on the pair set's grid: the
+    largest weighted norm over its exact derivatives of order l."""
     grid = pairs.grid
     columns = [probe.values(grid, beta)
                for beta in multi_indices(grid.n, order)]
     return max_weighted_norm(np.stack(columns, axis=1), alpha, pairs)
-
-
-def jet_norm(probe: Probe, alpha: float,
-             pairs: PairSet) -> tuple[float, float, float]:
-    """Weighted jet norms (order 0, order 1, order 2) of a probe on the pair
-    set's grid, from the probe's exact derivatives."""
-    return tuple(_order_norm(probe, alpha, pairs, order)
-                 for order in (0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -289,6 +282,17 @@ def banach_algebra_holds(nf: float, ng: float, nfg: float) -> bool:
     return _within(nfg, nf * ng)
 
 
+def taylor_work(pairs: PairSet) -> np.ndarray:
+    """The buffer :func:`taylor_remainder_ratio` scans in, float64 (4 + 2 n,
+    pairs.size): four scratch rows, then the pair steps x_first - x_second,
+    one row per axis, and their squares, computed here once."""
+    n = pairs.grid.n
+    work = np.empty((4 + 2 * n, pairs.size))
+    steps = pairs.steps(out=work[4:4 + n])
+    np.square(steps, out=work[4 + n:])
+    return work
+
+
 def taylor_remainder_ratio(probe: Probe, alpha: float, pairs: PairSet,
                            jet: ProbeJet | None = None,
                            work: np.ndarray | None = None) -> float:
@@ -300,8 +304,8 @@ def taylor_remainder_ratio(probe: Probe, alpha: float, pairs: PairSet,
     derivatives are the probe's exact ones, so the check certifies the
     inequality and not the stencils.  jet, if given, is
     ``probe_jet(probe, alpha, pairs)``, already measured; work, if given,
-    a float64 (4, pairs.size) array the scan works in, so that a caller
-    scanning many probes allocates (and page-faults) its pair-length
+    is ``taylor_work(pairs)``, so that a caller scanning many probes
+    computes the steps and allocates (and page-faults) its pair-length
     buffers once.
 
     |y-x|^(2+a) is R^(2+a) times the unit pairs' dist_pow.  The reverse
@@ -312,17 +316,17 @@ def taylor_remainder_ratio(probe: Probe, alpha: float, pairs: PairSet,
     """
     if jet is None:
         jet = probe_jet(probe, alpha, pairs)
+    if work is None:
+        work = taylor_work(pairs)
     i, j = pairs.take_ids()
-    steps = pairs.steps()
-    expand = (jet.grads, tuple(zip(multi_indices(pairs.grid.n, 2), jet.hess)),
-              steps, [c**2 for c in steps])
+    n = pairs.grid.n
+    rhs, f_second, f_first, acc = work[:4]
+    expand = (jet.grads, tuple(zip(multi_indices(n, 2), jet.hess)),
+              work[4:4 + n], work[4 + n:])
 
     semi_sum = 0.0
     for semi in jet.hess_norms[1].tolist():
         semi_sum += semi
-    if work is None:
-        work = np.empty((4, pairs.size))
-    rhs, f_second, f_first, acc = work
     np.multiply(0.5 * semi_sum * pairs.grid.R**(2.0 + alpha),
                 pairs.unit.dist_pow(2.0 + alpha), out=rhs)
 
@@ -384,13 +388,14 @@ def comparison_base(grid) -> float:
 
 
 def zero_jet_norm(probe: Probe, alpha: float, pairs: PairSet,
-                  order2: float | None = None) -> tuple[float, float, float]:
-    """:func:`jet_norm` of a probe whose value and gradient vanish at 0.
+                  order2: float) -> tuple[float, float, float]:
+    """The weighted jet norms (order 0, 1, 2) of a probe whose value and
+    gradient vanish at 0.
 
     Raises ValueError unless the zero-jet condition holds, checked with the
-    exact derivatives at the origin node.  order2, if given, is the order-2
-    norm, already measured: subtracting a 1-jet leaves the Hessian as it
-    is, so it is the largest weighted entry of the unshifted probe's
+    exact derivatives at the origin node.  order2 is the order-2 norm,
+    already measured: subtracting a 1-jet leaves the Hessian as it is, so
+    it is the largest weighted entry of the unshifted probe's
     :attr:`ProbeJet.hess_norms`.
     """
     grid = pairs.grid
@@ -403,8 +408,6 @@ def zero_jet_norm(probe: Probe, alpha: float, pairs: PairSet,
         g0 = float(probe.deriv(beta, origin)[0])
         if abs(g0) > 1e-10 * scale:
             raise ValueError(f"field gradient at origin is nonzero: {g0}")
-    if order2 is None:
-        return jet_norm(probe, alpha, pairs)
     return (_order_norm(probe, alpha, pairs, 0),
             _order_norm(probe, alpha, pairs, 1), order2)
 

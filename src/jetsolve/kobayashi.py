@@ -24,7 +24,8 @@ from .grid import LatticeBall
 from .picard import (OracleFailure, SolveConfig, SolveFailure, SolveReport,
                      solve_system)
 from .reduce import JetSpec
-from .systems import TargetManifold, harmonic_map_system
+from .systems import (TargetManifold, harmonic_map_system, integral_value,
+                      real_value)
 
 # Relative tolerance of a conformal jet: |h(u_x,u_x) - h(u_y,u_y)| +
 # |h(u_x,u_y)| may reach CONFORMALITY_TOL times h(u_x,u_x).
@@ -33,7 +34,12 @@ CONFORMALITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class KobayashiQuery:
-    """One estimation request: where, which vector, how hard to search."""
+    """One estimation request: where, which vector, how hard to search.
+
+    r_start and growth are real numbers and max_steps an integral one,
+    stored as a float and an int; a bool or a string is neither
+    (ValueError).
+    """
 
     target: TargetManifold
     p: np.ndarray
@@ -43,6 +49,12 @@ class KobayashiQuery:
     max_steps: int = 8
 
     def __post_init__(self):
+        for key, value_of in (("r_start", real_value), ("growth", real_value),
+                              ("max_steps", integral_value)):
+            try:
+                object.__setattr__(self, key, value_of(getattr(self, key)))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
         object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
         m = self.target.dimension
@@ -145,16 +157,6 @@ def is_conformal_jet(target: TargetManifold, p: np.ndarray,
     return bool(conformality_defect(target, p, c1) <= CONFORMALITY_TOL * scale)
 
 
-def _target_is_flat(target: TargetManifold, samples: int = 32) -> bool:
-    """Certify a vanishing connection by deterministic chart sampling."""
-    if target.flat:
-        return True
-    rng = np.random.default_rng(0)
-    cap = target.chart_radius if target.chart_radius is not None else 2.0
-    u = rng.uniform(-0.5, 0.5, size=(samples, target.dimension)) * cap
-    return bool(np.abs(np.asarray(target.christoffel(u))).max() <= 1e-14)
-
-
 def estimate(query: KobayashiQuery,
              solve_config: SolveConfig | None = None) -> KobayashiEstimate:
     """Search the radius schedule and return 1/R_best as the upper bound.
@@ -174,7 +176,7 @@ def estimate(query: KobayashiQuery,
     if float(np.linalg.norm(query.X)) == 0.0:
         return KobayashiEstimate(upper_bound=0.0, r_best=None,
                                  certificate="zero_vector")
-    if _target_is_flat(query.target) and query.target.chart_radius is None:
+    if query.target.flat and query.target.chart_radius is None:
         # the linear map p + x X + y Y is harmonic and conformal at 0 on
         # every disk, so the infimum over the schedule is 0
         partner = orthogonal_partner(query.target, query.p, query.X)

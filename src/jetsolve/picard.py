@@ -29,7 +29,7 @@ from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
 from .reduce import (JetSpec, PoissonSystem, SystemDef, check_ellipticity,
                      diagonalize, shift_jet, unit_ball)
-from .systems import integral_value
+from .systems import integral_value, real_value
 
 
 class SolveFailure(RuntimeError):
@@ -66,22 +66,23 @@ class OracleFailure(RuntimeError):
 class HarmonicPolynomial:
     """Polynomial of degree <= 3 whose Laplacian cancels identically.
 
-    terms maps exponent tuples to coefficients; harmonicity is verified
-    symbolically on the monomial coefficients at construction, so a
-    non-harmonic seed is rejected before it can contaminate a solve.
+    terms maps exponent tuples to coefficients, or lists (exponents,
+    coefficient) pairs, whose repeated exponents add up.  Exponents are
+    integral numbers and coefficients real ones (a bool or a string is
+    neither).
+    Harmonicity is verified symbolically on the monomial coefficients at
+    construction, so a non-harmonic seed is rejected before it can
+    contaminate a solve.
     """
 
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
     def __init__(self, terms: dict[tuple[int, ...], float] | Sequence):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = [(tuple(int(v) for v in e), float(c)) for e, c in terms]
+        items = terms.items() if isinstance(terms, dict) else terms
         canon: dict[tuple[int, ...], float] = {}
         dim = None
         for expo, coeff in items:
-            expo = tuple(int(v) for v in expo)
+            expo = tuple(integral_value(v) for v in expo)
             if any(v < 0 for v in expo):
                 raise ValueError(f"negative exponent in {expo}")
             if dim is None:
@@ -92,9 +93,9 @@ class HarmonicPolynomial:
                 raise ValueError(
                     f"seed degree {sum(expo)} exceeds 3 (term {expo})"
                 )
-            canon[expo] = canon.get(expo, 0.0) + float(coeff)
+            canon[expo] = canon.get(expo, 0.0) + real_value(coeff)
         if dim is None:
-            raise ValueError("empty polynomial; use HarmonicPolynomial.zero(n)")
+            raise ValueError("empty polynomial")
         lap: dict[tuple[int, ...], float] = {}
         scale = max((abs(c) for c in canon.values()), default=0.0)
         for expo, coeff in canon.items():
@@ -113,10 +114,6 @@ class HarmonicPolynomial:
     @property
     def dimension(self) -> int:
         return len(self.terms[0][0])
-
-    @staticmethod
-    def zero(n: int) -> "HarmonicPolynomial":
-        return HarmonicPolynomial({(0,) * n: 0.0})
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -194,8 +191,11 @@ class SolveConfig:
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
         for key in ("R0", "R_min", "alpha", "tol", "gamma0"):
-            if isinstance(getattr(self, key), (bool, np.bool_)):
-                raise ValueError(f"{key}: not a real number")
+            if getattr(self, key) is not None:
+                try:
+                    setattr(self, key, real_value(getattr(self, key)))
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from None
         # written as "not in range" so that nan, which fails every
         # comparison, is rejected too
         if not 0 < self.R0 < math.inf:
@@ -355,10 +355,8 @@ def picard_map(system: PoissonSystem, state: IterateState,
 
 def solver_norm(values: np.ndarray, alpha: float, pairs: PairSet) -> float:
     """Discrete second-order weighted Holder norm of an (N, m) field on
-    pairs.grid.
-
-    The order-2 entry of :func:`jet_norm`: the largest weighted norm over
-    every second derivative of every component.
+    pairs.grid: the largest weighted norm over every finite-difference
+    second derivative of every component.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim == 1:

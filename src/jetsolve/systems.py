@@ -29,7 +29,8 @@ class TargetManifold:
     matrices (..., m, m).  Leading axes are batch axes; a single point has
     batch shape ().  chart_radius bounds |p| for admissible points
     (None = all of R^m); flat marks targets whose connection vanishes
-    identically.
+    identically, and it is the only flatness test the Kobayashi search
+    makes.
     """
 
     name: str
@@ -256,6 +257,26 @@ def integral_value(value) -> int:
     raise ValueError(f"not an integral number: {value!r}")
 
 
+def real_value(value) -> float:
+    """A real field's value as a Python float: from a real number (numpy's
+    included); anything else, a bool or a string among them, raises
+    ValueError.
+
+    float() alone would read true as 1.0 and "2.5" as 2.5.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"not a real number: {value!r}")
+
+
+def _real_param(params: dict, key: str, default: float) -> float:
+    """A real parameter, named in the ValueError of a bad value."""
+    try:
+        return real_value(params.get(key, default))
+    except ValueError as exc:
+        raise ValueError(f"{key!r}: {exc}") from None
+
+
 def _count_param(params: dict, key: str, default: int) -> int:
     """A dimension parameter: an integral number, at least 1."""
     value = params.get(key, default)
@@ -285,14 +306,15 @@ def _build_poisson(n: int, params: dict) -> SystemDef:
 
 
 def _build_minimal_surface(n: int, params: dict) -> SystemDef:
-    return minimal_surface_system(n, q_bound=float(params.get("q_bound", 1.0)))
+    return minimal_surface_system(n, q_bound=_real_param(params, "q_bound",
+                                                         1.0))
 
 
 def _build_pmc(n: int, params: dict) -> SystemDef:
     return prescribed_mean_curvature_system(
         n,
-        mean_curvature=float(params.get("mean_curvature", 0.0)),
-        q_bound=float(params.get("q_bound", 1.0)),
+        mean_curvature=_real_param(params, "mean_curvature", 0.0),
+        q_bound=_real_param(params, "q_bound", 1.0),
     )
 
 
@@ -304,7 +326,7 @@ def _build_harmonic_map(n: int, params: dict) -> SystemDef:
         )
     target = TARGET_REGISTRY[target_name](_count_param(params, "target_dim", 2))
     return harmonic_map_system(n, target,
-                               q_bound=float(params.get("q_bound", 1.0)))
+                               q_bound=_real_param(params, "q_bound", 1.0))
 
 
 SYSTEM_REGISTRY: dict[str, Callable[[int, dict], SystemDef]] = {

@@ -14,7 +14,7 @@ from .grid import build_grid, build_pair_set
 from .holder import (banach_algebra_holds, comparison_base,
                      norm_comparison_holds, probe_jet,
                      taylor_remainder_holds, taylor_remainder_ratio,
-                     weighted_norm_bounds, weighted_norm_values,
+                     taylor_work, weighted_norm_bounds, weighted_norm_values,
                      zero_jet_norm)
 from .oracle import uniform_ball_potential
 from .potential import (check_potential_norm_bound, laplacian_consistency,
@@ -80,8 +80,8 @@ def run_lemma_suite(n: int = 2, R: float = 1.0, res: int = 17,
 def _taylor_block(battery, jets, pairs, alpha) -> dict:
     ratios = {}
     violations = []
-    # one set of scan buffers for every probe
-    work = np.empty((4, pairs.size))
+    # one set of steps and scan buffers for every probe
+    work = taylor_work(pairs)
     for probe, jet in zip(battery, jets):
         ratio = taylor_remainder_ratio(probe, alpha, pairs, jet=jet,
                                        work=work)

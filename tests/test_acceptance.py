@@ -18,14 +18,11 @@ from jetsolve import (
     build_grid,
     build_pair_set,
     check_potential_norm_bound,
-    conformality_defect,
     constant_probe,
-    coordinate_probe,
     estimate,
     euclidean_target,
     harmonic_map_system,
     hyperbolic_disk_target,
-    is_conformal_jet,
     laplacian_consistency,
     minimal_surface_system,
     newtonian_potential,
@@ -38,6 +35,8 @@ from jetsolve import (
     uniform_ball_potential,
     weighted_norm_values,
 )
+from jetsolve.kobayashi import conformality_defect, is_conformal_jet
+from jetsolve.probes import coordinate_probe
 from jetsolve.cli import main as cli_main
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import jetsolve
 import jetsolve.picard as picard_module
-from jetsolve.cli import _report_text, main
+from jetsolve.cli import _build_solve_config, _report_text, main
 
 
 def _write(path, obj):
@@ -82,6 +82,20 @@ def test_solve_with_jet_and_seed(workdir):
     payload = json.loads((workdir / "report.json").read_text())
     assert payload["result"]["status"] == "converged"
     assert payload["config"]["jet"]["c1"] == [[0.3, 0.0]]
+
+
+def test_seed_is_the_library_polynomial(workdir):
+    # the CLI hands each component's pairs to HarmonicPolynomial, so a
+    # repeated exponent adds up there as it does in the library
+    pairs = [[[1, 1], 1.0], [[1, 1], 2.0], [[2, 0], 0.5], [[0, 2], -0.5]]
+    want = jetsolve.HarmonicPolynomial(pairs)
+    assert want.terms[1] == ((1, 1), 3.0)
+    assert _build_solve_config({"harmonic_seed": [pairs]}).harmonic_seed == [
+        want]
+    cfg = _solve_cfg(harmonic_seed=[pairs], res=9)
+    assert main(["solve", _write(workdir / "cfg.json", cfg)]) == 0
+    payload = json.loads((workdir / "report.json").read_text())
+    assert payload["config"]["harmonic_seed"] == [want.to_jsonable()]
 
 
 def test_solve_deterministic_reports(workdir):
@@ -180,6 +194,24 @@ def test_solve_report_independent_of_thread_count(workdir):
     pytest.param(lambda c: c.update(system={
         "name": "minimal_surface", "params": {"q_bound": "nan"}}),
         "q_bound", id="q_bound_nan"),
+    # nor does a real system parameter take a bool
+    pytest.param(lambda c: c.update(system={
+        "name": "minimal_surface", "params": {"q_bound": True}}),
+        "q_bound", id="q_bound_bool"),
+    pytest.param(lambda c: c.update(system={
+        "name": "prescribed_mean_curvature",
+        "params": {"mean_curvature": False}}),
+        "mean_curvature", id="mean_curvature_bool"),
+    # a seed term's exponents are integral numbers, never truncated
+    pytest.param(lambda c: c.update(harmonic_seed=[[[[1.5, 1], 1.0]]]),
+                 "harmonic_seed", id="seed_exponent_fractional"),
+    pytest.param(lambda c: c.update(harmonic_seed=[[[[True, 1], 1.0]]]),
+                 "harmonic_seed", id="seed_exponent_bool"),
+    # a real field takes a number, not a string that float() would read
+    pytest.param(lambda c: c.update(R0="1.0"), "R0", id="R0_string"),
+    pytest.param(lambda c: c.update(system={
+        "name": "minimal_surface", "params": {"q_bound": "2.5"}}),
+        "q_bound", id="q_bound_string"),
 ])
 def test_solve_config_errors(workdir, capsys, mutate, needle):
     cfg = _solve_cfg()
@@ -353,6 +385,10 @@ def test_kobayashi_rejects_non_finite_schedule(workdir, capsys):
     ({"solver": {"res": 7, "gamma0": 1.0,
                  "harmonic_seed": [[[[2, 0], 5.0]], [[[0, 2], 5.0]]]}},
      "harmonic_seed"),
+    # a bool is neither an integral nor a real schedule value
+    ({"max_steps": True}, "max_steps"),
+    ({"r_start": True}, "r_start"),
+    ({"growth": True}, "growth"),
 ])
 def test_kobayashi_config_errors(workdir, capsys, update, needle):
     cfg = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.5, 0.0],

@@ -403,16 +403,16 @@ def test_fd_values_everywhere_finite(grid3, rng):
 
 def test_fd_rejects_node_out_of_range(grid2):
     # a row index past either end of one multi-index's rows would read
-    # another multi-index's rows; order 0 must not wrap -1 either, and a
+    # another multi-index's rows, -1 must not wrap to the last node, and a
     # bool is no node index, though True == 1
     vals = np.arange(grid2.node_count, dtype=float)
     N = grid2.node_count
-    for beta, node in [((0, 1), -1), ((0, 1), N), ((0, 0), -1),
-                       ((1, 1), 0.5), ((0, 0), N), ((0, 1), True),
-                       ((2, 0), np.bool_(False)), ((0, 0), True)]:
+    for beta, node in [((0, 1), -1), ((0, 1), N), ((1, 0), -1),
+                       ((1, 1), 0.5), ((0, 2), N), ((0, 1), True),
+                       ((2, 0), np.bool_(False)), ((1, 0), True)]:
         with pytest.raises(ValueError, match="node"):
             fd_values(grid2, vals, beta, node=node)
-    for beta in [(0, 0), (0, 1), (2, 0)]:
+    for beta in [(1, 0), (0, 1), (2, 0)]:
         full = fd_values(grid2, vals, beta)
         for node in (0, np.int64(N - 1)):
             assert fd_values(grid2, vals, beta, node=node) == full[node]
@@ -421,6 +421,9 @@ def test_fd_rejects_node_out_of_range(grid2):
 def test_fd_rejects_bad_multi_index(grid2):
     with pytest.raises(ValueError):
         fd_values(grid2, np.zeros(grid2.node_count), (3, 0))
+    # order 0 is the values themselves, not a derivative
+    with pytest.raises(ValueError, match="order 1 or 2"):
+        fd_values(grid2, np.zeros(grid2.node_count), (0, 0))
     with pytest.raises(ValueError):
         fd_values(grid2, np.zeros(grid2.node_count), (1, 0, 0))
     with pytest.raises(ValueError):
@@ -468,19 +471,26 @@ def test_small_grid_uses_all_pairs():
     assert ps.size == N * (N - 1) // 2
 
 
-def test_pair_cap_respected():
+def test_pair_cap_respected(monkeypatch):
     grid = build_grid(3, 1.0, 17)
     cap = 50_000
-    ps = build_pair_set(grid, seed=0, cap=cap)
+    monkeypatch.setattr(grid_module, "PAIR_CAP", cap)
+    ps = build_pair_set(grid, seed=0)
     assert not ps.complete
+    assert ps.drawn == cap
     assert ps.size <= cap
     assert np.all(ps.first != ps.second)
     assert np.all(ps.unit.dist > 0)
+    # a cap that cannot hold the forced pairs, two per node
+    monkeypatch.setattr(grid_module, "PAIR_CAP", 2 * grid.node_count - 1)
+    with pytest.raises(ValueError, match="pair cap"):
+        build_pair_set(build_grid(3, 1.0, 17))
 
 
-def test_antipodal_and_origin_pairs_forced():
+def test_antipodal_and_origin_pairs_forced(monkeypatch):
     grid = build_grid(3, 1.0, 17)
-    ps = build_pair_set(grid, seed=0, cap=50_000)
+    monkeypatch.setattr(grid_module, "PAIR_CAP", 50_000)
+    ps = build_pair_set(grid, seed=0)
     # the origin must touch every other node
     o = grid.origin_index
     touched = set(ps.second[ps.first != ps.second][ps.first[ps.first != ps.second] != o])
@@ -499,10 +509,11 @@ def test_antipodal_and_origin_pairs_forced():
         assert hit.any()
 
 
-def test_pair_set_deterministic():
-    grid = build_grid(3, 1.0, 17)
-    a = build_pair_set(grid, seed=7, cap=50_000)
-    b = build_pair_set(grid, seed=7, cap=50_000)
+def test_pair_set_deterministic(monkeypatch):
+    # two lattice balls, so the second set is built anew, not shared
+    monkeypatch.setattr(grid_module, "PAIR_CAP", 50_000)
+    a = build_pair_set(build_grid(3, 1.0, 17), seed=7)
+    b = build_pair_set(build_grid(3, 1.0, 17), seed=7)
     np.testing.assert_array_equal(a.first, b.first)
     np.testing.assert_array_equal(a.second, b.second)
 
@@ -520,7 +531,7 @@ def test_pair_set_matches_row_gather(n, R, res, seed):
         first, second = np.triu_indices(N, k=1)
     else:
         first, second = grid_module._sampled_pairs(grid, seed,
-                                                   grid_module.DEFAULT_PAIR_CAP)
+                                                   grid_module.PAIR_CAP)
     cube = np.unique(grid.lattice // 4, axis=0, return_inverse=True)[1]
     a, b = cube.reshape(-1)[first], cube.reshape(-1)[second]
     key = np.minimum(a, b) * (cube.max() + 1) + np.maximum(a, b)
@@ -534,8 +545,7 @@ def test_pair_set_matches_row_gather(n, R, res, seed):
     np.testing.assert_array_equal(unit.dist,
                                   grid.ball.unit_h * np.sqrt(d2))
     # the ball keeps the integer offsets, read-only, one int8 row per axis
-    key = ("pairs",) if ps.complete else ("pairs", seed,
-                                          grid_module.DEFAULT_PAIR_CAP)
+    key = ("pairs",) if ps.complete else ("pairs", seed)
     assert grid.ball._shared[key] is unit
     assert unit.offset.dtype == np.int8 and unit.offset.flags.c_contiguous
     assert not unit.offset.flags.writeable and not unit.dist.flags.writeable
@@ -552,7 +562,9 @@ def test_pair_set_matches_row_gather(n, R, res, seed):
     ulp = np.spacing(larger).sum(axis=1) + np.spacing(gather)
     assert np.all(np.abs(grid.R * unit.dist - gather) <= 4 * ulp)
     # a set of given pairs computes its offsets and distances the same way
-    given = PairSet.from_pairs(grid, first[::7], second[::7])
+    given = PairSet(grid, grid_module._bucketed(
+        grid.ball, first[::7].copy(), second[::7].copy(), False,
+        first[::7].shape[0]))
     np.testing.assert_array_equal(given.unit.dist, unit.dist[::7])
     np.testing.assert_array_equal(given.unit.offset, unit.offset[:, ::7])
 
@@ -577,25 +589,6 @@ def test_pair_steps_are_h_times_integer_offsets(n, R, res):
     gathered = grid.nodes[ps.first] - grid.nodes[ps.second]
     exact = np.all(gathered == np.stack(steps, axis=1), axis=1)
     assert exact.all() == (res == 33)
-
-
-def test_from_pairs_rejects_degenerate():
-    grid = build_grid(2, 1.0, 9)
-    with pytest.raises(ValueError):
-        PairSet.from_pairs(grid, [0, 1], [0, 1])
-
-
-def test_from_pairs_rejects_ids_that_are_not_nodes():
-    # a negative id would wrap to a node from the end in the scans' take,
-    # and a fractional one would be truncated
-    grid = build_grid(2, 1.0, 9)
-    N = grid.node_count
-    for first, second in [([-1, 3], [0, 5]), ([0.5], [1]), ([0, N], [1, 2]),
-                          ([1], [np.nan])]:
-        with pytest.raises(ValueError, match="node ids"):
-            PairSet.from_pairs(grid, first, second)
-    ps = PairSet.from_pairs(grid, np.array([0.0, N - 1.0]), [1, 2])
-    assert ps.size == 2 and ps.first.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------

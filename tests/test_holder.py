@@ -9,8 +9,6 @@ from jetsolve import (
     Probe,
     build_grid,
     build_pair_set,
-    coordinate_probe,
-    jet_norm,
     lemma_battery,
     multi_indices,
     polynomial,
@@ -19,14 +17,16 @@ from jetsolve import (
     with_zero_jet,
 )
 from jetsolve import PairSet, verify
-from jetsolve.grid import DEFAULT_PAIR_CAP, _sampled_pairs
+import jetsolve.grid as grid_module
+from jetsolve.grid import PAIR_CAP, _bucketed, _sampled_pairs
 from jetsolve.holder import (_quotient_bounds, banach_algebra_holds,
                              comparison_base, max_weighted_norm,
                              norm_comparison_holds, probe_jet,
-                             taylor_remainder_holds, weighted_norm_bounds,
-                             zero_jet_norm)
+                             taylor_remainder_holds, taylor_work,
+                             weighted_norm_bounds, zero_jet_norm)
 from jetsolve.oracle import (max_weighted_norm_reference,
                              taylor_remainder_ratio_reference)
+from jetsolve.probes import coordinate_probe
 
 
 def _unit_scan(values, alpha, pairs):
@@ -40,6 +40,17 @@ def _unit_scan(values, alpha, pairs):
     semi = (np.abs(v[pairs.first] - v[pairs.second])
             / pairs.unit.dist_pow(alpha)[:, None]).max(axis=0)
     return sup, semi / pairs.grid.R**alpha, sup + 2.0**alpha * semi
+
+
+def _jet_norms(probe, alpha, pairs):
+    """The probe's weighted jet norms (order 0, 1, 2), each the largest
+    weighted norm over its exact derivatives of that order, measured
+    directly rather than from probe_jet."""
+    grid = pairs.grid
+    return tuple(max_weighted_norm(
+        np.stack([probe.values(grid, beta)
+                  for beta in multi_indices(grid.n, order)], axis=1),
+        alpha, pairs) for order in (0, 1, 2))
 
 
 def _close_to_reference(got, want):
@@ -78,9 +89,11 @@ def test_cubic_jet_norm_frozen_value(grid2, pairs2):
     # sup 6 and seminorm 6 (2R)^(1-a), so the weighted norm is
     # 6 + (2R)^a 6 (2R)^(1-a) = 6 + 12 R = 18.
     f = polynomial("x1_cubed", {(3, 0): 1.0})
-    orders = jet_norm(f, 0.5, pairs2)
-    assert orders[2] == pytest.approx(18.0, rel=1e-12)
-    assert orders[2] >= orders[1] / (3 * 2 * 1.0)
+    jet = probe_jet(f, 0.5, pairs2)
+    order1 = max_weighted_norm(np.stack(jet.grads, axis=1), 0.5, pairs2)
+    order2 = float(jet.hess_norms[2].max())
+    assert order2 == pytest.approx(18.0, rel=1e-12)
+    assert order2 >= order1 / (3 * 2 * 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +118,8 @@ def _banach_holds(f, g, alpha, pairs):
 
 
 def _comparison_holds(probe, alpha, pairs):
-    return norm_comparison_holds(zero_jet_norm(probe, alpha, pairs),
+    order2 = float(probe_jet(probe, alpha, pairs).hess_norms[2].max())
+    return norm_comparison_holds(zero_jet_norm(probe, alpha, pairs, order2),
                                  comparison_base(pairs.grid))
 
 
@@ -188,8 +202,10 @@ def test_taylor_ratio_matches_reference_bitwise(n, res):
     assert got == want
     assert got[-1] == float("inf").hex()
     # as the lemma suite calls it: each probe's jet measured beforehand,
-    # and one work array, left dirty by the probe before, for all of them
-    work = np.full((4, pairs.size), np.nan)
+    # and one work array for all of them, its scratch rows left dirty by
+    # the probe before
+    work = taylor_work(pairs)
+    work[:4] = np.nan
     assert [taylor_remainder_ratio(p, 0.5, pairs, probe_jet(p, 0.5, pairs),
                                    work).hex() for p in probes] == want
 
@@ -211,10 +227,10 @@ def test_taylor_ratio_matches_reference_at_any_radius(n, R, res):
 def test_comparison_needs_zero_jet(grid2, pairs2):
     f = coordinate_probe(2, 0)  # gradient e1 at the origin
     with pytest.raises(ValueError):
-        zero_jet_norm(f, 0.5, pairs2)
+        zero_jet_norm(f, 0.5, pairs2, 0.0)
     g = polynomial("affine", {(0, 0): 1.0})
     with pytest.raises(ValueError):
-        zero_jet_norm(g, 0.5, pairs2)
+        zero_jet_norm(g, 0.5, pairs2, 0.0)
 
 
 def test_comparison_on_zero_jet_battery(grid2, pairs2):
@@ -226,15 +242,15 @@ def test_comparison_on_zero_jet_battery(grid2, pairs2):
 @pytest.mark.parametrize("n,res", [(2, 33), (3, 13)])
 def test_zero_jet_order2_is_the_largest_hessian_norm(n, res):
     # subtracting the 1-jet leaves the Hessian as it is, so the probe's
-    # Hessian norms, measured once, give the zero-jet probe's order-2 norm
+    # Hessian norms, measured once, give the zero-jet probe's order-2 norm:
+    # bitwise the one measured on the zero-jet probe's own Hessian
     grid = build_grid(n, 1.0, res)
     pairs = build_pair_set(grid, seed=2)
     for probe in lemma_battery(n):
         jet = probe_jet(probe, 0.5, pairs)
         zero = with_zero_jet(probe, n)
-        want = zero_jet_norm(zero, 0.5, pairs)
-        got = zero_jet_norm(zero, 0.5, pairs,
-                            order2=float(jet.hess_norms[2].max()))
+        want = _jet_norms(zero, 0.5, pairs)
+        got = zero_jet_norm(zero, 0.5, pairs, float(jet.hess_norms[2].max()))
         assert [x.hex() for x in got] == [x.hex() for x in want], probe.name
         # the jet's Hessian norms are those of its rows, measured anew
         hess = np.stack([probe.values(grid, beta)
@@ -301,10 +317,10 @@ def test_weighted_norm_values_rejects_bad_input(grid2, pairs2):
 
 def test_jet_norm_homogeneous_in_every_order(grid2, pairs2):
     f = polynomial("mix", {(2, 1): 0.5, (1, 0): -1.0})
-    orders = jet_norm(f, 0.5, pairs2)
+    orders = _jet_norms(f, 0.5, pairs2)
     doubled = Probe("2 mix", lambda pts: 2 * f.fn(pts),
                     lambda beta, pts: 2 * f.deriv(beta, pts))
-    for a, b in zip(orders, jet_norm(doubled, 0.5, pairs2)):
+    for a, b in zip(orders, _jet_norms(doubled, 0.5, pairs2)):
         assert b == pytest.approx(2 * a, rel=1e-12)
 
 
@@ -449,13 +465,30 @@ def _raw_draws(grid, seed, cap):
     return np.concatenate(first), np.concatenate(second)
 
 
+def _given_pair_set(grid, first, second):
+    """The pair set of the given int64 pairs, regrouped bucket by bucket
+    as build_pair_set's are, in their given order and orientation inside
+    each bucket, every pair counted as drawn."""
+    return PairSet(grid, _bucketed(grid.ball, first.copy(), second.copy(),
+                                   False, first.shape[0]))
+
+
+def _complete_pair_set(grid, monkeypatch):
+    """Every pair of grid, through build_pair_set with the cap raised."""
+    N = grid.node_count
+    monkeypatch.setattr(grid_module, "PAIR_CAP", N * (N - 1) // 2)
+    pairs = build_pair_set(grid)
+    assert pairs.complete
+    return pairs
+
+
 @pytest.mark.parametrize("n,res", [(2, 33), (3, 53)])
 def test_sampled_pairs_are_the_distinct_draws(n, res):
     # 3D res 53 has 73,525 nodes: its pair keys no longer fit 32 bits
     grid = build_grid(n, 1.0, res)
     N = grid.node_count
-    first, second = _sampled_pairs(grid, 4, DEFAULT_PAIR_CAP)
-    raw = _raw_draws(grid, 4, DEFAULT_PAIR_CAP)
+    first, second = _sampled_pairs(grid, 4, PAIR_CAP)
+    raw = _raw_draws(grid, 4, PAIR_CAP)
     assert first.dtype == second.dtype == np.int64
     assert np.all(first < second)
     np.testing.assert_array_equal(
@@ -477,10 +510,10 @@ def test_pair_buckets_hold_their_invariants(n, res, seed):
         stored = np.triu_indices(N, k=1)
         assert pairs.drawn == pairs.size == N * (N - 1) // 2
     else:
-        raw = _raw_draws(grid, seed, DEFAULT_PAIR_CAP)
+        raw = _raw_draws(grid, seed, PAIR_CAP)
         keys = np.unique(np.minimum(*raw) * N + np.maximum(*raw))
         stored = np.divmod(keys, N)
-        assert pairs.drawn == DEFAULT_PAIR_CAP > pairs.size == keys.size
+        assert pairs.drawn == PAIR_CAP > pairs.size == keys.size
     cells = np.unique(grid.lattice // 4, axis=0, return_inverse=True)[1]
     a, b = cells.reshape(-1)[stored[0]], cells.reshape(-1)[stored[1]]
     perm = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
@@ -528,16 +561,16 @@ def test_sampled_set_gives_the_norms_of_its_raw_draws(n, res, seed):
     # repeats and drawn orientation kept
     grid = build_grid(n, 1.0, res)
     pairs = build_pair_set(grid, seed=seed)
-    raw = _raw_draws(grid, seed, DEFAULT_PAIR_CAP)
+    raw = _raw_draws(grid, seed, PAIR_CAP)
     N = grid.node_count
     keys = pairs.first * N + pairs.second
     assert np.all(pairs.first < pairs.second)
-    assert np.unique(keys).size == pairs.size < DEFAULT_PAIR_CAP
+    assert np.unique(keys).size == pairs.size < PAIR_CAP
     np.testing.assert_array_equal(
         np.sort(keys), np.unique(np.minimum(*raw) * N + np.maximum(*raw)))
-    assert pairs.drawn == DEFAULT_PAIR_CAP
-    with_repeats = PairSet.from_pairs(grid, *raw)
-    assert with_repeats.size == with_repeats.drawn == DEFAULT_PAIR_CAP
+    assert pairs.drawn == PAIR_CAP
+    with_repeats = _given_pair_set(grid, *raw)
+    assert with_repeats.size == with_repeats.drawn == PAIR_CAP
     battery = lemma_battery(n)
     rng = np.random.default_rng(seed)
     values = np.stack([p.values(grid) for p in battery]
@@ -618,7 +651,7 @@ def test_bounded_banach_block_matches_every_product(n, res, seed, strict,
         assert len(measured) - 1 < B * (B + 1) // 2
 
 
-def test_max_weighted_norm_scans_buckets_just_above_the_floor():
+def test_max_weighted_norm_scans_buckets_just_above_the_floor(monkeypatch):
     # Column 0 steps from 0 to s across x1 = 0: each straddling bucket's
     # bound is its exact max.  Column 1 puts a dipole, +1 and -1 on two
     # diagonal neighbours, into every full cube left of x1 = -0.3; their
@@ -629,8 +662,7 @@ def test_max_weighted_norm_scans_buckets_just_above_the_floor():
     # slack of 1e-3 would let through.
     grid = build_grid(2, 1.0, 33)
     N = grid.node_count
-    pairs = build_pair_set(grid, cap=N * (N - 1) // 2)
-    assert pairs.complete
+    pairs = _complete_pair_set(grid, monkeypatch)
     alpha, x = 0.5, grid.nodes
     cube = _node_cube(pairs)
     dipoles = np.zeros(N)
@@ -662,7 +694,8 @@ def test_max_weighted_norm_scans_buckets_just_above_the_floor():
     assert max_weighted_norm(values, alpha, pairs).hex() == want.hex()
 
 
-def test_weighted_norm_values_scans_buckets_just_above_a_column_floor():
+def test_weighted_norm_values_scans_buckets_just_above_a_column_floor(
+        monkeypatch):
     # One column: a dipole, +1 and -1 on two diagonal neighbours, in every
     # full cube left of x1 = 0.1 (the first 1e-3 stronger), plus a step of
     # height t across x1 = 0.5.  A dipole's own bucket bounds at about 1.2
@@ -672,7 +705,7 @@ def test_weighted_norm_values_scans_buckets_just_above_a_column_floor():
     # floor by less than a relative slack of 1e-3 would let through.
     grid = build_grid(2, 1.0, 33)
     N = grid.node_count
-    pairs = build_pair_set(grid, cap=N * (N - 1) // 2)
+    pairs = _complete_pair_set(grid, monkeypatch)
     alpha, x = 0.5, grid.nodes
     cube = _node_cube(pairs)
     dipoles = np.zeros(N)

@@ -7,17 +7,17 @@ from jetsolve import (
     HarmonicPolynomial,
     KobayashiQuery,
     SolveConfig,
-    conformality_defect,
+    TargetManifold,
     estimate,
     euclidean_target,
     hyperbolic_disk_target,
-    is_conformal_jet,
-    orthogonal_partner,
     sphere_stereographic_target,
 )
 import jetsolve.grid as grid_module
 import jetsolve.kobayashi as kobayashi_module
 import jetsolve.picard as picard_module
+from jetsolve.kobayashi import (conformality_defect, is_conformal_jet,
+                                orthogonal_partner)
 
 
 HYP = hyperbolic_disk_target(2)
@@ -100,6 +100,29 @@ def test_query_rejects_bad_schedule():
         KobayashiQuery(HYP, np.zeros(2), np.ones(2), max_steps=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_steps": 2.5},          # integral fields take no fractions ...
+    {"max_steps": True},         # ... and no bools
+    {"max_steps": np.True_},
+    {"r_start": True},           # nor do the real ones, though 0 < True
+    {"growth": np.True_, "r_start": 0.5},
+])
+def test_query_rejects_bools_and_fractions(kwargs):
+    key = next(iter(kwargs))
+    with pytest.raises(ValueError, match=key):
+        KobayashiQuery(HYP, np.zeros(2), np.ones(2) * 0.1, **kwargs)
+
+
+def test_query_stores_its_schedule_as_python_numbers():
+    q = KobayashiQuery(HYP, np.zeros(2), np.array([0.5, 0.0]),
+                       r_start=np.float32(0.25), growth=2, max_steps=3.0)
+    assert type(q.max_steps) is int and q.max_steps == 3
+    assert type(q.r_start) is float and type(q.growth) is float
+    q = KobayashiQuery(HYP, np.zeros(2), np.array([0.5, 0.0]),
+                       max_steps=np.int64(2))
+    assert type(q.max_steps) is int and len(q.schedule()) == 2
+
+
 def test_query_schedule_is_geometric():
     q = KobayashiQuery(HYP, np.zeros(2), np.array([0.5, 0.0]),
                        r_start=0.25, growth=2.0, max_steps=3)
@@ -116,6 +139,18 @@ def test_zero_vector_gives_zero():
     assert est.certificate == "zero_vector"
     assert not est.inconclusive
     assert est.outcomes == []
+
+
+def test_flatness_is_the_target_flag_alone():
+    # a target whose connection vanishes but which does not say so is
+    # searched like any other, radius by radius
+    flat = euclidean_target(2)
+    unmarked = TargetManifold("unmarked", 2, flat.christoffel, flat.metric)
+    est = estimate(KobayashiQuery(unmarked, np.zeros(2),
+                                  np.array([0.4, 0.0]), max_steps=2),
+                   solve_config=SolveConfig(res=7, gamma0=1.0))
+    assert est.certificate is None
+    assert [o.success for o in est.outcomes] == [True, True]
 
 
 def test_flat_target_gives_linear_certificate():

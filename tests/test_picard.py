@@ -30,13 +30,11 @@ from jetsolve import (
     hyperbolic_disk_target,
     make_state,
     minimal_surface_system,
-    origin_jet_magnitudes,
     picard_map,
     picard_solve,
     poisson_system,
     prescribed_mean_curvature_system,
     residual_check,
-    seed_field_values,
     shift_jet,
     solve_system,
     solver_norm,
@@ -51,7 +49,8 @@ from jetsolve.grid import fd_values, multi_indices
 from jetsolve.holder import max_weighted_norm
 from jetsolve.oracle import (max_weighted_norm_reference,
                              run_attempt_reference, source_term_reference)
-from jetsolve.picard import GAMMA0_FLOOR, _origin_jet_polynomial
+from jetsolve.picard import (GAMMA0_FLOOR, _origin_jet_polynomial,
+                             origin_jet_magnitudes, seed_field_values)
 from jetsolve.probes import potential_probes
 
 
@@ -94,6 +93,33 @@ def test_harmonic_polynomial_pairs_form_round_trip():
     again = HarmonicPolynomial(hp.to_jsonable())
     pts = np.array([[0.2, -0.4, 1.0]])
     np.testing.assert_allclose(hp.evaluate(pts), again.evaluate(pts))
+
+
+@pytest.mark.parametrize("terms", [
+    [[[1.5, 1], 1.0]],           # a fractional exponent is not truncated
+    [[[True, 1], 1.0]],          # nor is a bool read as 1
+    {(1, np.True_): 1.0},
+    [[[1, 1], True]],            # nor is a bool coefficient read as 1.0
+])
+def test_harmonic_polynomial_rejects_bools_and_fractions(terms):
+    with pytest.raises(ValueError, match="not an integral|not a real"):
+        HarmonicPolynomial(terms)
+
+
+def test_harmonic_polynomial_sums_repeated_exponents():
+    # both forms read each pair's exponents as integers and add repeats up
+    pairs = [[[1, 1], 1.0], [[1.0, np.int64(1)], 2.0]]
+    hp = HarmonicPolynomial(pairs)
+    assert hp.terms == (((1, 1), 3.0),)
+    assert all(type(v) is int for v in hp.terms[0][0])
+    assert HarmonicPolynomial({(1.0, 1): 3}).terms == hp.terms
+
+
+@pytest.mark.parametrize("key", ["R0", "R_min", "alpha", "tol", "gamma0"])
+def test_solve_config_stores_real_fields_as_floats(key):
+    cfg = SolveConfig(**{"R0": 1, key: np.float32(0.5)})
+    assert type(getattr(cfg, key)) is float and getattr(cfg, key) == 0.5
+    assert type(cfg.R0) is float
 
 
 def test_seed_field_values_shapes(grid2):
@@ -896,6 +922,8 @@ def test_picard_solve_accepts_prediagonalized():
     {"tol": True},
     {"gamma0": True},
     {"R0": True, "gamma0": True, "tol": True, "res": 9},
+    {"R0": "2.0"},               # nor strings, which float() would read
+    {"alpha": "0.5"},
 ])
 def test_solve_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

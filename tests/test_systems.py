@@ -96,6 +96,20 @@ def test_metric_positive_definite_in_chart(rng):
         assert evs.min() > 0
 
 
+@pytest.mark.parametrize("name,key", [
+    ("minimal_surface", "q_bound"),
+    ("prescribed_mean_curvature", "q_bound"),
+    ("prescribed_mean_curvature", "mean_curvature"),
+    ("harmonic_map", "q_bound"),
+])
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_real_system_params_reject_bools(name, key, flag):
+    # float() would read the bool as 1.0
+    with pytest.raises(ValueError, match=f"{key}.*not a real number"):
+        build_system(name, 2, {key: flag})
+    assert build_system(name, 2, {key: np.float64(0.5)}).name
+
+
 def test_euclidean_target_is_flat():
     target = euclidean_target(3)
     assert target.flat

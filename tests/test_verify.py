@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from jetsolve import polynomial, run_lemma_suite
+from jetsolve import PairSet, polynomial, run_lemma_suite
 from jetsolve import holder, potential, verify
 from jetsolve.cli import EXIT_ORACLE_FAILURE, main
 from jetsolve.probes import Probe, lemma_battery
@@ -149,7 +149,7 @@ def test_each_quantity_measured_once(monkeypatch, size):
     monkeypatch.setattr(verify, "lemma_battery", lambda n: battery)
     counts = _count_calls(monkeypatch, ["holder.probe_jet",
                                         "holder.taylor_remainder_ratio",
-                                        "holder.jet_norm",
+                                        "holder.taylor_work",
                                         "holder.max_weighted_norm",
                                         "potential._apply_potential"])
     # the columns each weighted_norm_values call measures, whichever
@@ -163,6 +163,14 @@ def test_each_quantity_measured_once(monkeypatch, size):
 
     for mod in (holder, verify, potential):
         monkeypatch.setattr(mod, "weighted_norm_values", counted)
+    steps = []
+    pair_steps = PairSet.steps
+
+    def counted_steps(self, *args, **kwargs):
+        steps.append(self.size)
+        return pair_steps(self, *args, **kwargs)
+
+    monkeypatch.setattr(PairSet, "steps", counted_steps)
     suite = run_lemma_suite(n=2, R=1.0, res=9, alpha=0.5, seed=0)
     B = suite["battery_size"]
     assert B == size
@@ -171,9 +179,11 @@ def test_each_quantity_measured_once(monkeypatch, size):
     assert counts["holder.probe_jet"] == B
     assert columns[:B] == [3] * B
     assert counts["holder.taylor_remainder_ratio"] == B
-    # no jet_norm: the comparison block measures orders 0 and 1 of each
-    # zero-jet probe, and the potential block one numerator per probe
-    assert counts["holder.jet_norm"] == 0
+    # the pair steps and their squares once, for every probe's Taylor scan
+    assert counts["holder.taylor_work"] == 1
+    assert steps == [suite["grid"]["distinct_pairs"]]
+    # the comparison block measures orders 0 and 1 of each zero-jet probe,
+    # and the potential block one numerator per probe
     assert counts["holder.max_weighted_norm"] == 2 * B + min(B, 6)
     # the Banach block: the B fields, then one column per product it
     # measures, at most one per product; then the potential block's sources
