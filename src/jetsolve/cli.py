@@ -33,7 +33,7 @@ from .picard import (HarmonicPolynomial, OracleFailure, SolveConfig,
                      SolveFailure, solve_system)
 from .reduce import ChartError, EllipticityError, JetSpec
 from .systems import (SYSTEM_REGISTRY, TARGET_REGISTRY, build_system,
-                      integral_value, real_value)
+                      integral_value, real_array, real_value)
 from .verify import run_lemma_suite
 
 EXIT_OK = 0
@@ -148,10 +148,14 @@ def _parse_jet(raw, m: int, n: int) -> JetSpec:
         return JetSpec.zero(m, n)
     if not isinstance(raw, dict) or set(raw) - {"c0", "c1"}:
         raise ConfigError("field 'jet': expected {'c0': [...], 'c1': [[...]]}")
+    arrays = {}
+    for key, default in (("c0", np.zeros(m)), ("c1", np.zeros((m, n)))):
+        try:
+            arrays[key] = real_array(raw.get(key, default))
+        except ValueError as exc:
+            raise ConfigError(f"field 'jet.{key}': {exc}") from exc
     try:
-        c0 = np.asarray(raw.get("c0", np.zeros(m)), dtype=np.float64)
-        c1 = np.asarray(raw.get("c1", np.zeros((m, n))), dtype=np.float64)
-        jet = JetSpec(c0, c1.reshape(m, n))
+        jet = JetSpec(arrays["c0"], arrays["c1"].reshape(m, n))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'jet': {exc}") from exc
     if jet.m != m or jet.n != n:
@@ -405,8 +409,8 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
     try:
         query = KobayashiQuery(
             target=target,
-            p=np.asarray(cfg["p"], dtype=np.float64),
-            X=np.asarray(cfg["X"], dtype=np.float64),
+            p=cfg["p"],
+            X=cfg["X"],
             **schedule,
         )
     except ValueError as exc:

@@ -13,8 +13,8 @@ every R-dependent quantity is a ball array times a power of R.
 Every derivative of order 1 or 2 is read off one stencil table per lattice
 ball, in units of h^-|beta|: a sparse row per (multi-index, node), applied
 as one gather plus a segmented sum.  The rows of consecutive multi-indices
-are one contiguous range, so all derivatives of a field, or those of one
-order, come from one such pass.  A row holds the 2nd-order central
+are one contiguous range, so all derivatives of a field come from one
+such pass.  A row holds the 2nd-order central
 stencil where it fits inside the ball, else a 2nd-order one-sided stencil,
 else (where the lattice lines through the node are too short for either) a
 least-squares quadratic fit on the nearest nodes.  Near the rim those rows
@@ -47,6 +47,7 @@ keeps each drawn unordered pair once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -291,17 +292,25 @@ def _nearest(ball: LatticeBall, nodes: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _symmetries(n: int, mono: np.ndarray) -> tuple[np.ndarray, ...]:
+def _fit_monomials(n: int) -> np.ndarray:
+    """The multi-indices of order 0, 1 and 2, the monomials of a fit."""
+    return np.asarray([b for order in (0, 1, 2)
+                       for b in multi_indices(n, order)])
+
+
+@functools.cache
+def _symmetries(n: int) -> tuple[np.ndarray, ...]:
     """The 2^n n! signed permutations of the axes, and what each does to a
-    quadratic fit.
+    quadratic fit; constant data, built once per n, read-only.
 
     Element e = p * 2^n + (the sum of 2^i over the flipped axes i), p the
     index of perm[e] in itertools.permutations order, maps a lattice offset
     x to g x, (g x)_i = +-x[perm[e, i]], negative on the flipped axes i.
-    Coefficients d over the monomials mono of g x are c = row_sign[e] *
-    d[rows[e]] over those of x.  Returns (perm (G, n), rows (G, nm),
-    row_sign (G, nm)).
+    Coefficients d over the monomials _fit_monomials(n) of g x are c =
+    row_sign[e] * d[rows[e]] over those of x.  Returns (perm (G, n), rows
+    (G, nm), row_sign (G, nm)).
     """
+    mono = _fit_monomials(n)
     at = {b: k for k, b in enumerate(map(tuple, mono.tolist()))}
     perm, rows, row_sign = [], [], []
     for p in itertools.permutations(range(n)):
@@ -313,7 +322,8 @@ def _symmetries(n: int, mono: np.ndarray) -> tuple[np.ndarray, ...]:
             rows.append([at[g] for g in gammas])
             row_sign.append([math.prod(si**gi for si, gi in zip(s, g))
                              for g in gammas])
-    return np.asarray(perm), np.asarray(rows), np.asarray(row_sign, float)
+    return _read_only(np.asarray(perm), np.asarray(rows),
+                      np.asarray(row_sign, float))
 
 
 def _fit_classes(ball: LatticeBall, nodes: np.ndarray, nbr: np.ndarray,
@@ -369,11 +379,10 @@ def _quadratic_fits(ball: LatticeBall, nodes: np.ndarray) -> list:
     signs and neighbour columns by the matched codes: the same
     least-squares solution, within rounding of a direct fit.
     """
-    mono = np.asarray([b for order in (0, 1, 2)
-                       for b in multi_indices(ball.n, order)])
+    mono = _fit_monomials(ball.n)
     axes = np.arange(ball.n)
     nm, N = mono.shape[0], ball.node_count
-    perm, rows, row_sign = _symmetries(ball.n, mono)
+    perm, rows, row_sign = _symmetries(ball.n)
     K = min(N, 2 * nm)
     groups = []
     while nodes.size:
@@ -511,25 +520,18 @@ def _apply_table(grid: BallGrid, vals: np.ndarray, start: int,
     return out
 
 
-def fd_derivatives(grid: BallGrid, vals, order: int | None = None
-                   ) -> np.ndarray:
+def fd_derivatives(grid: BallGrid, vals) -> np.ndarray:
     """Every finite-difference derivative of order 1 and 2 of node values,
-    or of the one order given, in one pass.
+    in one pass.
 
     vals has shape (N,) or (N, m); the result is (len(betas), N) +
-    vals.shape[1:] for betas = multi_indices(n, 1) + multi_indices(n, 2),
-    or multi_indices(n, order).  Each derivative is bitwise the one
-    fd_values gives.
+    vals.shape[1:] for betas = multi_indices(n, 1) + multi_indices(n, 2).
+    Each derivative is bitwise the one fd_values gives.
     """
-    if order not in (None, 1, 2):
-        raise ValueError(f"order must be 1, 2 or None, got {order!r}")
     vals = node_values(grid, vals)
-    n, N = grid.n, grid.node_count
-    # the table's betas are those of order 1, then those of order 2
-    first = n if order == 2 else 0
-    stop = n if order == 1 else len(stencil_table(grid).betas)
-    out = _apply_table(grid, vals, first * N, stop * N)
-    return out.reshape((stop - first, N) + vals.shape[1:])
+    N, count = grid.node_count, len(stencil_table(grid).betas)
+    out = _apply_table(grid, vals, 0, count * N)
+    return out.reshape((count, N) + vals.shape[1:])
 
 
 def fd_values(grid: BallGrid, vals: np.ndarray, beta: tuple[int, ...],

@@ -25,7 +25,7 @@ from .picard import (OracleFailure, SolveConfig, SolveFailure, SolveReport,
                      solve_system)
 from .reduce import JetSpec
 from .systems import (TargetManifold, harmonic_map_system, integral_value,
-                      real_value)
+                      real_array, real_value)
 
 # Relative tolerance of a conformal jet: |h(u_x,u_x) - h(u_y,u_y)| +
 # |h(u_x,u_y)| may reach CONFORMALITY_TOL times h(u_x,u_x).
@@ -36,8 +36,9 @@ CONFORMALITY_TOL = 1e-8
 class KobayashiQuery:
     """One estimation request: where, which vector, how hard to search.
 
-    r_start and growth are real numbers and max_steps an integral one,
-    stored as a float and an int; a bool or a string is neither
+    p and X are arrays of real numbers, stored as new float64 arrays,
+    r_start and growth real numbers and max_steps an integral one, stored
+    as a float and an int; a bool or a string is none of these
     (ValueError).
     """
 
@@ -49,14 +50,13 @@ class KobayashiQuery:
     max_steps: int = 8
 
     def __post_init__(self):
-        for key, value_of in (("r_start", real_value), ("growth", real_value),
+        for key, value_of in (("p", real_array), ("X", real_array),
+                              ("r_start", real_value), ("growth", real_value),
                               ("max_steps", integral_value)):
             try:
                 object.__setattr__(self, key, value_of(getattr(self, key)))
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
         m = self.target.dimension
         if m < 2:
             raise ValueError(f"target dimension must be at least 2, got {m}: "

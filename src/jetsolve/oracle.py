@@ -16,11 +16,15 @@ because they check the pair scan and the norm schedule.
 with ``holder``: each takes its distances from the grid's own nodes and
 is a full scan written out in one line, so it checks the pruning, the
 order of the scan and the R = 1 distances ``holder`` reads, which it
-does not have, not the sampling of pairs.
+does not have, not the sampling of pairs.  ``convolve_reference`` and
+``unit_quadrature_reference`` are the whole-box transform and the point
+cloud that the potential module's pruned transforms and per-axis
+subsample counts replaced; the fast paths are held to them bitwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -239,6 +243,47 @@ def potential_reference(grid: BallGrid, source: np.ndarray,
     return PotentialField(grid, value.reshape(source.shape), hess=second)
 
 
+def convolve_reference(ball, spectra: np.ndarray,
+                       source: np.ndarray) -> np.ndarray:
+    """Free-space convolution of each kernel spectrum with an (N, m) node
+    source, transformed over the whole zero-padded box at once:
+    np.fft.irfftn(spectra * np.fft.rfftn(padded)), (kernels, m, N) at the
+    nodes.  The reference for the pruned transforms of
+    ``potential._convolve``."""
+    n, L = ball.n, spectra.shape[1]
+    axes = tuple(range(-n, 0))
+    at_nodes = (slice(None),) + tuple(ball.lattice.T)
+    padded = np.zeros((source.shape[1],) + (L,) * n)
+    padded[at_nodes] = source.T
+    out = np.fft.irfftn(spectra[:, None] * np.fft.rfftn(padded, axes=axes),
+                        s=(L,) * n, axes=axes)
+    return out[(slice(None),) + at_nodes]
+
+
+def unit_quadrature_reference(ball) -> tuple[np.ndarray, np.ndarray]:
+    """The quadrature weights and self-cell integrals at R = 1 from a point
+    cloud: every subsample of every straddling cell as a point, tested by
+    its squared norm.  The reference for ``potential._unit_quadrature``,
+    which counts the same subsamples from per-axis squares."""
+    n, h, nodes = ball.n, ball.unit_h, ball.unit_nodes
+    kernel = KernelSpec(n)
+    w = np.full(ball.node_count, h**n)
+    circum = 0.5 * h * math.sqrt(n)
+    radius = np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
+    straddle = radius + circum > 1.0
+    if straddle.any():
+        sub = 9 if n == 2 else 7
+        offs = (np.arange(sub) + 0.5) / sub - 0.5
+        corners = np.asarray(list(itertools.product(offs, repeat=n))) * h
+        pts = nodes[straddle][:, None, :] + corners[None, :, :]
+        frac = (np.einsum("ijk,ijk->ij", pts, pts) <= 1.0).mean(axis=1)
+        w[straddle] = frac * h**n
+        missing = kernel.unit_ball_volume - w.sum()
+        w[straddle] += missing * w[straddle] / w[straddle].sum()
+    r_eq = (w / kernel.unit_ball_volume) ** (1.0 / n)
+    return w, kernel.ball_integral(r_eq)
+
+
 def max_weighted_norm_reference(values, alpha: float, pairs) -> float:
     """Largest weighted norm over the columns of values (N, k), each column
     a full scan of every pair written out in one line.  The reference for
@@ -304,24 +349,26 @@ def run_attempt_reference(system, pairs, seed_vals, gamma: float, config):
     """One fixed-(R, gamma) attempt measuring the iterate's norm every sweep.
 
     The eager loop: both the increment norm and the iterate norm are full
-    scans on every sweep.  Same arguments and result as
-    ``picard._run_attempt``, whose lazy iterate norms it certifies; the
-    returned norm is that of the last iterate whatever the outcome.
+    scans on every sweep, the increment taken as ``picard._run_attempt``
+    takes it, on the difference of the two iterates' order-2 columns.
+    Same arguments and result as ``picard._run_attempt``, whose lazy
+    iterate norms it certifies; the returned norm is that of the last
+    iterate whatever the outcome.
     """
     grid = pairs.grid
-    f = np.zeros((grid.node_count, system.m))
+    state = make_state(grid, np.zeros((grid.node_count, system.m)))
     increments: list[float] = []
     ratios: list[float] = []
     streak = 0
     outcome = "max_iter"
     escape_norm = None
     for _ in range(config.max_iter):
-        state = make_state(grid, f)
-        new, _src = picard_map(system, state, seed_vals)
-        inc = solver_norm(new - f, config.alpha, pairs)
+        values, _src = picard_map(system, state, seed_vals)
+        new = make_state(grid, values)
+        inc = solver_norm(new.order2 - state.order2, config.alpha, pairs)
         increments.append(inc)
-        f = new
-        f_norm = solver_norm(f, config.alpha, pairs)
+        state = new
+        f_norm = solver_norm(state.order2, config.alpha, pairs)
         if not f_norm <= gamma:
             outcome = "escaped"
             escape_norm = f_norm
@@ -341,4 +388,4 @@ def run_attempt_reference(system, pairs, seed_vals, gamma: float, config):
         iterations=len(increments), outcome=outcome,
         increment_norms=increments, ratios=ratios, escape_norm=escape_norm,
     )
-    return outcome, f, f_norm, record
+    return outcome, state, f_norm, record

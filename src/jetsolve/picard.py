@@ -222,12 +222,18 @@ class SolveConfig:
 
 @dataclass(eq=False)
 class IterateState:
-    """One iterate with its finite-difference derivative tables."""
+    """One iterate with its finite-difference derivative tables.
+
+    order2 holds the second derivatives again as the columns the solver
+    norm reads: column b m + k is multi-index b of multi_indices(n, 2) of
+    component k.
+    """
 
     grid: BallGrid
     values: np.ndarray            # (N, m)
     grad: np.ndarray              # (N, m, n)
     hess: np.ndarray              # (N, m, n, n), symmetric in the last axes
+    order2: np.ndarray            # (N, m n (n + 1) / 2)
 
     @property
     def m(self) -> int:
@@ -235,7 +241,8 @@ class IterateState:
 
 
 def make_state(grid: BallGrid, values: np.ndarray) -> IterateState:
-    """Fill the derivative tables of an iterate by finite differences."""
+    """Fill the derivative tables of an iterate by finite differences, all
+    from one pass over the stencil table."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -248,7 +255,8 @@ def make_state(grid: BallGrid, values: np.ndarray) -> IterateState:
     for deriv, beta in zip(derivs[n:], multi_indices(n, 2)):
         i, j = [d for d, k in enumerate(beta) for _ in range(k)]
         hess[:, :, i, j] = hess[:, :, j, i] = deriv
-    return IterateState(grid=grid, values=vals, grad=grad, hess=hess)
+    return IterateState(grid=grid, values=vals, grad=grad, hess=hess,
+                        order2=np.concatenate(derivs[n:], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +361,13 @@ def picard_map(system: PoissonSystem, state: IterateState,
 # norms, gamma rule, deviation estimate, residual
 # ---------------------------------------------------------------------------
 
-def solver_norm(values: np.ndarray, alpha: float, pairs: PairSet) -> float:
-    """Discrete second-order weighted Holder norm of an (N, m) field on
-    pairs.grid: the largest weighted norm over every finite-difference
-    second derivative of every component.
+def solver_norm(order2: np.ndarray, alpha: float, pairs: PairSet) -> float:
+    """Discrete second-order weighted Holder norm on pairs.grid of a field
+    given by its finite-difference second derivatives, the (N, k) columns
+    of IterateState.order2 (or a difference of two iterates' columns): the
+    largest weighted norm over the columns.
     """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    derivs = fd_derivatives(pairs.grid, vals, order=2)
-    return max_weighted_norm(np.concatenate(derivs, axis=1), alpha, pairs)
+    return max_weighted_norm(order2, alpha, pairs)
 
 
 def _probe_res(n: int, res: int) -> int:
@@ -446,10 +451,11 @@ class ResidualReport:
     node_residuals: np.ndarray    # (N,) max over components, nan off-interior
 
 
-def residual_check(system: PoissonSystem, grid: BallGrid,
-                   values: np.ndarray) -> ResidualReport:
-    """Check lap(u) = -source with stencils independent of the quadrature."""
-    state = make_state(grid, values)
+def residual_check(system: PoissonSystem,
+                   state: IterateState) -> ResidualReport:
+    """Check lap(u) = -source on an iterate's derivative tables, stencils
+    independent of the quadrature."""
+    grid = state.grid
     src = source_term(system, state)
     lap = np.einsum("kmii->km", state.hess)
     defect = np.abs(lap + src).max(axis=1)
@@ -555,13 +561,16 @@ class SolveReport:
 
 def _run_attempt(system: PoissonSystem, pairs: PairSet,
                  seed_vals: np.ndarray, gamma: float,
-                 config: SolveConfig) -> tuple[str, np.ndarray, float | None,
-                                               AttemptRecord]:
+                 config: SolveConfig) -> tuple[str, IterateState,
+                                               float | None, AttemptRecord]:
     """Iterate at fixed (R, gamma) on pairs.grid until convergence or a
     failure signal.
 
-    Returns the outcome, the last iterate, its order-2 norm and the record.
-    The increment norm is measured on every sweep.  The iterate's own norm
+    Returns the outcome, the last iterate's state, its order-2 norm and the
+    record.  Each iterate's derivative tables are taken once, right after
+    the sweep that makes it; they feed the next sweep, and its order-2
+    columns less those of the previous iterate give the increment, whose
+    norm is measured on every sweep.  The iterate's own norm
     is read only by the escape test and as the converged solution's norm,
     so it is measured only when the triangle bound (last measured norm plus
     the increments since) cannot rule out an escape, and at convergence;
@@ -569,7 +578,7 @@ def _run_attempt(system: PoissonSystem, pairs: PairSet,
     A nan or inf norm ends the attempt as an escape, never as converged.
     """
     grid = pairs.grid
-    f = np.zeros((grid.node_count, system.m))
+    state = make_state(grid, np.zeros((grid.node_count, system.m)))
     increments: list[float] = []
     ratios: list[float] = []
     streak = 0
@@ -578,26 +587,27 @@ def _run_attempt(system: PoissonSystem, pairs: PairSet,
     f_norm: float | None = None
     bound = 0.0
     for sweep in range(config.max_iter):
-        state = make_state(grid, f)
-        new, _src = picard_map(system, state, seed_vals)
-        inc = solver_norm(new - f, config.alpha, pairs)
+        values, _src = picard_map(system, state, seed_vals)
+        new = make_state(grid, values)
+        inc = solver_norm(new.order2 - state.order2, config.alpha, pairs)
         increments.append(inc)
         if sweep == 0:
-            f_norm = bound = inc  # f is zero, so new - f is new bit for bit
+            # the zero iterate's columns are zero, so the difference is
+            # new's columns bit for bit
+            f_norm = bound = inc
         else:
             f_norm, bound = None, bound + inc
-            # The norm is subadditive, so bound >= norm(new) up to rounding.
-            # Rounding moves a measured norm by about 1e-9 relative at most
-            # on res <= 65 grids (eps times FD weights ~h^-2 on values up to
-            # (3nR)^2 times the norm), so the 1e-6 slack covers hundreds of
-            # sweeps between two measurements.  This test and the escape
-            # test below are negated so that nan, which fails every
-            # comparison, takes the safe branch: a nan or inf increment
-            # makes the bound non-finite, the iterate's norm is measured,
-            # and a non-finite norm escapes.
+            # The norm is subadditive, so bound >= norm(new) up to rounding:
+            # each difference of columns rounds once, by eps relative to
+            # the columns, so the 1e-6 slack covers hundreds of sweeps
+            # between two measurements.  This test and the escape test
+            # below are negated so that nan, which fails every comparison,
+            # takes the safe branch: a nan or inf increment makes the bound
+            # non-finite, the iterate's norm is measured, and a non-finite
+            # norm escapes.
             if not bound * (1.0 + 1e-6) < gamma:
-                f_norm = bound = solver_norm(new, config.alpha, pairs)
-        f = new
+                f_norm = bound = solver_norm(new.order2, config.alpha, pairs)
+        state = new
         if f_norm is not None and not f_norm <= gamma:
             outcome = "escaped"
             escape_norm = f_norm
@@ -605,7 +615,7 @@ def _run_attempt(system: PoissonSystem, pairs: PairSet,
         if inc < config.tol:
             outcome = "converged"
             if f_norm is None:
-                f_norm = solver_norm(f, config.alpha, pairs)
+                f_norm = solver_norm(state.order2, config.alpha, pairs)
             break
         if len(increments) >= 2 and increments[-2] > 0:
             r = increments[-1] / increments[-2]
@@ -619,7 +629,7 @@ def _run_attempt(system: PoissonSystem, pairs: PairSet,
         iterations=len(increments), outcome=outcome,
         increment_norms=increments, ratios=ratios, escape_norm=escape_norm,
     )
-    return outcome, f, f_norm, record
+    return outcome, state, f_norm, record
 
 
 def picard_solve(system: PoissonSystem, config: SolveConfig,
@@ -653,7 +663,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
         seed_vals = seed_field_values(config.harmonic_seed, grid, system.m)
 
         while True:
-            outcome, f, f_norm, record = _run_attempt(
+            outcome, state, f_norm, record = _run_attempt(
                 system, pairs, seed_vals, gamma, config)
             record.deviation_sup = coefficient_deviation_sup(
                 system, radius, gamma, seed=config.seed)
@@ -661,7 +671,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
             last_outcome = outcome
 
             if outcome == "converged":
-                return _final_report(system, pairs, f, f_norm, config,
+                return _final_report(system, pairs, state, f_norm, config,
                                      gamma, gamma0, c_hat, psi0, attempts)
             if outcome == "escaped" and doublings < MAX_GAMMA_DOUBLINGS:
                 doublings += 1
@@ -670,8 +680,9 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
                 continue
             break  # halve the radius
 
-        # release this radius's grid and pair set before the next are built
-        grid = pairs = None
+        # release this radius's grid, pair set and last iterate before the
+        # next are built
+        grid = pairs = state = None
         radius *= 0.5
         if radius < floor * (1.0 - 1e-12):
             report = _partial_report(system, config, radius * 2.0, gamma,
@@ -690,10 +701,10 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
             )
 
 
-def _final_report(system, pairs, f, f_norm, config, gamma, gamma0,
+def _final_report(system, pairs, state, f_norm, config, gamma, gamma0,
                   c_hat, psi0, attempts) -> SolveReport:
-    grid = pairs.grid
-    res = residual_check(system, grid, f)
+    grid, f = pairs.grid, state.values
+    res = residual_check(system, state)
     jet_value, jet_gradient = origin_jet_magnitudes(grid, f)
     final = attempts[-1]
     ratios = final.ratios

@@ -16,9 +16,15 @@ Midpoint quadrature over the node cells, with two singular-cell rules:
 
 Cells straddling the sphere get a fractional weight (subsampled in-ball
 volume fraction), which is the quadrature correction the clipped tensor grid
-relies on.  All nodes sit on one lattice, so each sum is an FFT convolution
-on the res^n box zero-padded per axis to the next 5-smooth length >=
-2 res - 1: no offsets wrap, so it is the free-space sum, in O(N log N).
+relies on; the subsamples are counted from their squared coordinates per
+axis, never built as points.  All nodes sit on one lattice, so each sum is
+an FFT convolution on the res^n box zero-padded per axis to the next
+5-smooth length L >= 2 res - 1: no offsets wrap, so it is the free-space
+sum, in O(N log N).  The source fills only res of the L entries per axis
+and only those are read back, so the transforms go axis by axis and skip
+the lines that are all zero on the way in and unread on the way out (FFT
+pruning, Markel 1971), with the same result as the whole-box transform,
+bit for bit.
 
 The potential scales exactly with the ball, so the quadrature and kernel
 spectra are built once per lattice ball, at R = 1, and rescaled per radius.
@@ -26,7 +32,6 @@ spectra are built once per lattice ball, at R = 1, and rescaled per radius.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,11 +95,20 @@ def _unit_quadrature(ball: LatticeBall) -> tuple[np.ndarray, np.ndarray]:
         straddle = radius + circum > 1.0
         if straddle.any():
             sub = 9 if n == 2 else 7
-            offs = (np.arange(sub) + 0.5) / sub - 0.5
-            corners = np.asarray(list(itertools.product(offs, repeat=n))) * h
-            pts = nodes[straddle][:, None, :] + corners[None, :, :]
-            frac = (np.einsum("ijk,ijk->ij", pts, pts) <= 1.0).mean(axis=1)
-            w[straddle] = frac * h**n
+            offs = ((np.arange(sub) + 0.5) / sub - 0.5) * h
+            # (straddle, n, sub): the squared coordinates of each straddling
+            # cell's subsamples per axis, summed over the sub^n subsamples
+            # in the order the point cloud's einsum took, x^2 + y^2 in 2D
+            # and (x^2 + z^2) + y^2 in 3D, so each count is bitwise its own
+            sq = (nodes[straddle][:, :, None] + offs) ** 2
+            if n == 2:
+                r2 = sq[:, 0, :, None] + sq[:, 1, None, :]
+            else:
+                xz = sq[:, 0, :, None] + sq[:, 2, None, :]
+                r2 = xz[:, :, None, :] + sq[:, 1, None, :, None]
+            inside = np.count_nonzero((r2 <= 1.0).reshape(r2.shape[0], -1),
+                                      axis=1)
+            w[straddle] = inside / sub**n * h**n
             missing = kernel.unit_ball_volume - w.sum()
             w[straddle] += missing * w[straddle] / w[straddle].sum()
         # every weight is positive: the subsamples hold the cell's centre
@@ -118,16 +132,35 @@ def _fft_length(k: int) -> int:
     return k if m == 1 else _fft_length(k + 1)
 
 
+def _cut(a: np.ndarray, axis: int, size: int) -> np.ndarray:
+    """The first size entries of a along the negative axis."""
+    return a[(slice(None),) * (a.ndim + axis) + (slice(size),)]
+
+
 def _convolve(ball: LatticeBall, spectra: np.ndarray, source: np.ndarray):
-    """Free-space convolution of each kernel with an (N, m) node source,
-    through the zero-padded lattice box; (kernels, m, N) at the nodes."""
-    n, L = ball.n, spectra.shape[1]
-    axes = tuple(range(-n, 0))
+    """Free-space convolution of each kernel with an (N, m) node source
+    through the zero-padded lattice box; (kernels, m, N) at the nodes.
+
+    The source fills the first res entries of each padded axis and only
+    those are read back, so the transforms go axis by axis over the lines
+    that are not all zero or are read (FFT pruning): an rfft of the last
+    axis padded to L, ffts of the axes n - 1 down to 1, the product with
+    the spectra, then iffts of the axes 1 to n - 1 and an irfft of the last
+    axis, each cut to res once it is transformed.  The axes run in
+    np.fft.rfftn's and irfftn's order, so every line sees the same data and
+    the result is bitwise the whole-box transform's.
+    """
+    n, res, L = ball.n, ball.res, spectra.shape[1]
     at_nodes = (slice(None),) + tuple(ball.lattice.T)
-    padded = np.zeros((source.shape[1],) + (L,) * n)
-    padded[at_nodes] = source.T
-    out = np.fft.irfftn(spectra[:, None] * np.fft.rfftn(padded, axes=axes),
-                        s=(L,) * n, axes=axes)
+    box = np.zeros((source.shape[1],) + (res,) * n)
+    box[at_nodes] = source.T
+    spec = np.fft.rfft(box, L, axis=-1)
+    for axis in range(-2, -n - 1, -1):
+        spec = np.fft.fft(spec, L, axis=axis)
+    out = spectra[:, None] * spec
+    for axis in range(-n, -1):
+        out = _cut(np.fft.ifft(out, axis=axis), axis, res)
+    out = _cut(np.fft.irfft(out, L, axis=-1), -1, res)
     return out[(slice(None),) + at_nodes]
 
 

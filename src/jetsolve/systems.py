@@ -269,6 +269,24 @@ def real_value(value) -> float:
     raise ValueError(f"not a real number: {value!r}")
 
 
+def real_array(value) -> np.ndarray:
+    """A real array field's value as a new float64 array: from a real
+    number, a numpy array of an integer or float dtype, or nested
+    sequences of these; a bool or a string anywhere in it, or a ragged
+    nesting, raises ValueError.
+
+    np.asarray(value, dtype=np.float64) alone would read true as 1.0 and
+    "0.3" as 0.3.
+    """
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            raise ValueError(f"not an array of real numbers: {value!r}")
+        return value.astype(np.float64)
+    if isinstance(value, (list, tuple)):
+        return np.asarray([real_array(v) for v in value], dtype=np.float64)
+    return np.asarray(real_value(value))
+
+
 def _real_param(params: dict, key: str, default: float) -> float:
     """A real parameter, named in the ValueError of a bad value."""
     try:
@@ -296,13 +314,14 @@ TARGET_REGISTRY: dict[str, Callable[..., TargetManifold]] = {
 
 
 def _build_poisson(n: int, params: dict) -> SystemDef:
-    return poisson_system(
-        n,
-        const=params.get("const", 0.0),
-        linear=np.asarray(params["linear"], dtype=np.float64)
-        if "linear" in params else None,
-        m=_count_param(params, "m", 1),
-    )
+    arrays = {}
+    for key in ("const", "linear"):
+        if key in params:
+            try:
+                arrays[key] = real_array(params[key])
+            except ValueError as exc:
+                raise ValueError(f"{key!r}: {exc}") from None
+    return poisson_system(n, **arrays, m=_count_param(params, "m", 1))
 
 
 def _build_minimal_surface(n: int, params: dict) -> SystemDef:

@@ -212,6 +212,23 @@ def test_solve_report_independent_of_thread_count(workdir):
     pytest.param(lambda c: c.update(system={
         "name": "minimal_surface", "params": {"q_bound": "2.5"}}),
         "q_bound", id="q_bound_string"),
+    # nor does an array of real numbers take a bool or a string entry
+    pytest.param(lambda c: c.update(jet={"c0": [True], "c1": [[0.3, 0.0]]}),
+                 "jet.c0", id="jet_c0_bool"),
+    pytest.param(lambda c: c.update(jet={"c0": [0.0],
+                                         "c1": [["0.3", 0.0]]}),
+                 "jet.c1", id="jet_c1_string"),
+    pytest.param(lambda c: c.update(jet={"c0": [0.0], "c1": [[0.3, False]]}),
+                 "jet.c1", id="jet_c1_bool"),
+    pytest.param(lambda c: c.update(system={
+        "name": "poisson", "params": {"linear": [[True, "0.5"]]}}),
+        "'linear'", id="linear_bool_and_string"),
+    pytest.param(lambda c: c.update(system={
+        "name": "poisson", "params": {"const": True}}),
+        "'const'", id="const_bool"),
+    pytest.param(lambda c: c.update(system={
+        "name": "poisson", "params": {"const": ["1.0"]}}),
+        "'const'", id="const_string"),
 ])
 def test_solve_config_errors(workdir, capsys, mutate, needle):
     cfg = _solve_cfg()
@@ -389,6 +406,9 @@ def test_kobayashi_rejects_non_finite_schedule(workdir, capsys):
     ({"max_steps": True}, "max_steps"),
     ({"r_start": True}, "r_start"),
     ({"growth": True}, "growth"),
+    # nor is one an entry of the point or the vector
+    ({"p": [0.0, False]}, "p:"),
+    ({"X": ["0.5", 0.0]}, "X:"),
 ])
 def test_kobayashi_config_errors(workdir, capsys, update, needle):
     cfg = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.5, 0.0],

@@ -113,6 +113,27 @@ def test_query_rejects_bools_and_fractions(kwargs):
         KobayashiQuery(HYP, np.zeros(2), np.ones(2) * 0.1, **kwargs)
 
 
+@pytest.mark.parametrize("key,bad", [
+    ("p", [0.0, True]),          # np.asarray(..., float) reads 1.0
+    ("p", np.array([False, False])),
+    ("X", ["0.1", 0.0]),         # ... and 0.1
+    ("X", [[0.1, 0.0], [0.0]]),  # ragged
+])
+def test_query_rejects_non_real_vector_entries(key, bad):
+    kwargs = {"p": np.zeros(2), "X": np.ones(2) * 0.1, key: bad}
+    with pytest.raises(ValueError, match=f"{key}: "):
+        KobayashiQuery(HYP, **kwargs)
+
+
+def test_query_stores_its_vectors_as_new_float_arrays():
+    p, X = np.zeros(2, dtype=np.int64), np.array([0.5, 0.0])
+    q = KobayashiQuery(HYP, p, X)
+    assert q.p.dtype == np.float64 and q.X.dtype == np.float64
+    assert q.X is not X
+    q = KobayashiQuery(HYP, [0, 0.0], (np.float32(0.5), 0))
+    np.testing.assert_array_equal(q.X, [0.5, 0.0])
+
+
 def test_query_stores_its_schedule_as_python_numbers():
     q = KobayashiQuery(HYP, np.zeros(2), np.array([0.5, 0.0]),
                        r_start=np.float32(0.25), growth=2, max_steps=3.0)

@@ -178,12 +178,15 @@ def test_solver_norm_is_order_two_jet_norm(n, res, m, rng):
     grid = build_grid(n, 0.8, res)
     pairs = build_pair_set(grid, seed=3)
     vals = rng.normal(size=(grid.node_count, m))
-    # every second derivative of every component, as separate columns: a
-    # max is exact, so the max of their norms is bitwise the same, and
-    # within rounding of the full scan on the nodes' own distances
+    # every second derivative of every component, as separate columns
+    # (the state's order2, bitwise): a max is exact, so the max of their
+    # norms is bitwise the same, and within rounding of the full scan on
+    # the nodes' own distances
     hessian = np.concatenate([fd_values(grid, vals, beta)
                               for beta in multi_indices(n, 2)], axis=1)
-    norm = solver_norm(vals, 0.4, pairs)
+    order2 = make_state(grid, vals).order2
+    np.testing.assert_array_equal(order2, hessian)
+    norm = solver_norm(order2, 0.4, pairs)
     assert norm.hex() == max_weighted_norm(hessian, 0.4, pairs).hex()
     expected = max_weighted_norm_reference(hessian, 0.4, pairs)
     assert abs(norm - expected) <= 1e-12 * expected
@@ -212,9 +215,10 @@ _ONE_PASS_GRIDS = [(2, 1.0, 21), (2, 0.7, 33), (3, 1.0, 13), (3, 1.3, 9)]
 @pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS)
 @pytest.mark.parametrize("m", [None, 3])
 def test_one_pass_derivatives_match_per_beta(n, R, res, m, rng):
-    # make_state, solver_norm and fd_values read every multi-index off one
-    # pass over the table: the same segments, summed in the same order and
-    # divided the same way, so bitwise the per-beta derivatives
+    # make_state (its order-2 columns too) and fd_values read every
+    # multi-index off one pass over the table: the same segments, summed in
+    # the same order and divided the same way, so bitwise the per-beta
+    # derivatives
     grid = build_grid(n, R, res)
     shape = (grid.node_count,) if m is None else (grid.node_count, m)
     vals = rng.normal(size=shape)
@@ -233,13 +237,15 @@ def test_one_pass_derivatives_match_per_beta(n, R, res, m, rng):
         hessian.append(_per_beta(grid, cols, beta))
         np.testing.assert_array_equal(state.hess[:, :, i, j], hessian[-1])
         np.testing.assert_array_equal(state.hess[:, :, j, i], hessian[-1])
-    for order, betas in ((1, multi_indices(n, 1)), (2, multi_indices(n, 2))):
-        np.testing.assert_array_equal(
-            grid_module.fd_derivatives(grid, vals, order),
-            np.stack([_per_beta(grid, vals, beta) for beta in betas]))
+    np.testing.assert_array_equal(
+        grid_module.fd_derivatives(grid, vals),
+        np.stack([_per_beta(grid, vals, beta)
+                  for beta in multi_indices(n, 1) + multi_indices(n, 2)]))
+    np.testing.assert_array_equal(state.order2,
+                                  np.concatenate(hessian, axis=1))
     pairs = build_pair_set(grid, seed=2)
     want = max_weighted_norm(np.concatenate(hessian, axis=1), 0.4, pairs)
-    assert solver_norm(vals, 0.4, pairs).hex() == want.hex()
+    assert solver_norm(state.order2, 0.4, pairs).hex() == want.hex()
 
 
 @pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS)
@@ -282,8 +288,10 @@ def _grid_and_pairs(n, res):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(-8.0, 2.0))
 def test_solver_norm_is_subadditive(n, res, complete, seed, scale):
-    # the lazy iterate norms of the solve rest on this triangle inequality;
-    # cubics plus noise make the stencils cancel large values
+    # the lazy iterate norms of the solve rest on this triangle inequality,
+    # norm(new) <= norm(f) + norm(new's columns - f's), the increment as the
+    # solve measures it; cubics plus noise make the stencils cancel large
+    # values
     grid, pairs = _grid_and_pairs(n, res)
     assert pairs.complete == complete
     rng = np.random.default_rng(seed)
@@ -294,8 +302,35 @@ def test_solver_norm_is_subadditive(n, res, complete, seed, scale):
                 * 10.0**rng.uniform(-8.0, 0.0)) * size
 
     a, b = field(1.0), field(10.0**scale)
-    total = solver_norm(a, 0.5, pairs) + solver_norm(b, 0.5, pairs)
-    assert solver_norm(a + b, 0.5, pairs) <= total * (1.0 + 1e-9)
+    f = make_state(grid, a).order2
+    new = make_state(grid, a + b).order2
+    total = solver_norm(f, 0.5, pairs) + solver_norm(new - f, 0.5, pairs)
+    assert solver_norm(new, 0.5, pairs) <= total * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("n,res,complete", [
+    (2, 9, True), (2, 33, False), (3, 7, True), (3, 13, False)])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), scale=st.floats(-12.0, 0.0))
+def test_increment_of_columns_matches_norm_of_difference(n, res, complete,
+                                                         seed, scale):
+    # the solve's increment, the norm of new's order-2 columns less f's,
+    # is the norm of the FD derivatives of new - f up to the rounding of
+    # the two differences: within 1e-12 of the two iterates' norms, which a
+    # bound relative to the increment itself could not be near convergence
+    grid, pairs = _grid_and_pairs(n, res)
+    assert pairs.complete == complete
+    rng = np.random.default_rng(seed)
+    f = (grid.nodes @ rng.normal(size=(n, 2))) ** 3 + rng.normal(
+        size=(grid.node_count, 2))
+    new = f + rng.normal(size=f.shape) * 10.0**scale
+    cols_f = make_state(grid, f).order2
+    cols_new = make_state(grid, new).order2
+    inc = solver_norm(cols_new - cols_f, 0.5, pairs)
+    old = solver_norm(make_state(grid, new - f).order2, 0.5, pairs)
+    scale_of = solver_norm(cols_new, 0.5, pairs) + solver_norm(cols_f, 0.5,
+                                                               pairs)
+    assert abs(inc - old) <= 1e-12 * scale_of
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -306,7 +341,7 @@ def test_solver_norm_propagates_non_finite_values(bad):
     vals = np.zeros((grid.node_count, 2))
     vals[grid.origin_index + 3, 1] = bad
     with np.errstate(invalid="ignore"):
-        norm = solver_norm(vals, 0.5, pairs)
+        norm = solver_norm(make_state(grid, vals).order2, 0.5, pairs)
         hessian = [fd_values(grid, vals, beta)
                    for beta in multi_indices(grid.n, 2)]
         want = max_weighted_norm_reference(np.concatenate(hessian, axis=1),
@@ -870,7 +905,7 @@ def test_deviation_sup_monotone_in_radius():
 def test_residual_zero_for_exact_quadratic(grid3):
     system = diagonalize(poisson_system(3, const=3.0))
     vals = 3.0 * np.einsum("ij,ij->i", grid3.nodes, grid3.nodes)[:, None] / 6.0
-    rep = residual_check(system, grid3, vals)
+    rep = residual_check(system, make_state(grid3, vals))
     assert rep.residual_sup <= 1e-10
     assert rep.source_sup == pytest.approx(3.0)
     # residuals are only defined on interior nodes

@@ -18,7 +18,9 @@ from jetsolve import (
     quad_weights,
     uniform_ball_potential,
 )
-from jetsolve.oracle import potential_reference
+import jetsolve.potential as potential_module
+from jetsolve.oracle import (convolve_reference, potential_reference,
+                             unit_quadrature_reference)
 
 
 def _rel_sup(got, want):
@@ -237,3 +239,41 @@ def test_quad_weights_are_r_invariant(R):
         assert w.tobytes() == scaled.tobytes()
     assert np.abs(w - scaled).max() <= 1e-15 * np.abs(scaled).max()
     assert w.sum() == pytest.approx(np.pi * R**2, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the pruned transforms and the rim counts against the paths they replaced
+
+
+@pytest.mark.parametrize("n,res", [(2, 9), (2, 21), (2, 33), (3, 7), (3, 13),
+                                   (3, 21)])
+@pytest.mark.parametrize("m", [1, 2, 6])
+def test_convolve_matches_whole_box_transform(n, res, m):
+    # the pruned transforms skip only lines that are zero or never read and
+    # take the axes in rfftn's and irfftn's order, so each remaining line
+    # is the same 1D transform of the same data: bitwise, for the value
+    # kernel alone and with the Hessian kernels (taking the forward axes
+    # in another order moves 3D answers by about 1e-13)
+    ball = LatticeBall(n, res)
+    spectra, _ = potential_module._kernel_spectra(ball, hess=True)
+    source = np.random.default_rng(res * 10 + m).normal(
+        size=(ball.node_count, m))
+    for kernels in (spectra[:1], spectra):
+        got = potential_module._convolve(ball, kernels, source)
+        assert got.shape == (kernels.shape[0], m, ball.node_count)
+        np.testing.assert_array_equal(
+            got, convolve_reference(ball, kernels, source))
+
+
+@pytest.mark.parametrize("n,res", [(2, r) for r in range(5, 130, 2)]
+                         + [(3, r) for r in range(5, 34, 2)])
+def test_unit_quadrature_matches_point_cloud(n, res):
+    # the per-axis squares summed as the point cloud's einsum summed them
+    # ((x^2 + z^2) + y^2 in 3D) count the same subsamples: bitwise weights
+    # and self-cell integrals.  A left-to-right sum flips in-ball tests at
+    # 3D res 7 and 13, so those cases pin the order.
+    ball = LatticeBall(n, res)
+    w, self_cell = potential_module._unit_quadrature(ball)
+    want_w, want_self = unit_quadrature_reference(ball)
+    np.testing.assert_array_equal(w, want_w)
+    np.testing.assert_array_equal(self_cell, want_self)

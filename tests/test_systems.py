@@ -15,6 +15,7 @@ from jetsolve import (
     prescribed_mean_curvature_system,
     sphere_stereographic_target,
 )
+from jetsolve.systems import real_array
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,43 @@ def test_real_system_params_reject_bools(name, key, flag):
     with pytest.raises(ValueError, match=f"{key}.*not a real number"):
         build_system(name, 2, {key: flag})
     assert build_system(name, 2, {key: np.float64(0.5)}).name
+
+
+@pytest.mark.parametrize("value,want", [
+    (2, np.array(2.0)),
+    ([1, 2.5, np.float32(0.5)], np.array([1.0, 2.5, 0.5])),
+    ([[1, 0], (0.0, np.int64(3))], np.array([[1.0, 0.0], [0.0, 3.0]])),
+    (np.arange(3), np.array([0.0, 1.0, 2.0])),
+    ([], np.zeros(0)),
+])
+def test_real_array_reads_real_numbers(value, want):
+    got = real_array(value)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+    assert got is not value
+
+
+@pytest.mark.parametrize("value", [
+    True, "0.3", [0.3, True], [[0.3, "0.5"]], [np.True_],
+    np.array([True]), np.array(["0.3"]), np.array([1 + 0j]),
+    [[1.0, 2.0], [3.0]], None, [None],
+])
+def test_real_array_rejects_what_float_would_read(value):
+    with pytest.raises(ValueError):
+        real_array(value)
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("const", True), ("const", [1.0, "2.0"]),
+    ("linear", [[True, 0.5]]), ("linear", [["0.1", 0.5]]),
+])
+def test_poisson_array_params_reject_bools_and_strings(key, bad):
+    params = {"m": 2, "const": [1.0, 2.0], "linear": np.ones((2, 2)),
+              key: bad}
+    with pytest.raises(ValueError, match=f"{key}.*not a real number"):
+        build_system("poisson", 2, params)
+    params[key] = np.ones((2, 2)) if key == "linear" else [1.0, 2.0]
+    assert build_system("poisson", 2, params).name == "poisson"
 
 
 def test_euclidean_target_is_flat():
