@@ -20,6 +20,11 @@ does not have, not the sampling of pairs.  ``convolve_reference`` and
 ``unit_quadrature_reference`` are the whole-box transform and the point
 cloud that the potential module's pruned transforms and per-axis
 subsample counts replaced; the fast paths are held to them bitwise.
+``norm_comparison_reference`` is the comparison block that measures both
+jet norms of every zero-jet probe through ``probes.with_zero_jet``, with
+``holder.max_weighted_norm``: it checks which norms the lemma suite's
+bounded block leaves unmeasured and the columns it takes from the probe
+jets, not the norm scan.
 """
 
 from __future__ import annotations
@@ -30,10 +35,12 @@ import math
 import numpy as np
 
 from .grid import BallGrid, multi_indices
-from .holder import _EPS
+from .holder import (_EPS, comparison_base, max_weighted_norm,
+                     norm_comparison_holds)
 from .picard import (CONTRACTION_THRESHOLD, AttemptRecord, make_state,
                      picard_map, solver_norm)
 from .potential import KernelSpec, PotentialField, quad_weights
+from .probes import with_zero_jet
 
 _BLOCK_BYTES = 4e7
 
@@ -343,6 +350,35 @@ def taylor_remainder_ratio_reference(probe, alpha: float, pairs) -> float:
             ratios = np.where(rhs[live] > 0.0, lhs[live] / rhs[live], np.inf)
         worst = max(worst, float(ratios.max()))
     return worst
+
+
+def norm_comparison_reference(battery, jets, pairs, alpha: float) -> dict:
+    """The comparison block's verdict, violations and worst ratios from
+    the order-0 and order-1 jet norms of every probe less its 1-jet at the
+    origin (``probes.with_zero_jet``), each a max_weighted_norm of the
+    zero-jet probe's exact derivatives.  jets are the battery's
+    ``holder.probe_jet``: a zero-jet probe's order-2 norm is the largest
+    Hessian norm of the probe's.  The reference for the bounded block of
+    ``verify.run_lemma_suite``.
+    """
+    grid = pairs.grid
+    base = comparison_base(grid)
+    worst0 = worst1 = 0.0
+    violations = []
+    for probe, jet in zip(battery, jets):
+        zero = with_zero_jet(probe, grid.n)
+        order0, order1 = (max_weighted_norm(
+            np.stack([zero.values(grid, beta)
+                      for beta in multi_indices(grid.n, order)], axis=1),
+            alpha, pairs) for order in (0, 1))
+        top = float(jet.hess_norms[2].max())
+        if not norm_comparison_holds((order0, order1, top), base):
+            violations.append(probe.name)
+        if top > 0:
+            worst0 = max(worst0, order0 / (base**2 * top))
+            worst1 = max(worst1, order1 / (base * top))
+    return {"passed": not violations, "violations": violations,
+            "worst_ratio_order0": worst0, "worst_ratio_order1": worst1}
 
 
 def run_attempt_reference(system, pairs, seed_vals, gamma: float, config):

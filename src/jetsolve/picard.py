@@ -259,6 +259,16 @@ def make_state(grid: BallGrid, values: np.ndarray) -> IterateState:
                         order2=np.concatenate(derivs[n:], axis=1))
 
 
+def _zero_state(grid: BallGrid, m: int) -> IterateState:
+    """The zero iterate with m components: bitwise :func:`make_state` of
+    zeros, whose derivative tables are zero too, without the stencil pass."""
+    n, big_n = grid.n, grid.node_count
+    return IterateState(grid=grid, values=np.zeros((big_n, m)),
+                        grad=np.zeros((big_n, m, n)),
+                        hess=np.zeros((big_n, m, n, n)),
+                        order2=np.zeros((big_n, m * n * (n + 1) // 2)))
+
+
 # ---------------------------------------------------------------------------
 # the sweep: source term, potential, jet subtraction
 # ---------------------------------------------------------------------------
@@ -578,7 +588,7 @@ def _run_attempt(system: PoissonSystem, pairs: PairSet,
     A nan or inf norm ends the attempt as an escape, never as converged.
     """
     grid = pairs.grid
-    state = make_state(grid, np.zeros((grid.node_count, system.m)))
+    state = _zero_state(grid, system.m)
     increments: list[float] = []
     ratios: list[float] = []
     streak = 0

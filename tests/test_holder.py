@@ -12,18 +12,19 @@ from jetsolve import (
     lemma_battery,
     multi_indices,
     polynomial,
+    run_lemma_suite,
     taylor_remainder_ratio,
     weighted_norm_values,
     with_zero_jet,
 )
-from jetsolve import PairSet, verify
+from jetsolve import PairSet, holder, verify
 import jetsolve.grid as grid_module
 from jetsolve.grid import PAIR_CAP, _bucketed, _sampled_pairs
 from jetsolve.holder import (_quotient_bounds, banach_algebra_holds,
                              comparison_base, max_weighted_norm,
                              norm_comparison_holds, probe_jet,
                              taylor_remainder_holds, taylor_work,
-                             weighted_norm_bounds, zero_jet_norm)
+                             weighted_norm_bounds)
 from jetsolve.oracle import (max_weighted_norm_reference,
                              taylor_remainder_ratio_reference)
 from jetsolve.probes import coordinate_probe
@@ -118,8 +119,7 @@ def _banach_holds(f, g, alpha, pairs):
 
 
 def _comparison_holds(probe, alpha, pairs):
-    order2 = float(probe_jet(probe, alpha, pairs).hess_norms[2].max())
-    return norm_comparison_holds(zero_jet_norm(probe, alpha, pairs, order2),
+    return norm_comparison_holds(_jet_norms(probe, alpha, pairs),
                                  comparison_base(pairs.grid))
 
 
@@ -202,12 +202,39 @@ def test_taylor_ratio_matches_reference_bitwise(n, res):
     assert got == want
     assert got[-1] == float("inf").hex()
     # as the lemma suite calls it: each probe's jet measured beforehand,
-    # and one work array for all of them, its scratch rows left dirty by
-    # the probe before
+    # and one set of work buffers for all of them, its scratch rows left
+    # dirty by the probe before
     work = taylor_work(pairs)
-    work[:4] = np.nan
+    work[0][:] = np.nan
     assert [taylor_remainder_ratio(p, 0.5, pairs, probe_jet(p, 0.5, pairs),
                                    work).hex() for p in probes] == want
+
+
+@pytest.mark.parametrize("n,res", [(2, 9), (3, 5)])
+def test_taylor_blocks_match_one_whole_scan(n, res, monkeypatch):
+    # block edges one pair, seven pairs, one short of the set, the set and
+    # one past it: each blocked scan is bitwise the scan of the whole set
+    # in one block, for finite and infinite ratios alike
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=0)
+    cubic = polynomial("x1_cubed", {(3,) + (0,) * (n - 1): 1.0})
+    probes = lemma_battery(n) + [Probe(
+        "x1_cubed_no_hessian", cubic.fn,
+        lambda beta, pts: (np.zeros(pts.shape[0]) if sum(beta) == 2
+                           else cubic.deriv(beta, pts)))]
+    jets = [probe_jet(p, 0.5, pairs) for p in probes]
+
+    def scan(block):
+        monkeypatch.setattr(holder, "_TAYLOR_BLOCK", block)
+        work = taylor_work(pairs)
+        assert work[0].shape == (4, min(block, pairs.size))
+        return [taylor_remainder_ratio(p, 0.5, pairs, jet, work).hex()
+                for p, jet in zip(probes, jets)]
+
+    whole = scan(pairs.size)
+    assert whole[-1] == float("inf").hex()
+    for block in (1, 7, pairs.size - 1, pairs.size + 1):
+        assert scan(block) == whole, block
 
 
 @pytest.mark.parametrize("n,R,res", [(2, 3.0, 21), (2, 0.5625, 33),
@@ -224,13 +251,23 @@ def test_taylor_ratio_matches_reference_at_any_radius(n, R, res):
         assert _close_to_reference(got, want), probe.name
 
 
-def test_comparison_needs_zero_jet(grid2, pairs2):
-    f = coordinate_probe(2, 0)  # gradient e1 at the origin
-    with pytest.raises(ValueError):
-        zero_jet_norm(f, 0.5, pairs2, 0.0)
-    g = polynomial("affine", {(0, 0): 1.0})
-    with pytest.raises(ValueError):
-        zero_jet_norm(g, 0.5, pairs2, 0.0)
+def _unshifted_columns(probe, jet, grid):
+    """A probe's order-0 and order-1 columns with its 1-jet left in."""
+    return jet.values[:, None], np.stack(jet.grads, axis=1)
+
+
+def test_comparison_needs_zero_jet(grid2, pairs2, monkeypatch):
+    # gradient e1, then value 1, at the origin
+    for probe in (coordinate_probe(2, 0), polynomial("one", {(0, 0): 1.0})):
+        columns = _unshifted_columns(probe, probe_jet(probe, 0.5, pairs2),
+                                     grid2)
+        with pytest.raises(ValueError):
+            verify._require_zero_jet(*columns, grid2)
+    # the comparison block checks the columns it builds: without the shift,
+    # the battery's affine probe fails the check
+    monkeypatch.setattr(verify, "_zero_jet_columns", _unshifted_columns)
+    with pytest.raises(ValueError, match="at origin"):
+        run_lemma_suite(n=2, R=1.0, res=9)
 
 
 def test_comparison_on_zero_jet_battery(grid2, pairs2):
@@ -250,7 +287,15 @@ def test_zero_jet_order2_is_the_largest_hessian_norm(n, res):
         jet = probe_jet(probe, 0.5, pairs)
         zero = with_zero_jet(probe, n)
         want = _jet_norms(zero, 0.5, pairs)
-        got = zero_jet_norm(zero, 0.5, pairs, float(jet.hess_norms[2].max()))
+        # the comparison block's columns, taken from the jet, are the
+        # zero-jet probe's own exact derivatives, bitwise
+        columns = verify._zero_jet_columns(probe, jet, grid)
+        for order, got in enumerate(columns):
+            exact = np.stack([zero.values(grid, beta)
+                              for beta in multi_indices(n, order)], axis=1)
+            assert got.tobytes() == exact.tobytes(), (probe.name, order)
+        got = [max_weighted_norm(c, 0.5, pairs) for c in columns]
+        got.append(float(jet.hess_norms[2].max()))
         assert [x.hex() for x in got] == [x.hex() for x in want], probe.name
         # the jet's Hessian norms are those of its rows, measured anew
         hess = np.stack([probe.values(grid, beta)

@@ -50,7 +50,8 @@ from jetsolve.holder import max_weighted_norm
 from jetsolve.oracle import (max_weighted_norm_reference,
                              run_attempt_reference, source_term_reference)
 from jetsolve.picard import (GAMMA0_FLOOR, _origin_jet_polynomial,
-                             origin_jet_magnitudes, seed_field_values)
+                             _zero_state, origin_jet_magnitudes,
+                             seed_field_values)
 from jetsolve.probes import potential_probes
 
 
@@ -246,6 +247,22 @@ def test_one_pass_derivatives_match_per_beta(n, R, res, m, rng):
     pairs = build_pair_set(grid, seed=2)
     want = max_weighted_norm(np.concatenate(hessian, axis=1), 0.4, pairs)
     assert solver_norm(state.order2, 0.4, pairs).hex() == want.hex()
+
+
+@pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS)
+@pytest.mark.parametrize("m", [1, 2, 6])
+def test_zero_state_is_the_state_of_zeros(n, R, res, m):
+    # each attempt starts from the zero iterate without an FD pass: every
+    # table is bitwise that of make_state, each zero positive
+    grid = build_grid(n, R, res)
+    got = _zero_state(grid, m)
+    want = make_state(grid, np.zeros((grid.node_count, m)))
+    assert got.grid is grid
+    for name in ("values", "grad", "hess", "order2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+        assert not np.signbit(a).any(), name
 
 
 @pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS)

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from jetsolve import PairSet, polynomial, run_lemma_suite
-from jetsolve import holder, potential, verify
+from jetsolve import (PairSet, build_grid, build_pair_set, polynomial,
+                      run_lemma_suite)
+from jetsolve import holder, oracle, potential, verify
 from jetsolve.cli import EXIT_ORACLE_FAILURE, main
 from jetsolve.probes import Probe, lemma_battery
 
@@ -172,6 +173,7 @@ def test_each_quantity_measured_once(monkeypatch, size):
 
     monkeypatch.setattr(PairSet, "steps", counted_steps)
     suite = run_lemma_suite(n=2, R=1.0, res=9, alpha=0.5, seed=0)
+    blocks = {b["name"]: b for b in suite["lemmas"]}
     B = suite["battery_size"]
     assert B == size
     # one Hessian norm per probe, of its three entries, which the Taylor
@@ -182,18 +184,69 @@ def test_each_quantity_measured_once(monkeypatch, size):
     # the pair steps and their squares once, for every probe's Taylor scan
     assert counts["holder.taylor_work"] == 1
     assert steps == [suite["grid"]["distinct_pairs"]]
-    # the comparison block measures orders 0 and 1 of each zero-jet probe,
-    # and the potential block one numerator per probe
-    assert counts["holder.max_weighted_norm"] == 2 * B + min(B, 6)
+    # the comparison block measures the order-0 and order-1 norms of the
+    # zero-jet probes that its bounds leave open, and the potential block
+    # one numerator per probe
+    comparison = blocks["norm_comparison"]["measured"]
+    assert counts["holder.max_weighted_norm"] == comparison + min(B, 6)
     # the Banach block: the B fields, then one column per product it
     # measures, at most one per product; then the potential block's sources
     assert columns[B] == B
     products = columns[B + 1:-1]
     assert set(products) == {1}
+    assert len(products) == blocks["banach_algebra"]["measured"]
     assert len(products) <= B * (B + 1) // 2
     assert columns[-1] == min(B, 6)
     # one pass of the constant source, one stacked pass of the norm probes
     assert counts["potential._apply_potential"] == 2
     if B == 22:
-        # the bucket bounds leave most of the 253 products unmeasured
+        # the bucket bounds leave most of the 253 products and of the 44
+        # zero-jet norms unmeasured
         assert len(products) < 253 // 2
+        assert comparison < 2 * B
+
+
+# ---------------------------------------------------------------------------
+# the bounded comparison block against the one that measures every norm
+
+
+def _comparison_cases(n, res, alpha, seed):
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=seed)
+    battery = lemma_battery(n)
+    jets = [holder.probe_jet(probe, alpha, pairs) for probe in battery]
+    return battery, jets, pairs
+
+
+def _same_comparison(got, want):
+    assert got["passed"] is want["passed"]
+    assert got["violations"] == want["violations"]
+    for key in ("worst_ratio_order0", "worst_ratio_order1"):
+        assert got[key].hex() == want[key].hex(), key
+
+
+@pytest.mark.parametrize("n,res", [(2, 9), (2, 17), (2, 33), (3, 9), (3, 13)])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_comparison_block_matches_reference(n, res, alpha):
+    for seed in (0, 5, 11):
+        battery, jets, pairs = _comparison_cases(n, res, alpha, seed)
+        got = verify._comparison_block(battery, jets, pairs, alpha)
+        want = oracle.norm_comparison_reference(battery, jets, pairs, alpha)
+        _same_comparison(got, want)
+        assert 0 < got["measured"] <= 2 * len(battery)
+
+
+@pytest.mark.parametrize("n,res", [(2, 17), (3, 9)])
+def test_comparison_block_matches_reference_on_violations(n, res,
+                                                          monkeypatch):
+    # a base of (3nR) / 4 puts the order-1 ratios of the worst probes
+    # past 1, so some probes fail and others pass
+    base = holder.comparison_base
+    for module in (verify, oracle):
+        monkeypatch.setattr(module, "comparison_base",
+                            lambda grid: 0.25 * base(grid))
+    battery, jets, pairs = _comparison_cases(n, res, 0.5, 0)
+    got = verify._comparison_block(battery, jets, pairs, 0.5)
+    want = oracle.norm_comparison_reference(battery, jets, pairs, 0.5)
+    _same_comparison(got, want)
+    assert 0 < len(got["violations"]) < len(battery)
