@@ -650,6 +650,14 @@ class PairBuckets:
     indptr: np.ndarray
     cube_a: np.ndarray
     cube_b: np.ndarray
+    _ends: tuple = field(repr=False)
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bucket ends as two take indices of length 2 * buckets,
+        [cube_a, cube_b] and [cube_b, cube_a], concatenated once: the
+        writeable arrays that cube_a and cube_b view (ndarray.take copies
+        a read-only index array on every call)."""
+        return self._ends
 
 
 def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray,
@@ -730,8 +738,12 @@ def _bucket_pairs(ball: LatticeBall, first: np.ndarray,
     present = np.flatnonzero(sizes)
     indptr = np.concatenate(([0], np.cumsum(sizes[present])))
     cube_a, cube_b = np.divmod(present, count)
+    ends = np.concatenate((cube_a, cube_b))
+    swapped = np.concatenate((cube_b, cube_a))
     return PairBuckets(node_order, cube_start,
-                       *_read_only(indptr, cube_a, cube_b)), order
+                       *_read_only(indptr, ends[:present.size],
+                                   ends[present.size:]),
+                       _ends=(ends, swapped)), order
 
 
 def build_pair_set(grid: BallGrid, seed: int = 0) -> PairSet:

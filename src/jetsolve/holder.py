@@ -18,6 +18,12 @@ scanned.  :func:`weighted_norm_values` prunes each field (column) on its
 own; :func:`max_weighted_norm`, the max over several fields (the jet norms,
 the solver norm, the potential's probe numerators), prunes them with one
 shared floor.  Either value is bitwise that of the full scan.
+
+The fields arrive as the columns of an (N, k) array and are copied once
+into k contiguous rows (k, N); the bounds, the bucket scans and the full
+scan all read that one copy.  The bounds run along the long axes: the cube
+maxima and minima are (k, cubes) rows, and the bounds (k, buckets) rows,
+one per field.
 """
 
 from __future__ import annotations
@@ -49,14 +55,14 @@ def _max_quotient(values: np.ndarray, first: np.ndarray, second: np.ndarray,
     return quotient.max()
 
 
-def _column_max_quotients(values: np.ndarray, first: np.ndarray,
+def _column_max_quotients(rows: np.ndarray, first: np.ndarray,
                           second: np.ndarray,
                           dist_pow: np.ndarray) -> np.ndarray:
-    """:func:`_max_quotient` of each column of values (N, k), scanned one
-    contiguous column at a time: a gather of (N, k) rows costs about three
-    times more per pair and column."""
-    return np.array([_max_quotient(column, first, second, dist_pow)
-                     for column in np.ascontiguousarray(values.T)])
+    """:func:`_max_quotient` of each column of the caller's values, given
+    as the contiguous rows (k, N), scanned one row at a time: a gather of
+    (N, k) rows costs about three times more per pair and column."""
+    return np.array([_max_quotient(row, first, second, dist_pow)
+                     for row in rows])
 
 
 def weighted_norm_values(values: np.ndarray, alpha: float,
@@ -73,9 +79,9 @@ def weighted_norm_values(values: np.ndarray, alpha: float,
     if values.shape[:1] != (pairs.grid.node_count,) or values.ndim > 2:
         raise ValueError(f"values shape {values.shape} does not match node "
                          f"count {pairs.grid.node_count}")
-    block = values.reshape(values.shape[0], -1)
-    sup = np.abs(block).max(axis=0)
-    semi = _column_semis(block, sup, alpha, pairs)
+    rows = np.ascontiguousarray(values.reshape(values.shape[0], -1).T)
+    sup = np.abs(rows).max(axis=1)
+    semi = _column_semis(rows, sup, alpha, pairs)
     norms = sup, semi / pairs.grid.R**alpha, sup + 2.0**alpha * semi
     if values.ndim == 2:
         return norms
@@ -95,29 +101,41 @@ _FLOOR_PAIRS = 4096
 _GATHER = 1.5
 
 
-def _quotient_bounds(values: np.ndarray, alpha: float,
+def _quotient_bounds(rows: np.ndarray, alpha: float,
                      pairs: PairSet) -> np.ndarray:
-    """(buckets, k) bounds on |v(x) - v(y)| / |x - y|^alpha over each bucket.
+    """(k, buckets) bounds on |v(x) - v(y)| / |x - y|^alpha over each
+    bucket, one row per row v of rows (k, N).
 
     With x in cube A and y in cube B, fl(v(x) - v(y)) lies between
     -fl(max_B v - min_A v) and fl(max_A v - min_B v), since rounded
     subtraction is monotone; a division by the bucket's least dist_pow (at
     R = 1) only grows the quotient.  So every pair's float quotient is at most
     its bucket's bound, with no slack.
+
+    Every step runs along the rows: the rows are gathered cube by cube and
+    reduced to (k, cubes) maxima and minima; one take of the maxima over
+    the bucket ends [cube_a, cube_b] less one take of the minima over
+    [cube_b, cube_a] gives both spans of every bucket side by side, and the
+    larger half, over the least dist_pow, is the bound.  The same float
+    operations as ``oracle.quotient_bounds_reference``, so bitwise its
+    bounds, transposed.
     """
     buckets = pairs.buckets
-    by_cube = values.take(buckets.node_order, axis=0)
-    top = np.maximum.reduceat(by_cube, buckets.cube_start, axis=0)
-    low = np.minimum.reduceat(by_cube, buckets.cube_start, axis=0)
-    a, b = buckets.cube_a, buckets.cube_b
-    span = np.maximum(top[a] - low[b], top[b] - low[a])
-    span /= pairs.unit.bucket_min_dist_pow(alpha)[:, None]
-    return span
+    ends, swapped = buckets.ends()
+    by_cube = rows.take(buckets.node_order, axis=1)
+    top = np.maximum.reduceat(by_cube, buckets.cube_start, axis=1)
+    low = np.minimum.reduceat(by_cube, buckets.cube_start, axis=1)
+    span = top.take(ends, axis=1)
+    span -= low.take(swapped, axis=1)
+    count = buckets.cube_a.shape[0]
+    bound = np.maximum(span[:, :count], span[:, count:])
+    bound /= pairs.unit.bucket_min_dist_pow(alpha)
+    return bound
 
 
-def _bucket_scan(values: np.ndarray, alpha: float, pairs: PairSet,
+def _bucket_scan(rows: np.ndarray, alpha: float, pairs: PairSet,
                  chosen: np.ndarray) -> np.ndarray:
-    """Per-column max of the quotient over the pairs of the chosen buckets,
+    """Per-row max of the quotient over the pairs of the chosen buckets,
     each a contiguous range of the stored pairs."""
     indptr = pairs.buckets.indptr
     start = indptr[chosen]
@@ -128,7 +146,7 @@ def _bucket_scan(values: np.ndarray, alpha: float, pairs: PairSet,
     first, second = pairs.first.take(at), pairs.second.take(at)
     dist_pow = pairs.unit.dist_pow(alpha).take(at)
     del at
-    return _column_max_quotients(values, first, second, dist_pow)
+    return _column_max_quotients(rows, first, second, dist_pow)
 
 
 def _pruned_max(bound: np.ndarray, scan, pairs: PairSet, k: int):
@@ -153,9 +171,10 @@ def _pruned_max(bound: np.ndarray, scan, pairs: PairSet, k: int):
     return max(best, scan(rest)) if rest.size else best
 
 
-def _column_semis(values: np.ndarray, sup: np.ndarray, alpha: float,
+def _column_semis(rows: np.ndarray, sup: np.ndarray, alpha: float,
                   pairs: PairSet) -> np.ndarray:
-    """The max pair quotient of each column of values (N, k), at R = 1.
+    """The max pair quotient of each column of the caller's values, given
+    as the rows (k, N), at R = 1; sup holds each row's max |v|.
 
     Each finite column of a set over 2 * _FLOOR_PAIRS pairs is pruned on
     its own (:func:`_pruned_max` with its own quotient bounds and floor).
@@ -163,20 +182,20 @@ def _column_semis(values: np.ndarray, sup: np.ndarray, alpha: float,
     small sets and columns whose surviving buckets hold too much of the
     set for pruning to pay take the full scan.
     """
-    semi = np.empty(values.shape[1])
-    full = np.ones(values.shape[1], dtype=bool)
+    semi = np.empty(rows.shape[0])
+    full = np.ones(rows.shape[0], dtype=bool)
     if pairs.size > 2 * _FLOOR_PAIRS:
         cols = np.flatnonzero(np.isfinite(sup))
-        bounds = _quotient_bounds(values[:, cols], alpha, pairs)
-        for col, bound in zip(cols, bounds.T):
-            column = values[:, col:col + 1]
+        bounds = _quotient_bounds(rows[cols], alpha, pairs)
+        for col, bound in zip(cols, bounds):
+            row = rows[col:col + 1]
             best = _pruned_max(bound, lambda chosen: _bucket_scan(
-                column, alpha, pairs, chosen)[0], pairs, 1)
+                row, alpha, pairs, chosen)[0], pairs, 1)
             if best is not None:
                 semi[col], full[col] = best, False
     if full.any():
         with np.errstate(invalid="ignore"):
-            semi[full] = _column_max_quotients(values[:, full],
+            semi[full] = _column_max_quotients(rows[full],
                                                *pairs.take_ids(),
                                                pairs.unit.dist_pow(alpha))
     return semi
@@ -189,9 +208,9 @@ def weighted_norm_bounds(values: np.ndarray, alpha: float,
     largest bucket bound of :func:`_quotient_bounds`.  Rounding is
     monotone, so each bound is >= the column's weighted norm from
     :func:`weighted_norm_values`, with no slack."""
-    sup = np.abs(values).max(axis=0)
-    return sup + 2.0**alpha * _quotient_bounds(values, alpha,
-                                                pairs).max(axis=0)
+    rows = np.ascontiguousarray(values.T)
+    sup = np.abs(rows).max(axis=1)
+    return sup + 2.0**alpha * _quotient_bounds(rows, alpha, pairs).max(axis=1)
 
 
 def max_weighted_norm(values: np.ndarray, alpha: float,
@@ -212,17 +231,22 @@ def max_weighted_norm(values: np.ndarray, alpha: float,
         raise ValueError(f"values shape {values.shape} is not (node count "
                          f"{pairs.grid.node_count}, k)")
     c = 2.0**alpha
-    sup = np.abs(values).max(axis=0)
+    rows = np.ascontiguousarray(values.T)
+    sup = np.abs(rows).max(axis=1)
     # Small sets, and non-finite values (inf - inf makes NaN quotients
     # that no bound sees), take the full scan.
     if pairs.size > 2 * _FLOOR_PAIRS and np.isfinite(sup).all():
-        bound = (sup + c * _quotient_bounds(values, alpha, pairs)).max(axis=1)
+        bound = _quotient_bounds(rows, alpha, pairs)
+        bound *= c
+        bound += sup[:, None]
+        # rebound, so the (k, buckets) block is freed before the scans
+        bound = bound.max(axis=0)
         best = _pruned_max(bound, lambda chosen: (sup + c * _bucket_scan(
-            values, alpha, pairs, chosen)).max(), pairs, values.shape[1])
+            rows, alpha, pairs, chosen)).max(), pairs, rows.shape[0])
         if best is not None:
             return float(best)
     with np.errstate(invalid="ignore"):
-        semi = _column_max_quotients(values, *pairs.take_ids(),
+        semi = _column_max_quotients(rows, *pairs.take_ids(),
                                      pairs.unit.dist_pow(alpha))
     return float((sup + c * semi).max())
 

@@ -25,6 +25,13 @@ jet norms of every zero-jet probe through ``probes.with_zero_jet``, with
 ``holder.max_weighted_norm``: it checks which norms the lemma suite's
 bounded block leaves unmeasured and the columns it takes from the probe
 jets, not the norm scan.
+``quotient_bounds_reference``, ``christoffel_reference`` and
+``poisson_form_reference`` compute along the short axes what the fast
+paths compute along the long ones: the bucket bounds as (buckets, k)
+gathers, the conformal connection as a broadcast of the identity, and the
+Poisson-form transforms as two small matrix products per point.  The
+bounds and the connection are held to them bitwise; the transforms to
+rounding, and bitwise where P = I.
 """
 
 from __future__ import annotations
@@ -425,3 +432,60 @@ def run_attempt_reference(system, pairs, seed_vals, gamma: float, config):
         increment_norms=increments, ratios=ratios, escape_norm=escape_norm,
     )
     return outcome, state, f_norm, record
+
+
+def quotient_bounds_reference(values, alpha: float, pairs) -> np.ndarray:
+    """(buckets, k) bounds on the pair quotients of each column of values
+    (N, k), from (cubes, k) maxima and minima gathered by fancy indexing
+    at each bucket's two cubes.  It reads the pair set's buckets and least
+    distances.  The reference for ``holder._quotient_bounds``, which
+    returns the same bounds as (k, buckets) rows."""
+    buckets = pairs.buckets
+    by_cube = np.asarray(values, dtype=np.float64).take(buckets.node_order,
+                                                        axis=0)
+    top = np.maximum.reduceat(by_cube, buckets.cube_start, axis=0)
+    low = np.minimum.reduceat(by_cube, buckets.cube_start, axis=0)
+    a, b = buckets.cube_a, buckets.cube_b
+    span = np.maximum(top[a] - low[b], top[b] - low[a])
+    span /= pairs.unit.bucket_min_dist_pow(alpha)[:, None]
+    return span
+
+
+def christoffel_reference(sign: float, p) -> np.ndarray:
+    """Connection G[..., a, b, c] = d_ab s_c + d_ac s_b - d_bc s_a of the
+    metric (2 / (1 + sign |u|^2))^2 I at chart points p (..., m), with
+    s = -sign 2 u / (1 + sign |u|^2), as a broadcast of the identity
+    against s.  No chart check.  The reference for the connection of the
+    sphere and hyperbolic targets in ``systems``."""
+    p = np.asarray(p, dtype=np.float64)
+    eye = np.eye(p.shape[-1])
+    r2 = np.einsum("...i,...i->...", p, p)
+    s = -sign * 2.0 * p / (1.0 + sign * r2)[..., None]
+    return (eye[:, :, None] * s[..., None, None, :]
+            + eye[:, None, :] * s[..., None, :, None]
+            - eye[None, :, :] * s[..., :, None, None])
+
+
+def poisson_form_reference(system, form, x, p, q) -> tuple:
+    """(psi, b) of the Poisson form ``form = reduce.diagonalize(system)``
+    at the points x (..., n), p (..., m), q (..., m, n), one point at a
+    time: the gradients q @ P and the deviation P @ (A0 - a) @ P.T as
+    matrix products of the point's own (m, n) and (n, n) arrays, with A0
+    the symmetrized coefficients at the zero jet.  The reference for the
+    batched transforms of ``diagonalize``."""
+    n, m = system.n, system.m
+    P, P_inv = form.P, form.P_inv
+    A0 = np.asarray(system.a(np.zeros(n), np.zeros(m), np.zeros((m, n))),
+                    dtype=np.float64)
+    A0 = 0.5 * (A0 + A0.T)
+    x, p, q = (np.asarray(v, dtype=np.float64) for v in (x, p, q))
+    batch = np.broadcast_shapes(x.shape[:-1], p.shape[:-1], q.shape[:-2])
+    x = np.broadcast_to(x, batch + (n,))
+    p = np.broadcast_to(p, batch + (m,))
+    q = np.broadcast_to(q, batch + (m, n))
+    psi, b = np.empty(batch + (m,)), np.empty(batch + (n, n))
+    for idx in np.ndindex(batch):
+        y, grad = x[idx] @ P_inv.T, q[idx] @ P
+        psi[idx] = system.phi(y, p[idx], grad)
+        b[idx] = P @ (A0 - system.a(y, p[idx], grad)) @ P.T
+    return psi, b

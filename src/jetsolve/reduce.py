@@ -155,6 +155,13 @@ def diagonalize(system: SystemDef) -> PoissonSystem:
     transform contravariantly, so the oracles receive q P where q is the
     gradient in the new coordinates.  Shift with shift_jet first when the
     expansion point is not the zero jet.
+
+    Both transforms are one GEMM over every point of a batch, whatever its
+    shape (() included): q P is the (..., m, n) gradients as rows
+    (... * m, n) times P, and b = P (A0 - a) P^T is the deviations as rows
+    (..., n * n) times kron(P, P)^T, since (P D P^T)_ij = sum_kl P_ik P_jl
+    D_kl.  The Kronecker product is built once here.
+    ``oracle.poisson_form_reference`` computes both point by point.
     """
     n, m = system.n, system.m
     z_x, z_p, z_q = np.zeros(n), np.zeros(m), np.zeros((m, n))
@@ -170,13 +177,20 @@ def diagonalize(system: SystemDef) -> PoissonSystem:
         )
     P = evecs @ np.diag(evals**-0.5) @ evecs.T
     P_inv = evecs @ np.diag(evals**0.5) @ evecs.T
+    kron_T = np.kron(P, P).T
+
+    def gradients(q):
+        q = np.asarray(q, dtype=np.float64)
+        return (q.reshape(-1, n) @ P).reshape(q.shape)
 
     def psi(x, p, q):
-        return np.asarray(system.phi(x @ P_inv.T, p, q @ P), dtype=np.float64)
+        return np.asarray(system.phi(x @ P_inv.T, p, gradients(q)),
+                          dtype=np.float64)
 
     def b(x, p, q):
-        dev = A0 - np.asarray(system.a(x @ P_inv.T, p, q @ P), dtype=np.float64)
-        return P @ dev @ P.T
+        dev = A0 - np.asarray(system.a(x @ P_inv.T, p, gradients(q)),
+                              dtype=np.float64)
+        return (dev.reshape(-1, n * n) @ kron_T).reshape(dev.shape)
 
     return PoissonSystem(
         n=n, m=m, psi=psi, b=b, P=P, P_inv=P_inv,

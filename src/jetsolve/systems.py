@@ -7,6 +7,7 @@ config files) to builders so new systems plug in without touching the solver.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -51,7 +52,10 @@ def _conformal_target(name: str, m: int, sign: float,
 
         G[a, b, c] = d_ab s_c + d_ac s_b - d_bc s_a,   s = grad log lam,
 
-    and grad log lam = -sign * 2 u / (1 + sign * |u|^2).
+    and grad log lam = -sign * 2 u / (1 + sign * |u|^2).  Each entry is
+    built along the batch axis as that sum of the three Kronecker terms,
+    each s_c or 0 * s_c: bitwise the broadcast form
+    ``oracle.christoffel_reference``, signed zeros included.
     """
     eye = np.eye(m)
 
@@ -69,9 +73,14 @@ def _conformal_target(name: str, m: int, sign: float,
     def christoffel(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
         s = -sign * 2.0 * p / (1.0 + sign * _norm_sq(p))[..., None]
-        return (eye[:, :, None] * s[..., None, None, :]
-                + eye[:, None, :] * s[..., None, :, None]
-                - eye[None, :, :] * s[..., :, None, None])
+        # terms[d][c] is d * s_c, for d = 0 and 1, along the batch axes
+        terms = (np.moveaxis(0.0 * s, -1, 0), np.moveaxis(s, -1, 0))
+        out = np.empty(s.shape + (m, m))
+        for a, b, c in itertools.product(range(m), repeat=3):
+            entry = out[..., a, b, c]
+            np.add(terms[a == b][c], terms[a == c][b], out=entry)
+            entry -= terms[b == c][a]
+        return out
 
     def metric(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)

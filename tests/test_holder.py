@@ -26,6 +26,7 @@ from jetsolve.holder import (_quotient_bounds, banach_algebra_holds,
                              taylor_remainder_holds, taylor_work,
                              weighted_norm_bounds)
 from jetsolve.oracle import (max_weighted_norm_reference,
+                             quotient_bounds_reference,
                              taylor_remainder_ratio_reference)
 from jetsolve.probes import coordinate_probe
 
@@ -590,11 +591,39 @@ def test_pair_buckets_hold_their_invariants(n, res, seed):
         assert np.all(dist_pow >= least[bucket])
         assert np.all(np.minimum.reduceat(dist_pow, buckets.indptr[:-1])
                       == least)
-        # every pair's float quotient is within its bucket's bound
-        bound = _quotient_bounds(values, alpha, pairs)
+        # every pair's float quotient is within its bucket's bound, one
+        # row of bounds per column
+        bound = _quotient_bounds(np.ascontiguousarray(values.T), alpha, pairs)
+        assert bound.shape == (values.shape[1], buckets.cube_a.size)
         quotient = (np.abs(values[pairs.first] - values[pairs.second])
                     / dist_pow[:, None])
-        assert np.all(quotient <= bound[bucket])
+        assert np.all(quotient.T <= bound[:, bucket])
+
+
+@pytest.mark.parametrize("n,res", [(2, 33), (3, 21)])
+def test_quotient_bounds_are_the_reference_rows(n, res):
+    # the (k, buckets) rows are bitwise the (buckets, k) reference bounds,
+    # transposed, for every column count the engine meets: one field, the
+    # 2D solver norm (3 columns), the 3D one (12) and a Banach row block
+    # (253), with NaN and inf among the values
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=3)
+    rng = np.random.default_rng(res)
+    for k in (1, 3, 12, 253):
+        values = np.stack([_column(_KINDS[j % len(_KINDS)], grid, rng)
+                           for j in range(k)], axis=1)
+        if k > 1:
+            values[rng.integers(grid.node_count, size=3), 0] = np.nan
+            values[rng.integers(grid.node_count, size=3), -1] = np.inf
+            values[rng.integers(grid.node_count, size=3), -1] = -np.inf
+        rows = np.ascontiguousarray(values.T)
+        with np.errstate(invalid="ignore"):
+            got = _quotient_bounds(rows, 0.5, pairs)
+            want = quotient_bounds_reference(values, 0.5, pairs)
+        assert got.shape == (k, pairs.buckets.cube_a.size)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(
+            want.T).tobytes()
+        assert np.isnan(got).any() == (k > 1)
 
 
 @pytest.mark.parametrize("n,res,seed", [(2, 33, 0), (3, 21, 0)])
@@ -732,7 +761,8 @@ def test_max_weighted_norm_scans_buckets_just_above_the_floor(monkeypatch):
     # floor scan, and those bounding above the floor less than half the set
     c = 2.0**alpha
     sup = np.abs(values).max(axis=0)
-    bound = (sup + c * _quotient_bounds(values, alpha, pairs)).max(axis=1)
+    bound = (sup[:, None] + c * _quotient_bounds(
+        np.ascontiguousarray(values.T), alpha, pairs)).max(axis=0)
     size = np.diff(pairs.buckets.indptr)
     assert size[bound > want].sum() > 4096
     assert size[bound > floor].sum() < pairs.size / 2
@@ -773,7 +803,7 @@ def test_weighted_norm_values_scans_buckets_just_above_a_column_floor(
     assert floor < want < floor * (1 + 1e-3)
     # the setting: the buckets bounding above the answer hold more than the
     # floor scan, and those bounding above the floor a small share
-    bound = _quotient_bounds(column[:, None], alpha, pairs)[:, 0]
+    bound = _quotient_bounds(column[None, :], alpha, pairs)[0]
     size = np.diff(pairs.buckets.indptr)
     assert size[bound > want].sum() > 4096
     assert size[bound > floor].sum() < pairs.size / 10

@@ -17,7 +17,9 @@ from jetsolve import (
     minimal_surface_system,
     poisson_system,
     shift_jet,
+    sphere_stereographic_target,
 )
+from jetsolve.oracle import poisson_form_reference
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,85 @@ def test_poisson_diagonalization_is_trivial():
     np.testing.assert_allclose(ps.P, np.eye(3), atol=1e-14)
     np.testing.assert_allclose(ps.psi(np.zeros(3), np.zeros(1),
                                       np.zeros((1, 3))), [2.0], atol=1e-14)
+
+
+def _points(rng, batch, n, m):
+    """Oracle arguments of batch shape batch, with +0 and -0 entries."""
+    x = rng.normal(size=batch + (n,)) * 0.3
+    p = rng.normal(size=batch + (m,)) * 0.1
+    q = rng.normal(size=batch + (m, n)) * 0.3
+    x.flat[::3] = 0.0
+    p.flat[::4] = -0.0
+    q.flat[::5] = 0.0
+    q.flat[1::5] = -0.0
+    return x, p, q
+
+
+_BATCHES = [(), (41,), (5, 7)]
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@pytest.mark.parametrize("make", [
+    # the benchmark systems: the 2D minimal surface at the zero jet, the
+    # sphere and hyperbolic harmonic maps with a jet (identity coefficients)
+    lambda: minimal_surface_system(2, q_bound=2.5),
+    lambda: minimal_surface_system(3),
+    lambda: shift_jet(harmonic_map_system(3, sphere_stereographic_target(2)),
+                      JetSpec(np.zeros(2), [[0.3, 0.0, 0.0], [0.0, 0.1, 0.0]])),
+    lambda: shift_jet(harmonic_map_system(2, hyperbolic_disk_target(2)),
+                      JetSpec([0.1, 0.0], [[0.3, 0.0], [0.0, 0.3]])),
+])
+def test_poisson_form_is_its_reference_bitwise_at_the_identity(make, batch):
+    # P = I: every GEMM entry is one product by 1 among products by 0, so
+    # psi and b are the point-by-point products bit for bit
+    system = make()
+    form = diagonalize(system)
+    assert form.P.tobytes() == np.eye(system.n).tobytes()
+    x, p, q = _points(np.random.default_rng(len(batch)), batch, system.n,
+                      system.m)
+    psi, b = poisson_form_reference(system, form, x, p, q)
+    got_psi, got_b = form.psi(x, p, q), form.b(x, p, q)
+    assert got_psi.shape == psi.shape == batch + (system.m,)
+    assert got_b.shape == b.shape == batch + (system.n, system.n)
+    assert got_psi.tobytes() == psi.tobytes()
+    assert got_b.tobytes() == b.tobytes()
+
+
+def _spd_system(n, m, seed):
+    """A random SPD A0 = a(0, 0, 0), with coefficients and right sides
+    that depend on x, p and q."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(n, n))
+    A0 = G @ G.T + 0.2 * np.eye(n)
+    S = rng.normal(size=(n, n))
+    S = S + S.T
+    K = rng.normal(size=(m, n))
+
+    def a(x, p, q):
+        w = (np.einsum("...ij,...ij->...", q, q) + p.sum(axis=-1)
+             + x[..., 0] * x[..., -1])
+        return A0 + w[..., None, None] * S
+
+    def phi(x, p, q):
+        return np.sin(np.einsum("...ij,ij->...i", q, K)) + p * x[..., :1]
+
+    return SystemDef(n=n, m=m, a=a, phi=phi, lam=0.01, name="spd")
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@pytest.mark.parametrize("n,m,seed", [(2, 1, 0), (2, 2, 1), (3, 1, 2),
+                                      (3, 2, 3)])
+def test_poisson_form_matches_its_reference_for_random_spd(n, m, seed,
+                                                           batch):
+    system = _spd_system(n, m, seed)
+    form = diagonalize(system)
+    assert not np.array_equal(form.P, np.eye(n))
+    x, p, q = _points(np.random.default_rng(seed), batch, n, m)
+    psi, b = poisson_form_reference(system, form, x, p, q)
+    for got, want in ((form.psi(x, p, q), psi), (form.b(x, p, q), b)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------

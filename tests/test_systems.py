@@ -15,6 +15,7 @@ from jetsolve import (
     prescribed_mean_curvature_system,
     sphere_stereographic_target,
 )
+from jetsolve.oracle import christoffel_reference
 from jetsolve.systems import real_array
 
 
@@ -86,6 +87,37 @@ def test_chart_guard_raises_outside():
         hyp.christoffel(np.array([1.0, 0.2]))
     with pytest.raises(ValueError):
         hyp.metric(np.array([0.8, 0.8]))
+
+
+@pytest.mark.parametrize("batch", [(), (4169,), (13, 17)])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("make,sign", [(sphere_stereographic_target, +1.0),
+                                       (hyperbolic_disk_target, -1.0)])
+def test_christoffel_is_the_broadcast_form_bitwise(make, sign, m, batch,
+                                                   rng):
+    # built entry by entry along the batch axis, with the same sums as the
+    # broadcast of the identity: equal bytes, signed zeros included
+    target = make(m)
+    p = rng.uniform(-0.5, 0.5, size=batch + (m,))
+    p.flat[::3] = 0.0
+    p.flat[1::5] = -0.0
+    got = target.christoffel(p)
+    want = christoffel_reference(sign, p)
+    assert got.shape == want.shape == batch + (m, m, m)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make,point,message", [
+    (hyperbolic_disk_target, [1.0, 0.2],
+     "chart point |u| = 1.0198 outside the hyperbolic chart of radius 1.0"),
+    (sphere_stereographic_target, [[0.0, 0.0], [6.0, -8.5]],
+     "chart point |u| = 10.4043 outside the sphere chart of radius 10.0"),
+])
+def test_chart_error_names_the_worst_point(make, point, message):
+    with pytest.raises(ValueError) as info:
+        make(2).christoffel(np.array(point))
+    assert str(info.value) == message
 
 
 def test_metric_positive_definite_in_chart(rng):
