@@ -13,7 +13,6 @@ from .grid import (BallGrid, LatticeBall, PairSet, build_grid, build_pair_set,
                    fd_values, multi_indices)
 from .holder import taylor_remainder_ratio, weighted_norm_values
 from .kobayashi import KobayashiQuery, estimate
-from .oracle import uniform_ball_potential
 from .picard import (AttemptRecord, HarmonicPolynomial, IterateEscaped,
                      NoConvergence, OracleFailure, SolveConfig, SolveFailure,
                      SolveReport, choose_norm_radius,
@@ -22,7 +21,8 @@ from .picard import (AttemptRecord, HarmonicPolynomial, IterateEscaped,
                      source_term)
 from .potential import (KernelSpec, PotentialField,
                         check_potential_norm_bound, laplacian_consistency,
-                        newtonian_potential, potential_hessian, quad_weights)
+                        newtonian_potential, potential_hessian, quad_weights,
+                        uniform_ball_potential)
 from .probes import (Probe, constant_probe, lemma_battery, polynomial,
                      potential_probes, with_zero_jet)
 from .reduce import (ChartError, EllipticityError, JetSpec, PoissonSystem,

@@ -33,7 +33,7 @@ from .picard import (HarmonicPolynomial, OracleFailure, SolveConfig,
                      SolveFailure, solve_system)
 from .reduce import ChartError, EllipticityError, JetSpec
 from .systems import (SYSTEM_REGISTRY, TARGET_REGISTRY, build_system,
-                      integral_value, real_array, real_value)
+                      integral_value, real_array)
 from .verify import run_lemma_suite
 
 EXIT_OK = 0
@@ -101,21 +101,21 @@ def _merge_flags(file_cfg: dict, args: argparse.Namespace,
     return merged
 
 
-def _coerce(cfg: dict, key: str, caster):
+def _coerce(cfg: dict, key: str):
+    """cfg[key] as an int, or None where it is unset."""
     if key not in cfg or cfg[key] is None:
         return None
     try:
-        return (integral_value if caster is int else real_value)(cfg[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+        return integral_value(cfg[key])
+    except ValueError as exc:
         raise ConfigError(f"field {key!r}: cannot interpret {cfg[key]!r} "
-                          f"as {caster.__name__}") from exc
+                          "as int") from exc
 
 
 def _build_solve_config(cfg: dict) -> SolveConfig:
-    kwargs = {}
-    for key, caster in _SOLVER_KEYS.items():
-        if key in cfg and cfg[key] is not None:
-            kwargs[key] = _coerce(cfg, key, caster)
+    # SolveConfig reads each number and names the field it rejects
+    kwargs = {key: cfg[key] for key in _SOLVER_KEYS
+              if cfg.get(key) is not None}
     if "harmonic_seed" in cfg and cfg["harmonic_seed"] is not None:
         kwargs["harmonic_seed"] = _parse_seed(cfg["harmonic_seed"])
     try:
@@ -260,7 +260,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _reject_unknown(cfg, set(_SOLVER_KEYS) | {
         "system", "n", "m", "jet", "harmonic_seed", "report", "field"})
 
-    n = _coerce(cfg, "n", int)
+    n = _coerce(cfg, "n")
     if n not in (2, 3):
         raise ConfigError(f"field 'n': must be 2 or 3, got {cfg.get('n')!r}")
     name, params, system = _parse_system(cfg, n)
@@ -384,7 +384,7 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
         tname, tdim = raw_target, 2
     elif isinstance(raw_target, dict) and "name" in raw_target:
         tname = raw_target["name"]
-        tdim = _coerce(raw_target, "dim", int)
+        tdim = _coerce(raw_target, "dim")
         tdim = 2 if tdim is None else tdim
         if tdim < 1:
             raise ConfigError(f"field 'dim': must be >= 1, got {tdim}")
@@ -403,8 +403,7 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
         raise ConfigError("field 'solver': expected an object of solver keys")
     _reject_unknown(solver_cfg, set(_SOLVER_KEYS), where="solver")
     base = _build_solve_config(solver_cfg)
-    schedule = {key: _coerce(cfg, key, caster)
-                for key, caster in _SCHEDULE_KEYS.items()
+    schedule = {key: cfg[key] for key in _SCHEDULE_KEYS
                 if cfg.get(key) is not None}
     try:
         query = KobayashiQuery(

@@ -54,6 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .systems import integral_value
+
 # The most pairs a pair set holds: a grid with more node pairs gets a
 # seeded sample of this many.
 PAIR_CAP = 200_000
@@ -756,8 +758,15 @@ def build_pair_set(grid: BallGrid, seed: int = 0) -> PairSet:
     once per lattice ball and shared by the sets of every grid on it, for
     as long as the ball lives; a set computes nothing per radius.  A
     ValueError when the cap cannot hold the forced pairs (3D grids above
-    about 100k nodes).
+    about 100k nodes), or when seed is not an integral value >= 0, whether
+    or not the set reads it.
     """
+    try:
+        seed = integral_value(seed)
+    except ValueError as exc:
+        raise ValueError(f"seed: {exc}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     N, cap = grid.node_count, PAIR_CAP
     if cap < 2 * N:
         raise ValueError(f"pair cap {cap} too small for {N} nodes")

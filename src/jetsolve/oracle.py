@@ -1,13 +1,14 @@
 """Independent reference computations used to certify the main operators.
 
-The finite-difference reference rebuilds its own neighbor table from raw
-coordinates, and the closed forms below were derived by hand and are
-re-checked symbolically in the test suite.  Some references share pieces
-of the code they check, on purpose, because each certifies one step and
-not the pieces under it: ``potential_reference`` takes ``quad_weights``
-from the potential module, because it checks the FFT convolution of that
-module and its rescaling from R = 1, not its quadrature rule (the
-closed-form ``uniform_ball_potential`` checks the rule);
+Only the tests import this module; no library module does, so
+``import jetsolve`` does not load it.  The finite-difference reference
+rebuilds its own neighbor table from raw coordinates.  Some references
+share pieces of the code they check, on purpose, because each certifies
+one step and not the pieces under it: ``potential_reference`` takes
+``quad_weights`` from the potential module, because it checks the FFT
+convolution of that module and its rescaling from R = 1, not its
+quadrature rule (the closed-form ``potential.uniform_ball_potential``
+checks the rule);
 ``taylor_remainder_ratio_reference`` takes the probe's exact derivatives,
 and ``run_attempt_reference`` takes the sweep and the norm of ``picard``,
 because they check the pair scan and the norm schedule.
@@ -50,28 +51,6 @@ from .potential import KernelSpec, PotentialField, quad_weights
 from .probes import with_zero_jet
 
 _BLOCK_BYTES = 4e7
-
-
-def uniform_ball_potential(n: int, R: float, x):
-    """Newtonian potential of f = 1 on B_R, evaluated at the points x.
-
-    x is one point (n,), giving a float, or a batch (..., n), giving an
-    array (...).  Closed forms (u solves laplace(u) = -1, radially
-    symmetric, with the additive constant fixed by integrating the
-    fundamental solution over B_R at the origin):
-
-        n = 3:  u(x) = R^2/2 - |x|^2/6
-        n = 2:  u(x) = R^2 (1 - 2 ln R)/4 - |x|^2/4
-    """
-    x = np.asarray(x, dtype=np.float64)
-    r2 = np.einsum("...i,...i->...", x, x)
-    if n == 3:
-        u = R * R / 2.0 - r2 / 6.0
-    elif n == 2:
-        u = R * R * (1.0 - 2.0 * math.log(R)) / 4.0 - r2 / 4.0
-    else:
-        raise ValueError(f"n must be 2 or 3, got {n}")
-    return float(u) if x.ndim == 1 else u
 
 
 def fd_values_reference(grid: BallGrid, vals, beta) -> np.ndarray:

@@ -65,6 +65,28 @@ class KernelSpec:
         return r * r / (2.0 * (self.n - 2))
 
 
+def uniform_ball_potential(n: int, R: float, x):
+    """Newtonian potential of f = 1 on B_R, evaluated at the points x.
+
+    x is one point (n,), giving a float, or a batch (..., n), giving an
+    array (...).  Closed forms (u solves laplace(u) = -1, radially
+    symmetric, with the additive constant fixed by integrating the
+    fundamental solution over B_R at the origin):
+
+        n = 3:  u(x) = R^2/2 - |x|^2/6
+        n = 2:  u(x) = R^2 (1 - 2 ln R)/4 - |x|^2/4
+    """
+    x = np.asarray(x, dtype=np.float64)
+    r2 = np.einsum("...i,...i->...", x, x)
+    if n == 3:
+        u = R * R / 2.0 - r2 / 6.0
+    elif n == 2:
+        u = R * R * (1.0 - 2.0 * math.log(R)) / 4.0 - r2 / 4.0
+    else:
+        raise ValueError(f"n must be 2 or 3, got {n}")
+    return float(u) if x.ndim == 1 else u
+
+
 @dataclass(eq=False)
 class PotentialField:
     """Potential of a source, with its Hessian when one was asked for."""

@@ -2,8 +2,9 @@
 
 Each entry returns a JSON-friendly block with pass/fail, the battery size,
 and the measured constants (worst observed ratios), so a report records
-not just that an inequality held but how much slack it had.  Each quantity
-is measured once; the verdict and the reported ratio both come from it.
+not just that an inequality held but how much slack it had.  Within a
+block each quantity is measured once; the verdict and the reported ratio
+both come from it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from .holder import (_within, banach_algebra_holds, comparison_base,
                      max_weighted_norm, norm_comparison_holds, probe_jet,
                      taylor_remainder_holds, taylor_remainder_ratio,
                      taylor_work, weighted_norm_bounds, weighted_norm_values)
-from .oracle import uniform_ball_potential
 from .potential import (check_potential_norm_bound, laplacian_consistency,
-                        potential_hessian)
+                        potential_hessian, uniform_ball_potential)
 from .probes import constant_probe, lemma_battery
 
 # The closed-form and Laplacian blocks run on their own grid of this
@@ -29,9 +29,9 @@ def run_lemma_suite(n: int = 2, R: float = 1.0, res: int = 17,
                     alpha: float = 0.5, seed: int = 0) -> dict:
     """Run all lemma checks; returns {'lemmas': [...], 'all_passed': bool}.
 
-    Each quantity is measured at most once, and a block's verdicts and
-    reported worst ratios come from that one measurement (eps = 1e-12,
-    B = 3 n R).
+    Within a block each quantity is measured at most once, and the block's
+    verdicts and reported worst ratios come from that one measurement
+    (eps = 1e-12, B = 3 n R).
     Each probe's exact values of order 0, 1 and 2 are evaluated once, and
     its Hessian entries' weighted norms measured once (holder.probe_jet),
     for the first three blocks:
@@ -48,13 +48,16 @@ def run_lemma_suite(n: int = 2, R: float = 1.0, res: int = 17,
       its 1-jet at the origin, whose columns are the jet's values and
       gradients less that 1-jet, and whose order 2 is the largest Hessian
       norm; passes if order_l <= B^(2-l) order_2 (1 + eps) + eps for
-      l = 0, 1.  As in banach_algebra, a norm whose bucket bound passes
-      its test and gives a ratio below the worst of its order measured so
-      far is not measured.  A zero-jet field whose value or gradient at
-      the origin node is not zero raises ValueError.
+      l = 0, 1.  As in banach_algebra, and through the same loop
+      (_bounded_norms), a norm whose bucket bound passes its test and
+      gives a ratio below the worst of its order measured so far is not
+      measured.  A zero-jet field whose value or gradient at the origin
+      node is not zero raises ValueError.
     * potential_closed_form and laplacian_consistency: one potential pass,
       with its Hessian, of the constant source on a res-17 grid.
-    * potential_norm_bound: one stacked Hessian pass of up to six probes.
+    * potential_norm_bound: one stacked Hessian pass of up to six probes,
+      through check_potential_norm_bound, which evaluates those probes and
+      measures their weighted norms again.
 
     As "measured", banach_algebra reports how many products it measured
     and norm_comparison how many zero-jet norms.
@@ -121,37 +124,21 @@ def _banach_block(battery, pairs, alpha, fields) -> dict:
             raise ValueError("field values must be finite")
         cols.extend((i, j) for j in range(i, len(names)))
         bounds.extend(weighted_norm_bounds(products, alpha, pairs).tolist())
-    # Products are measured from the largest bound on the ratio
-    # ||fg|| / (||f|| ||g||) down.  One whose bound passes the verdict and
-    # gives a ratio below the worst measured so far can be neither a
-    # violation nor the worst, so it is not measured.
     denoms = [norms[i] * norms[j] for i, j in cols]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        order = np.argsort(-(np.array(bounds) / denoms), kind="stable")
-    measured = {}
-    best = 0.0
-    for k in order.tolist():
-        (i, j), ub, denom = cols[k], bounds[k], denoms[k]
-        if (denom > 0 and ub / denom < best
-                and banach_algebra_holds(norms[i], norms[j], ub)):
-            continue
-        measured[k] = weighted_norm_values(fields[:, i] * fields[:, j],
-                                           alpha, pairs)[2]
-        if denom > 0:
-            best = max(best, measured[k] / denom)
-    worst = 0.0
-    worst_pair = None
-    violations = []
-    # in (i, j) order, as a scan of every product gives them
-    for k in sorted(measured):
-        (i, j), nfg = cols[k], measured[k]
+    values, measured = _bounded_norms(
+        bounds, denoms,
+        lambda k, ub: banach_algebra_holds(norms[cols[k][0]],
+                                           norms[cols[k][1]], ub),
+        lambda k: weighted_norm_values(
+            fields[:, cols[k][0]] * fields[:, cols[k][1]], alpha, pairs)[2])
+    worst, worst_pair, violations = 0.0, None, []
+    # a product keeps its bound only where that passes the verdict with a
+    # ratio below the worst, so this loop gives what the norms would give
+    for (i, j), nfg, denom in zip(cols, values, denoms):
         if not banach_algebra_holds(norms[i], norms[j], nfg):
             violations.append([names[i], names[j]])
-        denom = denoms[k]
-        if denom > 0:
-            ratio = nfg / denom
-            if ratio > worst:
-                worst, worst_pair = ratio, [names[i], names[j]]
+        if denom > 0 and nfg / denom > worst:
+            worst, worst_pair = nfg / denom, [names[i], names[j]]
     return {
         "name": "banach_algebra",
         "statement": "||fg|| <= ||f|| ||g|| for the weighted Hoelder norm",
@@ -160,7 +147,7 @@ def _banach_block(battery, pairs, alpha, fields) -> dict:
         "violations": violations,
         "worst_ratio": worst,
         "worst_pair": worst_pair,
-        "measured": len(measured),
+        "measured": measured,
     }
 
 
@@ -175,9 +162,14 @@ def _comparison_block(battery, jets, pairs, alpha) -> dict:
     tops = [float(jet.hess_norms[2].max()) for jet in jets]
     norms, measured = [], 0
     for order, scale in ((0, base**2), (1, base)):
-        found, count = _bounded_norms([cols[order] for cols in columns],
-                                      [scale * top for top in tops], alpha,
+        fields = [cols[order] for cols in columns]
+        bounds = weighted_norm_bounds(np.concatenate(fields, axis=1), alpha,
                                       pairs)
+        denoms = [scale * top for top in tops]
+        found, count = _bounded_norms(
+            bounds.reshape(len(fields), -1).max(axis=1).tolist(), denoms,
+            lambda p, ub: _within(ub, denoms[p]),
+            lambda p: max_weighted_norm(fields[p], alpha, pairs))
         norms.append(found)
         measured += count
     worst0 = worst1 = 0.0
@@ -203,33 +195,29 @@ def _comparison_block(battery, jets, pairs, alpha) -> dict:
     }
 
 
-def _bounded_norms(fields, denoms, alpha, pairs) -> tuple[list, int]:
-    """The jet norms of one order, max_weighted_norm(fields[p]) of each
-    probe p, or a bound on it where that can stand in; and how many were
-    measured.
+def _bounded_norms(bounds, denoms, holds, measure) -> tuple[list, int]:
+    """Each entry's norm, or its bound where that can stand in; and how
+    many were measured.
 
-    Each norm is bounded from the cube maxima and minima
-    (:func:`holder.weighted_norm_bounds`), and the probes are measured from
-    the largest bound on the ratio norm / denoms[p] down.  A probe whose
-    bound passes the verdict and gives a ratio below the worst measured so
-    far can be neither a violation nor the worst, and keeps its bound.  A
-    ratio counts only where denoms[p] > 0.
+    The entries are measured from the largest bound on the ratio
+    norm / denoms[p] down.  An entry whose bound passes holds(p, bound) and
+    gives a ratio below the worst measured so far can be neither a
+    violation nor the worst, and keeps its bound; every other entry takes
+    measure(p).  A ratio counts only where denoms[p] > 0.
     """
-    bounds = weighted_norm_bounds(np.concatenate(fields, axis=1), alpha,
-                                  pairs)
-    norms = bounds.reshape(len(fields), -1).max(axis=1).tolist()
+    values = list(bounds)
     with np.errstate(divide="ignore", invalid="ignore"):
-        order = np.argsort(-(np.array(norms) / denoms), kind="stable")
+        order = np.argsort(-(np.array(values) / denoms), kind="stable")
     best, count = 0.0, 0
     for p in order.tolist():
-        ub, denom = norms[p], denoms[p]
-        if denom > 0 and ub / denom < best and _within(ub, denom):
+        ub, denom = values[p], denoms[p]
+        if denom > 0 and ub / denom < best and holds(p, ub):
             continue
-        norms[p] = max_weighted_norm(fields[p], alpha, pairs)
+        values[p] = measure(p)
         count += 1
         if denom > 0:
-            best = max(best, norms[p] / denom)
-    return norms, count
+            best = max(best, values[p] / denom)
+    return values, count
 
 
 def _zero_jet_columns(probe, jet, grid) -> tuple[np.ndarray, np.ndarray]:

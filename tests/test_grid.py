@@ -516,6 +516,19 @@ def test_pair_set_deterministic(monkeypatch):
     np.testing.assert_array_equal(a.second, b.second)
 
 
+@pytest.mark.parametrize("res,complete", [(9, True), (33, False)])
+def test_pair_set_checks_its_seed_whether_or_not_it_reads_it(res, complete):
+    # res 9 gets every pair and reads no seed, res 33 a seeded sample; both
+    # take an integral seed >= 0 only, and the error names it
+    grid = build_grid(2, 1.0, res)
+    for seed in (-1, "x", "3", True, 2.5, None):
+        with pytest.raises(ValueError, match="seed"):
+            build_pair_set(grid, seed=seed)
+    ps = build_pair_set(grid, seed=np.int64(3))
+    assert ps.complete is complete
+    assert build_pair_set(grid, seed=3.0).size == ps.size
+
+
 @pytest.mark.parametrize("n,R,res,seed", [(2, 1.0, 21, 0), (2, 3.0, 33, 5),
                                           (3, 0.375, 13, 2), (3, 1.0, 21, 7)])
 def test_pair_set_matches_row_gather(n, R, res, seed):

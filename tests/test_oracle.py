@@ -1,10 +1,14 @@
 """Independent oracles: closed forms and enumeration."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jetsolve
 from jetsolve import build_grid, uniform_ball_potential
 from jetsolve.oracle import ball_lattice_count
 
@@ -79,3 +83,18 @@ def test_lattice_count_monotone_in_resolution():
     counts = [ball_lattice_count(2, 1.0, r) for r in (5, 9, 13, 17, 21)]
     assert counts == sorted(counts)
     assert counts[0] >= 5
+
+
+def test_import_loads_no_reference():
+    # no library module imports this one; the closed form the lemma suite
+    # checks the potential against lives in potential and is still exported
+    code = ("import sys, jetsolve; "
+            "assert 'jetsolve.oracle' not in sys.modules, sorted(sys.modules); "
+            "assert 'uniform_ball_potential' in jetsolve.__all__; "
+            "assert jetsolve.uniform_ball_potential(2, 1.0, [0.0, 0.0]) "
+            "== 0.25")
+    src = os.path.dirname(os.path.dirname(jetsolve.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,10 +46,21 @@ def test_blocks_carry_worst_case_diagnostics(suite):
 def test_report_gives_drawn_and_distinct_pair_counts(res, drawn):
     # pairs is the number drawn, as the README defines the sample;
     # distinct_pairs the number scanned, fewer once a sample drops repeats
-    grid = run_lemma_suite(n=2, R=1.0, res=res, alpha=0.5, seed=0)["grid"]
+    suite = run_lemma_suite(n=2, R=1.0, res=res, alpha=0.5, seed=0)
+    grid = suite["grid"]
     assert grid["pairs"] == drawn
     if res == 33:
+        # and the counts the README quotes for this grid, with the measured
+        # norms of the 253 products and of the 44 zero-jet norms
+        blocks = {b["name"]: b for b in suite["lemmas"]}
+        assert suite["battery_size"] == 22
         assert grid["distinct_pairs"] == 148_469
+        assert blocks["banach_algebra"]["measured"] == 105
+        assert blocks["norm_comparison"]["measured"] == 11
+        readme = " ".join((Path(__file__).resolve().parents[1]
+                           / "README.md").read_text(encoding="utf-8").split())
+        for quoted in ("148,469", "105 of the 253", "11 of the 44"):
+            assert quoted in readme, quoted
     else:
         assert grid["distinct_pairs"] == drawn
 
@@ -56,6 +68,13 @@ def test_report_gives_drawn_and_distinct_pair_counts(res, drawn):
 def test_suite_3d_smoke():
     suite = run_lemma_suite(n=3, R=0.5, res=9, alpha=0.5, seed=0)
     assert suite["all_passed"] is True
+
+
+@pytest.mark.parametrize("res", [9, 33])
+def test_suite_rejects_a_negative_seed_on_any_grid(res):
+    # res 9 reads no seed, as its pair set is complete; it is checked anyway
+    with pytest.raises(ValueError, match="seed"):
+        run_lemma_suite(n=2, R=1.0, res=res, alpha=0.5, seed=-1)
 
 
 # ---------------------------------------------------------------------------
