@@ -11,19 +11,24 @@ every reported value is reproducible from (grid, seed).
 The quotients divide by the distances at R = 1 (|x - y| / R is R-free),
 so (2R)^a H_a[f] is 2^a times their max, and H_a[f] that max over R^a.
 
-Every seminorm comes from a pruned scan of the pair set: pairs are stored
-in buckets by the lattice cubes of their nodes, each bucket is bounded from
-the cube maxima and minima, and only the buckets that can hold the max are
-scanned.  :func:`weighted_norm_values` prunes each field (column) on its
-own; :func:`max_weighted_norm`, the max over several fields (the jet norms,
-the solver norm, the potential's probe numerators), prunes them with one
-shared floor.  Either value is bitwise that of the full scan.
+Every seminorm comes from one pruned max, :func:`_max_norm`: pairs are
+stored in buckets by the lattice cubes of their nodes, each bucket is
+bounded from the cube maxima and minima, a floor is scanned from the
+buckets of largest bound, and then only the buckets that can beat it.
+It serves two floors.  :func:`weighted_norm_values` calls it once per
+field (column), with that column's own bounds and floor;
+:func:`max_weighted_norm`, the max over several fields (the jet norms,
+the solver norm, the potential's probe numerators), calls it once, with
+the bounds on sup + 2^a * quotient and one floor shared by the columns.
+Either value is bitwise that of the full scan, which :func:`_max_norm`
+falls back to where pruning cannot see or does not pay.
 
-The fields arrive as the columns of an (N, k) array and are copied once
-into k contiguous rows (k, N); the bounds, the bucket scans and the full
-scan all read that one copy.  The bounds run along the long axes: the cube
-maxima and minima are (k, cubes) rows, and the bounds (k, buckets) rows,
-one per field.
+The fields arrive as the columns of an (N, k) array and are read as k
+contiguous rows (k, N), copied once by :func:`_rows`, the one input
+path, unless they already are the transpose of such rows; the bounds
+and the one pair scan, :func:`_scan`, read those rows.  The bounds run
+along the long axes: the cube maxima and minima are (k, cubes) rows,
+and the bounds (k, buckets) rows, one per field.
 """
 
 from __future__ import annotations
@@ -38,54 +43,75 @@ from .probes import Probe
 _EPS = 1e-12
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-
-
-def _max_quotient(values: np.ndarray, first: np.ndarray, second: np.ndarray,
-                  dist_pow: np.ndarray) -> float:
-    """max |v(first) - v(second)| / dist_pow over the given pairs."""
-    # One pair-length buffer: pair indices are in range, and mode="clip"
-    # skips the scratch copy that take's default mode makes.
-    quotient = values.take(first, mode="clip")
-    quotient -= values.take(second, mode="clip")
-    np.abs(quotient, out=quotient)
-    quotient /= dist_pow
-    return quotient.max()
-
-
-def _column_max_quotients(rows: np.ndarray, first: np.ndarray,
-                          second: np.ndarray,
-                          dist_pow: np.ndarray) -> np.ndarray:
-    """:func:`_max_quotient` of each column of the caller's values, given
-    as the contiguous rows (k, N), scanned one row at a time: a gather of
-    (N, k) rows costs about three times more per pair and column."""
-    return np.array([_max_quotient(row, first, second, dist_pow)
-                     for row in rows])
-
-
 def weighted_norm_values(values: np.ndarray, alpha: float,
                          pairs: PairSet) -> tuple:
     """(sup, seminorm, weighted) of raw node values.
 
     values has shape (N,), giving three floats, or (N, k), giving three
     (k,) arrays, one entry per column.  Each column's seminorm is the max
-    quotient of a pruned pair scan (:func:`_column_semis`), bitwise that
+    quotient of its own pruned pair scan (:func:`_max_norm`), bitwise that
     of the full scan, NaN and inf propagating as in ``ndarray.max``.
     """
-    _check_alpha(alpha)
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[:1] != (pairs.grid.node_count,) or values.ndim > 2:
-        raise ValueError(f"values shape {values.shape} does not match node "
-                         f"count {pairs.grid.node_count}")
-    rows = np.ascontiguousarray(values.reshape(values.shape[0], -1).T)
-    sup = np.abs(rows).max(axis=1)
-    semi = _column_semis(rows, sup, alpha, pairs)
+    rows, sup = _rows(values, alpha, pairs, (1, 2))
+    cols = np.flatnonzero(_prunable(sup, pairs))
+    bounds = dict(zip(cols.tolist(), _quotient_bounds(rows[cols], alpha, pairs)
+                      if cols.size else ()))
+    # 0.0 + 1.0 * q is q for every float q: each max is the column's quotient
+    semi = np.array([_max_norm(rows[c:c + 1], 0.0, 1.0, alpha, pairs,
+                               bounds.get(c)) for c in range(rows.shape[0])])
     norms = sup, semi / pairs.grid.R**alpha, sup + 2.0**alpha * semi
-    if values.ndim == 2:
+    if np.ndim(values) == 2:
         return norms
     return tuple(float(x[0]) for x in norms)
+
+
+def weighted_norm_bounds(values: np.ndarray, alpha: float,
+                         pairs: PairSet) -> np.ndarray:
+    """An upper bound on the weighted norm of each column of finite values
+    (N, k), from the cube maxima and minima alone: sup + 2^alpha * the
+    largest bucket bound of :func:`_quotient_bounds`.  Rounding is
+    monotone, so each bound is >= the column's weighted norm from
+    :func:`weighted_norm_values`, with no slack."""
+    rows, sup = _rows(values, alpha, pairs, (2,))
+    return sup + 2.0**alpha * _quotient_bounds(rows, alpha, pairs).max(axis=1)
+
+
+def max_weighted_norm(values: np.ndarray, alpha: float,
+                      pairs: PairSet) -> float:
+    """The largest weighted norm over the columns of values (N, k).
+
+    Bitwise the max over columns of :func:`weighted_norm_values`, NaN and
+    inf propagating as in ``ndarray.max``, from a pruned pair scan with one
+    floor shared by the columns.  Each column's norm is sup + c * (its
+    largest pair quotient at R = 1), with c = 2^alpha, which is monotone
+    in the quotient; so each bucket of pairs is bounded by sup + c * (its
+    quotient bound), and :func:`_max_norm` scans only the buckets that can
+    hold the max.
+    """
+    rows, sup = _rows(values, alpha, pairs, (2,))
+    c, bound = 2.0**alpha, None
+    if _prunable(sup, pairs).all():
+        bound = _quotient_bounds(rows, alpha, pairs)
+        bound *= c
+        bound += sup[:, None]
+        # rebound, so the (k, buckets) block is freed before the scans
+        bound = bound.max(axis=0)
+    return float(_max_norm(rows, sup, c, alpha, pairs, bound))
+
+
+def _rows(values, alpha: float, pairs: PairSet,
+          ndims: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The one input path: values (N,) or (N, k), of one of the ndims, as
+    k contiguous float64 rows (k, N), copied unless values is their
+    transpose (as IterateState.order2 is), and each row's max |v|."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[:1] != (pairs.grid.node_count,) or values.ndim not in ndims:
+        raise ValueError(f"values shape {values.shape} does not fit node "
+                         f"count {pairs.grid.node_count}")
+    rows = np.ascontiguousarray(values.reshape(values.shape[0], -1).T)
+    return rows, np.abs(rows).max(axis=1)
 
 
 # A pruned scan takes its floor from the buckets of largest bound, enough of
@@ -99,6 +125,13 @@ _FLOOR_PAIRS = 4096
 # buckets hold at most k / (k + _GATHER) of the set: 40% for one column,
 # 67% for three, 89% for twelve.
 _GATHER = 1.5
+
+
+def _prunable(sup: np.ndarray, pairs: PairSet) -> np.ndarray:
+    """Which rows, by their sup, a bucket bound can prune: finite ones
+    (inf - inf makes NaN quotients that no bound sees), on sets over
+    2 * _FLOOR_PAIRS pairs; the others take the full scan."""
+    return np.isfinite(sup) & (pairs.size > 2 * _FLOOR_PAIRS)
 
 
 def _quotient_bounds(rows: np.ndarray, alpha: float,
@@ -133,122 +166,68 @@ def _quotient_bounds(rows: np.ndarray, alpha: float,
     return bound
 
 
-def _bucket_scan(rows: np.ndarray, alpha: float, pairs: PairSet,
-                 chosen: np.ndarray) -> np.ndarray:
-    """Per-row max of the quotient over the pairs of the chosen buckets,
-    each a contiguous range of the stored pairs."""
-    indptr = pairs.buckets.indptr
-    start = indptr[chosen]
-    size = indptr[chosen + 1] - start
-    # the stored positions of every chosen pair, bucket after bucket
-    at = np.repeat(start - (np.cumsum(size) - size), size)
-    at += np.arange(at.shape[0])
-    first, second = pairs.first.take(at), pairs.second.take(at)
-    dist_pow = pairs.unit.dist_pow(alpha).take(at)
-    del at
-    return _column_max_quotients(rows, first, second, dist_pow)
+def _scan(rows: np.ndarray, alpha: float, pairs: PairSet,
+          chosen: np.ndarray | None = None) -> np.ndarray:
+    """The max of |v(first) - v(second)| / dist_pow at R = 1 for each row v
+    of rows (k, N): over every stored pair in stored order, or over the
+    pairs of the chosen buckets, each a contiguous range of the stored
+    pairs.  One row at a time: a gather of (N, k) rows costs about three
+    times more per pair and column."""
+    dist_pow = pairs.unit.dist_pow(alpha)
+    if chosen is None:
+        first, second = pairs.take_ids()
+    else:
+        indptr = pairs.buckets.indptr
+        start = indptr[chosen]
+        size = indptr[chosen + 1] - start
+        # the stored positions of every chosen pair, bucket after bucket
+        at = np.repeat(start - (np.cumsum(size) - size), size)
+        at += np.arange(at.shape[0])
+        first, second = pairs.first.take(at), pairs.second.take(at)
+        dist_pow = dist_pow.take(at)
+        del at
+    best = np.empty(rows.shape[0])
+    for r, row in enumerate(rows):
+        # One pair-length buffer: pair indices are in range, and
+        # mode="clip" skips the scratch copy that take's default mode makes.
+        quotient = row.take(first, mode="clip")
+        quotient -= row.take(second, mode="clip")
+        np.abs(quotient, out=quotient)
+        quotient /= dist_pow
+        best[r] = quotient.max()
+    return best
 
 
-def _pruned_max(bound: np.ndarray, scan, pairs: PairSet, k: int):
-    """The max of scan(chosen buckets) over every bucket, or None when
-    pruning would not pay for k columns.
+def _max_norm(rows: np.ndarray, offset, scale: float, alpha: float,
+              pairs: PairSet, bound: np.ndarray | None):
+    """The max over the rows r of rows (k, N) and the stored pairs of
+    offset[r] + scale * (the pair's quotient at R = 1): the one pruned max
+    behind every weighted norm.
 
-    bound bounds, per bucket, every value scan can give for its pairs.
-    The buckets of largest bound, enough of them to hold _FLOOR_PAIRS
-    pairs, are scanned first for an exact floor, then only the buckets
-    whose bound is not <= that floor.  A skipped bucket cannot beat the
-    floor, so the result is the float of a scan of every bucket.
+    bound, when given, bounds that value over each bucket (buckets,).  The
+    buckets of largest bound, enough of them to hold _FLOOR_PAIRS pairs,
+    are scanned first for an exact floor, then only the buckets whose bound
+    is not <= that floor.  A skipped bucket cannot beat the floor, so the
+    result is the float of a scan of every bucket.  Without a bound, or
+    when the surviving buckets hold too much of the set for their gather
+    to pay for k rows, every pair is scanned in stored order.
     """
-    size = np.diff(pairs.buckets.indptr)
-    rank = np.argsort(bound)[::-1]
-    top = rank[:np.searchsorted(np.cumsum(size[rank]), _FLOOR_PAIRS) + 1]
-    best = scan(top)
-    live = ~(bound <= best)
-    live[top] = False
-    rest = np.flatnonzero(live)
-    if size[rest].sum() * (k + _GATHER) > pairs.size * k:
-        return None
-    return max(best, scan(rest)) if rest.size else best
+    def scan(chosen=None):
+        return (offset + scale * _scan(rows, alpha, pairs, chosen)).max()
 
-
-def _column_semis(rows: np.ndarray, sup: np.ndarray, alpha: float,
-                  pairs: PairSet) -> np.ndarray:
-    """The max pair quotient of each column of the caller's values, given
-    as the rows (k, N), at R = 1; sup holds each row's max |v|.
-
-    Each finite column of a set over 2 * _FLOOR_PAIRS pairs is pruned on
-    its own (:func:`_pruned_max` with its own quotient bounds and floor).
-    Non-finite columns (inf - inf makes NaN quotients that no bound sees),
-    small sets and columns whose surviving buckets hold too much of the
-    set for pruning to pay take the full scan.
-    """
-    semi = np.empty(rows.shape[0])
-    full = np.ones(rows.shape[0], dtype=bool)
-    if pairs.size > 2 * _FLOOR_PAIRS:
-        cols = np.flatnonzero(np.isfinite(sup))
-        bounds = _quotient_bounds(rows[cols], alpha, pairs)
-        for col, bound in zip(cols, bounds):
-            row = rows[col:col + 1]
-            best = _pruned_max(bound, lambda chosen: _bucket_scan(
-                row, alpha, pairs, chosen)[0], pairs, 1)
-            if best is not None:
-                semi[col], full[col] = best, False
-    if full.any():
-        with np.errstate(invalid="ignore"):
-            semi[full] = _column_max_quotients(rows[full],
-                                               *pairs.take_ids(),
-                                               pairs.unit.dist_pow(alpha))
-    return semi
-
-
-def weighted_norm_bounds(values: np.ndarray, alpha: float,
-                         pairs: PairSet) -> np.ndarray:
-    """An upper bound on the weighted norm of each column of finite values
-    (N, k), from the cube maxima and minima alone: sup + 2^alpha * the
-    largest bucket bound of :func:`_quotient_bounds`.  Rounding is
-    monotone, so each bound is >= the column's weighted norm from
-    :func:`weighted_norm_values`, with no slack."""
-    rows = np.ascontiguousarray(values.T)
-    sup = np.abs(rows).max(axis=1)
-    return sup + 2.0**alpha * _quotient_bounds(rows, alpha, pairs).max(axis=1)
-
-
-def max_weighted_norm(values: np.ndarray, alpha: float,
-                      pairs: PairSet) -> float:
-    """The largest weighted norm over the columns of values (N, k).
-
-    Bitwise the max over columns of :func:`weighted_norm_values`, NaN and
-    inf propagating as in ``ndarray.max``, from a pruned pair scan with one
-    floor shared by the columns.  Each column's norm is sup + c * (its
-    largest pair quotient at R = 1), with c = 2^alpha, which is monotone
-    in the quotient; so each bucket of pairs is bounded by sup + c * (its
-    quotient bound), and :func:`_pruned_max` scans only the buckets that
-    can hold the max.
-    """
-    _check_alpha(alpha)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != pairs.grid.node_count:
-        raise ValueError(f"values shape {values.shape} is not (node count "
-                         f"{pairs.grid.node_count}, k)")
-    c = 2.0**alpha
-    rows = np.ascontiguousarray(values.T)
-    sup = np.abs(rows).max(axis=1)
-    # Small sets, and non-finite values (inf - inf makes NaN quotients
-    # that no bound sees), take the full scan.
-    if pairs.size > 2 * _FLOOR_PAIRS and np.isfinite(sup).all():
-        bound = _quotient_bounds(rows, alpha, pairs)
-        bound *= c
-        bound += sup[:, None]
-        # rebound, so the (k, buckets) block is freed before the scans
-        bound = bound.max(axis=0)
-        best = _pruned_max(bound, lambda chosen: (sup + c * _bucket_scan(
-            rows, alpha, pairs, chosen)).max(), pairs, rows.shape[0])
-        if best is not None:
-            return float(best)
+    if bound is not None:
+        k, size = rows.shape[0], np.diff(pairs.buckets.indptr)
+        rank = np.argsort(bound)[::-1]
+        top = rank[:np.searchsorted(np.cumsum(size[rank]), _FLOOR_PAIRS) + 1]
+        best = scan(top)
+        live = ~(bound <= best)
+        live[top] = False
+        rest = np.flatnonzero(live)
+        if size[rest].sum() * (k + _GATHER) <= pairs.size * k:
+            return max(best, scan(rest)) if rest.size else best
+    # inf - inf makes the NaN quotients that a bound never sees
     with np.errstate(invalid="ignore"):
-        semi = _column_max_quotients(rows, *pairs.take_ids(),
-                                     pairs.unit.dist_pow(alpha))
-    return float((sup + c * semi).max())
+        return scan()
 
 
 @dataclass(frozen=True)

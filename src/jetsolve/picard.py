@@ -226,7 +226,9 @@ class IterateState:
 
     order2 holds the second derivatives again as the columns the solver
     norm reads: column b m + k is multi-index b of multi_indices(n, 2) of
-    component k.
+    component k.  It is the transpose of contiguous rows (k, N), one per
+    column, which the Hölder engine reads without a copy, and so is a
+    difference of two iterates' order2.
     """
 
     grid: BallGrid
@@ -256,7 +258,8 @@ def make_state(grid: BallGrid, values: np.ndarray) -> IterateState:
         i, j = [d for d, k in enumerate(beta) for _ in range(k)]
         hess[:, :, i, j] = hess[:, :, j, i] = deriv
     return IterateState(grid=grid, values=vals, grad=grad, hess=hess,
-                        order2=np.concatenate(derivs[n:], axis=1))
+                        order2=derivs[n:].transpose(0, 2, 1)
+                        .reshape(-1, big_n).T)
 
 
 def _zero_state(grid: BallGrid, m: int) -> IterateState:
@@ -266,7 +269,7 @@ def _zero_state(grid: BallGrid, m: int) -> IterateState:
     return IterateState(grid=grid, values=np.zeros((big_n, m)),
                         grad=np.zeros((big_n, m, n)),
                         hess=np.zeros((big_n, m, n, n)),
-                        order2=np.zeros((big_n, m * n * (n + 1) // 2)))
+                        order2=np.zeros((m * n * (n + 1) // 2, big_n)).T)
 
 
 # ---------------------------------------------------------------------------

@@ -295,18 +295,23 @@ def check_potential_norm_bound(probes, alpha: float,
     potential as a map into the order-2 space; probes with vanishing norm are
     skipped.  The remaining probes go through one stacked Hessian pass.
     """
-    grid = pairs.grid
-    names = [probe.name for probe in probes]
-    columns = [probe.values(grid) for probe in probes]
-    dens = weighted_norm_values(np.stack(columns, axis=1), alpha, pairs)[2]
-    keep = np.flatnonzero(~(dens < 1e-14))
+    fields = np.stack([probe.values(pairs.grid) for probe in probes], axis=1)
+    return _norm_ratios([probe.name for probe in probes], fields,
+                        weighted_norm_values(fields, alpha, pairs)[2], alpha,
+                        pairs)
+
+
+def _norm_ratios(names, fields: np.ndarray, norms: np.ndarray, alpha: float,
+                 pairs: PairSet) -> dict[str, float]:
+    """:func:`check_potential_norm_bound` of the sources named names, from
+    their values (N, p) and their weighted norms (p,), already measured."""
+    keep = np.flatnonzero(~(norms < 1e-14))
     if not keep.size:
         raise ValueError("all probes had vanishing norm")
-    hess = potential_hessian(np.stack([columns[k] for k in keep], axis=1),
-                             grid).hess
+    hess = potential_hessian(fields[:, keep], pairs.grid).hess
     ratios = {}
-    upper = np.triu_indices(grid.n)
+    upper = np.triu_indices(pairs.grid.n)
     for col, k in enumerate(keep):
         num = max_weighted_norm(hess[:, upper[0], upper[1], col], alpha, pairs)
-        ratios[names[k]] = num / float(dens[k])
+        ratios[names[k]] = num / float(norms[k])
     return ratios

@@ -16,7 +16,7 @@ from .holder import (_within, banach_algebra_holds, comparison_base,
                      max_weighted_norm, norm_comparison_holds, probe_jet,
                      taylor_remainder_holds, taylor_remainder_ratio,
                      taylor_work, weighted_norm_bounds, weighted_norm_values)
-from .potential import (check_potential_norm_bound, laplacian_consistency,
+from .potential import (_norm_ratios, laplacian_consistency,
                         potential_hessian, uniform_ball_potential)
 from .probes import constant_probe, lemma_battery
 
@@ -56,8 +56,8 @@ def run_lemma_suite(n: int = 2, R: float = 1.0, res: int = 17,
     * potential_closed_form and laplacian_consistency: one potential pass,
       with its Hessian, of the constant source on a res-17 grid.
     * potential_norm_bound: one stacked Hessian pass of up to six probes,
-      through check_potential_norm_bound, which evaluates those probes and
-      measures their weighted norms again.
+      the ratios of potential.check_potential_norm_bound, whose sources'
+      values and weighted norms are those of the banach_algebra block.
 
     As "measured", banach_algebra reports how many products it measured
     and norm_comparison how many zero-jet norms.
@@ -66,17 +66,20 @@ def run_lemma_suite(n: int = 2, R: float = 1.0, res: int = 17,
     pairs = build_pair_set(grid, seed=seed)
     battery = lemma_battery(n)
     jets = [probe_jet(probe, alpha, pairs) for probe in battery]
+    # the battery's values and weighted norms, for banach_algebra and
+    # potential_norm_bound
+    fields = np.stack([jet.values for jet in jets], axis=1)
+    norms = weighted_norm_values(fields, alpha, pairs)[2]
     potential_grid = build_grid(n, R, _POTENTIAL_RES)
     constant = constant_probe(n).values(potential_grid)
     pot = potential_hessian(constant, potential_grid)
     blocks = [
         _taylor_block(battery, jets, pairs, alpha),
-        _banach_block(battery, pairs, alpha,
-                      np.stack([jet.values for jet in jets], axis=1)),
+        _banach_block(battery, pairs, alpha, fields, norms),
         _comparison_block(battery, jets, pairs, alpha),
         _closed_form_block(pot),
         _laplacian_block(pot, constant),
-        _amplification_block(battery, pairs, alpha),
+        _amplification_block(battery, pairs, alpha, fields, norms),
     ]
     return {
         "lemmas": blocks,
@@ -111,10 +114,11 @@ def _taylor_block(battery, jets, pairs, alpha) -> dict:
     }
 
 
-def _banach_block(battery, pairs, alpha, fields) -> dict:
-    """The Banach-algebra block; fields are the battery's values (N, B)."""
+def _banach_block(battery, pairs, alpha, fields, norms) -> dict:
+    """The Banach-algebra block; fields are the battery's values (N, B),
+    and norms their weighted norms (B,)."""
     names = [p.name for p in battery]
-    norms = weighted_norm_values(fields, alpha, pairs)[2].tolist()
+    norms = norms.tolist()
     # a bucket bound on the norm of every product f_i f_j, i <= j, one row
     # block of products at a time
     cols, bounds = [], []
@@ -274,8 +278,10 @@ def _laplacian_block(pot, source, tol: float = 0.05) -> dict:
     }
 
 
-def _amplification_block(battery, pairs, alpha, cap: float = 10.0) -> dict:
-    ratios = check_potential_norm_bound(battery[:6], alpha, pairs)
+def _amplification_block(battery, pairs, alpha, fields, norms,
+                         cap: float = 10.0) -> dict:
+    ratios = _norm_ratios([p.name for p in battery[:6]], fields[:, :6],
+                          norms[:6], alpha, pairs)
     max_ratio = max(ratios.values())
     return {
         "name": "potential_norm_bound",

@@ -46,7 +46,7 @@ import jetsolve.oracle as oracle_module
 import jetsolve.picard as picard_module
 import jetsolve.potential as potential_module
 from jetsolve.grid import fd_values, multi_indices
-from jetsolve.holder import max_weighted_norm
+from jetsolve.holder import _rows, max_weighted_norm
 from jetsolve.oracle import (max_weighted_norm_reference,
                              run_attempt_reference, source_term_reference)
 from jetsolve.picard import (GAMMA0_FLOOR, _origin_jet_polynomial,
@@ -191,6 +191,24 @@ def test_solver_norm_is_order_two_jet_norm(n, res, m, rng):
     assert norm.hex() == max_weighted_norm(hessian, 0.4, pairs).hex()
     expected = max_weighted_norm_reference(hessian, 0.4, pairs)
     assert abs(norm - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("n,res,m", [(2, 33, 1), (2, 33, 3), (3, 13, 2)])
+def test_order2_reaches_the_engine_without_a_copy(n, res, m, rng):
+    # order2 is the transpose of contiguous rows (k, N), which the Hoelder
+    # engine reads in place; so are the zero state's and a difference of
+    # two iterates'.  The solver norm is bitwise that of a C-ordered copy.
+    grid = build_grid(n, 1.0, res)
+    pairs = build_pair_set(grid, seed=1)
+    a, b = (make_state(grid, rng.normal(size=(grid.node_count, m)))
+            for _ in range(2))
+    for order2 in (a.order2, b.order2 - a.order2,
+                   _zero_state(grid, m).order2):
+        assert order2.T.flags.c_contiguous
+        rows = _rows(order2, 0.4, pairs, (2,))[0]
+        assert np.shares_memory(rows, order2)
+        want = solver_norm(np.ascontiguousarray(order2), 0.4, pairs)
+        assert solver_norm(order2, 0.4, pairs).hex() == want.hex()
 
 
 def _per_beta(grid, vals, beta):

@@ -208,14 +208,14 @@ def test_each_quantity_measured_once(monkeypatch, size):
     # one numerator per probe
     comparison = blocks["norm_comparison"]["measured"]
     assert counts["holder.max_weighted_norm"] == comparison + min(B, 6)
-    # the Banach block: the B fields, then one column per product it
-    # measures, at most one per product; then the potential block's sources
+    # the B fields once, which the Banach and potential blocks share; then
+    # one column per product the Banach block measures, at most one per
+    # product; the potential block measures no source norm again
     assert columns[B] == B
-    products = columns[B + 1:-1]
+    products = columns[B + 1:]
     assert set(products) == {1}
     assert len(products) == blocks["banach_algebra"]["measured"]
     assert len(products) <= B * (B + 1) // 2
-    assert columns[-1] == min(B, 6)
     # one pass of the constant source, one stacked pass of the norm probes
     assert counts["potential._apply_potential"] == 2
     if B == 22:
@@ -223,6 +223,20 @@ def test_each_quantity_measured_once(monkeypatch, size):
         # zero-jet norms unmeasured
         assert len(products) < 253 // 2
         assert comparison < 2 * B
+
+
+@pytest.mark.parametrize("n,res,seed", [(2, 17, 1), (3, 9, 0)])
+def test_potential_block_is_the_public_check(n, res, seed):
+    # the suite's potential block takes the battery's values and norms from
+    # the suite; its ratio is bitwise that of check_potential_norm_bound,
+    # which evaluates and measures its probes itself
+    suite = run_lemma_suite(n=n, R=1.0, res=res, alpha=0.5, seed=seed)
+    block = {b["name"]: b for b in suite["lemmas"]}["potential_norm_bound"]
+    pairs = build_pair_set(build_grid(n, 1.0, res), seed=seed)
+    ratios = potential.check_potential_norm_bound(lemma_battery(n)[:6], 0.5,
+                                                  pairs)
+    assert block["max_ratio"].hex() == max(ratios.values()).hex()
+    assert block["n_probes"] == len(ratios)
 
 
 # ---------------------------------------------------------------------------
