@@ -71,7 +71,7 @@ def main(argv=None) -> int:
           f"gradient {report.jet_gradient:.2e}")
     print("\nattempts:")
     print(f"  {'R':>8} {'gamma':>12} {'iters':>5} {'outcome':>16} "
-          f"{'C[R,gamma]':>11}  first ratios")
+          f"{'max |b|':>11}  first ratios")
     for a in report.attempts:
         ratios = ", ".join(f"{r:.2f}" for r in a.ratios[:5])
         dev = "--" if a.deviation_sup is None else f"{a.deviation_sup:.6f}"

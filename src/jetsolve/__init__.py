@@ -3,8 +3,8 @@
 The package discretizes the closed ball, computes weighted Hoelder norms
 and Newtonian potentials on it, reduces quasi-linear systems to a zero-jet
 Poisson form, and runs an adaptive fixed-point iteration whose byproducts
-(norm amplification constants, contraction ratios, coefficient-deviation
-estimates) are all measured and reported rather than assumed.  A small
+(norm amplification constants, contraction ratios, coefficient deviations
+over the nodes) are all measured and reported rather than assumed.  A small
 search on top of the harmonic-map machinery yields upper bounds for a
 Riemannian analogue of the Kobayashi metric.
 """

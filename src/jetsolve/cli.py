@@ -42,7 +42,7 @@ EXIT_CONFIG_ERROR = 3
 EXIT_ORACLE_FAILURE = 4
 
 # version of the report.json layout, bumped when the layout changes
-REPORT_SCHEMA = 6
+REPORT_SCHEMA = 7
 
 _SOLVER_KEYS = {
     "R0": float, "R_min": float, "res": int, "alpha": float, "tol": float,
@@ -112,24 +112,26 @@ def _coerce(cfg: dict, key: str):
                           "as int") from exc
 
 
-def _build_solve_config(cfg: dict) -> SolveConfig:
-    # SolveConfig reads each number and names the field it rejects
+def _build_solve_config(cfg: dict, m: int, n: int) -> SolveConfig:
+    # SolveConfig reads each number and names the field it rejects; the
+    # seed needs one component per m and exponents of length n
     kwargs = {key: cfg[key] for key in _SOLVER_KEYS
               if cfg.get(key) is not None}
     if "harmonic_seed" in cfg and cfg["harmonic_seed"] is not None:
-        kwargs["harmonic_seed"] = _parse_seed(cfg["harmonic_seed"])
+        kwargs["harmonic_seed"] = _parse_seed(cfg["harmonic_seed"], m, n)
     try:
         return SolveConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_seed(raw) -> list[HarmonicPolynomial]:
-    """Per-component seed: [[ [[e1..en], coeff], ... ], ...], each
-    component's pairs read by HarmonicPolynomial itself."""
-    if not isinstance(raw, list):
+def _parse_seed(raw, m: int, n: int) -> list[HarmonicPolynomial]:
+    """Per-component seed: [[ [[e1..en], coeff], ... ], ...], one entry for
+    each of the m components, whose pairs HarmonicPolynomial reads itself
+    and whose exponents have length n."""
+    if not isinstance(raw, list) or len(raw) != m:
         raise ConfigError("field 'harmonic_seed': expected a list with one "
-                          "entry per solution component")
+                          f"entry per solution component ({m})")
     polys = []
     for k, comp in enumerate(raw):
         if comp is None or comp == []:
@@ -140,6 +142,9 @@ def _parse_seed(raw) -> list[HarmonicPolynomial]:
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"field 'harmonic_seed[{k}]': {exc}") from exc
+        if polys[-1].dimension != n:
+            raise ConfigError(f"field 'harmonic_seed[{k}]': exponents of "
+                              f"length {polys[-1].dimension}, expected {n}")
     return polys
 
 
@@ -265,7 +270,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ConfigError(f"field 'n': must be 2 or 3, got {cfg.get('n')!r}")
     name, params, system = _parse_system(cfg, n)
     jet = _parse_jet(cfg.get("jet"), system.m, n)
-    solve_cfg = _build_solve_config(cfg)
+    solve_cfg = _build_solve_config(cfg, system.m, n)
     report_path = str(cfg.get("report", "report.json"))
     field_path = str(cfg.get("field", "field.csv"))
 
@@ -402,7 +407,8 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
     if not isinstance(solver_cfg, dict):
         raise ConfigError("field 'solver': expected an object of solver keys")
     _reject_unknown(solver_cfg, set(_SOLVER_KEYS), where="solver")
-    base = _build_solve_config(solver_cfg)
+    # the search solves harmonic maps from the plane into the target
+    base = _build_solve_config(solver_cfg, tdim, 2)
     schedule = {key: cfg[key] for key in _SCHEDULE_KEYS
                 if cfg.get(key) is not None}
     try:

@@ -76,6 +76,14 @@ class KobayashiQuery:
                 and self.max_steps >= 1):
             raise ValueError("schedule requires finite r_start > 0, finite "
                              "growth > 1 and max_steps >= 1")
+        # the last radius is the largest; float ** raises where * gives inf
+        try:
+            last = self.r_start * self.growth**(self.max_steps - 1)
+        except OverflowError:
+            last = math.inf
+        if not last < math.inf:
+            raise ValueError("schedule overflows: the last radius r_start * "
+                             "growth**(max_steps - 1) must be finite")
 
     def schedule(self) -> list[float]:
         return [self.r_start * self.growth**k for k in range(self.max_steps)]

@@ -28,7 +28,7 @@ from .holder import max_weighted_norm
 from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
 from .reduce import (JetSpec, PoissonSystem, SystemDef, check_ellipticity,
-                     diagonalize, shift_jet, unit_ball)
+                     diagonalize, shift_jet)
 from .systems import integral_value, real_value
 
 
@@ -162,12 +162,10 @@ def seed_field_values(seed, grid: BallGrid, m: int) -> np.ndarray:
 # a row whose increment ratio exceeds CONTRACTION_THRESHOLD count as stalled
 # contraction; gamma0 never falls below GAMMA0_FLOOR, which keeps a positive
 # norm ball when the source vanishes at the origin; gamma doubles at most
-# MAX_GAMMA_DOUBLINGS times in a solve, across all radii; the coefficient
-# deviation estimate draws DEVIATION_SAMPLES points per box.
+# MAX_GAMMA_DOUBLINGS times in a solve, across all radii.
 CONTRACTION_THRESHOLD = 0.9
 GAMMA0_FLOOR = 0.5
 MAX_GAMMA_DOUBLINGS = 6
-DEVIATION_SAMPLES = 512
 
 
 @dataclass
@@ -181,7 +179,7 @@ class SolveConfig:
     tol: float = 1e-7
     max_iter: int = 40
     gamma0: float | None = None         # None -> derived from the source rule
-    seed: int = 0
+    seed: int = 0                       # seeds the pair sample only
     harmonic_seed: Sequence[HarmonicPolynomial] | HarmonicPolynomial | None = None
 
     def __post_init__(self):
@@ -210,6 +208,11 @@ class SolveConfig:
             raise ValueError("max_iter must be at least 1")
         if self.res < 5 or self.res % 2 == 0:
             raise ValueError("res must be odd and at least 5")
+        # the stencils divide by h^2; h * h gives inf where h**2 raises
+        h = 2.0 * self.R0 / (self.res - 1)
+        if not h * h < math.inf:
+            raise ValueError(f"R0 = {self.R0} is too large: the squared grid "
+                             f"spacing at res {self.res} overflows")
         if self.gamma0 is not None and not 0 < self.gamma0 < math.inf:
             raise ValueError("gamma0 must be positive and finite")
         if not self.seed >= 0:
@@ -371,7 +374,7 @@ def picard_map(system: PoissonSystem, state: IterateState,
 
 
 # ---------------------------------------------------------------------------
-# norms, gamma rule, deviation estimate, residual
+# norms, gamma rule, coefficient deviation, residual
 # ---------------------------------------------------------------------------
 
 def solver_norm(order2: np.ndarray, alpha: float, pairs: PairSet) -> float:
@@ -418,41 +421,12 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
     return gamma0, c_hat, psi0
 
 
-def coefficient_deviation_sup(system: PoissonSystem, radius: float,
-                              gamma: float, seed: int = 0) -> float:
-    """Largest |b^kl| over the box |x| <= R, |p| <= R^2 g, |q| <= R g.
-
-    DEVIATION_SAMPLES unit-ball draws are fixed by the seed and rescaled
-    per box, and the box corners are always included, so shrinking the box
-    can never raise the estimate for coefficient families that grow along
-    rays.  The draws and the corner product each go to b in one batched
-    call.
-    """
-    n, m, samples = system.n, system.m, DEVIATION_SAMPLES
-    rng = np.random.default_rng(seed)
-    p_cap = radius * radius * gamma
-    q_cap = radius * gamma
-    xs = unit_ball(rng, n, samples) * radius
-    ps = unit_ball(rng, m, samples) * p_cap
-    qs = unit_ball(rng, m * n, samples).reshape(samples, m, n) * q_cap
-    # box corners, paired with the origin in the other slots
-    corner_x = _signed_axes(n) * radius
-    corner_p = _signed_axes(m) * p_cap
-    corner_q = np.concatenate([
-        _signed_axes(m * n) * q_cap,
-        np.full((1, m * n), q_cap / math.sqrt(m * n)),
-    ]).reshape(-1, m, n)
-    ix, ip, iq = np.indices(
-        (len(corner_x), len(corner_p), len(corner_q))).reshape(3, -1)
-    drawn = np.asarray(system.b(xs, ps, qs), dtype=np.float64)
-    corners = np.asarray(system.b(corner_x[ix], corner_p[ip], corner_q[iq]),
-                         dtype=np.float64)
-    return float(max(np.abs(drawn).max(), np.abs(corners).max()))
-
-
-def _signed_axes(dim: int) -> np.ndarray:
-    """The origin and the points -e_i, +e_i of R^dim, as rows."""
-    return np.concatenate([np.zeros((1, dim)), -np.eye(dim), np.eye(dim)])
+def coefficient_deviation_sup(system: PoissonSystem,
+                              state: IterateState) -> float:
+    """Largest |b^kl| over an iterate's nodes: the exact max, not a sampled
+    sup, from one batched b call on the iterate's values and gradients."""
+    b = system.b(state.grid.nodes, state.values, state.grad)
+    return float(np.abs(np.asarray(b, dtype=np.float64)).max())
 
 
 @dataclass(frozen=True)
@@ -501,9 +475,8 @@ def origin_jet_magnitudes(grid: BallGrid,
 class AttemptRecord:
     """One (radius, gamma) attempt of the iteration.
 
-    deviation_sup is a sampled sup: the largest |b^kl| over the
-    DEVIATION_SAMPLES (512) seeded draws in the attempt's box plus the box
-    corners (see :func:`coefficient_deviation_sup`).
+    deviation_sup is the largest |b^kl| over the nodes of the attempt's
+    last iterate, an exact max (see :func:`coefficient_deviation_sup`).
     """
 
     R: float
@@ -678,8 +651,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
         while True:
             outcome, state, f_norm, record = _run_attempt(
                 system, pairs, seed_vals, gamma, config)
-            record.deviation_sup = coefficient_deviation_sup(
-                system, radius, gamma, seed=config.seed)
+            record.deviation_sup = coefficient_deviation_sup(system, state)
             attempts.append(record)
             last_outcome = outcome
 
@@ -792,8 +764,7 @@ def solve_system(system: SystemDef, jet: JetSpec | None,
             f"({system.m}, {system.n})"
         )
     if ellipticity_samples:
-        check_ellipticity(system, samples=ellipticity_samples,
-                          seed=config.seed)
+        check_ellipticity(system, samples=ellipticity_samples)
     shifted = shift_jet(system, jet)
     poisson = diagonalize(shifted)
     report = picard_solve(poisson, config, ball)

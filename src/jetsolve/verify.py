@@ -164,7 +164,7 @@ def _comparison_block(battery, jets, pairs, alpha) -> dict:
         _require_zero_jet(order0, order1, grid)
         columns.append((order0, order1))
     tops = [float(jet.hess_norms[2].max()) for jet in jets]
-    norms, measured = [], 0
+    norms, worst, measured = [], [], 0
     for order, scale in ((0, base**2), (1, base)):
         fields = [cols[order] for cols in columns]
         bounds = weighted_norm_bounds(np.concatenate(fields, axis=1), alpha,
@@ -176,16 +176,17 @@ def _comparison_block(battery, jets, pairs, alpha) -> dict:
             lambda p: max_weighted_norm(fields[p], alpha, pairs))
         norms.append(found)
         measured += count
-    worst0 = worst1 = 0.0
+        # guard each ratio on its own denominator, which underflows at tiny R
+        worst.append(0.0)
+        for value, denom in zip(found, denoms):
+            if denom > 0:
+                worst[-1] = max(worst[-1], value / denom)
     violations = []
     # a bound stands in for a norm only where it passes the verdict with a
-    # ratio below the worst, so this loop gives what the norms would give
+    # ratio below the worst: verdicts and worst ratios are the norms' own
     for probe, order0, order1, top in zip(battery, *norms, tops):
         if not norm_comparison_holds((order0, order1, top), base):
             violations.append(probe.name)
-        if top > 0:
-            worst0 = max(worst0, order0 / (base**2 * top))
-            worst1 = max(worst1, order1 / (base * top))
     return {
         "name": "norm_comparison",
         "statement": "zero-jet fields: order-0 and order-1 norms bounded "
@@ -193,8 +194,8 @@ def _comparison_block(battery, jets, pairs, alpha) -> dict:
         "passed": not violations,
         "battery_size": len(battery),
         "violations": violations,
-        "worst_ratio_order0": worst0,
-        "worst_ratio_order1": worst1,
+        "worst_ratio_order0": worst[0],
+        "worst_ratio_order1": worst[1],
         "measured": measured,
     }
 

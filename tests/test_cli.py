@@ -50,7 +50,7 @@ def test_solve_writes_report_and_field(workdir):
     rc = main(["solve", _write(workdir / "cfg.json", cfg)])
     assert rc == 0
     payload = json.loads((workdir / "report.json").read_text())
-    assert payload["schema"] == 6
+    assert payload["schema"] == 7
     assert payload["command"] == "solve"
     assert payload["result"]["status"] == "converged"
     assert payload["config"]["res"] == 13
@@ -90,8 +90,8 @@ def test_seed_is_the_library_polynomial(workdir):
     pairs = [[[1, 1], 1.0], [[1, 1], 2.0], [[2, 0], 0.5], [[0, 2], -0.5]]
     want = jetsolve.HarmonicPolynomial(pairs)
     assert want.terms[1] == ((1, 1), 3.0)
-    assert _build_solve_config({"harmonic_seed": [pairs]}).harmonic_seed == [
-        want]
+    assert _build_solve_config({"harmonic_seed": [pairs]}, 1,
+                               2).harmonic_seed == [want]
     cfg = _solve_cfg(harmonic_seed=[pairs], res=9)
     assert main(["solve", _write(workdir / "cfg.json", cfg)]) == 0
     payload = json.loads((workdir / "report.json").read_text())
@@ -229,6 +229,17 @@ def test_solve_report_independent_of_thread_count(workdir):
     pytest.param(lambda c: c.update(system={
         "name": "poisson", "params": {"const": ["1.0"]}}),
         "'const'", id="const_string"),
+    # a seed fits the system: one component per m, exponents of length n
+    pytest.param(lambda c: c.update(harmonic_seed=[[[[1, 1], 0.1]]] * 2),
+                 "harmonic_seed", id="seed_component_count"),
+    pytest.param(lambda c: c.update(harmonic_seed=[[[[1, 1, 0], 0.1]]]),
+                 "harmonic_seed", id="seed_dimension"),
+    # an R0 whose squared grid spacing (2 R0 / (res - 1))**2 overflows
+    pytest.param(lambda c: c.update(R0=1e156, res=9), "R0",
+                 id="R0_spacing_overflows"),
+    pytest.param(lambda c: c.update(R0=1e156, res=9, n=3, system={
+        "name": "harmonic_map", "params": {"target": "sphere"}}), "R0",
+        id="R0_spacing_overflows_3d"),
 ])
 def test_solve_config_errors(workdir, capsys, mutate, needle):
     cfg = _solve_cfg()
@@ -336,6 +347,11 @@ def test_verify_lemmas_validates_args(workdir, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["verify-lemmas", "--R", "400", "--res", "9"]) == 3
     assert "field 'R'" in capsys.readouterr().err
+    # an R at which the comparison ratios' denominators underflow to 0 (the
+    # res-17 Laplacian block divides by an h**2 that does too)
+    with np.errstate(all="ignore"):
+        assert main(["verify-lemmas", "--R", "1e-200", "--res", "9"]) == 3
+    assert "field 'R'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +425,9 @@ def test_kobayashi_rejects_non_finite_schedule(workdir, capsys):
     # nor is one an entry of the point or the vector
     ({"p": [0.0, False]}, "p:"),
     ({"X": ["0.5", 0.0]}, "X:"),
+    # a schedule whose last radius overflows
+    ({"max_steps": 2000}, "growth**(max_steps - 1)"),
+    ({"growth": 1e200, "max_steps": 3}, "growth**(max_steps - 1)"),
 ])
 def test_kobayashi_config_errors(workdir, capsys, update, needle):
     cfg = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.5, 0.0],

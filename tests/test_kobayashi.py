@@ -98,6 +98,10 @@ def test_query_rejects_bad_schedule():
         KobayashiQuery(HYP, np.zeros(2), np.ones(2), growth=1.0)
     with pytest.raises(ValueError):
         KobayashiQuery(HYP, np.zeros(2), np.ones(2), max_steps=0)
+    # a last radius that overflows (1.5**1999 and 1e200**2 raise)
+    for kwargs in ({"max_steps": 2000}, {"growth": 1e200, "max_steps": 3}):
+        with pytest.raises(ValueError, match=r"growth\*\*\(max_steps - 1\)"):
+            KobayashiQuery(HYP, np.zeros(2), np.ones(2), **kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -148,6 +152,10 @@ def test_query_schedule_is_geometric():
     q = KobayashiQuery(HYP, np.zeros(2), np.array([0.5, 0.0]),
                        r_start=0.25, growth=2.0, max_steps=3)
     np.testing.assert_allclose(q.schedule(), [0.25, 0.5, 1.0])
+    # a last radius that is finite, however large, stands
+    q = KobayashiQuery(HYP, np.zeros(2), np.array([0.5, 0.0]), r_start=1e8,
+                       growth=1e100, max_steps=4)
+    assert q.schedule()[-1] == 1e308
 
 
 # ---------------------------------------------------------------------------

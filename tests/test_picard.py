@@ -20,6 +20,7 @@ from jetsolve import (
     OracleFailure,
     PoissonSystem,
     SolveConfig,
+    SystemDef,
     build_grid,
     build_pair_set,
     build_system,
@@ -903,34 +904,53 @@ def test_zero_origin_source_skips_the_probe(case, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# coefficient deviation estimate
+# coefficient deviation
 
 
-def _linear_deviation_system():
+def _coupled_deviation_system(n):
+    """A Poisson form whose b mixes x, p and q in every entry by elementwise
+    products alone, so a batched call and a per-node call round alike."""
     def b(x, p, q):
-        out = np.zeros(np.shape(x)[:-1] + (2, 2))
-        out[..., 0, 0] = x[..., 0]
-        return out
+        return (x[..., :, None] * q[..., 0, None, :]
+                + p[..., 1, None, None] * q[..., 1, :, None])
 
-    return PoissonSystem(
-        n=2, m=1,
-        psi=lambda x, p, q: np.zeros(np.shape(p)),
-        b=b,
-        P=np.eye(2), P_inv=np.eye(2))
+    return PoissonSystem(n=n, m=2, psi=lambda x, p, q: np.zeros(np.shape(p)),
+                         b=b, P=np.eye(n), P_inv=np.eye(n))
 
 
-def test_deviation_sup_exact_on_linear_coefficient():
-    system = _linear_deviation_system()
-    # b grows along the x1 ray, so the sup sits at the box corner: C = R
-    assert coefficient_deviation_sup(system, 0.1, 1.0) == pytest.approx(0.1)
-    assert coefficient_deviation_sup(system, 0.05, 3.0) == pytest.approx(0.05)
+@pytest.mark.parametrize("n,res", [(2, 13), (3, 9)])
+def test_deviation_sup_is_the_node_max_of_b(n, res):
+    system = _coupled_deviation_system(n)
+    grid = build_grid(n, 0.8, res)
+    x = grid.nodes
+    state = make_state(grid, np.stack([np.sin(x @ np.arange(1.0, n + 1)),
+                                       x[:, 0] * x[:, -1] + 0.3], axis=1))
+    want = max(float(np.abs(system.b(x[i], state.values[i],
+                                     state.grad[i])).max())
+               for i in range(grid.node_count))
+    assert want > 0
+    assert coefficient_deviation_sup(system, state) == want
 
 
-def test_deviation_sup_monotone_in_radius():
-    system = _linear_deviation_system()
-    values = [coefficient_deviation_sup(system, R, 2.0)
-              for R in (1.0, 0.5, 0.25, 0.125)]
-    assert all(b < a for a, b in zip(values, values[1:]))
+def test_solves_differ_in_no_seed_on_a_complete_pair_set():
+    # res 9 stores every pair, so the pair sample, the only reader of
+    # SolveConfig.seed, is the same for every seed, and so is the summary.
+    # b = -0.1 x1 x2 I peaks off the axes, where a seeded draw of the box
+    # would find a different largest |b| for each seed.
+    def a(x, p, q):
+        return (1.0 + 0.1 * x[..., 0] * x[..., 1])[..., None, None] * np.eye(2)
+
+    system = SystemDef(n=2, m=1, a=a, lam=0.5,
+                       phi=lambda x, p, q: np.ones(np.shape(p)))
+    texts = []
+    for seed in (0, 5):
+        config = SolveConfig(res=9, seed=seed, gamma0=5.0)
+        assert build_pair_set(build_grid(2, config.R0, 9), seed=seed).complete
+        report = solve_system(system, None, config)
+        assert report.status == "converged"
+        assert report.attempts[-1].deviation_sup > 0
+        texts.append(json.dumps(report.summary(), sort_keys=True))
+    assert texts[0] == texts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +1014,8 @@ def test_picard_solve_accepts_prediagonalized():
     {"R0": True, "gamma0": True, "tol": True, "res": 9},
     {"R0": "2.0"},               # nor strings, which float() would read
     {"alpha": "0.5"},
+    {"R0": 1e156, "res": 9},     # (2 R0 / (res - 1))**2 overflows
+    {"R0": 1e155, "res": 5},
 ])
 def test_solve_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
