@@ -170,25 +170,32 @@ def _parse_jet(raw, m: int, n: int) -> JetSpec:
     return jet
 
 
-def _parse_system(cfg: dict, n: int):
-    raw = cfg.get("system")
+def _parse_named(cfg: dict, key: str, registry: dict,
+                 form: str) -> tuple[str, dict]:
+    """cfg[key], a registry name or an object of the given form with a
+    'name' entry, as (name, the object); a bare name gives an empty one."""
+    raw = cfg.get(key)
     if raw is None:
-        raise ConfigError("field 'system': required (name or "
-                          "{'name':..., 'params': {...}})")
+        raise ConfigError(f"field '{key}': required (name or {form})")
     if isinstance(raw, str):
-        name, params = raw, {}
+        name, raw = raw, {}
     elif isinstance(raw, dict) and "name" in raw:
         name = raw["name"]
-        params = raw.get("params", {}) or {}
-        if not isinstance(params, dict):
-            raise ConfigError("field 'system.params': expected an object")
     else:
-        raise ConfigError("field 'system': expected a name or an object "
+        raise ConfigError(f"field '{key}': expected a name or an object "
                           "with a 'name' entry")
-    if name not in SYSTEM_REGISTRY:
-        raise ConfigError(
-            f"field 'system.name': unknown system {name!r}; "
-            f"known: {sorted(SYSTEM_REGISTRY)}")
+    if not isinstance(name, str) or name not in registry:
+        raise ConfigError(f"field '{key}.name': unknown {key} {name!r}; "
+                          f"known: {sorted(registry)}")
+    return name, raw
+
+
+def _parse_system(cfg: dict, n: int):
+    name, raw = _parse_named(cfg, "system", SYSTEM_REGISTRY,
+                             "{'name':..., 'params': {...}}")
+    params = raw.get("params", {}) or {}
+    if not isinstance(params, dict):
+        raise ConfigError("field 'system.params': expected an object")
     try:
         system = build_system(name, n, params)
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
@@ -226,9 +233,27 @@ def _report_text(payload: dict) -> str:
                       allow_nan=False) + "\n"
 
 
+def _payload(command: str, config: dict, started: float, **fields) -> dict:
+    """A report.json payload: the schema, the command, the echoed config,
+    the command's own fields and the metadata block, which holds every
+    volatile value."""
+    metadata = {"timestamp": datetime.now(timezone.utc).isoformat(),
+                "elapsed_seconds": time.monotonic() - started}
+    return {"schema": REPORT_SCHEMA, "command": command, "config": config,
+            **fields, "metadata": metadata}
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; an unwritable path is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _write_report(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_report_text(payload))
+    _write_text(path, _report_text(payload))
 
 
 def _write_field_csv(path: str, coords: np.ndarray, values: np.ndarray,
@@ -237,20 +262,9 @@ def _write_field_csv(path: str, coords: np.ndarray, values: np.ndarray,
     m = values.shape[1]
     header = ([f"x{i+1}" for i in range(n)] + [f"u{k+1}" for k in range(m)]
               + ["residual"])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(coords.shape[0]):
-            row = [repr(float(v)) for v in coords[i]]
-            row += [repr(float(v)) for v in values[i]]
-            row.append(repr(float(residuals[i])))
-            fh.write(",".join(row) + "\n")
-
-
-def _metadata(started: float) -> dict:
-    return {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "elapsed_seconds": time.monotonic() - started,
-    }
+    rows = [header] + [[repr(float(v)) for v in (*x, *u, r)]
+                       for x, u, r in zip(coords, values, residuals)]
+    _write_text(path, "".join(",".join(row) + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +303,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         report = solve_system(system, jet, solve_cfg)
     except SolveFailure as exc:
-        payload = _failure_payload(resolved, str(exc),
-                                   exc.report.summary() if exc.report else None,
-                                   started)
-        _write_report(report_path, payload)
+        _write_report(report_path, _payload(
+            "solve", resolved, started, error=str(exc),
+            result=exc.report.summary() if exc.report else None))
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE_FAILURE
     except OracleFailure as exc:
-        payload = _failure_payload(resolved, str(exc), None, started)
-        _write_report(report_path, payload)
+        _write_report(report_path, _payload(
+            "solve", resolved, started, error=str(exc), result=None))
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE_FAILURE
 
     grid = report.grid
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "command": "solve",
-        "config": resolved,
-        "grid": {
+    _write_report(report_path, _payload(
+        "solve", resolved, started,
+        grid={
             "n": grid.n, "R": grid.R, "res": grid.res, "h": grid.h,
             "node_count": grid.node_count,
             "interior_count": int(grid.interior_mask.sum()),
         },
-        "result": report.summary(),
-        "metadata": _metadata(started),
-    }
-    _write_report(report_path, payload)
+        result=report.summary()))
     _write_field_csv(field_path, report.original_coords, report.reconstructed,
                      report.node_residuals)
     print(f"converged at R={report.final_R:g} after {report.iterations} "
@@ -323,27 +331,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _failure_payload(resolved: dict, message: str, partial: dict | None,
-                     started: float, command: str = "solve") -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": command,
-        "config": resolved,
-        "error": message,
-        "result": partial,
-        "metadata": _metadata(started),
-    }
-
-
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    n = args.n if args.n is not None else 2
+    n, radius, res = args.n, args.R, args.res
+    alpha, seed = args.alpha, args.seed
     if n not in (2, 3):
         raise ConfigError(f"field 'n': must be 2 or 3, got {n!r}")
-    radius = args.R if args.R is not None else 1.0
-    res = args.res if args.res is not None else 17
-    alpha = args.alpha if args.alpha is not None else 0.5
-    seed = args.seed if args.seed is not None else 0
     if not 0 < alpha < 1:
         raise ConfigError(f"field 'alpha': must lie in (0, 1), got {alpha}")
     if not 0 < radius < math.inf:
@@ -360,14 +353,9 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     except ValueError as exc:  # every argument is valid: R overflows a field
         raise ConfigError(f"field 'R': {radius} is out of range "
                           f"({exc})") from exc
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "command": "verify-lemmas",
-        "config": {"n": n, "R": radius, "res": res, "alpha": alpha,
-                   "seed": seed},
-        "result": result,
-        "metadata": _metadata(started),
-    }
+    payload = _payload("verify-lemmas", {"n": n, "R": radius, "res": res,
+                                         "alpha": alpha, "seed": seed},
+                       started, result=result)
     print(_report_text(payload), end="")
     if args.report:
         _write_report(args.report, payload)
@@ -381,24 +369,12 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
     _reject_unknown(cfg, set(_SCHEDULE_KEYS) | {"target", "p", "X", "solver",
                                                 "report"})
 
-    raw_target = cfg.get("target")
-    if raw_target is None:
-        raise ConfigError("field 'target': required (name or "
-                          "{'name':..., 'dim':...})")
-    if isinstance(raw_target, str):
-        tname, tdim = raw_target, 2
-    elif isinstance(raw_target, dict) and "name" in raw_target:
-        tname = raw_target["name"]
-        tdim = _coerce(raw_target, "dim")
-        tdim = 2 if tdim is None else tdim
-        if tdim < 1:
-            raise ConfigError(f"field 'dim': must be >= 1, got {tdim}")
-    else:
-        raise ConfigError("field 'target': expected a name or an object "
-                          "with a 'name' entry")
-    if tname not in TARGET_REGISTRY:
-        raise ConfigError(f"field 'target.name': unknown target {tname!r}; "
-                          f"known: {sorted(TARGET_REGISTRY)}")
+    tname, raw_target = _parse_named(cfg, "target", TARGET_REGISTRY,
+                                     "{'name':..., 'dim':...}")
+    tdim = _coerce(raw_target, "dim")
+    tdim = 2 if tdim is None else tdim
+    if tdim < 1:
+        raise ConfigError(f"field 'dim': must be >= 1, got {tdim}")
     target = TARGET_REGISTRY[tname](tdim)
 
     if "p" not in cfg or "X" not in cfg:
@@ -434,20 +410,15 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
     try:
         est = estimate(query, solve_config=base)
     except OracleFailure as exc:
-        _write_report(report_path,
-                      _failure_payload(resolved, str(exc), None, started,
-                                       command="kobayashi"))
+        _write_report(report_path, _payload(
+            "kobayashi", resolved, started, error=str(exc), result=None))
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE_FAILURE
+    except ValueError as exc:  # estimate raises it only for its inputs
+        raise ConfigError(str(exc)) from exc
 
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "command": "kobayashi",
-        "config": resolved,
-        "result": dataclasses.asdict(est),
-        "metadata": _metadata(started),
-    }
-    _write_report(report_path, payload)
+    _write_report(report_path, _payload(
+        "kobayashi", resolved, started, result=dataclasses.asdict(est)))
     if est.inconclusive:
         print("search inconclusive: no scheduled radius admitted a solution "
               f"(details in {report_path})", file=sys.stderr)
@@ -485,11 +456,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="field.csv output path")
 
     pv = sub.add_parser("verify-lemmas", help="run the executable-lemma suite")
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--R", type=float, default=None)
-    pv.add_argument("--res", type=int, default=None)
-    pv.add_argument("--alpha", type=float, default=None)
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--n", type=int, default=2)
+    pv.add_argument("--R", type=float, default=1.0)
+    pv.add_argument("--res", type=int, default=17)
+    pv.add_argument("--alpha", type=float, default=0.5)
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--report", type=str, default=None,
                     help="also write the JSON report to this path")
 

@@ -175,7 +175,9 @@ def estimate(query: KobayashiQuery,
     the first failure; if even the smallest radius fails, the estimate is
     flagged inconclusive rather than reported as infinite.  Every radius
     solves from a zero start, so a solve_config with a harmonic_seed is a
-    ValueError.  The radii's grids share one lattice ball, built here.
+    ValueError, and so is a schedule whose first or last radius the solve
+    config cannot take as R0.  The radii's grids share one lattice ball,
+    built here.
     """
     base = solve_config or SolveConfig(res=21, tol=1e-7)
     if base.harmonic_seed is not None:
@@ -200,10 +202,18 @@ def estimate(query: KobayashiQuery,
             "orthogonal partner construction failed"
         )
 
+    radii = query.schedule()
+    # the radii ascend, so the first and the last are the extremes
+    for radius in (radii[0], radii[-1]):
+        try:
+            replace(base, R0=radius, R_min=radius * 0.99)
+        except ValueError as exc:
+            raise ValueError(f"r_start, growth, max_steps: radius {radius:g} "
+                             f"does not fit the solver ({exc})") from None
     ball = LatticeBall(2, base.res)
     outcomes: list[RadiusOutcome] = []
     r_best = None
-    for radius in query.schedule():
+    for radius in radii:
         cfg = replace(base, R0=radius, R_min=radius * 0.99)
         system = harmonic_map_system(2, query.target)
         try:

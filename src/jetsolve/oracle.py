@@ -385,8 +385,7 @@ def run_attempt_reference(system, pairs, seed_vals, gamma: float, config):
     outcome = "max_iter"
     escape_norm = None
     for _ in range(config.max_iter):
-        values, _src = picard_map(system, state, seed_vals)
-        new = make_state(grid, values)
+        new = make_state(grid, picard_map(system, state, seed_vals))
         inc = solver_norm(new.order2 - state.order2, config.alpha, pairs)
         increments.append(inc)
         state = new
@@ -410,7 +409,7 @@ def run_attempt_reference(system, pairs, seed_vals, gamma: float, config):
         iterations=len(increments), outcome=outcome,
         increment_norms=increments, ratios=ratios, escape_norm=escape_norm,
     )
-    return outcome, state, f_norm, record
+    return state, f_norm, record
 
 
 def quotient_bounds_reference(values, alpha: float, pairs) -> np.ndarray:

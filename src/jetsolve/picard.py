@@ -17,6 +17,7 @@ O(h^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import NoReturn, Sequence
 
@@ -208,11 +209,16 @@ class SolveConfig:
             raise ValueError("max_iter must be at least 1")
         if self.res < 5 or self.res % 2 == 0:
             raise ValueError("res must be odd and at least 5")
-        # the stencils divide by h^2; h * h gives inf where h**2 raises
-        h = 2.0 * self.R0 / (self.res - 1)
-        if not h * h < math.inf:
-            raise ValueError(f"R0 = {self.R0} is too large: the squared grid "
-                             f"spacing at res {self.res} overflows")
+        # the stencils divide by h^2, a normal float at every radius from R0
+        # down to the floor; h * h gives inf where h**2 raises
+        floor_key = "R_min" if self.R_min is not None else "R_min (R0 / 64)"
+        for key, radius in (("R0", self.R0), (floor_key, self.radius_floor)):
+            h = 2.0 * radius / (self.res - 1)
+            if not sys.float_info.min <= h * h < math.inf:
+                raise ValueError(
+                    f"{key} = {radius} is too {'large' if h > 1 else 'small'}"
+                    f": the squared grid spacing at res {self.res} "
+                    f"{'over' if h > 1 else 'under'}flows")
         if self.gamma0 is not None and not 0 < self.gamma0 < math.inf:
             raise ValueError("gamma0 must be positive and finite")
         if not self.seed >= 0:
@@ -359,18 +365,17 @@ def _jet_monomials(ball: LatticeBall) -> tuple[list, list]:
 
 
 def picard_map(system: PoissonSystem, state: IterateState,
-               seed_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               seed_values: np.ndarray) -> np.ndarray:
     """One sweep: potential of the source, seed added, origin jet removed.
 
-    Returns (new_values, source_values).  The subtracted jet uses the same
-    finite-difference stencils as every later jet check, which pins the
-    origin value and gradient of the result at exactly zero.
+    Returns the new values.  The subtracted jet uses the same finite-
+    difference stencils as every later jet check, which pins the origin
+    value and gradient of the result at exactly zero.
     """
     grid = state.grid
-    src = source_term(system, state)
-    omega = newtonian_potential(src, grid).values
+    omega = newtonian_potential(source_term(system, state), grid).values
     cand = omega + seed_values
-    return cand - _origin_jet_polynomial(grid, cand), src
+    return cand - _origin_jet_polynomial(grid, cand)
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +452,18 @@ def residual_check(system: PoissonSystem,
     lap = np.einsum("kmii->km", state.hess)
     defect = np.abs(lap + src).max(axis=1)
     node_res = np.where(grid.interior_mask, defect, np.nan)
-    interior = defect[grid.interior_mask]
-    sup = float(interior.max()) if interior.size else float("nan")
-    return ResidualReport(residual_sup=sup,
+    # never an empty max: the origin is an interior node of every grid
+    return ResidualReport(residual_sup=float(defect[grid.interior_mask].max()),
                           source_sup=float(np.abs(src).max()),
                           node_residuals=node_res)
 
 
-def origin_jet_magnitudes(grid: BallGrid,
-                          values: np.ndarray) -> tuple[float, float]:
-    """(|f(0)|, |Df(0)|) at the origin node, max over components."""
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    o = grid.origin_index
-    value_mag = float(np.abs(vals[o]).max())
-    grad_mag = max(float(np.abs(fd_values(grid, vals, beta, node=o)).max())
-                   for beta in multi_indices(grid.n, 1))
-    return value_mag, grad_mag
+def origin_jet_magnitudes(state: IterateState) -> tuple[float, float]:
+    """(|f(0)|, |Df(0)|) at the origin node, max over components, read from
+    the iterate's value and finite-difference gradient tables."""
+    o = state.grid.origin_index
+    return (float(np.abs(state.values[o]).max()),
+            float(np.abs(state.grad[o]).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -492,34 +491,42 @@ class AttemptRecord:
 
 @dataclass
 class SolveReport:
-    """Everything a run learned, whether or not it converged."""
+    """Everything a run learned, whether or not it converged.
+
+    attempts holds one record per (radius, gamma) attempt, in order, and is
+    never empty: :func:`picard_solve` appends each attempt's record before
+    it can raise a failure.  final_R, iterations, increment_norms and
+    ratios are read from the last attempt.  The fields from grid on are
+    filled only by a converged solve, and the last four only by
+    :func:`solve_system`; they are None otherwise.
+    """
 
     status: str
-    grid: BallGrid | None
-    solution: np.ndarray | None   # (N, m) converged iterate
-    final_R: float
     gamma: float
     gamma0: float
     c_hat: float | None
     psi_origin: float
-    iterations: int
-    increment_norms: list[float]
-    ratios: list[float]
-    ratio_geomean: float | None
-    residual: float | None
-    source_sup: float | None
-    node_residuals: np.ndarray | None
-    jet_value: float | None
-    jet_gradient: float | None
-    solution_norm: float | None
     attempts: list[AttemptRecord]
     config: SolveConfig
+    grid: BallGrid | None = None
+    solution: np.ndarray | None = None   # (N, m) converged iterate
+    ratio_geomean: float | None = None
+    residual: float | None = None
+    source_sup: float | None = None
+    node_residuals: np.ndarray | None = None
+    jet_value: float | None = None
+    jet_gradient: float | None = None
+    solution_norm: float | None = None
     pair_count: int | None = None
-    # filled by solve_system when a jet/coordinate reduction is involved
     original_coords: np.ndarray | None = None
     reconstructed: np.ndarray | None = None
     in_chart: bool | None = None
     transform: np.ndarray | None = None
+
+    final_R = property(lambda self: self.attempts[-1].R)
+    iterations = property(lambda self: self.attempts[-1].iterations)
+    increment_norms = property(lambda self: self.attempts[-1].increment_norms)
+    ratios = property(lambda self: self.attempts[-1].ratios)
 
     def summary(self) -> dict:
         """JSON-safe digest (no whole-field arrays)."""
@@ -547,20 +554,21 @@ class SolveReport:
 
 def _run_attempt(system: PoissonSystem, pairs: PairSet,
                  seed_vals: np.ndarray, gamma: float,
-                 config: SolveConfig) -> tuple[str, IterateState,
-                                               float | None, AttemptRecord]:
+                 config: SolveConfig) -> tuple[IterateState, float | None,
+                                               AttemptRecord]:
     """Iterate at fixed (R, gamma) on pairs.grid until convergence or a
     failure signal.
 
-    Returns the outcome, the last iterate's state, its order-2 norm and the
-    record.  Each iterate's derivative tables are taken once, right after
-    the sweep that makes it; they feed the next sweep, and its order-2
-    columns less those of the previous iterate give the increment, whose
-    norm is measured on every sweep.  The iterate's own norm
-    is read only by the escape test and as the converged solution's norm,
-    so it is measured only when the triangle bound (last measured norm plus
-    the increments since) cannot rule out an escape, and at convergence;
-    the returned norm is None when the last iterate's was never measured.
+    Returns the last iterate's state, its order-2 norm and the record,
+    which holds the outcome.  Each iterate's derivative tables are taken
+    once, right after the sweep that makes it; they feed the next sweep,
+    and its order-2 columns less those of the previous iterate give the
+    increment, whose norm is measured on every sweep.  The iterate's own
+    norm is read only by the escape test and as the converged solution's
+    norm, so it is measured only when the triangle bound (last measured
+    norm plus the increments since) cannot rule out an escape, and at
+    convergence; the returned norm is None when the last iterate's was
+    never measured.
     A nan or inf norm ends the attempt as an escape, never as converged.
     """
     grid = pairs.grid
@@ -573,8 +581,7 @@ def _run_attempt(system: PoissonSystem, pairs: PairSet,
     f_norm: float | None = None
     bound = 0.0
     for sweep in range(config.max_iter):
-        values, _src = picard_map(system, state, seed_vals)
-        new = make_state(grid, values)
+        new = make_state(grid, picard_map(system, state, seed_vals))
         inc = solver_norm(new.order2 - state.order2, config.alpha, pairs)
         increments.append(inc)
         if sweep == 0:
@@ -615,7 +622,7 @@ def _run_attempt(system: PoissonSystem, pairs: PairSet,
         iterations=len(increments), outcome=outcome,
         increment_norms=increments, ratios=ratios, escape_norm=escape_norm,
     )
-    return outcome, state, f_norm, record
+    return state, f_norm, record
 
 
 def picard_solve(system: PoissonSystem, config: SolveConfig,
@@ -641,7 +648,6 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
     gamma0 = gamma
     doublings = 0
     attempts: list[AttemptRecord] = []
-    last_outcome = "never_ran"
 
     while True:
         grid = build_grid(system.n, radius, config.res, ball)
@@ -649,16 +655,17 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
         seed_vals = seed_field_values(config.harmonic_seed, grid, system.m)
 
         while True:
-            outcome, state, f_norm, record = _run_attempt(
+            state, f_norm, record = _run_attempt(
                 system, pairs, seed_vals, gamma, config)
             record.deviation_sup = coefficient_deviation_sup(system, state)
             attempts.append(record)
-            last_outcome = outcome
 
-            if outcome == "converged":
-                return _final_report(system, pairs, state, f_norm, config,
-                                     gamma, gamma0, c_hat, psi0, attempts)
-            if outcome == "escaped" and doublings < MAX_GAMMA_DOUBLINGS:
+            if record.outcome == "converged":
+                return _final_report(
+                    SolveReport("converged", gamma, gamma0, c_hat, psi0,
+                                attempts, config),
+                    system, pairs, state, f_norm)
+            if record.outcome == "escaped" and doublings < MAX_GAMMA_DOUBLINGS:
                 doublings += 1
                 gamma *= 2.0
                 record.gamma_end = gamma
@@ -670,71 +677,33 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
         grid = pairs = state = None
         radius *= 0.5
         if radius < floor * (1.0 - 1e-12):
-            report = _partial_report(system, config, radius * 2.0, gamma,
-                                     gamma0, c_hat, psi0, attempts,
-                                     last_outcome)
-            if last_outcome == "escaped":
+            outcome = attempts[-1].outcome
+            report = SolveReport(f"failed:{outcome}", gamma, gamma0, c_hat,
+                                 psi0, attempts, config)
+            if outcome == "escaped":
                 raise IterateEscaped(
                     f"norm ball exceeded after {doublings} doublings down to "
-                    f"radius {radius * 2.0:g} (floor {floor:g})",
-                    report=report,
-                )
+                    f"radius {report.final_R:g} (floor {floor:g})", report)
             raise NoConvergence(
                 f"no contracting run above the radius floor {floor:g} "
-                f"(last outcome: {last_outcome})",
-                report=report,
-            )
+                f"(last outcome: {outcome})", report)
 
 
-def _final_report(system, pairs, state, f_norm, config, gamma, gamma0,
-                  c_hat, psi0, attempts) -> SolveReport:
-    grid, f = pairs.grid, state.values
+def _final_report(report: SolveReport, system: PoissonSystem,
+                  pairs: PairSet, state: IterateState,
+                  f_norm: float) -> SolveReport:
+    """Fill in what a converged solve adds to its report."""
     res = residual_check(system, state)
-    jet_value, jet_gradient = origin_jet_magnitudes(grid, f)
-    final = attempts[-1]
-    ratios = final.ratios
-    geo = (float(np.exp(np.mean(np.log(ratios))))
-           if ratios and all(r > 0 for r in ratios) else None)
-    return SolveReport(
-        status="converged",
-        grid=grid,
-        solution=f,
-        final_R=grid.R,
-        gamma=gamma,
-        gamma0=gamma0,
-        c_hat=c_hat,
-        psi_origin=psi0,
-        iterations=final.iterations,
-        increment_norms=final.increment_norms,
-        ratios=ratios,
-        ratio_geomean=geo,
-        residual=res.residual_sup,
-        source_sup=res.source_sup,
-        node_residuals=res.node_residuals,
-        jet_value=jet_value,
-        jet_gradient=jet_gradient,
-        solution_norm=f_norm,
-        attempts=attempts,
-        config=config,
-        pair_count=pairs.drawn,
-    )
-
-
-def _partial_report(system, config, last_R, gamma, gamma0, c_hat, psi0,
-                    attempts, outcome) -> SolveReport:
-    return SolveReport(
-        status=f"failed:{outcome}",
-        grid=None, solution=None,
-        final_R=last_R, gamma=gamma, gamma0=gamma0, c_hat=c_hat,
-        psi_origin=psi0,
-        iterations=attempts[-1].iterations if attempts else 0,
-        increment_norms=attempts[-1].increment_norms if attempts else [],
-        ratios=attempts[-1].ratios if attempts else [],
-        ratio_geomean=None,
-        residual=None, source_sup=None, node_residuals=None,
-        jet_value=None, jet_gradient=None, solution_norm=None,
-        attempts=attempts, config=config,
-    )
+    ratios = report.ratios
+    report.grid, report.solution = pairs.grid, state.values
+    report.ratio_geomean = (float(np.exp(np.mean(np.log(ratios))))
+                            if ratios and all(r > 0 for r in ratios)
+                            else None)
+    report.residual, report.source_sup = res.residual_sup, res.source_sup
+    report.node_residuals = res.node_residuals
+    report.jet_value, report.jet_gradient = origin_jet_magnitudes(state)
+    report.solution_norm, report.pair_count = f_norm, pairs.drawn
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,14 @@ def test_solve_report_independent_of_thread_count(workdir):
     pytest.param(lambda c: c.update(R0=1e156, res=9, n=3, system={
         "name": "harmonic_map", "params": {"target": "sphere"}}), "R0",
         id="R0_spacing_overflows_3d"),
+    # an R0 or a radius floor whose squared grid spacing underflows
+    pytest.param(lambda c: c.update(R0=1e-200, res=9), "R0",
+                 id="R0_spacing_underflows"),
+    pytest.param(lambda c: c.update(R0=1e-150, R_min=1e-200, res=9),
+                 "R_min", id="R_min_spacing_underflows"),
+    # a system name is a string
+    pytest.param(lambda c: c.update(system={"name": ["poisson"]}),
+                 "system.name", id="system_name_list"),
 ])
 def test_solve_config_errors(workdir, capsys, mutate, needle):
     cfg = _solve_cfg()
@@ -428,6 +436,11 @@ def test_kobayashi_rejects_non_finite_schedule(workdir, capsys):
     # a schedule whose last radius overflows
     ({"max_steps": 2000}, "growth**(max_steps - 1)"),
     ({"growth": 1e200, "max_steps": 3}, "growth**(max_steps - 1)"),
+    # a finite schedule whose radii a grid cannot hold
+    ({"r_start": 1e156}, "r_start, growth, max_steps"),
+    ({"r_start": 1e-200}, "r_start, growth, max_steps"),
+    # a target name is a string
+    ({"target": {"name": ["hyperbolic"]}}, "target.name"),
 ])
 def test_kobayashi_config_errors(workdir, capsys, update, needle):
     cfg = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.5, 0.0],
@@ -443,6 +456,52 @@ def test_kobayashi_rejects_base_point_outside_chart(workdir):
 
 # ---------------------------------------------------------------------------
 # report serialization
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--system", "poisson", "--n", "2", "--res", "9",
+     "--report", "missing/r.json"],
+    ["solve", "--system", "poisson", "--n", "2", "--res", "9",
+     "--field", "missing/f.csv"],
+    ["verify-lemmas", "--res", "9", "--report", "missing/r.json"],
+])
+def test_unwritable_output_is_config_error(workdir, capsys, argv):
+    assert main(argv) == 3
+    assert f"cannot write '{argv[-1]}'" in capsys.readouterr().err
+
+
+def test_payload_keys(workdir, monkeypatch):
+    # every report.json: the schema, the command, the echoed config, the
+    # command's fields and the metadata
+    common = {"schema", "command", "config", "metadata"}
+    assert main(["solve", _write(workdir / "cfg.json", _solve_cfg()),
+                 "--report", "ok.json"]) == 0
+    monkeypatch.setattr(picard_module, "MAX_GAMMA_DOUBLINGS", 1)
+    assert main(["solve", _write(workdir / "cfg.json", _solve_cfg(
+        system={"name": "poisson", "params": {"const": 5.0}},
+        gamma0=1e-6, R_min=0.5, max_iter=5, res=9)),
+        "--report", "failed.json"]) == 2
+    kob = {"target": "hyperbolic", "p": [0.0, 0.0], "X": [0.4, 0.0],
+           "max_steps": 2, "solver": {"res": 7}}
+    assert main(["kobayashi", _write(workdir / "kcfg.json", kob),
+                 "--report", "kob.json"]) == 0
+    assert main(["verify-lemmas", "--res", "9",
+                 "--report", "lemmas.json"]) == 0
+
+    def broken(system, state):
+        raise picard_module.OracleFailure("broken oracle")
+
+    monkeypatch.setattr(picard_module, "source_term", broken)
+    assert main(["solve", _write(workdir / "cfg.json", _solve_cfg()),
+                 "--report", "oracle.json"]) == 4
+    for path, fields in [("ok.json", {"grid", "result"}),
+                         ("failed.json", {"error", "result"}),
+                         ("oracle.json", {"error", "result"}),
+                         ("kob.json", {"result"}),
+                         ("lemmas.json", {"result"})]:
+        payload = json.loads((workdir / path).read_text())
+        assert set(payload) == common | fields, path
+    assert json.loads((workdir / "oracle.json").read_text())["result"] is None
 
 
 def test_report_text_is_strict_json():

@@ -281,3 +281,21 @@ def test_one_lattice_ball_per_estimate(monkeypatch):
     estimate(q, solve_config=config)
     assert len(balls) == 2 and balls[1] is not balls[0]
     assert grid_balls[7:] == [balls[1]] * 7
+
+
+@pytest.mark.parametrize("schedule,needle", [
+    # the last radius is too large for a res-21 grid, or the first too small
+    ({"r_start": 1e156, "max_steps": 2}, "too large"),
+    ({"r_start": 1.0, "growth": 1e156, "max_steps": 2}, "too large"),
+    ({"r_start": 1e-200, "growth": 1e100, "max_steps": 3}, "too small"),
+])
+def test_estimate_rejects_radii_the_grid_cannot_hold(schedule, needle,
+                                                     monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the schedule was checked")
+
+    monkeypatch.setattr(kobayashi_module, "solve_system", no_solve)
+    q = KobayashiQuery(HYP, np.zeros(2), np.array([0.4, 0.0]), **schedule)
+    with pytest.raises(ValueError, match="r_start, growth, max_steps") as err:
+        estimate(q, solve_config=FAST)
+    assert needle in str(err.value)

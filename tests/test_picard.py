@@ -168,8 +168,8 @@ def test_sweep_output_has_zero_origin_jet(seed):
     system = diagonalize(poisson_system(
         2, const=float(rng.normal()), linear=rng.normal(size=2).tolist()))
     state = make_state(grid, rng.normal(size=(grid.node_count, 1)) * 0.1)
-    new, _ = picard_map(system, state, np.zeros((grid.node_count, 1)))
-    value_mag, grad_mag = origin_jet_magnitudes(grid, new)
+    new = picard_map(system, state, np.zeros((grid.node_count, 1)))
+    value_mag, grad_mag = origin_jet_magnitudes(make_state(grid, new))
     assert value_mag <= 1e-10
     assert grad_mag <= 1e-10
 
@@ -397,12 +397,12 @@ def test_non_finite_iterate_escapes(bad, sweep, attempt, monkeypatch):
     real = picard_module.picard_map
 
     def broken(system, state, seed_vals):
-        new, src = real(system, state, seed_vals)
+        new = real(system, state, seed_vals)
         if sweep == 2 and not np.any(state.values):
-            return new, src
+            return new
         new = new.copy()
         new[3, 0] = bad
-        return new, src
+        return new
 
     monkeypatch.setattr(picard_module, "picard_map", broken)
     monkeypatch.setattr(oracle_module, "picard_map", broken)
@@ -681,6 +681,32 @@ def test_floor_exhaustion_raises_with_partial_report(monkeypatch):
     assert report is not None
     assert len(report.attempts) >= 2
     assert report.status in ("failed:escaped", "failed:no_convergence")
+
+
+def test_failed_report_reads_its_last_attempt(monkeypatch):
+    # the configuration of test_floor_exhaustion_raises_with_partial_report
+    monkeypatch.setattr(picard_module, "MAX_GAMMA_DOUBLINGS", 1)
+    cfg = SolveConfig(R0=1.0, res=9, seed=0, gamma0=1e-6, R_min=0.5,
+                      max_iter=5)
+    with pytest.raises((IterateEscaped, NoConvergence)) as err:
+        solve_system(poisson_system(3, const=5.0), JetSpec.zero(1, 3), cfg)
+    report = err.value.report
+    last = report.attempts[-1]
+    assert report.final_R == last.R == 0.5
+    assert report.iterations == last.iterations
+    assert report.increment_norms is last.increment_norms
+    assert report.ratios is last.ratios
+    summary = report.summary()
+    assert (summary["final_R"], summary["iterations"],
+            summary["increment_norms"], summary["contraction_ratios"]) == (
+        last.R, last.iterations, last.increment_norms, last.ratios)
+    # nothing is stored twice, and what only a converged solve fills is None
+    assert {"final_R", "iterations", "increment_norms",
+            "ratios"}.isdisjoint(vars(report))
+    assert all(getattr(report, key) is None for key in (
+        "grid", "solution", "ratio_geomean", "residual", "source_sup",
+        "node_residuals", "jet_value", "jet_gradient", "solution_norm",
+        "pair_count", "reconstructed", "in_chart"))
 
 
 _SADDLE = [HarmonicPolynomial({(2, 0): 0.6, (0, 2): -0.6})]
@@ -1020,6 +1046,20 @@ def test_picard_solve_accepts_prediagonalized():
 def test_solve_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SolveConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,needle", [
+    # (2 r / (res - 1))**2 falls below the smallest normal float at r = R0,
+    # at a given R_min, or at the default floor R0 / 64 alone
+    ({"R0": 1e-200, "res": 9}, "R0 = "),
+    ({"R0": 1e-159, "res": 9}, "R0 = "),
+    ({"R0": 1e-150, "R_min": 1e-200, "res": 9}, "R_min = "),
+    ({"R0": 1e-152, "res": 9}, "R_min (R0 / 64) = "),
+])
+def test_solve_config_rejects_a_spacing_that_underflows(kwargs, needle):
+    with pytest.raises(ValueError, match="underflows") as err:
+        SolveConfig(**kwargs)
+    assert str(err.value).startswith(needle)
 
 
 @pytest.mark.parametrize("key", ["R0", "R_min", "alpha", "tol", "gamma0"])
