@@ -42,7 +42,7 @@ EXIT_CONFIG_ERROR = 3
 EXIT_ORACLE_FAILURE = 4
 
 # version of the report.json layout, bumped when the layout changes
-REPORT_SCHEMA = 7
+REPORT_SCHEMA = 8
 
 _SOLVER_KEYS = {
     "R0": float, "R_min": float, "res": int, "alpha": float, "tol": float,
@@ -305,14 +305,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except SolveFailure as exc:
         _write_report(report_path, _payload(
             "solve", resolved, started, error=str(exc),
-            result=exc.report.summary() if exc.report else None))
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVE_FAILURE
-    except OracleFailure as exc:
-        _write_report(report_path, _payload(
-            "solve", resolved, started, error=str(exc), result=None))
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE_FAILURE
+            result=exc.report.summary()))
+        oracle = isinstance(exc, OracleFailure)
+        print(f"{'oracle failure' if oracle else 'solve failed'}: {exc}",
+              file=sys.stderr)
+        return EXIT_ORACLE_FAILURE if oracle else EXIT_SOLVE_FAILURE
 
     grid = report.grid
     _write_report(report_path, _payload(
@@ -409,11 +406,6 @@ def _cmd_kobayashi(args: argparse.Namespace) -> int:
 
     try:
         est = estimate(query, solve_config=base)
-    except OracleFailure as exc:
-        _write_report(report_path, _payload(
-            "kobayashi", resolved, started, error=str(exc), result=None))
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE_FAILURE
     except ValueError as exc:  # estimate raises it only for its inputs
         raise ConfigError(str(exc)) from exc
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import LatticeBall
-from .picard import (OracleFailure, SolveConfig, SolveFailure, SolveReport,
-                     solve_system)
+from .picard import SolveConfig, SolveFailure, SolveReport, solve_system
 from .reduce import JetSpec
 from .systems import (TargetManifold, harmonic_map_system, integral_value,
                       real_array, real_value)
@@ -186,14 +185,12 @@ def estimate(query: KobayashiQuery,
     if float(np.linalg.norm(query.X)) == 0.0:
         return KobayashiEstimate(upper_bound=0.0, r_best=None,
                                  certificate="zero_vector")
+    partner = orthogonal_partner(query.target, query.p, query.X)
     if query.target.flat and query.target.chart_radius is None:
         # the linear map p + x X + y Y is harmonic and conformal at 0 on
         # every disk, so the infimum over the schedule is 0
-        partner = orthogonal_partner(query.target, query.p, query.X)
         return KobayashiEstimate(upper_bound=0.0, r_best=None,
                                  certificate="linear_map", partner=partner)
-
-    partner = orthogonal_partner(query.target, query.p, query.X)
     jet = JetSpec(query.p, np.column_stack([query.X, partner]))
     defect = conformality_defect(query.target, query.p, jet.c1)
     if not is_conformal_jet(query.target, query.p, jet.c1):
@@ -211,16 +208,16 @@ def estimate(query: KobayashiQuery,
             raise ValueError(f"r_start, growth, max_steps: radius {radius:g} "
                              f"does not fit the solver ({exc})") from None
     ball = LatticeBall(2, base.res)
+    system = harmonic_map_system(2, query.target)
     outcomes: list[RadiusOutcome] = []
     r_best = None
     for radius in radii:
         cfg = replace(base, R0=radius, R_min=radius * 0.99)
-        system = harmonic_map_system(2, query.target)
         try:
             report: SolveReport = solve_system(system, jet, cfg,
                                                ellipticity_samples=0,
                                                ball=ball)
-        except (SolveFailure, OracleFailure) as exc:
+        except SolveFailure as exc:
             outcomes.append(RadiusOutcome(
                 R=radius, success=False, reason=type(exc).__name__))
             break

@@ -45,8 +45,7 @@ import numpy as np
 from .grid import BallGrid, multi_indices
 from .holder import (_EPS, comparison_base, max_weighted_norm,
                      norm_comparison_holds)
-from .picard import (CONTRACTION_THRESHOLD, AttemptRecord, make_state,
-                     picard_map, solver_norm)
+from .picard import CONTRACTION_THRESHOLD, make_state, picard_map, solver_norm
 from .potential import KernelSpec, PotentialField, quad_weights
 from .probes import with_zero_jet
 
@@ -367,49 +366,42 @@ def norm_comparison_reference(battery, jets, pairs, alpha: float) -> dict:
             "worst_ratio_order0": worst0, "worst_ratio_order1": worst1}
 
 
-def run_attempt_reference(system, pairs, seed_vals, gamma: float, config):
+def run_attempt_reference(system, pairs, seed_vals, record, config):
     """One fixed-(R, gamma) attempt measuring the iterate's norm every sweep.
 
     The eager loop: both the increment norm and the iterate norm are full
     scans on every sweep, the increment taken as ``picard._run_attempt``
     takes it, on the difference of the two iterates' order-2 columns.
-    Same arguments and result as ``picard._run_attempt``, whose lazy
-    iterate norms it certifies; the returned norm is that of the last
-    iterate whatever the outcome.
+    Same arguments, result and record writes as ``picard._run_attempt``,
+    whose lazy iterate norms it certifies; the returned norm is that of
+    the last iterate whatever the outcome.
     """
     grid = pairs.grid
     state = make_state(grid, np.zeros((grid.node_count, system.m)))
-    increments: list[float] = []
-    ratios: list[float] = []
+    increments, ratios = record.increment_norms, record.ratios
     streak = 0
-    outcome = "max_iter"
-    escape_norm = None
     for _ in range(config.max_iter):
         new = make_state(grid, picard_map(system, state, seed_vals))
         inc = solver_norm(new.order2 - state.order2, config.alpha, pairs)
         increments.append(inc)
+        record.iterations = len(increments)
         state = new
         f_norm = solver_norm(state.order2, config.alpha, pairs)
-        if not f_norm <= gamma:
-            outcome = "escaped"
-            escape_norm = f_norm
+        if not f_norm <= record.gamma_start:
+            record.outcome = "escaped"
+            record.escape_norm = f_norm
             break
         if inc < config.tol:
-            outcome = "converged"
+            record.outcome = "converged"
             break
         if len(increments) >= 2 and increments[-2] > 0:
             r = increments[-1] / increments[-2]
             ratios.append(r)
             streak = streak + 1 if r > CONTRACTION_THRESHOLD else 0
             if streak >= 3:
-                outcome = "no_contraction"
+                record.outcome = "no_contraction"
                 break
-    record = AttemptRecord(
-        R=grid.R, gamma_start=gamma, gamma_end=gamma,
-        iterations=len(increments), outcome=outcome,
-        increment_norms=increments, ratios=ratios, escape_norm=escape_norm,
-    )
-    return state, f_norm, record
+    return state, f_norm
 
 
 def quotient_bounds_reference(values, alpha: float, pairs) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -34,7 +34,8 @@ from .systems import integral_value, real_value
 
 
 class SolveFailure(RuntimeError):
-    """Base class for solver give-ups; carries the partial report."""
+    """Base class for solver give-ups; carries the partial report, None
+    only for an OracleFailure raised outside :func:`picard_solve`."""
 
     def __init__(self, message: str, report: "SolveReport | None" = None):
         super().__init__(message)
@@ -49,8 +50,10 @@ class IterateEscaped(SolveFailure):
     """Iterates kept leaving the norm ball even after enlarging it."""
 
 
-class OracleFailure(RuntimeError):
-    """A coefficient or source oracle misbehaved at a specific node."""
+class OracleFailure(SolveFailure):
+    """A coefficient or source oracle misbehaved at a specific node.  Its
+    report is None when raised outside :func:`picard_solve`, for example
+    by a direct :func:`source_term` call."""
 
     def __init__(self, message: str, node: np.ndarray | None = None):
         if node is not None:
@@ -429,8 +432,13 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
 def coefficient_deviation_sup(system: PoissonSystem,
                               state: IterateState) -> float:
     """Largest |b^kl| over an iterate's nodes: the exact max, not a sampled
-    sup, from one batched b call on the iterate's values and gradients."""
-    b = system.b(state.grid.nodes, state.values, state.grad)
+    sup, from one batched b call on the iterate's values and gradients;
+    an oracle exception raises OracleFailure as in :func:`source_term`."""
+    x, p, q = state.grid.nodes, state.values, state.grad
+    try:
+        b = system.b(x, p, q)
+    except Exception as exc:  # noqa: BLE001 - wrap with location
+        _raise_at_failing_node(system, x, p, q, exc)
     return float(np.abs(np.asarray(b, dtype=np.float64)).max())
 
 
@@ -472,19 +480,21 @@ def origin_jet_magnitudes(state: IterateState) -> tuple[float, float]:
 
 @dataclass
 class AttemptRecord:
-    """One (radius, gamma) attempt of the iteration.
+    """One (radius, gamma) attempt of the iteration, filled in as it runs.
 
-    deviation_sup is the largest |b^kl| over the nodes of the attempt's
-    last iterate, an exact max (see :func:`coefficient_deviation_sup`).
+    outcome is converged, escaped, no_contraction, oracle_failure or, for
+    an attempt that runs out of sweeps, max_iter.  deviation_sup is the
+    largest |b^kl| over the nodes of the attempt's last iterate, an exact
+    max (see :func:`coefficient_deviation_sup`).
     """
 
     R: float
     gamma_start: float
     gamma_end: float
-    iterations: int
-    outcome: str                   # converged | escaped | no_contraction | max_iter
-    increment_norms: list[float]
-    ratios: list[float]
+    iterations: int = 0
+    outcome: str = "max_iter"
+    increment_norms: list[float] = field(default_factory=list)
+    ratios: list[float] = field(default_factory=list)
     deviation_sup: float | None = None
     escape_norm: float | None = None
 
@@ -495,7 +505,7 @@ class SolveReport:
 
     attempts holds one record per (radius, gamma) attempt, in order, and is
     never empty: :func:`picard_solve` appends each attempt's record before
-    it can raise a failure.  final_R, iterations, increment_norms and
+    the attempt runs.  final_R, iterations, increment_norms and
     ratios are read from the last attempt.  The fields from grid on are
     filled only by a converged solve, and the last four only by
     :func:`solve_system`; they are None otherwise.
@@ -553,37 +563,34 @@ class SolveReport:
 
 
 def _run_attempt(system: PoissonSystem, pairs: PairSet,
-                 seed_vals: np.ndarray, gamma: float,
-                 config: SolveConfig) -> tuple[IterateState, float | None,
-                                               AttemptRecord]:
+                 seed_vals: np.ndarray, record: AttemptRecord,
+                 config: SolveConfig) -> tuple[IterateState, float | None]:
     """Iterate at fixed (R, gamma) on pairs.grid until convergence or a
-    failure signal.
+    failure signal, writing the increments, ratios, iteration count,
+    outcome and escape norm into record as the sweeps go.
 
-    Returns the last iterate's state, its order-2 norm and the record,
-    which holds the outcome.  Each iterate's derivative tables are taken
-    once, right after the sweep that makes it; they feed the next sweep,
-    and its order-2 columns less those of the previous iterate give the
-    increment, whose norm is measured on every sweep.  The iterate's own
-    norm is read only by the escape test and as the converged solution's
-    norm, so it is measured only when the triangle bound (last measured
-    norm plus the increments since) cannot rule out an escape, and at
-    convergence; the returned norm is None when the last iterate's was
-    never measured.
-    A nan or inf norm ends the attempt as an escape, never as converged.
+    Returns the last iterate's state and its order-2 norm.  Each iterate's
+    derivative tables are taken once, right after the sweep that makes it;
+    they feed the next sweep, and its order-2 columns less those of the
+    previous iterate give the increment, whose norm is measured on every
+    sweep.  The iterate's own norm is read only by the escape test and as
+    the converged solution's norm, so it is measured only when the triangle
+    bound (last measured norm plus the increments since) cannot rule out an
+    escape, and at convergence; the returned norm is None when the last
+    iterate's was never measured.  A nan or inf norm ends the attempt as an
+    escape, never as converged.
     """
     grid = pairs.grid
     state = _zero_state(grid, system.m)
-    increments: list[float] = []
-    ratios: list[float] = []
+    increments, ratios = record.increment_norms, record.ratios
     streak = 0
-    outcome = "max_iter"
-    escape_norm = None
     f_norm: float | None = None
     bound = 0.0
     for sweep in range(config.max_iter):
         new = make_state(grid, picard_map(system, state, seed_vals))
         inc = solver_norm(new.order2 - state.order2, config.alpha, pairs)
         increments.append(inc)
+        record.iterations = len(increments)
         if sweep == 0:
             # the zero iterate's columns are zero, so the difference is
             # new's columns bit for bit
@@ -598,15 +605,15 @@ def _run_attempt(system: PoissonSystem, pairs: PairSet,
             # takes the safe branch: a nan or inf increment makes the bound
             # non-finite, the iterate's norm is measured, and a non-finite
             # norm escapes.
-            if not bound * (1.0 + 1e-6) < gamma:
+            if not bound * (1.0 + 1e-6) < record.gamma_start:
                 f_norm = bound = solver_norm(new.order2, config.alpha, pairs)
         state = new
-        if f_norm is not None and not f_norm <= gamma:
-            outcome = "escaped"
-            escape_norm = f_norm
+        if f_norm is not None and not f_norm <= record.gamma_start:
+            record.outcome = "escaped"
+            record.escape_norm = f_norm
             break
         if inc < config.tol:
-            outcome = "converged"
+            record.outcome = "converged"
             if f_norm is None:
                 f_norm = solver_norm(state.order2, config.alpha, pairs)
             break
@@ -615,14 +622,9 @@ def _run_attempt(system: PoissonSystem, pairs: PairSet,
             ratios.append(r)
             streak = streak + 1 if r > CONTRACTION_THRESHOLD else 0
             if streak >= 3:
-                outcome = "no_contraction"
+                record.outcome = "no_contraction"
                 break
-    record = AttemptRecord(
-        R=grid.R, gamma_start=gamma, gamma_end=gamma,
-        iterations=len(increments), outcome=outcome,
-        increment_norms=increments, ratios=ratios, escape_norm=escape_norm,
-    )
-    return state, f_norm, record
+    return state, f_norm
 
 
 def picard_solve(system: PoissonSystem, config: SolveConfig,
@@ -633,8 +635,10 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
     MAX_GAMMA_DOUBLINGS, shared across radii); non-contraction, iteration
     exhaustion, or an exhausted doubling budget halves the radius and
     restarts from zero on a fresh grid; gamma is carried across halvings.
-    Raises NoConvergence/IterateEscaped at the radius floor, with the
-    partial report attached to the exception.
+    Raises NoConvergence/IterateEscaped at the radius floor, and
+    OracleFailure when an oracle fails in an attempt, which ends the solve
+    with that attempt's outcome "oracle_failure"; each carries the partial
+    report.
 
     Every radius's grid and pair set is built on one lattice ball of
     (system.n, config.res): ball when given (build_grid raises ValueError
@@ -655,16 +659,22 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
         seed_vals = seed_field_values(config.harmonic_seed, grid, system.m)
 
         while True:
-            state, f_norm, record = _run_attempt(
-                system, pairs, seed_vals, gamma, config)
-            record.deviation_sup = coefficient_deviation_sup(system, state)
+            record = AttemptRecord(grid.R, gamma, gamma)
             attempts.append(record)
-
-            if record.outcome == "converged":
-                return _final_report(
-                    SolveReport("converged", gamma, gamma0, c_hat, psi0,
-                                attempts, config),
-                    system, pairs, state, f_norm)
+            try:
+                state, f_norm = _run_attempt(system, pairs, seed_vals,
+                                             record, config)
+                record.deviation_sup = coefficient_deviation_sup(system, state)
+                if record.outcome == "converged":
+                    return _final_report(
+                        SolveReport("converged", gamma, gamma0, c_hat, psi0,
+                                    attempts, config),
+                        system, pairs, state, f_norm)
+            except OracleFailure as exc:
+                record.outcome = "oracle_failure"
+                exc.report = SolveReport("failed:oracle_failure", gamma, gamma0,
+                                         c_hat, psi0, attempts, config)
+                raise
             if record.outcome == "escaped" and doublings < MAX_GAMMA_DOUBLINGS:
                 doublings += 1
                 gamma *= 2.0

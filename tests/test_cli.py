@@ -50,7 +50,7 @@ def test_solve_writes_report_and_field(workdir):
     rc = main(["solve", _write(workdir / "cfg.json", cfg)])
     assert rc == 0
     payload = json.loads((workdir / "report.json").read_text())
-    assert payload["schema"] == 7
+    assert payload["schema"] == 8
     assert payload["command"] == "solve"
     assert payload["result"]["status"] == "converged"
     assert payload["config"]["res"] == 13
@@ -326,6 +326,26 @@ def test_unreachable_floor_exits_two(workdir, monkeypatch):
     assert all(a["escape_norm"] > a["gamma_start"] for a in escaped)
 
 
+def test_oracle_failure_exits_four_with_history(workdir, capsys):
+    # on the R0 = 2 disk the jet's affine map c0 + c1 x leaves the
+    # hyperbolic chart, so the first sweep's oracle call fails: the report
+    # holds the failed attempt, like any other failed solve's
+    cfg = _solve_cfg(
+        system={"name": "harmonic_map", "params": {"target": "hyperbolic"}},
+        jet={"c0": [0.9, 0.0], "c1": [[0.6, 0.0], [0.0, 0.6]]},
+        R0=2.0, res=9, gamma0=None)
+    assert main(["solve", _write(workdir / "cfg.json", cfg)]) == 4
+    assert capsys.readouterr().err.startswith("oracle failure:")
+    payload = json.loads((workdir / "report.json").read_text())
+    assert payload["schema"] == 8
+    assert "outside the hyperbolic chart" in payload["error"]
+    result = payload["result"]
+    assert result["status"] == "failed:oracle_failure"
+    assert [(a["R"], a["outcome"]) for a in result["attempts"]] == [
+        (2.0, "oracle_failure")]
+    assert not (workdir / "field.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-lemmas
 
@@ -501,7 +521,10 @@ def test_payload_keys(workdir, monkeypatch):
                          ("lemmas.json", {"result"})]:
         payload = json.loads((workdir / path).read_text())
         assert set(payload) == common | fields, path
-    assert json.loads((workdir / "oracle.json").read_text())["result"] is None
+    # an oracle failure writes the partial history like any failed solve
+    result = json.loads((workdir / "oracle.json").read_text())["result"]
+    assert result["status"] == "failed:oracle_failure"
+    assert result["attempts"][-1]["outcome"] == "oracle_failure"
 
 
 def test_report_text_is_strict_json():

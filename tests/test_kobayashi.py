@@ -227,6 +227,18 @@ def test_partner_recorded(hyperbolic_estimate):
     assert abs(Y @ np.array([0.5, 0.0])) < 1e-12
 
 
+def test_failed_radius_reads_the_failure_type():
+    # the schedule's 7th radius leaves the chart: the solve's OracleFailure
+    # is a failed radius named by its type, with no iterations or residual
+    q = KobayashiQuery(HYP, np.zeros(2), np.array([0.5, 0.0]))
+    est = estimate(q, solve_config=SolveConfig(res=9, tol=1e-6))
+    assert [o.success for o in est.outcomes] == [True] * 6 + [False]
+    failed = est.outcomes[-1]
+    assert failed.reason == "OracleFailure"
+    assert failed.iterations is None and failed.residual is None
+    assert failed.conformality_defect is None
+
+
 def test_inconclusive_when_every_radius_fails():
     q = KobayashiQuery(HYP, np.zeros(2), np.array([0.9, 0.0]),
                        r_start=8.0, growth=1.5, max_steps=2)

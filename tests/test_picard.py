@@ -20,6 +20,7 @@ from jetsolve import (
     OracleFailure,
     PoissonSystem,
     SolveConfig,
+    SolveFailure,
     SystemDef,
     build_grid,
     build_pair_set,
@@ -475,6 +476,91 @@ def test_source_term_rejects_nonfinite(grid2):
             source_term(system, state)
         first = grid2.nodes[np.argmax(breaks(grid2.nodes))]
         np.testing.assert_array_equal(err.value.node, first)
+        # raised outside a solve, it has no report
+        assert err.value.report is None
+
+
+def test_oracle_failure_mid_solve_keeps_the_history(monkeypatch):
+    # the 4th source term is the 3rd sweep of the second attempt: the first
+    # attempt stays as the unbroken solve records it, and the second keeps
+    # the two sweeps before the failure
+    system = prescribed_mean_curvature_system(2, mean_curvature=0.3)
+    cfg = SolveConfig(R0=1.0, res=9, gamma0=0.4)
+    whole = solve_system(system, None, cfg)
+    assert [(a.outcome, a.iterations) for a in whole.attempts] == [
+        ("escaped", 1), ("converged", 8)]
+    real, calls = picard_module.source_term, []
+
+    def failing(system, state):
+        calls.append(None)
+        if len(calls) == 4:
+            raise OracleFailure("synthetic oracle failure")
+        return real(system, state)
+
+    monkeypatch.setattr(picard_module, "source_term", failing)
+    with pytest.raises(OracleFailure) as err:
+        solve_system(system, None, cfg)
+    report = err.value.report
+    assert report.status == "failed:oracle_failure"
+    assert report.gamma == whole.gamma and report.solution is None
+    first, last = report.attempts
+    assert _bits(vars(first)) == _bits(vars(whole.attempts[0]))
+    assert (last.R, last.gamma_start, last.outcome, last.iterations) == (
+        1.0, 0.8, "oracle_failure", 2)
+    assert last.increment_norms == whole.attempts[1].increment_norms[:2]
+    assert last.ratios == whole.attempts[1].ratios[:1]
+    assert last.deviation_sup is None and last.escape_norm is None
+
+
+def test_deviation_oracle_failure_names_the_node():
+    # b raises off a small field: the first sweep's iterate escapes, and
+    # the deviation figure on it is the first b call that fails
+    def b(x, p, q):
+        if np.any(np.abs(p) > 0.05):
+            raise ValueError("synthetic oracle breakage")
+        return np.zeros(np.shape(x)[:-1] + (2, 2))
+
+    system = PoissonSystem(n=2, m=1, psi=lambda x, p, q: np.ones(np.shape(p)),
+                           b=b, P=np.eye(2), P_inv=np.eye(2))
+    with pytest.raises(OracleFailure, match="node") as err:
+        picard_solve(system, SolveConfig(R0=1.0, res=9, gamma0=1.0))
+    grid = build_grid(2, 1.0, 9)
+    flat = picard_map(PoissonSystem(
+        n=2, m=1, psi=system.psi, b=lambda x, p, q: np.zeros(
+            np.shape(x)[:-1] + (2, 2)), P=np.eye(2), P_inv=np.eye(2)),
+        _zero_state(grid, 1), np.zeros((grid.node_count, 1)))
+    np.testing.assert_array_equal(
+        err.value.node, grid.nodes[np.argmax(np.abs(flat[:, 0]) > 0.05)])
+    report = err.value.report
+    assert report.status == "failed:oracle_failure"
+    [attempt] = report.attempts
+    assert (attempt.outcome, len(attempt.increment_norms)) == (
+        "oracle_failure", 1)
+    # the escape was measured before the deviation figure failed
+    assert attempt.escape_norm > attempt.gamma_start
+    assert attempt.deviation_sup is None
+
+
+@pytest.mark.parametrize("case", ["escape", "floor", "oracle"])
+def test_every_solve_failure_carries_its_history(case):
+    system, jet, kwargs, status = {
+        "escape": (poisson_system(2, const=50.0), None,
+                   dict(gamma0=0.5, R_min=0.5), "failed:escaped"),
+        "floor": (minimal_surface_system(2, q_bound=2.5), None,
+                  dict(R0=3.0, gamma0=40.0, max_iter=7, R_min=1.0,
+                       harmonic_seed=_SADDLE), "failed:max_iter"),
+        # on the R0 = 2 disk c0 + c1 x leaves the hyperbolic chart
+        "oracle": (harmonic_map_system(2, hyperbolic_disk_target(2)),
+                   JetSpec(np.array([0.9, 0.0]), 0.6 * np.eye(2)),
+                   dict(R0=2.0), "failed:oracle_failure"),
+    }[case]
+    with pytest.raises(SolveFailure) as err:
+        solve_system(system, jet, SolveConfig(res=9, **kwargs))
+    report = err.value.report
+    assert report.status == status
+    assert report.attempts
+    assert report.status == f"failed:{report.attempts[-1].outcome}"
+    assert isinstance(err.value, OracleFailure) == (case == "oracle")
 
 
 @pytest.mark.parametrize("n", [2, 3])
