@@ -43,6 +43,18 @@ joining one unordered pair of cubes, as one contiguous slice of every
 pair-length array.  The Hölder scans bound whole buckets from the cubes'
 value ranges and read only the slices that can hold a max.  A sampled set
 keeps each drawn unordered pair once.
+
+Pair geometry is integer.  A pair keeps its lattice offset, one small
+signed integer per axis, and its squared lattice distance d2, a small
+unsigned integer; no float is stored per pair.  Every distance at R = 1 is
+unit_h * sqrt(k) for some k <= n (res - 1)^2, so the ball keeps that table
+once, and a pair's distance, its power |x - y|^alpha and a bucket's least
+power (the power at the bucket's least d2) are reads of the table and of
+its elementwise power.  Those reads are bitwise the float route's:
+sqrt and the product by unit_h are correctly rounded, a power depends on
+its operand alone, and all three are monotone.  The tests pin the power's
+two properties, and the int32 pair draws being the int64 stream, for the
+numpy in use.
 """
 
 from __future__ import annotations
@@ -365,28 +377,34 @@ def _fit_classes(ball: LatticeBall, nodes: np.ndarray, nbr: np.ndarray,
     return by_key[new], cls, elem, rank
 
 
-def _quadratic_fits(ball: LatticeBall, nodes: np.ndarray) -> list:
-    """Least-squares quadratic fits at the given nodes, in lattice units.
+def _quadratic_fits(ball: LatticeBall, starved: np.ndarray) -> list:
+    """The least-squares rows of the starved (multi-index, node) pairs of
+    the stencil table, starved (len(betas), N) over its multi-indices,
+    which are the fit monomials of order 1 and 2 in order.
 
-    Each node fits the monomials of degree <= 2 on its K nearest nodes, K
-    starting at twice the monomial count and growing by the monomial count
-    until the fit has full rank.  Returns (nodes, neighbours, pinv) groups,
-    one per K; pinv maps neighbour values to the coefficients, in the
-    integer lattice offsets (x - x_node) / h, of the multi-indices of
-    order 0, 1 and 2 in order.
+    Each node starved anywhere fits the monomials of degree <= 2 on its K
+    nearest nodes, K starting at twice the monomial count and growing by
+    the monomial count until the fit has full rank; row beta of the
+    pseudo-inverse, times beta!, maps neighbour values to the derivative
+    in lattice units.  Returns the table parts (rows, neighbours (s, K),
+    weights (s, K)), one per K.
 
-    Only the first node of each symmetry class (see _fit_classes) is fitted;
-    its rows are those of a direct fit, bitwise.  The other members take
-    them through the symmetry, monomial rows by the element's row map and
-    signs and neighbour columns by the matched codes: the same
-    least-squares solution, within rounding of a direct fit.
+    Only the first node of each symmetry class (see _fit_classes) is
+    fitted; its rows are those of a direct fit, bitwise.  The starved rows
+    of the other members are taken through the symmetry, the monomial row
+    by the element's row map and sign and the neighbour columns by the
+    matched codes: the same least-squares solution, within rounding of a
+    direct fit.  No other row of a member's pseudo-inverse is mapped.
     """
     mono = _fit_monomials(ball.n)
     axes = np.arange(ball.n)
     nm, N = mono.shape[0], ball.node_count
     perm, rows, row_sign = _symmetries(ball.n)
+    fact = np.asarray([math.prod(math.factorial(k) for k in b)
+                       for b in mono[1:].tolist()], dtype=float)
+    nodes = np.nonzero(np.any(starved, axis=0))[0]
     K = min(N, 2 * nm)
-    groups = []
+    parts = []
     while nodes.size:
         nbr = _nearest(ball, nodes, K)
         first, cls, elem, rank = _fit_classes(ball, nodes, nbr, perm)
@@ -418,17 +436,18 @@ def _quadratic_fits(ball: LatticeBall, nodes: np.ndarray) -> list:
             canon = np.empty_like(pinv)
             np.put_along_axis(canon, rows[e][..., None],
                               pinv * row_sign[e][..., None], axis=1)
-            # and in each node's own frame
-            e = elem[full]
-            pinv = np.take_along_axis(canon[(np.cumsum(full_cls) - 1)
-                                            [cls[full]]],
-                                      rows[e][..., None], axis=1)
-            pinv *= row_sign[e][..., None]
-            pinv = np.take_along_axis(pinv, rank[full][:, None], axis=2)
-            groups.append((nodes[full], nbr[full], pinv))
+            # each starved (beta, node) row in the node's own frame; the
+            # factor +-beta! is +-1 or +-2, so the product is exact
+            b, at = np.nonzero(starved[:, nodes[full]])
+            at = np.flatnonzero(full)[at]
+            e, m = elem[at], 1 + b
+            w = canon[(np.cumsum(full_cls) - 1)[cls[at]], rows[e, m]]
+            w = np.take_along_axis(w, rank[at], axis=1)
+            w *= (row_sign[e, m] * fact[b])[:, None]
+            parts.append((b * N + nodes[at], nbr[at], w))
         nodes = nodes[~full]
         K = min(N, K + nm)
-    return groups
+    return parts
 
 
 def _assemble(betas, count: int, parts) -> StencilTable:
@@ -478,14 +497,7 @@ def stencil_table(grid: BallGrid) -> StencilTable:
             parts.append((b * N + free[take], nbr[take], np.asarray(weights)))
             free = free[~take]
         starved[b, free] = True
-    fact = [math.prod(math.factorial(k) for k in beta) for beta in betas]
-    for nodes, nbr, pinv in _quadratic_fits(
-            ball, np.nonzero(np.any(starved, axis=0))[0]):
-        for b in range(len(betas)):
-            sel = starved[b][nodes]
-            # the fit's coefficient 0 is the constant, 1 + b is betas[b]
-            parts.append((b * N + nodes[sel], nbr[sel],
-                          pinv[sel, 1 + b, :] * fact[b]))
+    parts += _quadratic_fits(ball, starved)
     ball._shared[key] = _assemble(betas, len(betas) * N, parts)
     # the padded index map serves the lookups of the build only
     ball._shared.pop("padded_index", None)
@@ -570,8 +582,12 @@ class UnitPairs:
     :class:`PairBuckets`), in key order inside each bucket, each oriented
     lower -> higher node id (in triu order for a complete set), so a scan of
     chosen buckets reads contiguous ranges of every pair-length array.
-    offset (n, pairs) is lattice[first] - lattice[second] and dist the
-    distances at R = 1.  drawn counts the pairs drawn, repeats included.
+    offset (n, pairs) is lattice[first] - lattice[second] in a small signed
+    integer type, and d2 the pairs' integer squared lattice distances in a
+    small unsigned one.  No float is kept per pair: a distance at R = 1,
+    or its power, is a read of the ball's table of unit_h * sqrt(k) over
+    every squared distance k, at d2.  drawn counts the pairs drawn,
+    repeats included.
     """
 
     first: np.ndarray
@@ -580,23 +596,35 @@ class UnitPairs:
     buckets: PairBuckets
     drawn: int
     offset: np.ndarray
-    dist: np.ndarray
+    d2: np.ndarray
+    _table: np.ndarray = field(repr=False)
     _take_ids: tuple = field(repr=False)
     _pow: dict = field(default_factory=dict, repr=False)
     _min_pow: dict = field(default_factory=dict, repr=False)
 
+    @property
+    def dist(self) -> np.ndarray:
+        """The distances at R = 1, unit_h * sqrt(d2), read-only; gathered
+        from the table on every read."""
+        return _read_only(self._table[self.d2])[0]
+
     def dist_pow(self, alpha: float) -> np.ndarray:
+        """dist ** alpha, read-only, gathered once from the table's powers:
+        a power is a function of its operand alone, so bitwise each pair's
+        own."""
         key = float(alpha)
         if key not in self._pow:
-            self._pow[key] = _read_only(self.dist**key)[0]
+            self._pow[key] = _read_only((self._table**key)[self.d2])[0]
         return self._pow[key]
 
     def bucket_min_dist_pow(self, alpha: float) -> np.ndarray:
-        """The least dist_pow(alpha) of each bucket."""
+        """The least dist_pow(alpha) of each bucket: the table's power at
+        the bucket's least d2, as sqrt, the scaling by unit_h and the power
+        are monotone."""
         key = float(alpha)
         if key not in self._min_pow:
-            self._min_pow[key] = _read_only(np.minimum.reduceat(
-                self.dist_pow(key), self.buckets.indptr[:-1]))[0]
+            self._min_pow[key] = _read_only(
+                (self._table**key)[self.buckets.min_d2])[0]
         return self._min_pow[key]
 
 
@@ -644,12 +672,16 @@ class PairBuckets:
     Cube c holds the nodes node_order[cube_start[c]:cube_start[c + 1]].
     Bucket b holds the pairs whose nodes lie in the cubes cube_a[b] <=
     cube_b[b], in either orientation: the pair set stores them as the
-    slice indptr[b]:indptr[b + 1].  Every array is read-only and R-free.
+    slice indptr[b]:indptr[b + 1], sizes[b] of them, the least squared
+    lattice distance among them min_d2[b].  Every array is read-only and
+    R-free.
     """
 
     node_order: np.ndarray
     cube_start: np.ndarray
     indptr: np.ndarray
+    sizes: np.ndarray
+    min_d2: np.ndarray
     cube_a: np.ndarray
     cube_b: np.ndarray
     _ends: tuple = field(repr=False)
@@ -667,28 +699,41 @@ def _bucketed(ball: LatticeBall, first: np.ndarray, second: np.ndarray,
     """The unit pairs of the int64 pairs (first, second), which it takes
     over and regroups bucket by bucket in place (so it holds no second copy
     of them) as the writeable take indices behind read-only views, drawn
-    pairs in all."""
-    buckets, order = _bucket_pairs(ball, first, second)
-    first[:] = first.take(order)
-    second[:] = second.take(order)
-    # The integer offsets are exact in float64.  They are gathered column
-    # by column into one (pairs, n) block: once glibc has freed a block
-    # that size, it serves the Hölder scans' pair-length temporaries from
-    # the heap (with per-axis temporaries alone they stayed mmapped, and
-    # the scans ran about 25% slower at 2D res 33).
-    offset = np.empty((first.shape[0], ball.n))
-    for d in range(ball.n):
-        column = ball.lattice[:, d].astype(np.float64)
-        np.subtract(column.take(first), column.take(second),
-                    out=offset[:, d])
-    d2 = np.einsum("ij,ij->i", offset, offset).astype(
-        np.min_scalar_type(ball.n * (ball.res - 1)**2))
-    # a signed dtype that holds +-(res - 1), one contiguous row per axis
-    offset = offset.T.astype(np.min_scalar_type(-ball.res), order="C")
-    dist = np.sqrt(d2, dtype=np.float64)
-    dist *= ball.unit_h
+    pairs in all.
+
+    The offsets are gathered from the lattice columns straight into one
+    signed row per axis that holds +-(res - 1), and d2 sums their squares
+    in the least unsigned type that holds n (res - 1)^2: every step is
+    exact integer arithmetic.
+    """
+    present, sizes = _bucket_pairs(ball, first, second)
+    n, res = ball.n, ball.res
+    offset = np.empty((n, first.shape[0]), dtype=np.min_scalar_type(-res))
+    top = n * (res - 1)**2
+    d2 = np.zeros(first.shape[0], dtype=np.min_scalar_type(top))
+    square = np.empty_like(d2)
+    for d, row in enumerate(offset):
+        column = ball.lattice[:, d].astype(offset.dtype)
+        np.subtract(column.take(first), column.take(second), out=row)
+        np.abs(row, out=square, casting="unsafe")
+        square *= square
+        d2 += square
+    del square
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    _, count, node_order, cube_start = _node_cubes(ball)
+    cube_a, cube_b = np.divmod(present, count)
+    ends = np.concatenate((cube_a, cube_b))
+    swapped = np.concatenate((cube_b, cube_a))
+    buckets = PairBuckets(node_order, cube_start, *_read_only(
+        indptr, sizes, np.minimum.reduceat(d2, indptr[:-1]),
+        ends[:present.size], ends[present.size:]), _ends=(ends, swapped))
+    if "distances" not in ball._shared:
+        table = np.sqrt(np.arange(top + 1), dtype=np.float64)
+        table *= ball.unit_h
+        ball._shared["distances"] = _read_only(table)[0]
     return UnitPairs(*_read_only(first.view(), second.view()), complete,
-                     buckets, drawn, *_read_only(offset, dist),
+                     buckets, drawn, *_read_only(offset, d2),
+                     _table=ball._shared["distances"],
                      _take_ids=(first, second))
 
 
@@ -724,10 +769,11 @@ def _node_cubes(ball: LatticeBall) -> tuple[np.ndarray, int, np.ndarray,
 
 
 def _bucket_pairs(ball: LatticeBall, first: np.ndarray,
-                  second: np.ndarray) -> tuple[PairBuckets, np.ndarray]:
-    """The buckets of the pairs (first, second), and the permutation that
-    stores them bucket by bucket, keeping their order inside each."""
-    cube, count, node_order, cube_start = _node_cubes(ball)
+                  second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regroup the pairs (first, second) bucket by bucket in place, keeping
+    their order inside each; returns the keys cube_a * count + cube_b of
+    the buckets present, in increasing order, and their sizes."""
+    cube, count, _, _ = _node_cubes(ball)
     # uint16 keys of the unordered cube pair: a stable radix sort groups
     # the pairs by bucket and keeps their order inside each
     ca, cb = cube.take(first), cube.take(second)
@@ -737,15 +783,11 @@ def _bucket_pairs(ball: LatticeBall, first: np.ndarray,
     del ca, cb
     order = np.argsort(key, kind="stable")
     sizes = np.bincount(key, minlength=count * count)
+    del key
+    first[:] = first.take(order)
+    second[:] = second.take(order)
     present = np.flatnonzero(sizes)
-    indptr = np.concatenate(([0], np.cumsum(sizes[present])))
-    cube_a, cube_b = np.divmod(present, count)
-    ends = np.concatenate((cube_a, cube_b))
-    swapped = np.concatenate((cube_b, cube_a))
-    return PairBuckets(node_order, cube_start,
-                       *_read_only(indptr, ends[:present.size],
-                                   ends[present.size:]),
-                       _ends=(ends, swapped)), order
+    return present, sizes[present]
 
 
 def build_pair_set(grid: BallGrid, seed: int = 0) -> PairSet:
@@ -753,13 +795,14 @@ def build_pair_set(grid: BallGrid, seed: int = 0) -> PairSet:
     else the distinct pairs among the forced pairs and seeded draws up to
     PAIR_CAP.
 
-    The node pairs, their buckets, offsets and distances at R = 1 depend
-    on (n, res, seed) only (a complete set on no seed), so they are built
-    once per lattice ball and shared by the sets of every grid on it, for
-    as long as the ball lives; a set computes nothing per radius.  A
-    ValueError when the cap cannot hold the forced pairs (3D grids above
-    about 100k nodes), or when seed is not an integral value >= 0, whether
-    or not the set reads it.
+    The node pairs, their buckets, integer offsets and squared distances
+    depend on (n, res, seed) only (a complete set on no seed), so they are
+    built once per lattice ball and shared by the sets of every grid on
+    it, for as long as the ball lives; a set computes nothing per radius,
+    and its distances at R = 1 are reads of the ball's distance table (see
+    :class:`UnitPairs`).  A ValueError when the cap cannot hold the forced
+    pairs (3D grids above about 100k nodes), or when seed is not an
+    integral value >= 0, whether or not the set reads it.
     """
     try:
         seed = integral_value(seed)
@@ -831,8 +874,9 @@ def _drawn_keys(grid: BallGrid, seed: int, cap: int,
     need = cap - forced
     got = 0
     while got < need:
-        a = rng.integers(0, N, size=need - got + 1024)
-        b = rng.integers(0, N, size=need - got + 1024)
+        # int32 draws are the int64 stream, at half the bytes
+        a = rng.integers(0, N, size=need - got + 1024, dtype=np.int32)
+        b = rng.integers(0, N, size=need - got + 1024, dtype=np.int32)
         ok = a != b
         a, b = a[ok], b[ok]
         take = min(a.shape[0], need - got)

@@ -206,19 +206,19 @@ def _max_norm(rows: np.ndarray, offset, scale: float, alpha: float,
 
     bound, when given, bounds that value over each bucket (buckets,).  The
     buckets of largest bound, enough of them to hold _FLOOR_PAIRS pairs,
-    are scanned first for an exact floor, then only the buckets whose bound
-    is not <= that floor.  A skipped bucket cannot beat the floor, so the
-    result is the float of a scan of every bucket.  Without a bound, or
-    when the surviving buckets hold too much of the set for their gather
-    to pay for k rows, every pair is scanned in stored order.
+    are scanned first for an exact floor (:func:`_floor_buckets`), then
+    only the buckets whose bound is not <= that floor.  A skipped bucket
+    cannot beat the floor, so the result is the float of a scan of every
+    bucket, whichever buckets gave the floor.  Without a bound, or when the
+    surviving buckets hold too much of the set for their gather to pay for
+    k rows, every pair is scanned in stored order.
     """
     def scan(chosen=None):
         return (offset + scale * _scan(rows, alpha, pairs, chosen)).max()
 
     if bound is not None:
-        k, size = rows.shape[0], np.diff(pairs.buckets.indptr)
-        rank = np.argsort(bound)[::-1]
-        top = rank[:np.searchsorted(np.cumsum(size[rank]), _FLOOR_PAIRS) + 1]
+        k, size = rows.shape[0], pairs.buckets.sizes
+        top = _floor_buckets(bound, size, pairs.size)
         best = scan(top)
         live = ~(bound <= best)
         live[top] = False
@@ -228,6 +228,26 @@ def _max_norm(rows: np.ndarray, offset, scale: float, alpha: float,
     # inf - inf makes the NaN quotients that a bound never sees
     with np.errstate(invalid="ignore"):
         return scan()
+
+
+def _floor_buckets(bound: np.ndarray, size: np.ndarray,
+                   total: int) -> np.ndarray:
+    """The fewest buckets of largest bound that hold _FLOOR_PAIRS pairs,
+    in decreasing order of bound (ties in any order), of buckets holding
+    size pairs each, total in all.
+
+    A partial sort: np.argpartition picks the m largest bounds, m starting
+    at twice the average bucket count of _FLOOR_PAIRS pairs and doubling
+    until they hold that many, and only those m are sorted.
+    """
+    m = min(bound.size, 2 * -(-_FLOOR_PAIRS * bound.size // total))
+    while True:
+        top = np.argpartition(bound, bound.size - m)[bound.size - m:]
+        top = top[np.argsort(bound[top])[::-1]]
+        held = np.cumsum(size[top])
+        if held[-1] >= _FLOOR_PAIRS or m == bound.size:
+            return top[:np.searchsorted(held, _FLOOR_PAIRS) + 1]
+        m = min(bound.size, 2 * m)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .grid import (BallGrid, LatticeBall, PairSet, build_grid, build_pair_set,
-                   fd_derivatives, fd_values, multi_indices)
+from .grid import (BallGrid, LatticeBall, PairSet, _read_only, build_grid,
+                   build_pair_set, fd_derivatives, multi_indices,
+                   stencil_table)
 from .holder import max_weighted_norm
 from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
@@ -341,29 +342,51 @@ def _origin_jet_polynomial(grid: BallGrid, vals: np.ndarray) -> np.ndarray:
     (discrete and continuous) Laplacian vanishes and the subtraction leaves
     the field's Laplacian untouched.  The monomials are those of the unit
     nodes, so each origin stencil value is scaled by R^|beta| instead.
+
+    The origin's rows of every jet multi-index are read in one gather and
+    one segmented sum; each sum is then divided by h^|beta| and scaled by
+    R^|beta|, the float operations of fd_values(grid, vals, beta, node=o)
+    times R^|beta|, so bitwise that route's coefficients.
     """
     o = grid.origin_index
     vals = np.asarray(vals, dtype=np.float64)
+    orders, index, weight, starts, monos = _origin_jet(grid)
+    terms = vals.take(index, axis=0)
+    terms *= weight.reshape((-1,) + (1,) * (vals.ndim - 1))
+    coeffs = np.add.reduceat(terms, starts, axis=0)
     poly = np.zeros_like(vals) + vals[o]
-    betas, monos = _jet_monomials(grid.ball)
-    for beta, mono in zip(betas, monos):
-        coeff = fd_values(grid, vals, beta, node=o) * grid.R**sum(beta)
-        poly += np.multiply.outer(mono, coeff)
+    for order, mono, coeff in zip(orders, monos, coeffs):
+        coeff /= grid.h**order
+        poly += np.multiply.outer(mono, coeff * grid.R**order)
     return poly
 
 
-def _jet_monomials(ball: LatticeBall) -> tuple[list, list]:
-    """The multi-indices of the subtracted jet, those of order 1 and then
-    the mixed ones of order 2, and their monomials at the unit nodes (R =
-    1): x_i and x_i * x_j by plain products, bitwise the values of
+def _origin_jet(grid: BallGrid) -> tuple:
+    """The subtracted jet's multi-indices, those of order 1 and then the
+    mixed ones of order 2, read off the origin's stencil rows: their
+    orders, the rows' entries as one gather index and weights, each row's
+    start among them, and the monomials at the unit nodes (R = 1), x_i and
+    x_i * x_j by plain products, bitwise the values of
     np.prod(unit_nodes ** beta, axis=1).  Built once per ball."""
-    key = "jet_monomials"
+    ball = grid.ball
+    key = "origin_jet"
     if key not in ball._shared:
         n, x = ball.n, ball.unit_nodes.T
         mixed = [b for b in multi_indices(n, 2) if max(b) == 1]
         pairs = [[d for d in range(n) if b[d]] for b in mixed]
-        ball._shared[key] = (multi_indices(n, 1) + mixed,
-                             list(x) + [x[i] * x[j] for i, j in pairs])
+        table, N = stencil_table(grid), ball.node_count
+        rows = [table.betas.index(b) * N + ball.origin_index
+                for b in multi_indices(n, 1) + mixed]
+        entries = [np.arange(table.indptr[r], table.indptr[r + 1])
+                   for r in rows]
+        starts = np.cumsum([0] + [e.size for e in entries[:-1]])
+        entries = np.concatenate(entries)
+        # the gather index stays writeable: ndarray.take copies a read-only
+        # one on every call
+        ball._shared[key] = (
+            [1] * n + [2] * len(mixed), table.index[entries],
+            *_read_only(table.weight[entries], starts),
+            list(x) + [x[i] * x[j] for i, j in pairs])
     return ball._shared[key]
 
 

@@ -89,10 +89,11 @@ def uniform_ball_potential(n: int, R: float, x):
 
 @dataclass(eq=False)
 class PotentialField:
-    """Potential of a source, with its Hessian when one was asked for."""
+    """Potential of a source, with its Hessian when one was asked for; a
+    Hessian-only pass leaves values None."""
 
     grid: BallGrid
-    values: np.ndarray                   # (N,) or (N, m)
+    values: np.ndarray | None            # (N,) or (N, m)
     hess: np.ndarray | None = None       # (N, n, n) or (N, n, n, m)
 
 
@@ -216,32 +217,41 @@ def _kernel_spectra(ball: LatticeBall, hess: bool):
     return spectra, row_sums
 
 
-def _apply_potential(grid: BallGrid, source: np.ndarray,
-                     hess: bool = False) -> PotentialField:
+def _apply_potential(grid: BallGrid, source: np.ndarray, hess: bool = False,
+                     value: bool = True) -> PotentialField:
     """One FFT pass on the ball at R = 1: N(f) of an (N,) or (N, m) source,
     shaped like it, and when asked its Hessian, (N, n, n) or (N, n, n, m).
     The Hessian is R-free and the value scales as R^2, less in 2D the log
-    kernel's and self cells' shift R^2 log(R) / (2 pi) per unit weight."""
+    kernel's and self cells' shift R^2 log(R) / (2 pi) per unit weight.
+
+    With value False the pass convolves the Hessian kernels alone and the
+    field's values are None.  Each kernel's lines are transformed on their
+    own, so the Hessian is bitwise that of a pass with the value kernel.
+    """
     ball, R = grid.ball, grid.R
     n, N = ball.n, ball.node_count
     F = source.reshape(N, -1)
     spectra, row_sums = _kernel_spectra(ball, hess)
     w, self_cell = _unit_quadrature(ball)
     wF = w[:, None] * F
-    conv = _convolve(ball, spectra if hess else spectra[:1], wF)
-    value = conv[0].T + self_cell[:, None] * F
-    value *= R * R
-    if n == 2 and R != 1.0:
-        value -= R * R * math.log(R) / (2.0 * math.pi) * wF.sum(axis=0)
-    second = None
+    conv = _convolve(ball, spectra[(0 if value else 1):(None if hess else 1)],
+                     wF)
+    values = second = None
+    if value:
+        values = conv[0].T + self_cell[:, None] * F
+        values *= R * R
+        if n == 2 and R != 1.0:
+            values -= R * R * math.log(R) / (2.0 * math.pi) * wF.sum(axis=0)
+        values = values.reshape(source.shape)
+        conv = conv[1:]
     if hess:
         I, J = np.triu_indices(n)
-        vals = np.moveaxis(conv[1:] - row_sums[:, None] * F.T, -1, 0)
+        vals = np.moveaxis(conv - row_sums[:, None] * F.T, -1, 0)
         vals[:, I == J] -= F[:, None] / n
         second = np.empty((N, n, n, F.shape[1]))
         second[:, I, J] = second[:, J, I] = vals
         second = second.reshape((N, n, n) + source.shape[1:])
-    return PotentialField(grid, value.reshape(source.shape), hess=second)
+    return PotentialField(grid, values, hess=second)
 
 
 def newtonian_potential(values: np.ndarray, grid: BallGrid) -> PotentialField:
@@ -308,7 +318,8 @@ def _norm_ratios(names, fields: np.ndarray, norms: np.ndarray, alpha: float,
     keep = np.flatnonzero(~(norms < 1e-14))
     if not keep.size:
         raise ValueError("all probes had vanishing norm")
-    hess = potential_hessian(fields[:, keep], pairs.grid).hess
+    hess = _apply_potential(pairs.grid, fields[:, keep], hess=True,
+                            value=False).hess
     ratios = {}
     upper = np.triu_indices(pairs.grid.n)
     for col, k in enumerate(keep):

@@ -306,13 +306,38 @@ def _fits_rank_then_pinv(ball, nodes):
     return groups
 
 
+def _starved_rows(ball, starved, groups):
+    """The table parts of the starved (multi-index, node) rows of per-node
+    fits (nodes, neighbours, pinv): row 1 + b of each node's whole pinv,
+    times betas[b]!, for every multi-index b the node is starved in."""
+    N = ball.node_count
+    betas = multi_indices(ball.n, 1) + multi_indices(ball.n, 2)
+    parts = []
+    for nodes, nbr, pinv in groups:
+        for b, beta in enumerate(betas):
+            sel = starved[b][nodes]
+            fact = math.prod(math.factorial(k) for k in beta)
+            parts.append((b * N + nodes[sel], nbr[sel],
+                          pinv[sel, 1 + b, :] * fact))
+    return parts
+
+
+def _fitted_nodes(ball, parts):
+    """The (nodes, neighbours) groups behind table parts, one per K."""
+    groups = []
+    for rows, nbr, _ in parts:
+        nodes, first = np.unique(rows % ball.node_count, return_index=True)
+        groups.append((nodes, nbr[first]))
+    return groups
+
+
 def _class_firsts(ball, groups):
     """The nodes whose own fits the class fits keep: the first node of
-    each symmetry class, per group of one K."""
+    each symmetry class, per group (nodes, neighbours, ...) of one K."""
     perm = grid_module._symmetries(ball.n)[0]
     return np.concatenate([
         nodes[grid_module._fit_classes(ball, nodes, nbr, perm)[0]]
-        for nodes, nbr, _ in groups])
+        for nodes, nbr, *_ in groups])
 
 
 @pytest.mark.parametrize("n,res", [(2, 5), (2, 9), (2, 21), (2, 33), (3, 5),
@@ -322,14 +347,16 @@ def test_stencil_fits_match_rank_and_pinv(n, res, monkeypatch):
     # fits, bitwise (the table is R-free, see test_stencil_table_is_r_free);
     # each class's first node keeps its direct fit's weights bitwise, and
     # the nodes mapped from it are the same least-squares solution, rounded
-    # another way
+    # another way.  The reference maps every row of each node's pinv and
+    # keeps the starved ones; the table maps the starved rows alone.
     table = stencil_table(build_grid(n, 1.0, res))
     direct = []
 
-    def record(ball, nodes):
+    def record(ball, starved):
+        nodes = np.nonzero(np.any(starved, axis=0))[0]
         groups = _fits_rank_then_pinv(ball, nodes)
         direct.extend(groups)
-        return groups
+        return _starved_rows(ball, starved, groups)
 
     with monkeypatch.context() as patch:
         patch.setattr(grid_module, "_quadratic_fits", record)
@@ -379,17 +406,17 @@ def test_fits_run_once_per_symmetry_class(monkeypatch):
         svd_inputs.append(a.shape[0])
         return svd(a, *args, **kwargs)
 
-    def fits(ball, nodes):
-        groups = quadratic_fits(ball, nodes)
-        fitted.extend(groups)
-        return groups
+    def fits(ball, starved):
+        parts = quadratic_fits(ball, starved)
+        fitted.extend(_fitted_nodes(ball, parts))
+        return parts
 
     quadratic_fits = grid_module._quadratic_fits
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(grid_module, "_quadratic_fits", fits)
     grid = build_grid(3, 1.0, 21)
     stencil_table(grid)
-    assert sum(nodes.size for nodes, _, _ in fitted) == 1440
+    assert sum(nodes.size for nodes, _ in fitted) == 1440
     assert _class_firsts(grid.ball, fitted).size <= 226
     assert sum(svd_inputs) <= 212 + 19
 
@@ -578,6 +605,50 @@ def test_pair_set_matches_row_gather(n, R, res, seed):
         first[::7].shape[0]))
     np.testing.assert_array_equal(given.unit.dist, unit.dist[::7])
     np.testing.assert_array_equal(given.unit.offset, unit.offset[:, ::7])
+
+
+# The pair-set build rests on three numpy identities.  If an upgrade breaks
+# one, these tests name it before any answer moves.
+
+
+@pytest.mark.parametrize("N", [317, 797, 2109, 4169, 70000])
+def test_int32_draws_are_the_int64_stream(N):
+    # the sampled pairs are drawn as int32, two arrays in turn from one
+    # generator, and stand for the int64 draws value by value
+    for seed in (0, 7):
+        wide, narrow = (np.random.default_rng(seed) for _ in range(2))
+        for size in (50_000, 1_500):
+            got = narrow.integers(0, N, size=size, dtype=np.int32)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got,
+                                          wide.integers(0, N, size=size))
+
+
+@pytest.mark.parametrize("n,res,seed", [(2, 9, 0), (2, 33, 1), (3, 13, 2),
+                                        (3, 21, 0)])
+def test_distance_table_reads_are_each_pairs_own_powers(n, res, seed):
+    # a pair's distance and its powers are reads of the ball's table at the
+    # pair's d2: bitwise unit_h * sqrt(d2) and its elementwise powers, and
+    # each bucket's floor, the power at its least d2, bitwise the min of
+    # its pairs' powers
+    grid = build_grid(n, 1.0, res)
+    ps = build_pair_set(grid, seed=seed)
+    unit, buckets = ps.unit, ps.buckets
+    offset = unit.offset.astype(np.int64)
+    np.testing.assert_array_equal(unit.d2, np.einsum("ij,ij->j", offset,
+                                                     offset))
+    assert unit.d2.dtype == np.min_scalar_type(n * (res - 1)**2)
+    dist = np.sqrt(unit.d2, dtype=np.float64)
+    dist *= grid.ball.unit_h
+    assert unit.dist.tobytes() == dist.tobytes()
+    np.testing.assert_array_equal(buckets.sizes, np.diff(buckets.indptr))
+    np.testing.assert_array_equal(
+        buckets.min_d2, np.minimum.reduceat(unit.d2, buckets.indptr[:-1]))
+    for alpha in (0.25, 0.5, 0.75):
+        for power in (alpha, 2.0 + alpha):
+            assert unit.dist_pow(power).tobytes() == (dist**power).tobytes()
+        floor = np.minimum.reduceat(dist**alpha, buckets.indptr[:-1])
+        assert unit.bucket_min_dist_pow(alpha).tobytes() == floor.tobytes()
 
 
 @pytest.mark.parametrize("n,R,res", [(2, 1.0, 21), (2, 0.5625, 21),

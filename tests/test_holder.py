@@ -615,6 +615,34 @@ def test_pair_buckets_hold_their_invariants(n, res, seed):
         assert np.all(quotient.T <= bound[:, bucket])
 
 
+@pytest.mark.parametrize("count,ties,small_top", [
+    (1941, False, False), (5827, False, False), (400, True, False),
+    (1941, False, True), (60, False, False)])
+def test_floor_buckets_are_the_fewest_of_largest_bound(count, ties,
+                                                       small_top):
+    # the partial sort picks what a full descending sort's prefix picks:
+    # the fewest buckets of largest bound holding _FLOOR_PAIRS pairs, in
+    # decreasing order; with ties the picks may differ among equal bounds
+    # but not in their bounds or count.  small_top gives the buckets of
+    # largest bound one pair each, so the first guess of m falls short.
+    rng = np.random.default_rng(count)
+    size = rng.integers(1, 260, size=count)
+    bound = rng.normal(size=count)
+    if ties:
+        size[:] = 103
+        bound = np.round(bound, 1)
+    if small_top:
+        size[np.argsort(bound)[-300:]] = 1
+    top = holder._floor_buckets(bound, size, int(size.sum()))
+    rank = np.argsort(bound, kind="stable")[::-1]
+    want = rank[:np.searchsorted(np.cumsum(size[rank]), 4096) + 1]
+    np.testing.assert_array_equal(bound[top], bound[want])
+    assert size[top].sum() >= 4096 > size[top[:-1]].sum()
+    assert np.unique(top).size == top.size
+    rest = np.setdiff1d(np.arange(count), top)
+    assert np.all(bound[rest] <= bound[top].min())
+
+
 @pytest.mark.parametrize("n,res", [(2, 33), (3, 21)])
 def test_quotient_bounds_are_the_reference_rows(n, res):
     # the (k, buckets) rows are bitwise the (buckets, k) reference bounds,

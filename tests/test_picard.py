@@ -285,13 +285,16 @@ def test_zero_state_is_the_state_of_zeros(n, R, res, m):
         assert not np.signbit(a).any(), name
 
 
-@pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS)
-@pytest.mark.parametrize("m", [None, 2])
+@pytest.mark.parametrize("n,R,res", _ONE_PASS_GRIDS + [(2, 0.375, 33),
+                                                       (3, 0.375, 13)])
+@pytest.mark.parametrize("m", [None, 1, 2])
 def test_jet_polynomial_matches_power_monomials(n, R, res, m, rng):
     # the cached monomials x_i and x_i * x_j on the unit nodes are bitwise
-    # the values of np.prod(unit_nodes ** beta, axis=1), and each origin
-    # stencil value is scaled by R^|beta|; at R = 1 that is the jet on the
-    # grid's own nodes, bitwise, and at any R within rounding of it
+    # the values of np.prod(unit_nodes ** beta, axis=1), and the one gather
+    # of the origin's stencil rows gives bitwise the coefficients of one
+    # fd_values(..., node=o) call per multi-index, each scaled by
+    # R^|beta|; at R = 1 that is the jet on the grid's own nodes, bitwise,
+    # and at any R within rounding of it
     grid = build_grid(n, R, res)
     shape = (grid.node_count,) if m is None else (grid.node_count, m)
     vals = rng.normal(size=shape)
@@ -981,14 +984,19 @@ def test_zero_origin_source_skips_the_probe(case, monkeypatch):
         reports.append(solve(*args))
         return reports[-1]
 
+    def hessian_pass(*args, **kw):
+        # every potential pass that convolves the Hessian kernels, whichever
+        # entry point asked for it
+        calls["hessian"] += bool(kw.get("hess"))
+        return apply_potential(*args, **kw)
+
     solve = picard_module.picard_solve
     check = potential_module.check_potential_norm_bound
-    hessian = potential_module.potential_hessian
+    apply_potential = potential_module._apply_potential
     monkeypatch.setattr(picard_module, "picard_solve", recording_solve)
     monkeypatch.setattr(picard_module, "check_potential_norm_bound",
                         counting("check", check))
-    monkeypatch.setattr(potential_module, "potential_hessian",
-                        counting("hessian", hessian))
+    monkeypatch.setattr(potential_module, "_apply_potential", hessian_pass)
     monkeypatch.setattr(picard_module, "build_grid",
                         counting("grids", picard_module.build_grid))
     run(SolveConfig(**kwargs))

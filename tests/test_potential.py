@@ -117,6 +117,22 @@ def test_potential_norm_ratio_stable_across_radii():
     assert hi < 10.0
 
 
+@pytest.mark.parametrize("n,res", [(2, 17), (2, 33), (3, 9), (3, 17)])
+@pytest.mark.parametrize("R", [1.0, 0.375])
+def test_hessian_only_pass_is_the_full_pass_hessian(n, res, R):
+    # the norm ratios' pass skips the value kernel: each kernel's lines are
+    # transformed on their own, so its Hessian is bitwise the full pass's
+    grid = build_grid(n, R, res)
+    rng = np.random.default_rng(res)
+    for shape in [(grid.node_count,), (grid.node_count, 1),
+                  (grid.node_count, 6)]:
+        F = rng.normal(size=shape)
+        alone = potential_module._apply_potential(grid, F, hess=True,
+                                                  value=False)
+        assert alone.values is None
+        assert alone.hess.tobytes() == potential_hessian(F, grid).hess.tobytes()
+
+
 @pytest.mark.parametrize("n,res", [(2, 13), (3, 9)])
 def test_batched_sources_match_columns(n, res):
     grid = build_grid(n, 1.0, res)
