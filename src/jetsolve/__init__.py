@@ -14,19 +14,19 @@ from .grid import (BallGrid, LatticeBall, PairSet, build_grid, build_pair_set,
 from .holder import taylor_remainder_ratio, weighted_norm_values
 from .kobayashi import KobayashiQuery, estimate
 from .picard import (AttemptRecord, HarmonicPolynomial, IterateEscaped,
-                     NoConvergence, OracleFailure, SolveConfig, SolveFailure,
-                     SolveReport, choose_norm_radius,
-                     coefficient_deviation_sup, make_state, picard_map,
-                     picard_solve, residual_check, solve_system, solver_norm,
-                     source_term)
+                     NoConvergence, SolveConfig, SolveReport,
+                     choose_norm_radius, coefficient_deviation_sup,
+                     make_state, picard_map, picard_solve, residual_check,
+                     solve_system, solver_norm, source_term)
 from .potential import (KernelSpec, PotentialField,
                         check_potential_norm_bound, laplacian_consistency,
                         newtonian_potential, potential_hessian, quad_weights,
                         uniform_ball_potential)
 from .probes import (Probe, constant_probe, lemma_battery, polynomial,
                      potential_probes, with_zero_jet)
-from .reduce import (ChartError, EllipticityError, JetSpec, PoissonSystem,
-                     SystemDef, check_ellipticity, diagonalize, shift_jet)
+from .reduce import (ChartError, EllipticityError, JetSpec, OracleFailure,
+                     PoissonSystem, SolveFailure, SystemDef,
+                     check_ellipticity, diagonalize, shift_jet)
 from .systems import (SYSTEM_REGISTRY, TARGET_REGISTRY, TargetManifold,
                       build_system, euclidean_target, harmonic_map_system,
                       hyperbolic_disk_target, minimal_surface_system,

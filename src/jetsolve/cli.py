@@ -303,9 +303,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         report = solve_system(system, jet, solve_cfg)
     except SolveFailure as exc:
+        # an oracle failure before the first attempt has no history
         _write_report(report_path, _payload(
             "solve", resolved, started, error=str(exc),
-            result=exc.report.summary()))
+            result=None if exc.report is None else exc.report.summary()))
         oracle = isinstance(exc, OracleFailure)
         print(f"{'oracle failure' if oracle else 'solve failed'}: {exc}",
               file=sys.stderr)

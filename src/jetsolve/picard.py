@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,18 +29,10 @@ from .grid import (BallGrid, LatticeBall, PairSet, _read_only, build_grid,
 from .holder import max_weighted_norm
 from .potential import check_potential_norm_bound, newtonian_potential
 from .probes import potential_probes
-from .reduce import (JetSpec, PoissonSystem, SystemDef, check_ellipticity,
+from .reduce import (JetSpec, OracleFailure, PoissonSystem, SolveFailure,
+                     SystemDef, _call_oracle, _origin, check_ellipticity,
                      diagonalize, shift_jet)
 from .systems import integral_value, real_value
-
-
-class SolveFailure(RuntimeError):
-    """Base class for solver give-ups; carries the partial report, None
-    only for an OracleFailure raised outside :func:`picard_solve`."""
-
-    def __init__(self, message: str, report: "SolveReport | None" = None):
-        super().__init__(message)
-        self.report = report
 
 
 class NoConvergence(SolveFailure):
@@ -49,18 +41,6 @@ class NoConvergence(SolveFailure):
 
 class IterateEscaped(SolveFailure):
     """Iterates kept leaving the norm ball even after enlarging it."""
-
-
-class OracleFailure(SolveFailure):
-    """A coefficient or source oracle misbehaved at a specific node.  Its
-    report is None when raised outside :func:`picard_solve`, for example
-    by a direct :func:`source_term` call."""
-
-    def __init__(self, message: str, node: np.ndarray | None = None):
-        if node is not None:
-            message = f"{message} at node {np.asarray(node).tolist()}"
-        super().__init__(message)
-        self.node = None if node is None else np.asarray(node, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +230,6 @@ class IterateState:
     hess: np.ndarray              # (N, m, n, n), symmetric in the last axes
     order2: np.ndarray            # (N, m n (n + 1) / 2)
 
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
 
 def make_state(grid: BallGrid, values: np.ndarray) -> IterateState:
     """Fill the derivative tables of an iterate by finite differences, all
@@ -298,39 +274,16 @@ def source_term(system: PoissonSystem, state: IterateState) -> np.ndarray:
     two name the first offending node.
     """
     grid = state.grid
-    big_n, m, n = grid.node_count, state.m, grid.n
+    big_n, m, n = grid.node_count, system.m, grid.n
     x, p, q = grid.nodes, state.values, state.grad
-    try:
-        psi_val = np.asarray(system.psi(x, p, q), dtype=np.float64)
-        b_val = np.asarray(system.b(x, p, q), dtype=np.float64)
-    except Exception as exc:  # noqa: BLE001 - wrap with location
-        _raise_at_failing_node(system, x, p, q, exc)
-    if psi_val.shape != (big_n, m) or b_val.shape != (big_n, n, n):
-        raise OracleFailure(
-            f"oracle shape mismatch (psi {psi_val.shape}, b {b_val.shape}; "
-            f"expected {(big_n, m)} and {(big_n, n, n)})"
-        )
+    psi_val = _call_oracle("psi", system.psi, (big_n, m), x, p, q)
+    b_val = _call_oracle("b", system.b, (big_n, n, n), x, p, q)
     out = -psi_val - np.einsum("kij,kmij->km", b_val, state.hess)
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise OracleFailure("oracle produced non-finite values",
                             node=x[np.argmin(finite)])
     return out
-
-
-def _raise_at_failing_node(system: PoissonSystem, x: np.ndarray,
-                           p: np.ndarray, q: np.ndarray,
-                           exc: Exception) -> NoReturn:
-    """Name the first node whose own oracle call raises (failure path only)."""
-    for idx in range(x.shape[0]):
-        try:
-            system.psi(x[idx], p[idx], q[idx])
-            system.b(x[idx], p[idx], q[idx])
-        except Exception as node_exc:  # noqa: BLE001 - wrap with location
-            raise OracleFailure(f"coefficient oracle raised {node_exc!r}",
-                                node=x[idx]) from node_exc
-    raise OracleFailure(f"coefficient oracle raised {exc!r} on the batch "
-                        "but on no single node") from exc
 
 
 def _origin_jet_polynomial(grid: BallGrid, vals: np.ndarray) -> np.ndarray:
@@ -436,10 +389,8 @@ def choose_norm_radius(system: PoissonSystem, config: SolveConfig,
     runs.  A nan psi(0) still runs the probe, as the rule then reads C_hat.
     The probe builds its own grid of radius R0 and its seed-0 pair set.
     """
-    z_x = np.zeros(system.n)
-    z_p = np.zeros(system.m)
-    z_q = np.zeros((system.m, system.n))
-    psi0 = float(np.max(np.abs(np.asarray(system.psi(z_x, z_p, z_q)))))
+    psi0 = float(np.abs(_call_oracle("psi", system.psi, (system.m,),
+                                     *_origin(system.n, system.m))).max())
     if config.gamma0 is not None:
         return float(config.gamma0), None, psi0
     if psi0 == 0.0:
@@ -456,13 +407,12 @@ def coefficient_deviation_sup(system: PoissonSystem,
                               state: IterateState) -> float:
     """Largest |b^kl| over an iterate's nodes: the exact max, not a sampled
     sup, from one batched b call on the iterate's values and gradients;
-    an oracle exception raises OracleFailure as in :func:`source_term`."""
-    x, p, q = state.grid.nodes, state.values, state.grad
-    try:
-        b = system.b(x, p, q)
-    except Exception as exc:  # noqa: BLE001 - wrap with location
-        _raise_at_failing_node(system, x, p, q, exc)
-    return float(np.abs(np.asarray(b, dtype=np.float64)).max())
+    a wrong shape or an oracle exception raises OracleFailure as in
+    :func:`source_term`, and a nan or inf |b| is recorded as it is."""
+    grid = state.grid
+    return float(np.abs(_call_oracle(
+        "b", system.b, (grid.node_count, grid.n, grid.n), grid.nodes,
+        state.values, state.grad)).max())
 
 
 @dataclass(frozen=True)
@@ -661,7 +611,7 @@ def picard_solve(system: PoissonSystem, config: SolveConfig,
     Raises NoConvergence/IterateEscaped at the radius floor, and
     OracleFailure when an oracle fails in an attempt, which ends the solve
     with that attempt's outcome "oracle_failure"; each carries the partial
-    report.
+    report, but one of psi(0), before the first attempt, carries none.
 
     Every radius's grid and pair set is built on one lattice ball of
     (system.n, config.res): ball when given (build_grid raises ValueError

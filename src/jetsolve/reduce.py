@@ -31,6 +31,57 @@ class ChartError(ValueError):
     """Prescribed jet leaves the target chart."""
 
 
+class SolveFailure(RuntimeError):
+    """Base class for solver give-ups; carries the partial report, None
+    when raised outside ``picard_solve`` or before its first attempt."""
+
+    def __init__(self, message: str, report: "SolveReport | None" = None):
+        super().__init__(message)
+        self.report = report
+
+
+class OracleFailure(SolveFailure):
+    """A coefficient or source oracle misbehaved, at node when one can be
+    named.  Its report is None when raised outside ``picard_solve`` or
+    before its first attempt."""
+
+    def __init__(self, message: str, node: np.ndarray | None = None):
+        self.node = None if node is None else np.asarray(node, dtype=float)
+        super().__init__(message if node is None
+                         else f"{message} at node {self.node.tolist()}")
+
+
+def _origin(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle arguments (x, p, q) of the zero jet at the origin."""
+    return np.zeros(n), np.zeros(m), np.zeros((m, n))
+
+
+def _call_oracle(name: str, oracle: Callable, shape: tuple,
+                 x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """oracle(x, p, q) on points x (N, n) or one point x (n,), as float64
+    of the given shape: the package's one way to call a coefficient
+    oracle.  A wrong shape raises OracleFailure, and so does an exception,
+    naming the first point whose own call of this oracle raises (a
+    per-point loop, run on the failure path only).  Each caller decides
+    what non-finite values mean.
+    """
+    try:
+        out = np.asarray(oracle(x, p, q), dtype=np.float64)
+    except Exception as exc:  # noqa: BLE001 - wrap with location
+        for point in [(x, p, q)] if np.ndim(x) == 1 else zip(x, p, q):
+            try:
+                np.asarray(oracle(*point), dtype=np.float64)
+            except Exception as node_exc:  # noqa: BLE001
+                raise OracleFailure(f"oracle {name} raised {node_exc!r}",
+                                    node=point[0]) from node_exc
+        raise OracleFailure(f"oracle {name} raised {exc!r} on the batch but "
+                            "on no single node") from exc
+    if out.shape != shape:
+        raise OracleFailure(f"oracle {name} returned shape {out.shape}, "
+                            f"expected {shape}")
+    return out
+
+
 @dataclass(eq=False)
 class SystemDef:
     """Quasi-linear system sum_ij a^ij(x,u,Du) d_ij u^k = phi^k(x,u,Du).
@@ -111,12 +162,11 @@ class PoissonSystem:
     chart_radius: float | None = None
 
     def __post_init__(self):
-        z_x = np.zeros(self.n)
-        z_p = np.zeros(self.m)
-        z_q = np.zeros((self.m, self.n))
-        b0 = np.asarray(self.b(z_x, z_p, z_q))
-        if np.abs(b0).max() > 1e-9:
-            raise ValueError(f"b(0,0,0) must vanish, got max |b| = {np.abs(b0).max()}")
+        b0 = np.abs(_call_oracle("b", self.b, (self.n, self.n),
+                                 *_origin(self.n, self.m))).max()
+        # negated so that nan, which fails every comparison, fails it too
+        if not b0 <= 1e-9:
+            raise ValueError(f"b(0,0,0) must vanish, got max |b| = {b0}")
 
 
 def shift_jet(system: SystemDef, jet: JetSpec) -> SystemDef:
@@ -164,13 +214,14 @@ def diagonalize(system: SystemDef) -> PoissonSystem:
     ``oracle.poisson_form_reference`` computes both point by point.
     """
     n, m = system.n, system.m
-    z_x, z_p, z_q = np.zeros(n), np.zeros(m), np.zeros((m, n))
-    A0 = np.asarray(system.a(z_x, z_p, z_q), dtype=np.float64)
-    if A0.shape != (n, n):
-        raise ValueError(f"coefficient oracle returned shape {A0.shape}")
+    A0 = _call_oracle("a", system.a, (n, n), *_origin(n, m))
     A0 = 0.5 * (A0 + A0.T)
+    # eigh need not converge on a nan or inf entry, so those fail first
+    if not np.isfinite(A0).all():
+        raise EllipticityError(
+            f"coefficients at the zero jet are not finite: {A0.tolist()}")
     evals, evecs = np.linalg.eigh(A0)
-    if evals.min() <= 0:
+    if not evals.min() > 0:
         raise EllipticityError(
             f"coefficients at the zero jet are not positive definite: "
             f"eigenvalues {evals.tolist()}"
@@ -184,12 +235,10 @@ def diagonalize(system: SystemDef) -> PoissonSystem:
         return (q.reshape(-1, n) @ P).reshape(q.shape)
 
     def psi(x, p, q):
-        return np.asarray(system.phi(x @ P_inv.T, p, gradients(q)),
-                          dtype=np.float64)
+        return system.phi(x @ P_inv.T, p, gradients(q))
 
     def b(x, p, q):
-        dev = A0 - np.asarray(system.a(x @ P_inv.T, p, gradients(q)),
-                              dtype=np.float64)
+        dev = A0 - system.a(x @ P_inv.T, p, gradients(q))
         return (dev.reshape(-1, n * n) @ kron_T).reshape(dev.shape)
 
     return PoissonSystem(
@@ -205,7 +254,7 @@ def check_ellipticity(system: SystemDef, samples: int = 1000) -> float:
     meets the same draws in every solve; they go to the coefficient oracle
     in one batched call.  Returns the worst observed margin (min of
     xi^T a xi / |xi|^2 - lam); raises EllipticityError naming the first
-    draw that violates the bound.
+    draw that violates the bound or gives a nan or inf value.
     """
     rng = np.random.default_rng(0)
     n, m = system.n, system.m
@@ -216,12 +265,11 @@ def check_ellipticity(system: SystemDef, samples: int = 1000) -> float:
     norms = np.linalg.norm(xi, axis=1)
     used = norms >= 1e-12
     xi[used] /= norms[used, None]
-    a = np.asarray(system.a(x, p, q), dtype=np.float64)
-    if a.shape != (samples, n, n):
-        raise ValueError(f"coefficient oracle returned shape {a.shape}, "
-                         f"expected {(samples, n, n)}")
+    a = _call_oracle("a", system.a, (samples, n, n), x, p, q)
     vals = np.einsum("ki,kij,kj->k", xi, a, xi)
-    bad = used & (vals < system.lam * (1.0 - 1e-9) - 1e-12)
+    # "not in range", so that a nan or inf value is a violation too
+    bad = used & ~((vals >= system.lam * (1.0 - 1e-9) - 1e-12)
+                   & (vals < np.inf))
     if bad.any():
         k = int(np.argmax(bad))
         raise EllipticityError(

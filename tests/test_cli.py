@@ -346,6 +346,24 @@ def test_oracle_failure_exits_four_with_history(workdir, capsys):
     assert not (workdir / "field.csv").exists()
 
 
+def test_oracle_failure_before_any_attempt_exits_four_without_result(
+        workdir, capsys, monkeypatch):
+    # a registry system reaches this only at the chart's edge: a c0 whose
+    # norm rounds below the chart radius in the jet shift, but whose
+    # squared norm rounds to the radius squared in psi(0)'s chart check
+    def breaks(system, config):
+        raise picard_module.OracleFailure("oracle psi raised ValueError()",
+                                          node=np.zeros(2))
+
+    monkeypatch.setattr(picard_module, "choose_norm_radius", breaks)
+    assert main(["solve", _write(workdir / "cfg.json", _solve_cfg())]) == 4
+    assert capsys.readouterr().err.startswith("oracle failure:")
+    payload = json.loads((workdir / "report.json").read_text())
+    assert payload["result"] is None
+    assert payload["error"].endswith("at node [0.0, 0.0]")
+    assert not (workdir / "field.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-lemmas
 

@@ -544,6 +544,104 @@ def test_deviation_oracle_failure_names_the_node():
     assert attempt.deviation_sup is None
 
 
+def _breaking(name, value, where):
+    """Oracle `name` that returns value(x, p, q), but raises where
+    where(x, p) holds at some point of its batch."""
+    def oracle(x, p, q):
+        if np.any(where(np.asarray(x), np.asarray(p))):
+            raise ValueError(f"{name} breaks")
+        return value(x, p, q)
+    return oracle
+
+
+def _eye2(x, p, q):
+    return np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))
+
+
+def _zeros2(x, p, q):
+    return np.zeros(np.shape(x)[:-1] + (2, 2))
+
+
+def _ones(x, p, q):
+    return np.ones(np.shape(p))
+
+
+def _at_origin(x, p):  # the single-point calls at the zero jet
+    return np.ndim(x) == 1
+
+
+def _right(x, p):
+    return x[..., 0] > 0.3
+
+
+def _off_zero(x, p):  # not on the zero iterate, but on the first sweep's
+    return np.abs(p[..., 0]) > 0.05
+
+
+def _poisson(psi=_ones, b=_zeros2):
+    return PoissonSystem(n=2, m=1, psi=psi, b=b, P=np.eye(2),
+                         P_inv=np.eye(2))
+
+
+def _solve(a):
+    return solve_system(SystemDef(n=2, m=1, a=a, phi=lambda x, p, q: np.zeros(
+        np.shape(p)), lam=0.5), None, SolveConfig(R0=1.0, res=9, gamma0=1.0))
+
+
+def _picard(psi=_ones, b=_zeros2):
+    return picard_solve(_poisson(psi, b), SolveConfig(R0=1.0, res=9,
+                                                      gamma0=1.0))
+
+
+_NODES9 = build_grid(2, 1.0, 9).nodes
+_FIRST_RIGHT = _NODES9[np.argmax(_right(_NODES9, None))].tolist()
+
+# site: (the failing call, its oracle, a test of the node, the sweeps its
+# attempt had finished, or None before the first attempt)
+_ORACLE_SITES = {
+    "check_ellipticity": (lambda: _solve(_breaking("a", _eye2, _right)),
+                          "a", lambda node: node[0] > 0.3, None),
+    "diagonalize": (lambda: _solve(_breaking("a", _eye2, _at_origin)),
+                    "a", lambda node: node == [0.0, 0.0], None),
+    "poisson_b0": (lambda: _poisson(b=_breaking("b", _zeros2, _at_origin)),
+                   "b", lambda node: node == [0.0, 0.0], None),
+    "psi0": (lambda: _picard(psi=_breaking("psi", _ones, _at_origin)),
+             "psi", lambda node: node == [0.0, 0.0], None),
+    "source_psi": (lambda: _picard(psi=_breaking("psi", _ones, _right)),
+                   "psi", lambda node: node == _FIRST_RIGHT, 0),
+    "source_b": (lambda: _picard(b=_breaking("b", _zeros2, _right)),
+                 "b", lambda node: node == _FIRST_RIGHT, 0),
+    "deviation_b": (lambda: _picard(b=_breaking(
+        "b", _zeros2, lambda x, p: _right(x, p) & _off_zero(x, p))),
+        "b", lambda node: node[0] > 0.3, 1),
+    # psi would break on the iterate left of x0 = 0 and b breaks right of
+    # it: the deviation figure's b fails, and the blame is b's alone
+    "deviation_b_not_psi": (lambda: _picard(
+        psi=_breaking("psi", _ones,
+                      lambda x, p: _off_zero(x, p) & (x[..., 0] < 0)),
+        b=_breaking("b", _zeros2,
+                    lambda x, p: _off_zero(x, p) & (x[..., 0] > 0))),
+        "b", lambda node: node[0] > 0, 1),
+}
+
+
+@pytest.mark.parametrize("site", list(_ORACLE_SITES))
+def test_every_oracle_site_names_the_oracle_and_node(site):
+    run, oracle, node_ok, sweeps = _ORACLE_SITES[site]
+    with pytest.raises(OracleFailure) as err:
+        run()
+    assert f"oracle {oracle} raised ValueError('{oracle} breaks') at node" \
+        in str(err.value)
+    assert node_ok(err.value.node.tolist())
+    # a failure before the first attempt has no history to carry
+    if sweeps is None:
+        assert err.value.report is None
+    else:
+        [attempt] = err.value.report.attempts
+        assert (attempt.outcome, attempt.iterations) == ("oracle_failure",
+                                                         sweeps)
+
+
 @pytest.mark.parametrize("case", ["escape", "floor", "oracle"])
 def test_every_solve_failure_carries_its_history(case):
     system, jet, kwargs, status = {

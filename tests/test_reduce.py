@@ -9,6 +9,7 @@ from jetsolve import (
     ChartError,
     EllipticityError,
     JetSpec,
+    PoissonSystem,
     SystemDef,
     check_ellipticity,
     diagonalize,
@@ -130,9 +131,17 @@ def test_diagonalize_minimal_surface_origin_matrix():
 
 
 def test_diagonalize_rejects_indefinite():
-    A = np.diag([1.0, -0.5])
-    with pytest.raises(EllipticityError):
-        diagonalize(_constant_coefficient_system(A))
+    # nan and inf fail every comparison, so each must be rejected outright
+    for A in (np.diag([1.0, -0.5]), np.diag([np.nan, 1.0]),
+              np.diag([1.0, np.inf]), [[1.0, np.inf], [np.inf, 1.0]]):
+        with pytest.raises(EllipticityError):
+            diagonalize(_constant_coefficient_system(A))
+    # and so is a nan b(0, 0, 0) of a Poisson form
+    with pytest.raises(ValueError, match="must vanish"):
+        PoissonSystem(n=2, m=1, psi=lambda x, p, q: np.zeros(np.shape(p)),
+                      b=lambda x, p, q: np.full(np.shape(x)[:-1] + (2, 2),
+                                                np.nan),
+                      P=np.eye(2), P_inv=np.eye(2))
 
 
 def test_poisson_diagonalization_is_trivial():
@@ -246,3 +255,13 @@ def test_check_ellipticity_catches_degenerate():
     )
     with pytest.raises(EllipticityError):
         check_ellipticity(bad, samples=2000)
+    # a nan or inf value certifies no bound: it is a violation too
+    for value in (np.nan, np.inf):
+        def a_bad(x, p, q, value=value):
+            out = a(x, p, q)
+            out[..., 1, 1] = np.where(q[..., 0, 0] > 0.9, value, 1.0)
+            return out
+
+        bad.a = a_bad
+        with pytest.raises(EllipticityError, match=str(value)):
+            check_ellipticity(bad, samples=2000)
